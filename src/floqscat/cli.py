@@ -28,12 +28,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import model as model_mod
-from .floquet import build_floquet, correspondence_report, quasi_spectrum, shift_commutation_defect
+from .floquet import (EDGE_BLOCKS, build_floquet, correspondence_report, quasi_spectrum,
+                      shift_commutation_defect)
 from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
 from .numerics import SingularMatrixError, expm_hermitian, max_norm, op_norm, unitary_defect
 from .propagation import PropagatorSchedule, monodromy, propagate
@@ -43,6 +45,7 @@ from .resolvent import (
     block_q,
     bound_state_correspondence,
     factorized_potential,
+    grid_potential,
     mode_oracle_apply,
     q_factorized,
     r0_apply,
@@ -51,6 +54,7 @@ from .resolvent import (
 )
 from .scattering import (
     ConvergenceError,
+    DetectorDisagreementError,
     bound_state_scan,
     bound_vectors,
     make_probes,
@@ -83,9 +87,9 @@ def _get(obj: dict, field: str, typ, where: str, default=None, required=False):
             raise ValidationError(f"{where}.{field}", "missing required field")
         return default
     val = obj[field]
-    if typ is float and isinstance(val, int):
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or (isinstance(val, bool) and typ is not bool):
         raise ValidationError(f"{where}.{field}", f"expected {typ}, got {type(val).__name__}")
     return val
 
@@ -157,15 +161,28 @@ def _jsonable(obj):
         if np.iscomplexobj(obj):
             return _jsonable(np.stack([obj.real, obj.imag], axis=-1))
         return obj.tolist()
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     return obj
+
+
+def _bound_state_scan(model, sched, params, field, default, theta_eig=None):
+    """bound_state_scan at the mode cutoff parameters.<field>; a cutoff too
+    small to leave any interior state to cross-check against is invalid."""
+    n_modes = _get(params, field, int, "parameters", default)
+    try:
+        return bound_state_scan(model, sched, n_modes=n_modes, theta_eig=theta_eig)
+    except DetectorDisagreementError as exc:
+        if exc.candidates == 0 and n_modes <= EDGE_BLOCKS:
+            raise ValidationError(f"parameters.{field}", f"mode cutoff {n_modes} <= EDGE_BLOCKS="
+                                  f"{EDGE_BLOCKS} leaves no interior mode-space state") from exc
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -249,8 +266,7 @@ def run_resolvent_check(model, params, rng):
     n_modes = _get(params, "n_modes", int, where, 8)
     if h.modes:
         fact = factorized_potential(h, n_t)
-        v_ops = np.stack([h.potential(j / n_t) for j in range(n_t)])
-        results["factorization_defect"] = fact.factorization_defect(v_ops)
+        results["factorization_defect"] = fact.factorization_defect(grid_potential(h, n_t))
         _, schmidt = q_factorized(h, lam, n_t, fact)
         results["schmidt_norm"] = schmidt
         results["block_q_norm"] = op_norm(block_q(h, lam, n_modes))
@@ -280,11 +296,10 @@ def run_wave_operators(model, params, rng):
             f"only {converged_fraction:.0%} of probes converged before the horizon",
             gaps=wp.cauchy_gaps,
         )
-    scan = bound_state_scan(model, sched, n_modes=_get(params, "floquet_modes", int, where, 8),
-                            theta_eig=theta.eig)
+    scan = _bound_state_scan(model, sched, params, "floquet_modes", 8, theta_eig=theta.eig)
     report = s_matrix(wp, wm, translates=translates, theta0=theta0,
                       bound_states=scan)
-    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes)
+    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, theta=theta.operator)
     use = wp.converged & wm.converged
     avg_agreement = float(
         np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
@@ -297,11 +312,7 @@ def run_wave_operators(model, params, rng):
         "intertwining_defect": report.intertwining_defect,
         "time_averaged_agreement": avg_agreement,
         "s_matrix": report.s_matrix,
-        "bound_states": [
-            {"quasi_energy": b.quasi_energy, "localization": b.localization,
-             "multiplicity": b.multiplicity}
-            for b in report.bound_states
-        ],
+        "bound_states": [asdict(b) for b in report.bound_states],
         "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, theta.eig)),
     }
 
@@ -313,30 +324,15 @@ def run_bound_states(model, params, rng):
     if not isinstance(model, LatticeModel):
         raise ValidationError("model", "bound-states requires a lattice model")
     sched = _schedule(params, where)
-    n_modes = _get(params, "n_modes", int, where, 12)
     scan_modes = _get(params, "scan_modes", int, where, 8)
-    infos = bound_state_scan(model, sched, n_modes=n_modes)
-    results = {
-        "bound_states": [
-            {"quasi_energy": b.quasi_energy, "localization": b.localization,
-             "multiplicity": b.multiplicity}
-            for b in infos
-        ],
-        "n_bound": len(infos),
-    }
+    if scan_modes < model.drive.max_mode:
+        raise ValidationError(f"{where}.scan_modes", "below the interaction's mode support")
+    infos = _bound_state_scan(model, sched, params, "n_modes", 12)
+    results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if _get(params, "verify", bool, where, True):
-        verdicts = []
-        for b in infos:
-            v = bound_state_correspondence(model.drive, b.quasi_energy, scan_modes)
-            verdicts.append({
-                "candidate": v.candidate,
-                "refined": v.refined,
-                "confirmed": v.confirmed,
-                "smin_ladder": v.smin_ladder,
-                "smin_extrapolated": v.smin_extrapolated,
-                "residual": v.residual,
-            })
-        results["verdicts"] = verdicts
+        fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
+        verdicts = [bound_state_correspondence(model.drive, b.quasi_energy, scan_modes) for b in infos]
+        results["verdicts"] = [{f: getattr(v, f) for f in fields} for v in verdicts]
     return results
 
 
@@ -423,25 +419,20 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
         sub["parameters"][pname] = value
         t0 = time.perf_counter()
         try:
-            report = run_scenario(sub, seed)
-            headline = report["results"].get(HEADLINE[parsed["task"]])
-            rows.append({
-                "parameter": pname,
-                "value": value,
-                "headline": HEADLINE[parsed["task"]],
-                "headline_value": headline,
-                "status": "ok",
-                "wall_time_s": time.perf_counter() - t0,
-            })
+            headline = run_scenario(sub, seed)["results"].get(HEADLINE[parsed["task"]])
+            status = "ok"
+        except ValidationError:
+            raise
         except (ConvergenceError, SingularMatrixError, ThresholdProximityError, ValueError) as exc:
-            rows.append({
-                "parameter": pname,
-                "value": value,
-                "headline": HEADLINE[parsed["task"]],
-                "headline_value": "",
-                "status": f"failed: {exc}",
-                "wall_time_s": time.perf_counter() - t0,
-            })
+            headline, status = "", f"failed: {exc}"
+        rows.append({
+            "parameter": pname,
+            "value": value,
+            "headline": HEADLINE[parsed["task"]],
+            "headline_value": headline,
+            "status": status,
+            "wall_time_s": time.perf_counter() - t0,
+        })
     return rows
 
 
@@ -514,7 +505,8 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SingularMatrixError, ThresholdProximityError) as exc:
+    except (ConvergenceError, SingularMatrixError, ThresholdProximityError,
+            DetectorDisagreementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if getattr(exc, "gaps", None) is not None:
             np.set_printoptions(precision=3)

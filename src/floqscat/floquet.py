@@ -2,7 +2,8 @@
 
 The extended-space operator acts on vectors x = (x_n), |n| <= N, with
 d-dimensional fiber blocks: the (n, m) block is H_{n-m} for n != m and
-2 pi n I + H0 + H_0-mode on the diagonal.  Its eigenvalues are quasi-energies;
+2 pi n I + H0 + H_0-mode on the diagonal, assembled by ModeSpace as the
+Kronecker sum K = K0 + V.  Its eigenvalues are quasi-energies;
 the commutation with the mode shift generates the 2pi translation structure,
 and the interior folded spectrum reproduces the eigenphases of the one-period
 operator.
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import PeriodicHamiltonian
 from .numerics import hermitian_eig, max_norm
@@ -22,6 +24,66 @@ from .propagation import Monodromy, PropagatorSchedule, monodromy
 # component in the outermost blocks exceeds 1% (i.e. probability 1e-4)
 EDGE_NORM_LIMIT = 0.01
 EDGE_BLOCKS = 2
+
+
+@dataclass(frozen=True)
+class ModeSpace:
+    """(2N+1) mode blocks of fiber dimension d and the sparse Kronecker sums on them.
+
+    With the shift (S x)_n = x_{n-1}: K0 = I (x) H + diag(2 pi n) (x) I,
+    V = sum_m S^m (x) H_m, K = K0 + V and Q(zeta) = V (K0 - zeta)^{-1}
+    (Shirley's extended-space form).
+    """
+
+    n_modes: int
+    fiber_dim: int
+
+    @property
+    def n_blocks(self) -> int:
+        return 2 * self.n_modes + 1
+
+    @property
+    def size(self) -> int:
+        return self.n_blocks * self.fiber_dim
+
+    @property
+    def modes(self) -> np.ndarray:
+        """Mode indices -N..N in block order."""
+        return np.arange(-self.n_modes, self.n_modes + 1)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return 2 * np.pi * self.modes
+
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """x with its leading axis split into (2N+1, d) mode blocks."""
+        return x.reshape(self.n_blocks, self.fiber_dim, *x.shape[1:])
+
+    def shift(self, m: int = 1) -> sp.csr_array:
+        """S^m (x) I_d = kron(eye(2N+1, k=-m), I_d), the identity at offset -m d."""
+        return sp.eye_array(self.size, k=-m * self.fiber_dim, format="csr")
+
+    def blockdiag(self, blocks: np.ndarray):
+        """I (x) h for one (d, d) block h, or blockdiag_n h_n for a (2N+1, d, d) stack."""
+        if blocks.ndim == 2:  # the Kronecker product keeps only h's nonzeros
+            return sp.kron(sp.eye_array(self.n_blocks), blocks, format="csr")
+        nb = self.n_blocks
+        return sp.bsr_array((blocks, np.arange(nb), np.arange(nb + 1)), shape=(self.size,) * 2)
+
+    def coupling(self, modes: dict[int, np.ndarray]) -> sp.csr_array:
+        """sum_m S^m (x) H_m = sum_m (S^m (x) I) blockdiag(H_m): the (n, k) block is H_{n-k}.
+
+        An H_m given as a (2N+1, d, d) stack varies with the column block k;
+        modes beyond 2N drop out.
+        """
+        return sum((self.shift(m) @ self.blockdiag(hm) for m, hm in modes.items()
+                    if abs(m) < self.n_blocks), sp.csr_array((self.size,) * 2, dtype=np.complex128))
+
+    def free_resolvent(self, h0: np.ndarray, zeta: complex) -> np.ndarray:
+        """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d)."""
+        eig = hermitian_eig(h0)
+        return np.stack([(eig.vectors * (1.0 / (eig.values + w - zeta))) @ eig.vectors.conj().T
+                         for w in self.frequencies])
 
 
 @dataclass
@@ -35,13 +97,16 @@ class FloquetMatrix:
     source: PeriodicHamiltonian
 
     @property
+    def space(self) -> ModeSpace:
+        return ModeSpace(self.n_modes, self.fiber_dim)
+
+    @property
     def size(self) -> int:
-        return (2 * self.n_modes + 1) * self.fiber_dim
+        return self.space.size
 
     def block(self, n: int, m: int) -> np.ndarray:
-        d, n_ = self.fiber_dim, self.n_modes
-        i, j = (n + n_) * d, (m + n_) * d
-        return self.matrix[i:i + d, j:j + d]
+        nb, d = self.space.n_blocks, self.fiber_dim
+        return self.matrix.reshape(nb, d, nb, d)[n + self.n_modes, :, m + self.n_modes]
 
 
 def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
@@ -51,29 +116,12 @@ def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
             f"mode cutoff N={n_modes} below the interaction support M={h.max_mode}; "
             "this would silently truncate the interaction"
         )
-    d = h.dim
-    nb = 2 * n_modes + 1
-    out = np.zeros((nb * d, nb * d), dtype=np.complex128)
-    diag_block = h.h0 + h.mode(0)
-    for bi, n in enumerate(range(-n_modes, n_modes + 1)):
-        out[bi * d:(bi + 1) * d, bi * d:(bi + 1) * d] = diag_block + 2 * np.pi * n * np.eye(d)
-        for bj, m in enumerate(range(-n_modes, n_modes + 1)):
-            if n == m:
-                continue
-            mode = h.modes.get(n - m)
-            if mode is not None:
-                out[bi * d:(bi + 1) * d, bj * d:(bj + 1) * d] = mode
-    mode_diag = 2 * np.pi * np.arange(-n_modes, n_modes + 1, dtype=float)
-    return FloquetMatrix(fiber_dim=d, n_modes=n_modes, matrix=out, mode_diag=mode_diag, source=h)
-
-
-def _shift_matrix(k: FloquetMatrix) -> np.ndarray:
-    """Truncated mode shift (S x)_n = x_{n-1} as a block matrix."""
-    d, nb = k.fiber_dim, 2 * k.n_modes + 1
-    s = np.zeros((nb * d, nb * d), dtype=np.complex128)
-    for b in range(1, nb):
-        s[b * d:(b + 1) * d, (b - 1) * d:b * d] = np.eye(d)
-    return s
+    space = ModeSpace(n_modes, h.dim)
+    k0 = space.blockdiag(h.h0 + h.mode(0)) + sp.kron(sp.diags_array(space.frequencies),
+                                                     sp.eye_array(h.dim))
+    out = (k0 + space.coupling({m: hm for m, hm in h.modes.items() if m != 0})).toarray()
+    return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes, matrix=out,
+                         mode_diag=space.frequencies, source=h)
 
 
 def shift_commutation_defect(k: FloquetMatrix) -> float:
@@ -83,22 +131,22 @@ def shift_commutation_defect(k: FloquetMatrix) -> float:
     m in [-N, N-1] where the truncated shift is defined; the defect there
     is zero in exact arithmetic and is returned in max norm.
     """
-    d, n_ = k.fiber_dim, k.n_modes
-    s = _shift_matrix(k)
-    defect = k.matrix @ s - s @ k.matrix - 2 * np.pi * s
-    interior = defect[d:, : -d] if n_ > 0 else defect
-    return max_norm(interior)
+    s = k.space.shift().toarray()
+    return _interior_max(k, k.matrix @ s - s @ k.matrix - 2 * np.pi * s)
 
 
 def shift_group_defect(k: FloquetMatrix, sigma: float) -> float:
     """Defect of exp(i J sigma) S exp(-i J sigma) = exp(2 pi i sigma) S (interior)."""
-    d, n_ = k.fiber_dim, k.n_modes
-    s = _shift_matrix(k)
-    phases = np.repeat(np.exp(1j * k.mode_diag * sigma), d)
+    s = k.space.shift().toarray()
+    phases = np.repeat(np.exp(1j * k.mode_diag * sigma), k.fiber_dim)
     conj = (phases[:, None] * s) * phases.conj()[None, :]
-    defect = conj - np.exp(2j * np.pi * sigma) * s
-    interior = defect[d:, : -d] if n_ > 0 else defect
-    return max_norm(interior)
+    return _interior_max(k, conj - np.exp(2j * np.pi * sigma) * s)
+
+
+def _interior_max(k: FloquetMatrix, defect: np.ndarray) -> float:
+    """Max norm on the rows n > -N and columns m < N where the shift is defined."""
+    d = k.fiber_dim
+    return max_norm(defect[d:, :-d] if k.n_modes > 0 else defect)
 
 
 @dataclass
@@ -113,18 +161,20 @@ class QuasiEnergySpectrum:
     fiber_dim: int
 
     @property
+    def space(self) -> ModeSpace:
+        return ModeSpace(self.n_modes, self.fiber_dim)
+
+    @property
     def interior_folded(self) -> np.ndarray:
         return self.folded[self.interior]
 
     def mode_blocks(self, idx: int) -> np.ndarray:
         """Eigenvector idx reshaped to (2N+1, d) mode blocks."""
-        return self.vectors[:, idx].reshape(2 * self.n_modes + 1, self.fiber_dim)
+        return self.space.blocks(self.vectors[:, idx])
 
     def spatial_mass(self) -> np.ndarray:
         """Per-eigenvector fiber-site occupation, summed over modes: (d, n_eig)."""
-        nb = 2 * self.n_modes + 1
-        blocks = self.vectors.reshape(nb, self.fiber_dim, -1)
-        return (np.abs(blocks) ** 2).sum(axis=0)
+        return (np.abs(self.space.blocks(self.vectors)) ** 2).sum(axis=0)
 
 
 def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
@@ -135,14 +185,9 @@ def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
     states and excluded from interior comparisons.
     """
     eig = hermitian_eig(k.matrix)
-    d, nb = k.fiber_dim, 2 * k.n_modes + 1
-    blocks = eig.vectors.reshape(nb, d, -1)
-    probs = (np.abs(blocks) ** 2).sum(axis=1)
-    edge = EDGE_BLOCKS if k.n_modes >= EDGE_BLOCKS else k.n_modes
-    if edge > 0:
-        edge_mass = probs[:edge].sum(axis=0) + probs[-edge:].sum(axis=0)
-    else:
-        edge_mass = np.zeros(probs.shape[1])
+    probs = (np.abs(k.space.blocks(eig.vectors)) ** 2).sum(axis=1)
+    edge = min(EDGE_BLOCKS, k.n_modes)
+    edge_mass = probs[:edge].sum(axis=0) + probs[len(probs) - edge:].sum(axis=0)
     interior = np.sqrt(edge_mass) <= EDGE_NORM_LIMIT
     return QuasiEnergySpectrum(
         values=eig.values,
@@ -150,7 +195,7 @@ def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
         vectors=eig.vectors,
         interior=interior,
         n_modes=k.n_modes,
-        fiber_dim=d,
+        fiber_dim=k.fiber_dim,
     )
 
 
@@ -162,10 +207,8 @@ def circular_distance(a, b) -> np.ndarray:
 
 def reconstruct_mode(spec: QuasiEnergySpectrum, idx: int, t: float) -> np.ndarray:
     """Periodic eigenmode phi(t) = sum_n x_n exp(2 pi i n t) from mode blocks."""
-    blocks = spec.mode_blocks(idx)
-    ns = np.arange(-spec.n_modes, spec.n_modes + 1)
-    phases = np.exp(2j * np.pi * ns * (float(t) % 1.0))
-    return phases @ blocks
+    phases = np.exp(2j * np.pi * spec.space.modes * (float(t) % 1.0))
+    return phases @ spec.mode_blocks(idx)
 
 
 @dataclass
@@ -211,13 +254,12 @@ def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
     mean_match = float(all_d.mean())
 
     defects = []
-    lams = spec.values[spec.interior]
-    for j, idx in enumerate(np.flatnonzero(spec.interior)):
+    for idx in np.flatnonzero(spec.interior):
         phi0 = reconstruct_mode(spec, idx, 0.0)
         norm = np.linalg.norm(phi0)
         if norm < 1e-12:
             continue
-        resid = mono.operator @ phi0 - np.exp(-1j * lams[j]) * phi0
+        resid = mono.operator @ phi0 - np.exp(-1j * spec.values[idx]) * phi0
         defects.append(np.linalg.norm(resid) / norm)
     return CorrespondenceReport(
         n_modes=n_modes,

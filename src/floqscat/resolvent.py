@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .floquet import ModeSpace, build_floquet
 from .model import PeriodicHamiltonian
 from .numerics import SingularMatrixError, hermitian_eig, solve
 
@@ -267,33 +268,11 @@ def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise ValueError("block resolvent requires Im(zeta) != 0")
-    eig = hermitian_eig(h.h0)
-    d = h.dim
-    nb = 2 * n_modes + 1
-    out = np.zeros((nb * d, nb * d), dtype=np.complex128)
-    resolvents = []
-    for k in range(-n_modes, n_modes + 1):
-        mult = 1.0 / (eig.values + 2 * np.pi * k - zeta)
-        resolvents.append((eig.vectors * mult) @ eig.vectors.conj().T)
-    for bi, n in enumerate(range(-n_modes, n_modes + 1)):
-        for bj, k in enumerate(range(-n_modes, n_modes + 1)):
-            mode = h.modes.get(n - k)
-            if mode is not None:
-                out[bi * d:(bi + 1) * d, bj * d:(bj + 1) * d] = mode @ resolvents[bj]
-    return out
-
-
-def mode_basis_on_grid(n_t: int, d: int, n_modes: int) -> np.ndarray:
-    """Orthonormal grid vectors exp(2 pi i n t_j)/sqrt(N_t) x fiber basis."""
-    t = np.arange(n_t) / n_t
-    cols = []
-    for n in range(-n_modes, n_modes + 1):
-        phase = np.exp(2j * np.pi * n * t) / np.sqrt(n_t)
-        for p in range(d):
-            col = np.zeros((n_t, d), dtype=np.complex128)
-            col[:, p] = phase
-            cols.append(col.ravel())
-    return np.array(cols).T
+    space = ModeSpace(n_modes, h.dim)
+    r0 = space.free_resolvent(h.h0, zeta)
+    # Q = V blockdiag(R0_k) with each block a dense d x d product H_m R0_k, which rounds
+    # like the per-block definition (a sparse V @ blockdiag(R0) sums in another order)
+    return space.coupling({m: hm @ r0 for m, hm in h.modes.items()}).toarray()
 
 
 def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
@@ -317,13 +296,9 @@ def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
 
 def free_spectrum_distance(h0: np.ndarray, lam: float) -> float:
     """Distance of a real quasi-energy to the translated free spectrum."""
-    evals = np.linalg.eigvalsh(h0)
-    best = np.inf
-    for e in evals:
-        n = np.round((lam - e) / (2 * np.pi))
-        for shift in (n - 1, n, n + 1):
-            best = min(best, abs(lam - (e + 2 * np.pi * shift)))
-    return float(best)
+    evals = np.linalg.eigvalsh(h0)[:, None]
+    shifts = np.round((lam - evals) / (2 * np.pi)) + np.array([-1.0, 0.0, 1.0])
+    return float(np.abs(lam - (evals + 2 * np.pi * shifts)).min())
 
 
 @dataclass
@@ -358,8 +333,8 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
     window around the candidate at the finest ladder eps, extrapolated
     linearly in eps to the axis (never evaluating exactly on it), and the
     null direction phi is converted to the mode vector
-    psi_n = (H0 + 2 pi n - lambda)^{-1} phi_n, which must satisfy the
-    truncated eigenvalue equation (K0 - lambda) psi = -V psi.
+    psi = (K0 - lambda)^{-1} phi, which must satisfy the truncated eigenvalue
+    equation (K - lambda) psi = 0 with K = K0 + V from build_floquet.
     """
     dist = free_spectrum_distance(h.h0, lam_candidate)
     if dist < threshold_margin:
@@ -371,9 +346,8 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
     eps_fine = eps_ladder[-1]
 
     def smin_at(lam_real, eps):
-        dim = (2 * n_modes + 1) * h.dim
-        m = np.eye(dim) + block_q(h, lam_real + 1j * eps, n_modes)
-        return _smallest_direction(m)
+        q = block_q(h, lam_real + 1j * eps, n_modes)
+        return _smallest_direction(np.eye(len(q)) + q)
 
     res = minimize_scalar(
         lambda x: smin_at(x, eps_fine)[0],
@@ -390,26 +364,12 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
 
     # null direction just off the axis, then the mode-space reconstruction
     _, phi = smin_at(refined, 1e-8)
-    d = h.dim
-    nb = 2 * n_modes + 1
-    phi_blocks = phi.reshape(nb, d)
-    eig = hermitian_eig(h.h0)
-    psi_blocks = np.empty_like(phi_blocks)
-    for bi, n in enumerate(range(-n_modes, n_modes + 1)):
-        mult = 1.0 / (eig.values + 2 * np.pi * n - refined)
-        psi_blocks[bi] = (eig.vectors * mult) @ (eig.vectors.conj().T @ phi_blocks[bi])
-
-    # residual of (K0 - lambda) psi + V psi in the truncated mode space
-    resid_blocks = np.empty_like(psi_blocks)
-    for bi, n in enumerate(range(-n_modes, n_modes + 1)):
-        acc = (h.h0 + 2 * np.pi * n * np.eye(d) - refined * np.eye(d)) @ psi_blocks[bi]
-        for bj, k in enumerate(range(-n_modes, n_modes + 1)):
-            mode = h.modes.get(n - k)
-            if mode is not None:
-                acc = acc + mode @ psi_blocks[bj]
-        resid_blocks[bi] = acc
-    psi_norm = np.linalg.norm(psi_blocks)
-    residual = float(np.linalg.norm(resid_blocks) / psi_norm) if psi_norm > 0 else np.inf
+    space = ModeSpace(n_modes, h.dim)
+    psi = space.blockdiag(space.free_resolvent(h.h0, refined)) @ phi
+    # residual of the truncated eigenvalue equation (K - lambda) psi = 0
+    k = build_floquet(h, n_modes).matrix
+    psi_norm = np.linalg.norm(psi)
+    residual = float(np.linalg.norm(k @ psi - refined * psi) / psi_norm) if psi_norm > 0 else np.inf
     confirmed = confirmed and residual <= residual_tol
     return BoundStateVerdict(
         candidate=float(lam_candidate),
@@ -419,5 +379,5 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
         smin_extrapolated=extrapolated,
         residual=residual,
         threshold_distance=dist,
-        mode_vector=psi_blocks,
+        mode_vector=space.blocks(psi),
     )

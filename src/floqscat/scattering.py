@@ -41,6 +41,14 @@ class ConvergenceError(RuntimeError):
         self.gaps = gaps
 
 
+class DetectorDisagreementError(ValueError):
+    """A monodromy bound state has none of `candidates` mode-space values as partner."""
+
+    def __init__(self, message, candidates: int):
+        super().__init__(message)
+        self.candidates = candidates
+
+
 @dataclass
 class ProbeSet:
     """Gaussian wave packets on the ring, mirror-paired around the well."""
@@ -195,13 +203,16 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
 
 def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: int,
                           sched: PropagatorSchedule | None = None,
-                          probes: ProbeSet | None = None, n_quad: int = 8) -> np.ndarray:
+                          probes: ProbeSet | None = None, n_quad: int = 8,
+                          theta: np.ndarray | None = None) -> np.ndarray:
     """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
 
-    Evaluates h^{-1} int_0^h U0(t + n)^dagger U(t + n) dt (direction +1;
-    time-reversed for -1) by the trapezoidal rule in t, using the period
-    factorization U(t + n) = U(t) Theta^n.  Converges to the same limit as
-    the stroboscopic iterates.
+    Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
+    schedule's start s (direction +1; time-reversed for -1) by the
+    trapezoidal rule in t, using the period factorization
+    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s
+    (computed unless given).  Converges to the same limit as the
+    stroboscopic iterates.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -209,7 +220,9 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
         raise ValueError("averaging window h must lie in (0, 1]")
     sched = sched or PropagatorSchedule()
     probes = probes or make_probes(model)
-    theta = monodromy(model.drive, 0.0, sched).operator
+    s = sched.start
+    if theta is None:
+        theta = monodromy(model.drive, s, sched).operator
     theta0 = expm_hermitian(model.h0, 1.0)
     nodes = np.linspace(0.0, h, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)
@@ -220,16 +233,12 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     u_cur = np.eye(model.sites, dtype=np.complex128)
     for i, (w, t_node) in enumerate(zip(weights, nodes)):
         if i > 0:
-            u_cur = propagate(model.drive, float(nodes[i - 1]), float(t_node), sched) @ u_cur
+            u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched) @ u_cur
         u0 = expm_hermitian(model.h0, float(t_node))
         kernel += w * (u0.conj().T @ u_cur)
-    if direction == +1:
-        th_pow = np.linalg.matrix_power(theta, n_max)
-        th0_pow_h = np.linalg.matrix_power(theta0.conj().T, n_max)
-        return th0_pow_h @ kernel @ th_pow @ probes.vectors
-    th_pow = np.linalg.matrix_power(theta.conj().T, n_max)
-    th0_pow = np.linalg.matrix_power(theta0, n_max)
-    return th0_pow @ kernel @ th_pow @ probes.vectors
+    a_op, b_op = (theta, theta0.conj().T) if direction == +1 else (theta.conj().T, theta0)
+    th_pow = np.linalg.matrix_power(a_op, n_max)
+    return np.linalg.matrix_power(b_op, n_max) @ kernel @ th_pow @ probes.vectors
 
 
 @dataclass
@@ -310,6 +319,14 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     )
 
 
+def _localization(model: LatticeModel, weights: np.ndarray):
+    """Per column of site weights (L, k): mass near the support, and whether it is bound."""
+    window = model.support_window(LOCALIZATION_MARGIN)
+    # contiguous rows: each sum rounds like a sum over one state's window entries
+    score = np.ascontiguousarray(weights[window].T).sum(axis=1)
+    return score, score >= LOCALIZATION_SCORE
+
+
 def bound_state_scan(model: LatticeModel, sched: PropagatorSchedule | None = None,
                      n_modes: int = 12, theta_eig=None,
                      cross_check_tol: float = 1e-5) -> list[BoundStateInfo]:
@@ -318,58 +335,45 @@ def bound_state_scan(model: LatticeModel, sched: PropagatorSchedule | None = Non
     Eigenvectors with at least 90% of their mass within the interaction
     window plus LOCALIZATION_MARGIN sites are flagged bound; their
     eigenphases are cross-checked against localized interior quasi-energies
-    of the truncated mode-space matrix.  Raises if the two detectors
-    disagree beyond cross_check_tol.
+    of the truncated mode-space matrix.  Raises DetectorDisagreementError if
+    the two detectors disagree beyond cross_check_tol.
     """
     sched = sched or PropagatorSchedule()
     if theta_eig is None:
         theta_eig = monodromy(model.drive, 0.0, sched).eig
-    window = model.support_window(LOCALIZATION_MARGIN)
-    mask = np.zeros(model.sites, dtype=bool)
-    mask[window] = True
-    found = []
+    score, bound = _localization(model, np.abs(theta_eig.vectors) ** 2)
     phases = np.mod(-np.angle(theta_eig.values), 2 * np.pi)
-    for j in range(len(theta_eig.values)):
-        vec = theta_eig.vectors[:, j]
-        score = float((np.abs(vec[mask]) ** 2).sum())
-        if score >= LOCALIZATION_SCORE:
-            found.append((phases[j], score))
-    found.sort()
+    found = sorted((phases[j], score[j]) for j in np.flatnonzero(bound))
 
     infos = []
     if found:
         spec = quasi_spectrum(build_floquet(model.drive, n_modes))
-        site_mass = spec.spatial_mass()
-        loc = site_mass[mask, :].sum(axis=0)
-        floq_candidates = spec.folded[(loc >= LOCALIZATION_SCORE) & spec.interior]
-        for phase, score in found:
+        _, localized = _localization(model, spec.spatial_mass())
+        floq_candidates = spec.folded[localized & spec.interior]
+        for phase, _ in found:
             dist = circular_distance(phase, floq_candidates).min() if len(floq_candidates) else np.inf
             if dist > cross_check_tol:
-                raise ValueError(
-                    f"bound state at quasi-energy {phase:.8f} not reproduced by the "
-                    f"mode-space spectrum (nearest localized value {dist:.2e} away)"
-                )
+                raise DetectorDisagreementError(
+                    f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
+                    f"spectrum at N={n_modes} (nearest of {len(floq_candidates)} localized "
+                    f"interior values {dist:.2e} away)", len(floq_candidates))
         # multiplicity: cluster phases within the cross-check tolerance
         used = np.zeros(len(found), dtype=bool)
-        for i, (phase, score) in enumerate(found):
+        for i, (phase, loc) in enumerate(found):
             if used[i]:
                 continue
             cluster = [j for j in range(len(found))
                        if circular_distance(found[j][0], phase) <= cross_check_tol]
-            for j in cluster:
-                used[j] = True
-            infos.append(BoundStateInfo(quasi_energy=float(phase), localization=float(score),
+            used[cluster] = True
+            infos.append(BoundStateInfo(quasi_energy=float(phase), localization=float(loc),
                                         multiplicity=len(cluster)))
     return infos
 
 
 def bound_vectors(model: LatticeModel, theta_eig) -> np.ndarray:
     """Columns: eigenvectors of the one-period operator flagged as bound."""
-    window = model.support_window(LOCALIZATION_MARGIN)
-    mask = np.zeros(model.sites, dtype=bool)
-    mask[window] = True
-    score = (np.abs(theta_eig.vectors[mask, :]) ** 2).sum(axis=0)
-    return theta_eig.vectors[:, score >= LOCALIZATION_SCORE]
+    _, bound = _localization(model, np.abs(theta_eig.vectors) ** 2)
+    return theta_eig.vectors[:, bound]
 
 
 def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import pytest
 from floqscat.cli import (
     ValidationError,
     build_model,
+    canonical_json,
     main,
     run_scenario,
     run_sweep,
@@ -58,6 +59,52 @@ class TestValidation:
         code = main(["--config", str(p), "--out", str(tmp_path)])
         assert code == 2
         assert "parameters.zzz" in capsys.readouterr().err
+
+
+    def test_bool_rejected_for_int(self, tmp_path, capsys):
+        p = write_config(tmp_path, {"task": "floquet-spectrum", "model": {"builtin": "rabi"},
+                                    "parameters": {"n_modes": True}})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "parameters.n_modes" in capsys.readouterr().err
+
+    def test_bool_rejected_for_float(self):
+        with pytest.raises(ValidationError, match="model.delta"):
+            build_model({"builtin": "rabi", "delta": False})
+
+    def test_sweep_over_unknown_parameter_exit_2(self, tmp_path, capsys):
+        cfg = {**CORR_CFG, "sweep": {"parameter": "n_mode", "values": [4, 8]}}
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "parameters.n_mode" in capsys.readouterr().err
+
+    def test_mode_cutoff_without_interior_states_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "task": "bound-states",
+            "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8,
+                                  "drive_amp": 0.5, "support_width": 4}},
+            "parameters": {"steps_per_period": 8, "order": 2, "n_modes": 2, "verify": False},
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "parameters.n_modes" in capsys.readouterr().err
+
+    def test_scan_modes_below_mode_support(self):
+        cfg = {"task": "bound-states",
+               "model": {"lattice": {"sites": 40, "well_depth": -1.8, "drive_amp": 0.5}},
+               "parameters": {"steps_per_period": 8, "order": 2, "scan_modes": 0}}
+        with pytest.raises(ValidationError, match="parameters.scan_modes"):
+            run_scenario(cfg)
+
+    def test_wave_operators_floquet_modes_2_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "task": "wave-operators",
+            "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                  "drive_amp": 0.5, "support_width": 5}},
+            "parameters": {"steps_per_period": 8, "order": 2, "floquet_modes": 2},
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "parameters.floquet_modes" in capsys.readouterr().err
 
 
 class TestRunScenario:
@@ -114,6 +161,19 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert report["results"]["unitarity_defect"] <= 1e-10
         assert len(report["results"]["quasi_energies"]) == 2
+
+
+class TestReportEncoding:
+    def test_booleans_written_as_json_booleans(self):
+        payload = canonical_json({"confirmed": True, "flag": np.bool_(False), "count": 1})
+        assert payload == '{"confirmed":true,"count":1,"flag":false}'
+
+    def test_config_echo_keeps_booleans(self):
+        cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+               "parameters": {"steps_per_period": 16, "order": 2, "self_convergence": False}}
+        report = run_scenario(cfg)
+        assert report["config_echo"]["parameters"]["self_convergence"] is False
+        assert '"self_convergence":false' in canonical_json(report)
 
 
 class TestDeterminism:
@@ -217,6 +277,18 @@ class TestExitCodes:
         code = main(["--config", str(p), "--out", str(tmp_path)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_detector_disagreement_exit_3(self, tmp_path, capsys):
+        # a coarse monodromy misplaces the bound phase against the mode space
+        cfg = {
+            "task": "bound-states",
+            "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8,
+                                  "drive_amp": 0.5, "support_width": 4}},
+            "parameters": {"steps_per_period": 8, "order": 2, "n_modes": 8, "verify": False},
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "not reproduced by the mode-space spectrum" in capsys.readouterr().err
 
     def test_jobs_fan_out(self, tmp_path):
         p1 = write_config(tmp_path, CORR_CFG, "one.json")

@@ -148,3 +148,46 @@ class TestCorrespondence:
         assert maxes[0] + noise_floor >= maxes[1]
         assert maxes[1] + noise_floor >= maxes[2]
         assert max(maxes) <= 1e-6
+
+
+class TestModeSpace:
+    def test_floquet_matrix_is_kronecker_sum(self, fleet_models):
+        # K = I (x) (H0 + H_0) + diag(2 pi n) (x) I + sum_{m != 0} S^m (x) H_m
+        for h in fleet_models:
+            n_modes = 5
+            k = build_floquet(h, n_modes).matrix
+            nb, d = 2 * n_modes + 1, h.dim
+            want = np.kron(np.eye(nb), h.h0 + h.mode(0))
+            want += np.kron(np.diag(2 * np.pi * np.arange(-n_modes, n_modes + 1)), np.eye(d))
+            for m, hm in h.modes.items():
+                if m != 0:
+                    want += np.kron(np.eye(nb, k=-m), hm)
+            assert np.array_equal(k, want)
+
+    def test_block_q_factors_the_floquet_matrix(self, fleet_models):
+        # K - zeta = (I + Q(zeta)) (K0 - zeta) with K0 = I (x) H0 + diag(2 pi n) (x) I
+        from floqscat.floquet import ModeSpace
+        from floqscat.resolvent import block_q
+
+        zeta = 0.4 + 0.7j
+        for h in fleet_models:
+            n_modes = 4
+            space = ModeSpace(n_modes, h.dim)
+            k0 = np.kron(np.eye(space.n_blocks), h.h0) + np.diag(np.repeat(space.frequencies, h.dim))
+            k = build_floquet(h, n_modes).matrix
+            q = block_q(h, zeta, n_modes)
+            shifted = k0 - zeta * np.eye(space.size)
+            lhs = (np.eye(space.size) + q) @ shifted
+            assert np.abs(lhs - (k - zeta * np.eye(space.size))).max() <= 1e-12
+            r0 = space.blockdiag(space.free_resolvent(h.h0, zeta)).toarray()
+            assert np.abs(r0 @ shifted - np.eye(space.size)).max() <= 1e-12
+
+    def test_shift_powers(self):
+        from floqscat.floquet import ModeSpace
+
+        space = ModeSpace(3, 2)
+        s = space.shift().toarray()
+        assert np.array_equal(s, np.kron(np.eye(7, k=-1), np.eye(2)))
+        assert np.array_equal(space.shift(-2).toarray(), np.linalg.matrix_power(s.T, 2))
+        x = np.arange(space.size, dtype=float)
+        assert np.array_equal(space.blocks(s @ x)[1:], space.blocks(x)[:-1])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from floqscat.floquet import EDGE_BLOCKS
 from floqscat.model import build_lattice
 from floqscat.numerics import expm_hermitian, unitary_defect
-from floqscat.propagation import PropagatorSchedule, monodromy
+from floqscat.propagation import PropagatorSchedule, monodromy, propagate
 from floqscat.scattering import (
     ConvergenceError,
+    DetectorDisagreementError,
     bound_state_scan,
     bound_vectors,
     gaussian_packet,
@@ -135,6 +137,27 @@ class TestDrivenWell:
         diff = np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
         assert diff <= 1e-3
 
+    def test_time_averaged_from_schedule_start(self, driven_well_64):
+        # the quadrature built directly from U(s + t_j, s) and the monodromy at s
+        s, window, n_max, n_quad = 0.25, 0.5, 4, 4
+        sched = PropagatorSchedule(64, 4, s)
+        lat = driven_well_64
+        probes = make_probes(lat)
+        theta = monodromy(lat.drive, s, sched).operator
+        theta0 = expm_hermitian(lat.h0, 1.0)
+        nodes = np.linspace(0.0, window, n_quad + 1)
+        weights = np.full(n_quad + 1, 1.0 / n_quad)
+        weights[0] = weights[-1] = 0.5 / n_quad
+        kernel = sum(w * expm_hermitian(lat.h0, t).conj().T @ propagate(lat.drive, s, s + t, sched)
+                     for w, t in zip(weights, nodes))
+        want = (np.linalg.matrix_power(theta0.conj().T, n_max) @ kernel
+                @ np.linalg.matrix_power(theta, n_max) @ probes.vectors)
+        got = time_averaged_wave_op(lat, +1, window, n_max, sched, probes, n_quad=n_quad)
+        assert np.abs(got - want).max() <= 1e-12
+        given = time_averaged_wave_op(lat, +1, window, n_max, sched, probes, n_quad=n_quad,
+                                      theta=theta)
+        assert np.abs(given - want).max() <= 1e-12
+
     def test_start_time_covariance(self, driven_256, driven_256_run):
         _, probes, wp, _ = driven_256_run
         defect = start_time_covariance_defect(driven_256, CHEAP, wp.n_max, probes)
@@ -174,6 +197,13 @@ class TestBoundStateScan:
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a.quasi_energy - b.quasi_energy) <= 1e-4
+
+    def test_no_interior_candidate_is_typed(self):
+        # N = EDGE_BLOCKS flags every driven mode-space state as an edge state
+        lat = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
+        with pytest.raises(DetectorDisagreementError) as info:
+            bound_state_scan(lat, PropagatorSchedule(64, 4), n_modes=EDGE_BLOCKS)
+        assert info.value.candidates == 0
 
     def test_localization_scores_reported(self, driven_well_64, driven_well_64_monodromy):
         infos = bound_state_scan(driven_well_64, n_modes=8,
