@@ -26,6 +26,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -37,9 +38,11 @@ from . import model as model_mod
 from .floquet import (EDGE_BLOCKS, build_floquet, correspondence_report, quasi_spectrum,
                       shift_commutation_defect)
 from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
-from .numerics import SingularMatrixError, expm_hermitian, max_norm, op_norm, unitary_defect
+from .numerics import (SingularMatrixError, expm_hermitian, max_norm, op_norm, unitary_defect,
+                       unitary_eig)
 from .propagation import PropagatorSchedule, monodromy, propagate
 from .resolvent import (
+    InverseIterationError,
     ThresholdProximityError,
     TimeGridFunction,
     block_q,
@@ -61,6 +64,7 @@ from .scattering import (
     orthogonality_defect,
     s_matrix,
     stroboscopic_wave_op,
+    time_average,
     time_averaged_wave_op,
     wrap_horizon,
 )
@@ -91,6 +95,8 @@ def _get(obj: dict, field: str, typ, where: str, default=None, required=False):
         val = float(val)
     if not isinstance(val, typ) or (isinstance(val, bool) and typ is not bool):
         raise ValidationError(f"{where}.{field}", f"expected {typ}, got {type(val).__name__}")
+    if typ is float and not math.isfinite(val):
+        raise ValidationError(f"{where}.{field}", f"must be finite, got {val}")
     return val
 
 
@@ -247,8 +253,9 @@ def run_resolvent_check(model, params, rng):
         lam = 1j * eta
     else:
         pair = _get(params, "lambda", list, where, required=True)
-        if len(pair) != 2:
-            raise ValidationError(f"{where}.lambda", "expected [re, im]")
+        if len(pair) != 2 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                     and math.isfinite(x) for x in pair):
+            raise ValidationError(f"{where}.lambda", "expected [re, im] finite numbers")
         lam = complex(pair[0], pair[1])
         if lam.imag == 0:
             raise ValidationError(f"{where}.lambda", "Im(lambda) must be nonzero")
@@ -285,21 +292,25 @@ def run_wave_operators(model, params, rng):
     n_max = _get(params, "n_max", int, where, wrap_horizon(model))
     translates = _get(params, "translates", int, where, 2)
     h_avg = _get(params, "average_window", float, where, 1.0)
+    if not 0.0 < h_avg <= 1.0:
+        raise ValidationError(f"{where}.average_window", "must lie in (0, 1]")
     probes = make_probes(model, rng=rng)
-    theta = monodromy(model.drive, sched.start, sched)
+    # the averaging sweep's pieces compose to the monodromy: one period in all
+    average = time_average(model, h_avg, sched)
+    theta_eig = unitary_eig(average.theta)
     theta0 = expm_hermitian(model.h0, 1.0)
-    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, theta=theta.operator)
-    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, theta=theta.operator)
+    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, theta=average.theta)
+    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, theta=average.theta)
     converged_fraction = float((wp.converged & wm.converged).mean())
     if converged_fraction < 0.9:
         raise ConvergenceError(
             f"only {converged_fraction:.0%} of probes converged before the horizon",
             gaps=wp.cauchy_gaps,
         )
-    scan = _bound_state_scan(model, sched, params, "floquet_modes", 8, theta_eig=theta.eig)
+    scan = _bound_state_scan(model, sched, params, "floquet_modes", 8, theta_eig=theta_eig)
     report = s_matrix(wp, wm, translates=translates, theta0=theta0,
                       bound_states=scan)
-    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, theta=theta.operator)
+    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average)
     use = wp.converged & wm.converged
     avg_agreement = float(
         np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
@@ -313,7 +324,7 @@ def run_wave_operators(model, params, rng):
         "time_averaged_agreement": avg_agreement,
         "s_matrix": report.s_matrix,
         "bound_states": [asdict(b) for b in report.bound_states],
-        "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, theta.eig)),
+        "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, theta_eig)),
     }
 
 
@@ -423,7 +434,8 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
             status = "ok"
         except ValidationError:
             raise
-        except (ConvergenceError, SingularMatrixError, ThresholdProximityError, ValueError) as exc:
+        except (ConvergenceError, SingularMatrixError, ThresholdProximityError,
+                InverseIterationError, ValueError) as exc:
             headline, status = "", f"failed: {exc}"
         rows.append({
             "parameter": pname,
@@ -506,7 +518,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, SingularMatrixError, ThresholdProximityError,
-            DetectorDisagreementError) as exc:
+            DetectorDisagreementError, InverseIterationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if getattr(exc, "gaps", None) is not None:
             np.set_printoptions(precision=3)

@@ -26,6 +26,16 @@ EDGE_NORM_LIMIT = 0.01
 EDGE_BLOCKS = 2
 
 
+def start_vector(size: int) -> np.ndarray:
+    """Fixed generic unit start vector for iterative solvers (seeded normal entries).
+
+    A symmetric choice such as the all-ones vector is orthogonal to every
+    state odd under the ring's reflection about the well.
+    """
+    v = np.random.default_rng(0).standard_normal(size).astype(np.complex128)
+    return v / np.linalg.norm(v)
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """(2N+1) mode blocks of fiber dimension d and the sparse Kronecker sums on them.
@@ -59,6 +69,21 @@ class ModeSpace:
         """x with its leading axis split into (2N+1, d) mode blocks."""
         return x.reshape(self.n_blocks, self.fiber_dim, *x.shape[1:])
 
+    def fiber_mass(self, vectors: np.ndarray) -> np.ndarray:
+        """Per-column fiber-site occupation summed over modes: (d, n_columns)."""
+        return (np.abs(self.blocks(vectors)) ** 2).sum(axis=0)
+
+    def interior(self, vectors: np.ndarray) -> np.ndarray:
+        """Per unit column: not corrupted by the truncation edge.
+
+        A column is an edge state when its component in the outermost
+        EDGE_BLOCKS mode blocks per side exceeds EDGE_NORM_LIMIT of its norm.
+        """
+        probs = (np.abs(self.blocks(vectors)) ** 2).sum(axis=1)
+        edge = min(EDGE_BLOCKS, self.n_modes)
+        edge_mass = probs[:edge].sum(axis=0) + probs[len(probs) - edge:].sum(axis=0)
+        return np.sqrt(edge_mass) <= EDGE_NORM_LIMIT
+
     def shift(self, m: int = 1) -> sp.csr_array:
         """S^m (x) I_d = kron(eye(2N+1, k=-m), I_d), the identity at offset -m d."""
         return sp.eye_array(self.size, k=-m * self.fiber_dim, format="csr")
@@ -69,6 +94,11 @@ class ModeSpace:
             return sp.kron(sp.eye_array(self.n_blocks), blocks, format="csr")
         nb = self.n_blocks
         return sp.bsr_array((blocks, np.arange(nb), np.arange(nb + 1)), shape=(self.size,) * 2)
+
+    def free(self, h0: np.ndarray) -> sp.csr_array:
+        """K0 = I (x) h0 + diag(2 pi n) (x) I."""
+        return self.blockdiag(h0) + sp.kron(sp.diags_array(self.frequencies),
+                                            sp.eye_array(self.fiber_dim))
 
     def coupling(self, modes: dict[int, np.ndarray]) -> sp.csr_array:
         """sum_m S^m (x) H_m = sum_m (S^m (x) I) blockdiag(H_m): the (n, k) block is H_{n-k}.
@@ -109,19 +139,23 @@ class FloquetMatrix:
         return self.matrix.reshape(nb, d, nb, d)[n + self.n_modes, :, m + self.n_modes]
 
 
-def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
-    """Assemble the truncated mode-space matrix; requires N >= mode support."""
+def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> sp.csr_array:
+    """Sparse truncated mode-space Hamiltonian K; requires N >= mode support."""
     if n_modes < h.max_mode:
         raise ValueError(
             f"mode cutoff N={n_modes} below the interaction support M={h.max_mode}; "
             "this would silently truncate the interaction"
         )
     space = ModeSpace(n_modes, h.dim)
-    k0 = space.blockdiag(h.h0 + h.mode(0)) + sp.kron(sp.diags_array(space.frequencies),
-                                                     sp.eye_array(h.dim))
-    out = (k0 + space.coupling({m: hm for m, hm in h.modes.items() if m != 0})).toarray()
-    return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes, matrix=out,
-                         mode_diag=space.frequencies, source=h)
+    return space.free(h.h0 + h.mode(0)) + space.coupling(
+        {m: hm for m, hm in h.modes.items() if m != 0})
+
+
+def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
+    """Dense truncated mode-space matrix, for the tasks that report whole spectra."""
+    return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes,
+                         matrix=floquet_operator(h, n_modes).toarray(),
+                         mode_diag=ModeSpace(n_modes, h.dim).frequencies, source=h)
 
 
 def shift_commutation_defect(k: FloquetMatrix) -> float:
@@ -174,7 +208,7 @@ class QuasiEnergySpectrum:
 
     def spatial_mass(self) -> np.ndarray:
         """Per-eigenvector fiber-site occupation, summed over modes: (d, n_eig)."""
-        return (np.abs(self.space.blocks(self.vectors)) ** 2).sum(axis=0)
+        return self.space.fiber_mass(self.vectors)
 
 
 def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
@@ -185,15 +219,11 @@ def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
     states and excluded from interior comparisons.
     """
     eig = hermitian_eig(k.matrix)
-    probs = (np.abs(k.space.blocks(eig.vectors)) ** 2).sum(axis=1)
-    edge = min(EDGE_BLOCKS, k.n_modes)
-    edge_mass = probs[:edge].sum(axis=0) + probs[len(probs) - edge:].sum(axis=0)
-    interior = np.sqrt(edge_mass) <= EDGE_NORM_LIMIT
     return QuasiEnergySpectrum(
         values=eig.values,
         folded=np.mod(eig.values, 2 * np.pi),
         vectors=eig.vectors,
-        interior=interior,
+        interior=k.space.interior(eig.vectors),
         n_modes=k.n_modes,
         fiber_dim=k.fiber_dim,
     )

@@ -240,10 +240,12 @@ def matrix_to_json(a: np.ndarray):
     return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row] for row in np.asarray(a, complex)]
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     arr = np.array(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix payload must be a nested array of [re, im] pairs")
+        raise ValueError(f"{name}: payload must be a nested array of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: non-finite entry")
     return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
 
 
@@ -261,10 +263,11 @@ def model_from_json_dict(doc: dict) -> PeriodicHamiltonian:
     missing = required - set(doc)
     if missing:
         raise ValueError(f"model document missing fields: {sorted(missing)}")
-    h0 = matrix_from_json(doc["H0"])
+    h0 = matrix_from_json(doc["H0"], "H0")
     if h0.shape[0] != doc["dim"]:
         raise ValueError(f"dim field {doc['dim']} does not match H0 shape {h0.shape}")
-    modes = {int(entry["n"]): matrix_from_json(entry["matrix"]) for entry in doc["modes"]}
+    modes = {int(entry["n"]): matrix_from_json(entry["matrix"], f"modes[n={entry['n']}].matrix")
+             for entry in doc["modes"]}
     return PeriodicHamiltonian(h0=h0, modes=modes, label=doc["label"])
 
 

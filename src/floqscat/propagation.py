@@ -46,9 +46,17 @@ def _step(h: PeriodicHamiltonian, a: float, dt: float, order: int) -> np.ndarray
 
 
 def propagate(h: PeriodicHamiltonian, s: float, t: float,
-              sched: PropagatorSchedule | None = None) -> np.ndarray:
-    """U(t, s) for i dpsi/dt = H(t) psi.  U(s, s) = I; t < s via the adjoint."""
+              sched: PropagatorSchedule | None = None,
+              initial: np.ndarray | None = None) -> np.ndarray:
+    """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given.
+
+    U(s, s) = I; t < s via the adjoint.  Stepping continues the running
+    product from `initial`, so a sweep cut into pieces at step boundaries
+    rounds like one uninterrupted propagate.
+    """
     sched = sched or PropagatorSchedule()
+    if initial is not None and (t <= s or h.max_mode == 0):
+        return propagate(h, s, t, sched) @ initial
     if t == s:
         return np.eye(h.dim, dtype=np.complex128)
     if h.max_mode == 0:
@@ -59,7 +67,7 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
     span = t - s
     n_steps = max(1, int(np.ceil(span * sched.steps_per_period - 1e-12)))
     dt = span / n_steps
-    u = np.eye(h.dim, dtype=np.complex128)
+    u = np.eye(h.dim, dtype=np.complex128) if initial is None else initial
     for k in range(n_steps):
         u = _step(h, s + k * dt, dt, sched.order) @ u
     return u

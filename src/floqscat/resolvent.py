@@ -22,7 +22,9 @@ The mode-space block operator (Q(zeta) x)_n = sum_k V_{n-k} (H0 + 2 pi k -
 zeta)^{-1} x_k drives the norm-decay probes and the bound-state scan: a
 quasi-energy lambda off the free spectrum is an eigenvalue exactly when
 I + Q(lambda + i0) is singular, and the corresponding mode vector is
-recovered from the null direction.
+recovered from the null direction.  The scan never forms Q: with the sparse
+K = K0 + V, I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, so its inverse is one
+sparse LU solve.
 """
 
 from __future__ import annotations
@@ -30,17 +32,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
+from scipy.sparse.linalg import splu
 
-from .floquet import ModeSpace, build_floquet
+from .floquet import ModeSpace, floquet_operator, start_vector
 from .model import PeriodicHamiltonian
 from .numerics import SingularMatrixError, hermitian_eig, solve
 
 SGN_FLOOR = 1e-13
+# inverse iteration for the smallest singular pair of I + Q stops when s moves by
+# at most this much relative (1-7 steps on the driven ring's bound states)
+INVERSE_ITERATION_RTOL = 1e-12
+INVERSE_ITERATION_MAXITER = 100
 
 
 class ThresholdProximityError(ValueError):
     """Candidate quasi-energy too close to the free spectrum for a null scan."""
+
+
+class InverseIterationError(RuntimeError):
+    """The smallest singular value of I + Q did not settle within the iteration budget."""
 
 
 @dataclass
@@ -315,12 +327,38 @@ class BoundStateVerdict:
     mode_vector: np.ndarray  # reconstructed psi over modes, shape (2N+1, d)
 
 
-def _smallest_direction(m: np.ndarray):
-    """Smallest singular pair of M via the Hermitian form M^H M."""
-    g = m.conj().T @ m
-    g = (g + g.conj().T) / 2
-    eig = hermitian_eig(g)
-    return float(np.sqrt(max(eig.values[0], 0.0))), eig.vectors[:, 0]
+def smallest_singular_pair(k, k0, zeta: complex):
+    """Smallest singular value s and right singular vector phi of I + Q(zeta).
+
+    k and k0 are the sparse K = K0 + V and K0 of one mode space
+    (floquet_operator, ModeSpace.free).  Since I + Q(zeta) =
+    (K - zeta)(K0 - zeta)^{-1}, its inverse and inverse adjoint each cost one
+    solve with the sparse LU of K - zeta and one product with K0 - zeta.
+    Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed start vector
+    gives phi, and s = ||(I + Q) phi|| comes from the same two solves; unlike
+    the Hermitian form (I + Q)^H (I + Q), this resolves s far below
+    sqrt(machine eps) ||I + Q||.  Stops when s changes by at most
+    INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it has
+    not after INVERSE_ITERATION_MAXITER steps.
+    """
+    eye = sp.eye_array(k.shape[0], format="csc")
+    lu = splu(sp.csc_array(k - zeta * eye))
+    free = sp.csr_array(k0 - zeta * eye)
+    free_h = free.conj().T
+    phi = start_vector(k.shape[0])
+    s_prev = np.inf
+    for _ in range(INVERSE_ITERATION_MAXITER):
+        y = lu.solve(free_h @ phi, trans="H")    # (I + Q)^{-H} phi
+        z = free @ lu.solve(y)                    # (I + Q)^{-1} y
+        z_norm = np.linalg.norm(z)
+        phi = z / z_norm
+        s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
+        if abs(s - s_prev) <= INVERSE_ITERATION_RTOL * s:
+            return s, phi
+        s_prev = s
+    raise InverseIterationError(
+        f"smallest singular value of I + Q({zeta}) did not settle in "
+        f"{INVERSE_ITERATION_MAXITER} inverse-iteration steps (last {s_prev:.3e})")
 
 
 def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_modes: int,
@@ -334,7 +372,8 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
     linearly in eps to the axis (never evaluating exactly on it), and the
     null direction phi is converted to the mode vector
     psi = (K0 - lambda)^{-1} phi, which must satisfy the truncated eigenvalue
-    equation (K - lambda) psi = 0 with K = K0 + V from build_floquet.
+    equation (K - lambda) psi = 0.  Every step works on the sparse K and K0
+    (smallest_singular_pair).
     """
     dist = free_spectrum_distance(h.h0, lam_candidate)
     if dist < threshold_margin:
@@ -344,10 +383,12 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
         )
     eps_ladder = sorted(eps_ladder, reverse=True)
     eps_fine = eps_ladder[-1]
+    space = ModeSpace(n_modes, h.dim)
+    k = floquet_operator(h, n_modes)
+    k0 = space.free(h.h0)
 
     def smin_at(lam_real, eps):
-        q = block_q(h, lam_real + 1j * eps, n_modes)
-        return _smallest_direction(np.eye(len(q)) + q)
+        return smallest_singular_pair(k, k0, lam_real + 1j * eps)
 
     res = minimize_scalar(
         lambda x: smin_at(x, eps_fine)[0],
@@ -364,10 +405,8 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
 
     # null direction just off the axis, then the mode-space reconstruction
     _, phi = smin_at(refined, 1e-8)
-    space = ModeSpace(n_modes, h.dim)
-    psi = space.blockdiag(space.free_resolvent(h.h0, refined)) @ phi
+    psi = splu(sp.csc_array(k0 - refined * sp.eye_array(space.size))).solve(phi)
     # residual of the truncated eigenvalue equation (K - lambda) psi = 0
-    k = build_floquet(h, n_modes).matrix
     psi_norm = np.linalg.norm(psi)
     residual = float(np.linalg.norm(k @ psi - refined * psi) / psi_norm) if psi_norm > 0 else np.inf
     confirmed = confirmed and residual <= residual_tol

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
-from .floquet import build_floquet, circular_distance, quasi_spectrum
+from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
 from .model import LatticeModel
 from .numerics import expm_hermitian
 from .propagation import PropagatorSchedule, monodromy, propagate
@@ -201,29 +202,27 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
     )
 
 
-def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: int,
-                          sched: PropagatorSchedule | None = None,
-                          probes: ProbeSet | None = None, n_quad: int = 8,
-                          theta: np.ndarray | None = None) -> np.ndarray:
-    """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
+@dataclass
+class TimeAverage:
+    """Trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt and the monodromy at s."""
 
-    Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
-    schedule's start s (direction +1; time-reversed for -1) by the
-    trapezoidal rule in t, using the period factorization
-    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s
-    (computed unless given).  Converges to the same limit as the
-    stroboscopic iterates.
+    kernel: np.ndarray
+    theta: np.ndarray
+
+
+def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None = None,
+                 n_quad: int = 8) -> TimeAverage:
+    """Kernel of the time-averaged wave operator from the schedule's start s.
+
+    One sweep propagates through the quadrature nodes t_j in [0, h] and on
+    to s + 1, continuing a single running product, so the monodromy
+    Theta = U(s + 1, s + h) U(s + h, s) costs no second period and rounds
+    like monodromy() whenever the node times fall on its step grid.
     """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
     sched = sched or PropagatorSchedule()
-    probes = probes or make_probes(model)
     s = sched.start
-    if theta is None:
-        theta = monodromy(model.drive, s, sched).operator
-    theta0 = expm_hermitian(model.h0, 1.0)
     nodes = np.linspace(0.0, h, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)
     weights[0] = weights[-1] = 0.5
@@ -233,12 +232,38 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     u_cur = np.eye(model.sites, dtype=np.complex128)
     for i, (w, t_node) in enumerate(zip(weights, nodes)):
         if i > 0:
-            u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched) @ u_cur
+            u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched, initial=u_cur)
         u0 = expm_hermitian(model.h0, float(t_node))
         kernel += w * (u0.conj().T @ u_cur)
+    theta = propagate(model.drive, s + h, s + 1.0, sched, initial=u_cur) if h < 1.0 else u_cur
+    return TimeAverage(kernel=kernel, theta=theta)
+
+
+def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: int,
+                          sched: PropagatorSchedule | None = None,
+                          probes: ProbeSet | None = None, n_quad: int = 8,
+                          theta: np.ndarray | None = None,
+                          average: TimeAverage | None = None) -> np.ndarray:
+    """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
+
+    Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
+    schedule's start s (direction +1; time-reversed for -1) by the
+    trapezoidal rule in t, using the period factorization
+    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s.
+    The kernel and Theta come from `average` (time_average(model, h, sched,
+    n_quad), computed unless given); a given `theta` replaces its Theta.
+    Converges to the same limit as the stroboscopic iterates.
+    """
+    if direction not in (+1, -1):
+        raise ValueError("direction must be +1 or -1")
+    sched = sched or PropagatorSchedule()
+    probes = probes or make_probes(model)
+    average = average or time_average(model, h, sched, n_quad)
+    theta = average.theta if theta is None else theta
+    theta0 = expm_hermitian(model.h0, 1.0)
     a_op, b_op = (theta, theta0.conj().T) if direction == +1 else (theta.conj().T, theta0)
     th_pow = np.linalg.matrix_power(a_op, n_max)
-    return np.linalg.matrix_power(b_op, n_max) @ kernel @ th_pow @ probes.vectors
+    return np.linalg.matrix_power(b_op, n_max) @ average.kernel @ th_pow @ probes.vectors
 
 
 @dataclass
@@ -327,36 +352,73 @@ def _localization(model: LatticeModel, weights: np.ndarray):
     return score, score >= LOCALIZATION_SCORE
 
 
+def _mode_space_partner(model: LatticeModel, k, space: ModeSpace, phase: float,
+                        tol: float) -> tuple[float, int]:
+    """Circular distance from `phase` to its nearest localized interior eigenvalue of
+    the sparse mode-space matrix K, and the number of such values seen.
+
+    Shift-invert eigsh runs at the translates sigma = phase + 2 pi j inside
+    K's spectral bound, nearest the centre of the fiber spectrum first, and
+    stops at the first translate with a partner within tol.  At each
+    translate the request grows until some returned value lies beyond tol,
+    so every eigenvalue within tol is judged: the predicate is that of the
+    whole truncated spectrum.
+    """
+    fiber = model.h0 + model.drive.mode(0)
+    centre = float(np.trace(fiber).real) / model.sites
+    bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
+    sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
+                                           np.floor((bound - phase) / (2 * np.pi)) + 1)
+    v0 = start_vector(space.size)
+    nearest, candidates = np.inf, 0
+    for sigma in sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]:
+        n_eig = min(3, space.size - 2)
+        while True:
+            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0)
+            if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
+                break
+            n_eig = min(2 * n_eig, space.size - 2)
+        _, localized = _localization(model, space.fiber_mass(vectors))
+        partners = values[localized & space.interior(vectors)]
+        candidates += len(partners)
+        if len(partners):
+            nearest = min(nearest, float(circular_distance(phase, partners).min()))
+        if nearest <= tol:
+            break
+    return nearest, candidates
+
+
 def bound_state_scan(model: LatticeModel, sched: PropagatorSchedule | None = None,
                      n_modes: int = 12, theta_eig=None,
                      cross_check_tol: float = 1e-5) -> list[BoundStateInfo]:
     """Bound states from localization of the one-period operator's eigenvectors.
 
-    Eigenvectors with at least 90% of their mass within the interaction
+    Eigenvectors of the monodromy at the schedule's start (theta_eig, computed
+    unless given) with at least 90% of their mass within the interaction
     window plus LOCALIZATION_MARGIN sites are flagged bound; their
     eigenphases are cross-checked against localized interior quasi-energies
-    of the truncated mode-space matrix.  Raises DetectorDisagreementError if
-    the two detectors disagree beyond cross_check_tol.
+    of the truncated mode-space matrix, found near each phase by shift-invert
+    (_mode_space_partner).  Raises DetectorDisagreementError if the two
+    detectors disagree beyond cross_check_tol.
     """
     sched = sched or PropagatorSchedule()
     if theta_eig is None:
-        theta_eig = monodromy(model.drive, 0.0, sched).eig
+        theta_eig = monodromy(model.drive, sched.start, sched).eig
     score, bound = _localization(model, np.abs(theta_eig.vectors) ** 2)
     phases = np.mod(-np.angle(theta_eig.values), 2 * np.pi)
     found = sorted((phases[j], score[j]) for j in np.flatnonzero(bound))
 
     infos = []
     if found:
-        spec = quasi_spectrum(build_floquet(model.drive, n_modes))
-        _, localized = _localization(model, spec.spatial_mass())
-        floq_candidates = spec.folded[localized & spec.interior]
+        k = floquet_operator(model.drive, n_modes).tocsc()
+        space = ModeSpace(n_modes, model.sites)
         for phase, _ in found:
-            dist = circular_distance(phase, floq_candidates).min() if len(floq_candidates) else np.inf
+            dist, candidates = _mode_space_partner(model, k, space, phase, cross_check_tol)
             if dist > cross_check_tol:
                 raise DetectorDisagreementError(
                     f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
-                    f"spectrum at N={n_modes} (nearest of {len(floq_candidates)} localized "
-                    f"interior values {dist:.2e} away)", len(floq_candidates))
+                    f"spectrum at N={n_modes} (nearest of {candidates} localized "
+                    f"interior values {dist:.2e} away)", candidates)
         # multiplicity: cluster phases within the cross-check tolerance
         used = np.zeros(len(found), dtype=bool)
         for i, (phase, loc) in enumerate(found):

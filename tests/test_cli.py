@@ -107,6 +107,35 @@ class TestValidation:
         assert "parameters.floquet_modes" in capsys.readouterr().err
 
 
+    def test_nan_in_model_file_exit_2(self, tmp_path, capsys):
+        from floqscat.model import model_to_json_dict, rabi_model
+
+        doc = model_to_json_dict(rabi_model())
+        doc["H0"][0][0][0] = float("nan")
+        model_path = tmp_path / "nan-model.json"
+        model_path.write_text(json.dumps(doc))
+        p = write_config(tmp_path, {"task": "floquet-spectrum", "model": {"file": str(model_path)},
+                                    "parameters": {"n_modes": 4}})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "model.file" in err and "H0" in err and "non-finite" in err
+
+    def test_nan_float_field_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path, {"task": "floquet-spectrum",
+                                    "model": {"builtin": "rabi", "delta": float("nan")},
+                                    "parameters": {"n_modes": 4}})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "model.delta" in capsys.readouterr().err
+
+    def test_average_window_out_of_range_exit_2(self, tmp_path, capsys):
+        cfg = {"task": "wave-operators",
+               "model": {"lattice": {"sites": 64, "well_depth": -0.8, "drive_amp": 0.5}},
+               "parameters": {"steps_per_period": 8, "average_window": 2.0}}
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "parameters.average_window" in capsys.readouterr().err
+
+
 class TestRunScenario:
     def test_correspondence_constant_model(self, tmp_path):
         model_path = tmp_path / "const.json"
@@ -289,6 +318,20 @@ class TestExitCodes:
         p = write_config(tmp_path, cfg)
         assert main(["--config", str(p), "--out", str(tmp_path)]) == 3
         assert "not reproduced by the mode-space spectrum" in capsys.readouterr().err
+
+    def test_null_scan_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        import floqscat.resolvent as resolvent
+
+        monkeypatch.setattr(resolvent, "INVERSE_ITERATION_MAXITER", 1)
+        cfg = {
+            "task": "bound-states",
+            "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8,
+                                  "drive_amp": 0.5, "support_width": 4}},
+            "parameters": {"steps_per_period": 64, "n_modes": 8, "scan_modes": 4},
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "did not settle" in capsys.readouterr().err
 
     def test_jobs_fan_out(self, tmp_path):
         p1 = write_config(tmp_path, CORR_CFG, "one.json")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from floqscat.floquet import build_floquet
+import floqscat.resolvent as resolvent
+from floqscat.floquet import ModeSpace, build_floquet, floquet_operator
 from floqscat.model import PeriodicHamiltonian, build_lattice, rabi_model
 from floqscat.numerics import max_norm, op_norm
 from floqscat.resolvent import (
+    InverseIterationError,
     ThresholdProximityError,
     TimeGridFunction,
     block_q,
@@ -20,6 +22,7 @@ from floqscat.resolvent import (
     r0_apply,
     r0_matrix,
     resolvent_residual,
+    smallest_singular_pair,
 )
 
 from conftest import random_hermitian
@@ -300,3 +303,46 @@ class TestBoundStates:
         verdict = bound_state_correspondence(driven_well_64.drive, lam + 2 * np.pi, 6)
         assert verdict.confirmed
         assert abs(verdict.refined - (lam + 2 * np.pi)) <= 1e-5
+
+
+class TestSmallestSingularPair:
+    N = 6
+
+    @pytest.fixture(scope="class")
+    def bound_phase(self, driven_well_64, driven_well_64_monodromy):
+        from floqscat.scattering import bound_state_scan
+
+        return bound_state_scan(driven_well_64, n_modes=8,
+                                theta_eig=driven_well_64_monodromy.eig)[0].quasi_energy
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
+    def test_matches_dense_svd(self, driven_well_64, bound_phase, eps):
+        h = driven_well_64.drive
+        space = ModeSpace(self.N, h.dim)
+        zeta = bound_phase + 1j * eps
+        k, k0 = floquet_operator(h, self.N), space.free(h.h0)
+        s, phi = smallest_singular_pair(k, k0, zeta)
+        m = np.eye(space.size) + block_q(h, zeta, self.N)
+        _, sv, vh = np.linalg.svd(m)
+        # a dense SVD fixes sigma_min only to its backward error ~ eps_mach ||M||:
+        # entry perturbations of 1e-16 relative move it by ~1e-9 relative at
+        # eps = 1e-8, where the Hermitian form M^H M cannot resolve it at all
+        floor = 8 * np.finfo(float).eps * sv[0]
+        assert abs(s - sv[-1]) <= max(1e-10 * sv[-1], floor)
+        # the relatively accurate dense route: 1 / sigma_max of the same
+        # (I + Q)^{-1} = (K0 - zeta)(K - zeta)^{-1}
+        eye = np.eye(space.size)
+        inv = (k0.toarray() - zeta * eye) @ np.linalg.inv(k.toarray() - zeta * eye)
+        assert abs(s * np.linalg.norm(inv, 2) - 1.0) <= 1e-10
+        v = vh[-1].conj()
+        phase = np.vdot(v, phi) / abs(np.vdot(v, phi))
+        assert np.linalg.norm(phi - phase * v) <= 1e-10
+
+    def test_nonconvergence_raises(self, driven_well_64, bound_phase, monkeypatch):
+        h = driven_well_64.drive
+        monkeypatch.setattr(resolvent, "INVERSE_ITERATION_MAXITER", 1)
+        k, k0 = floquet_operator(h, self.N), ModeSpace(self.N, h.dim).free(h.h0)
+        with pytest.raises(InverseIterationError):
+            smallest_singular_pair(k, k0, bound_phase + 1e-4j)
+        with pytest.raises(InverseIterationError):
+            bound_state_correspondence(h, bound_phase, self.N)

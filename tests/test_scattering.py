@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from floqscat.floquet import EDGE_BLOCKS
+from floqscat.floquet import (EDGE_BLOCKS, ModeSpace, build_floquet, circular_distance,
+                              floquet_operator, quasi_spectrum)
 from floqscat.model import build_lattice
 from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate
 from floqscat.scattering import (
+    _localization,
+    _mode_space_partner,
     ConvergenceError,
     DetectorDisagreementError,
     bound_state_scan,
@@ -16,6 +19,7 @@ from floqscat.scattering import (
     s_matrix,
     start_time_covariance_defect,
     stroboscopic_wave_op,
+    time_average,
     time_averaged_wave_op,
     wrap_horizon,
 )
@@ -158,6 +162,14 @@ class TestDrivenWell:
                                       theta=theta)
         assert np.abs(given - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("start, window", [(0.0, 1.0), (0.25, 0.5)])
+    def test_time_average_theta_is_the_monodromy(self, driven_well_64, start, window):
+        # one running product through the nodes and on to s + 1: on the step
+        # grid it rounds exactly like monodromy()
+        sched = PropagatorSchedule(64, 4, start)
+        got = time_average(driven_well_64, window, sched).theta
+        assert np.array_equal(got, monodromy(driven_well_64.drive, start, sched).operator)
+
     def test_start_time_covariance(self, driven_256, driven_256_run):
         _, probes, wp, _ = driven_256_run
         defect = start_time_covariance_defect(driven_256, CHEAP, wp.n_max, probes)
@@ -211,3 +223,29 @@ class TestBoundStateScan:
         for b in infos:
             assert 0.9 <= b.localization <= 1.0
             assert b.multiplicity >= 1
+
+    def test_monodromy_taken_at_schedule_start(self, driven_well_64):
+        sched = PropagatorSchedule(64, 4, 0.25)
+        infos = bound_state_scan(driven_well_64, sched, n_modes=8)
+        eig = monodromy(driven_well_64.drive, 0.25, sched).eig
+        score, bound = _localization(driven_well_64, np.abs(eig.vectors) ** 2)
+        phases = np.mod(-np.angle(eig.values), 2 * np.pi)
+        want = [score[j] for j in sorted(np.flatnonzero(bound), key=lambda j: phases[j])]
+        assert [b.localization for b in infos] == want
+        at_zero = bound_state_scan(driven_well_64, PropagatorSchedule(64, 4), n_modes=8)
+        assert [b.localization for b in at_zero] != want
+
+    def test_sparse_partner_matches_dense_spectrum(self, driven_well_64, driven_well_64_monodromy):
+        n_modes, tol = 8, 1e-5
+        infos = bound_state_scan(driven_well_64, n_modes=n_modes,
+                                 theta_eig=driven_well_64_monodromy.eig)
+        spec = quasi_spectrum(build_floquet(driven_well_64.drive, n_modes))
+        _, localized = _localization(driven_well_64, spec.spatial_mass())
+        dense = spec.folded[localized & spec.interior]
+        k = floquet_operator(driven_well_64.drive, n_modes).tocsc()
+        space = ModeSpace(n_modes, driven_well_64.sites)
+        assert len(infos) >= 2
+        for b in infos:
+            dist, candidates = _mode_space_partner(driven_well_64, k, space, b.quasi_energy, tol)
+            assert candidates >= 1
+            assert abs(dist - circular_distance(b.quasi_energy, dense).min()) <= 1e-12
