@@ -18,6 +18,8 @@ and keys are sorted; wall time appears only in sweep tables.
 
 Exit codes: 0 success, 2 config validation failure (the message names the
 offending field), 3 numerical failure (non-convergence, singular solve).
+With several configs every one runs, every written output path is printed,
+and the exit code is the largest of theirs.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from . import model as model_mod
 from .floquet import (EDGE_BLOCKS, build_floquet, correspondence_report, quasi_spectrum,
                       shift_commutation_defect)
 from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
-from .numerics import (SingularMatrixError, expm_hermitian, max_norm, op_norm, unitary_defect,
-                       unitary_eig)
+from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect, unitary_eig
 from .propagation import PropagatorSchedule, monodromy, propagate
 from .resolvent import (
     InverseIterationError,
@@ -71,12 +72,19 @@ from .scattering import (
 
 TASKS = ("monodromy", "floquet-spectrum", "correspondence", "resolvent-check",
          "wave-operators", "bound-states")
+NUMERICAL_ERRORS = (ConvergenceError, SingularMatrixError, ThresholdProximityError,
+                    DetectorDisagreementError, InverseIterationError)
 
 
 class ValidationError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"invalid field '{field}': {message}")
         self.field = field
+
+
+class ValueRangeError(ValidationError):
+    """A well-typed value outside the range the model admits; a sweep over the
+    field marks the row failed instead of rejecting the whole config."""
 
 
 def _check_keys(obj: dict, allowed, where: str):
@@ -178,15 +186,25 @@ def _jsonable(obj):
     return obj
 
 
-def _bound_state_scan(model, sched, params, field, default, theta_eig=None):
+def _mode_cutoff(model, params: dict, field: str, default=None, required=False) -> int:
+    """The mode cutoff parameters.<field>; below the model's mode support it
+    would truncate the interaction."""
+    n_modes = _get(params, field, int, "parameters", default, required)
+    support = _drive(model).max_mode
+    if n_modes < support:
+        raise ValueRangeError(f"parameters.{field}", f"mode cutoff {n_modes} below the "
+                              f"interaction's mode support {support}")
+    return n_modes
+
+
+def _bound_state_scan(model, sched, n_modes, field, theta_eig=None):
     """bound_state_scan at the mode cutoff parameters.<field>; a cutoff too
     small to leave any interior state to cross-check against is invalid."""
-    n_modes = _get(params, field, int, "parameters", default)
     try:
         return bound_state_scan(model, sched, n_modes=n_modes, theta_eig=theta_eig)
     except DetectorDisagreementError as exc:
         if exc.candidates == 0 and n_modes <= EDGE_BLOCKS:
-            raise ValidationError(f"parameters.{field}", f"mode cutoff {n_modes} <= EDGE_BLOCKS="
+            raise ValueRangeError(f"parameters.{field}", f"mode cutoff {n_modes} <= EDGE_BLOCKS="
                                   f"{EDGE_BLOCKS} leaves no interior mode-space state") from exc
         raise
 
@@ -216,7 +234,7 @@ def run_monodromy(model, params, rng):
 def run_floquet_spectrum(model, params, rng):
     where = "parameters"
     _check_keys(params, {"n_modes"}, where)
-    n_modes = _get(params, "n_modes", int, where, required=True)
+    n_modes = _mode_cutoff(model, params, "n_modes", required=True)
     k = build_floquet(_drive(model), n_modes)
     spec = quasi_spectrum(k)
     return {
@@ -231,7 +249,7 @@ def run_correspondence(model, params, rng):
     where = "parameters"
     _check_keys(params, {"n_modes", "steps_per_period", "order", "start"}, where)
     sched = _schedule(params, where)
-    n_modes = _get(params, "n_modes", int, where, required=True)
+    n_modes = _mode_cutoff(model, params, "n_modes", required=True)
     rep = correspondence_report(_drive(model), n_modes, sched)
     return {
         "theta_phases": rep.theta_phases,
@@ -294,11 +312,12 @@ def run_wave_operators(model, params, rng):
     h_avg = _get(params, "average_window", float, where, 1.0)
     if not 0.0 < h_avg <= 1.0:
         raise ValidationError(f"{where}.average_window", "must lie in (0, 1]")
+    n_modes = _mode_cutoff(model, params, "floquet_modes", 8)
     probes = make_probes(model, rng=rng)
     # the averaging sweep's pieces compose to the monodromy: one period in all
     average = time_average(model, h_avg, sched)
     theta_eig = unitary_eig(average.theta)
-    theta0 = expm_hermitian(model.h0, 1.0)
+    theta0 = model.free_propagator(1.0)
     wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, theta=average.theta)
     wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, theta=average.theta)
     converged_fraction = float((wp.converged & wm.converged).mean())
@@ -307,7 +326,7 @@ def run_wave_operators(model, params, rng):
             f"only {converged_fraction:.0%} of probes converged before the horizon",
             gaps=wp.cauchy_gaps,
         )
-    scan = _bound_state_scan(model, sched, params, "floquet_modes", 8, theta_eig=theta_eig)
+    scan = _bound_state_scan(model, sched, n_modes, "floquet_modes", theta_eig=theta_eig)
     report = s_matrix(wp, wm, translates=translates, theta0=theta0,
                       bound_states=scan)
     avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average)
@@ -335,10 +354,9 @@ def run_bound_states(model, params, rng):
     if not isinstance(model, LatticeModel):
         raise ValidationError("model", "bound-states requires a lattice model")
     sched = _schedule(params, where)
-    scan_modes = _get(params, "scan_modes", int, where, 8)
-    if scan_modes < model.drive.max_mode:
-        raise ValidationError(f"{where}.scan_modes", "below the interaction's mode support")
-    infos = _bound_state_scan(model, sched, params, "n_modes", 12)
+    scan_modes = _mode_cutoff(model, params, "scan_modes", 8)
+    n_modes = _mode_cutoff(model, params, "n_modes", 12)
+    infos = _bound_state_scan(model, sched, n_modes, "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if _get(params, "verify", bool, where, True):
         fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
@@ -432,10 +450,11 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
         try:
             headline = run_scenario(sub, seed)["results"].get(HEADLINE[parsed["task"]])
             status = "ok"
-        except ValidationError:
-            raise
-        except (ConvergenceError, SingularMatrixError, ThresholdProximityError,
-                InverseIterationError, ValueError) as exc:
+        except ValidationError as exc:
+            if not (isinstance(exc, ValueRangeError) and exc.field == f"parameters.{pname}"):
+                raise
+            headline, status = "", f"failed: {exc}"
+        except (*NUMERICAL_ERRORS, ValueError) as exc:
             headline, status = "", f"failed: {exc}"
         rows.append({
             "parameter": pname,
@@ -472,20 +491,35 @@ def _default_out_path(cfg_path: Path, cfg: dict, sweep: bool) -> str:
     return cfg_path.stem + suffix
 
 
-def _run_one(cfg_path_str: str, out_dir: str, seed):
+def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, str]:
+    """Run one config file: (written output path or None, exit code, error message).
+
+    Contract failures come back as values, not exceptions, so a failing
+    config in a worker process leaves the other outcomes intact.
+    """
     cfg_path = Path(cfg_path_str)
-    with open(cfg_path) as f:
-        cfg = json.load(f)
-    is_sweep = isinstance(cfg, dict) and "sweep" in cfg
-    out_path = Path(out_dir) / _default_out_path(cfg_path, cfg, is_sweep)
-    if is_sweep:
-        rows = run_sweep(cfg, seed)
-        write_sweep_csv(rows, out_path)
-        failed = [r for r in rows if r["status"] != "ok"]
-        return str(out_path), (3 if len(failed) == len(rows) else 0)
-    report = run_scenario(cfg, seed)
-    write_report(report, out_path)
-    return str(out_path), 0
+    try:
+        with open(cfg_path) as f:
+            cfg = json.load(f)
+        is_sweep = isinstance(cfg, dict) and "sweep" in cfg
+        out_path = Path(out_dir) / _default_out_path(cfg_path, cfg, is_sweep)
+        if is_sweep:
+            rows = run_sweep(cfg, seed)
+            write_sweep_csv(rows, out_path)
+            failed = [r for r in rows if r["status"] != "ok"]
+            return str(out_path), (3 if len(failed) == len(rows) else 0), ""
+        write_report(run_scenario(cfg, seed), out_path)
+        return str(out_path), 0, ""
+    except ValidationError as exc:
+        return None, 2, f"error: {exc}"
+    except (json.JSONDecodeError, OSError) as exc:
+        return None, 2, f"error: cannot read config: {exc}"
+    except NUMERICAL_ERRORS as exc:
+        message = f"numerical failure: {exc}"
+        if getattr(exc, "gaps", None) is not None:
+            with np.printoptions(precision=3):
+                message += f"\ngap trace:\n{exc.gaps}"
+        return None, 3, message
 
 
 def main(argv=None) -> int:
@@ -502,30 +536,20 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, help="parallel scenario fan-out")
     args = parser.parse_args(argv)
 
-    jobs = max(1, args.jobs)
+    jobs = min(max(1, args.jobs), len(args.config))
+    if jobs == 1:
+        outcomes = [_run_one(c, args.out, args.seed) for c in args.config]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_run_one, args.config, [args.out] * len(args.config),
+                                     [args.seed] * len(args.config)))
+    # every written output is listed, whatever else failed
     status = 0
-    try:
-        if jobs == 1 or len(args.config) == 1:
-            outcomes = [_run_one(c, args.out, args.seed) for c in args.config]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_one, c, args.out, args.seed) for c in args.config]
-                outcomes = [f.result() for f in futures]
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, SingularMatrixError, ThresholdProximityError,
-            DetectorDisagreementError, InverseIterationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        if getattr(exc, "gaps", None) is not None:
-            np.set_printoptions(precision=3)
-            print(f"gap trace:\n{exc.gaps}", file=sys.stderr)
-        return 3
-    for path, code in outcomes:
-        print(path)
+    for path, code, message in outcomes:
+        if message:
+            print(message, file=sys.stderr)
+        if path is not None:
+            print(path)
         status = max(status, code)
     return status
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import as_complex_matrix, check_hermitian, hermitian_defect
+from .numerics import HermitianExponential, as_complex_matrix, check_hermitian, hermitian_defect
 
 HERMITIAN_TOL = 1e-12
 
@@ -133,6 +134,15 @@ class LatticeModel:
     @property
     def h0(self) -> np.ndarray:
         return self.drive.h0
+
+    @cached_property
+    def _free(self) -> HermitianExponential:
+        return HermitianExponential(self.h0)
+
+    def free_propagator(self, t: float) -> np.ndarray:
+        """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
+        one eigendecomposition of H0 per model."""
+        return self._free(float(t))
 
     def support_window(self, margin: int = 0) -> np.ndarray:
         """Site indices within `margin` of the potential support (ring metric)."""

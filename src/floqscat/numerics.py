@@ -47,15 +47,19 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    a = check_square(a)
-    scale = max(float(np.abs(a).max()), 1.0)
-    defect = hermitian_defect(a)
+def require_hermitian(defect: float, max_abs: float, rtol: float = HERMITIAN_RTOL):
+    """Raise unless the asymmetry max|A - A^H| is within rtol x max(max|A|, 1)."""
+    scale = max(max_abs, 1.0)
     if defect > rtol * scale:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} "
             f"exceeds {rtol:.1e} x max|A| = {rtol * scale:.3e}"
         )
+
+
+def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    a = check_square(a)
+    require_hermitian(hermitian_defect(a), float(np.abs(a).max()), rtol)
     return a
 
 
@@ -177,18 +181,30 @@ def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenD
     return EigenDecomposition(values=values, vectors=basis)
 
 
-def expm_hermitian(h, tau: float) -> np.ndarray:
-    """exp(-i tau H) for Hermitian H, unitary by construction.
+class HermitianExponential:
+    """tau -> exp(-i tau H) for one Hermitian H, from a single eigendecomposition.
 
-    Computed through the eigendecomposition so each factor is exactly a
-    phase; tau = 0 returns the identity exactly.
+    Each factor is exactly a phase; tau = 0 returns the identity exactly.
+    Every time shares the eigenbasis, so a caller that needs several times
+    pays for one eigh and gets the same matrices as expm_hermitian.
     """
+
+    def __init__(self, h):
+        self.eig = hermitian_eig(h)
+
+    def __call__(self, tau: float) -> np.ndarray:
+        if tau == 0.0:
+            return np.eye(len(self.eig.values), dtype=np.complex128)
+        phases = np.exp(-1j * tau * self.eig.values)
+        return (self.eig.vectors * phases) @ self.eig.vectors.conj().T
+
+
+def expm_hermitian(h, tau: float) -> np.ndarray:
+    """exp(-i tau H) for Hermitian H, unitary by construction (HermitianExponential)."""
     h = check_hermitian(h)
     if tau == 0.0:
         return np.eye(h.shape[0], dtype=np.complex128)
-    eig = hermitian_eig(h)
-    phases = np.exp(-1j * tau * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    return HermitianExponential(h)(tau)
 
 
 def solve(a, b, pivot_rtol: float = PIVOT_RTOL):

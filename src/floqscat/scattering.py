@@ -25,7 +25,6 @@ from scipy.sparse.linalg import eigsh
 
 from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
 from .model import LatticeModel
-from .numerics import expm_hermitian
 from .propagation import PropagatorSchedule, monodromy, propagate
 
 GAP_TOL = 1e-3
@@ -164,7 +163,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
     if theta is None:
         theta = monodromy(model.drive, sched.start, sched).operator
-    theta0 = expm_hermitian(model.h0, 1.0)
+    theta0 = model.free_propagator(1.0)
     if direction == +1:
         a_op, b_op = theta, theta0
     else:
@@ -233,7 +232,7 @@ def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None
     for i, (w, t_node) in enumerate(zip(weights, nodes)):
         if i > 0:
             u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched, initial=u_cur)
-        u0 = expm_hermitian(model.h0, float(t_node))
+        u0 = model.free_propagator(t_node)
         kernel += w * (u0.conj().T @ u_cur)
     theta = propagate(model.drive, s + h, s + 1.0, sched, initial=u_cur) if h < 1.0 else u_cur
     return TimeAverage(kernel=kernel, theta=theta)
@@ -260,7 +259,7 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     probes = probes or make_probes(model)
     average = average or time_average(model, h, sched, n_quad)
     theta = average.theta if theta is None else theta
-    theta0 = expm_hermitian(model.h0, 1.0)
+    theta0 = model.free_propagator(1.0)
     a_op, b_op = (theta, theta0.conj().T) if direction == +1 else (theta.conj().T, theta0)
     th_pow = np.linalg.matrix_power(a_op, n_max)
     return np.linalg.matrix_power(b_op, n_max) @ average.kernel @ th_pow @ probes.vectors
@@ -458,14 +457,14 @@ def start_time_covariance_defect(model: LatticeModel, sched: PropagatorSchedule,
     s = sched.start
     s2 = s + shift
     theta_s = monodromy(model.drive, s, sched).operator
-    theta0 = expm_hermitian(model.h0, 1.0)
+    theta0 = model.free_propagator(1.0)
     sched2 = PropagatorSchedule(sched.steps_per_period, sched.order, s2)
     theta_s2 = monodromy(model.drive, s2, sched2).operator
 
     w_s = np.linalg.matrix_power(theta0.conj().T, n_max) @ np.linalg.matrix_power(theta_s, n_max)
     w_s2 = np.linalg.matrix_power(theta0.conj().T, n_max) @ np.linalg.matrix_power(theta_s2, n_max)
     u_s2_s = propagate(model.drive, s, s2, sched)
-    u0_s2_s = expm_hermitian(model.h0, shift)
+    u0_s2_s = model.free_propagator(shift)
     transported = probes.vectors
     lhs = w_s2 @ (u_s2_s @ transported)
     rhs = u0_s2_s @ (w_s @ transported)

@@ -341,3 +341,61 @@ class TestExitCodes:
         assert code == 0
         assert (tmp_path / "one.report.json").exists()
         assert (tmp_path / "two.report.json").exists()
+
+
+DRIVEN_RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8,
+                           "drive_amp": 0.5, "support_width": 4}}
+
+
+class TestModeCutoff:
+    @pytest.mark.parametrize("task, model, params, field", [
+        ("floquet-spectrum", {"builtin": "rabi"}, {"n_modes": 0}, "n_modes"),
+        ("correspondence", {"builtin": "rabi"}, {"n_modes": 0, "steps_per_period": 16},
+         "n_modes"),
+        ("bound-states", DRIVEN_RING, {"n_modes": 0, "steps_per_period": 8}, "n_modes"),
+        ("wave-operators", DRIVEN_RING, {"floquet_modes": 0, "steps_per_period": 8},
+         "floquet_modes"),
+    ])
+    def test_cutoff_below_mode_support_exit_2(self, tmp_path, capsys, task, model, params,
+                                              field):
+        p = write_config(tmp_path, {"task": task, "model": model, "parameters": params})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"parameters.{field}" in err and "mode support" in err
+        # swept, the same cutoff fails its row only, naming the field
+        [row] = run_sweep({"task": task, "model": model, "parameters": params,
+                           "sweep": {"parameter": field, "values": [0]}})
+        assert row["status"].startswith("failed") and f"parameters.{field}" in row["status"]
+
+    def test_cutoff_of_other_field_rejects_sweep(self):
+        cfg = {"task": "correspondence", "model": {"builtin": "rabi"},
+               "parameters": {"n_modes": 0, "steps_per_period": 16},
+               "sweep": {"parameter": "order", "values": [2, 4]}}
+        with pytest.raises(ValidationError, match="parameters.n_modes"):
+            run_sweep(cfg)
+
+
+class TestMultiConfig:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_written_reports_listed_when_one_fails(self, tmp_path, capsys, jobs):
+        bad = write_config(tmp_path, {**CORR_CFG, "parameters": {"n_modes": 0}}, "bad.json")
+        good = write_config(tmp_path, {**CORR_CFG, "parameters": {"n_modes": 4}}, "good.json")
+        code = main(["--config", str(bad), "--config", str(good), "--out", str(tmp_path),
+                     "--jobs", jobs])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out.split() == [str(tmp_path / "good.report.json")]
+        assert (tmp_path / "good.report.json").exists()
+        assert "parameters.n_modes" in err
+
+    def test_largest_code_wins(self, tmp_path, capsys):
+        bad = write_config(tmp_path, {**CORR_CFG, "parameters": {"n_modes": 0}}, "bad.json")
+        failing = write_config(tmp_path, {
+            "task": "bound-states", "model": DRIVEN_RING,
+            "parameters": {"steps_per_period": 8, "order": 2, "n_modes": 8, "verify": False},
+        }, "failing.json")
+        code = main(["--config", str(failing), "--config", str(bad), "--out", str(tmp_path),
+                     "--jobs", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "not reproduced by the mode-space spectrum" in err and "parameters.n_modes" in err

@@ -116,3 +116,99 @@ class TestOrderOfAccuracy:
             psi_t = propagate(rabi, 0.0, 0.4, accurate_sched) @ phi0
             psi_t1 = propagate(rabi, 0.0, 1.4, accurate_sched) @ phi0
             assert np.linalg.norm(np.exp(1j * lam) * psi_t1 - psi_t) <= 1e-8
+
+
+def dense_magnus(h, steps, order):
+    """Independent oracle: per-step dense Gauss-Magnus exponents, scipy.linalg.expm."""
+    from scipy.linalg import expm
+
+    def ham(t):
+        return h.h0 + sum(m * np.exp(2j * np.pi * n * t) for n, m in h.modes.items())
+
+    dt, g = 1.0 / steps, np.sqrt(3.0) / 6.0
+    u = np.eye(h.dim, dtype=np.complex128)
+    for k in range(steps):
+        a = k * dt
+        if order == 2:
+            omega = dt * ham(a + dt / 2)
+        else:
+            h1, h2 = ham(a + dt * (0.5 - g)), ham(a + dt * (0.5 + g))
+            omega = (dt / 2) * (h1 + h2) + 1j * (np.sqrt(3.0) * dt**2 / 12) * (h1 @ h2 - h2 @ h1)
+        u = expm(-1j * omega) @ u
+    return u
+
+
+def scaled(h, factor):
+    return PeriodicHamiltonian(h0=factor * h.h0, modes={n: factor * m for n, m in h.modes.items()})
+
+
+def magnus_cases():
+    from floqscat.model import build_lattice, fleet, rabi_model
+
+    return {
+        "ring-40": (build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)).drive, 64),
+        "rabi": (rabi_model(0.3, 0.8), 64),
+        "two-harmonic-d4": (fleet()[2], 64),
+        "large-norm-d4": (scaled(fleet()[2], 25.0), 8),
+    }
+
+
+class TestMagnusStepper:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", list(magnus_cases()))
+    def test_matches_dense_magnus(self, name, order):
+        h, steps = magnus_cases()[name]
+        u = propagate(h, 0.0, 1.0, PropagatorSchedule(steps, order))
+        assert np.abs(u - dense_magnus(h, steps, order)).max() <= 1e-12
+        assert unitary_defect(u) <= 1e-12
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_large_norm_takes_substeps(self, order):
+        from floqscat.propagation import MagnusStepper
+
+        h, steps = magnus_cases()["large-norm-d4"]
+        assert MagnusStepper(h, 1.0 / steps, order).substeps > 1
+        h, steps = magnus_cases()["ring-40"]
+        assert MagnusStepper(h, 1.0 / steps, order).substeps == 1
+
+    def test_dense_storage_only_on_filled_patterns(self):
+        from floqscat.propagation import MagnusStepper
+
+        for name, dense in (("ring-40", False), ("rabi", True), ("two-harmonic-d4", True)):
+            h, steps = magnus_cases()[name]
+            assert (MagnusStepper(h, 1.0 / steps, 4).dense is not None) == dense
+
+    def test_taylor_plan_truncates_at_round_off(self):
+        from math import factorial
+
+        from floqscat.propagation import taylor_plan
+
+        for bound in (1e-3, 0.05, 0.7, 3.0, 40.0):
+            degree, substeps = taylor_plan(bound)
+            x = bound / substeps
+            assert x ** (degree + 1) / factorial(degree + 1) * np.exp(x) <= 2.0**-53
+
+    def test_non_hermitian_exponent_rejected(self, fast_sched):
+        h = PeriodicHamiltonian(h0=np.eye(2), modes={1: np.eye(2), -1: np.eye(2)})
+        h.modes[-1] = 2.0 * np.eye(2)        # breaks H_-1 = H_1^dagger after validation
+        with pytest.raises(ValueError, match="not Hermitian"):
+            propagate(h, 0.0, 0.5, fast_sched)
+
+    def test_initial_not_modified(self, rabi, fast_sched):
+        initial = np.eye(2, dtype=np.complex128)
+        propagate(rabi, 0.0, 0.5, fast_sched, initial=initial)
+        assert np.array_equal(initial, np.eye(2))
+
+    def test_real_initial(self, rabi, fast_sched):
+        basis = np.array([[1.0], [0.0]])
+        u = propagate(rabi, 0.0, 0.5, fast_sched, initial=basis)
+        assert np.abs(u - propagate(rabi, 0.0, 0.5, fast_sched)[:, :1]).max() <= 1e-14
+
+    def test_no_subnormal_entries(self):
+        # far from the diagonal a ring propagator's entries decay without bound;
+        # subnormal ones would slow every later product many times over
+        from floqscat.model import build_lattice
+
+        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).drive
+        parts = np.abs(propagate(ring, 0.0, 1.0, PropagatorSchedule(32, 2)).view(np.float64))
+        assert not ((parts > 0) & (parts < np.finfo(np.float64).tiny)).any()

@@ -249,3 +249,26 @@ class TestBoundStateScan:
             dist, candidates = _mode_space_partner(driven_well_64, k, space, b.quasi_energy, tol)
             assert candidates >= 1
             assert abs(dist - circular_distance(b.quasi_energy, dense).min()) <= 1e-12
+
+
+class TestFreeEvolution:
+    @pytest.mark.parametrize("window", [1.0, 0.5])
+    def test_bit_identical_to_expm_at_the_nodes(self, window):
+        lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
+        for t in [*np.linspace(0.0, window, 9), 0.5, 1.0]:
+            assert np.array_equal(lat.free_propagator(t), expm_hermitian(lat.h0, float(t)))
+        assert np.array_equal(lat.free_propagator(0.0), np.eye(64))
+
+    def test_one_eigendecomposition_per_model(self, monkeypatch):
+        import floqscat.numerics as numerics
+
+        calls = []
+        eig = numerics.hermitian_eig
+        monkeypatch.setattr(numerics, "hermitian_eig", lambda a: calls.append(a) or eig(a))
+        lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
+        sched = PropagatorSchedule(16, 2)
+        probes = make_probes(lat)
+        average = time_average(lat, 1.0, sched)
+        time_averaged_wave_op(lat, +1, 1.0, 2, sched, probes, average=average)
+        start_time_covariance_defect(lat, sched, 2, probes)
+        assert len(calls) == 1 and calls[0] is lat.h0
