@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_mod
-from .floquet import (EDGE_BLOCKS, build_floquet, correspondence_report, quasi_spectrum,
-                      shift_commutation_defect)
+from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondence_report,
+                      quasi_spectrum, shift_commutation_defect)
 from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
 from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect, unitary_eig
 from .propagation import PropagatorSchedule, monodromy, propagate
@@ -250,7 +250,11 @@ def run_correspondence(model, params, rng):
     _check_keys(params, {"n_modes", "steps_per_period", "order", "start"}, where)
     sched = _schedule(params, where)
     n_modes = _mode_cutoff(model, params, "n_modes", required=True)
-    rep = correspondence_report(_drive(model), n_modes, sched)
+    try:
+        rep = correspondence_report(_drive(model), n_modes, sched)
+    except NoInteriorError as exc:
+        raise ValueRangeError("parameters.n_modes", f"mode cutoff {n_modes} leaves no "
+                              f"interior mode-space state (EDGE_BLOCKS={EDGE_BLOCKS})") from exc
     return {
         "theta_phases": rep.theta_phases,
         "max_match_distance": rep.max_match_distance,
@@ -318,8 +322,12 @@ def run_wave_operators(model, params, rng):
     average = time_average(model, h_avg, sched)
     theta_eig = unitary_eig(average.theta)
     theta0 = model.free_propagator(1.0)
-    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, theta=average.theta)
-    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, theta=average.theta)
+    # Theta^n_max once: both directions and the time average share it
+    theta_n = np.linalg.matrix_power(average.theta, n_max)
+    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, theta=average.theta,
+                              theta_power=theta_n)
+    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, theta=average.theta,
+                              theta_power=theta_n)
     converged_fraction = float((wp.converged & wm.converged).mean())
     if converged_fraction < 0.9:
         raise ConvergenceError(
@@ -329,7 +337,8 @@ def run_wave_operators(model, params, rng):
     scan = _bound_state_scan(model, sched, n_modes, "floquet_modes", theta_eig=theta_eig)
     report = s_matrix(wp, wm, translates=translates, theta0=theta0,
                       bound_states=scan)
-    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average)
+    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average,
+                                theta_power=theta_n)
     use = wp.converged & wm.converged
     avg_agreement = float(
         np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()

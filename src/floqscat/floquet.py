@@ -26,6 +26,10 @@ EDGE_NORM_LIMIT = 0.01
 EDGE_BLOCKS = 2
 
 
+class NoInteriorError(ValueError):
+    """The mode cutoff leaves no interior mode-space state to compare."""
+
+
 def start_vector(size: int) -> np.ndarray:
     """Fixed generic unit start vector for iterative solvers (seeded normal entries).
 
@@ -269,7 +273,8 @@ def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
     k = build_floquet(h, n_modes)
     spec = quasi_spectrum(k)
     if spec.interior.sum() == 0:
-        raise ValueError("no interior quasi-energies: window too close to the truncation edge")
+        raise NoInteriorError("no interior quasi-energies: window too close to the "
+                              "truncation edge")
     theta_phases = np.sort(mono.quasi_energies)
 
     folded = spec.interior_folded

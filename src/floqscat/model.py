@@ -144,6 +144,11 @@ class LatticeModel:
         one eigendecomposition of H0 per model."""
         return self._free(float(t))
 
+    def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
+        """U0(t) x for a block x of columns, from the same eigendecomposition of H0,
+        without forming U0(t)."""
+        return self._free.apply(float(t), x)
+
     def support_window(self, margin: int = 0) -> np.ndarray:
         """Site indices within `margin` of the potential support (ring metric)."""
         lo, hi = self.potential_support.min(), self.potential_support.max()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -172,7 +173,7 @@ def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenD
             basis[:, start:stop] = block @ rot
         start = stop
 
-    values = np.einsum("ik,ij,jk->k", basis.conj(), u, basis)
+    values = (basis.conj() * (u @ basis)).sum(axis=0)   # diag(B^H U B): one BLAS product
     args = np.mod(np.angle(values), 2 * np.pi)
     order = np.argsort(args, kind="stable")
     values, basis, args = values[order], basis[:, order], args[order]
@@ -186,11 +187,22 @@ class HermitianExponential:
 
     Each factor is exactly a phase; tau = 0 returns the identity exactly.
     Every time shares the eigenbasis, so a caller that needs several times
-    pays for one eigh and gets the same matrices as expm_hermitian.
+    pays for one eigh and gets the same matrices as expm_hermitian; `apply`
+    acts on a block of columns without forming the matrix.
     """
 
     def __init__(self, h):
         self.eig = hermitian_eig(h)
+
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        return self.eig.vectors.conj().T
+
+    def apply(self, tau: float, x: np.ndarray) -> np.ndarray:
+        """exp(-i tau H) x for a block x of columns: V (e^{-i tau E} (V^H x)), whose
+        phases are exact for every tau (no repeated products)."""
+        phases = np.exp(-1j * tau * self.eig.values)
+        return self.eig.vectors @ (phases[:, None] * (self._adjoint @ x))
 
     def __call__(self, tau: float) -> np.ndarray:
         if tau == 0.0:

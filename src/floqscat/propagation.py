@@ -178,27 +178,34 @@ class MagnusStepper:
 
 def propagate(h: PeriodicHamiltonian, s: float, t: float,
               sched: PropagatorSchedule | None = None,
-              initial: np.ndarray | None = None) -> np.ndarray:
+              initial: np.ndarray | None = None,
+              steppers: dict | None = None) -> np.ndarray:
     """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given.
 
     U(s, s) = I; t < s via the adjoint.  Stepping continues the running
     product from `initial`, so a sweep cut into pieces at step boundaries
-    rounds like one uninterrupted propagate.
+    rounds like one uninterrupted propagate.  `steppers`, a dict the caller
+    keeps for this one h, holds the MagnusStepper of each (dt, order) met so
+    far; a sweep whose pieces share their step width builds one stepper.
     """
     sched = sched or PropagatorSchedule()
     if initial is not None and (t <= s or h.max_mode == 0):
-        return propagate(h, s, t, sched) @ initial
+        return propagate(h, s, t, sched, steppers=steppers) @ initial
     if t == s:
         return np.eye(h.dim, dtype=np.complex128)
     if h.max_mode == 0:
         # autonomous: a single exponential is exact
         return expm_hermitian(h.evaluate(0.0), t - s)
     if t < s:
-        return propagate(h, t, s, sched).conj().T
+        return propagate(h, t, s, sched, steppers=steppers).conj().T
     span = t - s
     n_steps = max(1, int(np.ceil(span * sched.steps_per_period - 1e-12)))
     dt = span / n_steps
-    step = MagnusStepper(h, dt, sched.order)
+    steppers = {} if steppers is None else steppers
+    key = (dt, sched.order)
+    if key not in steppers:
+        steppers[key] = MagnusStepper(h, dt, sched.order)
+    step = steppers[key]
     # complex from the start (a real `initial` could not take the complex steps
     # in place); the stepper copies before it writes, so `initial` is left as is
     u = np.eye(h.dim, dtype=np.complex128) if initial is None else \

@@ -6,8 +6,16 @@ window, and convergence of the stroboscopic iterates
 W+ ~ Theta0^dagger^n Theta^n (W- via time reversal) is accepted when the
 per-probe Cauchy gaps stay below threshold for the final iterates, all
 before the wrap-around horizon of the ring.  The iterates are products of
-unitaries, hence exactly unitary on the full space; every defect reported
-here measures probe-subspace leakage, not loss of unitarity.
+unitaries, hence unitary to round-off on the full space; every defect
+reported here measures probe-subspace leakage, not loss of unitarity.
+
+Wave operators are strong limits, so only their action on vectors is
+computed: every reported number uses W on a block of at most
+(2 translates + 1) p probe columns.  Theta^n_max is formed once per scenario
+(log2 n_max squarings) and shared by both directions, Theta^-n = (Theta^n)^H;
+the free factors Theta0^{-+n} act as V e^{+-inE} V^H from the one H0
+eigendecomposition the model caches, so their phases are exact.  No L x L
+matrix is formed inside the iterate loop.
 
 The probe subspace used for S-matrix defects is the span of the packets'
 short free orbits {Theta0^j phi}: it contains the scattered packets
@@ -19,6 +27,7 @@ delay-induced position mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
@@ -112,20 +121,47 @@ def wrap_horizon(model: LatticeModel) -> int:
 
 @dataclass
 class WaveOperatorIterates:
-    """Iterates of the stroboscopic limit restricted to the probe packets."""
+    """Iterates of the stroboscopic limit on the probe packets, and the iterate at
+    n_max as an action on vectors.
+
+    Direction +1 holds W+ = Theta0^{-n} Theta^n, direction -1 the time-reversed
+    W- = Theta0^n Theta^{-n}, at n = n_max; `apply` and `apply_adjoint` act on
+    a block of columns, and `operator` forms the full matrix only when read.
+    """
 
     direction: int
-    probe_images: list = field(repr=False)   # W^(n) probes, each (L, p)
-    cauchy_gaps: np.ndarray                  # (n_max, p)
+    probe_images: list = field(repr=False)   # W^(n) phi for n = 1..n_max, each (L, p)
+    # (n_max, p): ||(A - B) A^(n-1) phi|| with A = Theta^+-1, B = Theta0^+-1
+    cauchy_gaps: np.ndarray
     n_max: int
     probe_set: ProbeSet
-    operator: np.ndarray                     # full-space iterate at n_max (unitary)
     converged: np.ndarray                    # per-probe bool
     n_converged: np.ndarray                  # first index of the final stable run
+    model: LatticeModel = field(repr=False)           # its H0 eigenbasis gives Theta0^{-+n}
+    theta_power: np.ndarray = field(repr=False)      # Theta^n_max, shared by both directions
 
     @property
     def converged_fraction(self) -> float:
         return float(self.converged.mean())
+
+    def _power(self, sign: int, x: np.ndarray) -> np.ndarray:
+        """Theta^(sign n_max) x, with Theta^-n = (Theta^n)^H."""
+        return self.theta_power @ x if sign > 0 else self.theta_power.conj().T @ x
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W^(n_max) x for a block x of columns."""
+        d = self.direction
+        return self.model.free_apply(-d * self.n_max, self._power(d, x))
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """W^(n_max)^H x for a block x of columns."""
+        d = self.direction
+        return self._power(-d, self.model.free_apply(d * self.n_max, x))
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """Full-space iterate at n_max (unitary), formed on first read."""
+        return self.apply(np.eye(self.model.sites, dtype=np.complex128))
 
 
 def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
@@ -147,11 +183,14 @@ def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
 def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
                          sched: PropagatorSchedule | None = None,
                          probes: ProbeSet | None = None,
-                         theta: np.ndarray | None = None) -> WaveOperatorIterates:
+                         theta: np.ndarray | None = None,
+                         theta_power: np.ndarray | None = None) -> WaveOperatorIterates:
     """Iterate the stroboscopic limit on wave packets.
 
     direction +1 iterates Theta0^dagger^n Theta^n, direction -1 the
-    time-reversed pair Theta0^n Theta^dagger^n.  Raises ConvergenceError
+    time-reversed pair Theta0^n Theta^dagger^n.  Each iterate costs block
+    products with the p probe columns; `theta_power` is Theta^n_max of the
+    same theta (computed by squaring unless given).  Raises ConvergenceError
     (carrying the gap trace) if no probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
@@ -172,16 +211,11 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
     cur = probes.vectors.copy()
     gaps = np.empty((n_max, probes.count))
     images = []
-    b_pow_h = np.eye(model.sites, dtype=np.complex128)
-    a_full = np.eye(model.sites, dtype=np.complex128)
     for n in range(1, n_max + 1):
         nxt = a_op @ cur
         gaps[n - 1] = np.linalg.norm(nxt - b_op @ cur, axis=0)
         cur = nxt
-        a_full = a_op @ a_full
-        b_pow_h = b_pow_h @ b_op.conj().T
-        images.append(b_pow_h @ cur)
-    w_full = b_pow_h @ a_full
+        images.append(model.free_apply(-direction * n, cur))   # B^-n = Theta0^{-+n}
     converged, n_conv = _stability(gaps)
     if not converged.any():
         raise ConvergenceError(
@@ -195,9 +229,10 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
         cauchy_gaps=gaps,
         n_max=n_max,
         probe_set=probes,
-        operator=w_full,
         converged=converged,
         n_converged=n_conv,
+        model=model,
+        theta_power=np.linalg.matrix_power(theta, n_max) if theta_power is None else theta_power,
     )
 
 
@@ -229,12 +264,15 @@ def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None
 
     kernel = np.zeros((model.sites, model.sites), dtype=np.complex128)
     u_cur = np.eye(model.sites, dtype=np.complex128)
+    steppers = {}   # pieces of equal width share one MagnusStepper
     for i, (w, t_node) in enumerate(zip(weights, nodes)):
         if i > 0:
-            u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched, initial=u_cur)
+            u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched, initial=u_cur,
+                              steppers=steppers)
         u0 = model.free_propagator(t_node)
         kernel += w * (u0.conj().T @ u_cur)
-    theta = propagate(model.drive, s + h, s + 1.0, sched, initial=u_cur) if h < 1.0 else u_cur
+    theta = propagate(model.drive, s + h, s + 1.0, sched, initial=u_cur,
+                      steppers=steppers) if h < 1.0 else u_cur
     return TimeAverage(kernel=kernel, theta=theta)
 
 
@@ -242,7 +280,8 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
                           sched: PropagatorSchedule | None = None,
                           probes: ProbeSet | None = None, n_quad: int = 8,
                           theta: np.ndarray | None = None,
-                          average: TimeAverage | None = None) -> np.ndarray:
+                          average: TimeAverage | None = None,
+                          theta_power: np.ndarray | None = None) -> np.ndarray:
     """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
 
     Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
@@ -250,7 +289,9 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     trapezoidal rule in t, using the period factorization
     U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s.
     The kernel and Theta come from `average` (time_average(model, h, sched,
-    n_quad), computed unless given); a given `theta` replaces its Theta.
+    n_quad), computed unless given); a given `theta` replaces its Theta, and a
+    given `theta_power` is Theta^n_max of that Theta.  Only the probe columns
+    are carried through: Theta^{+-n}, the kernel, then the exact free factor.
     Converges to the same limit as the stroboscopic iterates.
     """
     if direction not in (+1, -1):
@@ -259,10 +300,9 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     probes = probes or make_probes(model)
     average = average or time_average(model, h, sched, n_quad)
     theta = average.theta if theta is None else theta
-    theta0 = model.free_propagator(1.0)
-    a_op, b_op = (theta, theta0.conj().T) if direction == +1 else (theta.conj().T, theta0)
-    th_pow = np.linalg.matrix_power(a_op, n_max)
-    return np.linalg.matrix_power(b_op, n_max) @ average.kernel @ th_pow @ probes.vectors
+    power = np.linalg.matrix_power(theta, n_max) if theta_power is None else theta_power
+    moved = power @ probes.vectors if direction == +1 else power.conj().T @ probes.vectors
+    return model.free_apply(-direction * n_max, average.kernel @ moved)
 
 
 @dataclass
@@ -302,13 +342,15 @@ def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) 
 def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
              translates: int = 2, theta0: np.ndarray | None = None,
              bound_states: list | None = None) -> ScatteringReport:
-    """Assemble S = W+ W-^dagger and its probe-subspace defects.
+    """Assemble S = W+ W-^dagger on the probe subspace and its defects.
 
     The probe subspace is the span of the packets' short free orbits.
     unitarity_defect is the largest per-probe leakage ||(I - P) S phi||
     (equivalently the deviation of the restricted columns from unit norm);
     intertwining_defect the largest ||(S Theta0 - Theta0 S) phi|| over
     converged probes; isometry_defect the deviation of ||W phi|| from 1.
+    S acts on the one block X = [basis, phi, Theta0 phi] (W-^dagger, then
+    W+); W+ and W- act on [basis, phi].  No L x L product is formed.
     """
     if wplus.probe_set is not wminus.probe_set:
         if wplus.probe_set.vectors.shape != wminus.probe_set.vectors.shape or not np.allclose(
@@ -318,23 +360,27 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     probes = wplus.probe_set
     if theta0 is None:
         raise ValueError("free monodromy required for the probe-subspace defects")
-    s_full = wplus.operator @ wminus.operator.conj().T
     basis = free_orbit_basis(theta0, probes, translates)
-    proj = basis @ basis.conj().T
     use = wplus.converged & wminus.converged
     phi = probes.vectors[:, use]
-    s_phi = s_full @ phi
-    unitarity = float(np.linalg.norm(s_phi - proj @ s_phi, axis=0).max()) if use.any() else np.inf
-    comm = s_full @ theta0 - theta0 @ s_full
-    intertwining = float(np.linalg.norm(comm @ phi, axis=0).max()) if use.any() else np.inf
-    iso = []
-    for w in (wplus, wminus):
-        imgs = w.operator @ probes.vectors[:, use]
-        iso.append(np.abs(np.linalg.norm(imgs, axis=0) - 1.0).max() if use.any() else np.inf)
+    k, m = basis.shape[1], phi.shape[1]
+    base = np.column_stack([basis, phi])
+    block = np.column_stack([base, theta0 @ phi])
+    # one W+ apply gives W+ [basis, phi] and S X = W+ W-^H X
+    images = wplus.apply(np.column_stack([base, wminus.apply_adjoint(block)]))
+    wp_base, s_block = images[:, :k + m], images[:, k + m:]
+    wm_base = wminus.apply(base)
+    s_phi, s_theta0_phi = s_block[:, k:k + m], s_block[:, k + m:]
+    leak = s_phi - basis @ (basis.conj().T @ s_phi)
+    unitarity = float(np.linalg.norm(leak, axis=0).max()) if use.any() else np.inf
+    comm_phi = s_theta0_phi - theta0 @ s_phi
+    intertwining = float(np.linalg.norm(comm_phi, axis=0).max()) if use.any() else np.inf
+    iso = [np.abs(np.linalg.norm(w[:, k:], axis=0) - 1.0).max() if use.any() else np.inf
+           for w in (wp_base, wm_base)]
     return ScatteringReport(
-        w_plus=basis.conj().T @ wplus.operator @ basis,
-        w_minus=basis.conj().T @ wminus.operator @ basis,
-        s_matrix=basis.conj().T @ s_full @ basis,
+        w_plus=basis.conj().T @ wp_base[:, :k],
+        w_minus=basis.conj().T @ wm_base[:, :k],
+        s_matrix=basis.conj().T @ s_block[:, :k],
         probe_basis=basis,
         isometry_defect=float(max(iso)),
         unitarity_defect=unitarity,
@@ -452,20 +498,20 @@ def start_time_covariance_defect(model: LatticeModel, sched: PropagatorSchedule,
     Both sides map a state at time s' to its future free asymptote; the
     left-hand side is computed from the monodromy at s', the right-hand
     side transports through the interacting propagator to s and back with
-    the free one.
+    the free one.  Theta_s^n and Theta_s'^n act on the probe columns by n
+    block products, the free factors through the H0 eigenbasis.
     """
     s = sched.start
     s2 = s + shift
-    theta_s = monodromy(model.drive, s, sched).operator
-    theta0 = model.free_propagator(1.0)
     sched2 = PropagatorSchedule(sched.steps_per_period, sched.order, s2)
-    theta_s2 = monodromy(model.drive, s2, sched2).operator
 
-    w_s = np.linalg.matrix_power(theta0.conj().T, n_max) @ np.linalg.matrix_power(theta_s, n_max)
-    w_s2 = np.linalg.matrix_power(theta0.conj().T, n_max) @ np.linalg.matrix_power(theta_s2, n_max)
-    u_s2_s = propagate(model.drive, s, s2, sched)
-    u0_s2_s = model.free_propagator(shift)
-    transported = probes.vectors
-    lhs = w_s2 @ (u_s2_s @ transported)
-    rhs = u0_s2_s @ (w_s @ transported)
+    def wave_op(theta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+        """U0(t) Theta0^{-n} Theta^n x."""
+        for _ in range(n_max):
+            x = theta @ x
+        return model.free_apply(t - n_max, x)
+
+    lhs = wave_op(monodromy(model.drive, s2, sched2).operator,
+                  propagate(model.drive, s, s2, sched, initial=probes.vectors), 0.0)
+    rhs = wave_op(monodromy(model.drive, s, sched).operator, probes.vectors, shift)
     return float(np.linalg.norm(lhs - rhs, axis=0).max())

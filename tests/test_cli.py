@@ -88,6 +88,16 @@ class TestValidation:
         assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
         assert "parameters.n_modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_correspondence_cutoff_without_interior_states_exit_2(self, tmp_path, capsys,
+                                                                  n_modes):
+        # n_modes <= EDGE_BLOCKS: every Rabi mode-space state is an edge state
+        cfg = {**CORR_CFG, "parameters": {**CORR_CFG["parameters"], "n_modes": n_modes}}
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.n_modes" in err and "Traceback" not in err
+
     def test_scan_modes_below_mode_support(self):
         cfg = {"task": "bound-states",
                "model": {"lattice": {"sites": 40, "well_depth": -1.8, "drive_amp": 0.5}},

@@ -181,6 +181,56 @@ class TestDrivenWell:
         assert bound.shape[1] >= 1
         assert orthogonality_defect(probes, bound) <= 1e-3
 
+    def test_block_path_matches_dense_oracle(self, driven_256, driven_256_run):
+        # W+- = Theta0^{-+n} Theta^{+-n} as dense L x L products, against the
+        # block path (Theta^n shared, free factors from the H0 eigenbasis)
+        mono, probes, wp, wm = driven_256_run
+        lat, n, theta = driven_256, wp.n_max, mono.operator
+        theta0 = expm_hermitian(lat.h0, 1.0)
+        power = np.linalg.matrix_power
+        w_plus = power(theta0.conj().T, n) @ power(theta, n)
+        w_minus = power(theta0, n) @ power(theta.conj().T, n)
+        s_full = w_plus @ w_minus.conj().T
+        for j in (1, n // 2, n):
+            want = power(theta0.conj().T, j) @ power(theta, j) @ probes.vectors
+            assert np.abs(wp.probe_images[j - 1] - want).max() <= 1e-12
+            want = power(theta0, j) @ power(theta.conj().T, j) @ probes.vectors
+            assert np.abs(wm.probe_images[j - 1] - want).max() <= 1e-12
+        assert np.abs(wp.operator - w_plus).max() <= 1e-12
+        assert np.abs(wm.operator - w_minus).max() <= 1e-12
+
+        rep = s_matrix(wp, wm, translates=2, theta0=theta0)
+        basis = rep.probe_basis
+        use = wp.converged & wm.converged
+        phi = probes.vectors[:, use]
+        s_phi = s_full @ phi
+        leak = s_phi - basis @ basis.conj().T @ s_phi
+        comm = (s_full @ theta0 - theta0 @ s_full) @ phi
+        dense = {
+            "w_plus": basis.conj().T @ w_plus @ basis,
+            "w_minus": basis.conj().T @ w_minus @ basis,
+            "s_matrix": basis.conj().T @ s_full @ basis,
+            "isometry_defect": max(np.abs(np.linalg.norm(w @ phi, axis=0) - 1.0).max()
+                                   for w in (w_plus, w_minus)),
+            "unitarity_defect": np.linalg.norm(leak, axis=0).max(),
+            "intertwining_defect": np.linalg.norm(comm, axis=0).max(),
+        }
+        for name, want in dense.items():
+            assert np.abs(getattr(rep, name) - want).max() <= 1e-12, name
+
+        average = time_average(lat, 1.0, CHEAP)
+        kernel = average.kernel
+        for direction, want in (
+            (+1, power(theta0.conj().T, n) @ kernel @ power(theta, n) @ probes.vectors),
+            (-1, power(theta0, n) @ kernel @ power(theta.conj().T, n) @ probes.vectors),
+        ):
+            got = time_averaged_wave_op(lat, direction, 1.0, n, CHEAP, probes, theta=theta,
+                                        average=average)
+            assert np.abs(got - want).max() <= 1e-12
+            shared = time_averaged_wave_op(lat, direction, 1.0, n, CHEAP, probes,
+                                           average=average, theta_power=wp.theta_power)
+            assert np.abs(shared - want).max() <= 1e-12
+
     def test_horizon_enforced(self, driven_256):
         with pytest.raises(ValueError, match="horizon"):
             stroboscopic_wave_op(driven_256, +1, 100, CHEAP)
