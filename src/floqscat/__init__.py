@@ -41,6 +41,7 @@ from .floquet import (
 from .resolvent import (
     BoundStateVerdict,
     FactorizedPotential,
+    ScanOperators,
     ThresholdProximityError,
     TimeGridFunction,
     block_q,

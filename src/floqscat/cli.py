@@ -17,7 +17,8 @@ config and seed: numbers are serialized with shortest round-trip precision
 and keys are sorted; wall time appears only in sweep tables.
 
 Exit codes: 0 success, 2 config validation failure (the message names the
-offending field), 3 numerical failure (non-convergence, singular solve).
+offending field), 3 numerical failure (non-convergence, singular solve, a
+NaN or infinite report value, named by its key path: reports are strict JSON).
 With several configs every one runs, every written output path is printed,
 and the exit code is the largest of theirs.
 """
@@ -44,6 +45,7 @@ from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect, un
 from .propagation import PropagatorSchedule, monodromy, propagate
 from .resolvent import (
     InverseIterationError,
+    ScanOperators,
     ThresholdProximityError,
     TimeGridFunction,
     block_q,
@@ -72,8 +74,14 @@ from .scattering import (
 
 TASKS = ("monodromy", "floquet-spectrum", "correspondence", "resolvent-check",
          "wave-operators", "bound-states")
+
+
+class NonFiniteError(FloatingPointError):
+    """A report value is NaN or infinite, which strict JSON cannot hold."""
+
+
 NUMERICAL_ERRORS = (ConvergenceError, SingularMatrixError, ThresholdProximityError,
-                    DetectorDisagreementError, InverseIterationError)
+                    DetectorDisagreementError, InverseIterationError, NonFiniteError)
 
 
 class ValidationError(ValueError):
@@ -166,23 +174,30 @@ def _drive(model) -> PeriodicHamiltonian:
     return model.drive if isinstance(model, LatticeModel) else model
 
 
-def _jsonable(obj):
+def _jsonable(obj, path: str = "report"):
+    """obj in JSON types; a NaN or infinite float raises NonFiniteError naming its key path."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return _jsonable(np.stack([obj.real, obj.imag], axis=-1))
+            return _jsonable(np.stack([obj.real, obj.imag], axis=-1), path)
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            where = np.argwhere(~np.isfinite(obj))[0]
+            raise NonFiniteError(f"non-finite value {obj[tuple(where)]} at "
+                                 f"{path}{''.join(f'[{i}]' for i in where)}")
         return obj.tolist()
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            raise NonFiniteError(f"non-finite value {obj} at {path}")
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _jsonable([obj.real, obj.imag], path)
     return obj
 
 
@@ -369,7 +384,9 @@ def run_bound_states(model, params, rng):
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if _get(params, "verify", bool, where, True):
         fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
-        verdicts = [bound_state_correspondence(model.drive, b.quasi_energy, scan_modes) for b in infos]
+        scan = ScanOperators.for_model(model.drive, scan_modes)   # K and K0 once per scenario
+        verdicts = [bound_state_correspondence(model.drive, b.quasi_energy, scan_modes, scan=scan)
+                    for b in infos]
         results["verdicts"] = [{f: getattr(v, f) for f in fields} for v in verdicts]
     return results
 
@@ -440,7 +457,7 @@ def run_scenario(cfg: dict, seed: int | None = None) -> dict:
         "config_sha256": config_hash(cfg),
         "config_echo": cfg,
         "seed": seed,
-        "results": _jsonable(results),
+        "results": _jsonable(results, "results"),
     }
 
 
@@ -479,7 +496,7 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
 def write_report(report: dict, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(_jsonable(report), f, sort_keys=True, indent=2)
+        json.dump(_jsonable(report), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
 

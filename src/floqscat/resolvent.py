@@ -24,7 +24,11 @@ quasi-energy lambda off the free spectrum is an eigenvalue exactly when
 I + Q(lambda + i0) is singular, and the corresponding mode vector is
 recovered from the null direction.  The scan never forms Q: with the sparse
 K = K0 + V, I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, so its inverse is one
-sparse LU solve.
+sparse LU solve.  K and K0 are prepared once (ScanOperators) on patterns that
+hold their full diagonals, so a shift zeta rewrites only the diagonal
+entries.  The candidate is refined to K's eigenvalue by Rayleigh quotients of
+psi = (K0 - zeta)^{-1} phi taken from the scan's own null direction phi, and
+the verdict's residual ||(K - lambda) psi|| / ||psi|| measures that psi.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from .floquet import ModeSpace, floquet_operator, start_vector
@@ -45,6 +48,11 @@ SGN_FLOOR = 1e-13
 # at most this much relative (1-7 steps on the driven ring's bound states)
 INVERSE_ITERATION_RTOL = 1e-12
 INVERSE_ITERATION_MAXITER = 100
+# Rayleigh refinement of a bound quasi-energy: null scans at Im zeta = RAYLEIGH_EPS,
+# stopping when the quotient moves by at most RAYLEIGH_ULPS units in the last place
+RAYLEIGH_EPS = 1e-13
+RAYLEIGH_ULPS = 4
+RAYLEIGH_MAXITER = 3
 
 
 class ThresholdProximityError(ValueError):
@@ -327,53 +335,118 @@ class BoundStateVerdict:
     mode_vector: np.ndarray  # reconstructed psi over modes, shape (2N+1, d)
 
 
+class DiagonalShift:
+    """A sparse square matrix stored on a canonical pattern that holds its full
+    diagonal, with the diagonal's positions indexed.
+
+    `minus(zeta)` rewrites only the diagonal entries; its pattern and values
+    equal those of A - zeta I for non-real zeta bit for bit.
+    """
+
+    def __init__(self, a, fmt: str):
+        a = sp.coo_array(a, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        n = a.shape[0]
+        diag = np.arange(n)
+        data = np.concatenate([a.data.astype(np.complex128), np.zeros(n, np.complex128)])
+        self.matrix = sp.coo_array((data, (np.concatenate([a.row, diag]),
+                                           np.concatenate([a.col, diag]))),
+                                   shape=a.shape).asformat(fmt)
+        major = np.repeat(diag, np.diff(self.matrix.indptr))   # row (CSR) or column (CSC)
+        self.diag = np.flatnonzero(self.matrix.indices == major)
+
+    def minus(self, zeta: complex):
+        """A - zeta I in the stored format."""
+        m = self.matrix
+        data = m.data.copy()
+        data[self.diag] -= zeta
+        return type(m)((data, m.indices, m.indptr), shape=m.shape)
+
+
+class ScanOperators:
+    """The sparse K = K0 + V and K0 of one mode space, prepared for shifts:
+    K in CSC for the LU of K - zeta, K0 in CSR for products with K0 - zeta."""
+
+    def __init__(self, k, k0):
+        self.k = DiagonalShift(k, "csc")
+        self.k0 = DiagonalShift(k0, "csr")
+
+    @classmethod
+    def for_model(cls, h: PeriodicHamiltonian, n_modes: int) -> "ScanOperators":
+        return cls(floquet_operator(h, n_modes), ModeSpace(n_modes, h.dim).free(h.h0))
+
+    @property
+    def size(self) -> int:
+        return self.k.matrix.shape[0]
+
+    def null_pair(self, zeta: complex):
+        """(s, phi, psi): smallest singular pair of I + Q(zeta) and psi = (K0 - zeta)^{-1} phi.
+
+        See smallest_singular_pair; psi comes from the last inverse-iteration
+        step's own solve with K - zeta.
+        """
+        lu = splu(self.k.minus(zeta))
+        free = self.k0.minus(zeta)
+        free_h = free.conj().T
+        phi = start_vector(self.size)
+        s_prev = np.inf
+        for _ in range(INVERSE_ITERATION_MAXITER):
+            y = lu.solve(free_h @ phi, trans="H")    # (I + Q)^{-H} phi
+            x = lu.solve(y)                           # (K - zeta)^{-1} y
+            z = free @ x                              # (I + Q)^{-1} y
+            z_norm = np.linalg.norm(z)
+            phi = z / z_norm
+            s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
+            if abs(s - s_prev) <= INVERSE_ITERATION_RTOL * s:
+                return s, phi, x / z_norm
+            s_prev = s
+        raise InverseIterationError(
+            f"smallest singular value of I + Q({zeta}) did not settle in "
+            f"{INVERSE_ITERATION_MAXITER} inverse-iteration steps (last {s_prev:.3e})")
+
+
 def smallest_singular_pair(k, k0, zeta: complex):
     """Smallest singular value s and right singular vector phi of I + Q(zeta).
 
     k and k0 are the sparse K = K0 + V and K0 of one mode space
-    (floquet_operator, ModeSpace.free).  Since I + Q(zeta) =
-    (K - zeta)(K0 - zeta)^{-1}, its inverse and inverse adjoint each cost one
-    solve with the sparse LU of K - zeta and one product with K0 - zeta.
-    Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed start vector
-    gives phi, and s = ||(I + Q) phi|| comes from the same two solves; unlike
-    the Hermitian form (I + Q)^H (I + Q), this resolves s far below
-    sqrt(machine eps) ||I + Q||.  Stops when s changes by at most
+    (floquet_operator, ModeSpace.free), prepared as ScanOperators(k, k0);
+    ScanOperators.null_pair is this evaluation on a pair prepared once.  A
+    shift rewrites only the prepared diagonals, so K - zeta and K0 - zeta
+    equal k - zeta I and k0 - zeta I bit for bit.  Since
+    I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, its inverse and inverse adjoint
+    each cost one solve with the sparse LU of K - zeta and one product with
+    K0 - zeta.  Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed
+    start vector gives phi, and s = ||(I + Q) phi|| comes from the same two
+    solves; unlike the Hermitian form (I + Q)^H (I + Q), this resolves s far
+    below sqrt(machine eps) ||I + Q||.  Stops when s changes by at most
     INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it has
     not after INVERSE_ITERATION_MAXITER steps.
     """
-    eye = sp.eye_array(k.shape[0], format="csc")
-    lu = splu(sp.csc_array(k - zeta * eye))
-    free = sp.csr_array(k0 - zeta * eye)
-    free_h = free.conj().T
-    phi = start_vector(k.shape[0])
-    s_prev = np.inf
-    for _ in range(INVERSE_ITERATION_MAXITER):
-        y = lu.solve(free_h @ phi, trans="H")    # (I + Q)^{-H} phi
-        z = free @ lu.solve(y)                    # (I + Q)^{-1} y
-        z_norm = np.linalg.norm(z)
-        phi = z / z_norm
-        s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
-        if abs(s - s_prev) <= INVERSE_ITERATION_RTOL * s:
-            return s, phi
-        s_prev = s
-    raise InverseIterationError(
-        f"smallest singular value of I + Q({zeta}) did not settle in "
-        f"{INVERSE_ITERATION_MAXITER} inverse-iteration steps (last {s_prev:.3e})")
+    s, phi, _ = ScanOperators(k, k0).null_pair(zeta)
+    return s, phi
 
 
 def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_modes: int,
                                eps_ladder=(1e-2, 1e-3, 1e-4), search_window: float = 5e-4,
                                null_tol: float = 1e-6, residual_tol: float = 1e-6,
-                               threshold_margin: float = 1e-3) -> BoundStateVerdict:
+                               threshold_margin: float = 1e-3,
+                               scan: ScanOperators | None = None) -> BoundStateVerdict:
     """Verify a candidate bound quasi-energy through the null-vector scan.
 
-    The smallest singular value of I + Q(lambda + i eps) is minimized over a
-    window around the candidate at the finest ladder eps, extrapolated
-    linearly in eps to the axis (never evaluating exactly on it), and the
-    null direction phi is converted to the mode vector
-    psi = (K0 - lambda)^{-1} phi, which must satisfy the truncated eigenvalue
-    equation (K - lambda) psi = 0.  Every step works on the sparse K and K0
-    (smallest_singular_pair).
+    Rayleigh refinement: from lambda_0 = candidate, the null direction phi of
+    I + Q(lambda_j + i RAYLEIGH_EPS) gives psi = (K0 - zeta)^{-1} phi at the
+    same zeta, and lambda_{j+1} = psi^H K psi / psi^H psi.  K is Hermitian,
+    so each step squares the distance to K's eigenvalue; the iteration stops
+    when the quotient moves by at most RAYLEIGH_ULPS units in the last place,
+    after RAYLEIGH_MAXITER steps, or when the quotient leaves the search
+    window around the candidate (refined then stays at the last value
+    inside).  The last psi is the mode vector, and the residual
+    ||(K - refined) psi|| / ||psi|| of the truncated eigenvalue equation is
+    measured on it.  The smallest singular values at refined + i eps over the
+    ladder are extrapolated linearly in eps to the axis (never evaluating
+    exactly on it).  `scan` holds K and K0 at n_modes, prepared once
+    (ScanOperators.for_model) for several candidates of one model.
     """
     dist = free_spectrum_distance(h.h0, lam_candidate)
     if dist < threshold_margin:
@@ -382,34 +455,30 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
             f"(threshold margin {threshold_margin})"
         )
     eps_ladder = sorted(eps_ladder, reverse=True)
-    eps_fine = eps_ladder[-1]
     space = ModeSpace(n_modes, h.dim)
-    k = floquet_operator(h, n_modes)
-    k0 = space.free(h.h0)
+    scan = scan or ScanOperators.for_model(h, n_modes)
+    if scan.size != space.size:
+        raise ValueError(f"scan operators of size {scan.size} do not match the mode space "
+                         f"of size {space.size} at N={n_modes}")
 
-    def smin_at(lam_real, eps):
-        return smallest_singular_pair(k, k0, lam_real + 1j * eps)
+    refined = float(lam_candidate)
+    for _ in range(RAYLEIGH_MAXITER):
+        _, _, psi = scan.null_pair(refined + 1j * RAYLEIGH_EPS)
+        k_psi = scan.k.matrix @ psi
+        quotient = float((np.vdot(psi, k_psi) / np.vdot(psi, psi)).real)
+        if abs(quotient - lam_candidate) > search_window:
+            break
+        step, refined = quotient - refined, quotient
+        if abs(step) <= RAYLEIGH_ULPS * np.spacing(abs(refined)):
+            break
+    # residual of the truncated eigenvalue equation (K - lambda) psi = 0
+    residual = float(np.linalg.norm(k_psi - refined * psi) / np.linalg.norm(psi))
 
-    res = minimize_scalar(
-        lambda x: smin_at(x, eps_fine)[0],
-        bounds=(lam_candidate - search_window, lam_candidate + search_window),
-        method="bounded",
-        options={"xatol": 1e-11, "maxiter": 40},
-    )
-    refined = float(res.x)
-    ladder = [smin_at(refined, eps)[0] for eps in eps_ladder]
+    ladder = [scan.null_pair(refined + 1j * eps)[0] for eps in eps_ladder]
     e1, e2 = eps_ladder[-2], eps_ladder[-1]
     s1, s2 = ladder[-2], ladder[-1]
     extrapolated = float((e1 * s2 - e2 * s1) / (e1 - e2))
-    confirmed = abs(extrapolated) <= null_tol
-
-    # null direction just off the axis, then the mode-space reconstruction
-    _, phi = smin_at(refined, 1e-8)
-    psi = splu(sp.csc_array(k0 - refined * sp.eye_array(space.size))).solve(phi)
-    # residual of the truncated eigenvalue equation (K - lambda) psi = 0
-    psi_norm = np.linalg.norm(psi)
-    residual = float(np.linalg.norm(k @ psi - refined * psi) / psi_norm) if psi_norm > 0 else np.inf
-    confirmed = confirmed and residual <= residual_tol
+    confirmed = abs(extrapolated) <= null_tol and residual <= residual_tol
     return BoundStateVerdict(
         candidate=float(lam_candidate),
         refined=refined,

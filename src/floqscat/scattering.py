@@ -407,19 +407,23 @@ def _mode_space_partner(model: LatticeModel, k, space: ModeSpace, phase: float,
     stops at the first translate with a partner within tol.  At each
     translate the request grows until some returned value lies beyond tol,
     so every eigenvalue within tol is judged: the predicate is that of the
-    whole truncated spectrum.
+    whole truncated spectrum.  ARPACK converges each value nu of
+    (K - sigma)^{-1} to relative accuracy arpack_tol, so a returned value
+    lambda is exact to arpack_tol |lambda - sigma| <= arpack_tol 2 bound, which
+    arpack_tol = 1e-3 tol / (2 bound) keeps within 1e-3 tol.
     """
     fiber = model.h0 + model.drive.mode(0)
     centre = float(np.trace(fiber).real) / model.sites
     bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
+    arpack_tol = 1e-3 * tol / (2 * bound)
     v0 = start_vector(space.size)
     nearest, candidates = np.inf, 0
     for sigma in sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]:
         n_eig = min(3, space.size - 2)
         while True:
-            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0)
+            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=arpack_tol)
             if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
                 break
             n_eig = min(2 * n_eig, space.size - 2)

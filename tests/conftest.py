@@ -6,6 +6,7 @@ from floqscat import (
     build_lattice,
     fleet,
     monodromy,
+    q_factorized,
     rabi_model,
 )
 
@@ -52,3 +53,13 @@ def driven_well_64():
 @pytest.fixture(scope="session")
 def driven_well_64_monodromy(driven_well_64, accurate_sched):
     return monodromy(driven_well_64.drive, 0.0, accurate_sched)
+
+
+@pytest.fixture(scope="session")
+def fleet_d3_grid_q_spectrum():
+    """Eigenvalues of the grid operator A R0 B of fleet()[1] at zeta = 1 + i, N_t = 1024.
+
+    The dense 3072^2 eigenvalue problem is the suite's largest single cost;
+    acceptance criterion 6 and the block-resolvent equivalence test share it.
+    """
+    return np.linalg.eigvals(q_factorized(fleet()[1], 1.0 + 1.0j, 1024)[0])

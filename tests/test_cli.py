@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floqscat
+import floqscat.resolvent as resolvent
 from floqscat.cli import (
+    RUNNERS,
+    NonFiniteError,
     ValidationError,
+    _jsonable,
     build_model,
     canonical_json,
     main,
@@ -409,3 +418,66 @@ class TestMultiConfig:
         assert code == 3
         err = capsys.readouterr().err
         assert "not reproduced by the mode-space spectrum" in err and "parameters.n_modes" in err
+
+
+class TestStrictJson:
+    def test_every_config_report_parses_as_strict_json(self, tmp_path):
+        configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert len(configs) == 8
+        args = [arg for c in configs for arg in ("--config", str(c))]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        reports = sorted(tmp_path.glob("*.json"))
+        assert len(reports) == 6
+        for report in reports:
+            json.loads(report.read_text(), parse_constant=reject)
+        tables = sorted(tmp_path.glob("*.csv"))   # sweep rows run through the same check
+        assert len(tables) == 2 and all("non-finite" not in t.read_text() for t in tables)
+
+    def test_non_finite_value_exit_3_names_key_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "floquet-spectrum",
+                            lambda model, params, rng: {"gaps": {"last": [0.5, np.inf]}})
+        cfg = {"task": "floquet-spectrum", "model": {"builtin": "rabi"},
+               "parameters": {"n_modes": 4}}
+        p = write_config(tmp_path, cfg)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "non-finite value inf at results.gaps.last[1]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.report.json"))
+
+    def test_non_finite_array_entry_named(self):
+        table = np.ones((2, 2), complex)
+        table[1, 0] = complex(3.0, np.nan)   # [re, im] pairs: the imaginary part is index 1
+        with pytest.raises(NonFiniteError, match=r"nan at results\.table\[1\]\[0\]\[1\]"):
+            _jsonable({"table": table}, "results")
+        assert _jsonable({"ok": np.array([1.0, -2.5])}) == {"ok": [1.0, -2.5]}
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(floqscat.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, floqscat.cli; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+class TestBoundStateScenario:
+    def test_scan_operators_built_once_per_scenario(self, monkeypatch):
+        built = []
+        floquet_operator = resolvent.floquet_operator
+        monkeypatch.setattr(resolvent, "floquet_operator",
+                            lambda *args: built.append(args) or floquet_operator(*args))
+        cfg = {"task": "bound-states",
+               "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.7,
+                                     "drive_amp": 0.45, "support_width": 3}},
+               "parameters": {"steps_per_period": 256, "n_modes": 8, "scan_modes": 4}}
+        results = run_scenario(cfg)["results"]
+        assert results["n_bound"] == 2
+        assert all(v["confirmed"] for v in results["verdicts"])
+        assert len(built) == 1

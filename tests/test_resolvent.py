@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 import floqscat.resolvent as resolvent
-from floqscat.floquet import ModeSpace, build_floquet, floquet_operator
+from floqscat.floquet import ModeSpace, build_floquet, floquet_operator, start_vector
 from floqscat.model import PeriodicHamiltonian, build_lattice, rabi_model
 from floqscat.numerics import max_norm, op_norm
+from floqscat.propagation import PropagatorSchedule
 from floqscat.resolvent import (
     InverseIterationError,
+    ScanOperators,
     ThresholdProximityError,
     TimeGridFunction,
     block_q,
@@ -233,7 +237,7 @@ class TestBlockQ:
             norms = [op_norm(block_q(h, 1j * eta, 12)) for eta in (4.0, 16.0, 64.0, 256.0)]
             assert norms[0] > norms[1] > norms[2] > norms[3]
 
-    def test_representation_equivalence_with_grid(self, fleet_models):
+    def test_representation_equivalence_with_grid(self, fleet_models, fleet_d3_grid_q_spectrum):
         # eigenvalues of the mode-space block operator against the grid-space
         # factorized operator: similar operators, spectra must agree on the
         # well-resolved (large) eigenvalues.  The grid route is second order;
@@ -243,9 +247,8 @@ class TestBlockQ:
         h = fleet_models[1]
         zeta = 1.0 + 1.0j
         q_mode = block_q(h, zeta, 24)
-        q_grid, _ = q_factorized(h, zeta, 1024)
         ev_mode = np.linalg.eigvals(q_mode)
-        ev_grid = np.linalg.eigvals(q_grid)
+        ev_grid = fleet_d3_grid_q_spectrum   # eigvals(q_factorized(h, zeta, 1024)[0])
         top = np.abs(ev_mode).max()
         assert match_eigenvalues(ev_mode, ev_grid, 0.5 * top) <= 1e-6
         # deeper shells are limited by the mode-space truncation itself
@@ -346,3 +349,97 @@ class TestSmallestSingularPair:
             smallest_singular_pair(k, k0, bound_phase + 1e-4j)
         with pytest.raises(InverseIterationError):
             bound_state_correspondence(h, bound_phase, self.N)
+
+
+class TestRayleighRefinement:
+    """The null scan's refinement lands on K's eigenvalue; K's shift-invert
+    eigsh is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def well_candidates(self, driven_well_64, driven_well_64_monodromy):
+        # bound-states-driven-well.json: this ring, 512 order-4 steps, n_modes 12
+        from floqscat.scattering import bound_state_scan
+
+        infos = bound_state_scan(driven_well_64, n_modes=12,
+                                 theta_eig=driven_well_64_monodromy.eig)
+        return [b.quasi_energy for b in infos]
+
+    @pytest.fixture(scope="class")
+    def ring_slot(self):
+        # a ring-bound benchmark slot: 40 sites, width 3, 256 steps, n_modes 8
+        from floqscat.scattering import bound_state_scan
+
+        lat = build_lattice(40, 1.0, -1.7, 0.45, range(19, 22))
+        infos = bound_state_scan(lat, PropagatorSchedule(256, 4), n_modes=8)
+        return lat, [b.quasi_energy for b in infos]
+
+    @staticmethod
+    def _check_at_eigenvalue(h, n_modes, candidates):
+        k = floquet_operator(h, n_modes).tocsc()
+        scan = ScanOperators.for_model(h, n_modes)
+        for lam in candidates:
+            verdict = bound_state_correspondence(h, lam, n_modes, scan=scan)
+            want = eigsh(k, k=1, sigma=lam)[0][0]
+            assert verdict.confirmed
+            assert abs(verdict.refined - want) <= 1e-12
+            assert verdict.residual <= 1e-12
+            own = bound_state_correspondence(h, lam, n_modes)   # K and K0 built inside
+            assert (own.refined, own.residual, own.smin_ladder) == (
+                verdict.refined, verdict.residual, verdict.smin_ladder)
+
+    def test_driven_well_refined_at_eigenvalue(self, driven_well_64, well_candidates):
+        assert len(well_candidates) == 3
+        self._check_at_eigenvalue(driven_well_64.drive, 6, well_candidates)
+
+    def test_ring_slot_refined_at_eigenvalue(self, ring_slot):
+        lat, candidates = ring_slot
+        assert len(candidates) == 2
+        self._check_at_eigenvalue(lat.drive, 4, candidates)
+
+    def test_at_most_six_evaluations_per_verdict(self, ring_slot, monkeypatch):
+        lat, candidates = ring_slot
+        scan = ScanOperators.for_model(lat.drive, 4)
+        factorizations = []   # one sparse LU of K - zeta per null-scan evaluation
+        monkeypatch.setattr(resolvent, "splu", lambda a: factorizations.append(a) or splu(a))
+        for lam in candidates:
+            factorizations.clear()
+            bound_state_correspondence(lat.drive, lam, 4, scan=scan)
+            assert 1 <= len(factorizations) <= 6
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-13])
+    def test_prepared_shift_bit_identical(self, driven_well_64, well_candidates, eps):
+        h = driven_well_64.drive
+        k, k0 = floquet_operator(h, 6), ModeSpace(6, h.dim).free(h.h0)
+        zeta = well_candidates[0] + 1j * eps
+        scan = ScanOperators(k, k0)
+        eye = sp.eye_array(k.shape[0], format="csc")
+        lu_in, free = sp.csc_array(k - zeta * eye), sp.csr_array(k0 - zeta * eye)
+        for got, want in ((scan.k.minus(zeta), lu_in), (scan.k0.minus(zeta), free)):
+            assert got.format == want.format and got.dtype == want.dtype
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        # inverse iteration on the subtracted operators k - zeta I and k0 - zeta I
+        lu, free_h = splu(lu_in), free.conj().T
+        phi, s_prev = start_vector(k.shape[0]), np.inf
+        for _ in range(resolvent.INVERSE_ITERATION_MAXITER):
+            y = lu.solve(free_h @ phi, trans="H")
+            z = free @ lu.solve(y)
+            phi = z / np.linalg.norm(z)
+            s = float(np.linalg.norm(y) / np.linalg.norm(z))
+            if abs(s - s_prev) <= resolvent.INVERSE_ITERATION_RTOL * s:
+                break
+            s_prev = s
+        for got_s, got_phi in (smallest_singular_pair(k, k0, zeta), scan.null_pair(zeta)[:2]):
+            assert got_s == s and np.array_equal(got_phi, phi)
+
+    def test_zero_potential_unconfirmed_inside_window(self):
+        h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
+        verdict = bound_state_correspondence(h, 3.0, 4, search_window=5e-4)
+        assert not verdict.confirmed
+        assert abs(verdict.refined - 3.0) <= 5e-4
+
+    def test_scan_of_another_cutoff_rejected(self, ring_slot):
+        lat, candidates = ring_slot
+        with pytest.raises(ValueError, match="do not match"):
+            bound_state_correspondence(lat.drive, candidates[0], 4,
+                                       scan=ScanOperators.for_model(lat.drive, 5))

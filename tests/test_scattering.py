@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+import floqscat.scattering as scattering
 from floqscat.floquet import (EDGE_BLOCKS, ModeSpace, build_floquet, circular_distance,
                               floquet_operator, quasi_spectrum)
 from floqscat.model import build_lattice
@@ -322,3 +324,34 @@ class TestFreeEvolution:
         time_averaged_wave_op(lat, +1, 1.0, 2, sched, probes, average=average)
         start_time_covariance_defect(lat, sched, 2, probes)
         assert len(calls) == 1 and calls[0] is lat.h0
+
+
+class TestPartnerTolerance:
+    def test_stated_accuracy_matches_converged_arpack(self, driven_well_64,
+                                                      driven_well_64_monodromy, monkeypatch):
+        # acceptance criterion 8's cross-check: N = 12, cross_check_tol 1e-5; a
+        # phase moved by 3 tol has no partner either way
+        n_modes, tol = 12, 1e-5
+        infos = bound_state_scan(driven_well_64, n_modes=n_modes,
+                                 theta_eig=driven_well_64_monodromy.eig, cross_check_tol=tol)
+        phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
+        k = floquet_operator(driven_well_64.drive, n_modes).tocsc()
+        space = ModeSpace(n_modes, driven_well_64.sites)
+        requested = []
+
+        def partners():
+            return [_mode_space_partner(driven_well_64, k, space, p, tol)[0] for p in phases]
+
+        def arpack(*args, **kwargs):
+            requested.append(kwargs["tol"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "eigsh", arpack)
+        stated = partners()
+        assert min(requested) > 0
+        monkeypatch.setattr(scattering, "eigsh", lambda *a, **kw: eigsh(*a, **{**kw, "tol": 0}))
+        converged = partners()
+        passed = [True] * len(infos) + [False]
+        assert [d <= tol for d in stated] == [d <= tol for d in converged] == passed
+        for d, d0 in zip(stated, converged):
+            assert abs(d - d0) <= 1e-3 * tol
