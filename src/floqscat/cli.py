@@ -41,8 +41,8 @@ from . import model as model_mod
 from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondence_report,
                       quasi_spectrum, shift_commutation_defect)
 from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
-from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect, unitary_eig
-from .propagation import PropagatorSchedule, monodromy, propagate
+from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect
+from .propagation import PropagatorSchedule, monodromy, period_operator
 from .resolvent import (
     InverseIterationError,
     ScanOperators,
@@ -241,7 +241,7 @@ def run_monodromy(model, params, rng):
     }
     if _get(params, "self_convergence", bool, where, True):
         finer = PropagatorSchedule(2 * sched.steps_per_period, sched.order, sched.start)
-        theta2 = propagate(h, sched.start, sched.start + 1.0, finer)
+        theta2 = period_operator(h, sched.start, finer)
         results["self_convergence_difference"] = max_norm(mono.operator - theta2)
     return results
 
@@ -333,9 +333,8 @@ def run_wave_operators(model, params, rng):
         raise ValidationError(f"{where}.average_window", "must lie in (0, 1]")
     n_modes = _mode_cutoff(model, params, "floquet_modes", 8)
     probes = make_probes(model, rng=rng)
-    # the averaging sweep's pieces compose to the monodromy: one period in all
-    average = time_average(model, h_avg, sched)
-    theta_eig = unitary_eig(average.theta)
+    average = time_average(model, h_avg, sched)   # holds the monodromy at the start
+    theta_eig = average.mono.eig
     theta0 = model.free_propagator(1.0)
     # Theta^n_max once: both directions and the time average share it
     theta_n = np.linalg.matrix_power(average.theta, n_max)

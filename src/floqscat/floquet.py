@@ -101,8 +101,39 @@ class ModeSpace:
 
     def free(self, h0: np.ndarray) -> sp.csr_array:
         """K0 = I (x) h0 + diag(2 pi n) (x) I."""
-        return self.blockdiag(h0) + sp.kron(sp.diags_array(self.frequencies),
-                                            sp.eye_array(self.fiber_dim))
+        return self.assemble(h0)
+
+    def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> sp.csr_array:
+        """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, in one
+        COO -> CSR step from the blocks' nonzeros.
+
+        Bit for bit the Kronecker sums blockdiag(h0) + kron(diag(2 pi n), I) +
+        coupling(modes) in canonical (sorted) order: a diagonal entry is
+        h0_ii + 2 pi n (the n = 0 zeros are left out, as the sums drop them),
+        every other entry is one block's, and entries that come to zero are
+        removed.
+        """
+        nb, d = self.n_blocks, self.fiber_dim
+        rows, cols, data = [], [], []
+        for m, hm in [(0, h0), *(modes or {}).items()]:
+            if abs(m) >= nb:
+                continue
+            r, c = np.nonzero(hm)
+            blocks = np.arange(max(0, m), nb + min(0, m))[:, None]   # row blocks n, columns n - m
+            rows.append((blocks * d + r).ravel())
+            cols.append(((blocks - m) * d + c).ravel())
+            data.append(np.tile(hm[r, c], len(blocks)))
+        frequencies = np.repeat(self.frequencies, d)
+        shifted = np.flatnonzero(frequencies)
+        rows.append(shifted)
+        cols.append(shifted)
+        data.append(frequencies[shifted].astype(np.complex128))
+        # int32 indices where they fit, as scipy's own constructors choose
+        index = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
+        coords = (np.concatenate(rows).astype(index), np.concatenate(cols).astype(index))
+        k = sp.coo_array((np.concatenate(data), coords), shape=(self.size,) * 2).tocsr()
+        k.eliminate_zeros()
+        return k
 
     def coupling(self, modes: dict[int, np.ndarray]) -> sp.csr_array:
         """sum_m S^m (x) H_m = sum_m (S^m (x) I) blockdiag(H_m): the (n, k) block is H_{n-k}.
@@ -150,9 +181,8 @@ def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> sp.csr_array:
             f"mode cutoff N={n_modes} below the interaction support M={h.max_mode}; "
             "this would silently truncate the interaction"
         )
-    space = ModeSpace(n_modes, h.dim)
-    return space.free(h.h0 + h.mode(0)) + space.coupling(
-        {m: hm for m, hm in h.modes.items() if m != 0})
+    return ModeSpace(n_modes, h.dim).assemble(
+        h.h0 + h.mode(0), {m: hm for m, hm in h.modes.items() if m != 0})
 
 
 def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:

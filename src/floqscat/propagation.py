@@ -6,15 +6,22 @@ step Omega = (dt/2)(H1 + H2) + i (sqrt(3) dt^2 / 12)[H1, H2] (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009)).  Omega is never formed from dense
 products: with H(t) = sum_i c_i(t) M_i over M_0 = H0 + H_0 and the modes H_n,
 every M_i and pairwise commutator [M_i, M_j] is held once per propagate call
-as a data row on one sparse pattern, and each step sets Omega's entries from
-the scalar coefficients at its Gauss nodes.  exp(-i Omega) acts on the
-running product through a Taylor polynomial whose degree and substep count
-are fixed per call from the a-priori bound on ||Omega||_1 so that the
+as a data row on one sparse pattern, and Omega's entries for every step of a
+call come from one product of the steps' scalar coefficients at their Gauss
+nodes with that stack, each step's checked Hermitian.  exp(-i Omega) acts on
+the running product through a Taylor polynomial whose degree and substep
+count are fixed per call from the a-priori bound on ||Omega||_1 so that the
 truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33 (2011)).  A propagator is therefore unitary to round-off, not by
-construction; `unitary_eig`'s `check_unitary` gates every monodromy.  The
-one-period operator U(s + 1, s) carries the stroboscopic dynamics; its
-eigenphases are the quasi-energies mod 2pi.
+construction; `unitary_eig`'s `check_unitary` gates every monodromy.
+
+The one-period operator Theta = U(s + 1, s) carries the stroboscopic
+dynamics; its eigenphases are the quasi-energies mod 2pi.  Where
+H(t)^T = H(-t) (H_-n = H_n^T for every mode, H0 = H0^T), 2s is an integer
+and the step count N is even, the second half-period's steps are the
+transposes of the first half's in reverse order, so Theta = A^T A with
+A = U(s + 1/2, s) costs N/2 steps (`period_operator`); every other model
+and schedule takes all N.
 """
 
 from __future__ import annotations
@@ -39,6 +46,18 @@ _MAX_DEGREE = 55
 # place they reach subnormal numbers, in the propagator and in the powers of
 # it that the wave operators take, whose arithmetic is many times slower
 _FLUSH_BELOW = 2.0**-200
+# Omega's entries for the steps of one propagate call are formed in blocks of
+# at most this many (16 bytes each), so a long sweep over a dense pattern does
+# not hold every step's entries at once
+_ENTRY_BLOCK = 2**12
+
+
+def flush(u: np.ndarray) -> np.ndarray:
+    """u with every real and imaginary part below _FLUSH_BELOW set to +0.0, in place."""
+    parts = u.view(np.float64)
+    parts *= np.abs(parts) >= _FLUSH_BELOW
+    parts += 0.0    # -0.0, from a negative part times False, becomes +0.0
+    return u
 
 
 def _taylor_radii() -> np.ndarray:
@@ -136,44 +155,68 @@ class MagnusStepper:
         self.keys = pattern_keys
         self.dense = np.zeros((dim, dim), dtype=np.complex128) \
             if 4 * pattern.nnz >= dim * dim else None
+        # a view: entries written through it land in self.dense
+        self._dense_flat = None if self.dense is None else self.dense.reshape(-1)
+        self._term_scales = [-1j / (self.substeps * j) for j in range(1, self.degree + 1)]
 
-    def _coefficients(self, t: float) -> np.ndarray:
-        return np.exp(self.phase * (float(t) % 1.0))
+    def _coefficients(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(np.multiply.outer(t % 1.0, self.phase))
 
-    def weights(self, a: float) -> np.ndarray:
-        """Coefficients of the stacked operands in Omega for the step from a."""
+    def weights(self, starts: np.ndarray) -> np.ndarray:
+        """Coefficients of the stacked operands in Omega, one row per step start."""
         dt = self.dt
         if self.order == 2:
-            return dt * self._coefficients(a + dt / 2)
-        c1 = self._coefficients(a + dt * (0.5 - _GAUSS_OFFSET))
-        c2 = self._coefficients(a + dt * (0.5 + _GAUSS_OFFSET))
+            return dt * self._coefficients(starts + dt / 2)
+        c1 = self._coefficients(starts + dt * (0.5 - _GAUSS_OFFSET))
+        c2 = self._coefficients(starts + dt * (0.5 + _GAUSS_OFFSET))
         i, j = self.pairs
-        comm = 1j * (np.sqrt(3.0) * dt**2 / 12) * (c1[i] * c2[j] - c1[j] * c2[i])
-        return np.concatenate([(dt / 2) * (c1 + c2), comm])
+        comm = 1j * (np.sqrt(3.0) * dt**2 / 12) * (c1[:, i] * c2[:, j] - c1[:, j] * c2[:, i])
+        return np.concatenate([(dt / 2) * (c1 + c2), comm], axis=1)
+
+    def entries(self, starts: np.ndarray) -> np.ndarray:
+        """Omega's entries on the pattern for the steps from each time in `starts`,
+        one row per step, each step's Omega checked Hermitian."""
+        data = self.weights(starts) @ self.stack
+        defects = np.abs(data - data[:, self.mirror].conj()).max(axis=1, initial=0.0)
+        scales = np.abs(data).max(axis=1, initial=0.0)
+        for defect, scale in zip(defects.tolist(), scales.tolist()):
+            require_hermitian(defect, scale)
+        return data
 
     def _apply(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The operator with entries `data` on the pattern, times x."""
         if self.dense is None:
             self.omega.data = data
             return self.omega @ x
-        self.dense.flat[self.keys] = data
+        self._dense_flat[self.keys] = data
         return self.dense @ x
 
-    def __call__(self, a: float, u: np.ndarray) -> np.ndarray:
-        """exp(-i Omega) u for the step from a: `substeps` Taylor polynomials of
+    def _step(self, data: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """exp(-i Omega) u for Omega's entries `data`: `substeps` Taylor polynomials of
         degree `degree` in -i Omega / substeps, the 1/j of each term folded into
         Omega's entries."""
-        data = self.weights(a) @ self.stack
-        require_hermitian(float(np.abs(data - data[self.mirror].conj()).max(initial=0.0)),
-                          float(np.abs(data).max(initial=0.0)))
         for _ in range(self.substeps):
             term, u = u, u.copy()
-            for j in range(1, self.degree + 1):
-                term = self._apply(data * (-1j / (self.substeps * j)), term)
+            for scale in self._term_scales:
+                term = self._apply(data * scale, term)
                 u += term
-        parts = u.view(np.float64)
-        parts[np.abs(parts) < _FLUSH_BELOW] = 0.0
+        return flush(u)
+
+    def sweep(self, s: float, n_steps: int, u: np.ndarray) -> np.ndarray:
+        """The product of the steps from s + k dt, k = 0..n_steps-1, times u.
+
+        Every step's Omega entries, Hermitian check included, are computed
+        before stepping, in blocks of at most _ENTRY_BLOCK entries."""
+        starts = s + np.arange(n_steps) * self.dt
+        block = max(1, _ENTRY_BLOCK // self.stack.shape[1])
+        for first in range(0, n_steps, block):
+            for data in self.entries(starts[first:first + block]):
+                u = self._step(data, u)
         return u
+
+    def __call__(self, a: float, u: np.ndarray) -> np.ndarray:
+        """exp(-i Omega) u for the step from a."""
+        return self.sweep(a, 1, u)
 
 
 def propagate(h: PeriodicHamiltonian, s: float, t: float,
@@ -210,9 +253,7 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
     # in place); the stepper copies before it writes, so `initial` is left as is
     u = np.eye(h.dim, dtype=np.complex128) if initial is None else \
         np.asarray(initial, dtype=np.complex128)
-    for k in range(n_steps):
-        u = step(s + k * dt, u)
-    return u
+    return step.sweep(s, n_steps, u)
 
 
 @dataclass
@@ -230,10 +271,47 @@ class Monodromy:
         return np.mod(-np.angle(self.eig.values), 2 * np.pi)
 
 
-def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
-              sched: PropagatorSchedule | None = None) -> Monodromy:
+def reflection_symmetric(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule) -> bool:
+    """Whether the second half of the stepped period from s mirrors the first.
+
+    It is when H_-n = H_n^T for every mode and H0 = H0^T, so that
+    H(t)^T = H(-t); when 2s is an integer, so that s + 1/2 is a symmetry
+    point t -> 2s + 1 - t of H; and when the step count is even, so that the
+    Gauss nodes of step N-1-k mirror those of step k about s + 1/2.  Exact
+    array equality decides; a constant model is not stepped.
+    """
+    return (h.max_mode > 0 and sched.steps_per_period % 2 == 0 and float(2 * s).is_integer()
+            and np.array_equal(h.h0, h.h0.T)
+            and all(np.array_equal(h.modes[-n], m.T) for n, m in h.modes.items()))
+
+
+def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
+                    sched: PropagatorSchedule | None = None,
+                    steppers: dict | None = None) -> np.ndarray:
+    """The one-period operator U(s + 1, s), from half a period where the model allows.
+
+    Under `reflection_symmetric`, step N-1-k's Magnus exponent is the
+    transpose of step k's (the midpoint exponent and the Gauss-Magnus one
+    alike, [H2^T, H1^T] = [H1, H2]^T), and so is its Taylor polynomial; the
+    N steps then multiply to Theta = A^T A with A = U(s + 1/2, s), the first
+    N/2 steps.  This is the symmetric-unitary Floquet operator of a
+    time-reversal-invariant drive (Haake, Quantum Signatures of Chaos, ch. 2).
+    Theta is flushed like every step.  Otherwise all N steps are taken.
+    `steppers` is passed on to propagate.
+    """
     sched = sched or PropagatorSchedule()
-    theta = propagate(h, s, s + 1.0, sched)
+    if not reflection_symmetric(h, s, sched):
+        return propagate(h, s, s + 1.0, sched, steppers=steppers)
+    half = propagate(h, s, s + 0.5, sched, steppers=steppers)
+    return flush(half.T @ half)
+
+
+def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
+              sched: PropagatorSchedule | None = None,
+              steppers: dict | None = None) -> Monodromy:
+    """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition."""
+    sched = sched or PropagatorSchedule()
+    theta = period_operator(h, s, sched, steppers)
     return Monodromy(operator=theta, start=s, eig=unitary_eig(theta), scheme=sched)
 
 
@@ -267,7 +345,7 @@ def convergence_ladder(h: PeriodicHamiltonian, order: int,
     Returns the max-norm differences ||Theta(N) - Theta(2N)|| and their
     successive ratios, which should approach 2**order.
     """
-    thetas = [propagate(h, s, s + 1.0, PropagatorSchedule(n, order, s)) for n in steps]
+    thetas = [period_operator(h, s, PropagatorSchedule(n, order, s)) for n in steps]
     diffs = [max_norm(thetas[i] - thetas[i + 1]) for i in range(len(thetas) - 1)]
     ratios = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1) if diffs[i + 1] > 0]
     return {"steps": list(steps), "differences": diffs, "ratios": ratios}

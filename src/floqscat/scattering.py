@@ -15,7 +15,11 @@ computed: every reported number uses W on a block of at most
 (log2 n_max squarings) and shared by both directions, Theta^-n = (Theta^n)^H;
 the free factors Theta0^{-+n} act as V e^{+-inE} V^H from the one H0
 eigendecomposition the model caches, so their phases are exact.  No L x L
-matrix is formed inside the iterate loop.
+matrix is formed inside the iterate loop.  The time-averaged operator takes
+Theta from monodromy() and applies its averaging kernel to the probe block
+only: the columns are propagated through the quadrature nodes and the free
+factors act through the same eigenbasis, so neither the L x L kernel nor a
+dense U0(t) is formed.
 
 The probe subspace used for S-matrix defects is the span of the packets'
 short free orbits {Theta0^j phi}: it contains the scattered packets
@@ -34,12 +38,13 @@ from scipy.sparse.linalg import eigsh
 
 from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
 from .model import LatticeModel
-from .propagation import PropagatorSchedule, monodromy, propagate
+from .propagation import Monodromy, PropagatorSchedule, monodromy, propagate
 
 GAP_TOL = 1e-3
 GAP_RUN = 3
 LOCALIZATION_SCORE = 0.9
 LOCALIZATION_MARGIN = 4
+ARPACK_TOL = 1e-4      # relative accuracy of the cross-check's shift-invert eigsh
 
 
 class ConvergenceError(RuntimeError):
@@ -238,42 +243,54 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
 
 @dataclass
 class TimeAverage:
-    """Trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt and the monodromy at s."""
+    """Trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt as an action on
+    column blocks, and the monodromy at the schedule's start s."""
 
-    kernel: np.ndarray
-    theta: np.ndarray
+    model: LatticeModel = field(repr=False)
+    window: float
+    sched: PropagatorSchedule
+    n_quad: int
+    mono: Monodromy = field(repr=False)
+    steppers: dict = field(repr=False)   # the monodromy's, reused by apply
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.mono.operator
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Kernel times a block x of columns: x is propagated through the nodes t_j
+        in one running sweep, and each U0(t_j)^dagger acts through the H0
+        eigenbasis."""
+        s, drive = self.sched.start, self.model.drive
+        nodes = np.linspace(0.0, self.window, self.n_quad + 1)
+        weights = np.full(self.n_quad + 1, 1.0)
+        weights[0] = weights[-1] = 0.5
+        weights /= weights.sum()
+        out = weights[0] * x        # t_0 = 0: U0(0)^dagger U(s, s) = I
+        for i in range(1, self.n_quad + 1):
+            x = propagate(drive, s + nodes[i - 1], s + nodes[i], self.sched, initial=x,
+                          steppers=self.steppers)
+            out = out + weights[i] * self.model.free_apply(-nodes[i], x)
+        return out
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The L x L kernel, formed on first read."""
+        return self.apply(np.eye(self.model.sites, dtype=np.complex128))
 
 
 def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None = None,
                  n_quad: int = 8) -> TimeAverage:
-    """Kernel of the time-averaged wave operator from the schedule's start s.
-
-    One sweep propagates through the quadrature nodes t_j in [0, h] and on
-    to s + 1, continuing a single running product, so the monodromy
-    Theta = U(s + 1, s + h) U(s + h, s) costs no second period and rounds
-    like monodromy() whenever the node times fall on its step grid.
-    """
+    """Time average over the window [0, h] from the schedule's start s, with Theta
+    from monodromy() at s.  The kernel itself is not formed: it acts on the
+    columns it is applied to (TimeAverage.apply)."""
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
     sched = sched or PropagatorSchedule()
-    s = sched.start
-    nodes = np.linspace(0.0, h, n_quad + 1)
-    weights = np.full(n_quad + 1, 1.0)
-    weights[0] = weights[-1] = 0.5
-    weights /= weights.sum()
-
-    kernel = np.zeros((model.sites, model.sites), dtype=np.complex128)
-    u_cur = np.eye(model.sites, dtype=np.complex128)
-    steppers = {}   # pieces of equal width share one MagnusStepper
-    for i, (w, t_node) in enumerate(zip(weights, nodes)):
-        if i > 0:
-            u_cur = propagate(model.drive, s + nodes[i - 1], s + t_node, sched, initial=u_cur,
-                              steppers=steppers)
-        u0 = model.free_propagator(t_node)
-        kernel += w * (u0.conj().T @ u_cur)
-    theta = propagate(model.drive, s + h, s + 1.0, sched, initial=u_cur,
-                      steppers=steppers) if h < 1.0 else u_cur
-    return TimeAverage(kernel=kernel, theta=theta)
+    steppers = {}   # nodes on the monodromy's step grid reuse its stepper
+    mono = monodromy(model.drive, sched.start, sched, steppers)
+    return TimeAverage(model=model, window=h, sched=sched, n_quad=n_quad, mono=mono,
+                       steppers=steppers)
 
 
 def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: int,
@@ -291,7 +308,8 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     The kernel and Theta come from `average` (time_average(model, h, sched,
     n_quad), computed unless given); a given `theta` replaces its Theta, and a
     given `theta_power` is Theta^n_max of that Theta.  Only the probe columns
-    are carried through: Theta^{+-n}, the kernel, then the exact free factor.
+    are carried through: Theta^{+-n}, the kernel's action (the columns
+    propagated through the quadrature nodes), then the exact free factor.
     Converges to the same limit as the stroboscopic iterates.
     """
     if direction not in (+1, -1):
@@ -302,7 +320,7 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     theta = average.theta if theta is None else theta
     power = np.linalg.matrix_power(theta, n_max) if theta_power is None else theta_power
     moved = power @ probes.vectors if direction == +1 else power.conj().T @ probes.vectors
-    return model.free_apply(-direction * n_max, average.kernel @ moved)
+    return model.free_apply(-direction * n_max, average.apply(moved))
 
 
 @dataclass
@@ -407,23 +425,22 @@ def _mode_space_partner(model: LatticeModel, k, space: ModeSpace, phase: float,
     stops at the first translate with a partner within tol.  At each
     translate the request grows until some returned value lies beyond tol,
     so every eigenvalue within tol is judged: the predicate is that of the
-    whole truncated spectrum.  ARPACK converges each value nu of
-    (K - sigma)^{-1} to relative accuracy arpack_tol, so a returned value
-    lambda is exact to arpack_tol |lambda - sigma| <= arpack_tol 2 bound, which
-    arpack_tol = 1e-3 tol / (2 bound) keeps within 1e-3 tol.
+    whole truncated spectrum.  ARPACK converges each value nu = 1/(lambda - sigma)
+    of (K - sigma)^{-1} to relative accuracy ARPACK_TOL = 1e-4, so a returned
+    lambda is exact to 1e-4 |lambda - sigma|: within 1e-3 tol for every value
+    within 10 tol of sigma, while a value farther away stays beyond tol.
     """
     fiber = model.h0 + model.drive.mode(0)
     centre = float(np.trace(fiber).real) / model.sites
     bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
-    arpack_tol = 1e-3 * tol / (2 * bound)
     v0 = start_vector(space.size)
     nearest, candidates = np.inf, 0
     for sigma in sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]:
         n_eig = min(3, space.size - 2)
         while True:
-            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=arpack_tol)
+            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=ARPACK_TOL)
             if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
                 break
             n_eig = min(2 * n_eig, space.size - 2)

@@ -191,3 +191,49 @@ class TestModeSpace:
         assert np.array_equal(space.shift(-2).toarray(), np.linalg.matrix_power(s.T, 2))
         x = np.arange(space.size, dtype=float)
         assert np.array_equal(space.blocks(s @ x)[1:], space.blocks(x)[:-1])
+
+
+def kronecker_sum_k(space, h0, modes):
+    """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m as sparse Kronecker sums."""
+    import scipy.sparse as sp
+
+    free = space.blockdiag(h0) + sp.kron(sp.diags_array(space.frequencies),
+                                         sp.eye_array(space.fiber_dim))
+    return free + space.coupling(modes) if modes else free
+
+
+class TestIndexAssembly:
+    @pytest.mark.parametrize("n_modes", [4, 10])
+    def test_equal_to_the_kronecker_sums(self, fleet_models, n_modes):
+        # data, indices and indptr, each in canonical (sorted) order: the
+        # Kronecker sums of a dense complex block leave the indices unsorted.
+        # The data are always complex; the sums are real where every block is
+        # zero (K0 of the Rabi model)
+        from floqscat.floquet import ModeSpace, floquet_operator
+        from floqscat.model import build_lattice
+
+        ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)).drive
+        for h in [ring, *fleet_models]:
+            space = ModeSpace(n_modes, h.dim)
+            couplings = {m: hm for m, hm in h.modes.items() if m != 0}
+            for got, want in ((floquet_operator(h, n_modes),
+                               kronecker_sum_k(space, h.h0 + h.mode(0), couplings)),
+                              (space.free(h.h0), kronecker_sum_k(space, h.h0, {}))):
+                want.sort_indices()
+                assert got.has_canonical_format
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert np.array_equal(a, b), part
+                assert got.indices.dtype == want.indices.dtype == got.indptr.dtype
+                assert got.dtype == np.complex128
+
+    def test_entries_that_cancel_are_dropped(self):
+        # h0_ii = -2 pi n on the n-th diagonal block sums to an exact zero
+        from floqscat.floquet import ModeSpace
+
+        space = ModeSpace(1, 2)
+        h0 = np.diag([2 * np.pi, 1.0]).astype(np.complex128)
+        k0 = space.free(h0)
+        assert (k0.data != 0).all()
+        assert np.array_equal(k0.toarray(), kronecker_sum_k(space, h0, {}).toarray())
+        assert k0.nnz == 5

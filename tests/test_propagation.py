@@ -212,3 +212,101 @@ class TestMagnusStepper:
         ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).drive
         parts = np.abs(propagate(ring, 0.0, 1.0, PropagatorSchedule(32, 2)).view(np.float64))
         assert not ((parts > 0) & (parts < np.finfo(np.float64).tiny)).any()
+
+
+def record_propagate_spans(monkeypatch):
+    """(s, t) of every propagate call made through the propagation module."""
+    import floqscat.propagation as propagation
+
+    spans, inner = [], propagation.propagate
+
+    def spy(h, s, t, *args, **kwargs):
+        spans.append((s, t))
+        return inner(h, s, t, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "propagate", spy)
+    return spans
+
+
+class TestHalfPeriod:
+    """Theta = A^T A, A = U(s + 1/2, s), where H(t)^T = H(-t), 2s is an integer and
+    the step count is even; the full period otherwise."""
+
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", ["ring-40", "rabi"])
+    def test_half_path_matches_full_period(self, name, order, start, monkeypatch):
+        from floqscat.propagation import reflection_symmetric
+
+        h, steps = magnus_cases()[name]
+        sched = PropagatorSchedule(steps, order, start)
+        full = propagate(h, start, start + 1.0, sched)
+        spans = record_propagate_spans(monkeypatch)
+        mono = monodromy(h, start, sched)
+        assert reflection_symmetric(h, start, sched)
+        assert spans == [(start, start + 0.5)]
+        assert np.abs(mono.operator - full).max() <= 1e-13
+        assert unitary_defect(mono.operator) <= 1e-12
+
+    @pytest.mark.parametrize("name, start, steps", [
+        ("two-harmonic-d4", 0.0, 64),     # complex modes: H_-n != H_n^T
+        ("ring-40", 0.25, 64),            # s + 1/2 is not a symmetry point
+        ("ring-40", 0.0, 65),             # odd step count
+    ])
+    def test_full_path_where_the_symmetry_fails(self, name, start, steps, monkeypatch):
+        from floqscat.propagation import period_operator, reflection_symmetric
+
+        h, _ = magnus_cases()[name]
+        sched = PropagatorSchedule(steps, 4, start)
+        full = propagate(h, start, start + 1.0, sched)
+        spans = record_propagate_spans(monkeypatch)
+        assert not reflection_symmetric(h, start, sched)
+        assert np.array_equal(monodromy(h, start, sched).operator, full)
+        assert np.array_equal(period_operator(h, start, sched), full)
+        assert spans == [(start, start + 1.0)] * 2
+
+    def test_constant_model_not_stepped(self, fast_sched):
+        from floqscat.propagation import reflection_symmetric
+
+        assert not reflection_symmetric(constant_model(seed=5), 0.0, fast_sched)
+
+    def test_half_path_has_no_subnormal_entries(self):
+        # A^T A is flushed like every step
+        from floqscat.model import build_lattice
+        from floqscat.propagation import period_operator, reflection_symmetric
+
+        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).drive
+        sched = PropagatorSchedule(32, 2)
+        assert reflection_symmetric(ring, 0.0, sched)
+        parts = np.abs(period_operator(ring, 0.0, sched).view(np.float64))
+        assert not ((parts > 0) & (parts < np.finfo(np.float64).tiny)).any()
+
+    def test_convergence_ladder_takes_the_same_operators(self, rabi, monkeypatch):
+        spans = record_propagate_spans(monkeypatch)
+        convergence_ladder(rabi, 4, steps=(64, 128))
+        assert spans == [(0.0, 0.5)] * 2
+
+
+class TestStepBookkeeping:
+    def test_sweep_matches_single_steps(self):
+        # Omega's entries for all steps at once, against one step at a time
+        from floqscat.propagation import MagnusStepper
+
+        for name in ("ring-40", "rabi", "two-harmonic-d4"):
+            h, steps = magnus_cases()[name]
+            stepper = MagnusStepper(h, 1.0 / steps, 4)
+            u = np.eye(h.dim, dtype=np.complex128)
+            for k in range(steps):
+                u = stepper(k / steps, u)
+            swept = stepper.sweep(0.0, steps, np.eye(h.dim, dtype=np.complex128))
+            assert np.abs(swept - u).max() <= 1e-14
+
+    def test_flush_clears_small_and_negative_zero_parts(self):
+        from floqscat.propagation import flush
+
+        u = np.array([-1e-70 + 1e-70j, -0.0 + 2.0j, 0.5 - 3e-61j, -1.0 - 0.0j])
+        out = flush(u)
+        assert out is u
+        parts = u.view(np.float64)
+        assert np.array_equal(parts, [0.0, 0.0, 0.0, 2.0, 0.5, 0.0, -1.0, 0.0])
+        assert not np.signbit(parts[parts == 0.0]).any()

@@ -355,3 +355,31 @@ class TestPartnerTolerance:
         assert [d <= tol for d in stated] == [d <= tol for d in converged] == passed
         for d, d0 in zip(stated, converged):
             assert abs(d - d0) <= 1e-3 * tol
+
+
+class TestProbeBlockAverage:
+    def test_kernel_acts_on_the_probe_block(self, driven_well_64, monkeypatch):
+        # Theta from monodromy(), the p probe columns carried through the
+        # quadrature nodes, and neither the L x L kernel nor a dense free
+        # propagator formed
+        lat, n_max = driven_well_64, 3
+        sched = PropagatorSchedule(64, 4, 0.0)
+        probes = make_probes(lat)
+        average = time_average(lat, 1.0, sched)
+        assert np.array_equal(average.theta, monodromy(lat.drive, 0.0, sched).operator)
+        assert len(average.steppers) == 1    # monodromy and nodes share the step width
+        widths, inner = [], scattering.propagate
+
+        def spy(h, s, t, sched, initial=None, **kwargs):
+            widths.append(initial.shape[1])
+            return inner(h, s, t, sched, initial=initial, **kwargs)
+
+        monkeypatch.setattr(scattering, "propagate", spy)
+        monkeypatch.setattr(lat, "free_propagator", lambda t: pytest.fail("dense U0(t)"))
+        got = time_averaged_wave_op(lat, +1, 1.0, n_max, sched, probes, average=average)
+        assert widths == [probes.count] * 8
+        assert "kernel" not in vars(average)
+        monkeypatch.undo()
+        moved = np.linalg.matrix_power(average.theta, n_max) @ probes.vectors
+        want = lat.free_apply(-n_max, average.kernel @ moved)
+        assert np.abs(got - want).max() <= 1e-12
