@@ -13,7 +13,6 @@ from .model import (
     LatticeModel,
     PeriodicHamiltonian,
     build_lattice,
-    evaluate,
     fleet,
     fourier_modes,
     load_model,

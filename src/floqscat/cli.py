@@ -10,11 +10,14 @@ A scenario names a model, a task, and task parameters:
     }
 
 Tasks: monodromy, floquet-spectrum, correspondence, resolvent-check,
-wave-operators, bound-states.  A sweep config adds
-{"sweep": {"parameter": "n_modes", "values": [8, 16, 32]}} and writes a CSV
-table with one row per grid point.  Reports are deterministic for a fixed
-config and seed: numbers are serialized with shortest round-trip precision
-and keys are sorted; wall time appears only in sweep tables.
+wave-operators, bound-states.  Every config object is declared once as a
+field table (PARAMETERS holds one per task) and checked by `parse`.  A sweep
+config adds {"sweep": {"parameter": "n_modes", "values": [8, 16, 32]}} and
+writes a CSV table with one row per grid point; a swept value out of its
+field's range fails its row only, any other invalid input the config.
+Reports are deterministic for a fixed config and seed: numbers are
+serialized with shortest round-trip precision and keys are sorted; wall time
+appears only in sweep tables.
 
 Exit codes: 0 success, 2 config validation failure (the message names the
 offending field), 3 numerical failure (non-convergence, singular solve, a
@@ -32,8 +35,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,22 +46,11 @@ from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondenc
                       quasi_spectrum, shift_commutation_defect)
 from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
 from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect
-from .propagation import PropagatorSchedule, monodromy, period_operator
-from .resolvent import (
-    InverseIterationError,
-    ScanOperators,
-    ThresholdProximityError,
-    TimeGridFunction,
-    block_q,
-    bound_state_correspondence,
-    factorized_potential,
-    grid_potential,
-    mode_oracle_apply,
-    q_factorized,
-    r0_apply,
-    r0_matrix,
-    resolvent_residual,
-)
+from .propagation import MIN_STEPS, ORDERS, PropagatorSchedule, monodromy, period_operator
+from .resolvent import (MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
+                        ThresholdProximityError, TimeGridFunction, block_q,
+                        bound_state_correspondence, factorized_potential, grid_potential,
+                        mode_oracle_apply, q_factorized, r0_apply, r0_matrix, resolvent_residual)
 from .scattering import (
     ConvergenceError,
     DetectorDisagreementError,
@@ -71,10 +64,6 @@ from .scattering import (
     time_averaged_wave_op,
     wrap_horizon,
 )
-
-TASKS = ("monodromy", "floquet-spectrum", "correspondence", "resolvent-check",
-         "wave-operators", "bound-states")
-
 
 class NonFiniteError(FloatingPointError):
     """A report value is NaN or infinite, which strict JSON cannot hold."""
@@ -95,83 +84,166 @@ class ValueRangeError(ValidationError):
     field marks the row failed instead of rejecting the whole config."""
 
 
-def _check_keys(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValidationError(f"{where}.{sorted(unknown)[0]}", "unknown key")
+# --------------------------------------------------------------------------
+# field tables: each config object is one table, name -> Field, read by parse
+# --------------------------------------------------------------------------
+
+REQUIRED = object()
 
 
-def _get(obj: dict, field: str, typ, where: str, default=None, required=False):
-    if field not in obj:
-        if required:
-            raise ValidationError(f"{where}.{field}", "missing required field")
-        return default
-    val = obj[field]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+@dataclass(frozen=True)
+class Field:
+    """One config field.  `typ` is a JSON type, a tuple of types (a list of
+    that length) or [type] (a list of any length); `default` is REQUIRED, a
+    value or a function of the model; `rule(value, model)` returns a range
+    complaint or None; exactly one of this field and `alt`, if named, is given."""
+
+    typ: object
+    default: object = REQUIRED
+    rule: Callable | None = None
+    alt: str | None = None
+
+
+def _typed(val, typ, path: str):
+    if isinstance(typ, (tuple, list)):
+        if not isinstance(val, list) or (isinstance(typ, tuple) and len(val) != len(typ)):
+            size = f" of {len(typ)}" if isinstance(typ, tuple) else ""
+            raise ValidationError(path, f"expected a list{size}")
+        kinds = typ if isinstance(typ, tuple) else typ * len(val)
+        return [_typed(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(val, kinds))]
+    if typ is float and type(val) is int:
+        val = float(val) if abs(val) <= sys.float_info.max else math.inf
     if not isinstance(val, typ) or (isinstance(val, bool) and typ is not bool):
-        raise ValidationError(f"{where}.{field}", f"expected {typ}, got {type(val).__name__}")
+        raise ValidationError(path, f"expected {typ.__name__}, got {type(val).__name__}")
     if typ is float and not math.isfinite(val):
-        raise ValidationError(f"{where}.{field}", f"must be finite, got {val}")
+        raise ValidationError(path, f"must be finite, got {val}")
     return val
 
 
-def build_model(spec: dict, where: str = "model"):
-    if not isinstance(spec, dict):
-        raise ValidationError(where, "model spec must be an object")
-    kinds = [k for k in ("builtin", "file", "lattice") if k in spec]
-    if len(kinds) != 1:
-        raise ValidationError(where, "exactly one of builtin/file/lattice required")
-    kind = kinds[0]
-    if kind == "builtin":
-        _check_keys(spec, {"builtin", "delta", "v"}, where)
-        name = spec["builtin"]
-        if name == "rabi":
-            return rabi_model(_get(spec, "delta", float, where, 0.0),
-                              _get(spec, "v", float, where, 1.0))
-        if name == "fleet-d3":
-            return model_mod.fleet()[1]
-        if name == "fleet-d4":
-            return model_mod.fleet()[2]
-        raise ValidationError(f"{where}.builtin", f"unknown builtin model '{name}'")
-    if kind == "file":
-        _check_keys(spec, {"file"}, where)
-        try:
-            return model_mod.load_model(spec["file"])
-        except (OSError, ValueError, KeyError) as exc:
-            raise ValidationError(f"{where}.file", str(exc)) from exc
-    lat = spec["lattice"]
-    _check_keys(spec, {"lattice"}, where)
-    _check_keys(lat, {"sites", "hopping", "well_depth", "drive_amp", "support", "support_width"},
-                f"{where}.lattice")
-    sites = _get(lat, "sites", int, f"{where}.lattice", required=True)
-    hopping = _get(lat, "hopping", float, f"{where}.lattice", 1.0)
-    depth = _get(lat, "well_depth", float, f"{where}.lattice", 0.0)
-    amp = _get(lat, "drive_amp", float, f"{where}.lattice", 0.0)
-    if "support" in lat:
-        support = lat["support"]
-        if not isinstance(support, list):
-            raise ValidationError(f"{where}.lattice.support", "expected a list of site indices")
-    else:
-        width = _get(lat, "support_width", int, f"{where}.lattice", 5)
-        ctr = sites // 2
-        support = list(range(ctr - width // 2, ctr - width // 2 + width))
-    try:
-        return build_lattice(sites, hopping, depth, amp, support)
-    except ValueError as exc:
-        raise ValidationError(f"{where}.lattice", str(exc)) from exc
+def parse(obj, table: dict, where: str, model=None) -> dict:
+    """obj checked against its field table: unknown keys, wrong types and
+    non-finite floats raise ValidationError, a rule's complaint ValueRangeError.
+    Returns every field's value, defaults filled in."""
+    if not isinstance(obj, dict):
+        raise ValidationError(where, f"expected an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ValidationError(f"{where}.{unknown[0]}", "unknown key")
+    out = {}
+    for name, field in table.items():
+        path = f"{where}.{name}"
+        if field.alt is not None and (name in obj) == (field.alt in obj):
+            raise ValidationError(path, f"give exactly one of '{name}' and '{field.alt}'")
+        if name in obj:
+            value = _typed(obj[name], field.typ, path)
+        elif field.default is REQUIRED:
+            raise ValidationError(path, "missing required field")
+        else:
+            value = field.default(model) if callable(field.default) else field.default
+        complaint = value is not None and field.rule is not None and field.rule(value, model)
+        if complaint:
+            raise ValueRangeError(path, complaint)
+        out[name] = value
+    return out
 
 
-def _schedule(params: dict, where: str) -> PropagatorSchedule:
-    return PropagatorSchedule(
-        steps_per_period=_get(params, "steps_per_period", int, where, 512),
-        order=_get(params, "order", int, where, 4),
-        start=_get(params, "start", float, where, 0.0),
-    )
+def _one_of(choices):
+    return lambda value, model: None if value in choices else f"expected one of {choices}"
+
+
+def _at_least(low):
+    return lambda value, model: None if value >= low else f"must be >= {low}, got {value}"
 
 
 def _drive(model) -> PeriodicHamiltonian:
     return model.drive if isinstance(model, LatticeModel) else model
+
+
+def _cutoff(n_modes, model):
+    """A mode cutoff below the model's mode support would truncate the interaction."""
+    support = _drive(model).max_mode
+    if n_modes < support:
+        return f"mode cutoff {n_modes} below the interaction's mode support {support}"
+
+
+def _off_axis(im):
+    if not 0.0 < abs(im) <= MAX_IM_LAMBDA:
+        return f"Im(lambda) = {im} must be nonzero and at most {MAX_IM_LAMBDA} in magnitude"
+
+
+def _horizon(model) -> int:
+    try:
+        return wrap_horizon(model)
+    except ValueError as exc:   # zero hopping: no packet leaves the well
+        raise ValidationError("model.lattice.hopping", str(exc)) from exc
+
+
+def _within_horizon(n_max, model):
+    if not 1 <= n_max <= _horizon(model):
+        return f"n_max {n_max} outside [1, {_horizon(model)}], the ring's wrap-around horizon"
+
+
+SCHEDULE = {"steps_per_period": Field(int, 512, _at_least(MIN_STEPS)),
+            "order": Field(int, 4, _one_of(ORDERS)), "start": Field(float, 0.0)}
+PARAMETERS = {
+    "monodromy": {**SCHEDULE, "self_convergence": Field(bool, True)},
+    "floquet-spectrum": {"n_modes": Field(int, REQUIRED, _cutoff)},
+    "correspondence": {**SCHEDULE, "n_modes": Field(int, REQUIRED, _cutoff)},
+    "resolvent-check": {
+        "lambda": Field((float, float), None, lambda lam, model: _off_axis(lam[1]), alt="eta"),
+        "eta": Field(float, None, lambda eta, model: _off_axis(eta)),
+        "n_t": Field(int, 256, _at_least(1)), "n_modes": Field(int, 8, _cutoff)},
+    "wave-operators": {
+        **SCHEDULE, "n_max": Field(int, _horizon, _within_horizon),
+        "translates": Field(int, 2, _at_least(0)),
+        "average_window": Field(float, 1.0, lambda h, model: None if 0.0 < h <= 1.0
+                                else "must lie in (0, 1]"),
+        "floquet_modes": Field(int, 8, _cutoff)},
+    "bound-states": {**SCHEDULE, "n_modes": Field(int, 12, _cutoff),
+                     "scan_modes": Field(int, 8, _cutoff), "verify": Field(bool, True)},
+}
+LATTICE_TASKS = ("wave-operators", "bound-states")
+CONFIG = {"task": Field(str, REQUIRED, _one_of(tuple(PARAMETERS))), "model": Field(dict),
+          "parameters": Field(dict, {}), "output": Field(dict, {}), "sweep": Field(dict, None)}
+OUTPUT = {"path": Field(str, None), "format": Field(str, "json", _one_of(("json", "csv")))}
+SWEEP = {"parameter": Field(str),
+         "values": Field(list, REQUIRED, lambda vals, model: None if vals else "must be non-empty")}
+BUILTINS = {"rabi": rabi_model, "fleet-d3": lambda delta, v: model_mod.fleet()[1],
+            "fleet-d4": lambda delta, v: model_mod.fleet()[2]}
+MODELS = {"builtin": {"builtin": Field(str, REQUIRED, _one_of(tuple(BUILTINS))),
+                      "delta": Field(float, 0.0), "v": Field(float, 1.0)},
+          "file": {"file": Field(str)}, "lattice": {"lattice": Field(dict)}}
+LATTICE = {"sites": Field(int), "hopping": Field(float, 1.0), "well_depth": Field(float, 0.0),
+           "drive_amp": Field(float, 0.0), "support": Field([int], None),
+           "support_width": Field(int, 5)}
+
+
+def build_model(spec: dict, where: str = "model"):
+    kinds = [k for k in MODELS if k in spec]
+    if len(kinds) != 1:
+        raise ValidationError(where, "exactly one of builtin/file/lattice required")
+    fields = parse(spec, MODELS[kinds[0]], where)
+    if kinds == ["builtin"]:
+        return BUILTINS[fields["builtin"]](fields["delta"], fields["v"])
+    if kinds == ["file"]:
+        try:
+            return model_mod.load_model(fields["file"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"{where}.file", str(exc)) from exc
+    lat = parse(fields["lattice"], LATTICE, f"{where}.lattice")
+    support = lat["support"]
+    if support is None:
+        lo = lat["sites"] // 2 - lat["support_width"] // 2
+        support = list(range(lo, lo + lat["support_width"]))
+    try:
+        return build_lattice(lat["sites"], lat["hopping"], lat["well_depth"], lat["drive_amp"],
+                             support)
+    except ValueError as exc:
+        raise ValidationError(f"{where}.lattice", str(exc)) from exc
+
+
+def _schedule(params: dict) -> PropagatorSchedule:
+    return PropagatorSchedule(params["steps_per_period"], params["order"], params["start"])
 
 
 def _jsonable(obj, path: str = "report"):
@@ -201,17 +273,6 @@ def _jsonable(obj, path: str = "report"):
     return obj
 
 
-def _mode_cutoff(model, params: dict, field: str, default=None, required=False) -> int:
-    """The mode cutoff parameters.<field>; below the model's mode support it
-    would truncate the interaction."""
-    n_modes = _get(params, field, int, "parameters", default, required)
-    support = _drive(model).max_mode
-    if n_modes < support:
-        raise ValueRangeError(f"parameters.{field}", f"mode cutoff {n_modes} below the "
-                              f"interaction's mode support {support}")
-    return n_modes
-
-
 def _bound_state_scan(model, sched, n_modes, field, theta_eig=None):
     """bound_state_scan at the mode cutoff parameters.<field>; a cutoff too
     small to leave any interior state to cross-check against is invalid."""
@@ -225,13 +286,11 @@ def _bound_state_scan(model, sched, n_modes, field, theta_eig=None):
 
 
 # --------------------------------------------------------------------------
-# task runners: (model, parameters, rng) -> results dict
+# task runners: (model, parameters parsed by PARAMETERS[task], rng) -> results dict
 # --------------------------------------------------------------------------
 
 def run_monodromy(model, params, rng):
-    where = "parameters"
-    _check_keys(params, {"steps_per_period", "order", "start", "self_convergence"}, where)
-    sched = _schedule(params, where)
+    sched = _schedule(params)
     h = _drive(model)
     mono = monodromy(h, sched.start, sched)
     results = {
@@ -239,7 +298,7 @@ def run_monodromy(model, params, rng):
         "unitarity_defect": unitary_defect(mono.operator),
         "unit_circle_defect": float(np.abs(np.abs(mono.eig.values) - 1.0).max()),
     }
-    if _get(params, "self_convergence", bool, where, True):
+    if params["self_convergence"]:
         finer = PropagatorSchedule(2 * sched.steps_per_period, sched.order, sched.start)
         theta2 = period_operator(h, sched.start, finer)
         results["self_convergence_difference"] = max_norm(mono.operator - theta2)
@@ -247,10 +306,7 @@ def run_monodromy(model, params, rng):
 
 
 def run_floquet_spectrum(model, params, rng):
-    where = "parameters"
-    _check_keys(params, {"n_modes"}, where)
-    n_modes = _mode_cutoff(model, params, "n_modes", required=True)
-    k = build_floquet(_drive(model), n_modes)
+    k = build_floquet(_drive(model), params["n_modes"])
     spec = quasi_spectrum(k)
     return {
         "values": spec.values,
@@ -261,12 +317,9 @@ def run_floquet_spectrum(model, params, rng):
 
 
 def run_correspondence(model, params, rng):
-    where = "parameters"
-    _check_keys(params, {"n_modes", "steps_per_period", "order", "start"}, where)
-    sched = _schedule(params, where)
-    n_modes = _mode_cutoff(model, params, "n_modes", required=True)
+    n_modes = params["n_modes"]
     try:
-        rep = correspondence_report(_drive(model), n_modes, sched)
+        rep = correspondence_report(_drive(model), n_modes, _schedule(params))
     except NoInteriorError as exc:
         raise ValueRangeError("parameters.n_modes", f"mode cutoff {n_modes} leaves no "
                               f"interior mode-space state (EDGE_BLOCKS={EDGE_BLOCKS})") from exc
@@ -281,21 +334,9 @@ def run_correspondence(model, params, rng):
 
 
 def run_resolvent_check(model, params, rng):
-    where = "parameters"
-    _check_keys(params, {"lambda", "eta", "n_t", "n_modes"}, where)
     h = _drive(model)
-    n_t = _get(params, "n_t", int, where, 256)
-    if "eta" in params:
-        eta = _get(params, "eta", float, where)
-        lam = 1j * eta
-    else:
-        pair = _get(params, "lambda", list, where, required=True)
-        if len(pair) != 2 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                     and math.isfinite(x) for x in pair):
-            raise ValidationError(f"{where}.lambda", "expected [re, im] finite numbers")
-        lam = complex(pair[0], pair[1])
-        if lam.imag == 0:
-            raise ValidationError(f"{where}.lambda", "Im(lambda) must be nonzero")
+    n_t = params["n_t"]
+    lam = 1j * params["eta"] if params["lambda"] is None else complex(*params["lambda"])
     f = TimeGridFunction(np.ones((n_t, h.dim)))
     out = r0_apply(h.h0, lam, f)
     oracle = mode_oracle_apply(h.h0, lam, f)
@@ -307,31 +348,20 @@ def run_resolvent_check(model, params, rng):
             r0_matrix(h.h0, lam, min(n_t, 64)).conj().T - r0_matrix(h.h0, np.conj(lam), min(n_t, 64))
         ),
     }
-    n_modes = _get(params, "n_modes", int, where, 8)
     if h.modes:
         fact = factorized_potential(h, n_t)
         results["factorization_defect"] = fact.factorization_defect(grid_potential(h, n_t))
         _, schmidt = q_factorized(h, lam, n_t, fact)
         results["schmidt_norm"] = schmidt
-        results["block_q_norm"] = op_norm(block_q(h, lam, n_modes))
+        results["block_q_norm"] = op_norm(block_q(h, lam, params["n_modes"]))
     else:
         results["block_q_norm"] = 0.0
     return results
 
 
 def run_wave_operators(model, params, rng):
-    where = "parameters"
-    _check_keys(params, {"steps_per_period", "order", "start", "n_max", "translates",
-                         "average_window", "floquet_modes"}, where)
-    if not isinstance(model, LatticeModel):
-        raise ValidationError("model", "wave-operators requires a lattice model")
-    sched = _schedule(params, where)
-    n_max = _get(params, "n_max", int, where, wrap_horizon(model))
-    translates = _get(params, "translates", int, where, 2)
-    h_avg = _get(params, "average_window", float, where, 1.0)
-    if not 0.0 < h_avg <= 1.0:
-        raise ValidationError(f"{where}.average_window", "must lie in (0, 1]")
-    n_modes = _mode_cutoff(model, params, "floquet_modes", 8)
+    sched = _schedule(params)
+    n_max, h_avg = params["n_max"], params["average_window"]
     probes = make_probes(model, rng=rng)
     average = time_average(model, h_avg, sched)   # holds the monodromy at the start
     theta_eig = average.mono.eig
@@ -344,19 +374,16 @@ def run_wave_operators(model, params, rng):
                               theta_power=theta_n)
     converged_fraction = float((wp.converged & wm.converged).mean())
     if converged_fraction < 0.9:
-        raise ConvergenceError(
-            f"only {converged_fraction:.0%} of probes converged before the horizon",
-            gaps=wp.cauchy_gaps,
-        )
-    scan = _bound_state_scan(model, sched, n_modes, "floquet_modes", theta_eig=theta_eig)
-    report = s_matrix(wp, wm, translates=translates, theta0=theta0,
+        raise ConvergenceError(f"only {converged_fraction:.0%} of probes converged before the "
+                               "horizon", gaps=wp.cauchy_gaps)
+    scan = _bound_state_scan(model, sched, params["floquet_modes"], "floquet_modes",
+                             theta_eig=theta_eig)
+    report = s_matrix(wp, wm, translates=params["translates"], theta0=theta0,
                       bound_states=scan)
     avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average,
                                 theta_power=theta_n)
     use = wp.converged & wm.converged
-    avg_agreement = float(
-        np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
-    )
+    avg_agreement = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
     return {
         "converged_fraction": converged_fraction,
         "final_gap_max": float(max(wp.cauchy_gaps[-1].max(), wm.cauchy_gaps[-1].max())),
@@ -371,17 +398,10 @@ def run_wave_operators(model, params, rng):
 
 
 def run_bound_states(model, params, rng):
-    where = "parameters"
-    _check_keys(params, {"steps_per_period", "order", "start", "n_modes", "scan_modes",
-                         "verify"}, where)
-    if not isinstance(model, LatticeModel):
-        raise ValidationError("model", "bound-states requires a lattice model")
-    sched = _schedule(params, where)
-    scan_modes = _mode_cutoff(model, params, "scan_modes", 8)
-    n_modes = _mode_cutoff(model, params, "n_modes", 12)
-    infos = _bound_state_scan(model, sched, n_modes, "n_modes")
+    scan_modes = params["scan_modes"]
+    infos = _bound_state_scan(model, _schedule(params), params["n_modes"], "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
-    if _get(params, "verify", bool, where, True):
+    if params["verify"]:
         fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
         scan = ScanOperators.for_model(model.drive, scan_modes)   # K and K0 once per scenario
         verdicts = [bound_state_correspondence(model.drive, b.quasi_energy, scan_modes, scan=scan)
@@ -390,23 +410,13 @@ def run_bound_states(model, params, rng):
     return results
 
 
-RUNNERS = {
-    "monodromy": run_monodromy,
-    "floquet-spectrum": run_floquet_spectrum,
-    "correspondence": run_correspondence,
-    "resolvent-check": run_resolvent_check,
-    "wave-operators": run_wave_operators,
-    "bound-states": run_bound_states,
-}
-
-HEADLINE = {
-    "monodromy": "self_convergence_difference",
-    "floquet-spectrum": "shift_commutation_defect",
-    "correspondence": "mean_match_distance",
-    "resolvent-check": "block_q_norm",
-    "wave-operators": "unitarity_defect",
-    "bound-states": "n_bound",
-}
+RUNNERS = {"monodromy": run_monodromy, "floquet-spectrum": run_floquet_spectrum,
+           "correspondence": run_correspondence, "resolvent-check": run_resolvent_check,
+           "wave-operators": run_wave_operators, "bound-states": run_bound_states}
+HEADLINE = {"monodromy": "self_convergence_difference",
+            "floquet-spectrum": "shift_commutation_defect",
+            "correspondence": "mean_match_distance", "resolvent-check": "block_q_norm",
+            "wave-operators": "unitarity_defect", "bound-states": "n_bound"}
 
 
 def canonical_json(obj) -> str:
@@ -418,41 +428,29 @@ def config_hash(cfg: dict) -> str:
 
 
 def validate_config(cfg: dict, sweep_allowed: bool = True) -> dict:
-    if not isinstance(cfg, dict):
-        raise ValidationError("config", "top level must be an object")
-    allowed = {"task", "model", "parameters", "output", "sweep"}
-    _check_keys(cfg, allowed, "config")
-    task = _get(cfg, "task", str, "config", required=True)
-    if task not in TASKS:
-        raise ValidationError("config.task", f"unknown task '{task}'; expected one of {TASKS}")
-    if "model" not in cfg:
-        raise ValidationError("config.model", "missing required field")
-    params = _get(cfg, "parameters", dict, "config", {})
-    out = _get(cfg, "output", dict, "config", {})
-    _check_keys(out, {"path", "format"}, "config.output")
-    fmt = _get(out, "format", str, "config.output", "json")
-    if fmt not in ("json", "csv"):
-        raise ValidationError("config.output.format", f"expected 'json' or 'csv', got '{fmt}'")
-    sweep = _get(cfg, "sweep", dict, "config")
-    if sweep is not None:
+    """The config's top level, output and sweep objects, parsed; the model and
+    the task parameters are parsed when the scenario runs."""
+    parsed = parse(cfg, CONFIG, "config")
+    parsed["output"] = parse(parsed["output"], OUTPUT, "config.output")
+    if parsed["sweep"] is not None:
         if not sweep_allowed:
             raise ValidationError("config.sweep", "nested sweep not allowed")
-        _check_keys(sweep, {"parameter", "values"}, "config.sweep")
-        _get(sweep, "parameter", str, "config.sweep", required=True)
-        values = _get(sweep, "values", list, "config.sweep", required=True)
-        if not values:
-            raise ValidationError("config.sweep.values", "must be non-empty")
-    return {"task": task, "parameters": params, "output": out, "sweep": sweep}
+        parsed["sweep"] = parse(parsed["sweep"], SWEEP, "config.sweep")
+    return parsed
 
 
 def run_scenario(cfg: dict, seed: int | None = None) -> dict:
     """Validate and dispatch a single scenario; returns the report dict."""
     parsed = validate_config(cfg, sweep_allowed=False)
-    model = build_model(cfg["model"])
+    task = parsed["task"]
+    model = build_model(parsed["model"])
+    if task in LATTICE_TASKS and not isinstance(model, LatticeModel):
+        raise ValidationError("model", f"{task} requires a lattice model")
+    params = parse(parsed["parameters"], PARAMETERS[task], "parameters", model)
     rng = np.random.default_rng(seed) if seed is not None else None
-    results = RUNNERS[parsed["task"]](model, dict(parsed["parameters"]), rng)
+    results = RUNNERS[task](model, params, rng)
     return {
-        "task": parsed["task"],
+        "task": task,
         "config_sha256": config_hash(cfg),
         "config_echo": cfg,
         "seed": seed,
@@ -469,8 +467,7 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
     rows = []
     for value in parsed["sweep"]["values"]:
         sub = {k: v for k, v in cfg.items() if k != "sweep"}
-        sub["parameters"] = dict(parsed["parameters"])
-        sub["parameters"][pname] = value
+        sub["parameters"] = {**parsed["parameters"], pname: value}
         t0 = time.perf_counter()
         try:
             headline = run_scenario(sub, seed)["results"].get(HEADLINE[parsed["task"]])
@@ -508,14 +505,6 @@ def write_sweep_csv(rows: list[dict], path: Path):
             f.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
-def _default_out_path(cfg_path: Path, cfg: dict, sweep: bool) -> str:
-    out = cfg.get("output", {})
-    if isinstance(out, dict) and out.get("path"):
-        return out["path"]
-    suffix = ".sweep.csv" if sweep else ".report.json"
-    return cfg_path.stem + suffix
-
-
 def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, str]:
     """Run one config file: (written output path or None, exit code, error message).
 
@@ -526,8 +515,10 @@ def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, st
     try:
         with open(cfg_path) as f:
             cfg = json.load(f)
-        is_sweep = isinstance(cfg, dict) and "sweep" in cfg
-        out_path = Path(out_dir) / _default_out_path(cfg_path, cfg, is_sweep)
+        parsed = validate_config(cfg)
+        is_sweep = parsed["sweep"] is not None
+        default = cfg_path.stem + (".sweep.csv" if is_sweep else ".report.json")
+        out_path = Path(out_dir) / (parsed["output"]["path"] or default)
         if is_sweep:
             rows = run_sweep(cfg, seed)
             write_sweep_csv(rows, out_path)
@@ -560,6 +551,8 @@ def main(argv=None) -> int:
                         help="seed for probe-packet randomization only")
     parser.add_argument("--jobs", type=int, default=1, help="parallel scenario fan-out")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     jobs = min(max(1, args.jobs), len(args.config))
     if jobs == 1:

@@ -70,11 +70,7 @@ class PeriodicHamiltonian:
         whenever t and t+1 reduce to the same float, the results are
         bitwise identical.
         """
-        tau = float(t) % 1.0
-        out = self.h0.astype(np.complex128, copy=True)
-        for n, m in self.modes.items():
-            out = out + m * np.exp(2j * np.pi * n * tau)
-        return out
+        return self.h0 + self.potential(t)
 
     def potential(self, t: float) -> np.ndarray:
         """V(t) = H(t) - h0, the mode sum alone (includes the n=0 mode)."""
@@ -90,10 +86,6 @@ class PeriodicHamiltonian:
         if m is None:
             return np.zeros_like(self.h0)
         return m
-
-
-def evaluate(h: PeriodicHamiltonian, t: float) -> np.ndarray:
-    return h.evaluate(t)
 
 
 def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:

@@ -85,6 +85,10 @@ def taylor_plan(norm_bound: float) -> tuple[int, int]:
     return best + 1, int(substeps[best])
 
 
+MIN_STEPS = 8
+ORDERS = (2, 4)
+
+
 @dataclass(frozen=True)
 class PropagatorSchedule:
     """Stepping plan: substeps per unit period, integrator order, start time."""
@@ -94,10 +98,10 @@ class PropagatorSchedule:
     start: float = 0.0
 
     def __post_init__(self):
-        if self.steps_per_period < 8:
-            raise ValueError("steps_per_period must be >= 8")
-        if self.order not in (2, 4):
-            raise ValueError("integrator order must be 2 or 4")
+        if self.steps_per_period < MIN_STEPS:
+            raise ValueError(f"steps_per_period must be >= {MIN_STEPS}")
+        if self.order not in ORDERS:
+            raise ValueError(f"integrator order must be one of {ORDERS}")
 
 
 class MagnusStepper:

@@ -53,6 +53,8 @@ INVERSE_ITERATION_MAXITER = 100
 RAYLEIGH_EPS = 1e-13
 RAYLEIGH_ULPS = 4
 RAYLEIGH_MAXITER = 3
+# largest |Im lambda| the resolvent admits: its kernel carries factors e^{|Im lambda| t}
+MAX_IM_LAMBDA = 500.0
 
 
 class ThresholdProximityError(ValueError):
@@ -97,7 +99,7 @@ def _check_offaxis(lam: complex) -> complex:
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ValueError("resolvent requires Im(lambda) != 0")
-    if abs(lam.imag) > 500.0:
+    if abs(lam.imag) > MAX_IM_LAMBDA:
         raise ValueError("|Im lambda| too large for the kernel exponentials")
     return lam
 

@@ -481,3 +481,112 @@ class TestBoundStateScenario:
         assert results["n_bound"] == 2
         assert all(v["confirmed"] for v in results["verdicts"])
         assert len(built) == 1
+
+
+RABI = {"builtin": "rabi"}
+RING_64 = {"lattice": {"sites": 64, "well_depth": -0.8, "drive_amp": 0.5}}
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("task, model, params, field", [
+        ("monodromy", RABI, {"steps_per_period": 4}, "parameters.steps_per_period"),
+        ("monodromy", RABI, {"steps_per_period": -8}, "parameters.steps_per_period"),
+        ("monodromy", RABI, {"order": 3}, "parameters.order"),
+        ("resolvent-check", RABI, {"lambda": [2.0, 1.0], "n_t": 0}, "parameters.n_t"),
+        ("resolvent-check", RABI, {"lambda": [2.0, 1.0], "n_modes": -1}, "parameters.n_modes"),
+        ("resolvent-check", RABI, {"eta": 0.0}, "parameters.eta"),
+        ("resolvent-check", RABI, {"eta": 1000.0}, "parameters.eta"),
+        # a cutoff of 0 truncates the Rabi drive away (block_q_norm would read 0.0)
+        ("resolvent-check", RABI, {"lambda": [2.0, 1.0], "n_modes": 0}, "parameters.n_modes"),
+        ("resolvent-check", RABI, {"lambda": [2.0, 1.0], "eta": 1.0}, "parameters.lambda"),
+        ("resolvent-check", RABI, {"lambda": [2.0, float("nan")]}, "parameters.lambda[1]"),
+        ("resolvent-check", RABI, {"lambda": [2.0, 10**400]}, "parameters.lambda[1]"),
+        ("wave-operators", RING_64, {"steps_per_period": 8, "n_max": 100}, "parameters.n_max"),
+        ("wave-operators", RING_64, {"steps_per_period": 8, "n_max": 0}, "parameters.n_max"),
+        ("wave-operators", RING_64, {"steps_per_period": 8, "translates": -1},
+         "parameters.translates"),
+        ("monodromy", {"lattice": 5}, {}, "model.lattice"),
+        ("bound-states", {"lattice": {"sites": 40, "support": [1.5]}}, {},
+         "model.lattice.support[0]"),
+        ("wave-operators", {"lattice": {"sites": 64, "hopping": 0.0}}, {"steps_per_period": 8},
+         "model.lattice.hopping"),
+        ("wave-operators", {"lattice": {"sites": 64, "hopping": 0.0}},
+         {"steps_per_period": 8, "n_max": 3}, "model.lattice.hopping"),
+    ])
+    def test_invalid_input_exit_2_names_field(self, tmp_path, capsys, task, model, params, field):
+        p = write_config(tmp_path, {"task": task, "model": model, "parameters": params})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.report.json"))
+
+    def test_output_path_type_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path, {**CORR_CFG, "output": {"path": 5}})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "config.output.path" in capsys.readouterr().err
+
+    def test_model_file_not_an_object_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "list-model.json"
+        model_path.write_text(json.dumps(["dim", "H0", "modes", "label"]))
+        p = write_config(tmp_path, {"task": "floquet-spectrum", "model": {"file": str(model_path)},
+                                    "parameters": {"n_modes": 2}})
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "model.file" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path, CORR_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(p), "--out", str(tmp_path), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_defaults_filled_from_model(self):
+        from floqscat.cli import PARAMETERS, parse
+        from floqscat.scattering import wrap_horizon
+
+        model = build_model(RING_64)
+        params = parse({"translates": 1}, PARAMETERS["wave-operators"], "parameters", model)
+        assert params == {"steps_per_period": 512, "order": 4, "start": 0.0,
+                          "n_max": wrap_horizon(model), "translates": 1,
+                          "average_window": 1.0, "floquet_modes": 8}
+
+    def test_int_accepted_as_float(self):
+        from floqscat.cli import PARAMETERS, parse
+
+        params = parse({"lambda": [2, 1]}, PARAMETERS["resolvent-check"], "parameters",
+                       build_model(RABI))
+        assert params["lambda"] == [2.0, 1.0] and all(type(x) is float for x in params["lambda"])
+
+    def test_table_reads_library_bounds(self):
+        from floqscat.cli import PARAMETERS, ValueRangeError, parse
+        from floqscat.propagation import MIN_STEPS, ORDERS, PropagatorSchedule
+
+        table, model = PARAMETERS["monodromy"], build_model(RABI)
+        for steps, order in ((MIN_STEPS - 1, ORDERS[0]), (MIN_STEPS, max(ORDERS) + 1)):
+            with pytest.raises(ValueError):
+                PropagatorSchedule(steps, order)
+            with pytest.raises(ValueRangeError):
+                parse({"steps_per_period": steps, "order": order}, table, "parameters", model)
+        parse({"steps_per_period": MIN_STEPS, "order": ORDERS[0]}, table, "parameters", model)
+
+    @pytest.mark.parametrize("task, model, params, field, value", [
+        ("wave-operators", RING_64, {"steps_per_period": 8}, "average_window", 2.0),
+        ("wave-operators", RING_64, {"steps_per_period": 8}, "n_max", 100),
+        ("resolvent-check", RABI, {"n_t": 16}, "eta", 0.0),
+        ("monodromy", RABI, {}, "order", 3),
+    ])
+    def test_swept_range_complaint_fails_its_row(self, task, model, params, field, value):
+        [row] = run_sweep({"task": task, "model": model, "parameters": params,
+                           "sweep": {"parameter": field, "values": [value]}})
+        assert row["status"].startswith("failed") and f"parameters.{field}" in row["status"]
+
+    def test_sweep_continues_past_failed_row(self):
+        rows = run_sweep({"task": "monodromy", "model": RABI, "parameters": {"order": 2},
+                          "sweep": {"parameter": "steps_per_period", "values": [4, 16]}})
+        assert rows[0]["status"].startswith("failed: invalid field 'parameters.steps_per_period'")
+        assert rows[1]["status"] == "ok"
+
+    def test_swept_type_error_stops_sweep(self):
+        with pytest.raises(ValidationError, match="parameters.steps_per_period"):
+            run_sweep({"task": "monodromy", "model": RABI, "parameters": {},
+                       "sweep": {"parameter": "steps_per_period", "values": [16, "many"]}})
