@@ -208,10 +208,11 @@ CONFIG = {"task": Field(str, REQUIRED, _one_of(tuple(PARAMETERS))), "model": Fie
 OUTPUT = {"path": Field(str, None), "format": Field(str, "json", _one_of(("json", "csv")))}
 SWEEP = {"parameter": Field(str),
          "values": Field(list, REQUIRED, lambda vals, model: None if vals else "must be non-empty")}
-BUILTINS = {"rabi": rabi_model, "fleet-d3": lambda delta, v: model_mod.fleet()[1],
-            "fleet-d4": lambda delta, v: model_mod.fleet()[2]}
-MODELS = {"builtin": {"builtin": Field(str, REQUIRED, _one_of(tuple(BUILTINS))),
-                      "delta": Field(float, 0.0), "v": Field(float, 1.0)},
+# each builtin with its own fields, passed to it by name
+BUILTINS = {"rabi": (rabi_model, {"delta": Field(float, 0.0), "v": Field(float, 1.0)}),
+            "fleet-d3": (lambda: model_mod.fleet()[1], {}),
+            "fleet-d4": (lambda: model_mod.fleet()[2], {})}
+MODELS = {"builtin": {"builtin": Field(str, REQUIRED, _one_of(tuple(BUILTINS)))},
           "file": {"file": Field(str)}, "lattice": {"lattice": Field(dict)}}
 LATTICE = {"sites": Field(int), "hopping": Field(float, 1.0), "well_depth": Field(float, 0.0),
            "drive_amp": Field(float, 0.0), "support": Field([int], None),
@@ -222,9 +223,12 @@ def build_model(spec: dict, where: str = "model"):
     kinds = [k for k in MODELS if k in spec]
     if len(kinds) != 1:
         raise ValidationError(where, "exactly one of builtin/file/lattice required")
-    fields = parse(spec, MODELS[kinds[0]], where)
+    table = MODELS[kinds[0]]
     if kinds == ["builtin"]:
-        return BUILTINS[fields["builtin"]](fields["delta"], fields["v"])
+        make, own = BUILTINS[parse({"builtin": spec["builtin"]}, table, where)["builtin"]]
+        fields = parse(spec, {**table, **own}, where)
+        return make(**{name: fields[name] for name in own})
+    fields = parse(spec, table, where)
     if kinds == ["file"]:
         try:
             return model_mod.load_model(fields["file"])
@@ -366,12 +370,8 @@ def run_wave_operators(model, params, rng):
     average = time_average(model, h_avg, sched)   # holds the monodromy at the start
     theta_eig = average.mono.eig
     theta0 = model.free_propagator(1.0)
-    # Theta^n_max once: both directions and the time average share it
-    theta_n = np.linalg.matrix_power(average.theta, n_max)
-    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, theta=average.theta,
-                              theta_power=theta_n)
-    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, theta=average.theta,
-                              theta_power=theta_n)
+    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, mono=average.mono)
+    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, mono=average.mono)
     converged_fraction = float((wp.converged & wm.converged).mean())
     if converged_fraction < 0.9:
         raise ConvergenceError(f"only {converged_fraction:.0%} of probes converged before the "
@@ -380,8 +380,7 @@ def run_wave_operators(model, params, rng):
                              theta_eig=theta_eig)
     report = s_matrix(wp, wm, translates=params["translates"], theta0=theta0,
                       bound_states=scan)
-    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average,
-                                theta_power=theta_n)
+    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average)
     use = wp.converged & wm.converged
     avg_agreement = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
     return {

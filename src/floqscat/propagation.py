@@ -274,6 +274,11 @@ class Monodromy:
         """Quasi-energies in [0, 2pi): eigenvalue = exp(-i lambda)."""
         return np.mod(-np.angle(self.eig.values), 2 * np.pi)
 
+    def apply(self, n: int, x: np.ndarray) -> np.ndarray:
+        """Theta^n x for a block x of columns and any integer n: V (e^{-in lambda} (V^H x))
+        with the quasi-energies lambda, whose phases are exact for every n."""
+        return self.eig.apply(np.exp(-1j * n * self.quasi_energies), x)
+
 
 def reflection_symmetric(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule) -> bool:
     """Whether the second half of the stepped period from s mirrors the first.

@@ -11,15 +11,15 @@ reported here measures probe-subspace leakage, not loss of unitarity.
 
 Wave operators are strong limits, so only their action on vectors is
 computed: every reported number uses W on a block of at most
-(2 translates + 1) p probe columns.  Theta^n_max is formed once per scenario
-(log2 n_max squarings) and shared by both directions, Theta^-n = (Theta^n)^H;
-the free factors Theta0^{-+n} act as V e^{+-inE} V^H from the one H0
-eigendecomposition the model caches, so their phases are exact.  No L x L
-matrix is formed inside the iterate loop.  The time-averaged operator takes
-Theta from monodromy() and applies its averaging kernel to the probe block
-only: the columns are propagated through the quadrature nodes and the free
-factors act through the same eigenbasis, so neither the L x L kernel nor a
-dense U0(t) is formed.
+(2 translates + 1) p probe columns.  No power of Theta is formed: Theta^{+-n}
+acts as V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
+Monodromy holds (Monodromy.apply), and the free factors Theta0^{-+n} act as
+V e^{+-inE} V^H from the one H0 eigendecomposition the model caches, so
+every phase is exact.  No L x L matrix is formed inside the iterate loop.
+The time-averaged operator takes Theta from monodromy() and applies its
+averaging kernel to the probe block only: the columns are propagated through
+the quadrature nodes and the free factors act through the same eigenbasis,
+so neither the L x L kernel nor a dense U0(t) is formed.
 
 The probe subspace used for S-matrix defects is the span of the packets'
 short free orbits {Theta0^j phi}: it contains the scattered packets
@@ -142,26 +142,22 @@ class WaveOperatorIterates:
     probe_set: ProbeSet
     converged: np.ndarray                    # per-probe bool
     n_converged: np.ndarray                  # first index of the final stable run
-    model: LatticeModel = field(repr=False)           # its H0 eigenbasis gives Theta0^{-+n}
-    theta_power: np.ndarray = field(repr=False)      # Theta^n_max, shared by both directions
+    model: LatticeModel = field(repr=False)   # its H0 eigenbasis gives Theta0^{-+n}
+    mono: Monodromy = field(repr=False)       # its eigenbasis gives Theta^{+-n}
 
     @property
     def converged_fraction(self) -> float:
         return float(self.converged.mean())
 
-    def _power(self, sign: int, x: np.ndarray) -> np.ndarray:
-        """Theta^(sign n_max) x, with Theta^-n = (Theta^n)^H."""
-        return self.theta_power @ x if sign > 0 else self.theta_power.conj().T @ x
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max) x for a block x of columns."""
-        d = self.direction
-        return self.model.free_apply(-d * self.n_max, self._power(d, x))
+        n = self.direction * self.n_max
+        return self.model.free_apply(-n, self.mono.apply(n, x))
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max)^H x for a block x of columns."""
-        d = self.direction
-        return self._power(-d, self.model.free_apply(d * self.n_max, x))
+        n = self.direction * self.n_max
+        return self.mono.apply(-n, self.model.free_apply(n, x))
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -188,15 +184,15 @@ def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
 def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
                          sched: PropagatorSchedule | None = None,
                          probes: ProbeSet | None = None,
-                         theta: np.ndarray | None = None,
-                         theta_power: np.ndarray | None = None) -> WaveOperatorIterates:
+                         mono: Monodromy | None = None) -> WaveOperatorIterates:
     """Iterate the stroboscopic limit on wave packets.
 
     direction +1 iterates Theta0^dagger^n Theta^n, direction -1 the
-    time-reversed pair Theta0^n Theta^dagger^n.  Each iterate costs block
-    products with the p probe columns; `theta_power` is Theta^n_max of the
-    same theta (computed by squaring unless given).  Raises ConvergenceError
-    (carrying the gap trace) if no probe stabilizes before n_max.
+    time-reversed pair Theta0^n Theta^dagger^n, with Theta from `mono` (the
+    monodromy at the schedule's start, computed unless given).  Each iterate
+    costs block products with the p probe columns; the iterate at n_max acts
+    through mono's eigenbasis.  Raises ConvergenceError (carrying the gap
+    trace) if no probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -205,9 +201,9 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
     horizon = wrap_horizon(model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
-    if theta is None:
-        theta = monodromy(model.drive, sched.start, sched).operator
-    theta0 = model.free_propagator(1.0)
+    if mono is None:
+        mono = monodromy(model.drive, sched.start, sched)
+    theta, theta0 = mono.operator, model.free_propagator(1.0)
     if direction == +1:
         a_op, b_op = theta, theta0
     else:
@@ -237,7 +233,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
         converged=converged,
         n_converged=n_conv,
         model=model,
-        theta_power=np.linalg.matrix_power(theta, n_max) if theta_power is None else theta_power,
+        mono=mono,
     )
 
 
@@ -296,9 +292,7 @@ def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None
 def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: int,
                           sched: PropagatorSchedule | None = None,
                           probes: ProbeSet | None = None, n_quad: int = 8,
-                          theta: np.ndarray | None = None,
-                          average: TimeAverage | None = None,
-                          theta_power: np.ndarray | None = None) -> np.ndarray:
+                          average: TimeAverage | None = None) -> np.ndarray:
     """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
 
     Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
@@ -306,20 +300,22 @@ def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: 
     trapezoidal rule in t, using the period factorization
     U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s.
     The kernel and Theta come from `average` (time_average(model, h, sched,
-    n_quad), computed unless given); a given `theta` replaces its Theta, and a
-    given `theta_power` is Theta^n_max of that Theta.  Only the probe columns
-    are carried through: Theta^{+-n}, the kernel's action (the columns
-    propagated through the quadrature nodes), then the exact free factor.
-    Converges to the same limit as the stroboscopic iterates.
+    n_quad), computed unless given; a given one that disagrees with h, n_quad
+    or sched raises ValueError).  Only the probe columns are carried through:
+    Theta^{+-n} through the monodromy's eigenbasis, the kernel's action (the
+    columns propagated through the quadrature nodes), then the exact free
+    factor.  Converges to the same limit as the stroboscopic iterates.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     sched = sched or PropagatorSchedule()
     probes = probes or make_probes(model)
-    average = average or time_average(model, h, sched, n_quad)
-    theta = average.theta if theta is None else theta
-    power = np.linalg.matrix_power(theta, n_max) if theta_power is None else theta_power
-    moved = power @ probes.vectors if direction == +1 else power.conj().T @ probes.vectors
+    if average is None:
+        average = time_average(model, h, sched, n_quad)
+    elif (average.window, average.n_quad, average.sched) != (h, n_quad, sched):
+        raise ValueError(f"average (h={average.window}, n_quad={average.n_quad}, "
+                         f"{average.sched}) disagrees with h={h}, n_quad={n_quad}, {sched}")
+    moved = average.mono.apply(direction * n_max, probes.vectors)
     return model.free_apply(-direction * n_max, average.apply(moved))
 
 
@@ -519,20 +515,18 @@ def start_time_covariance_defect(model: LatticeModel, sched: PropagatorSchedule,
     Both sides map a state at time s' to its future free asymptote; the
     left-hand side is computed from the monodromy at s', the right-hand
     side transports through the interacting propagator to s and back with
-    the free one.  Theta_s^n and Theta_s'^n act on the probe columns by n
-    block products, the free factors through the H0 eigenbasis.
+    the free one.  Theta_s^n and Theta_s'^n act on the probe columns through
+    their monodromies' eigenbases, the free factors through the H0 eigenbasis.
     """
     s = sched.start
     s2 = s + shift
     sched2 = PropagatorSchedule(sched.steps_per_period, sched.order, s2)
 
-    def wave_op(theta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    def wave_op(mono: Monodromy, x: np.ndarray, t: float) -> np.ndarray:
         """U0(t) Theta0^{-n} Theta^n x."""
-        for _ in range(n_max):
-            x = theta @ x
-        return model.free_apply(t - n_max, x)
+        return model.free_apply(t - n_max, mono.apply(n_max, x))
 
-    lhs = wave_op(monodromy(model.drive, s2, sched2).operator,
+    lhs = wave_op(monodromy(model.drive, s2, sched2),
                   propagate(model.drive, s, s2, sched, initial=probes.vectors), 0.0)
-    rhs = wave_op(monodromy(model.drive, s, sched).operator, probes.vectors, shift)
+    rhs = wave_op(monodromy(model.drive, s, sched), probes.vectors, shift)
     return float(np.linalg.norm(lhs - rhs, axis=0).max())

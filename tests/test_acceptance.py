@@ -74,8 +74,8 @@ def driven_256():
     mono = monodromy(lat.drive, 0.0, SCHED)
     probes = make_probes(lat)
     n_max = wrap_horizon(lat)
-    wp = stroboscopic_wave_op(lat, +1, n_max, SCHED, probes, theta=mono.operator)
-    wm = stroboscopic_wave_op(lat, -1, n_max, SCHED, probes, theta=mono.operator)
+    wp = stroboscopic_wave_op(lat, +1, n_max, SCHED, probes, mono=mono)
+    wm = stroboscopic_wave_op(lat, -1, n_max, SCHED, probes, mono=mono)
     return lat, mono, probes, wp, wm
 
 

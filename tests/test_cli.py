@@ -200,6 +200,18 @@ class TestRunScenario:
         s_c = s[..., 0] + 1j * s[..., 1]
         assert np.abs(s_c - np.eye(len(s_c))).max() <= 1e-12
 
+    def test_wave_operators_form_no_power_of_theta(self, monkeypatch):
+        # Theta^{+-n_max} acts through the monodromy's eigenbasis: no L x L power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda *a, **kw: pytest.fail("power"))
+        cfg = {
+            "task": "wave-operators",
+            "model": {"lattice": {"sites": 256, "well_depth": -0.8, "drive_amp": 0.5}},
+            "parameters": {"steps_per_period": 64, "order": 4, "floquet_modes": 4},
+        }
+        res = run_scenario(cfg)["results"]
+        assert res["converged_fraction"] == 1.0
+        assert res["time_averaged_agreement"] <= 1e-3
+
     def test_monodromy_report(self):
         cfg = {
             "task": "monodromy",
@@ -512,6 +524,8 @@ class TestFieldTables:
          "model.lattice.hopping"),
         ("wave-operators", {"lattice": {"sites": 64, "hopping": 0.0}},
          {"steps_per_period": 8, "n_max": 3}, "model.lattice.hopping"),
+        ("floquet-spectrum", {"builtin": "fleet-d3", "delta": 5.0, "v": -3.0}, {"n_modes": 2},
+         "model.delta"),
     ])
     def test_invalid_input_exit_2_names_field(self, tmp_path, capsys, task, model, params, field):
         p = write_config(tmp_path, {"task": task, "model": model, "parameters": params})

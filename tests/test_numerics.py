@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from floqscat.numerics import (
+    HermitianExponential,
     SingularMatrixError,
     expm_hermitian,
     hermitian_eig,
@@ -121,6 +122,14 @@ class TestExpmHermitian:
         h = random_hermitian(8, seed=11)
         lhs = expm_hermitian(h, 0.4) @ expm_hermitian(h, 0.9)
         assert np.abs(lhs - expm_hermitian(h, 1.3)).max() <= 1e-10
+
+    def test_apply_is_the_spectral_action(self):
+        # V (e^{-i tau E} (V^H x)), bit for bit
+        exp = HermitianExponential(random_hermitian(10, seed=13))
+        x = random_hermitian(10, seed=14)[:, :3]
+        v, phases = exp.eig.vectors, np.exp(-0.7j * exp.eig.values)
+        want = v @ (phases[:, None] * (v.conj().T @ x))
+        assert np.array_equal(exp.apply(0.7, x), want)
 
     @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
     def test_spectral_mapping(self, tau):

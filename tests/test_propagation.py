@@ -70,6 +70,14 @@ class TestMonodromy:
             assert unitary_defect(mono.operator) <= 1e-10
             assert np.abs(np.abs(mono.eig.values) - 1.0).max() <= 1e-10
 
+    @pytest.mark.parametrize("n", [0, 1, 7, -5])
+    def test_apply_is_the_power(self, fleet_models, fast_sched, n):
+        mono = monodromy(fleet_models[1], 0.0, fast_sched)
+        x = np.eye(mono.operator.shape[0])[:, :2]
+        theta = mono.operator if n >= 0 else mono.operator.conj().T
+        want = np.linalg.matrix_power(theta, abs(n)) @ x
+        assert np.abs(mono.apply(n, x) - want).max() <= 1e-12
+
 
 class TestStructuralIdentities:
     def test_cocycle_r_equals_s(self, rabi, fast_sched):

@@ -44,8 +44,8 @@ def driven_256_run(driven_256):
     mono = monodromy(driven_256.drive, 0.0, CHEAP)
     probes = make_probes(driven_256)
     n_max = wrap_horizon(driven_256)
-    wp = stroboscopic_wave_op(driven_256, +1, n_max, CHEAP, probes, theta=mono.operator)
-    wm = stroboscopic_wave_op(driven_256, -1, n_max, CHEAP, probes, theta=mono.operator)
+    wp = stroboscopic_wave_op(driven_256, +1, n_max, CHEAP, probes, mono=mono)
+    wm = stroboscopic_wave_op(driven_256, -1, n_max, CHEAP, probes, mono=mono)
     return mono, probes, wp, wm
 
 
@@ -160,9 +160,6 @@ class TestDrivenWell:
                 @ np.linalg.matrix_power(theta, n_max) @ probes.vectors)
         got = time_averaged_wave_op(lat, +1, window, n_max, sched, probes, n_quad=n_quad)
         assert np.abs(got - want).max() <= 1e-12
-        given = time_averaged_wave_op(lat, +1, window, n_max, sched, probes, n_quad=n_quad,
-                                      theta=theta)
-        assert np.abs(given - want).max() <= 1e-12
 
     @pytest.mark.parametrize("start, window", [(0.0, 1.0), (0.25, 0.5)])
     def test_time_average_theta_is_the_monodromy(self, driven_well_64, start, window):
@@ -171,6 +168,12 @@ class TestDrivenWell:
         sched = PropagatorSchedule(64, 4, start)
         got = time_average(driven_well_64, window, sched).theta
         assert np.array_equal(got, monodromy(driven_well_64.drive, start, sched).operator)
+
+    def test_monodromy_eigenpairs_to_round_off(self, driven_256_run):
+        # the bipartite ring's near-pairs of eigenphases +-theta share a cluster
+        mono = driven_256_run[0]
+        assert mono.eig.residual(mono.operator) <= 1e-11
+        assert mono.eig.orthonormality_defect() <= 1e-12
 
     def test_start_time_covariance(self, driven_256, driven_256_run):
         _, probes, wp, _ = driven_256_run
@@ -185,7 +188,7 @@ class TestDrivenWell:
 
     def test_block_path_matches_dense_oracle(self, driven_256, driven_256_run):
         # W+- = Theta0^{-+n} Theta^{+-n} as dense L x L products, against the
-        # block path (Theta^n shared, free factors from the H0 eigenbasis)
+        # block path (Theta^{+-n} and Theta0^{-+n} from their eigenbases)
         mono, probes, wp, wm = driven_256_run
         lat, n, theta = driven_256, wp.n_max, mono.operator
         theta0 = expm_hermitian(lat.h0, 1.0)
@@ -226,12 +229,8 @@ class TestDrivenWell:
             (+1, power(theta0.conj().T, n) @ kernel @ power(theta, n) @ probes.vectors),
             (-1, power(theta0, n) @ kernel @ power(theta.conj().T, n) @ probes.vectors),
         ):
-            got = time_averaged_wave_op(lat, direction, 1.0, n, CHEAP, probes, theta=theta,
-                                        average=average)
+            got = time_averaged_wave_op(lat, direction, 1.0, n, CHEAP, probes, average=average)
             assert np.abs(got - want).max() <= 1e-12
-            shared = time_averaged_wave_op(lat, direction, 1.0, n, CHEAP, probes,
-                                           average=average, theta_power=wp.theta_power)
-            assert np.abs(shared - want).max() <= 1e-12
 
     def test_horizon_enforced(self, driven_256):
         with pytest.raises(ValueError, match="horizon"):
@@ -383,3 +382,11 @@ class TestProbeBlockAverage:
         moved = np.linalg.matrix_power(average.theta, n_max) @ probes.vectors
         want = lat.free_apply(-n_max, average.kernel @ moved)
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("h, n_quad, steps", [(0.5, 8, 64), (1.0, 4, 64), (1.0, 8, 32)])
+    def test_given_average_must_match(self, driven_well_64, h, n_quad, steps):
+        lat, sched = driven_well_64, PropagatorSchedule(64, 4)
+        average = time_average(lat, 1.0, sched)
+        with pytest.raises(ValueError, match="disagrees"):
+            time_averaged_wave_op(lat, +1, h, 3, PropagatorSchedule(steps, 4), n_quad=n_quad,
+                                  average=average)
