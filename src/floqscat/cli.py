@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import hashlib
 import json
 import math
@@ -277,11 +278,11 @@ def _jsonable(obj, path: str = "report"):
     return obj
 
 
-def _bound_state_scan(model, sched, n_modes, field, theta_eig=None):
+def _bound_state_scan(model, mono, n_modes, field):
     """bound_state_scan at the mode cutoff parameters.<field>; a cutoff too
     small to leave any interior state to cross-check against is invalid."""
     try:
-        return bound_state_scan(model, sched, n_modes=n_modes, theta_eig=theta_eig)
+        return bound_state_scan(model, mono, n_modes=n_modes)
     except DetectorDisagreementError as exc:
         if exc.candidates == 0 and n_modes <= EDGE_BLOCKS:
             raise ValueRangeError(f"parameters.{field}", f"mode cutoff {n_modes} <= EDGE_BLOCKS="
@@ -290,7 +291,9 @@ def _bound_state_scan(model, sched, n_modes, field, theta_eig=None):
 
 
 # --------------------------------------------------------------------------
-# task runners: (model, parameters parsed by PARAMETERS[task], rng) -> results dict
+# task runners: (model, parameters parsed by PARAMETERS[task], rng) -> results dict.
+# A runner whose task needs Theta builds its one Monodromy at the schedule's
+# start (wave-operators takes the one its time_average holds) and passes it down.
 # --------------------------------------------------------------------------
 
 def run_monodromy(model, params, rng):
@@ -321,9 +324,9 @@ def run_floquet_spectrum(model, params, rng):
 
 
 def run_correspondence(model, params, rng):
-    n_modes = params["n_modes"]
+    n_modes, sched, h = params["n_modes"], _schedule(params), _drive(model)
     try:
-        rep = correspondence_report(_drive(model), n_modes, _schedule(params))
+        rep = correspondence_report(h, n_modes, monodromy(h, sched.start, sched))
     except NoInteriorError as exc:
         raise ValueRangeError("parameters.n_modes", f"mode cutoff {n_modes} leaves no "
                               f"interior mode-space state (EDGE_BLOCKS={EDGE_BLOCKS})") from exc
@@ -368,19 +371,16 @@ def run_wave_operators(model, params, rng):
     n_max, h_avg = params["n_max"], params["average_window"]
     probes = make_probes(model, rng=rng)
     average = time_average(model, h_avg, sched)   # holds the monodromy at the start
-    theta_eig = average.mono.eig
-    theta0 = model.free_propagator(1.0)
-    wp = stroboscopic_wave_op(model, +1, n_max, sched, probes, mono=average.mono)
-    wm = stroboscopic_wave_op(model, -1, n_max, sched, probes, mono=average.mono)
+    mono = average.mono
+    wp = stroboscopic_wave_op(model, +1, n_max, mono, probes)
+    wm = stroboscopic_wave_op(model, -1, n_max, mono, probes)
     converged_fraction = float((wp.converged & wm.converged).mean())
     if converged_fraction < 0.9:
         raise ConvergenceError(f"only {converged_fraction:.0%} of probes converged before the "
                                "horizon", gaps=wp.cauchy_gaps)
-    scan = _bound_state_scan(model, sched, params["floquet_modes"], "floquet_modes",
-                             theta_eig=theta_eig)
-    report = s_matrix(wp, wm, translates=params["translates"], theta0=theta0,
-                      bound_states=scan)
-    avg = time_averaged_wave_op(model, +1, h_avg, n_max, sched, probes, average=average)
+    scan = _bound_state_scan(model, mono, params["floquet_modes"], "floquet_modes")
+    report = s_matrix(wp, wm, translates=params["translates"])
+    avg = time_averaged_wave_op(average, +1, n_max, probes)
     use = wp.converged & wm.converged
     avg_agreement = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
     return {
@@ -391,20 +391,20 @@ def run_wave_operators(model, params, rng):
         "intertwining_defect": report.intertwining_defect,
         "time_averaged_agreement": avg_agreement,
         "s_matrix": report.s_matrix,
-        "bound_states": [asdict(b) for b in report.bound_states],
-        "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, theta_eig)),
+        "bound_states": [asdict(b) for b in scan],
+        "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, mono)),
     }
 
 
 def run_bound_states(model, params, rng):
-    scan_modes = params["scan_modes"]
-    infos = _bound_state_scan(model, _schedule(params), params["n_modes"], "n_modes")
+    sched = _schedule(params)
+    mono = monodromy(model.drive, sched.start, sched)
+    infos = _bound_state_scan(model, mono, params["n_modes"], "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if params["verify"]:
         fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
-        scan = ScanOperators.for_model(model.drive, scan_modes)   # K and K0 once per scenario
-        verdicts = [bound_state_correspondence(model.drive, b.quasi_energy, scan_modes, scan=scan)
-                    for b in infos]
+        scan = ScanOperators(model.drive, params["scan_modes"])   # K and K0 once per scenario
+        verdicts = [bound_state_correspondence(scan, b.quasi_energy) for b in infos]
         results["verdicts"] = [{f: getattr(v, f) for f in fields} for v in verdicts]
     return results
 
@@ -498,10 +498,10 @@ def write_report(report: dict, path: Path):
 def write_sweep_csv(rows: list[dict], path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     cols = ["parameter", "value", "headline", "headline_value", "status", "wall_time_s"]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(str(row[c]) for c in cols) + "\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")   # quotes a field holding a comma
+        writer.writerow(cols)
+        writer.writerows([str(row[c]) for c in cols] for row in rows)
 
 
 def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, str]:
@@ -527,7 +527,7 @@ def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, st
         return str(out_path), 0, ""
     except ValidationError as exc:
         return None, 2, f"error: {exc}"
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         return None, 2, f"error: cannot read config: {exc}"
     except NUMERICAL_ERRORS as exc:
         message = f"numerical failure: {exc}"

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .model import PeriodicHamiltonian
 from .numerics import hermitian_eig, max_norm
-from .propagation import Monodromy, PropagatorSchedule, monodromy
+from .propagation import Monodromy
 
 # edge rule: a state is truncation-corrupted when the norm fraction of its
 # component in the outermost blocks exceeds 1% (i.e. probability 1e-4)
@@ -99,13 +99,9 @@ class ModeSpace:
         nb = self.n_blocks
         return sp.bsr_array((blocks, np.arange(nb), np.arange(nb + 1)), shape=(self.size,) * 2)
 
-    def free(self, h0: np.ndarray) -> sp.csr_array:
-        """K0 = I (x) h0 + diag(2 pi n) (x) I."""
-        return self.assemble(h0)
-
     def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> sp.csr_array:
         """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, in one
-        COO -> CSR step from the blocks' nonzeros.
+        COO -> CSR step from the blocks' nonzeros; without `modes`, the free K0.
 
         Bit for bit the Kronecker sums blockdiag(h0) + kron(diag(2 pi n), I) +
         coupling(modes) in canonical (sorted) order: a diagonal entry is
@@ -286,20 +282,19 @@ class CorrespondenceReport:
     mean_match_distance: float        # over the full truncated spectrum, edge included
     coverage_distance: float          # theta phase -> nearest interior folded
     counts: np.ndarray                # interior matches assigned to each theta phase
-    mode_eigen_defect: float          # max || Theta phi(0) - e^{-i lambda} phi(0) ||
+    mode_eigen_defect: float          # max || Theta phi(s) - e^{-i lambda} phi(s) ||
 
 
 def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
-                          sched: PropagatorSchedule | None = None,
-                          mono: Monodromy | None = None) -> CorrespondenceReport:
+                          mono: Monodromy) -> CorrespondenceReport:
     """Check both halves of the spectral correspondence at mode cutoff N.
 
-    Interior folded quasi-energies must reproduce the monodromy eigenphases
-    as a multiset (each phase once per interior mode translate), and every
-    interior eigenvector, resummed into a periodic mode phi(t), must satisfy
-    the stroboscopic eigenvalue relation at t = 0.
+    Interior folded quasi-energies must reproduce the eigenphases of the
+    monodromy Theta = U(s + 1, s) at s = mono.start as a multiset (each phase
+    once per interior mode translate), and every interior eigenvector,
+    resummed into a periodic mode phi(t), must satisfy the stroboscopic
+    eigenvalue relation Theta phi(s) = e^{-i lambda} phi(s) at the same s.
     """
-    mono = mono or monodromy(h, 0.0, sched)
     k = build_floquet(h, n_modes)
     spec = quasi_spectrum(k)
     if spec.interior.sum() == 0:
@@ -320,11 +315,11 @@ def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
 
     defects = []
     for idx in np.flatnonzero(spec.interior):
-        phi0 = reconstruct_mode(spec, idx, 0.0)
-        norm = np.linalg.norm(phi0)
+        phi = reconstruct_mode(spec, idx, mono.start)
+        norm = np.linalg.norm(phi)
         if norm < 1e-12:
             continue
-        resid = mono.operator @ phi0 - np.exp(-1j * spec.values[idx]) * phi0
+        resid = mono.operator @ phi - np.exp(-1j * spec.values[idx]) * phi
         defects.append(np.linalg.norm(resid) / norm)
     return CorrespondenceReport(
         n_modes=n_modes,

@@ -367,31 +367,36 @@ class DiagonalShift:
 
 
 class ScanOperators:
-    """The sparse K = K0 + V and K0 of one mode space, prepared for shifts:
-    K in CSC for the LU of K - zeta, K0 in CSR for products with K0 - zeta."""
+    """The sparse K = K0 + V and K0 of one model's mode space at cutoff N, prepared
+    for shifts: K in CSC for the LU of K - zeta, K0 in CSR for products with
+    K0 - zeta.  Keeps H0 and the ModeSpace for the verdicts drawn from them."""
 
-    def __init__(self, k, k0):
-        self.k = DiagonalShift(k, "csc")
-        self.k0 = DiagonalShift(k0, "csr")
-
-    @classmethod
-    def for_model(cls, h: PeriodicHamiltonian, n_modes: int) -> "ScanOperators":
-        return cls(floquet_operator(h, n_modes), ModeSpace(n_modes, h.dim).free(h.h0))
-
-    @property
-    def size(self) -> int:
-        return self.k.matrix.shape[0]
+    def __init__(self, h: PeriodicHamiltonian, n_modes: int):
+        self.h0 = h.h0
+        self.space = ModeSpace(n_modes, h.dim)
+        self.k = DiagonalShift(floquet_operator(h, n_modes), "csc")
+        self.k0 = DiagonalShift(self.space.assemble(h.h0), "csr")
 
     def null_pair(self, zeta: complex):
-        """(s, phi, psi): smallest singular pair of I + Q(zeta) and psi = (K0 - zeta)^{-1} phi.
+        """(s, phi, psi): the smallest singular value s and right singular vector phi
+        of I + Q(zeta), and psi = (K0 - zeta)^{-1} phi.
 
-        See smallest_singular_pair; psi comes from the last inverse-iteration
-        step's own solve with K - zeta.
+        A shift rewrites only the prepared diagonals, so K - zeta and K0 - zeta
+        equal K - zeta I and K0 - zeta I bit for bit.  Since
+        I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, its inverse and inverse adjoint
+        each cost one solve with the sparse LU of K - zeta and one product with
+        K0 - zeta.  Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed
+        start vector gives phi, and s = ||(I + Q) phi|| comes from the same two
+        solves; unlike the Hermitian form (I + Q)^H (I + Q), this resolves s far
+        below sqrt(machine eps) ||I + Q||.  psi comes from the last step's own
+        solve with K - zeta.  Stops when s changes by at most
+        INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it has
+        not after INVERSE_ITERATION_MAXITER steps.
         """
         lu = splu(self.k.minus(zeta))
         free = self.k0.minus(zeta)
         free_h = free.conj().T
-        phi = start_vector(self.size)
+        phi = start_vector(self.space.size)
         s_prev = np.inf
         for _ in range(INVERSE_ITERATION_MAXITER):
             y = lu.solve(free_h @ phi, trans="H")    # (I + Q)^{-H} phi
@@ -408,33 +413,13 @@ class ScanOperators:
             f"{INVERSE_ITERATION_MAXITER} inverse-iteration steps (last {s_prev:.3e})")
 
 
-def smallest_singular_pair(k, k0, zeta: complex):
-    """Smallest singular value s and right singular vector phi of I + Q(zeta).
-
-    k and k0 are the sparse K = K0 + V and K0 of one mode space
-    (floquet_operator, ModeSpace.free), prepared as ScanOperators(k, k0);
-    ScanOperators.null_pair is this evaluation on a pair prepared once.  A
-    shift rewrites only the prepared diagonals, so K - zeta and K0 - zeta
-    equal k - zeta I and k0 - zeta I bit for bit.  Since
-    I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, its inverse and inverse adjoint
-    each cost one solve with the sparse LU of K - zeta and one product with
-    K0 - zeta.  Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed
-    start vector gives phi, and s = ||(I + Q) phi|| comes from the same two
-    solves; unlike the Hermitian form (I + Q)^H (I + Q), this resolves s far
-    below sqrt(machine eps) ||I + Q||.  Stops when s changes by at most
-    INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it has
-    not after INVERSE_ITERATION_MAXITER steps.
-    """
-    s, phi, _ = ScanOperators(k, k0).null_pair(zeta)
-    return s, phi
-
-
-def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_modes: int,
+def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
                                eps_ladder=(1e-2, 1e-3, 1e-4), search_window: float = 5e-4,
                                null_tol: float = 1e-6, residual_tol: float = 1e-6,
-                               threshold_margin: float = 1e-3,
-                               scan: ScanOperators | None = None) -> BoundStateVerdict:
-    """Verify a candidate bound quasi-energy through the null-vector scan.
+                               threshold_margin: float = 1e-3) -> BoundStateVerdict:
+    """Verify a candidate bound quasi-energy through the null-vector scan on the
+    model's K and K0 at the cutoff `scan` was prepared for (ScanOperators,
+    built once for several candidates of one model).
 
     Rayleigh refinement: from lambda_0 = candidate, the null direction phi of
     I + Q(lambda_j + i RAYLEIGH_EPS) gives psi = (K0 - zeta)^{-1} phi at the
@@ -447,21 +432,15 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
     ||(K - refined) psi|| / ||psi|| of the truncated eigenvalue equation is
     measured on it.  The smallest singular values at refined + i eps over the
     ladder are extrapolated linearly in eps to the axis (never evaluating
-    exactly on it).  `scan` holds K and K0 at n_modes, prepared once
-    (ScanOperators.for_model) for several candidates of one model.
+    exactly on it).
     """
-    dist = free_spectrum_distance(h.h0, lam_candidate)
+    dist = free_spectrum_distance(scan.h0, lam_candidate)
     if dist < threshold_margin:
         raise ThresholdProximityError(
             f"candidate {lam_candidate} lies {dist:.2e} from the free spectrum "
             f"(threshold margin {threshold_margin})"
         )
     eps_ladder = sorted(eps_ladder, reverse=True)
-    space = ModeSpace(n_modes, h.dim)
-    scan = scan or ScanOperators.for_model(h, n_modes)
-    if scan.size != space.size:
-        raise ValueError(f"scan operators of size {scan.size} do not match the mode space "
-                         f"of size {space.size} at N={n_modes}")
 
     refined = float(lam_candidate)
     for _ in range(RAYLEIGH_MAXITER):
@@ -489,5 +468,5 @@ def bound_state_correspondence(h: PeriodicHamiltonian, lam_candidate: float, n_m
         smin_extrapolated=extrapolated,
         residual=residual,
         threshold_distance=dist,
-        mode_vector=space.blocks(psi),
+        mode_vector=scan.space.blocks(psi),
     )

@@ -16,10 +16,15 @@ acts as V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
 Monodromy holds (Monodromy.apply), and the free factors Theta0^{-+n} act as
 V e^{+-inE} V^H from the one H0 eigendecomposition the model caches, so
 every phase is exact.  No L x L matrix is formed inside the iterate loop.
-The time-averaged operator takes Theta from monodromy() and applies its
-averaging kernel to the probe block only: the columns are propagated through
-the quadrature nodes and the free factors act through the same eigenbasis,
-so neither the L x L kernel nor a dense U0(t) is formed.
+The time-averaged operator takes Theta from the Monodromy its TimeAverage
+holds and applies the averaging kernel to the probe block only: the columns
+are propagated through the quadrature nodes and the free factors act through
+the same eigenbasis, so neither the L x L kernel nor a dense U0(t) is formed.
+
+Every function here that needs Theta or its eigenbasis takes the scenario's
+one Monodromy, built by the caller at its start time s; none builds it from
+a schedule.  Only time_average builds a Monodromy (its quadrature shares the
+steps), and start_time_covariance_defect the one at s + shift.
 
 The probe subspace used for S-matrix defects is the span of the packets'
 short free orbits {Theta0^j phi}: it contains the scattered packets
@@ -181,28 +186,23 @@ def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
     return converged, n_conv
 
 
-def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
-                         sched: PropagatorSchedule | None = None,
-                         probes: ProbeSet | None = None,
-                         mono: Monodromy | None = None) -> WaveOperatorIterates:
+def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: Monodromy,
+                         probes: ProbeSet | None = None) -> WaveOperatorIterates:
     """Iterate the stroboscopic limit on wave packets.
 
     direction +1 iterates Theta0^dagger^n Theta^n, direction -1 the
-    time-reversed pair Theta0^n Theta^dagger^n, with Theta from `mono` (the
-    monodromy at the schedule's start, computed unless given).  Each iterate
-    costs block products with the p probe columns; the iterate at n_max acts
-    through mono's eigenbasis.  Raises ConvergenceError (carrying the gap
-    trace) if no probe stabilizes before n_max.
+    time-reversed pair Theta0^n Theta^dagger^n, with Theta = mono.operator,
+    the monodromy at the start time the wave operator is taken at.  Each
+    iterate costs block products with the p probe columns; the iterate at
+    n_max acts through mono's eigenbasis.  Raises ConvergenceError (carrying
+    the gap trace) if no probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    sched = sched or PropagatorSchedule()
     probes = probes or make_probes(model)
     horizon = wrap_horizon(model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
-    if mono is None:
-        mono = monodromy(model.drive, sched.start, sched)
     theta, theta0 = mono.operator, model.free_propagator(1.0)
     if direction == +1:
         a_op, b_op = theta, theta0
@@ -240,31 +240,26 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int,
 @dataclass
 class TimeAverage:
     """Trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt as an action on
-    column blocks, and the monodromy at the schedule's start s."""
+    column blocks, and the monodromy at s on whose schedule it is stepped."""
 
     model: LatticeModel = field(repr=False)
     window: float
-    sched: PropagatorSchedule
     n_quad: int
     mono: Monodromy = field(repr=False)
     steppers: dict = field(repr=False)   # the monodromy's, reused by apply
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.mono.operator
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Kernel times a block x of columns: x is propagated through the nodes t_j
         in one running sweep, and each U0(t_j)^dagger acts through the H0
         eigenbasis."""
-        s, drive = self.sched.start, self.model.drive
+        s, sched, drive = self.mono.start, self.mono.scheme, self.model.drive
         nodes = np.linspace(0.0, self.window, self.n_quad + 1)
         weights = np.full(self.n_quad + 1, 1.0)
         weights[0] = weights[-1] = 0.5
         weights /= weights.sum()
         out = weights[0] * x        # t_0 = 0: U0(0)^dagger U(s, s) = I
         for i in range(1, self.n_quad + 1):
-            x = propagate(drive, s + nodes[i - 1], s + nodes[i], self.sched, initial=x,
+            x = propagate(drive, s + nodes[i - 1], s + nodes[i], sched, initial=x,
                           steppers=self.steppers)
             out = out + weights[i] * self.model.free_apply(-nodes[i], x)
         return out
@@ -285,38 +280,26 @@ def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None
     sched = sched or PropagatorSchedule()
     steppers = {}   # nodes on the monodromy's step grid reuse its stepper
     mono = monodromy(model.drive, sched.start, sched, steppers)
-    return TimeAverage(model=model, window=h, sched=sched, n_quad=n_quad, mono=mono,
-                       steppers=steppers)
+    return TimeAverage(model=model, window=h, n_quad=n_quad, mono=mono, steppers=steppers)
 
 
-def time_averaged_wave_op(model: LatticeModel, direction: int, h: float, n_max: int,
-                          sched: PropagatorSchedule | None = None,
-                          probes: ProbeSet | None = None, n_quad: int = 8,
-                          average: TimeAverage | None = None) -> np.ndarray:
+def time_averaged_wave_op(average: TimeAverage, direction: int, n_max: int,
+                          probes: ProbeSet) -> np.ndarray:
     """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
 
     Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
-    schedule's start s (direction +1; time-reversed for -1) by the
-    trapezoidal rule in t, using the period factorization
-    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s.
-    The kernel and Theta come from `average` (time_average(model, h, sched,
-    n_quad), computed unless given; a given one that disagrees with h, n_quad
-    or sched raises ValueError).  Only the probe columns are carried through:
+    average's start s over its window h (direction +1; time-reversed for -1)
+    by the average's trapezoidal rule in t, using the period factorization
+    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s that
+    `average` holds.  Only the probe columns are carried through:
     Theta^{+-n} through the monodromy's eigenbasis, the kernel's action (the
     columns propagated through the quadrature nodes), then the exact free
     factor.  Converges to the same limit as the stroboscopic iterates.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    sched = sched or PropagatorSchedule()
-    probes = probes or make_probes(model)
-    if average is None:
-        average = time_average(model, h, sched, n_quad)
-    elif (average.window, average.n_quad, average.sched) != (h, n_quad, sched):
-        raise ValueError(f"average (h={average.window}, n_quad={average.n_quad}, "
-                         f"{average.sched}) disagrees with h={h}, n_quad={n_quad}, {sched}")
     moved = average.mono.apply(direction * n_max, probes.vectors)
-    return model.free_apply(-direction * n_max, average.apply(moved))
+    return average.model.free_apply(-direction * n_max, average.apply(moved))
 
 
 @dataclass
@@ -337,7 +320,6 @@ class ScatteringReport:
     isometry_defect: float
     unitarity_defect: float
     intertwining_defect: float
-    bound_states: list
 
 
 def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) -> np.ndarray:
@@ -354,11 +336,11 @@ def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) 
 
 
 def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
-             translates: int = 2, theta0: np.ndarray | None = None,
-             bound_states: list | None = None) -> ScatteringReport:
+             translates: int = 2) -> ScatteringReport:
     """Assemble S = W+ W-^dagger on the probe subspace and its defects.
 
-    The probe subspace is the span of the packets' short free orbits.
+    The probe subspace is the span of the packets' short free orbits under
+    Theta0 = U0(1), the free monodromy of W+'s model.
     unitarity_defect is the largest per-probe leakage ||(I - P) S phi||
     (equivalently the deviation of the restricted columns from unit norm);
     intertwining_defect the largest ||(S Theta0 - Theta0 S) phi|| over
@@ -371,9 +353,7 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
             wplus.probe_set.vectors, wminus.probe_set.vectors
         ):
             raise ValueError("wave operators were computed on different probe sets")
-    probes = wplus.probe_set
-    if theta0 is None:
-        raise ValueError("free monodromy required for the probe-subspace defects")
+    probes, theta0 = wplus.probe_set, wplus.model.free_propagator(1.0)
     basis = free_orbit_basis(theta0, probes, translates)
     use = wplus.converged & wminus.converged
     phi = probes.vectors[:, use]
@@ -399,7 +379,6 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
         isometry_defect=float(max(iso)),
         unitarity_defect=unitarity,
         intertwining_defect=intertwining,
-        bound_states=bound_states or [],
     )
 
 
@@ -450,24 +429,20 @@ def _mode_space_partner(model: LatticeModel, k, space: ModeSpace, phase: float,
     return nearest, candidates
 
 
-def bound_state_scan(model: LatticeModel, sched: PropagatorSchedule | None = None,
-                     n_modes: int = 12, theta_eig=None,
+def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
                      cross_check_tol: float = 1e-5) -> list[BoundStateInfo]:
     """Bound states from localization of the one-period operator's eigenvectors.
 
-    Eigenvectors of the monodromy at the schedule's start (theta_eig, computed
-    unless given) with at least 90% of their mass within the interaction
-    window plus LOCALIZATION_MARGIN sites are flagged bound; their
+    Eigenvectors of the monodromy `mono` with at least 90% of their mass
+    within the interaction window plus LOCALIZATION_MARGIN sites
+    (bound_vectors) are flagged bound; their
     eigenphases are cross-checked against localized interior quasi-energies
     of the truncated mode-space matrix, found near each phase by shift-invert
     (_mode_space_partner).  Raises DetectorDisagreementError if the two
     detectors disagree beyond cross_check_tol.
     """
-    sched = sched or PropagatorSchedule()
-    if theta_eig is None:
-        theta_eig = monodromy(model.drive, sched.start, sched).eig
-    score, bound = _localization(model, np.abs(theta_eig.vectors) ** 2)
-    phases = np.mod(-np.angle(theta_eig.values), 2 * np.pi)
+    score, bound = _localization(model, np.abs(mono.eig.vectors) ** 2)
+    phases = mono.quasi_energies
     found = sorted((phases[j], score[j]) for j in np.flatnonzero(bound))
 
     infos = []
@@ -494,10 +469,10 @@ def bound_state_scan(model: LatticeModel, sched: PropagatorSchedule | None = Non
     return infos
 
 
-def bound_vectors(model: LatticeModel, theta_eig) -> np.ndarray:
+def bound_vectors(model: LatticeModel, mono: Monodromy) -> np.ndarray:
     """Columns: eigenvectors of the one-period operator flagged as bound."""
-    _, bound = _localization(model, np.abs(theta_eig.vectors) ** 2)
-    return theta_eig.vectors[:, bound]
+    _, bound = _localization(model, np.abs(mono.eig.vectors) ** 2)
+    return mono.eig.vectors[:, bound]
 
 
 def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:
@@ -507,26 +482,27 @@ def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:
     return float(np.abs(bound.conj().T @ probes.vectors).max())
 
 
-def start_time_covariance_defect(model: LatticeModel, sched: PropagatorSchedule,
-                                 n_max: int, probes: ProbeSet,
-                                 shift: float = 0.5) -> float:
-    """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + shift on probes.
+def start_time_covariance_defect(model: LatticeModel, mono: Monodromy, n_max: int,
+                                 probes: ProbeSet, shift: float = 0.5) -> float:
+    """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + shift on probes,
+    with s = mono.start.
 
     Both sides map a state at time s' to its future free asymptote; the
-    left-hand side is computed from the monodromy at s', the right-hand
-    side transports through the interacting propagator to s and back with
-    the free one.  Theta_s^n and Theta_s'^n act on the probe columns through
-    their monodromies' eigenbases, the free factors through the H0 eigenbasis.
+    left-hand side is computed from the monodromy at s', built here on
+    mono's schedule, the right-hand side transports through the interacting
+    propagator to s and back with the free one.  Theta_s^n and Theta_s'^n act
+    on the probe columns through their monodromies' eigenbases, the free
+    factors through the H0 eigenbasis.
     """
-    s = sched.start
+    s, sched = mono.start, mono.scheme
     s2 = s + shift
     sched2 = PropagatorSchedule(sched.steps_per_period, sched.order, s2)
 
-    def wave_op(mono: Monodromy, x: np.ndarray, t: float) -> np.ndarray:
+    def wave_op(m: Monodromy, x: np.ndarray, t: float) -> np.ndarray:
         """U0(t) Theta0^{-n} Theta^n x."""
-        return model.free_apply(t - n_max, mono.apply(n_max, x))
+        return model.free_apply(t - n_max, m.apply(n_max, x))
 
     lhs = wave_op(monodromy(model.drive, s2, sched2),
                   propagate(model.drive, s, s2, sched, initial=probes.vectors), 0.0)
-    rhs = wave_op(monodromy(model.drive, s, sched), probes.vectors, shift)
+    rhs = wave_op(mono, probes.vectors, shift)
     return float(np.linalg.norm(lhs - rhs, axis=0).max())

@@ -23,7 +23,7 @@ from floqscat.model import (
     rabi_model,
     rabi_quasi_energies,
 )
-from floqscat.numerics import expm_hermitian, max_norm, op_norm, unitary_defect
+from floqscat.numerics import max_norm, op_norm, unitary_defect
 from floqscat.propagation import (
     PropagatorSchedule,
     check_cocycle,
@@ -35,6 +35,7 @@ from floqscat.propagation import (
 from floqscat.resolvent import (
     TimeGridFunction,
     block_q,
+    ScanOperators,
     bound_state_correspondence,
     full_resolvent,
     grid_potential,
@@ -51,6 +52,7 @@ from floqscat.scattering import (
     orthogonality_defect,
     s_matrix,
     stroboscopic_wave_op,
+    time_average,
     time_averaged_wave_op,
     wrap_horizon,
 )
@@ -74,8 +76,8 @@ def driven_256():
     mono = monodromy(lat.drive, 0.0, SCHED)
     probes = make_probes(lat)
     n_max = wrap_horizon(lat)
-    wp = stroboscopic_wave_op(lat, +1, n_max, SCHED, probes, mono=mono)
-    wm = stroboscopic_wave_op(lat, -1, n_max, SCHED, probes, mono=mono)
+    wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
+    wm = stroboscopic_wave_op(lat, -1, n_max, mono, probes)
     return lat, mono, probes, wp, wm
 
 
@@ -232,13 +234,12 @@ def test_criterion_7_wave_operators(driven_256):
     frac = float((wp.converged & wm.converged).mean())
     assert frac >= 0.9, f"converged fraction {frac}"
     assert wp.cauchy_gaps[-1][wp.converged].max() < 1e-3
-    theta0 = expm_hermitian(lat.h0, 1.0)
-    scan = bound_state_scan(lat, SCHED, n_modes=4, theta_eig=mono.eig)
-    rep = s_matrix(wp, wm, translates=2, theta0=theta0, bound_states=scan)
+    bound_state_scan(lat, mono, n_modes=4)   # raises if the two detectors disagree
+    rep = s_matrix(wp, wm, translates=2)
     assert rep.isometry_defect <= 1e-3
     assert rep.unitarity_defect <= 5e-3
     assert rep.intertwining_defect <= 5e-3
-    avg = time_averaged_wave_op(lat, +1, 1.0, wp.n_max, SCHED, probes)
+    avg = time_averaged_wave_op(time_average(lat, 1.0, SCHED), +1, wp.n_max, probes)
     use = wp.converged & wm.converged
     avg_diff = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
     assert avg_diff <= 2e-3
@@ -252,8 +253,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
     """Three independent bound-state detectors agree; translation by 2 pi
     reappears in the interior spectrum; probes are orthogonal to bound states."""
     lat, mono = driven_64
-    infos = bound_state_scan(lat, SCHED, n_modes=12, theta_eig=mono.eig,
-                             cross_check_tol=1e-5)
+    infos = bound_state_scan(lat, mono, n_modes=12, cross_check_tol=1e-5)
     assert len(infos) >= 1
     spec = quasi_spectrum(build_floquet(lat.drive, 12))
     window = lat.support_window(4)
@@ -266,7 +266,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
     worst_shift = 0.0
     for b in infos:
         d_floq = circular_distance(b.quasi_energy, floq_folded).min()
-        verdict = bound_state_correspondence(lat.drive, b.quasi_energy, 6)
+        verdict = bound_state_correspondence(ScanOperators(lat.drive, 6), b.quasi_energy)
         assert verdict.confirmed, f"null scan rejected {b.quasi_energy}"
         d_scan = abs(verdict.refined - b.quasi_energy)
         assert d_floq <= 1e-5 and d_scan <= 1e-5
@@ -278,7 +278,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
         assert shift <= 1e-6
         worst_shift = max(worst_shift, shift)
     lat256, mono256, probes, wp, wm = driven_256
-    ortho = orthogonality_defect(probes, bound_vectors(lat256, mono256.eig))
+    ortho = orthogonality_defect(probes, bound_vectors(lat256, mono256))
     assert ortho <= 1e-3
     ok(8, f"{len(infos)} bound state(s): detectors agree pairwise to "
           f"{worst_pair:.1e} <= 1e-5; 2 pi translation to {worst_shift:.1e} <= 1e-6; "

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -322,6 +323,21 @@ class TestSweep:
         assert header[:4] == ["parameter", "value", "headline", "headline_value"]
         assert len(text.splitlines()) == 3
 
+    @pytest.mark.parametrize("task, params, sweep", [
+        # a list value, and a failed row's status "... expected one of (2, 4)"
+        ("resolvent-check", {"n_t": 16, "n_modes": 4},
+         {"parameter": "lambda", "values": [[0.5, 1.0]]}),
+        ("monodromy", {"steps_per_period": 16}, {"parameter": "order", "values": [3, 4]}),
+    ])
+    def test_sweep_csv_field_with_comma_quoted(self, tmp_path, task, params, sweep):
+        cfg = {"task": task, "model": {"builtin": "rabi"}, "parameters": params, "sweep": sweep}
+        p = write_config(tmp_path, cfg, "sw.json")
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sw.sweep.csv", newline="") as f:
+            table = list(csv.reader(f))
+        assert [len(row) for row in table] == [6] * (1 + len(sweep["values"]))
+        assert [row[1] for row in table[1:]] == [str(v) for v in sweep["values"]]
+
 
 class TestExitCodes:
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
@@ -411,13 +427,16 @@ class TestMultiConfig:
     def test_written_reports_listed_when_one_fails(self, tmp_path, capsys, jobs):
         bad = write_config(tmp_path, {**CORR_CFG, "parameters": {"n_modes": 0}}, "bad.json")
         good = write_config(tmp_path, {**CORR_CFG, "parameters": {"n_modes": 4}}, "good.json")
-        code = main(["--config", str(bad), "--config", str(good), "--out", str(tmp_path),
-                     "--jobs", jobs])
+        binary = tmp_path / "binary.json"   # not UTF-8: a BOM of UTF-16
+        binary.write_bytes(b"\xff\xfe{}")
+        code = main(["--config", str(bad), "--config", str(good), "--config", str(binary),
+                     "--out", str(tmp_path), "--jobs", jobs])
         out, err = capsys.readouterr()
         assert code == 2
         assert out.split() == [str(tmp_path / "good.report.json")]
         assert (tmp_path / "good.report.json").exists()
         assert "parameters.n_modes" in err
+        assert "cannot read config" in err and "Traceback" not in err
 
     def test_largest_code_wins(self, tmp_path, capsys):
         bad = write_config(tmp_path, {**CORR_CFG, "parameters": {"n_modes": 0}}, "bad.json")
@@ -497,6 +516,34 @@ class TestBoundStateScenario:
 
 RABI = {"builtin": "rabi"}
 RING_64 = {"lattice": {"sites": 64, "well_depth": -0.8, "drive_amp": 0.5}}
+
+
+class TestOneMonodromyPerScenario:
+    @pytest.mark.parametrize("task, model, params", [
+        ("monodromy", RABI, {"steps_per_period": 16}),
+        ("correspondence", RABI, {"steps_per_period": 16, "n_modes": 4}),
+        ("wave-operators", {"lattice": {"sites": 128, "well_depth": 0.0, "drive_amp": 0.0,
+                                        "support": [64]}},
+         {"steps_per_period": 16, "order": 2, "n_max": 12}),
+        ("bound-states", {"lattice": {"sites": 40, "well_depth": -1.7, "drive_amp": 0.45,
+                                      "support_width": 3}},
+         {"steps_per_period": 256, "n_modes": 8, "scan_modes": 4}),
+    ])
+    def test_theta_built_once_at_the_start(self, monkeypatch, task, model, params):
+        # every floqscat module that holds monodromy() reaches the spy
+        import floqscat.propagation as propagation
+
+        starts, monodromy = [], propagation.monodromy
+
+        def spy(h, s=0.0, *args, **kwargs):
+            starts.append(s)
+            return monodromy(h, s, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("floqscat") and getattr(module, "monodromy", None) is monodromy:
+                monkeypatch.setattr(module, "monodromy", spy)
+        run_scenario({"task": task, "model": model, "parameters": {**params, "start": 0.25}})
+        assert starts == [0.25]
 
 
 class TestFieldTables:

@@ -12,6 +12,7 @@ from floqscat.floquet import (
 )
 from floqscat.model import PeriodicHamiltonian, rabi_model, rabi_quasi_energies
 from floqscat.numerics import hermitian_defect
+from floqscat.propagation import PropagatorSchedule, monodromy
 
 from conftest import random_hermitian
 
@@ -123,19 +124,22 @@ class TestQuasiSpectrum:
 class TestCorrespondence:
     def test_constant_exact(self, fast_sched):
         h = PeriodicHamiltonian(h0=np.diag([0.4, 1.3]))
-        rep = correspondence_report(h, 4, fast_sched)
+        rep = correspondence_report(h, 4, monodromy(h, 0.0, fast_sched))
         assert rep.max_match_distance < 1e-9
         assert rep.coverage_distance < 1e-9
 
     def test_rabi(self, rabi, accurate_sched):
-        rep = correspondence_report(rabi, 32, accurate_sched)
+        rep = correspondence_report(rabi, 32, monodromy(rabi, 0.0, accurate_sched))
         assert rep.max_match_distance <= 1e-6
         assert rep.coverage_distance <= 1e-6
         assert rep.mode_eigen_defect <= 1e-6
 
-    def test_truncation_ladder_monotone(self, rabi, accurate_sched):
-        from floqscat.propagation import monodromy
+    def test_modes_resummed_at_the_monodromy_start(self, rabi):
+        # Theta(s) phi(s) = e^{-i lambda} phi(s): the modes are read at s = mono.start
+        mono = monodromy(rabi, 0.25, PropagatorSchedule(512, 4, 0.25))
+        assert correspondence_report(rabi, 20, mono).mode_eigen_defect <= 1e-10
 
+    def test_truncation_ladder_monotone(self, rabi, accurate_sched):
         mono = monodromy(rabi, 0.0, accurate_sched)
         reports = [correspondence_report(rabi, n, mono=mono) for n in (8, 16, 32)]
         # full-spectrum mean distance decays as the edge fraction shrinks
@@ -218,7 +222,7 @@ class TestIndexAssembly:
             couplings = {m: hm for m, hm in h.modes.items() if m != 0}
             for got, want in ((floquet_operator(h, n_modes),
                                kronecker_sum_k(space, h.h0 + h.mode(0), couplings)),
-                              (space.free(h.h0), kronecker_sum_k(space, h.h0, {}))):
+                              (space.assemble(h.h0), kronecker_sum_k(space, h.h0, {}))):
                 want.sort_indices()
                 assert got.has_canonical_format
                 for part in ("data", "indices", "indptr"):
@@ -233,7 +237,7 @@ class TestIndexAssembly:
 
         space = ModeSpace(1, 2)
         h0 = np.diag([2 * np.pi, 1.0]).astype(np.complex128)
-        k0 = space.free(h0)
+        k0 = space.assemble(h0)
         assert (k0.data != 0).all()
         assert np.array_equal(k0.toarray(), kronecker_sum_k(space, h0, {}).toarray())
         assert k0.nnz == 5

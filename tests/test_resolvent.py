@@ -26,7 +26,6 @@ from floqscat.resolvent import (
     r0_apply,
     r0_matrix,
     resolvent_residual,
-    smallest_singular_pair,
 )
 
 from conftest import random_hermitian
@@ -271,14 +270,14 @@ class TestBoundStates:
     def test_zero_potential_no_null_vectors(self):
         h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
         lam = 3.0  # well off the free spectrum {0,1} + 2 pi Z
-        verdict = bound_state_correspondence(h, lam, 4)
+        verdict = bound_state_correspondence(ScanOperators(h, 4), lam)
         assert not verdict.confirmed
         assert verdict.smin_extrapolated > 0.5
 
     def test_threshold_proximity_rejected(self):
         h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
         with pytest.raises(ThresholdProximityError):
-            bound_state_correspondence(h, 1.0 + 1e-5, 4)
+            bound_state_correspondence(ScanOperators(h, 4), 1.0 + 1e-5)
 
     def test_free_spectrum_distance(self):
         h0 = np.diag([0.0, 1.0])
@@ -288,11 +287,11 @@ class TestBoundStates:
     def test_driven_well_scan_agrees_with_theta(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
 
-        infos = bound_state_scan(driven_well_64, n_modes=8,
-                                 theta_eig=driven_well_64_monodromy.eig)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
         assert len(infos) >= 1
         b = infos[0]
-        verdict = bound_state_correspondence(driven_well_64.drive, b.quasi_energy, 6)
+        verdict = bound_state_correspondence(ScanOperators(driven_well_64.drive, 6),
+                                             b.quasi_energy)
         assert verdict.confirmed
         assert abs(verdict.refined - b.quasi_energy) <= 1e-5
         assert verdict.residual <= 1e-6
@@ -300,10 +299,10 @@ class TestBoundStates:
     def test_translated_candidate_also_verified(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
 
-        infos = bound_state_scan(driven_well_64, n_modes=8,
-                                 theta_eig=driven_well_64_monodromy.eig)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
         lam = infos[0].quasi_energy
-        verdict = bound_state_correspondence(driven_well_64.drive, lam + 2 * np.pi, 6)
+        verdict = bound_state_correspondence(ScanOperators(driven_well_64.drive, 6),
+                                             lam + 2 * np.pi)
         assert verdict.confirmed
         assert abs(verdict.refined - (lam + 2 * np.pi)) <= 1e-5
 
@@ -315,16 +314,16 @@ class TestSmallestSingularPair:
     def bound_phase(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
 
-        return bound_state_scan(driven_well_64, n_modes=8,
-                                theta_eig=driven_well_64_monodromy.eig)[0].quasi_energy
+        return bound_state_scan(driven_well_64, driven_well_64_monodromy,
+                                n_modes=8)[0].quasi_energy
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
     def test_matches_dense_svd(self, driven_well_64, bound_phase, eps):
         h = driven_well_64.drive
         space = ModeSpace(self.N, h.dim)
         zeta = bound_phase + 1j * eps
-        k, k0 = floquet_operator(h, self.N), space.free(h.h0)
-        s, phi = smallest_singular_pair(k, k0, zeta)
+        k, k0 = floquet_operator(h, self.N), space.assemble(h.h0)
+        s, phi = ScanOperators(h, self.N).null_pair(zeta)[:2]
         m = np.eye(space.size) + block_q(h, zeta, self.N)
         _, sv, vh = np.linalg.svd(m)
         # a dense SVD fixes sigma_min only to its backward error ~ eps_mach ||M||:
@@ -344,11 +343,10 @@ class TestSmallestSingularPair:
     def test_nonconvergence_raises(self, driven_well_64, bound_phase, monkeypatch):
         h = driven_well_64.drive
         monkeypatch.setattr(resolvent, "INVERSE_ITERATION_MAXITER", 1)
-        k, k0 = floquet_operator(h, self.N), ModeSpace(self.N, h.dim).free(h.h0)
         with pytest.raises(InverseIterationError):
-            smallest_singular_pair(k, k0, bound_phase + 1e-4j)
+            ScanOperators(h, self.N).null_pair(bound_phase + 1e-4j)
         with pytest.raises(InverseIterationError):
-            bound_state_correspondence(h, bound_phase, self.N)
+            bound_state_correspondence(ScanOperators(h, self.N), bound_phase)
 
 
 class TestRayleighRefinement:
@@ -360,30 +358,31 @@ class TestRayleighRefinement:
         # bound-states-driven-well.json: this ring, 512 order-4 steps, n_modes 12
         from floqscat.scattering import bound_state_scan
 
-        infos = bound_state_scan(driven_well_64, n_modes=12,
-                                 theta_eig=driven_well_64_monodromy.eig)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=12)
         return [b.quasi_energy for b in infos]
 
     @pytest.fixture(scope="class")
     def ring_slot(self):
         # a ring-bound benchmark slot: 40 sites, width 3, 256 steps, n_modes 8
+        from floqscat.propagation import monodromy
         from floqscat.scattering import bound_state_scan
 
         lat = build_lattice(40, 1.0, -1.7, 0.45, range(19, 22))
-        infos = bound_state_scan(lat, PropagatorSchedule(256, 4), n_modes=8)
+        infos = bound_state_scan(lat, monodromy(lat.drive, 0.0, PropagatorSchedule(256, 4)),
+                                 n_modes=8)
         return lat, [b.quasi_energy for b in infos]
 
     @staticmethod
     def _check_at_eigenvalue(h, n_modes, candidates):
         k = floquet_operator(h, n_modes).tocsc()
-        scan = ScanOperators.for_model(h, n_modes)
+        scan = ScanOperators(h, n_modes)
         for lam in candidates:
-            verdict = bound_state_correspondence(h, lam, n_modes, scan=scan)
+            verdict = bound_state_correspondence(scan, lam)
             want = eigsh(k, k=1, sigma=lam)[0][0]
             assert verdict.confirmed
             assert abs(verdict.refined - want) <= 1e-12
             assert verdict.residual <= 1e-12
-            own = bound_state_correspondence(h, lam, n_modes)   # K and K0 built inside
+            own = bound_state_correspondence(ScanOperators(h, n_modes), lam)   # K and K0 anew
             assert (own.refined, own.residual, own.smin_ladder) == (
                 verdict.refined, verdict.residual, verdict.smin_ladder)
 
@@ -398,20 +397,20 @@ class TestRayleighRefinement:
 
     def test_at_most_six_evaluations_per_verdict(self, ring_slot, monkeypatch):
         lat, candidates = ring_slot
-        scan = ScanOperators.for_model(lat.drive, 4)
+        scan = ScanOperators(lat.drive, 4)
         factorizations = []   # one sparse LU of K - zeta per null-scan evaluation
         monkeypatch.setattr(resolvent, "splu", lambda a: factorizations.append(a) or splu(a))
         for lam in candidates:
             factorizations.clear()
-            bound_state_correspondence(lat.drive, lam, 4, scan=scan)
+            bound_state_correspondence(scan, lam)
             assert 1 <= len(factorizations) <= 6
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-13])
     def test_prepared_shift_bit_identical(self, driven_well_64, well_candidates, eps):
         h = driven_well_64.drive
-        k, k0 = floquet_operator(h, 6), ModeSpace(6, h.dim).free(h.h0)
+        k, k0 = floquet_operator(h, 6), ModeSpace(6, h.dim).assemble(h.h0)
         zeta = well_candidates[0] + 1j * eps
-        scan = ScanOperators(k, k0)
+        scan = ScanOperators(h, 6)
         eye = sp.eye_array(k.shape[0], format="csc")
         lu_in, free = sp.csc_array(k - zeta * eye), sp.csr_array(k0 - zeta * eye)
         for got, want in ((scan.k.minus(zeta), lu_in), (scan.k0.minus(zeta), free)):
@@ -429,17 +428,11 @@ class TestRayleighRefinement:
             if abs(s - s_prev) <= resolvent.INVERSE_ITERATION_RTOL * s:
                 break
             s_prev = s
-        for got_s, got_phi in (smallest_singular_pair(k, k0, zeta), scan.null_pair(zeta)[:2]):
+        for got_s, got_phi in (ScanOperators(h, 6).null_pair(zeta)[:2], scan.null_pair(zeta)[:2]):
             assert got_s == s and np.array_equal(got_phi, phi)
 
     def test_zero_potential_unconfirmed_inside_window(self):
         h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
-        verdict = bound_state_correspondence(h, 3.0, 4, search_window=5e-4)
+        verdict = bound_state_correspondence(ScanOperators(h, 4), 3.0, search_window=5e-4)
         assert not verdict.confirmed
         assert abs(verdict.refined - 3.0) <= 5e-4
-
-    def test_scan_of_another_cutoff_rejected(self, ring_slot):
-        lat, candidates = ring_slot
-        with pytest.raises(ValueError, match="do not match"):
-            bound_state_correspondence(lat.drive, candidates[0], 4,
-                                       scan=ScanOperators.for_model(lat.drive, 5))

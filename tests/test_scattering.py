@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 import floqscat.scattering as scattering
+from floqscat.cli import run_scenario
 from floqscat.floquet import (EDGE_BLOCKS, ModeSpace, build_floquet, circular_distance,
                               floquet_operator, quasi_spectrum)
 from floqscat.model import build_lattice
@@ -35,6 +36,11 @@ def free_ring():
 
 
 @pytest.fixture(scope="module")
+def free_ring_mono(free_ring):
+    return monodromy(free_ring.drive, 0.0, CHEAP)
+
+
+@pytest.fixture(scope="module")
 def driven_256():
     return build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
 
@@ -44,8 +50,8 @@ def driven_256_run(driven_256):
     mono = monodromy(driven_256.drive, 0.0, CHEAP)
     probes = make_probes(driven_256)
     n_max = wrap_horizon(driven_256)
-    wp = stroboscopic_wave_op(driven_256, +1, n_max, CHEAP, probes, mono=mono)
-    wm = stroboscopic_wave_op(driven_256, -1, n_max, CHEAP, probes, mono=mono)
+    wp = stroboscopic_wave_op(driven_256, +1, n_max, mono, probes)
+    wm = stroboscopic_wave_op(driven_256, -1, n_max, mono, probes)
     return mono, probes, wp, wm
 
 
@@ -67,25 +73,24 @@ class TestProbes:
 
 
 class TestFreeRing:
-    def test_iterates_identity_gaps_zero(self, free_ring):
-        wav = stroboscopic_wave_op(free_ring, +1, 16, CHEAP)
+    def test_iterates_identity_gaps_zero(self, free_ring, free_ring_mono):
+        wav = stroboscopic_wave_op(free_ring, +1, 16, free_ring_mono)
         assert wav.cauchy_gaps.max() == 0.0
         assert np.abs(wav.operator - np.eye(256)).max() <= 1e-12
         assert wav.converged.all()
 
-    def test_s_matrix_identity(self, free_ring):
-        theta0 = expm_hermitian(free_ring.h0, 1.0)
-        wp = stroboscopic_wave_op(free_ring, +1, 16, CHEAP)
-        wm = stroboscopic_wave_op(free_ring, -1, 16, CHEAP)
-        rep = s_matrix(wp, wm, theta0=theta0)
+    def test_s_matrix_identity(self, free_ring, free_ring_mono):
+        wp = stroboscopic_wave_op(free_ring, +1, 16, free_ring_mono)
+        wm = stroboscopic_wave_op(free_ring, -1, 16, free_ring_mono)
+        rep = s_matrix(wp, wm)
         assert rep.unitarity_defect <= 1e-12
         assert rep.intertwining_defect <= 1e-12
         assert rep.isometry_defect <= 1e-12
         p = rep.probe_basis.shape[1]
         assert np.abs(rep.s_matrix - np.eye(p)).max() <= 1e-12
 
-    def test_no_bound_states(self, free_ring):
-        assert bound_state_scan(free_ring, CHEAP, n_modes=2) == []
+    def test_no_bound_states(self, free_ring, free_ring_mono):
+        assert bound_state_scan(free_ring, free_ring_mono, n_modes=2) == []
 
 
 class TestDrivenWell:
@@ -108,8 +113,7 @@ class TestDrivenWell:
 
     def test_s_matrix_defects(self, driven_256, driven_256_run):
         mono, probes, wp, wm = driven_256_run
-        theta0 = expm_hermitian(driven_256.h0, 1.0)
-        rep = s_matrix(wp, wm, translates=2, theta0=theta0)
+        rep = s_matrix(wp, wm, translates=2)
         assert rep.isometry_defect <= 1e-3
         assert rep.unitarity_defect <= 5e-3
         assert rep.intertwining_defect <= 5e-3
@@ -129,7 +133,7 @@ class TestDrivenWell:
     def test_time_averaged_agreement(self, driven_256, driven_256_run):
         _, probes, wp, wm = driven_256_run
         use = wp.converged & wm.converged
-        avg = time_averaged_wave_op(driven_256, +1, 1.0, wp.n_max, CHEAP, probes)
+        avg = time_averaged_wave_op(time_average(driven_256, 1.0, CHEAP), +1, wp.n_max, probes)
         diff = np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
         assert diff <= 2e-3
 
@@ -137,8 +141,9 @@ class TestDrivenWell:
         lat = build_lattice(256, 1.0, -1.0, 0.0, range(126, 131))
         probes = make_probes(lat)
         n_max = wrap_horizon(lat)
-        wp = stroboscopic_wave_op(lat, +1, n_max, CHEAP, probes)
-        avg = time_averaged_wave_op(lat, +1, 1.0 / 64, n_max, CHEAP, probes, n_quad=4)
+        average = time_average(lat, 1.0 / 64, CHEAP, n_quad=4)
+        wp = stroboscopic_wave_op(lat, +1, n_max, average.mono, probes)
+        avg = time_averaged_wave_op(average, +1, n_max, probes)
         use = wp.converged
         diff = np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
         assert diff <= 1e-3
@@ -158,7 +163,7 @@ class TestDrivenWell:
                      for w, t in zip(weights, nodes))
         want = (np.linalg.matrix_power(theta0.conj().T, n_max) @ kernel
                 @ np.linalg.matrix_power(theta, n_max) @ probes.vectors)
-        got = time_averaged_wave_op(lat, +1, window, n_max, sched, probes, n_quad=n_quad)
+        got = time_averaged_wave_op(time_average(lat, window, sched, n_quad), +1, n_max, probes)
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("start, window", [(0.0, 1.0), (0.25, 0.5)])
@@ -166,7 +171,7 @@ class TestDrivenWell:
         # one running product through the nodes and on to s + 1: on the step
         # grid it rounds exactly like monodromy()
         sched = PropagatorSchedule(64, 4, start)
-        got = time_average(driven_well_64, window, sched).theta
+        got = time_average(driven_well_64, window, sched).mono.operator
         assert np.array_equal(got, monodromy(driven_well_64.drive, start, sched).operator)
 
     def test_monodromy_eigenpairs_to_round_off(self, driven_256_run):
@@ -176,13 +181,13 @@ class TestDrivenWell:
         assert mono.eig.orthonormality_defect() <= 1e-12
 
     def test_start_time_covariance(self, driven_256, driven_256_run):
-        _, probes, wp, _ = driven_256_run
-        defect = start_time_covariance_defect(driven_256, CHEAP, wp.n_max, probes)
+        mono, probes, wp, _ = driven_256_run
+        defect = start_time_covariance_defect(driven_256, mono, wp.n_max, probes)
         assert defect <= 5e-3
 
     def test_orthogonality_probes_vs_bound(self, driven_256, driven_256_run):
         mono, probes, _, _ = driven_256_run
-        bound = bound_vectors(driven_256, mono.eig)
+        bound = bound_vectors(driven_256, mono)
         assert bound.shape[1] >= 1
         assert orthogonality_defect(probes, bound) <= 1e-3
 
@@ -204,7 +209,7 @@ class TestDrivenWell:
         assert np.abs(wp.operator - w_plus).max() <= 1e-12
         assert np.abs(wm.operator - w_minus).max() <= 1e-12
 
-        rep = s_matrix(wp, wm, translates=2, theta0=theta0)
+        rep = s_matrix(wp, wm, translates=2)
         basis = rep.probe_basis
         use = wp.converged & wm.converged
         phi = probes.vectors[:, use]
@@ -229,18 +234,18 @@ class TestDrivenWell:
             (+1, power(theta0.conj().T, n) @ kernel @ power(theta, n) @ probes.vectors),
             (-1, power(theta0, n) @ kernel @ power(theta.conj().T, n) @ probes.vectors),
         ):
-            got = time_averaged_wave_op(lat, direction, 1.0, n, CHEAP, probes, average=average)
+            got = time_averaged_wave_op(average, direction, n, probes)
             assert np.abs(got - want).max() <= 1e-12
 
-    def test_horizon_enforced(self, driven_256):
+    def test_horizon_enforced(self, driven_256, driven_256_run):
         with pytest.raises(ValueError, match="horizon"):
-            stroboscopic_wave_op(driven_256, +1, 100, CHEAP)
+            stroboscopic_wave_op(driven_256, +1, 100, driven_256_run[0])
 
 
 class TestBoundStateScan:
     def test_static_well_count_matches_direct_diagonalization(self, driven_well_64):
         lat = build_lattice(64, 1.0, -2.0, 0.0, range(30, 35))
-        infos = bound_state_scan(lat, CHEAP, n_modes=2)
+        infos = bound_state_scan(lat, monodromy(lat.drive, 0.0, CHEAP), n_modes=2)
         # oracle: localized eigenvectors of the static Hamiltonian
         h_static = (lat.h0 + lat.drive.mode(0)).real
         evals, evecs = np.linalg.eigh(h_static)
@@ -255,8 +260,10 @@ class TestBoundStateScan:
         assert np.abs(got - want).max() <= 1e-10
 
     def test_driven_well_stable_under_step_doubling(self, driven_well_64):
-        coarse = bound_state_scan(driven_well_64, PropagatorSchedule(256, 4), n_modes=8)
-        fine = bound_state_scan(driven_well_64, PropagatorSchedule(512, 4), n_modes=8)
+        coarse = bound_state_scan(driven_well_64, monodromy(
+            driven_well_64.drive, 0.0, PropagatorSchedule(256, 4)), n_modes=8)
+        fine = bound_state_scan(driven_well_64, monodromy(
+            driven_well_64.drive, 0.0, PropagatorSchedule(512, 4)), n_modes=8)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a.quasi_energy - b.quasi_energy) <= 1e-4
@@ -265,31 +272,37 @@ class TestBoundStateScan:
         # N = EDGE_BLOCKS flags every driven mode-space state as an edge state
         lat = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         with pytest.raises(DetectorDisagreementError) as info:
-            bound_state_scan(lat, PropagatorSchedule(64, 4), n_modes=EDGE_BLOCKS)
+            bound_state_scan(lat, monodromy(lat.drive, 0.0, PropagatorSchedule(64, 4)),
+                             n_modes=EDGE_BLOCKS)
         assert info.value.candidates == 0
 
     def test_localization_scores_reported(self, driven_well_64, driven_well_64_monodromy):
-        infos = bound_state_scan(driven_well_64, n_modes=8,
-                                 theta_eig=driven_well_64_monodromy.eig)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
         for b in infos:
             assert 0.9 <= b.localization <= 1.0
             assert b.multiplicity >= 1
 
     def test_monodromy_taken_at_schedule_start(self, driven_well_64):
+        # the bound-states runner takes Theta at parameters.start
+        def localizations(start):
+            cfg = {"task": "bound-states",
+                   "model": {"lattice": {"sites": 64, "hopping": 1.0, "well_depth": -2.0,
+                                         "drive_amp": 0.5, "support": list(range(30, 35))}},
+                   "parameters": {"steps_per_period": 64, "order": 4, "start": start,
+                                  "n_modes": 8, "verify": False}}
+            return [b["localization"] for b in run_scenario(cfg)["results"]["bound_states"]]
+
         sched = PropagatorSchedule(64, 4, 0.25)
-        infos = bound_state_scan(driven_well_64, sched, n_modes=8)
         eig = monodromy(driven_well_64.drive, 0.25, sched).eig
         score, bound = _localization(driven_well_64, np.abs(eig.vectors) ** 2)
         phases = np.mod(-np.angle(eig.values), 2 * np.pi)
         want = [score[j] for j in sorted(np.flatnonzero(bound), key=lambda j: phases[j])]
-        assert [b.localization for b in infos] == want
-        at_zero = bound_state_scan(driven_well_64, PropagatorSchedule(64, 4), n_modes=8)
-        assert [b.localization for b in at_zero] != want
+        assert localizations(0.25) == want
+        assert localizations(0.0) != want
 
     def test_sparse_partner_matches_dense_spectrum(self, driven_well_64, driven_well_64_monodromy):
         n_modes, tol = 8, 1e-5
-        infos = bound_state_scan(driven_well_64, n_modes=n_modes,
-                                 theta_eig=driven_well_64_monodromy.eig)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes)
         spec = quasi_spectrum(build_floquet(driven_well_64.drive, n_modes))
         _, localized = _localization(driven_well_64, spec.spatial_mass())
         dense = spec.folded[localized & spec.interior]
@@ -320,8 +333,8 @@ class TestFreeEvolution:
         sched = PropagatorSchedule(16, 2)
         probes = make_probes(lat)
         average = time_average(lat, 1.0, sched)
-        time_averaged_wave_op(lat, +1, 1.0, 2, sched, probes, average=average)
-        start_time_covariance_defect(lat, sched, 2, probes)
+        time_averaged_wave_op(average, +1, 2, probes)
+        start_time_covariance_defect(lat, average.mono, 2, probes)
         assert len(calls) == 1 and calls[0] is lat.h0
 
 
@@ -331,8 +344,8 @@ class TestPartnerTolerance:
         # acceptance criterion 8's cross-check: N = 12, cross_check_tol 1e-5; a
         # phase moved by 3 tol has no partner either way
         n_modes, tol = 12, 1e-5
-        infos = bound_state_scan(driven_well_64, n_modes=n_modes,
-                                 theta_eig=driven_well_64_monodromy.eig, cross_check_tol=tol)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes,
+                                 cross_check_tol=tol)
         phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
         k = floquet_operator(driven_well_64.drive, n_modes).tocsc()
         space = ModeSpace(n_modes, driven_well_64.sites)
@@ -365,7 +378,7 @@ class TestProbeBlockAverage:
         sched = PropagatorSchedule(64, 4, 0.0)
         probes = make_probes(lat)
         average = time_average(lat, 1.0, sched)
-        assert np.array_equal(average.theta, monodromy(lat.drive, 0.0, sched).operator)
+        assert np.array_equal(average.mono.operator, monodromy(lat.drive, 0.0, sched).operator)
         assert len(average.steppers) == 1    # monodromy and nodes share the step width
         widths, inner = [], scattering.propagate
 
@@ -375,18 +388,10 @@ class TestProbeBlockAverage:
 
         monkeypatch.setattr(scattering, "propagate", spy)
         monkeypatch.setattr(lat, "free_propagator", lambda t: pytest.fail("dense U0(t)"))
-        got = time_averaged_wave_op(lat, +1, 1.0, n_max, sched, probes, average=average)
+        got = time_averaged_wave_op(average, +1, n_max, probes)
         assert widths == [probes.count] * 8
         assert "kernel" not in vars(average)
         monkeypatch.undo()
-        moved = np.linalg.matrix_power(average.theta, n_max) @ probes.vectors
+        moved = np.linalg.matrix_power(average.mono.operator, n_max) @ probes.vectors
         want = lat.free_apply(-n_max, average.kernel @ moved)
         assert np.abs(got - want).max() <= 1e-12
-
-    @pytest.mark.parametrize("h, n_quad, steps", [(0.5, 8, 64), (1.0, 4, 64), (1.0, 8, 32)])
-    def test_given_average_must_match(self, driven_well_64, h, n_quad, steps):
-        lat, sched = driven_well_64, PropagatorSchedule(64, 4)
-        average = time_average(lat, 1.0, sched)
-        with pytest.raises(ValueError, match="disagrees"):
-            time_averaged_wave_op(lat, +1, h, 3, PropagatorSchedule(steps, 4), n_quad=n_quad,
-                                  average=average)
