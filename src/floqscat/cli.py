@@ -45,8 +45,8 @@ import numpy as np
 from . import model as model_mod
 from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondence_report,
                       quasi_spectrum, shift_commutation_defect)
-from .model import LatticeModel, PeriodicHamiltonian, build_lattice, rabi_model
-from .numerics import SingularMatrixError, max_norm, op_norm, unitary_defect
+from .model import LatticeModel, build_lattice, rabi_model
+from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
 from .propagation import MIN_STEPS, ORDERS, PropagatorSchedule, monodromy, period_operator
 from .resolvent import (MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
                         ThresholdProximityError, TimeGridFunction, block_q,
@@ -61,7 +61,6 @@ from .scattering import (
     orthogonality_defect,
     s_matrix,
     stroboscopic_wave_op,
-    time_average,
     time_averaged_wave_op,
     wrap_horizon,
 )
@@ -71,7 +70,8 @@ class NonFiniteError(FloatingPointError):
 
 
 NUMERICAL_ERRORS = (ConvergenceError, SingularMatrixError, ThresholdProximityError,
-                    DetectorDisagreementError, InverseIterationError, NonFiniteError)
+                    DetectorDisagreementError, InverseIterationError, NonUnitaryError,
+                    NonFiniteError)
 
 
 class ValidationError(ValueError):
@@ -156,13 +156,9 @@ def _at_least(low):
     return lambda value, model: None if value >= low else f"must be >= {low}, got {value}"
 
 
-def _drive(model) -> PeriodicHamiltonian:
-    return model.drive if isinstance(model, LatticeModel) else model
-
-
 def _cutoff(n_modes, model):
     """A mode cutoff below the model's mode support would truncate the interaction."""
-    support = _drive(model).max_mode
+    support = model.max_mode
     if n_modes < support:
         return f"mode cutoff {n_modes} below the interaction's mode support {support}"
 
@@ -248,7 +244,7 @@ def build_model(spec: dict, where: str = "model"):
 
 
 def _schedule(params: dict) -> PropagatorSchedule:
-    return PropagatorSchedule(params["steps_per_period"], params["order"], params["start"])
+    return PropagatorSchedule(params["steps_per_period"], params["order"])
 
 
 def _jsonable(obj, path: str = "report"):
@@ -292,28 +288,27 @@ def _bound_state_scan(model, mono, n_modes, field):
 
 # --------------------------------------------------------------------------
 # task runners: (model, parameters parsed by PARAMETERS[task], rng) -> results dict.
-# A runner whose task needs Theta builds its one Monodromy at the schedule's
-# start (wave-operators takes the one its time_average holds) and passes it down.
+# A runner whose task needs Theta builds its one Monodromy at parameters.start
+# and passes it down; the Monodromy's start is the one record of it.
 # --------------------------------------------------------------------------
 
 def run_monodromy(model, params, rng):
     sched = _schedule(params)
-    h = _drive(model)
-    mono = monodromy(h, sched.start, sched)
+    mono = monodromy(model, params["start"], sched)
     results = {
         "quasi_energies": np.sort(mono.quasi_energies),
         "unitarity_defect": unitary_defect(mono.operator),
         "unit_circle_defect": float(np.abs(np.abs(mono.eig.values) - 1.0).max()),
     }
     if params["self_convergence"]:
-        finer = PropagatorSchedule(2 * sched.steps_per_period, sched.order, sched.start)
-        theta2 = period_operator(h, sched.start, finer)
+        finer = PropagatorSchedule(2 * sched.steps_per_period, sched.order)
+        theta2 = period_operator(model, mono.start, finer)
         results["self_convergence_difference"] = max_norm(mono.operator - theta2)
     return results
 
 
 def run_floquet_spectrum(model, params, rng):
-    k = build_floquet(_drive(model), params["n_modes"])
+    k = build_floquet(model, params["n_modes"])
     spec = quasi_spectrum(k)
     return {
         "values": spec.values,
@@ -324,9 +319,9 @@ def run_floquet_spectrum(model, params, rng):
 
 
 def run_correspondence(model, params, rng):
-    n_modes, sched, h = params["n_modes"], _schedule(params), _drive(model)
+    n_modes, mono = params["n_modes"], monodromy(model, params["start"], _schedule(params))
     try:
-        rep = correspondence_report(h, n_modes, monodromy(h, sched.start, sched))
+        rep = correspondence_report(model, n_modes, mono)
     except NoInteriorError as exc:
         raise ValueRangeError("parameters.n_modes", f"mode cutoff {n_modes} leaves no "
                               f"interior mode-space state (EDGE_BLOCKS={EDGE_BLOCKS})") from exc
@@ -340,8 +335,7 @@ def run_correspondence(model, params, rng):
     }
 
 
-def run_resolvent_check(model, params, rng):
-    h = _drive(model)
+def run_resolvent_check(h, params, rng):
     n_t = params["n_t"]
     lam = 1j * params["eta"] if params["lambda"] is None else complex(*params["lambda"])
     f = TimeGridFunction(np.ones((n_t, h.dim)))
@@ -367,11 +361,9 @@ def run_resolvent_check(model, params, rng):
 
 
 def run_wave_operators(model, params, rng):
-    sched = _schedule(params)
-    n_max, h_avg = params["n_max"], params["average_window"]
+    n_max = params["n_max"]
     probes = make_probes(model, rng=rng)
-    average = time_average(model, h_avg, sched)   # holds the monodromy at the start
-    mono = average.mono
+    mono = monodromy(model, params["start"], _schedule(params))
     wp = stroboscopic_wave_op(model, +1, n_max, mono, probes)
     wm = stroboscopic_wave_op(model, -1, n_max, mono, probes)
     converged_fraction = float((wp.converged & wm.converged).mean())
@@ -380,7 +372,7 @@ def run_wave_operators(model, params, rng):
                                "horizon", gaps=wp.cauchy_gaps)
     scan = _bound_state_scan(model, mono, params["floquet_modes"], "floquet_modes")
     report = s_matrix(wp, wm, translates=params["translates"])
-    avg = time_averaged_wave_op(average, +1, n_max, probes)
+    avg = time_averaged_wave_op(model, mono, +1, n_max, probes, params["average_window"])
     use = wp.converged & wm.converged
     avg_agreement = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
     return {
@@ -397,13 +389,12 @@ def run_wave_operators(model, params, rng):
 
 
 def run_bound_states(model, params, rng):
-    sched = _schedule(params)
-    mono = monodromy(model.drive, sched.start, sched)
+    mono = monodromy(model, params["start"], _schedule(params))
     infos = _bound_state_scan(model, mono, params["n_modes"], "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if params["verify"]:
         fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
-        scan = ScanOperators(model.drive, params["scan_modes"])   # K and K0 once per scenario
+        scan = ScanOperators(model, params["scan_modes"])   # K and K0 once per scenario
         verdicts = [bound_state_correspondence(scan, b.quasi_energy) for b in infos]
         results["verdicts"] = [{f: getattr(v, f) for f in fields} for v in verdicts]
     return results

@@ -7,9 +7,16 @@ H_{-n} = H_n^dagger.  Fourier coefficients use the plain convention
 H_n = integral_0^1 exp(-2 pi i n t) H(t) dt (prefactor 1), which is the one
 that makes the expansion above exact.
 
-The lattice model is a periodically driven ring: a tridiagonal hopping
-Hamiltonian with periodic closure as the free part, plus a static well and
-a cosine drive confined to a support window, encoded as modes {-1, 0, 1}.
+The lattice model is a periodically driven ring: a PeriodicHamiltonian
+subclass whose free part is a tridiagonal hopping Hamiltonian with periodic
+closure, plus a static well and a cosine drive confined to a support window,
+encoded as modes {-1, 0, 1}; it adds the hopping and the support that the
+probe packets and the localization window read.
+
+Every model owns what is built once from it: the H0 eigendecomposition
+behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`) and the
+Magnus steppers of each step width and order it is propagated with
+(`steppers`, filled by propagation.propagate).
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ class PeriodicHamiltonian:
     h0: np.ndarray
     modes: dict[int, np.ndarray] = field(default_factory=dict)
     label: str = ""
+    # (dt, order) -> MagnusStepper, filled by propagation.propagate
+    steppers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.h0 = check_hermitian(as_complex_matrix(self.h0))
@@ -87,6 +96,20 @@ class PeriodicHamiltonian:
             return np.zeros_like(self.h0)
         return m
 
+    @cached_property
+    def _free(self) -> HermitianExponential:
+        return HermitianExponential(self.h0)
+
+    def free_propagator(self, t: float) -> np.ndarray:
+        """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
+        one eigendecomposition of H0 per model."""
+        return self._free(float(t))
+
+    def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
+        """U0(t) x for a block x of columns, from the same eigendecomposition of H0,
+        without forming U0(t)."""
+        return self._free.apply(float(t), x)
+
 
 def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:
     """Recover Fourier modes from uniform samples (t_j, H(t_j)).
@@ -114,32 +137,16 @@ def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:
     return PeriodicHamiltonian(h0=np.zeros((dim, dim)), modes=modes, label=label)
 
 
-@dataclass
-class LatticeModel:
+@dataclass(kw_only=True)
+class LatticeModel(PeriodicHamiltonian):
     """Driven ring lattice: free hopping part plus windowed well and drive."""
 
-    sites: int
     hopping: float
     potential_support: np.ndarray
-    drive: PeriodicHamiltonian
 
     @property
-    def h0(self) -> np.ndarray:
-        return self.drive.h0
-
-    @cached_property
-    def _free(self) -> HermitianExponential:
-        return HermitianExponential(self.h0)
-
-    def free_propagator(self, t: float) -> np.ndarray:
-        """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
-        one eigendecomposition of H0 per model."""
-        return self._free(float(t))
-
-    def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
-        """U0(t) x for a block x of columns, from the same eigendecomposition of H0,
-        without forming U0(t)."""
-        return self._free.apply(float(t), x)
+    def sites(self) -> int:
+        return self.dim
 
     def support_window(self, margin: int = 0) -> np.ndarray:
         """Site indices within `margin` of the potential support (ring metric)."""
@@ -175,8 +182,8 @@ def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: floa
     if drive_amp != 0.0:
         modes[1] = np.diag(drv).astype(np.complex128)
         modes[-1] = np.diag(drv).astype(np.complex128)
-    drive = PeriodicHamiltonian(h0=h0, modes=modes, label=label or f"lattice L={sites}")
-    return LatticeModel(sites=sites, hopping=hopping, potential_support=support, drive=drive)
+    return LatticeModel(h0=h0, modes=modes, label=label or f"lattice L={sites}",
+                        hopping=hopping, potential_support=support)
 
 
 def rabi_model(delta: float = 0.0, v: float = 1.0) -> PeriodicHamiltonian:

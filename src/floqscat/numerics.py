@@ -34,6 +34,10 @@ class SingularMatrixError(RuntimeError):
     """Raised when a solve hits a pivot below threshold (spectral point)."""
 
 
+class NonUnitaryError(ValueError):
+    """A matrix that must be unitary is not, to within the tolerance."""
+
+
 def as_complex_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -79,7 +83,7 @@ def check_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
     a = check_square(a)
     defect = unitary_defect(a)
     if defect > tol:
-        raise ValueError(f"matrix is not unitary: |A^H A - I| = {defect:.3e} > {tol:.1e}")
+        raise NonUnitaryError(f"matrix is not unitary: |A^H A - I| = {defect:.3e} > {tol:.1e}")
     return a
 
 

@@ -14,6 +14,9 @@ count are fixed per call from the a-priori bound on ||Omega||_1 so that the
 truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33 (2011)).  A propagator is therefore unitary to round-off, not by
 construction; `unitary_eig`'s `check_unitary` gates every monodromy.
+A stepper is built once per model, step width and order and kept in the
+model's `steppers` cache, so every propagate call on that model at that
+width, the monodromy's and the time average's alike, shares it.
 
 The one-period operator Theta = U(s + 1, s) carries the stroboscopic
 dynamics; its eigenphases are the quasi-energies mod 2pi.  Where
@@ -21,7 +24,8 @@ H(t)^T = H(-t) (H_-n = H_n^T for every mode, H0 = H0^T), 2s is an integer
 and the step count N is even, the second half-period's steps are the
 transposes of the first half's in reverse order, so Theta = A^T A with
 A = U(s + 1/2, s) costs N/2 steps (`period_operator`); every other model
-and schedule takes all N.
+and schedule takes all N.  Theta(s) has period 1 in s, and `monodromy`
+forms it at s mod 1, the start its Monodromy records.
 """
 
 from __future__ import annotations
@@ -91,11 +95,10 @@ ORDERS = (2, 4)
 
 @dataclass(frozen=True)
 class PropagatorSchedule:
-    """Stepping plan: substeps per unit period, integrator order, start time."""
+    """Stepping plan: substeps per unit period and integrator order."""
 
     steps_per_period: int = 512
     order: int = 4
-    start: float = 0.0
 
     def __post_init__(self):
         if self.steps_per_period < MIN_STEPS:
@@ -225,34 +228,32 @@ class MagnusStepper:
 
 def propagate(h: PeriodicHamiltonian, s: float, t: float,
               sched: PropagatorSchedule | None = None,
-              initial: np.ndarray | None = None,
-              steppers: dict | None = None) -> np.ndarray:
+              initial: np.ndarray | None = None) -> np.ndarray:
     """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given.
 
     U(s, s) = I; t < s via the adjoint.  Stepping continues the running
     product from `initial`, so a sweep cut into pieces at step boundaries
-    rounds like one uninterrupted propagate.  `steppers`, a dict the caller
-    keeps for this one h, holds the MagnusStepper of each (dt, order) met so
-    far; a sweep whose pieces share their step width builds one stepper.
+    rounds like one uninterrupted propagate.  The MagnusStepper of each
+    (dt, order) is built on first use and kept in h.steppers, so a sweep whose
+    pieces share their step width builds one stepper.
     """
     sched = sched or PropagatorSchedule()
     if initial is not None and (t <= s or h.max_mode == 0):
-        return propagate(h, s, t, sched, steppers=steppers) @ initial
+        return propagate(h, s, t, sched) @ initial
     if t == s:
         return np.eye(h.dim, dtype=np.complex128)
     if h.max_mode == 0:
         # autonomous: a single exponential is exact
         return expm_hermitian(h.evaluate(0.0), t - s)
     if t < s:
-        return propagate(h, t, s, sched, steppers=steppers).conj().T
+        return propagate(h, t, s, sched).conj().T
     span = t - s
     n_steps = max(1, int(np.ceil(span * sched.steps_per_period - 1e-12)))
     dt = span / n_steps
-    steppers = {} if steppers is None else steppers
     key = (dt, sched.order)
-    if key not in steppers:
-        steppers[key] = MagnusStepper(h, dt, sched.order)
-    step = steppers[key]
+    if key not in h.steppers:
+        h.steppers[key] = MagnusStepper(h, dt, sched.order)
+    step = h.steppers[key]
     # complex from the start (a real `initial` could not take the complex steps
     # in place); the stepper copies before it writes, so `initial` is left as is
     u = np.eye(h.dim, dtype=np.complex128) if initial is None else \
@@ -295,8 +296,7 @@ def reflection_symmetric(h: PeriodicHamiltonian, s: float, sched: PropagatorSche
 
 
 def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
-                    sched: PropagatorSchedule | None = None,
-                    steppers: dict | None = None) -> np.ndarray:
+                    sched: PropagatorSchedule | None = None) -> np.ndarray:
     """The one-period operator U(s + 1, s), from half a period where the model allows.
 
     Under `reflection_symmetric`, step N-1-k's Magnus exponent is the
@@ -306,21 +306,24 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
     N/2 steps.  This is the symmetric-unitary Floquet operator of a
     time-reversal-invariant drive (Haake, Quantum Signatures of Chaos, ch. 2).
     Theta is flushed like every step.  Otherwise all N steps are taken.
-    `steppers` is passed on to propagate.
     """
     sched = sched or PropagatorSchedule()
     if not reflection_symmetric(h, s, sched):
-        return propagate(h, s, s + 1.0, sched, steppers=steppers)
-    half = propagate(h, s, s + 0.5, sched, steppers=steppers)
+        return propagate(h, s, s + 1.0, sched)
+    half = propagate(h, s, s + 0.5, sched)
     return flush(half.T @ half)
 
 
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
-              sched: PropagatorSchedule | None = None,
-              steppers: dict | None = None) -> Monodromy:
-    """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition."""
+              sched: PropagatorSchedule | None = None) -> Monodromy:
+    """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition.
+
+    Theta is formed, and its start recorded, at s mod 1: the same operator,
+    whose steps from a large s would lose their offsets to rounding (at
+    s = 1e17, s + 1/2 == s and Theta would come out as I)."""
     sched = sched or PropagatorSchedule()
-    theta = period_operator(h, s, sched, steppers)
+    s = s % 1.0
+    theta = period_operator(h, s, sched)
     return Monodromy(operator=theta, start=s, eig=unitary_eig(theta), scheme=sched)
 
 
@@ -354,7 +357,7 @@ def convergence_ladder(h: PeriodicHamiltonian, order: int,
     Returns the max-norm differences ||Theta(N) - Theta(2N)|| and their
     successive ratios, which should approach 2**order.
     """
-    thetas = [period_operator(h, s, PropagatorSchedule(n, order, s)) for n in steps]
+    thetas = [period_operator(h, s, PropagatorSchedule(n, order)) for n in steps]
     diffs = [max_norm(thetas[i] - thetas[i + 1]) for i in range(len(thetas) - 1)]
     ratios = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1) if diffs[i + 1] > 0]
     return {"steps": list(steps), "differences": diffs, "ratios": ratios}

@@ -16,15 +16,15 @@ acts as V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
 Monodromy holds (Monodromy.apply), and the free factors Theta0^{-+n} act as
 V e^{+-inE} V^H from the one H0 eigendecomposition the model caches, so
 every phase is exact.  No L x L matrix is formed inside the iterate loop.
-The time-averaged operator takes Theta from the Monodromy its TimeAverage
-holds and applies the averaging kernel to the probe block only: the columns
-are propagated through the quadrature nodes and the free factors act through
+The time average applies its kernel to the probe block only: the columns
+are propagated through the quadrature nodes on the Monodromy's schedule,
+with the Magnus steppers the model keeps, and the free factors act through
 the same eigenbasis, so neither the L x L kernel nor a dense U0(t) is formed.
 
 Every function here that needs Theta or its eigenbasis takes the scenario's
 one Monodromy, built by the caller at its start time s; none builds it from
-a schedule.  Only time_average builds a Monodromy (its quadrature shares the
-steps), and start_time_covariance_defect the one at s + shift.
+a schedule, except start_time_covariance_defect, which builds the one at
+s + shift.
 
 The probe subspace used for S-matrix defects is the span of the packets'
 short free orbits {Theta0^j phi}: it contains the scattered packets
@@ -43,7 +43,7 @@ from scipy.sparse.linalg import eigsh
 
 from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
 from .model import LatticeModel
-from .propagation import Monodromy, PropagatorSchedule, monodromy, propagate
+from .propagation import Monodromy, monodromy, propagate
 
 GAP_TOL = 1e-3
 GAP_RUN = 3
@@ -237,69 +237,44 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     )
 
 
-@dataclass
-class TimeAverage:
-    """Trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt as an action on
-    column blocks, and the monodromy at s on whose schedule it is stepped."""
+def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
+                 n_quad: int = 8) -> np.ndarray:
+    """The trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt times a block
+    x of columns, with s = mono.start and mono's schedule.
 
-    model: LatticeModel = field(repr=False)
-    window: float
-    n_quad: int
-    mono: Monodromy = field(repr=False)
-    steppers: dict = field(repr=False)   # the monodromy's, reused by apply
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Kernel times a block x of columns: x is propagated through the nodes t_j
-        in one running sweep, and each U0(t_j)^dagger acts through the H0
-        eigenbasis."""
-        s, sched, drive = self.mono.start, self.mono.scheme, self.model.drive
-        nodes = np.linspace(0.0, self.window, self.n_quad + 1)
-        weights = np.full(self.n_quad + 1, 1.0)
-        weights[0] = weights[-1] = 0.5
-        weights /= weights.sum()
-        out = weights[0] * x        # t_0 = 0: U0(0)^dagger U(s, s) = I
-        for i in range(1, self.n_quad + 1):
-            x = propagate(drive, s + nodes[i - 1], s + nodes[i], sched, initial=x,
-                          steppers=self.steppers)
-            out = out + weights[i] * self.model.free_apply(-nodes[i], x)
-        return out
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """The L x L kernel, formed on first read."""
-        return self.apply(np.eye(self.model.sites, dtype=np.complex128))
-
-
-def time_average(model: LatticeModel, h: float, sched: PropagatorSchedule | None = None,
-                 n_quad: int = 8) -> TimeAverage:
-    """Time average over the window [0, h] from the schedule's start s, with Theta
-    from monodromy() at s.  The kernel itself is not formed: it acts on the
-    columns it is applied to (TimeAverage.apply)."""
+    x is propagated through the nodes t_j in one running sweep, and each
+    U0(t_j)^dagger acts through the H0 eigenbasis; the L x L kernel is not
+    formed unless x is the identity."""
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
-    sched = sched or PropagatorSchedule()
-    steppers = {}   # nodes on the monodromy's step grid reuse its stepper
-    mono = monodromy(model.drive, sched.start, sched, steppers)
-    return TimeAverage(model=model, window=h, n_quad=n_quad, mono=mono, steppers=steppers)
+    s, sched = mono.start, mono.scheme
+    nodes = np.linspace(0.0, h, n_quad + 1)
+    weights = np.full(n_quad + 1, 1.0)
+    weights[0] = weights[-1] = 0.5
+    weights /= weights.sum()
+    out = weights[0] * x        # t_0 = 0: U0(0)^dagger U(s, s) = I
+    for i in range(1, n_quad + 1):
+        x = propagate(model, s + nodes[i - 1], s + nodes[i], sched, initial=x)
+        out = out + weights[i] * model.free_apply(-nodes[i], x)
+    return out
 
 
-def time_averaged_wave_op(average: TimeAverage, direction: int, n_max: int,
-                          probes: ProbeSet) -> np.ndarray:
+def time_averaged_wave_op(model: LatticeModel, mono: Monodromy, direction: int, n_max: int,
+                          probes: ProbeSet, h: float, n_quad: int = 8) -> np.ndarray:
     """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
 
-    Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from the
-    average's start s over its window h (direction +1; time-reversed for -1)
-    by the average's trapezoidal rule in t, using the period factorization
-    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy at s that
-    `average` holds.  Only the probe columns are carried through:
-    Theta^{+-n} through the monodromy's eigenbasis, the kernel's action (the
-    columns propagated through the quadrature nodes), then the exact free
-    factor.  Converges to the same limit as the stroboscopic iterates.
+    Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from
+    s = mono.start over the window h (direction +1; time-reversed for -1)
+    by time_average's trapezoidal rule in t, using the period factorization
+    U(s + t + n, s) = U(s + t, s) Theta^n with Theta the monodromy `mono`.
+    Only the probe columns are carried through: Theta^{+-n} through the
+    monodromy's eigenbasis, the kernel's action, then the exact free factor.
+    Converges to the same limit as the stroboscopic iterates.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    moved = average.mono.apply(direction * n_max, probes.vectors)
-    return average.model.free_apply(-direction * n_max, average.apply(moved))
+    moved = mono.apply(direction * n_max, probes.vectors)
+    return model.free_apply(-direction * n_max, time_average(model, mono, moved, h, n_quad))
 
 
 @dataclass
@@ -405,7 +380,7 @@ def _mode_space_partner(model: LatticeModel, k, space: ModeSpace, phase: float,
     lambda is exact to 1e-4 |lambda - sigma|: within 1e-3 tol for every value
     within 10 tol of sigma, while a value farther away stays beyond tol.
     """
-    fiber = model.h0 + model.drive.mode(0)
+    fiber = model.h0 + model.mode(0)
     centre = float(np.trace(fiber).real) / model.sites
     bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
@@ -447,7 +422,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
 
     infos = []
     if found:
-        k = floquet_operator(model.drive, n_modes).tocsc()
+        k = floquet_operator(model, n_modes).tocsc()
         space = ModeSpace(n_modes, model.sites)
         for phase, _ in found:
             dist, candidates = _mode_space_partner(model, k, space, phase, cross_check_tol)
@@ -496,13 +471,12 @@ def start_time_covariance_defect(model: LatticeModel, mono: Monodromy, n_max: in
     """
     s, sched = mono.start, mono.scheme
     s2 = s + shift
-    sched2 = PropagatorSchedule(sched.steps_per_period, sched.order, s2)
 
     def wave_op(m: Monodromy, x: np.ndarray, t: float) -> np.ndarray:
         """U0(t) Theta0^{-n} Theta^n x."""
         return model.free_apply(t - n_max, m.apply(n_max, x))
 
-    lhs = wave_op(monodromy(model.drive, s2, sched2),
-                  propagate(model.drive, s, s2, sched, initial=probes.vectors), 0.0)
+    lhs = wave_op(monodromy(model, s2, sched),
+                  propagate(model, s, s2, sched, initial=probes.vectors), 0.0)
     rhs = wave_op(mono, probes.vectors, shift)
     return float(np.linalg.norm(lhs - rhs, axis=0).max())

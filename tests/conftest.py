@@ -52,7 +52,7 @@ def driven_well_64():
 
 @pytest.fixture(scope="session")
 def driven_well_64_monodromy(driven_well_64, accurate_sched):
-    return monodromy(driven_well_64.drive, 0.0, accurate_sched)
+    return monodromy(driven_well_64, 0.0, accurate_sched)
 
 
 @pytest.fixture(scope="session")

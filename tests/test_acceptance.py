@@ -52,7 +52,6 @@ from floqscat.scattering import (
     orthogonality_defect,
     s_matrix,
     stroboscopic_wave_op,
-    time_average,
     time_averaged_wave_op,
     wrap_horizon,
 )
@@ -73,7 +72,7 @@ def fleet_monos():
 @pytest.fixture(scope="module")
 def driven_256():
     lat = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
-    mono = monodromy(lat.drive, 0.0, SCHED)
+    mono = monodromy(lat, 0.0, SCHED)
     probes = make_probes(lat)
     n_max = wrap_horizon(lat)
     wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
@@ -84,7 +83,7 @@ def driven_256():
 @pytest.fixture(scope="module")
 def driven_64():
     lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
-    mono = monodromy(lat.drive, 0.0, SCHED)
+    mono = monodromy(lat, 0.0, SCHED)
     return lat, mono
 
 
@@ -239,7 +238,7 @@ def test_criterion_7_wave_operators(driven_256):
     assert rep.isometry_defect <= 1e-3
     assert rep.unitarity_defect <= 5e-3
     assert rep.intertwining_defect <= 5e-3
-    avg = time_averaged_wave_op(time_average(lat, 1.0, SCHED), +1, wp.n_max, probes)
+    avg = time_averaged_wave_op(lat, mono, +1, wp.n_max, probes, 1.0)
     use = wp.converged & wm.converged
     avg_diff = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
     assert avg_diff <= 2e-3
@@ -255,7 +254,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
     lat, mono = driven_64
     infos = bound_state_scan(lat, mono, n_modes=12, cross_check_tol=1e-5)
     assert len(infos) >= 1
-    spec = quasi_spectrum(build_floquet(lat.drive, 12))
+    spec = quasi_spectrum(build_floquet(lat, 12))
     window = lat.support_window(4)
     mask = np.zeros(lat.sites, bool)
     mask[window] = True
@@ -266,7 +265,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
     worst_shift = 0.0
     for b in infos:
         d_floq = circular_distance(b.quasi_energy, floq_folded).min()
-        verdict = bound_state_correspondence(ScanOperators(lat.drive, 6), b.quasi_energy)
+        verdict = bound_state_correspondence(ScanOperators(lat, 6), b.quasi_energy)
         assert verdict.confirmed, f"null scan rejected {b.quasi_energy}"
         d_scan = abs(verdict.refined - b.quasi_energy)
         assert d_floq <= 1e-5 and d_scan <= 1e-5

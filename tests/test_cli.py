@@ -354,6 +354,19 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_unitary_monodromy_exit_3(self, tmp_path, monkeypatch):
+        # check_unitary's NonUnitaryError is a numerical failure, not a crash
+        import floqscat.cli as cli
+        import floqscat.propagation as propagation
+
+        monkeypatch.setattr(propagation, "period_operator",
+                            lambda h, *args: 1.001 * np.eye(h.dim, dtype=complex))
+        cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+               "parameters": {"steps_per_period": 8, "order": 2, "self_convergence": False}}
+        path, code, message = cli._run_one(str(write_config(tmp_path, cfg)), str(tmp_path), None)
+        assert (path, code) == (None, 3)
+        assert message.startswith("numerical failure") and "not unitary" in message
+
     def test_detector_disagreement_exit_3(self, tmp_path, capsys):
         # a coarse monodromy misplaces the bound phase against the mode space
         cfg = {
@@ -544,6 +557,16 @@ class TestOneMonodromyPerScenario:
                 monkeypatch.setattr(module, "monodromy", spy)
         run_scenario({"task": task, "model": model, "parameters": {**params, "start": 0.25}})
         assert starts == [0.25]
+
+    @pytest.mark.parametrize("start, reduced", [(1e17, 0.0), (1.25, 0.25)])
+    def test_start_taken_mod_one(self, start, reduced):
+        # Theta(s) has period 1 in s; stepped from 1e17, s + 1/2 == s would give I
+        def results(s):
+            cfg = {"task": "monodromy", "model": RABI,
+                   "parameters": {"steps_per_period": 16, "start": s}}
+            return run_scenario(cfg)["results"]
+
+        assert results(start) == results(reduced)
 
 
 class TestFieldTables:

@@ -136,7 +136,7 @@ class TestCorrespondence:
 
     def test_modes_resummed_at_the_monodromy_start(self, rabi):
         # Theta(s) phi(s) = e^{-i lambda} phi(s): the modes are read at s = mono.start
-        mono = monodromy(rabi, 0.25, PropagatorSchedule(512, 4, 0.25))
+        mono = monodromy(rabi, 0.25, PropagatorSchedule(512, 4))
         assert correspondence_report(rabi, 20, mono).mode_eigen_defect <= 1e-10
 
     def test_truncation_ladder_monotone(self, rabi, accurate_sched):
@@ -216,7 +216,7 @@ class TestIndexAssembly:
         from floqscat.floquet import ModeSpace, floquet_operator
         from floqscat.model import build_lattice
 
-        ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)).drive
+        ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         for h in [ring, *fleet_models]:
             space = ModeSpace(n_modes, h.dim)
             couplings = {m: hm for m, hm in h.modes.items() if m != 0}

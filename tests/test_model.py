@@ -119,14 +119,14 @@ class TestLattice:
 
     def test_static_well_single_site(self):
         lat = build_lattice(8, 1.0, -1.0, 0.0, [0])
-        full = lat.drive.evaluate(0.25)
+        full = lat.evaluate(0.25)
         want = lat.h0.copy()
         want[0, 0] += -1.0
         assert np.abs(full - want).max() < 1e-12
 
     def test_driven_well_invariants(self):
         lat = build_lattice(64, 1.0, -2.0, 0.5, range(29, 34))
-        h = lat.drive
+        h = lat
         h.validate()
         rng = np.random.default_rng(10)
         for t in rng.uniform(0, 1, size=20):

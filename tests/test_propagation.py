@@ -154,7 +154,7 @@ def magnus_cases():
     from floqscat.model import build_lattice, fleet, rabi_model
 
     return {
-        "ring-40": (build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)).drive, 64),
+        "ring-40": (build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)), 64),
         "rabi": (rabi_model(0.3, 0.8), 64),
         "two-harmonic-d4": (fleet()[2], 64),
         "large-norm-d4": (scaled(fleet()[2], 25.0), 8),
@@ -217,7 +217,7 @@ class TestMagnusStepper:
         # subnormal ones would slow every later product many times over
         from floqscat.model import build_lattice
 
-        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).drive
+        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
         parts = np.abs(propagate(ring, 0.0, 1.0, PropagatorSchedule(32, 2)).view(np.float64))
         assert not ((parts > 0) & (parts < np.finfo(np.float64).tiny)).any()
 
@@ -247,7 +247,7 @@ class TestHalfPeriod:
         from floqscat.propagation import reflection_symmetric
 
         h, steps = magnus_cases()[name]
-        sched = PropagatorSchedule(steps, order, start)
+        sched = PropagatorSchedule(steps, order)
         full = propagate(h, start, start + 1.0, sched)
         spans = record_propagate_spans(monkeypatch)
         mono = monodromy(h, start, sched)
@@ -265,7 +265,7 @@ class TestHalfPeriod:
         from floqscat.propagation import period_operator, reflection_symmetric
 
         h, _ = magnus_cases()[name]
-        sched = PropagatorSchedule(steps, 4, start)
+        sched = PropagatorSchedule(steps, 4)
         full = propagate(h, start, start + 1.0, sched)
         spans = record_propagate_spans(monkeypatch)
         assert not reflection_symmetric(h, start, sched)
@@ -283,7 +283,7 @@ class TestHalfPeriod:
         from floqscat.model import build_lattice
         from floqscat.propagation import period_operator, reflection_symmetric
 
-        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).drive
+        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
         sched = PropagatorSchedule(32, 2)
         assert reflection_symmetric(ring, 0.0, sched)
         parts = np.abs(period_operator(ring, 0.0, sched).view(np.float64))

@@ -290,7 +290,7 @@ class TestBoundStates:
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
         assert len(infos) >= 1
         b = infos[0]
-        verdict = bound_state_correspondence(ScanOperators(driven_well_64.drive, 6),
+        verdict = bound_state_correspondence(ScanOperators(driven_well_64, 6),
                                              b.quasi_energy)
         assert verdict.confirmed
         assert abs(verdict.refined - b.quasi_energy) <= 1e-5
@@ -301,7 +301,7 @@ class TestBoundStates:
 
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
         lam = infos[0].quasi_energy
-        verdict = bound_state_correspondence(ScanOperators(driven_well_64.drive, 6),
+        verdict = bound_state_correspondence(ScanOperators(driven_well_64, 6),
                                              lam + 2 * np.pi)
         assert verdict.confirmed
         assert abs(verdict.refined - (lam + 2 * np.pi)) <= 1e-5
@@ -319,7 +319,7 @@ class TestSmallestSingularPair:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
     def test_matches_dense_svd(self, driven_well_64, bound_phase, eps):
-        h = driven_well_64.drive
+        h = driven_well_64
         space = ModeSpace(self.N, h.dim)
         zeta = bound_phase + 1j * eps
         k, k0 = floquet_operator(h, self.N), space.assemble(h.h0)
@@ -341,7 +341,7 @@ class TestSmallestSingularPair:
         assert np.linalg.norm(phi - phase * v) <= 1e-10
 
     def test_nonconvergence_raises(self, driven_well_64, bound_phase, monkeypatch):
-        h = driven_well_64.drive
+        h = driven_well_64
         monkeypatch.setattr(resolvent, "INVERSE_ITERATION_MAXITER", 1)
         with pytest.raises(InverseIterationError):
             ScanOperators(h, self.N).null_pair(bound_phase + 1e-4j)
@@ -368,7 +368,7 @@ class TestRayleighRefinement:
         from floqscat.scattering import bound_state_scan
 
         lat = build_lattice(40, 1.0, -1.7, 0.45, range(19, 22))
-        infos = bound_state_scan(lat, monodromy(lat.drive, 0.0, PropagatorSchedule(256, 4)),
+        infos = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(256, 4)),
                                  n_modes=8)
         return lat, [b.quasi_energy for b in infos]
 
@@ -388,16 +388,16 @@ class TestRayleighRefinement:
 
     def test_driven_well_refined_at_eigenvalue(self, driven_well_64, well_candidates):
         assert len(well_candidates) == 3
-        self._check_at_eigenvalue(driven_well_64.drive, 6, well_candidates)
+        self._check_at_eigenvalue(driven_well_64, 6, well_candidates)
 
     def test_ring_slot_refined_at_eigenvalue(self, ring_slot):
         lat, candidates = ring_slot
         assert len(candidates) == 2
-        self._check_at_eigenvalue(lat.drive, 4, candidates)
+        self._check_at_eigenvalue(lat, 4, candidates)
 
     def test_at_most_six_evaluations_per_verdict(self, ring_slot, monkeypatch):
         lat, candidates = ring_slot
-        scan = ScanOperators(lat.drive, 4)
+        scan = ScanOperators(lat, 4)
         factorizations = []   # one sparse LU of K - zeta per null-scan evaluation
         monkeypatch.setattr(resolvent, "splu", lambda a: factorizations.append(a) or splu(a))
         for lam in candidates:
@@ -407,7 +407,7 @@ class TestRayleighRefinement:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-13])
     def test_prepared_shift_bit_identical(self, driven_well_64, well_candidates, eps):
-        h = driven_well_64.drive
+        h = driven_well_64
         k, k0 = floquet_operator(h, 6), ModeSpace(6, h.dim).assemble(h.h0)
         zeta = well_candidates[0] + 1j * eps
         scan = ScanOperators(h, 6)

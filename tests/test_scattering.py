@@ -37,7 +37,7 @@ def free_ring():
 
 @pytest.fixture(scope="module")
 def free_ring_mono(free_ring):
-    return monodromy(free_ring.drive, 0.0, CHEAP)
+    return monodromy(free_ring, 0.0, CHEAP)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def driven_256():
 
 @pytest.fixture(scope="module")
 def driven_256_run(driven_256):
-    mono = monodromy(driven_256.drive, 0.0, CHEAP)
+    mono = monodromy(driven_256, 0.0, CHEAP)
     probes = make_probes(driven_256)
     n_max = wrap_horizon(driven_256)
     wp = stroboscopic_wave_op(driven_256, +1, n_max, mono, probes)
@@ -131,9 +131,9 @@ class TestDrivenWell:
         assert defect <= 5e-3
 
     def test_time_averaged_agreement(self, driven_256, driven_256_run):
-        _, probes, wp, wm = driven_256_run
+        mono, probes, wp, wm = driven_256_run
         use = wp.converged & wm.converged
-        avg = time_averaged_wave_op(time_average(driven_256, 1.0, CHEAP), +1, wp.n_max, probes)
+        avg = time_averaged_wave_op(driven_256, mono, +1, wp.n_max, probes, 1.0)
         diff = np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
         assert diff <= 2e-3
 
@@ -141,9 +141,9 @@ class TestDrivenWell:
         lat = build_lattice(256, 1.0, -1.0, 0.0, range(126, 131))
         probes = make_probes(lat)
         n_max = wrap_horizon(lat)
-        average = time_average(lat, 1.0 / 64, CHEAP, n_quad=4)
-        wp = stroboscopic_wave_op(lat, +1, n_max, average.mono, probes)
-        avg = time_averaged_wave_op(average, +1, n_max, probes)
+        mono = monodromy(lat, 0.0, CHEAP)
+        wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
+        avg = time_averaged_wave_op(lat, mono, +1, n_max, probes, 1.0 / 64, n_quad=4)
         use = wp.converged
         diff = np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max()
         assert diff <= 1e-3
@@ -151,28 +151,21 @@ class TestDrivenWell:
     def test_time_averaged_from_schedule_start(self, driven_well_64):
         # the quadrature built directly from U(s + t_j, s) and the monodromy at s
         s, window, n_max, n_quad = 0.25, 0.5, 4, 4
-        sched = PropagatorSchedule(64, 4, s)
+        sched = PropagatorSchedule(64, 4)
         lat = driven_well_64
         probes = make_probes(lat)
-        theta = monodromy(lat.drive, s, sched).operator
+        mono = monodromy(lat, s, sched)
+        theta = mono.operator
         theta0 = expm_hermitian(lat.h0, 1.0)
         nodes = np.linspace(0.0, window, n_quad + 1)
         weights = np.full(n_quad + 1, 1.0 / n_quad)
         weights[0] = weights[-1] = 0.5 / n_quad
-        kernel = sum(w * expm_hermitian(lat.h0, t).conj().T @ propagate(lat.drive, s, s + t, sched)
+        kernel = sum(w * expm_hermitian(lat.h0, t).conj().T @ propagate(lat, s, s + t, sched)
                      for w, t in zip(weights, nodes))
         want = (np.linalg.matrix_power(theta0.conj().T, n_max) @ kernel
                 @ np.linalg.matrix_power(theta, n_max) @ probes.vectors)
-        got = time_averaged_wave_op(time_average(lat, window, sched, n_quad), +1, n_max, probes)
+        got = time_averaged_wave_op(lat, mono, +1, n_max, probes, window, n_quad)
         assert np.abs(got - want).max() <= 1e-12
-
-    @pytest.mark.parametrize("start, window", [(0.0, 1.0), (0.25, 0.5)])
-    def test_time_average_theta_is_the_monodromy(self, driven_well_64, start, window):
-        # one running product through the nodes and on to s + 1: on the step
-        # grid it rounds exactly like monodromy()
-        sched = PropagatorSchedule(64, 4, start)
-        got = time_average(driven_well_64, window, sched).mono.operator
-        assert np.array_equal(got, monodromy(driven_well_64.drive, start, sched).operator)
 
     def test_monodromy_eigenpairs_to_round_off(self, driven_256_run):
         # the bipartite ring's near-pairs of eigenphases +-theta share a cluster
@@ -228,13 +221,12 @@ class TestDrivenWell:
         for name, want in dense.items():
             assert np.abs(getattr(rep, name) - want).max() <= 1e-12, name
 
-        average = time_average(lat, 1.0, CHEAP)
-        kernel = average.kernel
+        kernel = time_average(lat, mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
         for direction, want in (
             (+1, power(theta0.conj().T, n) @ kernel @ power(theta, n) @ probes.vectors),
             (-1, power(theta0, n) @ kernel @ power(theta.conj().T, n) @ probes.vectors),
         ):
-            got = time_averaged_wave_op(average, direction, n, probes)
+            got = time_averaged_wave_op(lat, mono, direction, n, probes, 1.0)
             assert np.abs(got - want).max() <= 1e-12
 
     def test_horizon_enforced(self, driven_256, driven_256_run):
@@ -245,9 +237,9 @@ class TestDrivenWell:
 class TestBoundStateScan:
     def test_static_well_count_matches_direct_diagonalization(self, driven_well_64):
         lat = build_lattice(64, 1.0, -2.0, 0.0, range(30, 35))
-        infos = bound_state_scan(lat, monodromy(lat.drive, 0.0, CHEAP), n_modes=2)
+        infos = bound_state_scan(lat, monodromy(lat, 0.0, CHEAP), n_modes=2)
         # oracle: localized eigenvectors of the static Hamiltonian
-        h_static = (lat.h0 + lat.drive.mode(0)).real
+        h_static = (lat.h0 + lat.mode(0)).real
         evals, evecs = np.linalg.eigh(h_static)
         window = lat.support_window(4)
         mask = np.zeros(64, bool)
@@ -261,9 +253,9 @@ class TestBoundStateScan:
 
     def test_driven_well_stable_under_step_doubling(self, driven_well_64):
         coarse = bound_state_scan(driven_well_64, monodromy(
-            driven_well_64.drive, 0.0, PropagatorSchedule(256, 4)), n_modes=8)
+            driven_well_64, 0.0, PropagatorSchedule(256, 4)), n_modes=8)
         fine = bound_state_scan(driven_well_64, monodromy(
-            driven_well_64.drive, 0.0, PropagatorSchedule(512, 4)), n_modes=8)
+            driven_well_64, 0.0, PropagatorSchedule(512, 4)), n_modes=8)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a.quasi_energy - b.quasi_energy) <= 1e-4
@@ -272,7 +264,7 @@ class TestBoundStateScan:
         # N = EDGE_BLOCKS flags every driven mode-space state as an edge state
         lat = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         with pytest.raises(DetectorDisagreementError) as info:
-            bound_state_scan(lat, monodromy(lat.drive, 0.0, PropagatorSchedule(64, 4)),
+            bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(64, 4)),
                              n_modes=EDGE_BLOCKS)
         assert info.value.candidates == 0
 
@@ -292,8 +284,8 @@ class TestBoundStateScan:
                                   "n_modes": 8, "verify": False}}
             return [b["localization"] for b in run_scenario(cfg)["results"]["bound_states"]]
 
-        sched = PropagatorSchedule(64, 4, 0.25)
-        eig = monodromy(driven_well_64.drive, 0.25, sched).eig
+        sched = PropagatorSchedule(64, 4)
+        eig = monodromy(driven_well_64, 0.25, sched).eig
         score, bound = _localization(driven_well_64, np.abs(eig.vectors) ** 2)
         phases = np.mod(-np.angle(eig.values), 2 * np.pi)
         want = [score[j] for j in sorted(np.flatnonzero(bound), key=lambda j: phases[j])]
@@ -303,10 +295,10 @@ class TestBoundStateScan:
     def test_sparse_partner_matches_dense_spectrum(self, driven_well_64, driven_well_64_monodromy):
         n_modes, tol = 8, 1e-5
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes)
-        spec = quasi_spectrum(build_floquet(driven_well_64.drive, n_modes))
+        spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
         _, localized = _localization(driven_well_64, spec.spatial_mass())
         dense = spec.folded[localized & spec.interior]
-        k = floquet_operator(driven_well_64.drive, n_modes).tocsc()
+        k = floquet_operator(driven_well_64, n_modes).tocsc()
         space = ModeSpace(n_modes, driven_well_64.sites)
         assert len(infos) >= 2
         for b in infos:
@@ -332,10 +324,30 @@ class TestFreeEvolution:
         lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
         sched = PropagatorSchedule(16, 2)
         probes = make_probes(lat)
-        average = time_average(lat, 1.0, sched)
-        time_averaged_wave_op(average, +1, 2, probes)
-        start_time_covariance_defect(lat, average.mono, 2, probes)
+        mono = monodromy(lat, 0.0, sched)
+        time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
+        start_time_covariance_defect(lat, mono, 2, probes)
         assert len(calls) == 1 and calls[0] is lat.h0
+
+    def test_one_stepper_per_step_width(self, monkeypatch):
+        # the model keeps its steppers: the monodromy, the time average's nodes
+        # and both sides of the covariance defect step at dt = 1/16
+        import floqscat.propagation as propagation
+
+        builds, init = [], propagation.MagnusStepper.__init__
+
+        def spy(self, h, dt, order):
+            builds.append((dt, order))
+            init(self, h, dt, order)
+
+        monkeypatch.setattr(propagation.MagnusStepper, "__init__", spy)
+        lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
+        sched = PropagatorSchedule(16, 2)
+        probes = make_probes(lat)
+        mono = monodromy(lat, 0.0, sched)
+        time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
+        start_time_covariance_defect(lat, mono, 2, probes)
+        assert builds == [(1 / 16, 2)]
 
 
 class TestPartnerTolerance:
@@ -347,7 +359,7 @@ class TestPartnerTolerance:
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes,
                                  cross_check_tol=tol)
         phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
-        k = floquet_operator(driven_well_64.drive, n_modes).tocsc()
+        k = floquet_operator(driven_well_64, n_modes).tocsc()
         space = ModeSpace(n_modes, driven_well_64.sites)
         requested = []
 
@@ -375,11 +387,11 @@ class TestProbeBlockAverage:
         # quadrature nodes, and neither the L x L kernel nor a dense free
         # propagator formed
         lat, n_max = driven_well_64, 3
-        sched = PropagatorSchedule(64, 4, 0.0)
+        sched = PropagatorSchedule(64, 4)
         probes = make_probes(lat)
-        average = time_average(lat, 1.0, sched)
-        assert np.array_equal(average.mono.operator, monodromy(lat.drive, 0.0, sched).operator)
-        assert len(average.steppers) == 1    # monodromy and nodes share the step width
+        # the session's model keeps its steppers: count the ones this test adds
+        monkeypatch.setattr(lat, "steppers", {})
+        mono = monodromy(lat, 0.0, sched)
         widths, inner = [], scattering.propagate
 
         def spy(h, s, t, sched, initial=None, **kwargs):
@@ -388,10 +400,11 @@ class TestProbeBlockAverage:
 
         monkeypatch.setattr(scattering, "propagate", spy)
         monkeypatch.setattr(lat, "free_propagator", lambda t: pytest.fail("dense U0(t)"))
-        got = time_averaged_wave_op(average, +1, n_max, probes)
+        got = time_averaged_wave_op(lat, mono, +1, n_max, probes, 1.0)
         assert widths == [probes.count] * 8
-        assert "kernel" not in vars(average)
+        assert len(lat.steppers) == 1    # monodromy and nodes share the step width
         monkeypatch.undo()
-        moved = np.linalg.matrix_power(average.mono.operator, n_max) @ probes.vectors
-        want = lat.free_apply(-n_max, average.kernel @ moved)
+        moved = np.linalg.matrix_power(mono.operator, n_max) @ probes.vectors
+        kernel = time_average(lat, mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
+        want = lat.free_apply(-n_max, kernel @ moved)
         assert np.abs(got - want).max() <= 1e-12
