@@ -47,7 +47,8 @@ from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondenc
                       quasi_spectrum, shift_commutation_defect)
 from .model import LatticeModel, build_lattice, rabi_model
 from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
-from .propagation import MIN_STEPS, ORDERS, PropagatorSchedule, monodromy, period_operator
+from .propagation import (MIN_STEPS, ORDERS, PropagatorSchedule, StepPlanError, monodromy,
+                          period_operator)
 from .resolvent import (MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
                         ThresholdProximityError, TimeGridFunction, block_q,
                         bound_state_correspondence, factorized_potential, grid_potential,
@@ -374,7 +375,7 @@ def run_wave_operators(model, params, rng):
     report = s_matrix(wp, wm, translates=params["translates"])
     avg = time_averaged_wave_op(model, mono, +1, n_max, probes, params["average_window"])
     use = wp.converged & wm.converged
-    avg_agreement = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
+    avg_agreement = float(np.linalg.norm((avg - wp.image(n_max))[:, use], axis=0).max())
     return {
         "converged_fraction": converged_fraction,
         "final_gap_max": float(max(wp.cauchy_gaps[-1].max(), wm.cauchy_gaps[-1].max())),
@@ -438,7 +439,10 @@ def run_scenario(cfg: dict, seed: int | None = None) -> dict:
         raise ValidationError("model", f"{task} requires a lattice model")
     params = parse(parsed["parameters"], PARAMETERS[task], "parameters", model)
     rng = np.random.default_rng(seed) if seed is not None else None
-    results = RUNNERS[task](model, params, rng)
+    try:
+        results = RUNNERS[task](model, params, rng)
+    except StepPlanError as exc:   # raised when the stepper is planned, before any step
+        raise ValueRangeError("parameters.steps_per_period", str(exc)) from exc
     return {
         "task": task,
         "config_sha256": config_hash(cfg),

@@ -14,7 +14,8 @@ encoded as modes {-1, 0, 1}; it adds the hopping and the support that the
 probe packets and the localization window read.
 
 Every model owns what is built once from it: the H0 eigendecomposition
-behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`) and the
+behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`), the free
+one-period operator U0(1) (`free_period`, read-only) and the
 Magnus steppers of each step width and order it is propagated with
 (`steppers`, filled by propagation.propagate).
 """
@@ -100,6 +101,14 @@ class PeriodicHamiltonian:
     def _free(self) -> HermitianExponential:
         return HermitianExponential(self.h0)
 
+    @cached_property
+    def free_period(self) -> np.ndarray:
+        """Theta0 = U0(1) = exp(-i H0), the free one-period operator: the bits of
+        free_propagator(1.0), formed once per model and read-only."""
+        theta0 = self._free(1.0)
+        theta0.flags.writeable = False
+        return theta0
+
     def free_propagator(self, t: float) -> np.ndarray:
         """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
         one eigendecomposition of H0 per model."""
@@ -155,6 +164,14 @@ class LatticeModel(PeriodicHamiltonian):
         return np.unique(idx)
 
 
+def ring_h0(sites: int, hopping: float) -> np.ndarray:
+    """The free ring's tridiagonal hopping with periodic closure: H0[i, i+-1 mod L] = -hopping."""
+    h0 = np.zeros((sites, sites), dtype=np.complex128)
+    i = np.arange(sites)
+    h0[i, (i + 1) % sites] = h0[(i + 1) % sites, i] = -hopping
+    return h0
+
+
 def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: float,
                   support, label: str = "") -> LatticeModel:
     """Ring lattice with a static well and cosine drive on a support window.
@@ -168,10 +185,7 @@ def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: floa
     support = np.asarray(support, dtype=int)
     if support.size == 0 or support.min() < 0 or support.max() >= sites:
         raise ValueError(f"support {support} outside lattice [0, {sites})")
-    h0 = np.zeros((sites, sites), dtype=np.complex128)
-    for i in range(sites):
-        h0[i, (i + 1) % sites] = -hopping
-        h0[(i + 1) % sites, i] = -hopping
+    h0 = ring_h0(sites, hopping)
     well = np.zeros(sites)
     well[support] = well_depth
     drv = np.zeros(sites)

@@ -26,6 +26,27 @@ transposes of the first half's in reverse order, so Theta = A^T A with
 A = U(s + 1/2, s) costs N/2 steps (`period_operator`); every other model
 and schedule takes all N.  Theta(s) has period 1 in s, and `monodromy`
 forms it at s mod 1, the start its Monodromy records.
+
+A third route serves the driven ring (`window_block`).  Where a LatticeModel's
+h0 is exactly the nearest-neighbour ring of its hopping and every mode
+vanishes off potential_support, E = Theta - Theta0, Theta0 = U0(1), lives on a
+window around the support: one period of free motion carries amplitude
+|U0(1)_xy| <= |hopping|^|x-y| / |x-y|! (Abramowitz & Stegun 9.1.62) and no
+farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).  With
+r the smallest radius where that bound falls to unit round-off (19 at
+hopping 1, `light_cone_radius`), the model is sliced to the open segment of
+sites within 2r of the support and stepped there on the same schedule and
+start (half path included), and E_w is the block of Theta_seg - U0_seg(1) on
+the sites within r.  Its border rows and columns must be at most
+WINDOW_BORDER_TOL, checked on every build, or r doubles; a ring whose segment
+would exceed half its sites takes the stepped route.  Theta = Theta0 + P E_w P^T
+then costs a copy of the model's U0(1) and a segment of ~4r sites, whatever
+the ring's size; the Monodromy keeps the window and E_w, so the wave
+operators act with Theta without multiplying by it.
+
+A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
+applications of Omega is rejected when its stepper is planned
+(StepPlanError), before any step is taken.
 """
 
 from __future__ import annotations
@@ -37,7 +58,7 @@ from math import lgamma, log
 import numpy as np
 import scipy.sparse as sp
 
-from .model import PeriodicHamiltonian
+from .model import LatticeModel, PeriodicHamiltonian, ring_h0
 from .numerics import (EigenDecomposition, expm_hermitian, max_norm, require_hermitian,
                        unitary_eig)
 
@@ -54,6 +75,20 @@ _FLUSH_BELOW = 2.0**-200
 # at most this many (16 bytes each), so a long sweep over a dense pattern does
 # not hold every step's entries at once
 _ENTRY_BLOCK = 2**12
+# Taylor applications of Omega per step above which a stepper is not built:
+# every shipped config, test and benchmark schedule plans at most 1760 (the
+# d = 4 two-harmonic model at 8 steps, order 4; the 256-site ring plans 14 at
+# 8 steps, 8 at 64 and 5 at 512), while {"builtin": "rabi", "v": 1e6} at 8
+# steps plans 55 x 26299 and would run for half a minute before failing
+MAX_TAYLOR_APPLICATIONS = 2**15
+# the largest entry E_w's border rows and columns may hold: E decays faster
+# than geometrically away from the support, so a border this small leaves
+# what lies beyond it below round-off
+WINDOW_BORDER_TOL = 1e-13
+
+
+class StepPlanError(ValueError):
+    """A step whose Taylor plan exceeds MAX_TAYLOR_APPLICATIONS: too few steps per period."""
 
 
 def flush(u: np.ndarray) -> np.ndarray:
@@ -136,6 +171,11 @@ class MagnusStepper:
             bound += _GAUSS_OFFSET * bound**2
             ops += [ops[i] @ ops[j] - ops[j] @ ops[i] for i, j in self.pairs.T]
         self.degree, self.substeps = taylor_plan(bound)
+        if self.degree * self.substeps > MAX_TAYLOR_APPLICATIONS:
+            raise StepPlanError(
+                f"a step of width {dt:.3g} needs {self.degree} x {self.substeps} Taylor "
+                f"applications (||Omega||_1 <= {bound:.3g}), above the ceiling of "
+                f"{MAX_TAYLOR_APPLICATIONS}: take more steps per period")
 
         for op in ops:
             op.eliminate_zeros()
@@ -263,12 +303,15 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
 
 @dataclass
 class Monodromy:
-    """One-period propagator U(s + 1, s) with its eigendecomposition."""
+    """One-period propagator U(s + 1, s) with its eigendecomposition; on the window
+    route also the window and E_w, the block of Theta - U0(1) on it (zero elsewhere)."""
 
     operator: np.ndarray
     start: float
     eig: EigenDecomposition
     scheme: PropagatorSchedule
+    window: np.ndarray | None = None
+    block: np.ndarray | None = None
 
     @property
     def quasi_energies(self) -> np.ndarray:
@@ -295,9 +338,64 @@ def reflection_symmetric(h: PeriodicHamiltonian, s: float, sched: PropagatorSche
             and all(np.array_equal(h.modes[-n], m.T) for n, m in h.modes.items()))
 
 
+def light_cone_radius(hopping: float) -> int:
+    """The smallest r with |hopping|^r / r! <= unit round-off: the bound on
+    |U0(1)_xy| at |x - y| = r on the ring (19 at hopping 1)."""
+    r, bound = 0, 1.0
+    while bound > _UNIT_ROUNDOFF:
+        r += 1
+        bound *= abs(hopping) / r
+    return r
+
+
+def _local_ring(h: LatticeModel) -> bool:
+    """Whether h0 is exactly the nearest-neighbour ring of the hopping and every
+    mode vanishes off potential_support."""
+    off = np.ones(h.sites, dtype=bool)
+    off[h.potential_support] = False
+    return np.array_equal(h.h0, ring_h0(h.sites, h.hopping)) and \
+        not any(m[off].any() or m[:, off].any() for m in h.modes.values())
+
+
+def window_block(h: PeriodicHamiltonian, s: float,
+                 sched: PropagatorSchedule) -> tuple[np.ndarray, np.ndarray] | None:
+    """(window, E_w) with Theta = U0(1) + P E_w P^T, or None where the route does not apply.
+
+    For a LatticeModel that is a `_local_ring`, the model is sliced to the open
+    segment of sites within 2r of the support, r = light_cone_radius(hopping),
+    and its Theta_seg is taken on `sched` from s by `period_operator`; E_w is
+    Theta_seg - U0_seg(1) on the sites within r.  Where a border row or column
+    of E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the segment would
+    exceed half the ring.
+    """
+    if not isinstance(h, LatticeModel):
+        return None
+    lo, hi = int(h.potential_support.min()), int(h.potential_support.max())
+    r = light_cone_radius(h.hopping)
+    while 2 * (hi - lo + 1 + 4 * r) <= h.sites and _local_ring(h):
+        segment = np.arange(lo - 2 * r, hi + 2 * r + 1) % h.sites
+        cut = np.ix_(segment, segment)
+        part = PeriodicHamiltonian(h.h0[cut], {n: m[cut] for n, m in h.modes.items()})
+        inner = slice(r, len(segment) - r)
+        block = (period_operator(part, s, sched) - part.free_period)[inner, inner]
+        border = np.abs(np.concatenate([block[[0, -1]].ravel(), block[:, [0, -1]].ravel()]))
+        if border.max() <= WINDOW_BORDER_TOL:
+            return segment[inner], block
+        r *= 2
+    return None
+
+
+def _with_block(h: PeriodicHamiltonian, window: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """U0(1) + P block P^T, on a copy of the model's read-only U0(1), flushed."""
+    theta = h.free_period.copy()
+    theta[np.ix_(window, window)] += block
+    return flush(theta)
+
+
 def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
                     sched: PropagatorSchedule | None = None) -> np.ndarray:
-    """The one-period operator U(s + 1, s), from half a period where the model allows.
+    """The one-period operator U(s + 1, s): from the free ring and a window block
+    where `window_block` applies, else from half a period where the model allows.
 
     Under `reflection_symmetric`, step N-1-k's Magnus exponent is the
     transpose of step k's (the midpoint exponent and the Gauss-Magnus one
@@ -308,6 +406,9 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
     Theta is flushed like every step.  Otherwise all N steps are taken.
     """
     sched = sched or PropagatorSchedule()
+    block = window_block(h, s, sched)
+    if block is not None:
+        return _with_block(h, *block)
     if not reflection_symmetric(h, s, sched):
         return propagate(h, s, s + 1.0, sched)
     half = propagate(h, s, s + 0.5, sched)
@@ -316,15 +417,19 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
 
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
               sched: PropagatorSchedule | None = None) -> Monodromy:
-    """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition.
+    """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition, with
+    the window and E_w where `window_block` applies.
 
     Theta is formed, and its start recorded, at s mod 1: the same operator,
     whose steps from a large s would lose their offsets to rounding (at
     s = 1e17, s + 1/2 == s and Theta would come out as I)."""
     sched = sched or PropagatorSchedule()
     s = s % 1.0
-    theta = period_operator(h, s, sched)
-    return Monodromy(operator=theta, start=s, eig=unitary_eig(theta), scheme=sched)
+    block = window_block(h, s, sched)
+    theta = period_operator(h, s, sched) if block is None else _with_block(h, *block)
+    window, defect = block or (None, None)
+    return Monodromy(operator=theta, start=s, eig=unitary_eig(theta), scheme=sched,
+                     window=window, block=defect)
 
 
 def check_cocycle(h: PeriodicHamiltonian, s: float, r: float, t: float,

@@ -15,7 +15,15 @@ computed: every reported number uses W on a block of at most
 acts as V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
 Monodromy holds (Monodromy.apply), and the free factors Theta0^{-+n} act as
 V e^{+-inE} V^H from the one H0 eigendecomposition the model caches, so
-every phase is exact.  No L x L matrix is formed inside the iterate loop.
+every phase is exact.  No L x L matrix is formed inside the iterate loop, and
+the loop never multiplies by Theta: it takes Theta = Theta0 + P E_w P^T from
+the Monodromy (on the driven ring E_w is the window block of
+propagation.window_block; otherwise the window is every site and
+E_w = Theta - Theta0), so an iterate costs one L x L x p product with the
+model's U0(1) and one on the window, and the Cauchy gap ||(Theta - Theta0) x||
+is the norm of the window product.  The iterates Theta^{+-n} phi are kept and
+the images W^(n) phi = Theta0^{-+n} Theta^{+-n} phi are formed when read; a
+wave-operators run reads only the image at n_max.
 The time average applies its kernel to the probe block only: the columns
 are propagated through the quadrature nodes on the Monodromy's schedule,
 with the Magnus steppers the model keeps, and the free factors act through
@@ -136,11 +144,13 @@ class WaveOperatorIterates:
 
     Direction +1 holds W+ = Theta0^{-n} Theta^n, direction -1 the time-reversed
     W- = Theta0^n Theta^{-n}, at n = n_max; `apply` and `apply_adjoint` act on
-    a block of columns, and `operator` forms the full matrix only when read.
+    a block of columns.  The iterates Theta^{+-n} phi are kept, and the images
+    W^(n) phi = Theta0^{-+n} Theta^{+-n} phi are formed from them when read
+    (`image`, `probe_images`); `operator` forms the full matrix only when read.
     """
 
     direction: int
-    probe_images: list = field(repr=False)   # W^(n) phi for n = 1..n_max, each (L, p)
+    iterates: list = field(repr=False)       # Theta^{+-n} phi for n = 1..n_max, each (L, p)
     # (n_max, p): ||(A - B) A^(n-1) phi|| with A = Theta^+-1, B = Theta0^+-1
     cauchy_gaps: np.ndarray
     n_max: int
@@ -153,6 +163,15 @@ class WaveOperatorIterates:
     @property
     def converged_fraction(self) -> float:
         return float(self.converged.mean())
+
+    def image(self, n: int) -> np.ndarray:
+        """W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, (L, p), from the n-th iterate."""
+        return self.model.free_apply(-self.direction * n, self.iterates[n - 1])
+
+    @cached_property
+    def probe_images(self) -> list:
+        """W^(n) phi for n = 1..n_max, each (L, p), formed on first read."""
+        return [self.image(n) for n in range(1, self.n_max + 1)]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max) x for a block x of columns."""
@@ -192,10 +211,12 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
 
     direction +1 iterates Theta0^dagger^n Theta^n, direction -1 the
     time-reversed pair Theta0^n Theta^dagger^n, with Theta = mono.operator,
-    the monodromy at the start time the wave operator is taken at.  Each
-    iterate costs block products with the p probe columns; the iterate at
-    n_max acts through mono's eigenbasis.  Raises ConvergenceError (carrying
-    the gap trace) if no probe stabilizes before n_max.
+    the monodromy at the start time the wave operator is taken at.  An iterate
+    is Theta0 cur plus E_w on the window's rows of cur (mono's window and
+    block, or every site and Theta - Theta0 without them), and its Cauchy gap
+    is the norm of that window product.  The iterate at n_max acts through
+    mono's eigenbasis.  Raises ConvergenceError (carrying the gap trace) if no
+    probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -203,20 +224,23 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     horizon = wrap_horizon(model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
-    theta, theta0 = mono.operator, model.free_propagator(1.0)
-    if direction == +1:
-        a_op, b_op = theta, theta0
+    theta0 = model.free_period
+    if mono.window is None:
+        window, block = slice(None), mono.operator - theta0
     else:
-        a_op, b_op = theta.conj().T, theta0.conj().T
+        window, block = mono.window, mono.block
+    if direction == -1:
+        theta0, block = theta0.conj().T, block.conj().T
 
     cur = probes.vectors.copy()
     gaps = np.empty((n_max, probes.count))
-    images = []
-    for n in range(1, n_max + 1):
-        nxt = a_op @ cur
-        gaps[n - 1] = np.linalg.norm(nxt - b_op @ cur, axis=0)
-        cur = nxt
-        images.append(model.free_apply(-direction * n, cur))   # B^-n = Theta0^{-+n}
+    iterates = []
+    for n in range(n_max):
+        kick = block @ cur[window]      # (A - B) cur, zero off the window
+        gaps[n] = np.linalg.norm(kick, axis=0)
+        cur = theta0 @ cur
+        cur[window] += kick
+        iterates.append(cur)
     converged, n_conv = _stability(gaps)
     if not converged.any():
         raise ConvergenceError(
@@ -226,7 +250,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
         )
     return WaveOperatorIterates(
         direction=direction,
-        probe_images=images,
+        iterates=iterates,
         cauchy_gaps=gaps,
         n_max=n_max,
         probe_set=probes,
@@ -328,7 +352,7 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
             wplus.probe_set.vectors, wminus.probe_set.vectors
         ):
             raise ValueError("wave operators were computed on different probe sets")
-    probes, theta0 = wplus.probe_set, wplus.model.free_propagator(1.0)
+    probes, theta0 = wplus.probe_set, wplus.model.free_period
     basis = free_orbit_basis(theta0, probes, translates)
     use = wplus.converged & wminus.converged
     phi = probes.vectors[:, use]

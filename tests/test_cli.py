@@ -402,6 +402,51 @@ class TestExitCodes:
         assert (tmp_path / "one.report.json").exists()
         assert (tmp_path / "two.report.json").exists()
 
+    def test_taylor_plan_above_the_ceiling_exit_2(self, tmp_path):
+        # rejected when the stepper is planned, not after half a minute of steps
+        import time
+
+        import floqscat.cli as cli
+
+        cfg = {"task": "monodromy", "model": {"builtin": "rabi", "v": 1e6},
+               "parameters": {"steps_per_period": 8, "order": 2, "self_convergence": False}}
+        begin = time.perf_counter()
+        path, code, message = cli._run_one(str(write_config(tmp_path, cfg)), str(tmp_path), None)
+        assert time.perf_counter() - begin < 1.0
+        assert (path, code) == (None, 2)
+        assert "parameters.steps_per_period" in message
+
+
+class TestWindowRouteReport:
+    def test_report_matches_the_dense_route(self, monkeypatch):
+        # every field of a 256-site wave-operators report, with Theta from the
+        # window block and with Theta stepped on the whole ring
+        import floqscat.propagation as propagation
+        from report_diff import report_differences
+
+        cfg = {"task": "wave-operators",
+               "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                     "drive_amp": 0.5, "support_width": 5}},
+               "parameters": {"steps_per_period": 64, "order": 4, "translates": 2,
+                              "average_window": 1.0, "floquet_modes": 3}}
+        routes, inner = set(), propagation.window_block
+
+        def spy(h, *args):   # also called on the segment, which is stepped whole
+            block = inner(h, *args)
+            routes.add((h.dim, block is not None))
+            return block
+
+        monkeypatch.setattr(propagation, "window_block", spy)
+        shipped = run_scenario(cfg, seed=1)
+        assert routes == {(256, True), (5 + 4 * 19, False)}
+        monkeypatch.setattr(propagation, "window_block", lambda *args: None)
+        dense = run_scenario(cfg, seed=1)
+        diffs = report_differences(shipped, dense)   # ints, bools and strings equal
+        assert max(diffs.values()) <= 1e-11, diffs
+        assert "report.results.s_matrix" in diffs
+        assert [b["multiplicity"] for b in shipped["results"]["bound_states"]] == \
+            [b["multiplicity"] for b in dense["results"]["bound_states"]]
+
 
 DRIVEN_RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8,
                            "drive_amp": 0.5, "support_width": 4}}

@@ -318,3 +318,131 @@ class TestStepBookkeeping:
         parts = u.view(np.float64)
         assert np.array_equal(parts, [0.0, 0.0, 0.0, 2.0, 0.5, 0.0, -1.0, 0.0])
         assert not np.signbit(parts[parts == 0.0]).any()
+
+
+def stepped_period(h, s, sched):
+    """Theta by stepping the whole model: the half path where the model allows."""
+    from floqscat.propagation import flush, reflection_symmetric
+
+    if reflection_symmetric(h, s, sched):
+        half = propagate(h, s, s + 0.5, sched)
+        return flush(half.T @ half)
+    return propagate(h, s, s + 1.0, sched)
+
+
+class TestWindowRoute:
+    """Theta = U0(1) + P E_w P^T on the driven ring, from a short open segment."""
+
+    @staticmethod
+    def ring(sites=256):
+        from floqscat.model import build_lattice
+
+        ctr = sites // 2
+        return build_lattice(sites, 1.0, -0.8, 0.5, range(ctr - 2, ctr + 3))
+
+    def test_light_cone_radius(self):
+        from floqscat.propagation import light_cone_radius
+
+        assert light_cone_radius(1.0) == 19     # 1/18! > 2^-53 >= 1/19!
+        assert light_cone_radius(-1.0) == 19
+        assert light_cone_radius(0.0) == 1
+
+    @pytest.mark.parametrize("start", [0.0, 0.25])
+    def test_block_matches_propagated_theta(self, start):
+        ring, sched = self.ring(), PropagatorSchedule(64, 4)
+        mono = monodromy(ring, start, sched)
+        assert len(mono.window) == 5 + 2 * 19
+        assert mono.block.shape == (43, 43)
+        full = propagate(ring, start, start + 1.0, sched)
+        assert np.abs(mono.operator - full).max() <= 1e-13
+        assert np.array_equal(mono.operator, self.period(ring, start, sched))
+
+    @staticmethod
+    def period(h, s, sched):
+        from floqscat.propagation import period_operator
+
+        return period_operator(h, s, sched)
+
+    def test_border_check_widens_the_window(self, monkeypatch):
+        import floqscat.propagation as propagation
+
+        ring, sched = self.ring(), PropagatorSchedule(64, 4)
+        radii, inner = [], propagation.period_operator
+
+        def spy(h, s, sched):   # the segment's period: 4r sites beyond the support
+            radii.append((h.dim - 5) // 4)
+            return inner(h, s, sched)
+
+        monkeypatch.setattr(propagation, "light_cone_radius", lambda hopping: 6)
+        monkeypatch.setattr(propagation, "period_operator", spy)
+        window, block = propagation.window_block(ring, 0.0, sched)
+        assert radii == [6, 12, 24]
+        assert len(window) == 5 + 2 * 24
+        theta = propagation._with_block(ring, window, block)
+        assert np.abs(theta - propagate(ring, 0.0, 1.0, sched)).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["mode-off-support", "next-nearest-hopping",
+                                      "one-weak-bond"])
+    def test_other_models_take_the_stepped_route(self, case):
+        from floqscat.model import LatticeModel
+        from floqscat.propagation import window_block
+
+        ring, sched = self.ring(), PropagatorSchedule(16, 2)
+        h0, modes = ring.h0.copy(), dict(ring.modes)
+        if case == "mode-off-support":
+            modes[0] = modes[0].copy()
+            modes[0][10, 10] = -0.8
+        elif case == "next-nearest-hopping":
+            h0[0, 2] = h0[2, 0] = -0.1
+        else:
+            h0[0, 1] = h0[1, 0] = -0.5
+        lat = LatticeModel(h0=h0, modes=modes, hopping=1.0,
+                           potential_support=ring.potential_support)
+        assert window_block(lat, 0.0, sched) is None
+        assert np.array_equal(self.period(lat, 0.0, sched), stepped_period(lat, 0.0, sched))
+        assert monodromy(lat, 0.0, sched).window is None
+
+    @pytest.mark.parametrize("sites", [48, 64])
+    @pytest.mark.parametrize("start", [0.0, 0.25])
+    def test_small_rings_keep_the_stepped_route(self, sites, start):
+        # 5 + 4 * 19 = 81 sites of segment exceed half of either ring
+        from floqscat.propagation import window_block
+
+        ring, sched = self.ring(sites), PropagatorSchedule(64, 4)
+        assert window_block(ring, start, sched) is None
+        assert np.array_equal(self.period(ring, start, sched), stepped_period(ring, start, sched))
+        mono = monodromy(ring, start, sched)
+        assert mono.window is None and mono.block is None
+
+    def test_free_ring_block_is_zero(self):
+        from floqscat.model import build_lattice
+
+        free = build_lattice(256, 1.0, 0.0, 0.0, [128])
+        mono = monodromy(free, 0.0, PropagatorSchedule(16, 2))
+        assert mono.window is not None and not mono.block.any()
+        assert np.array_equal(mono.operator, free.free_period)
+
+    def test_free_period_read_only_and_copied(self):
+        ring = self.ring()
+        theta0 = ring.free_period
+        assert theta0 is ring.free_period and not theta0.flags.writeable
+        assert np.array_equal(theta0, ring.free_propagator(1.0))
+        before = theta0.copy()
+        monodromy(ring, 0.0, PropagatorSchedule(16, 2))
+        assert np.array_equal(ring.free_period, before)
+
+
+class TestTaylorCeiling:
+    def test_plan_above_the_ceiling_rejected(self):
+        from floqscat.model import rabi_model
+        from floqscat.propagation import MAX_TAYLOR_APPLICATIONS, MagnusStepper, StepPlanError
+
+        with pytest.raises(StepPlanError, match="55 x 26299"):
+            MagnusStepper(rabi_model(0.0, 1e6), 1.0 / 8, 2)
+        # the widest plan of the suite's schedules sits far below it
+        h, steps = magnus_cases()["large-norm-d4"]
+        stepper = MagnusStepper(h, 1.0 / steps, 4)
+        assert stepper.degree * stepper.substeps == 1760 < MAX_TAYLOR_APPLICATIONS // 16
+        ring = TestWindowRoute.ring()
+        stepper = MagnusStepper(ring, 1.0 / 8, 4)
+        assert stepper.degree * stepper.substeps == 14

@@ -184,6 +184,46 @@ class TestDrivenWell:
         assert bound.shape[1] >= 1
         assert orthogonality_defect(probes, bound) <= 1e-3
 
+    def test_iterates_never_read_theta(self, driven_256, driven_256_run):
+        # the loop takes Theta as Theta0 plus the Monodromy's window block
+        from dataclasses import replace
+
+        mono, probes, wp, wm = driven_256_run
+        assert mono.window is not None
+        blind = replace(mono, operator=None)
+        for done in (wp, wm):
+            again = stroboscopic_wave_op(driven_256, done.direction, done.n_max, blind, probes)
+            assert np.array_equal(again.cauchy_gaps, done.cauchy_gaps)
+            assert all(np.array_equal(a, b) for a, b in zip(again.iterates, done.iterates))
+
+    def test_images_formed_when_read(self, driven_256_run):
+        mono, probes, wp, _ = driven_256_run
+        fresh = stroboscopic_wave_op(wp.model, +1, wp.n_max, mono, probes)
+        assert "probe_images" not in vars(fresh)
+        last = fresh.image(fresh.n_max)
+        assert "probe_images" not in vars(fresh)
+        assert len(fresh.probe_images) == fresh.n_max
+        assert np.array_equal(fresh.probe_images[-1], last)
+
+    def test_iterates_without_a_window(self, driven_256, driven_256_run):
+        # a Monodromy without a window block (the stepped route): the loop
+        # takes E = Theta - Theta0 on every site
+        from dataclasses import replace
+
+        mono, probes, wp, _ = driven_256_run
+        mono, lat, n_max = replace(mono, window=None, block=None), driven_256, wp.n_max
+        theta, theta0 = mono.operator, expm_hermitian(lat.h0, 1.0)
+        for direction in (+1, -1):
+            a_op = theta if direction == +1 else theta.conj().T
+            b_op = theta0 if direction == +1 else theta0.conj().T
+            wav = stroboscopic_wave_op(lat, direction, n_max, mono, probes)
+            cur = probes.vectors
+            for n in range(n_max):
+                gap = np.linalg.norm((a_op - b_op) @ cur, axis=0)
+                cur = a_op @ cur
+                assert np.abs(wav.cauchy_gaps[n] - gap).max() <= 1e-13
+                assert np.abs(wav.iterates[n] - cur).max() <= 1e-13
+
     def test_block_path_matches_dense_oracle(self, driven_256, driven_256_run):
         # W+- = Theta0^{-+n} Theta^{+-n} as dense L x L products, against the
         # block path (Theta^{+-n} and Theta0^{-+n} from their eigenbases)
