@@ -42,7 +42,6 @@ from .resolvent import (
     FactorizedPotential,
     ScanOperators,
     ThresholdProximityError,
-    TimeGridFunction,
     block_q,
     bound_state_correspondence,
     factorized_potential,

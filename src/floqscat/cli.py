@@ -49,8 +49,8 @@ from .model import LatticeModel, build_lattice, rabi_model
 from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
 from .propagation import (MIN_STEPS, ORDERS, PropagatorSchedule, StepPlanError, monodromy,
                           period_operator)
-from .resolvent import (MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
-                        ThresholdProximityError, TimeGridFunction, block_q,
+from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
+                        ThresholdProximityError, block_q,
                         bound_state_correspondence, factorized_potential, grid_potential,
                         mode_oracle_apply, q_factorized, r0_apply, r0_matrix, resolvent_residual)
 from .scattering import (
@@ -164,6 +164,18 @@ def _cutoff(n_modes, model):
         return f"mode cutoff {n_modes} below the interaction's mode support {support}"
 
 
+def _grid_side(n_t, model):
+    top = MAX_DENSE_SIDE // model.dim
+    if not 1 <= n_t <= top:
+        return f"n_t {n_t} outside [1, {top}] (n_t * dim <= {MAX_DENSE_SIDE})"
+
+
+def _block_side(n_modes, model):
+    if (2 * n_modes + 1) * model.dim > MAX_DENSE_SIDE:
+        return f"mode cutoff {n_modes} too large ((2 n_modes + 1) * dim <= {MAX_DENSE_SIDE})"
+    return _cutoff(n_modes, model)
+
+
 def _off_axis(im):
     if not 0.0 < abs(im) <= MAX_IM_LAMBDA:
         return f"Im(lambda) = {im} must be nonzero and at most {MAX_IM_LAMBDA} in magnitude"
@@ -190,7 +202,7 @@ PARAMETERS = {
     "resolvent-check": {
         "lambda": Field((float, float), None, lambda lam, model: _off_axis(lam[1]), alt="eta"),
         "eta": Field(float, None, lambda eta, model: _off_axis(eta)),
-        "n_t": Field(int, 256, _at_least(1)), "n_modes": Field(int, 8, _cutoff)},
+        "n_t": Field(int, 256, _grid_side), "n_modes": Field(int, 8, _block_side)},
     "wave-operators": {
         **SCHEDULE, "n_max": Field(int, _horizon, _within_horizon),
         "translates": Field(int, 2, _at_least(0)),
@@ -339,13 +351,13 @@ def run_correspondence(model, params, rng):
 def run_resolvent_check(h, params, rng):
     n_t = params["n_t"]
     lam = 1j * params["eta"] if params["lambda"] is None else complex(*params["lambda"])
-    f = TimeGridFunction(np.ones((n_t, h.dim)))
+    f = np.ones((n_t, h.dim), dtype=np.complex128)
     out = r0_apply(h.h0, lam, f)
     oracle = mode_oracle_apply(h.h0, lam, f)
     results = {
         "defining_residual": resolvent_residual(h.h0, lam, f),
-        "oracle_distance": float(np.abs(out.values - oracle.values).max()),
-        "r0_constant_value": out.values[0],
+        "oracle_distance": float(np.abs(out - oracle).max()),
+        "r0_constant_value": out[0],
         "adjoint_defect": max_norm(
             r0_matrix(h.h0, lam, min(n_t, 64)).conj().T - r0_matrix(h.h0, np.conj(lam), min(n_t, 64))
         ),

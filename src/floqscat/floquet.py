@@ -155,7 +155,6 @@ class FloquetMatrix:
     n_modes: int
     matrix: np.ndarray
     mode_diag: np.ndarray  # the 2 pi n block multipliers, length 2N+1
-    source: PeriodicHamiltonian
 
     @property
     def space(self) -> ModeSpace:
@@ -185,7 +184,7 @@ def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
     """Dense truncated mode-space matrix, for the tasks that report whole spectra."""
     return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes,
                          matrix=floquet_operator(h, n_modes).toarray(),
-                         mode_diag=ModeSpace(n_modes, h.dim).frequencies, source=h)
+                         mode_diag=ModeSpace(n_modes, h.dim).frequencies)
 
 
 def shift_commutation_defect(k: FloquetMatrix) -> float:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import HermitianExponential, as_complex_matrix, check_hermitian, hermitian_defect
+from .numerics import HermitianExponential, as_complex_matrix, check_hermitian
 
 HERMITIAN_TOL = 1e-12
 

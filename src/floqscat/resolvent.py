@@ -9,9 +9,14 @@ at non-real lambda acts on a grid function f as
 
 with the denominator read as an operator inverse applied to the full-period
 integral.  Both integrals are evaluated by the trapezoidal rule on the
-uniform grid t_j = j/N_t; in the H0 eigenbasis this collapses to cumulative
-sums per eigencomponent, and the resulting grid operator is second-order
-accurate with leading error -(Delta^2/12) (K0 - lambda) f.
+uniform grid t_j = j/N_t.  In the H0 eigenbasis (eigenvalues e_a) the grid
+operator is a circulant per eigencomponent (Davis, Circulant Matrices, 1979):
+entry (j, k) is kappa_a((k - j) mod N_t) / N_t, with the kernel
+kappa_a(o) = p_a e^{w_a o/N_t}, w_a = i (e_a - lambda), p_a = i / (e^{w_a} - 1),
+and its jump at o = 0 averaged.  r0_apply takes the kernel's circular
+correlation by FFT; r0_matrix gathers it into the dense matrix.  The grid
+operator is second-order accurate with leading error -(Delta^2/12) (K0 - lambda) f.
+Grid functions are plain complex arrays of shape (N_t, d).
 
 The factorized perturbation uses the operator square root A(t) = |V(t)|^{1/2}
 and B(t) = |V(t)|^{1/2} sgn V(t), so B A = V pointwise, and the full
@@ -41,7 +46,7 @@ from scipy.sparse.linalg import splu
 
 from .floquet import ModeSpace, floquet_operator, start_vector
 from .model import PeriodicHamiltonian
-from .numerics import SingularMatrixError, hermitian_eig, solve
+from .numerics import SingularMatrixError, hermitian_eig, require_hermitian, solve
 
 SGN_FLOOR = 1e-13
 # inverse iteration for the smallest singular pair of I + Q stops when s moves by
@@ -55,6 +60,9 @@ RAYLEIGH_ULPS = 4
 RAYLEIGH_MAXITER = 3
 # largest |Im lambda| the resolvent admits: its kernel carries factors e^{|Im lambda| t}
 MAX_IM_LAMBDA = 500.0
+# largest side of the resolvent check's dense matrices, N_t d (grid) and (2 N + 1) d
+# (block_q): 256 MiB each; a check at this side peaks at 1.1 GB (fleet d = 4, N_t = 1024)
+MAX_DENSE_SIDE = 4096
 
 
 class ThresholdProximityError(ValueError):
@@ -63,36 +71,6 @@ class ThresholdProximityError(ValueError):
 
 class InverseIterationError(RuntimeError):
     """The smallest singular value of I + Q did not settle within the iteration budget."""
-
-
-@dataclass
-class TimeGridFunction:
-    """Fiber-valued function sampled on the uniform period grid t_j = j/N_t."""
-
-    values: np.ndarray  # shape (N_t, d)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.ndim != 2:
-            raise ValueError("grid values must have shape (N_t, d)")
-
-    @property
-    def n_t(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.n_t) / self.n_t
-
-    def norm(self) -> float:
-        """L2([0,1]) norm under the grid measure dt = 1/N_t."""
-        return float(np.sqrt((np.abs(self.values) ** 2).sum() / self.n_t))
 
 
 def _check_offaxis(lam: complex) -> complex:
@@ -104,48 +82,43 @@ def _check_offaxis(lam: complex) -> complex:
     return lam
 
 
-def r0_apply(h0: np.ndarray, lam: complex, f: TimeGridFunction) -> TimeGridFunction:
-    """Apply the free periodic resolvent to a grid function (trapezoid rule)."""
+def _kernel(values: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
+    """kappa_a(o) for o = 0..N_t-1 and every H0 eigenvalue e_a, shape (N_t, d)."""
+    w = 1j * (values - lam)
+    pref = 1j / (np.exp(w) - 1.0)
+    kern = pref * np.exp(np.outer(np.arange(n_t) / n_t, w))
+    kern[0] = pref * (1.0 + np.exp(w)) / 2.0
+    return kern
+
+
+def r0_apply(h0: np.ndarray, lam: complex, f: np.ndarray) -> np.ndarray:
+    """Apply the free periodic resolvent to grid values f, shape (N_t, d)
+    (trapezoid rule): the kernel's circular correlation, taken by FFT."""
     lam = _check_offaxis(lam)
+    f = np.asarray(f, dtype=np.complex128)
+    if f.ndim != 2 or f.shape[1] != h0.shape[0]:
+        raise ValueError(f"grid values of shape {f.shape} do not match H0 dim {h0.shape[0]}")
     eig = hermitian_eig(h0)
-    if f.fiber_dim != h0.shape[0]:
-        raise ValueError(f"fiber dim {f.fiber_dim} does not match H0 dim {h0.shape[0]}")
-    n_t = f.n_t
-    t = f.grid
-    comp = f.values @ eig.vectors.conj()          # components in the H0 eigenbasis
-    w = 1j * (eig.values - lam)                   # kernel exp(w (s - t)) per component
-    g = np.exp(np.outer(t, w)) * comp
-    partial = np.zeros_like(g)
-    partial[1:] = np.cumsum((g[:-1] + g[1:]) / 2.0, axis=0) / n_t
-    g_end = np.exp(w) * comp[0]                   # s = 1 endpoint, f periodic
-    full = partial[-1] + (g[-1] + g_end) / 2.0 / n_t
-    out = 1j * np.exp(np.outer(-t, w)) * (partial + full / (np.exp(w) - 1.0))
-    return TimeGridFunction(out @ eig.vectors.T)
+    comp = f @ eig.vectors.conj()                 # components in the H0 eigenbasis
+    kern = _kernel(eig.values, lam, f.shape[0])
+    out = np.fft.ifft(np.fft.fft(comp, axis=0) * np.fft.ifft(kern, axis=0), axis=0)
+    return out @ eig.vectors.T
 
 
 def r0_matrix(h0: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
     """Dense grid-space matrix of the free resolvent, shape (N_t d, N_t d).
 
-    Assembled as a circulant per H0 eigencomponent: entry (j, k) carries the
-    kernel at offset (k - j)/N_t mod 1, with the jump at the diagonal
-    averaged.  Algebraically identical to driving r0_apply with basis
-    columns; exact adjoint symmetry R0(lambda)^H = R0(conj lambda) holds at
-    the matrix level.
+    The kernel's circulant per H0 eigencomponent: entry (j, k) carries
+    kappa((k - j) mod N_t).  The same operator as r0_apply; exact adjoint
+    symmetry R0(lambda)^H = R0(conj lambda) holds at the matrix level.
     """
     lam = _check_offaxis(lam)
     eig = hermitian_eig(h0)
     d = h0.shape[0]
-    offs = (np.subtract.outer(np.arange(n_t), np.arange(n_t)).T % n_t) / n_t
-    w = 1j * (eig.values - lam)
-    pref = 1j / (np.exp(w) - 1.0)
-    kern = np.empty((d, n_t, n_t), dtype=np.complex128)
-    for a in range(d):
-        k = pref[a] * np.exp(w[a] * offs)
-        diag = pref[a] * (1.0 + np.exp(w[a])) / 2.0
-        np.fill_diagonal(k, diag)
-        kern[a] = k
+    offs = np.subtract.outer(np.arange(n_t), np.arange(n_t)).T % n_t
+    kern = _kernel(eig.values, lam, n_t)[offs]   # (j, k, a)
     v = eig.vectors
-    mat = np.einsum("ajk,pa,qa->jpkq", kern, v, v.conj(), optimize=True) / n_t
+    mat = np.einsum("jka,pa,qa->jpkq", kern, v, v.conj(), optimize=True) / n_t
     return mat.reshape(n_t * d, n_t * d)
 
 
@@ -156,14 +129,14 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(2j * np.pi * freq[:, None] * np.fft.fft(values, axis=0), axis=0)
 
 
-def resolvent_residual(h0: np.ndarray, lam: complex, f: TimeGridFunction) -> float:
+def resolvent_residual(h0: np.ndarray, lam: complex, f: np.ndarray) -> float:
     """||(-i d/dt + H0 - lambda) R0 f - f|| / ||f|| with spectral differentiation."""
     g = r0_apply(h0, lam, f)
-    back = -1j * spectral_derivative(g.values) + g.values @ h0.T - lam * g.values
-    return float(np.linalg.norm(back - f.values) / np.linalg.norm(f.values))
+    back = -1j * spectral_derivative(g) + g @ h0.T - lam * g
+    return float(np.linalg.norm(back - f) / np.linalg.norm(f))
 
 
-def mode_oracle_apply(h0: np.ndarray, lam: complex, f: TimeGridFunction) -> TimeGridFunction:
+def mode_oracle_apply(h0: np.ndarray, lam: complex, f: np.ndarray) -> np.ndarray:
     """Independent mode-space route: diagonal action (2 pi n + H0 - lambda)^{-1}.
 
     Exact on band-limited inputs; used as the oracle the grid implementation
@@ -171,12 +144,12 @@ def mode_oracle_apply(h0: np.ndarray, lam: complex, f: TimeGridFunction) -> Time
     """
     lam = _check_offaxis(lam)
     eig = hermitian_eig(h0)
-    n_t = f.n_t
-    comp = np.fft.fft(f.values @ eig.vectors.conj(), axis=0) / n_t
+    n_t = f.shape[0]
+    comp = np.fft.fft(f @ eig.vectors.conj(), axis=0) / n_t
     freq = np.fft.fftfreq(n_t, d=1.0 / n_t)
     mult = 1.0 / (2 * np.pi * freq[:, None] + eig.values[None, :] - lam)
     out = np.fft.ifft(comp * mult, axis=0) * n_t
-    return TimeGridFunction(out @ eig.vectors.T)
+    return out @ eig.vectors.T
 
 
 def k0_grid_matrix(h0: np.ndarray, n_t: int) -> np.ndarray:
@@ -210,23 +183,25 @@ class FactorizedPotential:
 
 
 def factorized_potential(h: PeriodicHamiltonian, n_t: int) -> FactorizedPotential:
-    """Factorize V(t_j) through its eigendecomposition at each grid point.
+    """Factorize V(t_j) through one stacked eigendecomposition of the grid.
 
-    Eigenvalues below SGN_FLOOR in magnitude are treated as zero with
-    sgn 0 = 0, so B A = V holds exactly on the retained spectrum.
+    Every V(t_j) is held to hermitian_eig's rule (the point with the largest
+    relative asymmetry is checked).  Eigenvalues below SGN_FLOOR in magnitude
+    are treated as zero with sgn 0 = 0, so B A = V holds exactly on the
+    retained spectrum; A and B do not depend on eigenvector phases.
     """
-    d = h.dim
-    a_ops = np.empty((n_t, d, d), dtype=np.complex128)
-    b_ops = np.empty_like(a_ops)
-    for j in range(n_t):
-        v = h.potential(j / n_t)
-        eig = hermitian_eig(v)
-        mags = np.abs(eig.values)
-        root = np.sqrt(mags)
-        sgn = np.where(mags > SGN_FLOOR, np.sign(eig.values), 0.0)
-        vecs = eig.vectors
-        a_ops[j] = (vecs * root) @ vecs.conj().T
-        b_ops[j] = (vecs * (root * sgn)) @ vecs.conj().T
+    v = grid_potential(h, n_t)
+    defects = np.abs(v - v.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    scales = np.abs(v).max(axis=(1, 2))
+    worst = np.argmax(defects / np.maximum(scales, 1.0))
+    require_hermitian(float(defects[worst]), float(scales[worst]))
+    values, vecs = np.linalg.eigh(v)
+    mags = np.abs(values)
+    root = np.sqrt(mags)
+    sgn = np.where(mags > SGN_FLOOR, np.sign(values), 0.0)
+    adj = vecs.conj().transpose(0, 2, 1)
+    a_ops = (vecs * root[:, None, :]) @ adj
+    b_ops = (vecs * (root * sgn)[:, None, :]) @ adj
     return FactorizedPotential(a_ops=a_ops, b_ops=b_ops)
 
 
@@ -281,8 +256,13 @@ def full_resolvent(h: PeriodicHamiltonian, lam: complex, n_t: int):
 
 
 def grid_potential(h: PeriodicHamiltonian, n_t: int) -> np.ndarray:
-    """V(t_j) stacked, shape (N_t, d, d)."""
-    return np.stack([h.potential(j / n_t) for j in range(n_t)])
+    """V(t_j) stacked, shape (N_t, d, d): h.potential at every grid point, one
+    pass per mode."""
+    t = np.arange(n_t) / n_t
+    out = np.zeros((n_t, h.dim, h.dim), dtype=np.complex128)
+    for n, m in h.modes.items():
+        out = out + m * np.exp(2j * np.pi * n * t)[:, None, None]
+    return out
 
 
 def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:

@@ -310,19 +310,20 @@ class BoundStateInfo:
 
 @dataclass
 class ScatteringReport:
-    """Wave operators, S-matrix and defects on the scattering-subspace proxy."""
+    """S-matrix on the free-orbit basis and its defects on the scattering-subspace proxy."""
 
-    w_plus: np.ndarray
-    w_minus: np.ndarray
     s_matrix: np.ndarray
-    probe_basis: np.ndarray        # orthonormal basis of the free-orbit span
     isometry_defect: float
     unitarity_defect: float
     intertwining_defect: float
 
 
 def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) -> np.ndarray:
-    """Orthonormal basis of span{Theta0^j phi, |j| <= translates}."""
+    """Orthonormal basis of span{Theta0^j phi, |j| <= translates}: the orbit
+    columns in order, the probes first, each joining when its residual against
+    the basis so far (Gram-Schmidt, two passes) exceeds 1e-8.  A dependent
+    column is dropped whole, so the probes lie in the span and every orbit
+    column within 1e-8 of it."""
     cols = [probes.vectors]
     fwd = probes.vectors.copy()
     back = probes.vectors.copy()
@@ -330,8 +331,13 @@ def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) 
         fwd = theta0 @ fwd
         back = theta0.conj().T @ back
         cols += [fwd, back]
-    q, r = np.linalg.qr(np.column_stack(cols))
-    return q[:, np.abs(np.diag(r)) > 1e-8]
+    basis = probes.vectors[:, :0]
+    for col in np.column_stack(cols).T:
+        for _ in range(2):
+            col = col - basis @ (basis.conj().T @ col)
+        if np.linalg.norm(col) > 1e-8:
+            basis = np.column_stack([basis, col / np.linalg.norm(col)])
+    return basis
 
 
 def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
@@ -345,7 +351,7 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     intertwining_defect the largest ||(S Theta0 - Theta0 S) phi|| over
     converged probes; isometry_defect the deviation of ||W phi|| from 1.
     S acts on the one block X = [basis, phi, Theta0 phi] (W-^dagger, then
-    W+); W+ and W- act on [basis, phi].  No L x L product is formed.
+    W+); W+ and W- act on phi.  No L x L product is formed.
     """
     if wplus.probe_set is not wminus.probe_set:
         if wplus.probe_set.vectors.shape != wminus.probe_set.vectors.shape or not np.allclose(
@@ -357,24 +363,20 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     use = wplus.converged & wminus.converged
     phi = probes.vectors[:, use]
     k, m = basis.shape[1], phi.shape[1]
-    base = np.column_stack([basis, phi])
-    block = np.column_stack([base, theta0 @ phi])
-    # one W+ apply gives W+ [basis, phi] and S X = W+ W-^H X
-    images = wplus.apply(np.column_stack([base, wminus.apply_adjoint(block)]))
-    wp_base, s_block = images[:, :k + m], images[:, k + m:]
-    wm_base = wminus.apply(base)
+    block = np.column_stack([basis, phi, theta0 @ phi])
+    # one W+ apply gives W+ phi and S X = W+ W-^H X
+    images = wplus.apply(np.column_stack([phi, wminus.apply_adjoint(block)]))
+    wp_phi, s_block = images[:, :m], images[:, m:]
+    wm_phi = wminus.apply(phi)
     s_phi, s_theta0_phi = s_block[:, k:k + m], s_block[:, k + m:]
     leak = s_phi - basis @ (basis.conj().T @ s_phi)
     unitarity = float(np.linalg.norm(leak, axis=0).max()) if use.any() else np.inf
     comm_phi = s_theta0_phi - theta0 @ s_phi
     intertwining = float(np.linalg.norm(comm_phi, axis=0).max()) if use.any() else np.inf
-    iso = [np.abs(np.linalg.norm(w[:, k:], axis=0) - 1.0).max() if use.any() else np.inf
-           for w in (wp_base, wm_base)]
+    iso = [np.abs(np.linalg.norm(w, axis=0) - 1.0).max() if use.any() else np.inf
+           for w in (wp_phi, wm_phi)]
     return ScatteringReport(
-        w_plus=basis.conj().T @ wp_base[:, :k],
-        w_minus=basis.conj().T @ wm_base[:, :k],
         s_matrix=basis.conj().T @ s_block[:, :k],
-        probe_basis=basis,
         isometry_defect=float(max(iso)),
         unitarity_defect=unitarity,
         intertwining_defect=intertwining,

@@ -1,5 +1,5 @@
 """Field-by-field comparison of two report dicts, as `run_scenario` returns them
-or as a written report reads back.
+or as a written report reads back, and of two output directories.
 
 `report_differences(a, b)` walks both reports together.  Each float leaf adds
 its absolute difference to its field, named by its key path with the list
@@ -9,15 +9,27 @@ largest difference over its leaves.  Everything else must be equal: the keys
 of every object, the length of every list, and every int, bool, string and
 null.  A mismatch raises AssertionError naming the key path.
 
-    python tests/report_diff.py A.report.json B.report.json
+`sweep_differences(a, b)` compares two sweep tables row by row the same way:
+`headline_value` as a float where both rows hold one, `wall_time_s` not at
+all, every other column as a string.  `directory_differences(a, b)` compares
+every `*.report.json` and `*.sweep.csv` under two directories, matched by
+their paths relative to them; a file on one side only is a mismatch.
 
-prints one line per float field, largest difference first.
+    python tests/report_diff.py A.report.json B.report.json
+    python tests/report_diff.py DIR_A DIR_B
+
+prints one line per float field, largest difference first (per file for two
+directories), and exits 1 on any structural mismatch.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
+from pathlib import Path
+
+OUTPUTS = ("*.report.json", "*.sweep.csv")
 
 
 def report_differences(a, b) -> dict[str, float]:
@@ -46,13 +58,62 @@ def _walk(a, b, path: str, name: str, diffs: dict):
         assert type(a) is type(b) and a == b, f"{path}: {a!r} != {b!r}"
 
 
+def sweep_differences(a: list[dict], b: list[dict]) -> dict[str, float]:
+    """Largest |headline_value| difference of two sweep tables' rows (csv.DictReader
+    rows); raises AssertionError where their rows or any other column differ."""
+    assert len(a) == len(b), f"sweep: {len(a)} rows != {len(b)}"
+    diffs: dict[str, float] = {}
+    for i, (x, y) in enumerate(zip(a, b)):
+        assert x.keys() == y.keys(), f"sweep[{i}]: columns {list(x)} != {list(y)}"
+        for col in x:
+            if col == "wall_time_s":
+                continue
+            if col == "headline_value" and x[col] and y[col]:
+                diffs[col] = max(diffs.get(col, 0.0), abs(float(x[col]) - float(y[col])))
+            else:
+                assert x[col] == y[col], f"sweep[{i}].{col}: {x[col]!r} != {y[col]!r}"
+    return diffs
+
+
+def _read(path: Path):
+    with open(path, newline="") as f:
+        return json.load(f) if path.suffix == ".json" else list(csv.DictReader(f))
+
+
+def directory_differences(dir_a, dir_b) -> dict[str, dict[str, float]]:
+    """Per output file under two directories (its relative path), the largest
+    difference per float field; raises AssertionError on any mismatch."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    names = [{str(p.relative_to(d)) for pattern in OUTPUTS for p in d.rglob(pattern)}
+             for d in (dir_a, dir_b)]
+    assert names[0] == names[1], f"on one side only: {sorted(names[0] ^ names[1])}"
+    out = {}
+    for name in sorted(names[0]):
+        compare = report_differences if name.endswith(".json") else sweep_differences
+        try:
+            out[name] = compare(_read(dir_a / name), _read(dir_b / name))
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from None
+    return out
+
+
+def _print(diffs: dict[str, float], indent: str = ""):
+    for name, diff in sorted(diffs.items(), key=lambda kv: -kv[1]):
+        print(f"{indent}{diff:.3e}  {name}")
+
+
 def main(argv: list[str]) -> int:
-    reports = []
-    for path in argv:
-        with open(path) as f:
-            reports.append(json.load(f))
-    for name, diff in sorted(report_differences(*reports).items(), key=lambda kv: -kv[1]):
-        print(f"{diff:.3e}  {name}")
+    a, b = argv
+    try:
+        if Path(a).is_dir():
+            for name, diffs in directory_differences(a, b).items():
+                print(name)
+                _print(diffs, "  ")
+        else:
+            _print(report_differences(_read(Path(a)), _read(Path(b))))
+    except AssertionError as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -33,7 +33,6 @@ from floqscat.propagation import (
     propagate,
 )
 from floqscat.resolvent import (
-    TimeGridFunction,
     block_q,
     ScanOperators,
     bound_state_correspondence,
@@ -152,15 +151,15 @@ def test_criterion_4_resolvent_formula():
         vals = np.zeros((n_t, 2), complex)
         for n, c in coeffs.items():
             vals += np.exp(2j * np.pi * n * t)[:, None] * c[None, :]
-        resids.append(resolvent_residual(h0, lam, TimeGridFunction(vals)))
+        resids.append(resolvent_residual(h0, lam, vals))
     order = np.log2(resids[0] / resids[2]) / 2
     assert abs(order - 2.0) <= 0.3, f"measured order {order}"
     # oracle match at N_t = 256: probe with small (K0 - lambda) symbol so the
     # second-order constant |2 pi n + h - lambda|/12 stays below the target
     h0s = np.array([[0.3]])
     lam_s = 0.3 + 0.5j
-    f = TimeGridFunction(np.ones((256, 1)))
-    dist = np.abs(r0_apply(h0s, lam_s, f).values - mode_oracle_apply(h0s, lam_s, f).values).max()
+    f = np.ones((256, 1), dtype=np.complex128)
+    dist = np.abs(r0_apply(h0s, lam_s, f) - mode_oracle_apply(h0s, lam_s, f)).max()
     assert dist <= 1e-6
     ok(4, f"resolvent defining property at order {order:.2f} (within 2 +- 0.3); "
           f"mode-space oracle match {dist:.2e} <= 1e-6 at N_t=256")

@@ -448,6 +448,26 @@ class TestWindowRouteReport:
             [b["multiplicity"] for b in dense["results"]["bound_states"]]
 
 
+class TestCollidingProbes:
+    def test_ring_scatter_seed_407_passes_criterion_7(self):
+        # the probe jitter at seed 407 puts two packets on one ring index, so
+        # the free orbit's columns repeat; the S-matrix basis must still span it
+        from floqscat.scattering import make_probes
+
+        cfg = {"task": "wave-operators",
+               "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                     "drive_amp": 0.5, "support_width": 5}},
+               "parameters": {"steps_per_period": 64, "order": 4, "translates": 2,
+                              "average_window": 1.0, "floquet_modes": 3}}
+        phi = make_probes(build_model(cfg["model"]), rng=np.random.default_rng(407)).vectors
+        assert (np.abs(phi.conj().T @ phi) - np.eye(phi.shape[1])).max() >= 1 - 1e-12
+        res = run_scenario(cfg, seed=407)["results"]
+        assert res["converged_fraction"] >= 0.9
+        assert res["isometry_defect"] <= 1e-3
+        assert res["unitarity_defect"] <= 5e-3
+        assert res["intertwining_defect"] <= 5e-3
+
+
 DRIVEN_RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8,
                            "drive_amp": 0.5, "support_width": 4}}
 
@@ -719,3 +739,41 @@ class TestFieldTables:
         with pytest.raises(ValidationError, match="parameters.steps_per_period"):
             run_sweep({"task": "monodromy", "model": RABI, "parameters": {},
                        "sweep": {"parameter": "steps_per_period", "values": [16, "many"]}})
+
+
+class TestDenseSideCeiling:
+    @pytest.mark.parametrize("model, params, field", [
+        # a 64-site lattice at the default n_t = 256: grid matrices of side 16384
+        ({"lattice": {"sites": 64, "well_depth": -1.0, "drive_amp": 0.5}}, {"eta": 1.0},
+         "parameters.n_t"),
+        # block_q of side (2 * 5000 + 1) * 2
+        (RABI, {"eta": 1.0, "n_t": 16, "n_modes": 5000}, "parameters.n_modes"),
+    ])
+    def test_above_the_ceiling_exit_2(self, tmp_path, monkeypatch, model, params, field):
+        # rejected when the parameters are read, before any dense matrix is allocated
+        # (the runner, which would allocate gigabytes, must not be reached)
+        import time
+
+        import floqscat.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("the resolvent-check runner was reached")
+
+        monkeypatch.setitem(cli.RUNNERS, "resolvent-check", unreachable)
+        cfg = {"task": "resolvent-check", "model": model, "parameters": params}
+        begin = time.perf_counter()
+        path, code, message = cli._run_one(str(write_config(tmp_path, cfg)), str(tmp_path), None)
+        assert time.perf_counter() - begin < 1.0
+        assert (path, code) == (None, 2)
+        assert field in message and str(resolvent.MAX_DENSE_SIDE) in message
+
+    def test_ceiling_admits_its_own_side(self):
+        from floqscat.cli import PARAMETERS, ValueRangeError, parse
+
+        table, model = PARAMETERS["resolvent-check"], build_model(RABI)
+        side = resolvent.MAX_DENSE_SIDE
+        parse({"eta": 1.0, "n_t": side // 2, "n_modes": (side // 2 - 1) // 2}, table,
+              "parameters", model)
+        for params in ({"eta": 1.0, "n_t": side // 2 + 1}, {"eta": 1.0, "n_modes": side // 4}):
+            with pytest.raises(ValueRangeError):
+                parse(params, table, "parameters", model)

@@ -12,7 +12,6 @@ from floqscat.resolvent import (
     InverseIterationError,
     ScanOperators,
     ThresholdProximityError,
-    TimeGridFunction,
     block_q,
     bound_state_correspondence,
     factorized_potential,
@@ -32,12 +31,12 @@ from conftest import random_hermitian
 
 
 def constant_f(n_t, d=1):
-    return TimeGridFunction(np.ones((n_t, d)))
+    return np.ones((n_t, d), dtype=np.complex128)
 
 
 def mode_f(n_t, n, vec):
     t = np.arange(n_t) / n_t
-    return TimeGridFunction(np.exp(2j * np.pi * n * t)[:, None] * np.asarray(vec)[None, :])
+    return np.exp(2j * np.pi * n * t)[:, None] * np.asarray(vec)[None, :]
 
 
 class TestR0Apply:
@@ -46,7 +45,7 @@ class TestR0Apply:
         # trapezoid error constant is |h - lambda|/12 per the error analysis
         n_t = 256
         out = r0_apply(np.zeros((1, 1)), 1j, constant_f(n_t))
-        err = np.abs(out.values - 1j).max()
+        err = np.abs(out - 1j).max()
         assert err <= 1.2 * abs(0 - 1j) / 12 / n_t**2
         assert err > 0  # genuinely second order, not the oracle route
 
@@ -57,8 +56,8 @@ class TestR0Apply:
         n_t, n = 256, 2
         f = mode_f(n_t, n, evecs[:, 1])
         out = r0_apply(h0, lam, f)
-        want = f.values / (2 * np.pi * n + evals[1] - lam)
-        err = np.abs(out.values - want).max()
+        want = f / (2 * np.pi * n + evals[1] - lam)
+        err = np.abs(out - want).max()
         assert err <= 1.2 * abs(2 * np.pi * n + evals[1] - lam) / 12 / n_t**2
 
     def test_defining_property_second_order(self):
@@ -73,7 +72,7 @@ class TestR0Apply:
                 coef = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 vals += np.exp(2j * np.pi * n * t)[:, None] * coef[None, :]
             rng = np.random.default_rng(3)  # same probe on every grid
-            resids.append(resolvent_residual(h0, lam, TimeGridFunction(vals)))
+            resids.append(resolvent_residual(h0, lam, vals))
         order = np.log2(resids[0] / resids[2]) / 2
         assert abs(order - 2.0) <= 0.3
 
@@ -84,11 +83,15 @@ class TestR0Apply:
         f = constant_f(n_t)
         out = r0_apply(h0, lam, f)
         oracle = mode_oracle_apply(h0, lam, f)
-        assert np.abs(out.values - oracle.values).max() <= 1e-6
+        assert np.abs(out - oracle).max() <= 1e-6
 
     def test_real_lambda_rejected(self):
         with pytest.raises(ValueError, match="Im"):
             r0_apply(np.zeros((1, 1)), 2.0, constant_f(16))
+
+    def test_fiber_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="H0 dim 2"):
+            r0_apply(np.eye(2), 1j, constant_f(16, d=3))
 
 
 class TestR0Matrix:
@@ -98,10 +101,23 @@ class TestR0Matrix:
         n_t = 32
         mat = r0_matrix(h0, lam, n_t)
         rng = np.random.default_rng(5)
-        f = TimeGridFunction(rng.standard_normal((n_t, 2)) + 1j * rng.standard_normal((n_t, 2)))
-        via_mat = (mat @ f.values.ravel()).reshape(n_t, 2)
-        via_apply = r0_apply(h0, lam, f).values
+        f = rng.standard_normal((n_t, 2)) + 1j * rng.standard_normal((n_t, 2))
+        via_mat = (mat @ f.ravel()).reshape(n_t, 2)
+        via_apply = r0_apply(h0, lam, f)
         assert np.abs(via_mat - via_apply).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_t", [1, 2, 7])
+    @pytest.mark.parametrize("lam", [3.0 + 400.0j, 0.3 - 400.0j])
+    def test_apply_matches_matrix_on_short_grids(self, fleet_models, n_t, lam):
+        # the FFT correlation against the gathered circulant, where the kernel
+        # spans e^{+-400} and a grid holds one, two or seven points
+        lattice = build_lattice(12, 1.0, -1.0, 0.5, range(4, 8))
+        rng = np.random.default_rng(n_t)
+        for h in [*fleet_models, lattice]:
+            f = rng.standard_normal((n_t, h.dim)) + 1j * rng.standard_normal((n_t, h.dim))
+            via_mat = (r0_matrix(h.h0, lam, n_t) @ f.ravel()).reshape(n_t, h.dim)
+            via_apply = r0_apply(h.h0, lam, f)
+            assert np.abs(via_apply - via_mat).max() <= 1e-13 * np.abs(via_mat).max()
 
     def test_adjoint_symmetry_exact(self):
         h0 = random_hermitian(3, seed=6)
@@ -129,6 +145,33 @@ class TestFactorization:
                                 modes={0: np.diag([1.0, -1.0]).astype(complex)})
         fact = factorized_potential(h, 8)
         assert fact.factorization_defect(grid_potential(h, 8)) <= 1e-12
+
+    def test_lattice_potential_with_exact_ties(self):
+        # V(t) is diagonal with equal entries on the well and zeros off it, so
+        # every grid point's eigenvalues tie exactly
+        h = build_lattice(12, 1.0, -1.0, 0.5, range(4, 8))
+        v = grid_potential(h, 16)
+        assert len(np.unique(np.diagonal(v[3]))) < h.dim
+        assert factorized_potential(h, 16).factorization_defect(v) <= 1e-12
+
+    def test_one_stacked_eigh(self, rabi, monkeypatch):
+        stacks = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(a.shape) or eigh(a))
+        factorized_potential(rabi, 32)
+        assert stacks == [(32, 2, 2)]
+
+    def test_non_hermitian_grid_point_rejected(self, rabi, monkeypatch):
+        grid = resolvent.grid_potential
+
+        def broken(h, n_t):
+            v = grid(h, n_t)
+            v[5, 0, 1] += 1e-6
+            return v
+
+        monkeypatch.setattr(resolvent, "grid_potential", broken)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            factorized_potential(rabi, 8)
 
 
 class TestQFactorized:
