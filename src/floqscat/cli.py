@@ -197,8 +197,8 @@ SCHEDULE = {"steps_per_period": Field(int, 512, _at_least(MIN_STEPS)),
             "order": Field(int, 4, _one_of(ORDERS)), "start": Field(float, 0.0)}
 PARAMETERS = {
     "monodromy": {**SCHEDULE, "self_convergence": Field(bool, True)},
-    "floquet-spectrum": {"n_modes": Field(int, REQUIRED, _cutoff)},
-    "correspondence": {**SCHEDULE, "n_modes": Field(int, REQUIRED, _cutoff)},
+    "floquet-spectrum": {"n_modes": Field(int, REQUIRED, _block_side)},
+    "correspondence": {**SCHEDULE, "n_modes": Field(int, REQUIRED, _block_side)},
     "resolvent-check": {
         "lambda": Field((float, float), None, lambda lam, model: _off_axis(lam[1]), alt="eta"),
         "eta": Field(float, None, lambda eta, model: _off_axis(eta)),
@@ -496,10 +496,11 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
 
 
 def write_report(report: dict, path: Path):
+    """A run_scenario report, whose values are JSON types already, as one write."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(_jsonable(report), f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def write_sweep_csv(rows: list[dict], path: Path):

@@ -392,8 +392,11 @@ def _with_block(h: PeriodicHamiltonian, window: np.ndarray, block: np.ndarray) -
     return flush(theta)
 
 
+_ASK = object()   # period_operator's default: no window_block answer given
+
+
 def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
-                    sched: PropagatorSchedule | None = None) -> np.ndarray:
+                    sched: PropagatorSchedule | None = None, block=_ASK) -> np.ndarray:
     """The one-period operator U(s + 1, s): from the free ring and a window block
     where `window_block` applies, else from half a period where the model allows.
 
@@ -404,9 +407,14 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
     N/2 steps.  This is the symmetric-unitary Floquet operator of a
     time-reversal-invariant drive (Haake, Quantum Signatures of Chaos, ch. 2).
     Theta is flushed like every step.  Otherwise all N steps are taken.
+
+    `block` is window_block's answer where the caller holds it already
+    (monodromy), so that segments it stepped before declining are not stepped
+    again; by default it is asked for here.
     """
     sched = sched or PropagatorSchedule()
-    block = window_block(h, s, sched)
+    if block is _ASK:
+        block = window_block(h, s, sched)
     if block is not None:
         return _with_block(h, *block)
     if not reflection_symmetric(h, s, sched):
@@ -426,7 +434,7 @@ def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
     sched = sched or PropagatorSchedule()
     s = s % 1.0
     block = window_block(h, s, sched)
-    theta = period_operator(h, s, sched) if block is None else _with_block(h, *block)
+    theta = period_operator(h, s, sched, block)
     window, defect = block or (None, None)
     return Monodromy(operator=theta, start=s, eig=unitary_eig(theta), scheme=sched,
                      window=window, block=defect)

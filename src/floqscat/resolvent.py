@@ -61,7 +61,9 @@ RAYLEIGH_MAXITER = 3
 # largest |Im lambda| the resolvent admits: its kernel carries factors e^{|Im lambda| t}
 MAX_IM_LAMBDA = 500.0
 # largest side of the resolvent check's dense matrices, N_t d (grid) and (2 N + 1) d
-# (block_q): 256 MiB each; a check at this side peaks at 1.1 GB (fleet d = 4, N_t = 1024)
+# (block_q): 256 MiB each; a check at this side peaks at 1.1 GB (fleet d = 4, N_t = 1024).
+# The CLI holds the dense mode-space matrix (2 N + 1) d of floquet-spectrum and
+# correspondence to the same side
 MAX_DENSE_SIDE = 4096
 
 

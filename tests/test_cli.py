@@ -262,6 +262,20 @@ class TestDeterminism:
         b = (tmp_path / "b" / "cfg.report.json").read_bytes()
         assert a == b
 
+    def test_report_written_as_the_walked_dump(self, tmp_path):
+        # write_report serializes once; its bytes equal json.dump of the report
+        # walked by _jsonable again, and a non-finite value is still refused
+        import floqscat.cli as cli
+
+        report = run_scenario(CORR_CFG)
+        cli.write_report(report, tmp_path / "r.json")
+        with open(tmp_path / "walked.json", "w") as f:
+            json.dump(_jsonable(report), f, sort_keys=True, indent=2, allow_nan=False)
+            f.write("\n")
+        assert (tmp_path / "r.json").read_bytes() == (tmp_path / "walked.json").read_bytes()
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli.write_report({**report, "results": {"x": float("nan")}}, tmp_path / "nan.json")
+
     def test_echoed_config_revalidates(self, tmp_path):
         report = run_scenario(CORR_CFG)
         echoed = report["config_echo"]
@@ -766,6 +780,25 @@ class TestDenseSideCeiling:
         assert time.perf_counter() - begin < 1.0
         assert (path, code) == (None, 2)
         assert field in message and str(resolvent.MAX_DENSE_SIDE) in message
+
+    @pytest.mark.parametrize("task", ["floquet-spectrum", "correspondence"])
+    def test_dense_mode_space_above_the_ceiling_exit_2(self, tmp_path, monkeypatch, task):
+        # the dense K of side (2 * 5000 + 1) * 2 is refused before build_floquet runs
+        import floqscat.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError(f"the {task} runner was reached")
+
+        monkeypatch.setitem(cli.RUNNERS, task, unreachable)
+        cfg = {"task": task, "model": RABI, "parameters": {"n_modes": 5000}}
+        path, code, message = cli._run_one(str(write_config(tmp_path, cfg)), str(tmp_path), None)
+        assert (path, code) == (None, 2)
+        assert "parameters.n_modes" in message and str(resolvent.MAX_DENSE_SIDE) in message
+        table, model = cli.PARAMETERS[task], build_model(RABI)
+        side = resolvent.MAX_DENSE_SIDE // 2        # rabi's fiber has d = 2
+        cli.parse({"n_modes": (side - 1) // 2}, table, "parameters", model)
+        with pytest.raises(cli.ValueRangeError):
+            cli.parse({"n_modes": side // 2}, table, "parameters", model)
 
     def test_ceiling_admits_its_own_side(self):
         from floqscat.cli import PARAMETERS, ValueRangeError, parse

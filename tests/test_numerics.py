@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import floqscat.numerics as numerics
 from floqscat.numerics import (
     HermitianExponential,
     SingularMatrixError,
+    _fix_phases,
     expm_hermitian,
     hermitian_eig,
     solve,
@@ -97,6 +99,66 @@ class TestUnitaryEig:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             unitary_eig(np.diag([1.0, 2.0]).astype(complex))
+
+    @staticmethod
+    def complex_route(u, monkeypatch):
+        """unitary_eig with the symmetry test bypassed: the complex eigh of (U + U^H)/2."""
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "SYMMETRY_TOL", -1.0)
+            return unitary_eig(u)
+
+    def test_symmetric_monodromy_takes_the_real_route(self, monkeypatch):
+        # the 256-site driven ring's window-route Theta, symmetric to 2.2e-16.
+        # Measured: residual 1.65e-12 (complex route 1.79e-12), orthonormality
+        # defect 2.7e-15 (3.3e-15); eigenvalues within 3.7e-15
+        from floqscat.model import build_lattice
+        from floqscat.propagation import PropagatorSchedule, period_operator
+
+        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
+        theta = period_operator(ring, 0.0, PropagatorSchedule(64, 4))
+        assert 0.0 < np.abs(theta - theta.T).max() <= numerics.SYMMETRY_TOL
+        kinds, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype) or eigh(a))
+        real = unitary_eig(theta)
+        cplx = self.complex_route(theta, monkeypatch)
+        assert kinds == [np.float64, np.complex128]
+        assert real.vectors.dtype == np.complex128
+        assert real.residual(theta) <= 10 * cplx.residual(theta) <= 1e-10
+        assert real.orthonormality_defect() <= 10 * cplx.orthonormality_defect() <= 1e-13
+        assert np.abs(real.values - cplx.values).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [5, 6, 21])
+    def test_non_symmetric_unitary_keeps_the_complex_route(self, seed, monkeypatch):
+        u = random_unitary(40, seed=seed)
+        got, want = unitary_eig(u), self.complex_route(u, monkeypatch)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+
+def _fix_phases_loop(vectors):
+    """The per-column phase fix: the reference _fix_phases must equal bit for bit."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        idx = int(np.argmax(np.abs(out[:, k])))
+        z = out[idx, k]
+        if np.abs(z) > 0:
+            out[:, k] *= np.conj(z) / np.abs(z)
+    return out
+
+
+class TestFixPhases:
+    # square, as every eigenvector matrix is (a single row of several entries
+    # can round differently: numpy multiplies a lone entry by its scalar kernel)
+    @pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (7, 3), (64, 4), (256, 5)])
+    def test_equals_the_column_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if n > 2:
+            a[:, 0] = 0.0                    # zero columns stay as they are
+            a[:, 1] = complex(-0.0, -0.0)
+            a[:2, 2] = [10j, -10.0]          # tied largest magnitudes: the first wins
+        got, want = _fix_phases(a), _fix_phases_loop(a)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExpmHermitian:

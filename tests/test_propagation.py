@@ -381,6 +381,27 @@ class TestWindowRoute:
         theta = propagation._with_block(ring, window, block)
         assert np.abs(theta - propagate(ring, 0.0, 1.0, sched)).max() <= 1e-13
 
+    def test_declined_window_steps_each_segment_once(self, monkeypatch):
+        # at radius 6 the border check fails and radius 12 no longer fits a
+        # 64-site ring: window_block steps one 29-site segment and declines, and
+        # the monodromy's stepped route does not step that segment again
+        import floqscat.propagation as propagation
+
+        ring, sched = self.ring(64), PropagatorSchedule(64, 4)
+        dims, inner = [], propagation.propagate
+
+        def spy(h, s, t, sched=None, initial=None):
+            dims.append(h.dim)
+            return inner(h, s, t, sched, initial)
+
+        monkeypatch.setattr(propagation, "light_cone_radius", lambda hopping: 6)
+        monkeypatch.setattr(propagation, "propagate", spy)
+        mono = monodromy(ring, 0.0, sched)
+        assert mono.window is None
+        assert dims == [5 + 4 * 6, 64]
+        monkeypatch.undo()
+        assert np.array_equal(mono.operator, stepped_period(ring, 0.0, sched))
+
     @pytest.mark.parametrize("case", ["mode-off-support", "next-nearest-hopping",
                                       "one-weak-bond"])
     def test_other_models_take_the_stepped_route(self, case):

@@ -9,6 +9,7 @@ from floqscat.floquet import (EDGE_BLOCKS, ModeSpace, build_floquet, circular_di
 from floqscat.model import build_lattice
 from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate
+from floqscat.resolvent import DiagonalShift
 from floqscat.scattering import (
     _localization,
     _mode_space_partner,
@@ -341,7 +342,7 @@ class TestBoundStateScan:
         spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
         _, localized = _localization(driven_well_64, spec.spatial_mass())
         dense = spec.folded[localized & spec.interior]
-        k = floquet_operator(driven_well_64, n_modes).tocsc()
+        k = DiagonalShift(floquet_operator(driven_well_64, n_modes), "csc")
         space = ModeSpace(n_modes, driven_well_64.sites)
         assert len(infos) >= 2
         for b in infos:
@@ -402,7 +403,7 @@ class TestPartnerTolerance:
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes,
                                  cross_check_tol=tol)
         phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
-        k = floquet_operator(driven_well_64, n_modes).tocsc()
+        k = DiagonalShift(floquet_operator(driven_well_64, n_modes), "csc")
         space = ModeSpace(n_modes, driven_well_64.sites)
         requested = []
 
@@ -451,3 +452,37 @@ class TestProbeBlockAverage:
         kernel = time_average(lat, mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
         want = lat.free_apply(-n_max, kernel @ moved)
         assert np.abs(got - want).max() <= 1e-12
+
+
+class TestCertifiedPartner:
+    """The mode-space cross-check certifies a partner by inverse iteration, and
+    ARPACK runs only where that certifies none."""
+
+    @pytest.mark.parametrize("sites, depth, drive, support, steps, order, n_modes, count", [
+        (64, -2.0, 0.0, range(30, 35), 96, 2, 2, 3),        # the static well
+        (64, -2.0, 0.5, range(30, 35), 256, 4, 8, 3),       # step doubling's coarse scan
+        (64, -2.0, 0.5, range(30, 35), 512, 4, 8, 3),       # the driven well's scans
+        (64, -2.0, 0.5, range(30, 35), 512, 4, 12, 3),      # acceptance criterion 8
+        (256, -0.8, 0.5, range(126, 131), 512, 4, 4, 2),    # acceptance criterion 7
+        (256, -0.8, 0.5, range(126, 131), 64, 4, 3, 2),     # the ring-scatter benchmark
+        (40, -1.7, 0.45, range(19, 22), 256, 4, 8, 2),      # a ring-bound benchmark slot
+    ])
+    def test_suite_scans_need_no_arpack(self, monkeypatch, sites, depth, drive, support,
+                                        steps, order, n_modes, count):
+        lat = build_lattice(sites, 1.0, depth, drive, support)
+        mono = monodromy(lat, 0.0, PropagatorSchedule(steps, order))
+        monkeypatch.setattr(scattering, "eigsh", lambda *a, **kw: pytest.fail("eigsh reached"))
+        assert len(bound_state_scan(lat, mono, n_modes=n_modes)) == count
+
+    def test_phase_without_partner_reaches_arpack(self):
+        # (nearest, candidates) as the ARPACK-only cross-check returned them
+        lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
+        k = DiagonalShift(floquet_operator(lat, 8), "csc")
+        space = ModeSpace(8, lat.sites)
+        want = {3.0: (0.2758944132504908, 22), 3.3: (0.024105586748966346, 33),
+                1.0: (np.inf, 0), 5.5: (np.inf, 0)}
+        for phase, (nearest, candidates) in want.items():
+            got = _mode_space_partner(lat, k, space, phase, 1e-5)
+            assert got[1] == candidates
+            assert got[0] == pytest.approx(nearest, rel=1e-12)
+
