@@ -12,6 +12,7 @@ operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,14 +31,18 @@ class NoInteriorError(ValueError):
     """The mode cutoff leaves no interior mode-space state to compare."""
 
 
+@cache
 def start_vector(size: int) -> np.ndarray:
-    """Fixed generic unit start vector for iterative solvers (seeded normal entries).
+    """Fixed generic unit start vector for iterative solvers (seeded normal entries),
+    formed once per size and read-only.
 
     A symmetric choice such as the all-ones vector is orthogonal to every
     state odd under the ring's reflection about the well.
     """
     v = np.random.default_rng(0).standard_normal(size).astype(np.complex128)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)

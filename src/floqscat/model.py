@@ -11,7 +11,8 @@ The lattice model is a periodically driven ring: a PeriodicHamiltonian
 subclass whose free part is a tridiagonal hopping Hamiltonian with periodic
 closure, plus a static well and a cosine drive confined to a support window,
 encoded as modes {-1, 0, 1}; it adds the hopping and the support that the
-probe packets and the localization window read.
+probe packets and the localization window read, and the site reflection
+about the support (`mirror`) under which a symmetric well's H(t) is invariant.
 
 Every model owns what is built once from it: the H0 eigendecomposition
 behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`), the free
@@ -162,6 +163,19 @@ class LatticeModel(PeriodicHamiltonian):
         lo, hi = self.potential_support.min(), self.potential_support.max()
         idx = np.arange(lo - margin, hi + margin + 1) % self.sites
         return np.unique(idx)
+
+    def mirror(self) -> np.ndarray | None:
+        """The site reflection R: x -> lo + hi - x (mod L) about the support, where
+        h0 and every mode equal their reflected copies exactly; else None.
+
+        H(t) then commutes with R for every t, and so does U(t, s): column R[j]
+        of a propagator is rows R of column j."""
+        lo, hi = self.potential_support.min(), self.potential_support.max()
+        r = (lo + hi - np.arange(self.sites)) % self.sites
+        flip = np.ix_(r, r)
+        symmetric = np.array_equal(self.h0[flip], self.h0) and \
+            all(np.array_equal(m[flip], m) for m in self.modes.values())
+        return r if symmetric else None
 
 
 def ring_h0(sites: int, hopping: float) -> np.ndarray:

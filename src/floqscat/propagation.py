@@ -8,15 +8,32 @@ products: with H(t) = sum_i c_i(t) M_i over M_0 = H0 + H_0 and the modes H_n,
 every M_i and pairwise commutator [M_i, M_j] is held once per propagate call
 as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
-nodes with that stack, each step's checked Hermitian.  exp(-i Omega) acts on
-the running product through a Taylor polynomial whose degree and substep
-count are fixed per call from the a-priori bound on ||Omega||_1 so that the
-truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33 (2011)).  A propagator is therefore unitary to round-off, not by
-construction; `unitary_eig`'s `check_unitary` gates every monodromy.
-A stepper is built once per model, step width and order and kept in the
-model's `steppers` cache, so every propagate call on that model at that
-width, the monodromy's and the time average's alike, shares it.
+nodes with that stack, each step's checked Hermitian.  The pattern, the stack
+and the positions of each entry's transpose are built with numpy from the
+operands' nonzero keys (one np.unique, searchsorted); scipy.sparse forms only
+the commutator products.  exp(-i Omega) acts on the running product through a
+Taylor polynomial whose degree and substep count are fixed per call from the
+a-priori bound on ||Omega||_1 so that the truncation error stays below unit
+round-off (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)), evaluated by
+Horner's rule: acc <- u + X_j acc for j = degree..1, X_j = -i Omega /
+(substeps j).  On a sparse pattern each term is one call of scipy's private
+CSR multivector kernel `csr_matvecs`, which adds X_j acc onto a C-ordered copy
+of u: the public `omega @ x` reaches the same kernel after some 6 us of
+dispatch per call, about a third of the product on a 48-site ring.  A
+propagator is therefore unitary to round-off, not by construction;
+`unitary_eig`'s `check_unitary` gates every monodromy.  After each step
+`flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
+where there are none.  A stepper is built once per model, step width and
+order and kept in the model's `steppers` cache, so every propagate call on
+that model at that width, the monodromy's and the time average's alike,
+shares it.
+
+A LatticeModel whose h0 and modes equal their copies under the site
+reflection R about the support (`LatticeModel.mirror`) has H(t) R = R H(t),
+so U(t, s) commutes with R as well (Haake, Quantum Signatures of Chaos,
+ch. 2).  `propagate` from the identity then steps one column per mirror
+orbit, j <= R[j], and fills column R[j] with rows R of column j: about half
+the columns, whose stepped ones are bit for bit those of a full sweep.
 
 The one-period operator Theta = U(s + 1, s) carries the stroboscopic
 dynamics; its eigenphases are the quasi-energies mod 2pi.  Where
@@ -57,6 +74,11 @@ from math import lgamma, log
 
 import numpy as np
 import scipy.sparse as sp
+# scipy's CSR multivector kernel, Y += A X on C-ordered blocks: `omega @ x`
+# reaches the same kernel, but after some 6 us of format checks and a zeroed
+# result per call, a third of the product's cost on a 48-site ring; imported
+# here so that a scipy without it fails at import, not mid-propagation
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .model import LatticeModel, PeriodicHamiltonian, ring_h0
 from .numerics import (EigenDecomposition, expm_hermitian, max_norm, require_hermitian,
@@ -92,10 +114,12 @@ class StepPlanError(ValueError):
 
 
 def flush(u: np.ndarray) -> np.ndarray:
-    """u with every real and imaginary part below _FLUSH_BELOW set to +0.0, in place."""
+    """u with every real and imaginary part below _FLUSH_BELOW set to +0.0, in place;
+    where no part is that small, u is returned unwritten."""
     parts = u.view(np.float64)
-    parts *= np.abs(parts) >= _FLUSH_BELOW
-    parts += 0.0    # -0.0, from a negative part times False, becomes +0.0
+    small = np.abs(parts) < _FLUSH_BELOW
+    if small.any():
+        parts[small] = 0.0
     return u
 
 
@@ -156,20 +180,44 @@ class MagnusStepper:
                + i (sqrt(3) dt^2 / 12) sum_{i<j} (c1_i c2_j - c1_j c2_i) [M_i, M_j]
     at the Gauss nodes.  The Taylor degree and substep count follow from
     ||Omega||_1 <= dt B + (sqrt(3)/6) (dt B)^2, B = sum_i ||M_i||_1.
-    Where the pattern fills a quarter of the matrix or more, Omega's entries
-    go into a dense array instead of the CSR one.
+    The pattern (`indptr`, `indices`, the sorted row-major `keys`), the
+    `stack` and each entry's transposed partner (`mirror`) come from the
+    operands' nonzero keys by one np.unique and searchsorted.
+
+    A step evaluates its Taylor polynomial by Horner's rule, acc <- u + X_j acc
+    for j = degree..1 with X_j = -i Omega / (substeps j), the term scales
+    folded into the step's entries by one multiply.  Each term is one call of
+    scipy's private kernel csr_matvecs, accumulating X_j acc onto a C-ordered
+    copy of u, so that no `omega @ x` dispatch and no separate add is paid per
+    term (`accumulate`).  Where the pattern fills a quarter of the matrix or
+    more, the step's X_j go into a dense stack instead, one BLAS product and
+    one add per term.  Each step ends in `flush`, which writes nothing where
+    no part is below 2^-200.  The stepper acts on whatever columns it is
+    given; `propagate` hands it one column per mirror orbit where the model
+    has a `mirror`.
     """
 
     def __init__(self, h: PeriodicHamiltonian, dt: float, order: int):
         modes = [n for n in h.modes if n != 0]
-        self.dt, self.order = dt, order
+        self.dt, self.order, self.dim = dt, order, h.dim
         self.phase = 2j * np.pi * np.array([0] + modes)
-        ops = [sp.csr_array(m) for m in [h.h0 + h.mode(0)] + [h.modes[n] for n in modes]]
-        bound = dt * sum(float(abs(op).sum(axis=0).max(initial=0.0)) for op in ops)
+        ops = [h.h0 + h.mode(0)] + [h.modes[n] for n in modes]
         self.pairs = np.array(list(combinations(range(len(ops)), 2)), dtype=int).reshape(-1, 2).T
+        dim = self.dim
+        # (row-major keys, values) of each operand's nonzero entries
+        parts = [(keys, op.ravel()[keys]) for keys, op in
+                 zip(map(np.flatnonzero, ops), ops)]
+        bound = dt * sum(float(np.bincount(keys % dim, np.abs(values), dim).max())
+                         for keys, values in parts)   # the largest column sum, ||M_i||_1
         if order == 4:
             bound += _GAUSS_OFFSET * bound**2
-            ops += [ops[i] @ ops[j] - ops[j] @ ops[i] for i, j in self.pairs.T]
+            sparse = [sp.csr_array((values, np.divmod(keys, dim)), shape=(dim, dim))
+                      for keys, values in parts]
+            for i, j in self.pairs.T:
+                comm = (sparse[i] @ sparse[j] - sparse[j] @ sparse[i]).tocoo()
+                keep = comm.data != 0
+                parts.append((comm.row[keep].astype(np.int64) * dim + comm.col[keep],
+                              comm.data[keep]))
         self.degree, self.substeps = taylor_plan(bound)
         if self.degree * self.substeps > MAX_TAYLOR_APPLICATIONS:
             raise StepPlanError(
@@ -177,34 +225,26 @@ class MagnusStepper:
                 f"applications (||Omega||_1 <= {bound:.3g}), above the ceiling of "
                 f"{MAX_TAYLOR_APPLICATIONS}: take more steps per period")
 
-        for op in ops:
-            op.eliminate_zeros()
-            op.sum_duplicates()
-        support = sum((abs(op) for op in ops), sp.csr_array(ops[0].shape))
-        self.omega = (support + support.T).tocsr()   # symmetric; data is reset every step
-        self.omega.sum_duplicates()
-        dim = self.omega.shape[0]
-
-        def position(coo):   # index into omega.data: row-major keys, sorted on the pattern
-            return np.searchsorted(pattern_keys, coo.row.astype(np.int64) * dim + coo.col)
-
-        pattern = self.omega.tocoo()
-        pattern_keys = pattern.row.astype(np.int64) * dim + pattern.col
-        self.stack = np.zeros((len(ops), pattern.nnz), dtype=np.complex128)
-        for row, op in zip(self.stack, ops):
-            coo = op.tocoo()
-            row[position(coo)] = coo.data
-        self.mirror = position(pattern.T)   # where each entry's transposed partner sits
-        # a pattern filling a quarter of the matrix or more (a fiber of a few
-        # sites) leaves little to skip, and there a dense product costs less
-        # than the sparse one's dispatch: a Rabi or d <= 4 period takes 25-35 %
-        # less time (one BLAS thread, 2-vCPU Xeon)
-        self.keys = pattern_keys
-        self.dense = np.zeros((dim, dim), dtype=np.complex128) \
-            if 4 * pattern.nnz >= dim * dim else None
-        # a view: entries written through it land in self.dense
-        self._dense_flat = None if self.dense is None else self.dense.reshape(-1)
-        self._term_scales = [-1j / (self.substeps * j) for j in range(1, self.degree + 1)]
+        # the pattern: the union of the supports and its transpose, sorted row-major
+        keys = np.concatenate([k for k, _ in parts])
+        self.keys = np.unique(np.concatenate([keys, keys % dim * dim + keys // dim]))
+        row, col = np.divmod(self.keys, dim)
+        self.indptr = np.searchsorted(row, np.arange(dim + 1)).astype(np.int32)
+        self.indices = col.astype(np.int32)
+        self.stack = np.zeros((len(parts), len(self.keys)), dtype=np.complex128)
+        for line, (k, values) in zip(self.stack, parts):
+            line[np.searchsorted(self.keys, k)] = values
+        self.mirror = np.searchsorted(self.keys, col * dim + row)   # each entry's transpose
+        # a pattern filling a quarter of the matrix or more leaves little to
+        # skip, and on a large full fiber a dense BLAS product beats the CSR
+        # kernel: a 256-step period of a dense two-harmonic model takes 1.3-1.6x
+        # less time at d = 16 and 2.2-2.5x less at d = 32, though up to 45 %
+        # more at d <= 8 (one BLAS thread, 2-vCPU Xeon)
+        self.dense = np.zeros((self.degree, dim, dim), dtype=np.complex128) \
+            if 4 * len(self.keys) >= dim * dim else None
+        # X_degree .. X_1 of Horner's rule, per unit of Omega
+        self._term_scales = np.array([-1j / (self.substeps * j)
+                                      for j in range(self.degree, 0, -1)])[:, None]
 
     def _coefficients(self, t: np.ndarray) -> np.ndarray:
         return np.exp(np.multiply.outer(t % 1.0, self.phase))
@@ -230,23 +270,31 @@ class MagnusStepper:
             require_hermitian(defect, scale)
         return data
 
-    def _apply(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The operator with entries `data` on the pattern, times x."""
-        if self.dense is None:
-            self.omega.data = data
-            return self.omega @ x
-        self._dense_flat[self.keys] = data
-        return self.dense @ x
+    def accumulate(self, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out += X x for the operator X with entries `data` on the pattern; x and
+        out C-ordered, out written in place."""
+        csr_matvecs(self.dim, self.dim, x.size // self.dim, self.indptr, self.indices,
+                    data, x, out)
+        return out
 
     def _step(self, data: np.ndarray, u: np.ndarray) -> np.ndarray:
         """exp(-i Omega) u for Omega's entries `data`: `substeps` Taylor polynomials of
-        degree `degree` in -i Omega / substeps, the 1/j of each term folded into
-        Omega's entries."""
+        degree `degree` in -i Omega / substeps by Horner's rule."""
+        terms = self._term_scales * data
+        if self.dense is not None:
+            self.dense.reshape(self.degree, -1)[:, self.keys] = terms
+            for _ in range(self.substeps):
+                acc = u
+                for term in self.dense:
+                    acc = u + term @ acc
+                u = acc
+            return flush(u)
+        u = np.ascontiguousarray(u)
         for _ in range(self.substeps):
-            term, u = u, u.copy()
-            for scale in self._term_scales:
-                term = self._apply(data * scale, term)
-                u += term
+            acc = u
+            for term in terms:
+                acc = self.accumulate(term, acc, u.copy())
+            u = acc
         return flush(u)
 
     def sweep(self, s: float, n_steps: int, u: np.ndarray) -> np.ndarray:
@@ -255,7 +303,7 @@ class MagnusStepper:
         Every step's Omega entries, Hermitian check included, are computed
         before stepping, in blocks of at most _ENTRY_BLOCK entries."""
         starts = s + np.arange(n_steps) * self.dt
-        block = max(1, _ENTRY_BLOCK // self.stack.shape[1])
+        block = max(1, _ENTRY_BLOCK // max(1, self.stack.shape[1]))
         for first in range(0, n_steps, block):
             for data in self.entries(starts[first:first + block]):
                 u = self._step(data, u)
@@ -272,10 +320,13 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
     """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given.
 
     U(s, s) = I; t < s via the adjoint.  Stepping continues the running
-    product from `initial`, so a sweep cut into pieces at step boundaries
-    rounds like one uninterrupted propagate.  The MagnusStepper of each
-    (dt, order) is built on first use and kept in h.steppers, so a sweep whose
-    pieces share their step width builds one stepper.
+    product from `initial`, so for a given `initial` a sweep cut into pieces
+    at step boundaries rounds like one uninterrupted propagate.  From the
+    identity, a LatticeModel with a `mirror` R steps only column j <= R[j] of
+    each orbit {j, R[j]} and fills column R[j] with rows R of column j at the
+    end, so those columns round unlike initial=I's.  The MagnusStepper of
+    each (dt, order) is built on first use and kept in h.steppers, so a sweep
+    whose pieces share their step width builds one stepper.
     """
     sched = sched or PropagatorSchedule()
     if initial is not None and (t <= s or h.max_mode == 0):
@@ -294,11 +345,21 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
     if key not in h.steppers:
         h.steppers[key] = MagnusStepper(h, dt, sched.order)
     step = h.steppers[key]
-    # complex from the start (a real `initial` could not take the complex steps
-    # in place); the stepper copies before it writes, so `initial` is left as is
-    u = np.eye(h.dim, dtype=np.complex128) if initial is None else \
-        np.asarray(initial, dtype=np.complex128)
-    return step.sweep(s, n_steps, u)
+    if initial is not None:
+        # complex from the start (a real `initial` could not take the complex
+        # steps in place); the stepper copies before it writes
+        return step.sweep(s, n_steps, np.asarray(initial, dtype=np.complex128))
+    mirror = h.mirror() if isinstance(h, LatticeModel) else None
+    cols = np.arange(h.dim) if mirror is None else np.flatnonzero(np.arange(h.dim) <= mirror)
+    start = np.zeros((h.dim, len(cols)), dtype=np.complex128)
+    start[cols, np.arange(len(cols))] = 1.0
+    stepped = step.sweep(s, n_steps, start)
+    if mirror is None:
+        return stepped
+    u = np.empty((h.dim, h.dim), dtype=np.complex128)
+    u[:, mirror[cols]] = stepped[mirror]
+    u[:, cols] = stepped
+    return u
 
 
 @dataclass

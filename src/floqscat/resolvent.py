@@ -298,9 +298,10 @@ def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
     return worst
 
 
-def free_spectrum_distance(h0: np.ndarray, lam: float) -> float:
-    """Distance of a real quasi-energy to the translated free spectrum."""
-    evals = np.linalg.eigvalsh(h0)[:, None]
+def free_spectrum_distance(levels: np.ndarray, lam: float) -> float:
+    """Distance of a real quasi-energy to the translated free spectrum, from H0's
+    eigenvalues `levels`."""
+    evals = np.asarray(levels)[:, None]
     shifts = np.round((lam - evals) / (2 * np.pi)) + np.array([-1.0, 0.0, 1.0])
     return float(np.abs(lam - (evals + 2 * np.pi * shifts)).min())
 
@@ -351,10 +352,11 @@ class DiagonalShift:
 class ScanOperators:
     """The sparse K = K0 + V and K0 of one model's mode space at cutoff N, prepared
     for shifts: K in CSC for the LU of K - zeta, K0 in CSR for products with
-    K0 - zeta.  Keeps H0 and the ModeSpace for the verdicts drawn from them."""
+    K0 - zeta.  Keeps H0's eigenvalues and the ModeSpace for the verdicts drawn
+    from them."""
 
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
-        self.h0 = h.h0
+        self.free_levels = np.linalg.eigvalsh(h.h0)
         self.space = ModeSpace(n_modes, h.dim)
         self.k = DiagonalShift(floquet_operator(h, n_modes), "csc")
         self.k0 = DiagonalShift(self.space.assemble(h.h0), "csr")
@@ -416,7 +418,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
     ladder are extrapolated linearly in eps to the axis (never evaluating
     exactly on it).
     """
-    dist = free_spectrum_distance(scan.h0, lam_candidate)
+    dist = free_spectrum_distance(scan.free_levels, lam_candidate)
     if dist < threshold_margin:
         raise ThresholdProximityError(
             f"candidate {lam_candidate} lies {dist:.2e} from the free spectrum "

@@ -222,6 +222,163 @@ class TestMagnusStepper:
         assert not ((parts > 0) & (parts < np.finfo(np.float64).tiny)).any()
 
 
+def power_sum_sweep(stepper, s, n_steps, u):
+    """The step product by the Taylor power sum, term_j = X_j term_{j-1} added one
+    by one with X_j = -i Omega / (substeps j), each through `omega @ x`."""
+    import scipy.sparse as sp
+
+    from floqscat.propagation import flush
+
+    pattern = (stepper.indices, stepper.indptr)
+    for data in stepper.entries(s + np.arange(n_steps) * stepper.dt):
+        for _ in range(stepper.substeps):
+            term, u = u, u.copy()
+            for j in range(1, stepper.degree + 1):
+                scaled = data * (-1j / (stepper.substeps * j))
+                term = sp.csr_array((scaled, *pattern), shape=u.shape[:1] * 2) @ term
+                u += term
+        u = flush(u)
+    return u
+
+
+def scipy_built_stepper(h, dt, order):
+    """(omega, stack, mirror, (degree, substeps)) as a stepper built on
+    scipy.sparse forms them: CSR operands, sparse sums of their |entries|,
+    COO keys."""
+    from itertools import combinations
+
+    import scipy.sparse as sp
+
+    from floqscat.propagation import taylor_plan
+
+    modes = [n for n in h.modes if n != 0]
+    ops = [sp.csr_array(m) for m in [h.h0 + h.mode(0)] + [h.modes[n] for n in modes]]
+    bound = dt * sum(float(abs(op).sum(axis=0).max(initial=0.0)) for op in ops)
+    if order == 4:
+        bound += np.sqrt(3.0) / 6.0 * bound**2
+        ops += [ops[i] @ ops[j] - ops[j] @ ops[i] for i, j in combinations(range(len(ops)), 2)]
+    for op in ops:
+        op.eliminate_zeros()
+        op.sum_duplicates()
+    support = sum((abs(op) for op in ops), sp.csr_array(ops[0].shape))
+    omega = (support + support.T).tocsr()
+    omega.sum_duplicates()
+    dim = omega.shape[0]
+    pattern = omega.tocoo()
+    keys = pattern.row.astype(np.int64) * dim + pattern.col
+
+    def position(coo):
+        return np.searchsorted(keys, coo.row.astype(np.int64) * dim + coo.col)
+
+    stack = np.zeros((len(ops), pattern.nnz), dtype=np.complex128)
+    for row, op in zip(stack, ops):
+        coo = op.tocoo()
+        row[position(coo)] = coo.data
+    return omega, stack, position(pattern.T), taylor_plan(bound)
+
+
+def mirror_ring(sites, width):
+    from floqscat.model import build_lattice
+
+    lo = sites // 2 - width // 2
+    return build_lattice(sites, 1.0, -1.8, 0.45, range(lo, lo + width))
+
+
+class TestHornerStep:
+    """Horner's rule with one fused kernel product per term, the numpy-built
+    pattern and one stepped column per mirror orbit."""
+
+    @pytest.mark.parametrize("name, span, steps", [("ring-48", 0.5, 256), ("rabi", 1.0, 512)])
+    def test_matches_the_power_sum(self, name, span, steps):
+        from floqscat.model import rabi_model
+        from floqscat.propagation import MagnusStepper
+
+        h = mirror_ring(48, 4) if name == "ring-48" else rabi_model(0.3, 0.8)
+        n = int(span * steps)
+        tol = 2 * n * np.finfo(np.float64).eps    # set from the dtype and the step count
+        want = power_sum_sweep(MagnusStepper(h, 1.0 / steps, 4), 0.0, n,
+                               np.eye(h.dim, dtype=np.complex128))
+        got = propagate(h, 0.0, span, PropagatorSchedule(steps, 4))
+        assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("pattern", ["ring", "window-segment"])
+    def test_kernel_product_is_omega_times_x(self, pattern, order):
+        import scipy.sparse as sp
+
+        from floqscat.model import PeriodicHamiltonian
+        from floqscat.propagation import MagnusStepper
+
+        h = mirror_ring(48, 5)
+        if pattern == "window-segment":
+            ring = TestWindowRoute.ring()
+            seg = np.arange(128 - 2 - 38, 128 + 2 + 39) % ring.sites
+            cut = np.ix_(seg, seg)
+            h = PeriodicHamiltonian(ring.h0[cut], {n: m[cut] for n, m in ring.modes.items()})
+        stepper = MagnusStepper(h, 1.0 / 64, 4)
+        assert stepper.dense is None
+        data = stepper.entries(np.array([0.3]))[0] * (-0.25j)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(h.dim, 7)) + 1j * rng.normal(size=(h.dim, 7))
+        x = np.asarray(x, order=order)
+        omega = sp.csr_array((data, stepper.indices, stepper.indptr), shape=(h.dim, h.dim))
+        got = stepper.accumulate(data, np.ascontiguousarray(x),
+                                 np.zeros((h.dim, 7), dtype=np.complex128))
+        assert np.array_equal(got, omega @ x)
+
+    @pytest.mark.parametrize("start", [0.0, 0.25])
+    @pytest.mark.parametrize("sites, width", [(40, 3), (44, 4), (47, 5), (48, 6)])
+    def test_mirror_orbits_match_every_column(self, sites, width, start):
+        h = mirror_ring(sites, width)
+        mirror = h.mirror()
+        assert mirror is not None
+        sched = PropagatorSchedule(64, 4)
+        got = propagate(h, start, start + 0.5, sched)
+        every = propagate(h, start, start + 0.5, sched, initial=np.eye(sites))
+        assert np.abs(got - every).max() <= 1e-14
+        stepped = np.arange(sites) <= mirror
+        assert np.array_equal(got[:, stepped], every[:, stepped])
+
+    def test_mirror_is_the_reflection_about_the_support(self):
+        from floqscat.model import build_lattice
+
+        lat = build_lattice(40, 1.0, -1.5, 0.5, [18, 20])
+        assert np.array_equal(lat.mirror(), (38 - np.arange(40)) % 40)
+        assert build_lattice(40, 1.0, -1.5, 0.5, [18, 19, 21]).mirror() is None
+
+    def test_asymmetric_model_has_no_mirror(self):
+        from floqscat.model import LatticeModel
+
+        ring = mirror_ring(40, 4)
+        h0 = ring.h0.copy()
+        h0[0, 1] = h0[1, 0] = -0.5
+        lat = LatticeModel(h0=h0, modes=ring.modes, hopping=1.0,
+                           potential_support=ring.potential_support)
+        assert lat.mirror() is None
+        sched = PropagatorSchedule(16, 4)
+        assert np.array_equal(propagate(lat, 0.0, 0.5, sched),
+                              propagate(lat, 0.0, 0.5, sched, initial=np.eye(40)))
+
+    def test_all_zero_drive_has_an_empty_pattern(self, fast_sched):
+        zero = np.zeros((2, 2))
+        h = PeriodicHamiltonian(h0=zero, modes={1: zero, -1: zero})
+        assert np.array_equal(propagate(h, 0.0, 1.0, fast_sched), np.eye(2))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", list(magnus_cases()) + ["ring-48"])
+    def test_pattern_matches_the_scipy_built_one(self, name, order):
+        from floqscat.propagation import MagnusStepper
+
+        h, steps = (mirror_ring(48, 5), 256) if name == "ring-48" else magnus_cases()[name]
+        stepper = MagnusStepper(h, 1.0 / steps, order)
+        omega, stack, mirror, plan = scipy_built_stepper(h, 1.0 / steps, order)
+        assert np.array_equal(stepper.indptr, omega.indptr)
+        assert np.array_equal(stepper.indices, omega.indices)
+        assert np.array_equal(stepper.stack, stack)
+        assert np.array_equal(stepper.mirror, mirror)
+        assert (stepper.degree, stepper.substeps) == plan
+
+
 def record_propagate_spans(monkeypatch):
     """(s, t) of every propagate call made through the propagation module."""
     import floqscat.propagation as propagation
@@ -318,6 +475,13 @@ class TestStepBookkeeping:
         parts = u.view(np.float64)
         assert np.array_equal(parts, [0.0, 0.0, 0.0, 2.0, 0.5, 0.0, -1.0, 0.0])
         assert not np.signbit(parts[parts == 0.0]).any()
+
+    def test_flush_leaves_an_array_without_small_parts_unwritten(self):
+        from floqscat.propagation import flush
+
+        u = np.array([1.0 - 2.0j, 3e-60 + 0.5j])
+        u.flags.writeable = False     # a write would raise
+        assert flush(u) is u
 
 
 def stepped_period(h, s, sched):

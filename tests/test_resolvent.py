@@ -323,9 +323,9 @@ class TestBoundStates:
             bound_state_correspondence(ScanOperators(h, 4), 1.0 + 1e-5)
 
     def test_free_spectrum_distance(self):
-        h0 = np.diag([0.0, 1.0])
-        assert free_spectrum_distance(h0, 1.0) == 0.0
-        assert abs(free_spectrum_distance(h0, 2 * np.pi + 0.3) - 0.3) < 1e-12
+        levels = np.linalg.eigvalsh(np.diag([0.0, 1.0]))
+        assert free_spectrum_distance(levels, 1.0) == 0.0
+        assert abs(free_spectrum_distance(levels, 2 * np.pi + 0.3) - 0.3) < 1e-12
 
     def test_driven_well_scan_agrees_with_theta(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
