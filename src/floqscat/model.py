@@ -15,10 +15,10 @@ probe packets and the localization window read, and the site reflection
 about the support (`mirror`) under which a symmetric well's H(t) is invariant.
 
 Every model owns what is built once from it: the H0 eigendecomposition
-behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`), the free
-one-period operator U0(1) (`free_period`, read-only) and the
-Magnus steppers of each step width and order it is propagated with
-(`steppers`, filled by propagation.propagate).
+(`free_eig`) behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`) and
+the null scan's free resolvent, the free one-period operator U0(1)
+(`free_period`, read-only) and the Magnus steppers of each step width and
+order it is propagated with (`steppers`, filled by propagation.propagate).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import HermitianExponential, as_complex_matrix, check_hermitian
+from .numerics import EigenDecomposition, HermitianExponential, as_complex_matrix, check_hermitian
 
 HERMITIAN_TOL = 1e-12
 
@@ -101,6 +101,12 @@ class PeriodicHamiltonian:
     @cached_property
     def _free(self) -> HermitianExponential:
         return HermitianExponential(self.h0)
+
+    @property
+    def free_eig(self) -> EigenDecomposition:
+        """H0's eigendecomposition (hermitian_eig), formed once per model: the one
+        behind free_propagator and free_apply."""
+        return self._free.eig
 
     @cached_property
     def free_period(self) -> np.ndarray:

@@ -27,13 +27,17 @@ The mode-space block operator (Q(zeta) x)_n = sum_k V_{n-k} (H0 + 2 pi k -
 zeta)^{-1} x_k drives the norm-decay probes and the bound-state scan: a
 quasi-energy lambda off the free spectrum is an eigenvalue exactly when
 I + Q(lambda + i0) is singular, and the corresponding mode vector is
-recovered from the null direction.  The scan never forms Q: with the sparse
-K = K0 + V, I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, so its inverse is one
-sparse LU solve.  K and K0 are prepared once (ScanOperators) on patterns that
-hold their full diagonals, so a shift zeta rewrites only the diagonal
-entries.  The candidate is refined to K's eigenvalue by Rayleigh quotients of
+recovered from the null direction.  The scan never forms Q: V lives on the
+potential's support S, so V = P V_S P^T with r = |S| (2N + 1) rows, and
+Woodbury's identity reduces every solve with I + Q to one r x r LU of
+I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, with (K0 - zeta)^{-1} diagonal in
+H0's eigenbasis (a Birman-Schwinger problem of the support's size; Simon,
+Trace Ideals and Their Applications, ch. 7).  ScanOperators prepares the
+support block, H0's eigendecomposition and the sparse K once per model and
+cutoff.  The candidate is refined to K's eigenvalue by Rayleigh quotients of
 psi = (K0 - zeta)^{-1} phi taken from the scan's own null direction phi, and
-the verdict's residual ||(K - lambda) psi|| / ||psi|| measures that psi.
+the verdict's residual ||(K - lambda) psi|| / ||psi|| measures that psi on
+the assembled K.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .floquet import ModeSpace, floquet_operator, start_vector
 from .model import PeriodicHamiltonian
@@ -321,14 +325,14 @@ class BoundStateVerdict:
 
 
 class DiagonalShift:
-    """A sparse square matrix stored on a canonical pattern that holds its full
-    diagonal, with the diagonal's positions indexed.
+    """A sparse square matrix stored in CSC on a canonical pattern that holds its
+    full diagonal, with the diagonal's positions indexed.
 
     `minus(zeta)` rewrites only the diagonal entries; its pattern and values
     equal those of A - zeta I for non-real zeta bit for bit.
     """
 
-    def __init__(self, a, fmt: str):
+    def __init__(self, a):
         a = sp.coo_array(a, copy=True)
         a.sum_duplicates()
         a.eliminate_zeros()
@@ -337,60 +341,135 @@ class DiagonalShift:
         data = np.concatenate([a.data.astype(np.complex128), np.zeros(n, np.complex128)])
         self.matrix = sp.coo_array((data, (np.concatenate([a.row, diag]),
                                            np.concatenate([a.col, diag]))),
-                                   shape=a.shape).asformat(fmt)
-        major = np.repeat(diag, np.diff(self.matrix.indptr))   # row (CSR) or column (CSC)
-        self.diag = np.flatnonzero(self.matrix.indices == major)
+                                   shape=a.shape).tocsc()
+        column = np.repeat(diag, np.diff(self.matrix.indptr))
+        self.diag = np.flatnonzero(self.matrix.indices == column)
 
-    def minus(self, zeta: complex):
-        """A - zeta I in the stored format."""
+    def minus(self, zeta: complex) -> sp.csc_array:
+        """A - zeta I in CSC."""
         m = self.matrix
         data = m.data.copy()
         data[self.diag] -= zeta
-        return type(m)((data, m.indices, m.indptr), shape=m.shape)
+        return sp.csc_array((data, m.indices, m.indptr), shape=m.shape)
+
+
+def _support_solve(factor, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """A^{-1} b (trans 0) or A^{-H} b (trans 2) from ScanOperators._factor's LU;
+    b itself where r = 0 leaves no factor."""
+    return b if factor is None else zgetrs(*factor, b, trans=trans)[0]
 
 
 class ScanOperators:
-    """The sparse K = K0 + V and K0 of one model's mode space at cutoff N, prepared
-    for shifts: K in CSC for the LU of K - zeta, K0 in CSR for products with
-    K0 - zeta.  Keeps H0's eigenvalues and the ModeSpace for the verdicts drawn
-    from them."""
+    """One model's null scan at mode cutoff N, prepared once for all its shifts: the
+    sparse K = K0 + V (for Rayleigh quotients and residuals), H0's
+    eigendecomposition (eps, U) from the model (`free_eig`; `free_levels` are its
+    eps), and the potential's block V_S on its support.
+
+    The support S holds the sites where some mode H_m (m = 0 included) has a
+    nonzero row or column.  P picks the r = |S| (2N + 1) mode-space rows (n, a)
+    with a in S, and V_S is the r x r block whose (n, m) block is H_{n-m}[S, S],
+    so V = K - K0 = P V_S P^T.  A model without modes has r = 0.  U_S (`u_s`)
+    holds U's rows S, and `start` the fixed start vector in H0's eigenbasis.
+    """
 
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
-        self.free_levels = np.linalg.eigvalsh(h.h0)
+        self.k = floquet_operator(h, n_modes)
         self.space = ModeSpace(n_modes, h.dim)
-        self.k = DiagonalShift(floquet_operator(h, n_modes), "csc")
-        self.k0 = DiagonalShift(self.space.assemble(h.h0), "csr")
+        eig = h.free_eig
+        self.free_levels = eig.values
+        self.u = eig.vectors
+        # nonzero columns suffice: H_{-m} = H_m^H puts H_m's rows among H_{-m}'s columns
+        sites = np.flatnonzero(sum(((hm != 0).any(axis=0) for hm in h.modes.values()),
+                                   np.zeros(h.dim, dtype=bool)))
+        self.u_s = self.u[sites]
+        nb, width = self.space.n_blocks, len(sites)
+        v_s = np.zeros((nb, width, nb, width), dtype=np.complex128)
+        for m, hm in h.modes.items():
+            n = np.arange(max(0, m), nb + min(0, m))
+            v_s[n, :, n - m, :] = hm[np.ix_(sites, sites)]
+        self.v_s = v_s.reshape(nb * width, nb * width)
+        self.start = self.space.blocks(start_vector(self.space.size)) @ self.u.conj()
+
+    def _factor(self, g: np.ndarray, zeta: complex):
+        """LAPACK LU (getrf) of A = I_r + G_S V_S, where G_S = P^T G0 P has the mode
+        blocks U_S diag(g_n) U_S^H; None for r = 0."""
+        nb, width = self.space.n_blocks, self.u_s.shape[0]
+        r = nb * width
+        if r == 0:
+            return None
+        g_s = (self.u_s * g[:, None, :]) @ self.u_s.conj().T          # (2N + 1, |S|, |S|)
+        a = (g_s @ self.v_s.reshape(nb, width, r)).reshape(r, r)
+        a.flat[::r + 1] += 1.0
+        lu, piv, info = zgetrf(a, overwrite_a=True)
+        if info != 0:
+            raise SingularMatrixError(
+                f"I + Q({zeta}) singular on the potential's support (getrf info {info})")
+        return lu, piv
 
     def null_pair(self, zeta: complex):
         """(s, phi, psi): the smallest singular value s and right singular vector phi
         of I + Q(zeta), and psi = (K0 - zeta)^{-1} phi.
 
-        A shift rewrites only the prepared diagonals, so K - zeta and K0 - zeta
-        equal K - zeta I and K0 - zeta I bit for bit.  Since
-        I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}, its inverse and inverse adjoint
-        each cost one solve with the sparse LU of K - zeta and one product with
-        K0 - zeta.  Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed
-        start vector gives phi, and s = ||(I + Q) phi|| comes from the same two
-        solves; unlike the Hermitian form (I + Q)^H (I + Q), this resolves s far
-        below sqrt(machine eps) ||I + Q||.  psi comes from the last step's own
-        solve with K - zeta.  Stops when s changes by at most
-        INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it has
-        not after INVERSE_ITERATION_MAXITER steps.
+        Every solve goes through one r x r factorization on the potential's
+        support (Birman-Schwinger; Simon, Trace Ideals and Their Applications,
+        ch. 7).  On mode block n, G0 = (K0 - zeta)^{-1} is U diag(g_n) U^H with
+        g_n = 1 / (eps + 2 pi n - zeta).  With A = I_r + G_S V_S (one getrf per
+        zeta; info != 0 raises SingularMatrixError naming zeta), Woodbury's
+        identity gives
+
+            (I + Q)^{-1} = I - P V_S A^{-1} P^T G0,
+            (I + Q)^{-H} = I - G0^H P A^{-H} V_S^H P^T.
+
+        Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed start vector
+        gives phi.  One step takes c = A^{-H} V_S^H phi_S and
+        y = phi - G0^H P c = (I + Q)^{-H} phi, then b = V_S A^{-1} (G0 y)_S,
+        z = y - P b = (I + Q)^{-1} y, whose unit vector is the next phi.
+        s = ||(I + Q) phi|| = ||y|| / ||z|| comes from the same step; unlike the
+        Hermitian form (I + Q)^H (I + Q), this resolves s far below
+        sqrt(machine eps) ||I + Q||.  psi = G0 phi is the last step's
+        G0 z / ||z|| = (K - zeta)^{-1} y / ||z||.  The iteration runs on
+        the coefficients in H0's eigenbasis, where G0 is the diagonal g and P,
+        P^T act through U_S, so phi and psi are carried back by U only at the
+        end; norms are the same in both bases.  Stops when s changes by at most
+        INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it
+        has not after INVERSE_ITERATION_MAXITER steps.
+
+        Cost per zeta: r^3 for the factor, (2N + 1) d |S| per step and
+        (2N + 1) d^2 to carry phi and psi back; no sparse LU of the (2N + 1) d
+        mode space.  The cubic term sets the crossover: at N = 4 on a 48-site
+        ring (2-vCPU Xeon, one BLAS thread, medians) forming and factoring A
+        takes 0.08 ms at support width 5 (r = 45) against 0.66 ms for the
+        whole-space sparse LU of K - zeta, 0.66 against 1.09 ms at width 16
+        (r = 144) and 2.4 against 0.95 ms at width 24 (r = 216): the two meet
+        near r = 200.  The shipped configs and benchmark slots have widths
+        3-6.  G0 is not applied by FFT over the ring: at Im zeta = 1e-8 on the
+        64-site driven well (test_matches_dense_svd) s from eigh's (eps, U)
+        meets the dense inverse's to 5e-13 relative, while the ring's
+        closed-form Fourier eigenpairs (what an FFT applies) miss it by 6e-9,
+        and the eigh bases of H0 plus a random Hermitian 1e-16 by 3e-10.
         """
-        lu = splu(self.k.minus(zeta))
-        free = self.k0.minus(zeta)
-        free_h = free.conj().T
-        phi = start_vector(self.space.size)
+        zeta = complex(zeta)
+        g = 1.0 / (self.free_levels + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
+        g_h = g.conj()
+        factor = self._factor(g, zeta)
+        # P^T and P on eigenbasis coefficients, mode blocks as rows
+        to_support, from_support = self.u_s.T, self.u_s.conj()
+        v_s, v_s_h = self.v_s, self.v_s.conj().T
+        nb = self.space.n_blocks
+        shape = (nb, self.u_s.shape[0])
+        phi = self.start
         s_prev = np.inf
         for _ in range(INVERSE_ITERATION_MAXITER):
-            y = lu.solve(free_h @ phi, trans="H")    # (I + Q)^{-H} phi
-            x = lu.solve(y)                           # (K - zeta)^{-1} y
-            z = free @ x                              # (I + Q)^{-1} y
+            c = _support_solve(factor, v_s_h @ (phi @ to_support).ravel(), trans=2)
+            y = phi - g_h * (c.reshape(shape) @ from_support)        # (I + Q)^{-H} phi
+            b = v_s @ _support_solve(factor, (g * y @ to_support).ravel())
+            z = y - b.reshape(shape) @ from_support                  # (I + Q)^{-1} y
             z_norm = np.linalg.norm(z)
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
             if abs(s - s_prev) <= INVERSE_ITERATION_RTOL * s:
-                return s, phi, x / z_norm
+                back = np.concatenate([phi, g * phi]) @ self.u.T      # psi = G0 phi
+                return s, back[:nb].ravel(), back[nb:].ravel()
             s_prev = s
         raise InverseIterationError(
             f"smallest singular value of I + Q({zeta}) did not settle in "
@@ -401,9 +480,9 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
                                eps_ladder=(1e-2, 1e-3, 1e-4), search_window: float = 5e-4,
                                null_tol: float = 1e-6, residual_tol: float = 1e-6,
                                threshold_margin: float = 1e-3) -> BoundStateVerdict:
-    """Verify a candidate bound quasi-energy through the null-vector scan on the
-    model's K and K0 at the cutoff `scan` was prepared for (ScanOperators,
-    built once for several candidates of one model).
+    """Verify a candidate bound quasi-energy through the null-vector scan of the
+    model at the cutoff `scan` was prepared for (ScanOperators, built once for
+    several candidates of one model).
 
     Rayleigh refinement: from lambda_0 = candidate, the null direction phi of
     I + Q(lambda_j + i RAYLEIGH_EPS) gives psi = (K0 - zeta)^{-1} phi at the
@@ -414,7 +493,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
     window around the candidate (refined then stays at the last value
     inside).  The last psi is the mode vector, and the residual
     ||(K - refined) psi|| / ||psi|| of the truncated eigenvalue equation is
-    measured on it.  The smallest singular values at refined + i eps over the
+    measured on it with the assembled K.  The smallest singular values at refined + i eps over the
     ladder are extrapolated linearly in eps to the axis (never evaluating
     exactly on it).
     """
@@ -429,7 +508,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
     refined = float(lam_candidate)
     for _ in range(RAYLEIGH_MAXITER):
         _, _, psi = scan.null_pair(refined + 1j * RAYLEIGH_EPS)
-        k_psi = scan.k.matrix @ psi
+        k_psi = scan.k @ psi
         quotient = float((np.vdot(psi, k_psi) / np.vdot(psi, psi)).real)
         if abs(quotient - lam_candidate) > search_window:
             break

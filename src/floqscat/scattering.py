@@ -496,7 +496,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
 
     infos = []
     if found:
-        k = DiagonalShift(floquet_operator(model, n_modes), "csc")
+        k = DiagonalShift(floquet_operator(model, n_modes))
         space = ModeSpace(n_modes, model.sites)
         for phase, _ in found:
             dist, candidates = _mode_space_partner(model, k, space, phase, cross_check_tol)

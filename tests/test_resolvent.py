@@ -6,9 +6,10 @@ from scipy.sparse.linalg import eigsh, splu
 import floqscat.resolvent as resolvent
 from floqscat.floquet import ModeSpace, build_floquet, floquet_operator, start_vector
 from floqscat.model import PeriodicHamiltonian, build_lattice, rabi_model
-from floqscat.numerics import max_norm, op_norm
+from floqscat.numerics import SingularMatrixError, max_norm, op_norm
 from floqscat.propagation import PropagatorSchedule
 from floqscat.resolvent import (
+    DiagonalShift,
     InverseIterationError,
     ScanOperators,
     ThresholdProximityError,
@@ -28,6 +29,8 @@ from floqscat.resolvent import (
 )
 
 from conftest import random_hermitian
+
+RING_SLOT = (40, 1.0, -1.7, 0.45, range(19, 22))   # TestRayleighRefinement's ring-bound slot
 
 
 def constant_f(n_t, d=1):
@@ -350,6 +353,85 @@ class TestBoundStates:
         assert abs(verdict.refined - (lam + 2 * np.pi)) <= 1e-5
 
 
+def sparse_lu_null_pair(h, n_modes, zeta):
+    """The reference null scan: inverse iteration with one sparse LU of K - zeta I on
+    the whole mode space and products with K0 - zeta I, as
+    I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}; returns (s, phi, psi) as null_pair."""
+    k, k0 = floquet_operator(h, n_modes), ModeSpace(n_modes, h.dim).assemble(h.h0)
+    eye = sp.eye_array(k.shape[0], format="csc")
+    lu = splu(sp.csc_array(k - zeta * eye))
+    free = sp.csr_array(k0 - zeta * eye)
+    free_h = free.conj().T
+    phi = start_vector(k.shape[0])
+    s_prev = np.inf
+    for _ in range(resolvent.INVERSE_ITERATION_MAXITER):
+        y = lu.solve(free_h @ phi, trans="H")    # (I + Q)^{-H} phi
+        x = lu.solve(y)                           # (K - zeta)^{-1} y
+        z = free @ x                              # (I + Q)^{-1} y
+        z_norm = np.linalg.norm(z)
+        phi = z / z_norm
+        s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
+        if abs(s - s_prev) <= resolvent.INVERSE_ITERATION_RTOL * s:
+            return s, phi, x / z_norm
+        s_prev = s
+    raise InverseIterationError(f"reference null scan did not settle at {zeta}")
+
+
+def phase_distance(got, want):
+    """||got - c want|| / ||want|| for the unit phase c that best aligns want with got."""
+    c = np.vdot(want, got)
+    return float(np.linalg.norm(got - c / abs(c) * want) / np.linalg.norm(want))
+
+
+class TestSupportNullScan:
+    """null_pair's factor on the potential's support against the sparse-LU
+    reference on the whole mode space, at the K eigenvalue nearest the lowest
+    level of H0 + H_0 (the ring's well state), where s falls with eps."""
+
+    @pytest.fixture(scope="class")
+    def models(self, fleet_models):
+        return {"rabi": fleet_models[0], "fleet-d3": fleet_models[1],
+                "ring": build_lattice(*RING_SLOT)}
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("name", ["rabi", "fleet-d3", "ring"])
+    def test_matches_sparse_lu(self, models, name, eps):
+        h = models[name]
+        levels = np.linalg.eigvalsh(floquet_operator(h, 4).toarray())
+        lam = levels[np.argmin(np.abs(levels - np.linalg.eigvalsh(h.h0 + h.mode(0))[0]))]
+        s, phi, psi = ScanOperators(h, 4).null_pair(lam + 1j * eps)
+        s_ref, phi_ref, psi_ref = sparse_lu_null_pair(h, 4, lam + 1j * eps)
+        assert abs(s - s_ref) <= 1e-12 * s_ref
+        assert phase_distance(phi, phi_ref) <= 1e-12
+        assert phase_distance(psi, psi_ref) <= 1e-12
+
+    def test_factor_on_support(self, models, driven_well_64, monkeypatch):
+        factors = []
+        getrf = resolvent.zgetrf
+        monkeypatch.setattr(resolvent, "zgetrf",
+                            lambda a, **kw: factors.append(a.shape) or getrf(a, **kw))
+        zeta = 2.5 + 1e-2j
+        for h, shape in ((models["rabi"], (18, 18)),     # every site: r = (2N + 1) d
+                         (driven_well_64, (45, 45))):    # a 5-site well at N = 4
+            factors.clear()
+            ScanOperators(h, 4).null_pair(zeta)
+            assert factors == [shape]
+        # without modes r = 0 and nothing is factored: I + Q = I, so s = 1 and
+        # psi = (K0 - zeta)^{-1} phi
+        factors.clear()
+        free = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
+        s, phi, psi = ScanOperators(free, 4).null_pair(zeta)
+        assert factors == []
+        k0 = ModeSpace(4, 2).assemble(free.h0).toarray() - zeta * np.eye(18)
+        assert abs(s - 1.0) <= 1e-15
+        assert np.linalg.norm(k0 @ psi - phi) <= 1e-14
+
+    def test_singular_factor_named(self, models, monkeypatch):
+        monkeypatch.setattr(resolvent, "zgetrf", lambda a, **kw: (a, np.arange(len(a)), 3))
+        with pytest.raises(SingularMatrixError, match=r"I \+ Q\(\(-2\.5\+0\.01j\)\)"):
+            ScanOperators(models["ring"], 4).null_pair(-2.5 + 1e-2j)
+
+
 class TestSmallestSingularPair:
     N = 6
 
@@ -441,38 +523,33 @@ class TestRayleighRefinement:
     def test_at_most_six_evaluations_per_verdict(self, ring_slot, monkeypatch):
         lat, candidates = ring_slot
         scan = ScanOperators(lat, 4)
-        factorizations = []   # one sparse LU of K - zeta per null-scan evaluation
-        monkeypatch.setattr(resolvent, "splu", lambda a: factorizations.append(a) or splu(a))
+        evaluations = []   # one null_pair per null-scan evaluation
+        null_pair = scan.null_pair
+        monkeypatch.setattr(scan, "null_pair",
+                            lambda zeta: evaluations.append(zeta) or null_pair(zeta))
         for lam in candidates:
-            factorizations.clear()
+            evaluations.clear()
             bound_state_correspondence(scan, lam)
-            assert 1 <= len(factorizations) <= 6
+            assert 1 <= len(evaluations) <= 6
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-13])
     def test_prepared_shift_bit_identical(self, driven_well_64, well_candidates, eps):
         h = driven_well_64
-        k, k0 = floquet_operator(h, 6), ModeSpace(6, h.dim).assemble(h.h0)
+        k = floquet_operator(h, 6)
         zeta = well_candidates[0] + 1j * eps
+        got = DiagonalShift(k).minus(zeta)
+        want = sp.csc_array(k - zeta * sp.eye_array(k.shape[0], format="csc"))
+        assert got.format == want.format and got.dtype == want.dtype
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        # the support factorization against the sparse-LU inverse iteration; at
+        # eps = 1e-13, s is fixed only to its absolute round-off
+        s, phi, psi = sparse_lu_null_pair(h, 6, zeta)
         scan = ScanOperators(h, 6)
-        eye = sp.eye_array(k.shape[0], format="csc")
-        lu_in, free = sp.csc_array(k - zeta * eye), sp.csr_array(k0 - zeta * eye)
-        for got, want in ((scan.k.minus(zeta), lu_in), (scan.k0.minus(zeta), free)):
-            assert got.format == want.format and got.dtype == want.dtype
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        # inverse iteration on the subtracted operators k - zeta I and k0 - zeta I
-        lu, free_h = splu(lu_in), free.conj().T
-        phi, s_prev = start_vector(k.shape[0]), np.inf
-        for _ in range(resolvent.INVERSE_ITERATION_MAXITER):
-            y = lu.solve(free_h @ phi, trans="H")
-            z = free @ lu.solve(y)
-            phi = z / np.linalg.norm(z)
-            s = float(np.linalg.norm(y) / np.linalg.norm(z))
-            if abs(s - s_prev) <= resolvent.INVERSE_ITERATION_RTOL * s:
-                break
-            s_prev = s
-        for got_s, got_phi in (ScanOperators(h, 6).null_pair(zeta)[:2], scan.null_pair(zeta)[:2]):
-            assert got_s == s and np.array_equal(got_phi, phi)
+        for got_s, got_phi, got_psi in (ScanOperators(h, 6).null_pair(zeta), scan.null_pair(zeta)):
+            assert abs(got_s - s) <= (1e-13 * s if eps == 1e-2 else 4e-15)
+            assert phase_distance(got_phi, phi) <= 1e-12
+            assert phase_distance(got_psi, psi) <= 1e-12
 
     def test_zero_potential_unconfirmed_inside_window(self):
         h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))

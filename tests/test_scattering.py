@@ -342,7 +342,7 @@ class TestBoundStateScan:
         spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
         _, localized = _localization(driven_well_64, spec.spatial_mass())
         dense = spec.folded[localized & spec.interior]
-        k = DiagonalShift(floquet_operator(driven_well_64, n_modes), "csc")
+        k = DiagonalShift(floquet_operator(driven_well_64, n_modes))
         space = ModeSpace(n_modes, driven_well_64.sites)
         assert len(infos) >= 2
         for b in infos:
@@ -403,7 +403,7 @@ class TestPartnerTolerance:
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes,
                                  cross_check_tol=tol)
         phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
-        k = DiagonalShift(floquet_operator(driven_well_64, n_modes), "csc")
+        k = DiagonalShift(floquet_operator(driven_well_64, n_modes))
         space = ModeSpace(n_modes, driven_well_64.sites)
         requested = []
 
@@ -477,7 +477,7 @@ class TestCertifiedPartner:
     def test_phase_without_partner_reaches_arpack(self):
         # (nearest, candidates) as the ARPACK-only cross-check returned them
         lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
-        k = DiagonalShift(floquet_operator(lat, 8), "csc")
+        k = DiagonalShift(floquet_operator(lat, 8))
         space = ModeSpace(8, lat.sites)
         want = {3.0: (0.2758944132504908, 22), 3.3: (0.024105586748966346, 33),
                 1.0: (np.inf, 0), 5.5: (np.inf, 0)}
