@@ -54,6 +54,8 @@ from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, Sc
                         bound_state_correspondence, factorized_potential, grid_potential,
                         mode_oracle_apply, q_factorized, r0_apply, r0_matrix, resolvent_residual)
 from .scattering import (
+    LOCALIZATION_MARGIN,
+    LOCALIZATION_SCORE,
     ConvergenceError,
     DetectorDisagreementError,
     bound_state_scan,
@@ -449,6 +451,13 @@ def run_scenario(cfg: dict, seed: int | None = None) -> dict:
     model = build_model(parsed["model"])
     if task in LATTICE_TASKS and not isinstance(model, LatticeModel):
         raise ValidationError("model", f"{task} requires a lattice model")
+    if task in LATTICE_TASKS and \
+            len(model.support_window(LOCALIZATION_MARGIN)) >= LOCALIZATION_SCORE * model.sites:
+        # every state, an evenly spread one too, would score as bound
+        field = "support" if "support" in parsed["model"]["lattice"] else "support_width"
+        raise ValueRangeError(f"model.lattice.{field}",
+                              f"the localization window (support +- {LOCALIZATION_MARGIN} "
+                              f"sites) holds at least {LOCALIZATION_SCORE:.0%} of the ring")
     params = parse(parsed["parameters"], PARAMETERS[task], "parameters", model)
     rng = np.random.default_rng(seed) if seed is not None else None
     try:

@@ -9,16 +9,21 @@ that makes the expansion above exact.
 
 The lattice model is a periodically driven ring: a PeriodicHamiltonian
 subclass whose free part is a tridiagonal hopping Hamiltonian with periodic
-closure, plus a static well and a cosine drive confined to a support window,
-encoded as modes {-1, 0, 1}; it adds the hopping and the support that the
-probe packets and the localization window read, and the site reflection
-about the support (`mirror`) under which a symmetric well's H(t) is invariant.
+closure, plus a static well and a cosine drive on the declared sites
+`potential_support`, which may cross site 0, encoded as modes {-1, 0, 1}.
+Their `arc` is the shortest run of ring sites that holds them: the probe
+packets aim at its midpoint, `support_window` widens it and `mirror`
+reflects the ring about it.  The bound-state detectors score a state by its
+mass on support_window(4); where that window holds 90 % of the ring, an
+evenly spread state scores as bound, and the CLI refuses the lattice for
+bound-states and wave-operators (exit 2).
 
-Every model owns what is built once from it: the H0 eigendecomposition
-(`free_eig`) behind U0(t) = exp(-i t H0) (`free_propagator`, `free_apply`) and
-the null scan's free resolvent, the free one-period operator U0(1)
-(`free_period`, read-only) and the Magnus steppers of each step width and
-order it is propagated with (`steppers`, filled by propagation.propagate).
+Every model owns what is built once from it: where its interaction acts
+(`support`, the sites where some mode has a nonzero row or column), the H0
+eigendecomposition (`free_eig`) behind U0(t) = exp(-i t H0) (`free_propagator`,
+`free_apply`) and the null scan's free resolvent, the free one-period operator
+U0(1) (`free_period`, read-only) and the Magnus steppers of each step width
+and order it is propagated with (`steppers`, filled by propagation.propagate).
 """
 
 from __future__ import annotations
@@ -99,6 +104,15 @@ class PeriodicHamiltonian:
         return m
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The sites where some mode (n = 0 included) has a nonzero row or column,
+        sorted and read-only; empty for a constant Hamiltonian."""
+        touched = sum((m != 0 for m in self.modes.values()), np.zeros(self.h0.shape, dtype=bool))
+        sites = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
+        sites.flags.writeable = False
+        return sites
+
+    @cached_property
     def _free(self) -> HermitianExponential:
         return HermitianExponential(self.h0)
 
@@ -164,20 +178,30 @@ class LatticeModel(PeriodicHamiltonian):
     def sites(self) -> int:
         return self.dim
 
+    @cached_property
+    def arc(self) -> tuple[int, int]:
+        """(lo, width): the shortest run of ring sites from lo that holds
+        potential_support.  It leaves out the widest gap between cyclically
+        consecutive declared sites; a tie goes to the gap from the largest round
+        to the smallest, which leaves min..max."""
+        sites = np.unique(self.potential_support)
+        gaps = np.diff(sites, append=sites[0] + self.sites)
+        widest = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
+        return int(sites[(widest + 1) % len(sites)]), self.sites + 1 - int(gaps[widest])
+
     def support_window(self, margin: int = 0) -> np.ndarray:
-        """Site indices within `margin` of the potential support (ring metric)."""
-        lo, hi = self.potential_support.min(), self.potential_support.max()
-        idx = np.arange(lo - margin, hi + margin + 1) % self.sites
-        return np.unique(idx)
+        """The arc widened by `margin` sites on each side, in ring order from
+        lo - margin (mod L); every site once where that reaches round the ring."""
+        lo, width = self.arc
+        return np.arange(lo - margin, lo - margin + min(width + 2 * margin, self.sites)) % self.sites
 
     def mirror(self) -> np.ndarray | None:
-        """The site reflection R: x -> lo + hi - x (mod L) about the support, where
+        """The site reflection R: x -> 2 lo + width - 1 - x (mod L) about the arc, where
         h0 and every mode equal their reflected copies exactly; else None.
 
         H(t) then commutes with R for every t, and so does U(t, s): column R[j]
         of a propagator is rows R of column j."""
-        lo, hi = self.potential_support.min(), self.potential_support.max()
-        r = (lo + hi - np.arange(self.sites)) % self.sites
+        r = (2 * self.arc[0] + self.arc[1] - 1 - np.arange(self.sites)) % self.sites
         flip = np.ix_(r, r)
         symmetric = np.array_equal(self.h0[flip], self.h0) and \
             all(np.array_equal(m[flip], m) for m in self.modes.values())

@@ -45,16 +45,16 @@ and schedule takes all N.  Theta(s) has period 1 in s, and `monodromy`
 forms it at s mod 1, the start its Monodromy records.
 
 A third route serves the driven ring (`window_block`).  Where a LatticeModel's
-h0 is exactly the nearest-neighbour ring of its hopping and every mode
-vanishes off potential_support, E = Theta - Theta0, Theta0 = U0(1), lives on a
-window around the support: one period of free motion carries amplitude
+h0 is exactly the nearest-neighbour ring of its hopping and its `support`
+lies in potential_support, E = Theta - Theta0, Theta0 = U0(1), lives on a
+window around the support's arc: one period of free motion carries amplitude
 |U0(1)_xy| <= |hopping|^|x-y| / |x-y|! (Abramowitz & Stegun 9.1.62) and no
 farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).  With
 r the smallest radius where that bound falls to unit round-off (19 at
-hopping 1, `light_cone_radius`), the model is sliced to the open segment of
-sites within 2r of the support and stepped there on the same schedule and
-start (half path included), and E_w is the block of Theta_seg - U0_seg(1) on
-the sites within r.  Its border rows and columns must be at most
+hopping 1, `light_cone_radius`), the model is sliced to the open segment
+support_window(2r) and stepped there on the same schedule and start (half
+path included), and E_w is the block of Theta_seg - U0_seg(1) on the window
+support_window(r).  Its border rows and columns must be at most
 WINDOW_BORDER_TOL, checked on every build, or r doubles; a ring whose segment
 would exceed half its sites takes the stepped route.  Theta = Theta0 + P E_w P^T
 then costs a copy of the model's U0(1) and a segment of ~4r sites, whatever
@@ -410,12 +410,10 @@ def light_cone_radius(hopping: float) -> int:
 
 
 def _local_ring(h: LatticeModel) -> bool:
-    """Whether h0 is exactly the nearest-neighbour ring of the hopping and every
-    mode vanishes off potential_support."""
-    off = np.ones(h.sites, dtype=bool)
-    off[h.potential_support] = False
-    return np.array_equal(h.h0, ring_h0(h.sites, h.hopping)) and \
-        not any(m[off].any() or m[:, off].any() for m in h.modes.values())
+    """Whether every mode vanishes off potential_support and h0 is exactly the
+    nearest-neighbour ring of the hopping."""
+    return bool(np.isin(h.support, h.potential_support).all()) and \
+        np.array_equal(h.h0, ring_h0(h.sites, h.hopping))
 
 
 def window_block(h: PeriodicHamiltonian, s: float,
@@ -423,25 +421,24 @@ def window_block(h: PeriodicHamiltonian, s: float,
     """(window, E_w) with Theta = U0(1) + P E_w P^T, or None where the route does not apply.
 
     For a LatticeModel that is a `_local_ring`, the model is sliced to the open
-    segment of sites within 2r of the support, r = light_cone_radius(hopping),
-    and its Theta_seg is taken on `sched` from s by `period_operator`; E_w is
-    Theta_seg - U0_seg(1) on the sites within r.  Where a border row or column
-    of E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the segment would
-    exceed half the ring.
+    segment support_window(2r), r = light_cone_radius(hopping), and its
+    Theta_seg is taken on `sched` from s by `period_operator`; E_w is
+    Theta_seg - U0_seg(1) on the window support_window(r).  Where a border row
+    or column of E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the
+    segment would exceed half the ring.
     """
     if not isinstance(h, LatticeModel):
         return None
-    lo, hi = int(h.potential_support.min()), int(h.potential_support.max())
-    r = light_cone_radius(h.hopping)
-    while 2 * (hi - lo + 1 + 4 * r) <= h.sites and _local_ring(h):
-        segment = np.arange(lo - 2 * r, hi + 2 * r + 1) % h.sites
+    width, r = h.arc[1], light_cone_radius(h.hopping)
+    local = 2 * (width + 4 * r) <= h.sites and _local_ring(h)
+    while local and 2 * (width + 4 * r) <= h.sites:
+        segment = h.support_window(2 * r)
         cut = np.ix_(segment, segment)
         part = PeriodicHamiltonian(h.h0[cut], {n: m[cut] for n, m in h.modes.items()})
-        inner = slice(r, len(segment) - r)
-        block = (period_operator(part, s, sched) - part.free_period)[inner, inner]
+        block = (period_operator(part, s, sched) - part.free_period)[r:-r, r:-r]
         border = np.abs(np.concatenate([block[[0, -1]].ravel(), block[:, [0, -1]].ravel()]))
         if border.max() <= WINDOW_BORDER_TOL:
-            return segment[inner], block
+            return h.support_window(r), block
         r *= 2
     return None
 

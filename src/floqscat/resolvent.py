@@ -365,11 +365,11 @@ class ScanOperators:
     eigendecomposition (eps, U) from the model (`free_eig`; `free_levels` are its
     eps), and the potential's block V_S on its support.
 
-    The support S holds the sites where some mode H_m (m = 0 included) has a
-    nonzero row or column.  P picks the r = |S| (2N + 1) mode-space rows (n, a)
-    with a in S, and V_S is the r x r block whose (n, m) block is H_{n-m}[S, S],
-    so V = K - K0 = P V_S P^T.  A model without modes has r = 0.  U_S (`u_s`)
-    holds U's rows S, and `start` the fixed start vector in H0's eigenbasis.
+    The support S is the model's `support`.  P picks the r = |S| (2N + 1)
+    mode-space rows (n, a) with a in S, and V_S is the r x r block whose (n, m)
+    block is H_{n-m}[S, S], so V = K - K0 = P V_S P^T.  A model without modes
+    has r = 0.  U_S (`u_s`) holds U's rows S, and `start` the fixed start
+    vector in H0's eigenbasis.
     """
 
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
@@ -378,15 +378,12 @@ class ScanOperators:
         eig = h.free_eig
         self.free_levels = eig.values
         self.u = eig.vectors
-        # nonzero columns suffice: H_{-m} = H_m^H puts H_m's rows among H_{-m}'s columns
-        sites = np.flatnonzero(sum(((hm != 0).any(axis=0) for hm in h.modes.values()),
-                                   np.zeros(h.dim, dtype=bool)))
-        self.u_s = self.u[sites]
-        nb, width = self.space.n_blocks, len(sites)
+        self.u_s = self.u[h.support]
+        nb, width = self.space.n_blocks, len(h.support)
         v_s = np.zeros((nb, width, nb, width), dtype=np.complex128)
         for m, hm in h.modes.items():
             n = np.arange(max(0, m), nb + min(0, m))
-            v_s[n, :, n - m, :] = hm[np.ix_(sites, sites)]
+            v_s[n, :, n - m, :] = hm[np.ix_(h.support, h.support)]
         self.v_s = v_s.reshape(nb * width, nb * width)
         self.start = self.space.blocks(start_vector(self.space.size)) @ self.u.conj()
 
@@ -436,17 +433,7 @@ class ScanOperators:
 
         Cost per zeta: r^3 for the factor, (2N + 1) d |S| per step and
         (2N + 1) d^2 to carry phi and psi back; no sparse LU of the (2N + 1) d
-        mode space.  The cubic term sets the crossover: at N = 4 on a 48-site
-        ring (2-vCPU Xeon, one BLAS thread, medians) forming and factoring A
-        takes 0.08 ms at support width 5 (r = 45) against 0.66 ms for the
-        whole-space sparse LU of K - zeta, 0.66 against 1.09 ms at width 16
-        (r = 144) and 2.4 against 0.95 ms at width 24 (r = 216): the two meet
-        near r = 200.  The shipped configs and benchmark slots have widths
-        3-6.  G0 is not applied by FFT over the ring: at Im zeta = 1e-8 on the
-        64-site driven well (test_matches_dense_svd) s from eigh's (eps, U)
-        meets the dense inverse's to 5e-13 relative, while the ring's
-        closed-form Fourier eigenpairs (what an FFT applies) miss it by 6e-9,
-        and the eigh bases of H0 plus a random Hermitian 1e-16 by 3e-10.
+        mode space.
         """
         zeta = complex(zeta)
         g = 1.0 / (self.free_levels + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)

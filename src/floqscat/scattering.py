@@ -107,7 +107,7 @@ def gaussian_packet(sites: int, center: float, momentum: float, sigma: float) ->
 def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
                 distance: int | None = None, sigma: float | None = None,
                 rng: np.random.Generator | None = None) -> ProbeSet:
-    """Mirror-paired packets aimed through the interaction window.
+    """Mirror-paired packets aimed through the interaction window at the arc's midpoint.
 
     Momenta sit on ring wavenumbers near `bands` (in units of pi), away from
     the band edges where the group velocity vanishes.  Width defaults to
@@ -116,7 +116,7 @@ def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
     index by one ring quantum per probe.
     """
     sites = model.sites
-    ctr = int(np.round(model.potential_support.mean()))
+    ctr = int(np.round(model.arc[0] + (model.arc[1] - 1) / 2)) % sites
     sigma = sigma if sigma is not None else (sites / 16.0) / 2.355
     distance = distance if distance is not None else int(np.round(4.0 * sigma))
     vectors, momenta, centers = [], [], []
@@ -392,8 +392,8 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
 
 def _localization(model: LatticeModel, weights: np.ndarray):
     """Per column of site weights (L, k): mass near the support, and whether it is bound."""
-    window = model.support_window(LOCALIZATION_MARGIN)
-    # contiguous rows: each sum rounds like a sum over one state's window entries
+    # contiguous rows in site order: a state's score rounds alike for any window start
+    window = np.sort(model.support_window(LOCALIZATION_MARGIN))
     score = np.ascontiguousarray(weights[window].T).sum(axis=1)
     return score, score >= LOCALIZATION_SCORE
 
@@ -480,9 +480,8 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
                      cross_check_tol: float = 1e-5) -> list[BoundStateInfo]:
     """Bound states from localization of the one-period operator's eigenvectors.
 
-    Eigenvectors of the monodromy `mono` with at least 90% of their mass
-    within the interaction window plus LOCALIZATION_MARGIN sites
-    (bound_vectors) are flagged bound; their
+    Eigenvectors of the monodromy `mono` with at least 90% of their mass on
+    support_window(LOCALIZATION_MARGIN) (bound_vectors) are flagged bound; their
     eigenphases are cross-checked against localized interior quasi-energies
     of the truncated mode-space matrix, found near each phase by inverse
     iteration, or by shift-invert eigsh where that certifies none

@@ -810,3 +810,63 @@ class TestDenseSideCeiling:
         for params in ({"eta": 1.0, "n_t": side // 2 + 1}, {"eta": 1.0, "n_modes": side // 4}):
             with pytest.raises(ValueRangeError):
                 parse(params, table, "parameters", model)
+
+
+class TestLocalizationWindow:
+    """A localization window that holds LOCALIZATION_SCORE of the ring would score
+    every state, an evenly spread one too, as bound."""
+
+    @pytest.mark.parametrize("task", ["bound-states", "wave-operators"])
+    @pytest.mark.parametrize("lattice, field", [
+        ({"sites": 12, "support_width": 5}, "model.lattice.support_width"),
+        ({"sites": 16, "support": [15, 0, 1, 2, 3, 4, 5]}, "model.lattice.support"),
+    ])
+    def test_window_covering_the_ring_exit_2(self, tmp_path, capsys, task, lattice, field):
+        cfg = {"task": task, "parameters": {"steps_per_period": 16},
+               "model": {"lattice": {**lattice, "well_depth": -1.0, "drive_amp": 0.5}}}
+        assert main(["--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.report.json"))
+
+    def test_narrower_window_runs(self):
+        # 5 + 2 * 4 = 13 sites of 16 is under 90 %
+        cfg = {"task": "bound-states", "parameters": {"steps_per_period": 64, "verify": False},
+               "model": {"lattice": {"sites": 16, "support_width": 5, "well_depth": -1.0}}}
+        assert run_scenario(cfg)["results"]["n_bound"] >= 1
+
+
+def _scenario(task, sites, support, **params):
+    lattice = {"sites": sites, "well_depth": -2.0 if task == "bound-states" else -0.8,
+               "drive_amp": 0.5, "support": support}
+    return run_scenario({"task": task, "model": {"lattice": lattice},
+                         "parameters": params})["results"]
+
+
+class TestTranslationCovariance:
+    """Translating the well across site 0 leaves the reports where they were."""
+
+    def test_bound_states_across_site_0(self):
+        params = {"steps_per_period": 128, "n_modes": 12, "scan_modes": 6}
+        wrapped = _scenario("bound-states", 64, [63, 0, 1], **params)
+        centred = _scenario("bound-states", 64, [31, 32, 33], **params)
+        assert wrapped["n_bound"] == centred["n_bound"] == 2
+        for a, b in zip(wrapped["bound_states"], centred["bound_states"]):
+            assert abs(a["quasi_energy"] - b["quasi_energy"]) <= 1e-12
+        for a, b in zip(wrapped["verdicts"], centred["verdicts"]):
+            assert a["confirmed"] and b["confirmed"]
+            for field in ("candidate", "refined", "smin_extrapolated", "residual"):
+                assert abs(a[field] - b[field]) <= 1e-12, field
+            assert np.abs(np.subtract(a["smin_ladder"], b["smin_ladder"])).max() <= 1e-12
+
+    def test_wave_operators_across_site_0(self):
+        params = {"steps_per_period": 64, "floquet_modes": 3}
+        wrapped = _scenario("wave-operators", 256, [254, 255, 0, 1, 2], **params)
+        centred = _scenario("wave-operators", 256, list(range(126, 131)), **params)
+        # s_matrix and unitarity_defect are left out: the orbit basis behind them
+        # makes a rank decision that round-off in the free period moves
+        for field in ("converged_fraction", "final_gap_max", "isometry_defect",
+                      "intertwining_defect", "time_averaged_agreement", "orthogonality_defect"):
+            assert abs(wrapped[field] - centred[field]) <= 1e-12, field
+        assert len(wrapped["bound_states"]) == len(centred["bound_states"])
+        for a, b in zip(wrapped["bound_states"], centred["bound_states"]):
+            assert abs(a["quasi_energy"] - b["quasi_energy"]) <= 1e-12

@@ -1,11 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from floqscat.cli import build_model
 from floqscat.model import (
+    LatticeModel,
     PeriodicHamiltonian,
     build_lattice,
+    fleet,
     fourier_modes,
     load_model,
     model_from_json_dict,
@@ -171,3 +177,120 @@ class TestJsonRoundTrip:
         doc.pop("H0")
         with pytest.raises(ValueError, match="H0"):
             model_from_json_dict(doc)
+
+
+def scan_columns(h):
+    """The null scan's former support: the nonzero columns of any mode."""
+    return np.flatnonzero(sum(((m != 0).any(axis=0) for m in h.modes.values()),
+                              np.zeros(h.dim, dtype=bool)))
+
+
+# (sites, hopping, well_depth, drive_amp, support) of the suite's build_lattice calls
+SUITE_LATTICES = [
+    (8, 1.0, 0.0, 0.0, [0]), (8, 1.0, -1.0, 0.0, [0]), (12, 1.0, -1.0, 0.5, range(4, 8)),
+    (40, 1.0, -1.8, 0.5, range(18, 22)), (40, 1.0, -1.5, 0.5, [18, 20]),
+    (40, 1.0, -1.5, 0.5, [18, 19, 21]), (40, 1.0, -1.7, 0.45, range(19, 22)),
+    (48, 1.0, -1.8, 0.5, range(22, 27)), (64, 1.0, -2.0, 0.5, range(29, 34)),
+    (64, 1.0, -2.0, 0.5, range(30, 35)), (64, 1.0, -2.0, 0.0, range(30, 35)),
+    (64, 1.0, -2.0, 0.5, [63, 0, 1]), (64, 1.0, -2.0, 0.5, [31, 32, 33]),
+    (256, 1.0, -0.8, 0.5, range(126, 131)), (256, 1.0, -1.0, 0.0, range(126, 131)),
+    (256, 1.0, -0.8, 0.5, [254, 255, 0, 1, 2]), (256, 1.0, 0.0, 0.0, [128]),
+    (128, 1.0, 0.0, 0.0, range(62, 67)), (22, 1.0, -1.0, 0.5, [19, 0, 5]),
+    *[(sites, 1.0, -1.8, 0.45, range(sites // 2 - w // 2, sites // 2 - w // 2 + w))
+      for sites, w in [(40, 3), (44, 4), (47, 5), (48, 4), (48, 5), (48, 6)]],
+]
+
+
+def suite_models():
+    """Every kind of model the suite builds: the fleet, Rabi, sampled and random
+    fiber models, constant ones, the shipped configs' and the lattices above."""
+    zero = np.zeros((2, 2))
+    models = [*fleet(), rabi_model(0.3, 0.8), two_harmonic(seed=11),
+              PeriodicHamiltonian(h0=np.diag([0.3, 1.2])),
+              PeriodicHamiltonian(h0=zero, modes={1: zero, -1: zero}),
+              PeriodicHamiltonian(h0=np.zeros((1, 1)), modes={0: np.array([[0.7]])}),
+              fourier_modes([(j / 16, rabi_model().evaluate(j / 16)) for j in range(16)], 2)]
+    for path in sorted(Path(__file__).resolve().parents[1].glob("configs/*.json")):
+        models.append(build_model(json.loads(path.read_text())["model"]))
+    lattices = [build_lattice(*args) for args in SUITE_LATTICES]
+    ring = lattices[-1]
+    weak_bond, off_support = ring.h0.copy(), {**ring.modes, 0: ring.modes[0].copy()}
+    weak_bond[0, 1] = weak_bond[1, 0] = -0.5
+    off_support[0][10, 10] = -0.8
+    for h0, modes in ((weak_bond, ring.modes), (ring.h0, off_support)):
+        lattices.append(LatticeModel(h0=h0, modes=modes, hopping=1.0,
+                                     potential_support=ring.potential_support))
+    return models + lattices
+
+
+class TestSupport:
+    """PeriodicHamiltonian.support: the one record of where V(t) acts."""
+
+    def test_matches_the_former_definitions(self):
+        for h in suite_models():
+            assert np.array_equal(h.support, scan_columns(h)), h.label
+            assert not h.support.flags.writeable
+
+    @pytest.mark.parametrize("args", SUITE_LATTICES,
+                             ids=lambda a: f"L{a[0]}-{a[2]}-{a[3]}-{list(a[4])}".replace(" ", ""))
+    def test_lattice_support_is_the_declared_sites(self, args):
+        lat = build_lattice(*args)
+        want = np.unique(lat.potential_support) if args[2] or args[3] else []
+        assert np.array_equal(lat.support, want)
+
+    @pytest.mark.parametrize("support, centre", [([128], 128), ([254, 255, 0, 1, 2], 0)])
+    def test_probes_aim_at_the_arc_midpoint(self, support, centre):
+        from floqscat.scattering import make_probes
+
+        for depth in (0.0, -0.8):    # the free ring has no support, but its declared site
+            probes = make_probes(build_lattice(256, 1.0, depth, 0.0, support))
+            assert np.array_equal(probes.centers[::2] + probes.centers[1::2], np.full(4, 2 * centre))
+
+
+class TestArc:
+    """LatticeModel.arc: the shortest run of ring sites holding the declared support."""
+
+    @pytest.mark.parametrize("sites, support, arc", [
+        (40, [18, 20], (18, 3)),
+        (40, [18, 19, 21], (18, 4)),
+        (64, [63, 0, 1], (63, 3)),
+        (64, [0, 32], (0, 33)),           # a tie goes to min..max
+        (64, [5], (5, 1)),
+        (64, [7, 7, 8, 8, 7], (7, 2)),
+        (16, [0, 1, 14, 15], (14, 4)),
+    ])
+    def test_cases(self, sites, support, arc):
+        assert build_lattice(sites, 1.0, -1.0, 0.5, support).arc == arc
+
+    def test_window_in_ring_order(self):
+        lat = build_lattice(64, 1.0, -1.0, 0.5, [63, 0, 1])
+        assert lat.support_window(2).tolist() == [61, 62, 63, 0, 1, 2, 3]
+        assert lat.support_window(40).tolist() == [(23 + i) % 64 for i in range(64)]
+        assert np.array_equal(lat.mirror(), -np.arange(64) % 64)    # about site 0
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_translation_covariance(self, data):
+        sites = data.draw(st.integers(8, 64), label="sites")
+        width = data.draw(st.integers(1, sites // 2), label="width")
+        offsets = {0, width - 1} | data.draw(st.sets(st.integers(0, width - 1)), label="inner")
+        if data.draw(st.booleans(), label="symmetric"):
+            offsets |= {width - 1 - i for i in offsets}
+        start = data.draw(st.integers(0, sites - 1), label="start")
+        shift = data.draw(st.integers(0, sites - 1), label="shift")
+        margin = data.draw(st.integers(0, sites), label="margin")
+
+        def lattice(lo):
+            return build_lattice(sites, 1.0, -1.0, 0.5, [(lo + i) % sites for i in offsets])
+
+        a, b = lattice(start), lattice(start + shift)
+        assert a.arc == (start, width)
+        assert b.arc == ((start + shift) % sites, width)
+        window = a.support_window(margin)
+        assert len(window) == min(width + 2 * margin, sites) == len(set(window.tolist()))
+        assert np.array_equal(b.support_window(margin), (window + shift) % sites)
+        ra, rb = a.mirror(), b.mirror()
+        assert (ra is None) == (rb is None)
+        if ra is not None:
+            x = np.arange(sites)
+            assert np.array_equal(rb[(x + shift) % sites], (ra + shift) % sites)
