@@ -189,12 +189,10 @@ class MagnusStepper:
     folded into the step's entries by one multiply.  Each term is one call of
     scipy's private kernel csr_matvecs, accumulating X_j acc onto a C-ordered
     copy of u, so that no `omega @ x` dispatch and no separate add is paid per
-    term (`accumulate`).  Where the pattern fills a quarter of the matrix or
-    more, the step's X_j go into a dense stack instead, one BLAS product and
-    one add per term.  Each step ends in `flush`, which writes nothing where
-    no part is below 2^-200.  The stepper acts on whatever columns it is
-    given; `propagate` hands it one column per mirror orbit where the model
-    has a `mirror`.
+    term (`accumulate`), whatever the pattern's fill.  Each step ends in
+    `flush`, which writes nothing where no part is below 2^-200.  The stepper
+    acts on whatever columns it is given; `propagate` hands it one column per
+    mirror orbit where the model has a `mirror`.
     """
 
     def __init__(self, h: PeriodicHamiltonian, dt: float, order: int):
@@ -235,13 +233,6 @@ class MagnusStepper:
         for line, (k, values) in zip(self.stack, parts):
             line[np.searchsorted(self.keys, k)] = values
         self.mirror = np.searchsorted(self.keys, col * dim + row)   # each entry's transpose
-        # a pattern filling a quarter of the matrix or more leaves little to
-        # skip, and on a large full fiber a dense BLAS product beats the CSR
-        # kernel: a 256-step period of a dense two-harmonic model takes 1.3-1.6x
-        # less time at d = 16 and 2.2-2.5x less at d = 32, though up to 45 %
-        # more at d <= 8 (one BLAS thread, 2-vCPU Xeon)
-        self.dense = np.zeros((self.degree, dim, dim), dtype=np.complex128) \
-            if 4 * len(self.keys) >= dim * dim else None
         # X_degree .. X_1 of Horner's rule, per unit of Omega
         self._term_scales = np.array([-1j / (self.substeps * j)
                                       for j in range(self.degree, 0, -1)])[:, None]
@@ -281,14 +272,6 @@ class MagnusStepper:
         """exp(-i Omega) u for Omega's entries `data`: `substeps` Taylor polynomials of
         degree `degree` in -i Omega / substeps by Horner's rule."""
         terms = self._term_scales * data
-        if self.dense is not None:
-            self.dense.reshape(self.degree, -1)[:, self.keys] = terms
-            for _ in range(self.substeps):
-                acc = u
-                for term in self.dense:
-                    acc = u + term @ acc
-                u = acc
-            return flush(u)
         u = np.ascontiguousarray(u)
         for _ in range(self.substeps):
             acc = u

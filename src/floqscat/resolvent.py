@@ -27,17 +27,20 @@ The mode-space block operator (Q(zeta) x)_n = sum_k V_{n-k} (H0 + 2 pi k -
 zeta)^{-1} x_k drives the norm-decay probes and the bound-state scan: a
 quasi-energy lambda off the free spectrum is an eigenvalue exactly when
 I + Q(lambda + i0) is singular, and the corresponding mode vector is
-recovered from the null direction.  The scan never forms Q: V lives on the
-potential's support S, so V = P V_S P^T with r = |S| (2N + 1) rows, and
-Woodbury's identity reduces every solve with I + Q to one r x r LU of
-I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, with (K0 - zeta)^{-1} diagonal in
-H0's eigenbasis (a Birman-Schwinger problem of the support's size; Simon,
-Trace Ideals and Their Applications, ch. 7).  ScanOperators prepares the
-support block, H0's eigendecomposition and the sparse K once per model and
-cutoff.  The candidate is refined to K's eigenvalue by Rayleigh quotients of
-psi = (K0 - zeta)^{-1} phi taken from the scan's own null direction phi, and
-the verdict's residual ||(K - lambda) psi|| / ||psi|| measures that psi on
-the assembled K.
+recovered from the null direction.  No solve with K - zeta forms Q or
+factors the mode space: V lives on the potential's support S, so
+V = P V_S P^T with r = |S| (2N + 1) rows, and Woodbury's identity reduces
+every solve with I + Q, and so with K - zeta = (I + Q)(K0 - zeta), to one
+r x r LU of I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, with (K0 - zeta)^{-1}
+diagonal in H0's eigenbasis (a Birman-Schwinger problem of the support's
+size; Simon, Trace Ideals and Their Applications, ch. 7).  ScanOperators
+prepares the support block, H0's eigendecomposition and the sparse K once
+per model and cutoff, and is the one owner of those solves: its null_pair
+serves the null scan here, its solver the certified partners of
+scattering's bound-state cross-check.  The candidate is refined to K's
+eigenvalue by Rayleigh quotients of psi = (K0 - zeta)^{-1} phi taken from
+the scan's own null direction phi, and the verdict's residual
+||(K - lambda) psi|| / ||psi|| measures that psi on the assembled K.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .floquet import ModeSpace, floquet_operator, start_vector
@@ -324,35 +326,6 @@ class BoundStateVerdict:
     mode_vector: np.ndarray  # reconstructed psi over modes, shape (2N+1, d)
 
 
-class DiagonalShift:
-    """A sparse square matrix stored in CSC on a canonical pattern that holds its
-    full diagonal, with the diagonal's positions indexed.
-
-    `minus(zeta)` rewrites only the diagonal entries; its pattern and values
-    equal those of A - zeta I for non-real zeta bit for bit.
-    """
-
-    def __init__(self, a):
-        a = sp.coo_array(a, copy=True)
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        n = a.shape[0]
-        diag = np.arange(n)
-        data = np.concatenate([a.data.astype(np.complex128), np.zeros(n, np.complex128)])
-        self.matrix = sp.coo_array((data, (np.concatenate([a.row, diag]),
-                                           np.concatenate([a.col, diag]))),
-                                   shape=a.shape).tocsc()
-        column = np.repeat(diag, np.diff(self.matrix.indptr))
-        self.diag = np.flatnonzero(self.matrix.indices == column)
-
-    def minus(self, zeta: complex) -> sp.csc_array:
-        """A - zeta I in CSC."""
-        m = self.matrix
-        data = m.data.copy()
-        data[self.diag] -= zeta
-        return sp.csc_array((data, m.indices, m.indptr), shape=m.shape)
-
-
 def _support_solve(factor, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """A^{-1} b (trans 0) or A^{-H} b (trans 2) from ScanOperators._factor's LU;
     b itself where r = 0 leaves no factor."""
@@ -360,16 +333,34 @@ def _support_solve(factor, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 class ScanOperators:
-    """One model's null scan at mode cutoff N, prepared once for all its shifts: the
-    sparse K = K0 + V (for Rayleigh quotients and residuals), H0's
-    eigendecomposition (eps, U) from the model (`free_eig`; `free_levels` are its
-    eps), and the potential's block V_S on its support.
+    """(K - zeta)^{-1} of one model at mode cutoff N, prepared once for all its
+    shifts and solved by both bound-state detectors: the null scan (null_pair)
+    and the cross-check's certified partners (solver).  It holds the sparse
+    K = K0 + V (for Rayleigh quotients, residuals and ARPACK), H0's
+    eigendecomposition (eps, U) from the model (`free_eig`; `free_levels` are
+    its eps), and the potential's block V_S on its support.
 
     The support S is the model's `support`.  P picks the r = |S| (2N + 1)
     mode-space rows (n, a) with a in S, and V_S is the r x r block whose (n, m)
     block is H_{n-m}[S, S], so V = K - K0 = P V_S P^T.  A model without modes
     has r = 0.  U_S (`u_s`) holds U's rows S, and `start` the fixed start
     vector in H0's eigenbasis.
+
+    Every solve goes through one r x r factorization on the support
+    (Birman-Schwinger; Simon, Trace Ideals and Their Applications, ch. 7).
+    On mode block n, G0 = (K0 - zeta)^{-1} is U diag(g_n) U^H with
+    g_n = 1 / (eps + 2 pi n - zeta).  With Q = V G0, K - zeta = (I + Q)(K0 - zeta),
+    and with A = I_r + G_S V_S, G_S = P^T G0 P (one getrf per zeta, `_factor`),
+    Woodbury's identity gives
+
+        (I + Q)^{-1} = I - P V_S A^{-1} P^T G0,
+        (I + Q)^{-H} = I - G0^H P A^{-H} V_S^H P^T,
+        (K - zeta)^{-1} = G0 (I + Q)^{-1}.
+
+    The first is applied in one place (`_inverse`), on coefficients in H0's
+    eigenbasis, where G0 is the diagonal g and P, P^T act through U_S.  A
+    real zeta on a free level eps + 2 pi n divides by zero in g; the
+    detectors shift off the axis.
     """
 
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
@@ -387,13 +378,15 @@ class ScanOperators:
         self.v_s = v_s.reshape(nb * width, nb * width)
         self.start = self.space.blocks(start_vector(self.space.size)) @ self.u.conj()
 
-    def _factor(self, g: np.ndarray, zeta: complex):
-        """LAPACK LU (getrf) of A = I_r + G_S V_S, where G_S = P^T G0 P has the mode
-        blocks U_S diag(g_n) U_S^H; None for r = 0."""
+    def _factor(self, zeta: complex):
+        """(g, LU): g = (g_n) of G0 at zeta, shape (2N + 1, d), and the LAPACK LU
+        (getrf) of A = I_r + G_S V_S, where G_S has the mode blocks
+        U_S diag(g_n) U_S^H; the LU is None for r = 0."""
+        g = 1.0 / (self.free_levels + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
         nb, width = self.space.n_blocks, self.u_s.shape[0]
         r = nb * width
         if r == 0:
-            return None
+            return g, None
         g_s = (self.u_s * g[:, None, :]) @ self.u_s.conj().T          # (2N + 1, |S|, |S|)
         a = (g_s @ self.v_s.reshape(nb, width, r)).reshape(r, r)
         a.flat[::r + 1] += 1.0
@@ -401,47 +394,56 @@ class ScanOperators:
         if info != 0:
             raise SingularMatrixError(
                 f"I + Q({zeta}) singular on the potential's support (getrf info {info})")
-        return lu, piv
+        return g, (lu, piv)
+
+    def _inverse(self, g: np.ndarray, factor, y: np.ndarray) -> np.ndarray:
+        """(I + Q)^{-1} y = y - P V_S A^{-1} (G0 y)_S on eigenbasis coefficients y,
+        mode blocks as rows."""
+        b = self.v_s @ _support_solve(factor, (g * y @ self.u_s.T).ravel())
+        return y - b.reshape(y.shape[0], self.u_s.shape[0]) @ self.u_s.conj()
+
+    def solver(self, zeta: complex):
+        """x -> (K - zeta)^{-1} x = G0 (I + Q)^{-1} x on site-basis mode vectors of
+        length (2N + 1) d, from one factor at zeta.
+
+        x goes to H0's eigenbasis by U^H per mode block, through `_inverse` and
+        g, and back by U.  Cost per solve: (2N + 1) d^2 for the two changes of
+        basis and r^2 for the support solve; no LU of the (2N + 1) d mode space.
+        """
+        g, factor = self._factor(complex(zeta))
+
+        def solve(x: np.ndarray) -> np.ndarray:
+            y = self.space.blocks(x) @ self.u.conj()
+            return (g * self._inverse(g, factor, y) @ self.u.T).ravel()
+        return solve
 
     def null_pair(self, zeta: complex):
         """(s, phi, psi): the smallest singular value s and right singular vector phi
         of I + Q(zeta), and psi = (K0 - zeta)^{-1} phi.
 
-        Every solve goes through one r x r factorization on the potential's
-        support (Birman-Schwinger; Simon, Trace Ideals and Their Applications,
-        ch. 7).  On mode block n, G0 = (K0 - zeta)^{-1} is U diag(g_n) U^H with
-        g_n = 1 / (eps + 2 pi n - zeta).  With A = I_r + G_S V_S (one getrf per
-        zeta; info != 0 raises SingularMatrixError naming zeta), Woodbury's
-        identity gives
-
-            (I + Q)^{-1} = I - P V_S A^{-1} P^T G0,
-            (I + Q)^{-H} = I - G0^H P A^{-H} V_S^H P^T.
-
-        Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from a fixed start vector
-        gives phi.  One step takes c = A^{-H} V_S^H phi_S and
-        y = phi - G0^H P c = (I + Q)^{-H} phi, then b = V_S A^{-1} (G0 y)_S,
-        z = y - P b = (I + Q)^{-1} y, whose unit vector is the next phi.
+        Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from the fixed start
+        vector gives phi.  One step takes c = A^{-H} V_S^H phi_S and
+        y = phi - G0^H P c = (I + Q)^{-H} phi, then z = (I + Q)^{-1} y
+        (`_inverse`), whose unit vector is the next phi.
         s = ||(I + Q) phi|| = ||y|| / ||z|| comes from the same step; unlike the
         Hermitian form (I + Q)^H (I + Q), this resolves s far below
         sqrt(machine eps) ||I + Q||.  psi = G0 phi is the last step's
-        G0 z / ||z|| = (K - zeta)^{-1} y / ||z||.  The iteration runs on
-        the coefficients in H0's eigenbasis, where G0 is the diagonal g and P,
-        P^T act through U_S, so phi and psi are carried back by U only at the
-        end; norms are the same in both bases.  Stops when s changes by at most
-        INVERSE_ITERATION_RTOL relative; raises InverseIterationError when it
-        has not after INVERSE_ITERATION_MAXITER steps.
+        G0 z / ||z|| = (K - zeta)^{-1} y / ||z||.  The iteration runs on the
+        eigenbasis coefficients, so phi and psi are carried back by U only at
+        the end; norms are the same in both bases.  Stops when s changes by at
+        most INVERSE_ITERATION_RTOL relative; raises InverseIterationError when
+        it has not after INVERSE_ITERATION_MAXITER steps, and
+        SingularMatrixError naming zeta where A is singular.
 
         Cost per zeta: r^3 for the factor, (2N + 1) d |S| per step and
-        (2N + 1) d^2 to carry phi and psi back; no sparse LU of the (2N + 1) d
-        mode space.
+        (2N + 1) d^2 to carry phi and psi back.
         """
         zeta = complex(zeta)
-        g = 1.0 / (self.free_levels + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
+        g, factor = self._factor(zeta)
         g_h = g.conj()
-        factor = self._factor(g, zeta)
         # P^T and P on eigenbasis coefficients, mode blocks as rows
         to_support, from_support = self.u_s.T, self.u_s.conj()
-        v_s, v_s_h = self.v_s, self.v_s.conj().T
+        v_s_h = self.v_s.conj().T
         nb = self.space.n_blocks
         shape = (nb, self.u_s.shape[0])
         phi = self.start
@@ -449,8 +451,7 @@ class ScanOperators:
         for _ in range(INVERSE_ITERATION_MAXITER):
             c = _support_solve(factor, v_s_h @ (phi @ to_support).ravel(), trans=2)
             y = phi - g_h * (c.reshape(shape) @ from_support)        # (I + Q)^{-H} phi
-            b = v_s @ _support_solve(factor, (g * y @ to_support).ravel())
-            z = y - b.reshape(shape) @ from_support                  # (I + Q)^{-1} y
+            z = self._inverse(g, factor, y)                          # (I + Q)^{-1} y
             z_norm = np.linalg.norm(z)
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y

@@ -39,6 +39,13 @@ short free orbits {Theta0^j phi}: it contains the scattered packets
 including their time delays, so the restriction of S = W+ W-^dagger to it
 is close to unitary, while single-packet restrictions would be spoiled by
 delay-induced position mismatch.
+
+Bound states are the Theta eigenvectors localized on the well, and each one's
+phase is cross-checked against the truncated mode-space matrix K.  A partner
+there is certified by inverse iteration whose solves with K - zeta go through
+resolvent.ScanOperators, the one factorization on the potential's support
+that the null scan also uses; shift-invert eigsh diagnoses a phase without
+a certified partner.
 """
 
 from __future__ import annotations
@@ -47,12 +54,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import eigsh
 
-from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
+from .floquet import circular_distance, start_vector
 from .model import LatticeModel
 from .propagation import Monodromy, monodromy, propagate
-from .resolvent import DiagonalShift
+from .resolvent import RAYLEIGH_EPS, ScanOperators
 
 GAP_TOL = 1e-3
 GAP_RUN = 3
@@ -60,10 +67,7 @@ LOCALIZATION_SCORE = 0.9
 LOCALIZATION_MARGIN = 4
 ARPACK_TOL = 1e-4      # relative accuracy of the cross-check's shift-invert eigsh
 # inverse-iteration solves the cross-check spends on a certified partner before
-# it hands the phase to eigsh.  One solve certifies every partner on the
-# shipped rings and both benchmark workloads: the 256-site ring's partners lie
-# 1e-9 from the shift and leave a residual of 3e-8, the small rings' 1e-11,
-# against the cross-check tolerance of 1e-5
+# it hands the phase to eigsh
 PARTNER_SOLVES = 3
 
 
@@ -398,25 +402,29 @@ def _localization(model: LatticeModel, weights: np.ndarray):
     return score, score >= LOCALIZATION_SCORE
 
 
-def _certified_partner(model: LatticeModel, k: DiagonalShift, space: ModeSpace,
-                       phase: float, sigma: float, tol: float) -> float | None:
+def _certified_partner(model: LatticeModel, scan: ScanOperators, phase: float,
+                       sigma: float, tol: float) -> float | None:
     """Circular distance from `phase` to a localized interior eigenvalue of K
     within tol, certified by inverse iteration at the shift sigma; None where
     PARTNER_SOLVES solves certify no eigenvalue within tol, or the certified
     one's vector is not localized and interior.
 
-    One sparse LU of K - sigma serves every solve from start_vector.  After
-    each, the unit x has the Rayleigh quotient lambda and the residual
-    r = ||K x - lambda x||; a Hermitian K has an eigenvalue within r of lambda
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so dist(phase, lambda)
-    + r <= tol places one within tol.  It is accepted when x is localized
-    (_localization) and interior (ModeSpace.interior)."""
-    lu = splu(k.minus(sigma))
+    The solves are x <- (K - zeta)^{-1} x from start_vector at
+    zeta = sigma + i RAYLEIGH_EPS, through one scan.solver factor on the
+    potential's support.  Off the axis K0 - zeta is never singular, where a
+    real sigma on a free level eps + 2 pi n would divide by zero in G0.
+    After each solve, the unit x has the Rayleigh quotient lambda = x^H K x
+    and the residual r = ||K x - lambda x||, both on the assembled scan.k; a
+    Hermitian K has an eigenvalue within r of lambda (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4), so dist(phase, lambda) + r <= tol places one
+    within tol, and a poor solve can only fail to certify.  It is accepted
+    when x is localized (_localization) and interior (ModeSpace.interior)."""
+    solve, space = scan.solver(sigma + 1j * RAYLEIGH_EPS), scan.space
     x = start_vector(space.size)
     for _ in range(PARTNER_SOLVES):
-        x = lu.solve(x)
+        x = solve(x)
         x /= np.linalg.norm(x)
-        kx = k.matrix @ x
+        kx = scan.k @ x
         lam = float(np.vdot(x, kx).real)
         dist = float(circular_distance(phase, lam))
         if dist + np.linalg.norm(kx - lam * x) <= tol:
@@ -426,35 +434,36 @@ def _certified_partner(model: LatticeModel, k: DiagonalShift, space: ModeSpace,
     return None
 
 
-def _mode_space_partner(model: LatticeModel, k: DiagonalShift, space: ModeSpace,
-                        phase: float, tol: float) -> tuple[float, int]:
+def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
+                        tol: float) -> tuple[float, int]:
     """Circular distance from `phase` to its nearest localized interior eigenvalue of
-    the sparse mode-space matrix K (held as a DiagonalShift), and the number of
-    such values seen.
+    the sparse mode-space matrix K = scan.k, and the number of such values seen.
 
     The translates sigma = phase + 2 pi j inside K's spectral bound are taken
     nearest the centre of the fiber spectrum first.  At each in turn, inverse
-    iteration from one sparse LU looks for a certified partner within tol
-    (_certified_partner), and the first found gives (its distance, 1): the
-    driven rings' partners sit at the first translate, an undriven well's
-    may sit at a later one, whose block of K is interior.  Where none is
-    certified, ARPACK diagnoses: shift-invert eigsh runs at the translates in
-    the same order and stops at the first with a partner within tol.  At each
-    translate the request grows until some returned value lies beyond tol,
-    so every eigenvalue within tol is judged: the predicate is that of the
-    whole truncated spectrum.  ARPACK converges each value nu = 1/(lambda - sigma)
-    of (K - sigma)^{-1} to relative accuracy ARPACK_TOL = 1e-4, so a returned
-    lambda is exact to 1e-4 |lambda - sigma|: within 1e-3 tol for every value
-    within 10 tol of sigma, while a value farther away stays beyond tol.
+    iteration through scan's support factorization looks for a certified
+    partner within tol (_certified_partner), and the first found gives (its
+    distance, 1): the driven rings' partners sit at the first translate, an
+    undriven well's may sit at a later one, whose block of K is interior.
+    Where none is certified, ARPACK diagnoses: shift-invert eigsh of scan.k
+    runs at the translates in the same order and stops at the first with a
+    partner within tol.  At each translate the request grows until some
+    returned value lies beyond tol, so every eigenvalue within tol is judged:
+    the predicate is that of the whole truncated spectrum.  ARPACK converges
+    each value nu = 1/(lambda - sigma) of (K - sigma)^{-1} to relative
+    accuracy ARPACK_TOL = 1e-4, so a returned lambda is exact to
+    1e-4 |lambda - sigma|: within 1e-3 tol for every value within 10 tol of
+    sigma, while a value farther away stays beyond tol.
     """
+    k, space = scan.k, scan.space
     fiber = model.h0 + model.mode(0)
     centre = float(np.trace(fiber).real) / model.sites
-    bound = float(abs(k.matrix).sum(axis=1).max()) + tol     # >= the spectral radius of K
+    bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
     sigmas = sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]
     for sigma in sigmas:
-        dist = _certified_partner(model, k, space, phase, sigma, tol)
+        dist = _certified_partner(model, scan, phase, sigma, tol)
         if dist is not None:
             return dist, 1
     v0 = start_vector(space.size)
@@ -462,7 +471,7 @@ def _mode_space_partner(model: LatticeModel, k: DiagonalShift, space: ModeSpace,
     for sigma in sigmas:
         n_eig = min(3, space.size - 2)
         while True:
-            values, vectors = eigsh(k.matrix, k=n_eig, sigma=sigma, v0=v0, tol=ARPACK_TOL)
+            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=ARPACK_TOL)
             if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
                 break
             n_eig = min(2 * n_eig, space.size - 2)
@@ -483,11 +492,12 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
     Eigenvectors of the monodromy `mono` with at least 90% of their mass on
     support_window(LOCALIZATION_MARGIN) (bound_vectors) are flagged bound; their
     eigenphases are cross-checked against localized interior quasi-energies
-    of the truncated mode-space matrix, found near each phase by inverse
+    of the truncated mode-space matrix K, found near each phase by inverse
     iteration, or by shift-invert eigsh where that certifies none
-    (_mode_space_partner); K - sigma comes from one DiagonalShift of K per
-    scan.  Raises DetectorDisagreementError if the two detectors disagree
-    beyond cross_check_tol.
+    (_mode_space_partner).  One ScanOperators at n_modes per scan holds K
+    and solves every K - zeta on the potential's support.  Raises
+    DetectorDisagreementError if the two detectors disagree beyond
+    cross_check_tol.
     """
     score, bound = _localization(model, np.abs(mono.eig.vectors) ** 2)
     phases = mono.quasi_energies
@@ -495,10 +505,9 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
 
     infos = []
     if found:
-        k = DiagonalShift(floquet_operator(model, n_modes))
-        space = ModeSpace(n_modes, model.sites)
+        scan = ScanOperators(model, n_modes)
         for phase, _ in found:
-            dist, candidates = _mode_space_partner(model, k, space, phase, cross_check_tol)
+            dist, candidates = _mode_space_partner(model, scan, phase, cross_check_tol)
             if dist > cross_check_tol:
                 raise DetectorDisagreementError(
                     f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "

@@ -603,7 +603,8 @@ class TestBoundStateScenario:
         results = run_scenario(cfg)["results"]
         assert results["n_bound"] == 2
         assert all(v["confirmed"] for v in results["verdicts"])
-        assert len(built) == 1
+        # one K per cutoff: the scan's cross-check at n_modes, the verdicts at scan_modes
+        assert [n for _, n in built] == [8, 4]
 
 
 RABI = {"builtin": "rabi"}

@@ -179,13 +179,6 @@ class TestMagnusStepper:
         h, steps = magnus_cases()["ring-40"]
         assert MagnusStepper(h, 1.0 / steps, order).substeps == 1
 
-    def test_dense_storage_only_on_filled_patterns(self):
-        from floqscat.propagation import MagnusStepper
-
-        for name, dense in (("ring-40", False), ("rabi", True), ("two-harmonic-d4", True)):
-            h, steps = magnus_cases()[name]
-            assert (MagnusStepper(h, 1.0 / steps, 4).dense is not None) == dense
-
     def test_taylor_plan_truncates_at_round_off(self):
         from math import factorial
 
@@ -316,7 +309,6 @@ class TestHornerStep:
             cut = np.ix_(seg, seg)
             h = PeriodicHamiltonian(ring.h0[cut], {n: m[cut] for n, m in ring.modes.items()})
         stepper = MagnusStepper(h, 1.0 / 64, 4)
-        assert stepper.dense is None
         data = stepper.entries(np.array([0.3]))[0] * (-0.25j)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(h.dim, 7)) + 1j * rng.normal(size=(h.dim, 7))

@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 import floqscat.scattering as scattering
 from floqscat.cli import run_scenario
-from floqscat.floquet import (EDGE_BLOCKS, ModeSpace, build_floquet, circular_distance,
-                              floquet_operator, quasi_spectrum)
+from floqscat.floquet import (EDGE_BLOCKS, build_floquet, circular_distance, quasi_spectrum,
+                              start_vector)
 from floqscat.model import build_lattice
 from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate
-from floqscat.resolvent import DiagonalShift
+from floqscat.resolvent import ScanOperators
 from floqscat.scattering import (
+    PARTNER_SOLVES,
+    _certified_partner,
     _localization,
     _mode_space_partner,
     ConvergenceError,
@@ -342,11 +347,10 @@ class TestBoundStateScan:
         spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
         _, localized = _localization(driven_well_64, spec.spatial_mass())
         dense = spec.folded[localized & spec.interior]
-        k = DiagonalShift(floquet_operator(driven_well_64, n_modes))
-        space = ModeSpace(n_modes, driven_well_64.sites)
+        scan = ScanOperators(driven_well_64, n_modes)
         assert len(infos) >= 2
         for b in infos:
-            dist, candidates = _mode_space_partner(driven_well_64, k, space, b.quasi_energy, tol)
+            dist, candidates = _mode_space_partner(driven_well_64, scan, b.quasi_energy, tol)
             assert candidates >= 1
             assert abs(dist - circular_distance(b.quasi_energy, dense).min()) <= 1e-12
 
@@ -403,12 +407,11 @@ class TestPartnerTolerance:
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes,
                                  cross_check_tol=tol)
         phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
-        k = DiagonalShift(floquet_operator(driven_well_64, n_modes))
-        space = ModeSpace(n_modes, driven_well_64.sites)
+        scan = ScanOperators(driven_well_64, n_modes)
         requested = []
 
         def partners():
-            return [_mode_space_partner(driven_well_64, k, space, p, tol)[0] for p in phases]
+            return [_mode_space_partner(driven_well_64, scan, p, tol)[0] for p in phases]
 
         def arpack(*args, **kwargs):
             requested.append(kwargs["tol"])
@@ -454,19 +457,43 @@ class TestProbeBlockAverage:
         assert np.abs(got - want).max() <= 1e-12
 
 
+def sparse_lu_certified_partner(model, k, space, phase, sigma, tol):
+    """The reference partner: inverse iteration with one sparse LU of K - sigma on the
+    whole mode space at the real shift sigma, certified as _certified_partner
+    certifies."""
+    lu = splu(sp.csc_array(k - sigma * sp.eye_array(k.shape[0], format="csc")))
+    x = start_vector(space.size)
+    for _ in range(PARTNER_SOLVES):
+        x = lu.solve(x)
+        x /= np.linalg.norm(x)
+        kx = k @ x
+        lam = float(np.vdot(x, kx).real)
+        dist = float(circular_distance(phase, lam))
+        if dist + np.linalg.norm(kx - lam * x) <= tol:
+            x = x[:, None]
+            _, localized = _localization(model, space.fiber_mass(x))
+            return dist if localized[0] and space.interior(x)[0] else None
+    return None
+
+
+# the shipped scans: (sites, depth, drive, support, steps, order, n_modes, bound states)
+SUITE_SCANS = [
+    (64, -2.0, 0.0, range(30, 35), 96, 2, 2, 3),        # the static well
+    (64, -2.0, 0.5, range(30, 35), 256, 4, 8, 3),       # step doubling's coarse scan
+    (64, -2.0, 0.5, range(30, 35), 512, 4, 8, 3),       # the driven well's scans
+    (64, -2.0, 0.5, range(30, 35), 512, 4, 12, 3),      # acceptance criterion 8
+    (256, -0.8, 0.5, range(126, 131), 512, 4, 4, 2),    # acceptance criterion 7
+    (256, -0.8, 0.5, range(126, 131), 64, 4, 3, 2),     # the ring-scatter benchmark
+    (40, -1.7, 0.45, range(19, 22), 256, 4, 8, 2),      # a ring-bound benchmark slot
+]
+
+
 class TestCertifiedPartner:
     """The mode-space cross-check certifies a partner by inverse iteration, and
     ARPACK runs only where that certifies none."""
 
-    @pytest.mark.parametrize("sites, depth, drive, support, steps, order, n_modes, count", [
-        (64, -2.0, 0.0, range(30, 35), 96, 2, 2, 3),        # the static well
-        (64, -2.0, 0.5, range(30, 35), 256, 4, 8, 3),       # step doubling's coarse scan
-        (64, -2.0, 0.5, range(30, 35), 512, 4, 8, 3),       # the driven well's scans
-        (64, -2.0, 0.5, range(30, 35), 512, 4, 12, 3),      # acceptance criterion 8
-        (256, -0.8, 0.5, range(126, 131), 512, 4, 4, 2),    # acceptance criterion 7
-        (256, -0.8, 0.5, range(126, 131), 64, 4, 3, 2),     # the ring-scatter benchmark
-        (40, -1.7, 0.45, range(19, 22), 256, 4, 8, 2),      # a ring-bound benchmark slot
-    ])
+    @pytest.mark.parametrize("sites, depth, drive, support, steps, order, n_modes, count",
+                             SUITE_SCANS)
     def test_suite_scans_need_no_arpack(self, monkeypatch, sites, depth, drive, support,
                                         steps, order, n_modes, count):
         lat = build_lattice(sites, 1.0, depth, drive, support)
@@ -477,12 +504,47 @@ class TestCertifiedPartner:
     def test_phase_without_partner_reaches_arpack(self):
         # (nearest, candidates) as the ARPACK-only cross-check returned them
         lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
-        k = DiagonalShift(floquet_operator(lat, 8))
-        space = ModeSpace(8, lat.sites)
+        scan = ScanOperators(lat, 8)
         want = {3.0: (0.2758944132504908, 22), 3.3: (0.024105586748966346, 33),
                 1.0: (np.inf, 0), 5.5: (np.inf, 0)}
         for phase, (nearest, candidates) in want.items():
-            got = _mode_space_partner(lat, k, space, phase, 1e-5)
+            got = _mode_space_partner(lat, scan, phase, 1e-5)
             assert got[1] == candidates
             assert got[0] == pytest.approx(nearest, rel=1e-12)
+
+    @pytest.mark.parametrize("sites, depth, drive, support, steps, order, n_modes, count",
+                             SUITE_SCANS)
+    def test_partners_match_sparse_lu(self, monkeypatch, sites, depth, drive, support,
+                                      steps, order, n_modes, count):
+        # at every shift a scan tries, the support route certifies a partner where
+        # the sparse LU of K - sigma does, at the same distance
+        lat = build_lattice(sites, 1.0, depth, drive, support)
+        mono = monodromy(lat, 0.0, PropagatorSchedule(steps, order))
+        certified, pairs = scattering._certified_partner, []
+
+        def both(model, scan, phase, sigma, tol):
+            got = certified(model, scan, phase, sigma, tol)
+            pairs.append((got, sparse_lu_certified_partner(model, scan.k, scan.space, phase,
+                                                           sigma, tol)))
+            return got
+
+        monkeypatch.setattr(scattering, "_certified_partner", both)
+        assert len(bound_state_scan(lat, mono, n_modes=n_modes)) == count
+        assert pairs
+        for got, want in pairs:
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert abs(got - want) <= 1e-12
+
+    def test_shift_on_a_free_level(self):
+        # sigma = 1 + 14 pi is the free level 1 + 2 pi 7 of the 48-site ring, where a
+        # real shift divides by zero; the shift off the axis solves, and certifies
+        # no partner for the phase
+        lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
+        scan = ScanOperators(lat, 8)
+        sigma = 1.0 + 2 * np.pi * 7
+        assert (scan.free_levels + scan.space.frequencies[:, None] == sigma).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _certified_partner(lat, scan, 1.0, sigma, 1e-5) is None
 
