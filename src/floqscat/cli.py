@@ -19,6 +19,9 @@ Reports are deterministic for a fixed config and seed: numbers are
 serialized with shortest round-trip precision and keys are sorted; wall time
 appears only in sweep tables.
 
+`--jobs` above 1 fans configs out over worker processes; concurrent.futures
+is imported only then.
+
 Exit codes: 0 success, 2 config validation failure (the message names the
 offending field), 3 numerical failure (non-convergence, singular solve, a
 NaN or infinite report value, named by its key path: reports are strict JSON).
@@ -29,7 +32,6 @@ and the exit code is the largest of theirs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -310,15 +312,16 @@ def _bound_state_scan(model, mono, n_modes, field):
 def run_monodromy(model, params, rng):
     sched = _schedule(params)
     mono = monodromy(model, params["start"], sched)
+    theta = mono.operator    # formed once (on the window route, when read)
     results = {
         "quasi_energies": np.sort(mono.quasi_energies),
-        "unitarity_defect": unitary_defect(mono.operator),
+        "unitarity_defect": unitary_defect(theta),
         "unit_circle_defect": float(np.abs(np.abs(mono.eig.values) - 1.0).max()),
     }
     if params["self_convergence"]:
         finer = PropagatorSchedule(2 * sched.steps_per_period, sched.order)
         theta2 = period_operator(model, mono.start, finer)
-        results["self_convergence_difference"] = max_norm(mono.operator - theta2)
+        results["self_convergence_difference"] = max_norm(theta - theta2)
     return results
 
 
@@ -389,7 +392,7 @@ def run_wave_operators(model, params, rng):
     report = s_matrix(wp, wm, translates=params["translates"])
     avg = time_averaged_wave_op(model, mono, +1, n_max, probes, params["average_window"])
     use = wp.converged & wm.converged
-    avg_agreement = float(np.linalg.norm((avg - wp.image(n_max))[:, use], axis=0).max())
+    avg_agreement = float(np.linalg.norm((avg - wp.image())[:, use], axis=0).max())
     return {
         "converged_fraction": converged_fraction,
         "final_gap_max": float(max(wp.cauchy_gaps[-1].max(), wm.cauchy_gaps[-1].max())),
@@ -574,6 +577,8 @@ def main(argv=None) -> int:
     if jobs == 1:
         outcomes = [_run_one(c, args.out, args.seed) for c in args.config]
     else:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one, args.config, [args.out] * len(args.config),
                                      [args.seed] * len(args.config)))

@@ -317,13 +317,13 @@ def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
     all_d = circular_distance(spec.folded[:, None], theta_phases[None, :]).min(axis=1)
     mean_match = float(all_d.mean())
 
-    defects = []
+    defects, theta = [], mono.operator    # formed once (on the window route, when read)
     for idx in np.flatnonzero(spec.interior):
         phi = reconstruct_mode(spec, idx, mono.start)
         norm = np.linalg.norm(phi)
         if norm < 1e-12:
             continue
-        resid = mono.operator @ phi - np.exp(-1j * spec.values[idx]) * phi
+        resid = theta @ phi - np.exp(-1j * spec.values[idx]) * phi
         defects.append(np.linalg.norm(resid) / norm)
     return CorrespondenceReport(
         n_modes=n_modes,

@@ -222,7 +222,9 @@ def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: floa
 
     The free part has H0[i, i+-1 mod L] = -hopping; the well enters as the
     n = 0 mode and the drive drive_amp * cos(2 pi t) as modes n = +-1 with
-    coefficient drive_amp / 2, all diagonal and confined to `support`.
+    coefficient drive_amp / 2, all diagonal and confined to `support`.  The
+    drive is real and diagonal, so H_-1 = H_1^dagger = H_1: both modes are one
+    array, which no code writes into.
     """
     if sites < 8:
         raise ValueError("lattice needs at least 8 sites")
@@ -238,8 +240,7 @@ def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: floa
     if well_depth != 0.0:
         modes[0] = np.diag(well).astype(np.complex128)
     if drive_amp != 0.0:
-        modes[1] = np.diag(drv).astype(np.complex128)
-        modes[-1] = np.diag(drv).astype(np.complex128)
+        modes[1] = modes[-1] = np.diag(drv).astype(np.complex128)
     return LatticeModel(h0=h0, modes=modes, label=label or f"lattice L={sites}",
                         hopping=hopping, potential_support=support)
 

@@ -14,13 +14,16 @@ of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`); on
 the driven ring the largest cluster has 2 members at 256 sites, 12 at 1024.
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic.
+
+An EigenDecomposition holds its eigenvalues and eigenvectors V and nothing
+else: `apply` takes V^H x by `adjoint_apply`, conj(V^T conj(x)), whose bits
+are those of the product with V^H, so no L x L copy of V^H is made or kept.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, schur
@@ -38,6 +41,9 @@ CLUSTER_GAP = 1e-4
 # asymmetric at order one
 SYMMETRY_TOL = 1e-14
 PIVOT_RTOL = 1e-14
+# rows per block where a test over an L x L matrix builds its masks or
+# differences a block at a time
+_ROW_BLOCK = 64
 
 
 class SingularMatrixError(RuntimeError):
@@ -84,9 +90,23 @@ def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
 
 
 def unitary_defect(a: np.ndarray) -> float:
-    """max |A^H A - I| entrywise."""
-    n = a.shape[0]
-    return float(np.abs(a.conj().T @ a - np.eye(n)).max())
+    """max |A^H A - I| entrywise, I subtracted on the diagonal in place."""
+    gram = a.conj().T @ a
+    gram.flat[::gram.shape[1] + 1] -= 1.0
+    return float(np.abs(gram).max())
+
+
+def _symmetric(u: np.ndarray, tol: float) -> bool:
+    """Whether max |U - U^T| <= tol, taken over row blocks (no L x L difference)."""
+    return all(np.abs(u[i:i + _ROW_BLOCK] - u[:, i:i + _ROW_BLOCK].T).max() <= tol
+               for i in range(0, u.shape[0], _ROW_BLOCK))
+
+
+def adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A^H x as conj(A^T conj(x)): the bits of a.conj().T @ x, C-ordered, without
+    the copy of A^H (A^T is a view)."""
+    y = a.T @ np.conj(x)
+    return np.conj(y, out=y)
 
 
 def check_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -111,7 +131,10 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def _lex_tiebreak(values: np.ndarray, vectors: np.ndarray, keys: np.ndarray):
-    """Reorder columns inside runs of exactly equal sort keys lexicographically."""
+    """Reorder columns inside runs of exactly equal sort keys lexicographically;
+    the inputs themselves where no key repeats."""
+    if not (keys[1:] == keys[:-1]).any():
+        return values, vectors
     order = np.arange(len(keys))
     start = 0
     while start < len(keys):
@@ -132,30 +155,22 @@ def _lex_tiebreak(values: np.ndarray, vectors: np.ndarray, keys: np.ndarray):
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvalues plus orthonormal eigenvectors (columns)."""
+    """Eigenvalues plus orthonormal eigenvectors (columns); no adjoint is kept."""
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.adjoint
 
     def residual(self, a: np.ndarray) -> float:
         """max_k ||A v_k - mu_k v_k||_2."""
         r = a @ self.vectors - self.vectors * self.values
         return float(np.linalg.norm(r, axis=0).max())
 
-    def orthonormality_defect(self) -> float:
-        return unitary_defect(self.vectors)
-
-    @cached_property
-    def adjoint(self) -> np.ndarray:
-        return self.vectors.conj().T
-
     def apply(self, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """V (phases (V^H x)) for a block x of columns: the function of the matrix
-        that takes the value phases[k] on eigenvector k, without forming it."""
-        return self.vectors @ (phases[:, None] * (self.adjoint @ x))
+        """V (phases (V^H x)) for a vector or a block x of columns, in x's shape: the
+        function of the matrix that takes the value phases[k] on eigenvector k,
+        without forming it or V^H (adjoint_apply)."""
+        y = adjoint_apply(self.vectors, x)
+        return self.vectors @ (phases.reshape((-1,) + (1,) * (y.ndim - 1)) * y)
 
 
 def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
@@ -189,8 +204,9 @@ def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenD
     and the clusters are rotated as above.
     """
     u = check_unitary(u, tol)
-    if np.abs(u - u.T).max() <= SYMMETRY_TOL:
-        wc, basis = np.linalg.eigh(((u + u.T) / 2).real)
+    if _symmetric(u, SYMMETRY_TOL):
+        re = u.real
+        wc, basis = np.linalg.eigh((re + re.T) / 2)
         basis = basis.astype(np.complex128)
     else:
         wc, basis = np.linalg.eigh((u + u.conj().T) / 2)
@@ -231,7 +247,7 @@ class HermitianExponential:
         if tau == 0.0:
             return np.eye(len(self.eig.values), dtype=np.complex128)
         phases = np.exp(-1j * tau * self.eig.values)
-        return (self.eig.vectors * phases) @ self.eig.adjoint
+        return (self.eig.vectors * phases) @ self.eig.vectors.conj().T
 
 
 def expm_hermitian(h, tau: float) -> np.ndarray:

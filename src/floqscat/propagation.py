@@ -22,8 +22,8 @@ of u: the public `omega @ x` reaches the same kernel after some 6 us of
 dispatch per call, about a third of the product on a 48-site ring.  A
 propagator is therefore unitary to round-off, not by construction;
 `unitary_eig`'s `check_unitary` gates every monodromy.  After each step
-`flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
-where there are none.  A stepper is built once per model, step width and
+`flush` zeroes the parts below 2^-200, a block of rows at a time, and writes
+nothing where there are none.  A stepper is built once per model, step width and
 order and kept in the model's `steppers` cache, so every propagate call on
 that model at that width, the monodromy's and the time average's alike,
 shares it.
@@ -58,8 +58,10 @@ support_window(r).  Its border rows and columns must be at most
 WINDOW_BORDER_TOL, checked on every build, or r doubles; a ring whose segment
 would exceed half its sites takes the stepped route.  Theta = Theta0 + P E_w P^T
 then costs a copy of the model's U0(1) and a segment of ~4r sites, whatever
-the ring's size; the Monodromy keeps the window and E_w, so the wave
-operators act with Theta without multiplying by it.
+the ring's size.  Such a Monodromy keeps the window, E_w and a reference to
+the model's read-only U0(1), not Theta: `monodromy` drops Theta once it is
+diagonalized, and `Monodromy.operator` forms it again, with the same bits,
+each time it is read.  The wave operators act with Theta without reading it.
 
 A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
 applications of Omega is rejected when its stepper is planned
@@ -68,7 +70,7 @@ applications of Omega is rejected when its stepper is planned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import lgamma, log
 
@@ -93,6 +95,9 @@ _MAX_DEGREE = 55
 # place they reach subnormal numbers, in the propagator and in the powers of
 # it that the wave operators take, whose arithmetic is many times slower
 _FLUSH_BELOW = 2.0**-200
+# parts (real or imaginary) per block of rows that flush masks at a time, so
+# that an L x L propagator's masks are not formed whole
+_FLUSH_PARTS = 2**15
 # Omega's entries for the steps of one propagate call are formed in blocks of
 # at most this many (16 bytes each), so a long sweep over a dense pattern does
 # not hold every step's entries at once
@@ -115,8 +120,14 @@ class StepPlanError(ValueError):
 
 def flush(u: np.ndarray) -> np.ndarray:
     """u with every real and imaginary part below _FLUSH_BELOW set to +0.0, in place;
-    where no part is that small, u is returned unwritten."""
+    above _FLUSH_PARTS parts, a block of rows at a time.  A block with no part
+    that small is not written."""
     parts = u.view(np.float64)
+    if parts.size > _FLUSH_PARTS and len(u) > 1:
+        rows = max(1, _FLUSH_PARTS * len(u) // parts.size)
+        for lo in range(0, len(u), rows):
+            flush(u[lo:lo + rows])
+        return u
     small = np.abs(parts) < _FLUSH_BELOW
     if small.any():
         parts[small] = 0.0
@@ -347,15 +358,28 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
 
 @dataclass
 class Monodromy:
-    """One-period propagator U(s + 1, s) with its eigendecomposition; on the window
-    route also the window and E_w, the block of Theta - U0(1) on it (zero elsewhere)."""
+    """One-period propagator Theta = U(s + 1, s) with its eigendecomposition.
 
-    operator: np.ndarray
+    Off the window route Theta is stored (`theta`).  On it `theta` is None and
+    the Monodromy keeps the window, E_w (the block of Theta - U0(1) on it, zero
+    elsewhere) and the model's read-only U0(1) (`free`); `operator` then forms
+    Theta from them each time it is read."""
+
+    theta: np.ndarray | None
     start: float
     eig: EigenDecomposition
     scheme: PropagatorSchedule
     window: np.ndarray | None = None
     block: np.ndarray | None = None
+    free: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def operator(self) -> np.ndarray:
+        """Theta: the stored matrix, or on the window route U0(1) + P E_w P^T formed
+        now (_with_block), with the bits of the matrix that was diagonalized."""
+        if self.window is None:
+            return self.theta
+        return _with_block(self.free, self.window, self.block)
 
     @property
     def quasi_energies(self) -> np.ndarray:
@@ -426,9 +450,9 @@ def window_block(h: PeriodicHamiltonian, s: float,
     return None
 
 
-def _with_block(h: PeriodicHamiltonian, window: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _with_block(theta0: np.ndarray, window: np.ndarray, block: np.ndarray) -> np.ndarray:
     """U0(1) + P block P^T, on a copy of the model's read-only U0(1), flushed."""
-    theta = h.free_period.copy()
+    theta = theta0.copy()
     theta[np.ix_(window, window)] += block
     return flush(theta)
 
@@ -457,7 +481,7 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
     if block is _ASK:
         block = window_block(h, s, sched)
     if block is not None:
-        return _with_block(h, *block)
+        return _with_block(h.free_period, *block)
     if not reflection_symmetric(h, s, sched):
         return propagate(h, s, s + 1.0, sched)
     half = propagate(h, s, s + 0.5, sched)
@@ -467,7 +491,8 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
               sched: PropagatorSchedule | None = None) -> Monodromy:
     """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition, with
-    the window and E_w where `window_block` applies.
+    the window and E_w where `window_block` applies; there Theta is dropped once
+    diagonalized, and Monodromy.operator forms it when read.
 
     Theta is formed, and its start recorded, at s mod 1: the same operator,
     whose steps from a large s would lose their offsets to rounding (at
@@ -476,9 +501,12 @@ def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
     s = s % 1.0
     block = window_block(h, s, sched)
     theta = period_operator(h, s, sched, block)
-    window, defect = block or (None, None)
-    return Monodromy(operator=theta, start=s, eig=unitary_eig(theta), scheme=sched,
-                     window=window, block=defect)
+    eig = unitary_eig(theta)
+    if block is None:
+        return Monodromy(theta=theta, start=s, eig=eig, scheme=sched)
+    window, defect = block
+    return Monodromy(theta=None, start=s, eig=eig, scheme=sched, window=window, block=defect,
+                     free=h.free_period)
 
 
 def check_cocycle(h: PeriodicHamiltonian, s: float, r: float, t: float,

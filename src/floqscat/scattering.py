@@ -21,9 +21,14 @@ the Monodromy (on the driven ring E_w is the window block of
 propagation.window_block; otherwise the window is every site and
 E_w = Theta - Theta0), so an iterate costs one L x L x p product with the
 model's U0(1) and one on the window, and the Cauchy gap ||(Theta - Theta0) x||
-is the norm of the window product.  The iterates Theta^{+-n} phi are kept and
-the images W^(n) phi = Theta0^{-+n} Theta^{+-n} phi are formed when read; a
-wave-operators run reads only the image at n_max.
+is the norm of the window product.  The time-reversed loop applies Theta0^H
+and E_w^H by numerics.adjoint_apply, with no adjoint copy.  Only the gaps
+(n_max x p) and the last iterate Theta^{+-n_max} phi (L x p) are kept, and
+the image W^(n_max) phi is formed from it when read.  A wave-operators run on
+the window route therefore holds these L x L arrays: H0, the well and the
+one drive array, H0's eigenvectors and U0(1) on the model, Theta's
+eigenvectors on the Monodromy, and in s_matrix one U0(1)^H for the orbit
+basis; Theta itself is formed only where a reader asks for it.
 The time average applies its kernel to the probe block only: the columns
 are propagated through the quadrature nodes on the Monodromy's schedule,
 with the Magnus steppers the model keeps, and the free factors act through
@@ -45,19 +50,18 @@ phase is cross-checked against the truncated mode-space matrix K.  A partner
 there is certified by inverse iteration whose solves with K - zeta go through
 resolvent.ScanOperators, the one factorization on the potential's support
 that the null scan also uses; shift-invert eigsh diagnoses a phase without
-a certified partner.
+a certified partner, and ARPACK (scipy.sparse.linalg) is imported only then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .floquet import circular_distance, start_vector
 from .model import LatticeModel
+from .numerics import adjoint_apply
 from .propagation import Monodromy, monodromy, propagate
 from .resolvent import RAYLEIGH_EPS, ScanOperators
 
@@ -150,18 +154,17 @@ def wrap_horizon(model: LatticeModel) -> int:
 
 @dataclass
 class WaveOperatorIterates:
-    """Iterates of the stroboscopic limit on the probe packets, and the iterate at
-    n_max as an action on vectors.
+    """The stroboscopic limit on the probe packets: every iterate's Cauchy gaps,
+    the iterate at n_max, and W^(n_max) as an action on vectors.
 
     Direction +1 holds W+ = Theta0^{-n} Theta^n, direction -1 the time-reversed
     W- = Theta0^n Theta^{-n}, at n = n_max; `apply` and `apply_adjoint` act on
-    a block of columns.  The iterates Theta^{+-n} phi are kept, and the images
-    W^(n) phi = Theta0^{-+n} Theta^{+-n} phi are formed from them when read
-    (`image`, `probe_images`); `operator` forms the full matrix only when read.
+    a block of columns.  Only the gaps and the last iterate Theta^{+-n_max} phi
+    are kept, one L x p block; `image` forms W^(n_max) phi from it.
     """
 
     direction: int
-    iterates: list = field(repr=False)       # Theta^{+-n} phi for n = 1..n_max, each (L, p)
+    iterate: np.ndarray = field(repr=False)  # Theta^{+-n_max} phi, (L, p)
     # (n_max, p): ||(A - B) A^(n-1) phi|| with A = Theta^+-1, B = Theta0^+-1
     cauchy_gaps: np.ndarray
     n_max: int
@@ -175,14 +178,10 @@ class WaveOperatorIterates:
     def converged_fraction(self) -> float:
         return float(self.converged.mean())
 
-    def image(self, n: int) -> np.ndarray:
-        """W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, (L, p), from the n-th iterate."""
-        return self.model.free_apply(-self.direction * n, self.iterates[n - 1])
-
-    @cached_property
-    def probe_images(self) -> list:
-        """W^(n) phi for n = 1..n_max, each (L, p), formed on first read."""
-        return [self.image(n) for n in range(1, self.n_max + 1)]
+    def image(self) -> np.ndarray:
+        """W^(n_max) phi = Theta0^{-+n_max} Theta^{+-n_max} phi, (L, p), from the kept
+        iterate."""
+        return self.model.free_apply(-self.direction * self.n_max, self.iterate)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max) x for a block x of columns."""
@@ -193,11 +192,6 @@ class WaveOperatorIterates:
         """W^(n_max)^H x for a block x of columns."""
         n = self.direction * self.n_max
         return self.mono.apply(-n, self.model.free_apply(n, x))
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        """Full-space iterate at n_max (unitary), formed on first read."""
-        return self.apply(np.eye(self.model.sites, dtype=np.complex128))
 
 
 def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
@@ -216,18 +210,38 @@ def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
     return converged, n_conv
 
 
+def _iterates(model: LatticeModel, direction: int, mono: Monodromy, x: np.ndarray):
+    """Yield (gap, Theta^{+-n} x) for n = 1, 2, ...: the gap is the column norms of
+    (A - B) A^(n-1) x, A = Theta^{+-1}, B = Theta0^{+-1}.
+
+    A x is B x plus E_w on the window's rows of x (mono's window and block, or
+    every site and Theta - Theta0 without them), so the gap is the norm of
+    that window product; direction -1 applies Theta0^H and E_w^H by
+    adjoint_apply.  Each yielded iterate is a new array."""
+    theta0 = model.free_period
+    if mono.window is None:
+        window, block = slice(None), mono.operator - theta0
+    else:
+        window, block = mono.window, mono.block
+    act = np.matmul if direction == +1 else adjoint_apply
+    while True:
+        kick = act(block, x[window])      # (A - B) x, zero off the window
+        x = act(theta0, x)
+        x[window] += kick
+        yield np.linalg.norm(kick, axis=0), x
+
+
 def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: Monodromy,
                          probes: ProbeSet | None = None) -> WaveOperatorIterates:
     """Iterate the stroboscopic limit on wave packets.
 
     direction +1 iterates Theta0^dagger^n Theta^n, direction -1 the
-    time-reversed pair Theta0^n Theta^dagger^n, with Theta = mono.operator,
-    the monodromy at the start time the wave operator is taken at.  An iterate
-    is Theta0 cur plus E_w on the window's rows of cur (mono's window and
-    block, or every site and Theta - Theta0 without them), and its Cauchy gap
-    is the norm of that window product.  The iterate at n_max acts through
-    mono's eigenbasis.  Raises ConvergenceError (carrying the gap trace) if no
-    probe stabilizes before n_max.
+    time-reversed pair Theta0^n Theta^dagger^n, with Theta from mono, the
+    monodromy at the start time the wave operator is taken at (_iterates:
+    Theta0 plus the window block, never Theta itself).  The gaps of every
+    iterate and the iterate at n_max are kept; W^(n_max) acts through mono's
+    eigenbasis.  Raises ConvergenceError (carrying the gap trace) if no probe
+    stabilizes before n_max.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -235,23 +249,10 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     horizon = wrap_horizon(model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
-    theta0 = model.free_period
-    if mono.window is None:
-        window, block = slice(None), mono.operator - theta0
-    else:
-        window, block = mono.window, mono.block
-    if direction == -1:
-        theta0, block = theta0.conj().T, block.conj().T
-
-    cur = probes.vectors.copy()
     gaps = np.empty((n_max, probes.count))
-    iterates = []
+    steps = _iterates(model, direction, mono, probes.vectors)
     for n in range(n_max):
-        kick = block @ cur[window]      # (A - B) cur, zero off the window
-        gaps[n] = np.linalg.norm(kick, axis=0)
-        cur = theta0 @ cur
-        cur[window] += kick
-        iterates.append(cur)
+        gaps[n], cur = next(steps)
     converged, n_conv = _stability(gaps)
     if not converged.any():
         raise ConvergenceError(
@@ -261,7 +262,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
         )
     return WaveOperatorIterates(
         direction=direction,
-        iterates=iterates,
+        iterate=cur,
         cauchy_gaps=gaps,
         n_max=n_max,
         probe_set=probes,
@@ -338,9 +339,10 @@ def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) 
     cols = [probes.vectors]
     fwd = probes.vectors.copy()
     back = probes.vectors.copy()
+    adjoint = theta0.conj().T    # one copy for every translate
     for _ in range(translates):
         fwd = theta0 @ fwd
-        back = theta0.conj().T @ back
+        back = adjoint @ back
         cols += [fwd, back]
     basis = probes.vectors[:, :0]
     for col in np.column_stack(cols).T:
@@ -466,6 +468,8 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
         dist = _certified_partner(model, scan, phase, sigma, tol)
         if dist is not None:
             return dist, 1
+    from scipy.sparse.linalg import eigsh   # ARPACK: loaded only for this diagnosis
+
     v0 = start_vector(space.size)
     nearest, candidates = np.inf, 0
     for sigma in sigmas:

@@ -1,0 +1,83 @@
+"""Wall time and peak resident memory of CLI runs, one fresh interpreter per config.
+
+    python tests/scale_probe.py CONFIG [CONFIG ...] [--out DIR] [--seed N] [--src DIR]
+
+Each config runs through `floqscat.cli.main` in a new Python process with
+BLAS and OpenMP pinned to one thread, as the benchmark pins them, and
+imported from `--src` (default: this checkout's `src`).  One line per config
+gives its exit code, the wall seconds of the `main` call (import excluded)
+and the process's peak resident set (`ru_maxrss`) in MB.  Reports go to
+`--out` (default: the current directory), so two trees' reports can be
+compared with tests/report_diff.py.
+
+The at-scale wave-operators figures in CHANGES.md come from the benchmark's
+ring-scatter ring (hopping 1, well depth -0.8, drive 0.5, support width 5)
+grown in size, with the benchmark's schedule:
+
+    {"task": "wave-operators",
+     "model": {"lattice": {"sites": 1024, "hopping": 1.0, "well_depth": -0.8,
+                           "drive_amp": 0.5, "support_width": 5}},
+     "parameters": {"steps_per_period": 64, "order": 4, "n_max": 128,
+                    "translates": 2, "average_window": 1.0, "floquet_modes": 3}}
+
+and the same at "sites": 2048 with "n_max": 256 (n_max = L / 8, the ring's
+wrap-around horizon in both).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# the child: import, then time the CLI call alone and read its own peak RSS
+CHILD = """
+import json, resource, sys, time
+import floqscat.cli as cli
+begin = time.perf_counter()
+code = cli.main(sys.argv[1:])
+wall = time.perf_counter() - begin
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak}))
+"""
+
+
+def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
+    """One config in a fresh interpreter: {"code", "wall_s", "peak_rss_mb"}."""
+    env = {**os.environ, **{name: "1" for name in THREAD_VARIABLES},
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["--config", config, "--out", out]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        return {"code": done.returncode, "wall_s": float("nan"), "peak_rss_mb": float("nan")}
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("configs", nargs="+", metavar="CONFIG")
+    parser.add_argument("--out", default=".", help="report directory (default: .)")
+    parser.add_argument("--seed", type=int, default=None, help="the CLI's --seed")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="the floqscat source tree to import (default: this checkout's)")
+    args = parser.parse_args(argv)
+    status = 0
+    for config in args.configs:
+        got = probe(config, args.out, args.seed, args.src.resolve())
+        print(f"{config}  exit {got['code']}  wall {got['wall_s']:.2f} s  "
+              f"peak {got['peak_rss_mb']:.1f} MB", flush=True)
+        status = max(status, got["code"])
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -239,7 +239,7 @@ def test_criterion_7_wave_operators(driven_256):
     assert rep.intertwining_defect <= 5e-3
     avg = time_averaged_wave_op(lat, mono, +1, wp.n_max, probes, 1.0)
     use = wp.converged & wm.converged
-    avg_diff = float(np.linalg.norm((avg - wp.probe_images[-1])[:, use], axis=0).max())
+    avg_diff = float(np.linalg.norm((avg - wp.image())[:, use], axis=0).max())
     assert avg_diff <= 2e-3
     ok(7, f"{frac:.0%} probes converged before wrap-around; isometry "
           f"{rep.isometry_defect:.1e} <= 1e-3, unitarity {rep.unitarity_defect:.1e} "

@@ -579,15 +579,86 @@ class TestStrictJson:
 
 
 class TestImportGraph:
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+    @staticmethod
+    def loaded_after_import(modules):
+        """Which of `modules` a fresh interpreter has loaded after `import floqscat.cli`."""
         src = str(Path(floqscat.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, floqscat.cli; print('scipy.optimize' in sys.modules)"],
+             f"import sys, floqscat.cli; print([m in sys.modules for m in {modules!r}])"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        assert self.loaded_after_import(["scipy.optimize"]) == "[False]"
+
+    def test_cli_import_leaves_arpack_unloaded(self):
+        # eigsh is imported by the bound-state cross-check's ARPACK branch only
+        assert self.loaded_after_import(["scipy.sparse.linalg"]) == "[False]"
+
+    def test_cli_imports_concurrent_futures_only_for_jobs(self):
+        # numpy.testing, which scipy.linalg imports, loads concurrent.futures
+        # itself; the CLI binds it only on the --jobs > 1 branch
+        import floqscat.cli as cli
+
+        assert "concurrent" not in vars(cli)
+
+
+class TestMemory:
+    """A wave-operators run holds each L x L array once, and only while it is read."""
+
+    RING_SCATTER = {"task": "wave-operators",
+                    "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                          "drive_amp": 0.5, "support_width": 5}},
+                    "parameters": {"steps_per_period": 64, "order": 4, "translates": 2,
+                                   "average_window": 1.0, "floquet_modes": 3}}
+
+    def test_ring_scatter_peak_and_holdings(self, monkeypatch):
+        import tracemalloc
+
+        import floqscat.cli as cli
+        from floqscat.propagation import PropagatorSchedule, _with_block, period_operator
+
+        seen = {"model": [], "mono": [], "waves": []}
+
+        def keep(name, make):
+            def spy(*args, **kwargs):
+                out = make(*args, **kwargs)
+                seen[name].append(out)
+                return out
+            return spy
+
+        monkeypatch.setattr(cli, "build_model", keep("model", cli.build_model))
+        monkeypatch.setattr(cli, "monodromy", keep("mono", cli.monodromy))
+        monkeypatch.setattr(cli, "stroboscopic_wave_op", keep("waves", cli.stroboscopic_wave_op))
+        tracemalloc.start()
+        try:
+            run_scenario(self.RING_SCATTER, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sites = 256
+        side = sites * sites * 16          # one L x L complex matrix, in bytes
+        assert peak <= 11 * side
+
+        [model], [mono], waves = seen["model"], seen["mono"], seen["waves"]
+        assert set(vars(model.free_eig)) == {"values", "vectors"}     # no adjoint kept
+        assert len(waves) == 2
+        for w in waves:
+            blocks = [v for v in vars(w).values()
+                      if isinstance(v, np.ndarray) and v.ndim == 2 and sites in v.shape]
+            assert [b.shape for b in blocks] == [(sites, w.probe_set.count)]
+            assert not any(isinstance(v, list) for v in vars(w).values())
+        # on the window route Theta is formed when read, with the bits it was
+        # diagonalized with
+        assert mono.window is not None and mono.theta is None
+        theta = mono.operator
+        assert theta.tobytes() == _with_block(model.free_period, mono.window,
+                                              mono.block).tobytes()
+        assert theta.tobytes() == period_operator(model, 0.0,
+                                                  PropagatorSchedule(64, 4)).tobytes()
 
 
 class TestBoundStateScenario:

@@ -14,6 +14,7 @@ from floqscat.numerics import (
 )
 
 from conftest import random_hermitian, random_unitary
+from oracles import orthonormality_defect, reconstruct
 
 
 class TestHermitianEig:
@@ -32,9 +33,9 @@ class TestHermitianEig:
         a = random_hermitian(50, seed=1)
         eig = hermitian_eig(a)
         scale = np.linalg.norm(a, 2)
-        assert np.abs(eig.reconstruct() - a).max() <= 1e-9 * scale
+        assert np.abs(reconstruct(eig) - a).max() <= 1e-9 * scale
         assert eig.residual(a) <= 1e-9 * scale
-        assert eig.orthonormality_defect() <= 1e-10
+        assert orthonormality_defect(eig) <= 1e-10
 
     def test_values_real_ascending(self):
         eig = hermitian_eig(random_hermitian(17, seed=2))
@@ -80,20 +81,20 @@ class TestUnitaryEig:
         u = random_unitary(30, seed=5)
         eig = unitary_eig(u)
         assert eig.residual(u) <= 1e-9
-        assert eig.orthonormality_defect() <= 1e-10
+        assert orthonormality_defect(eig) <= 1e-10
         assert np.abs(np.abs(eig.values) - 1.0).max() <= 1e-10
 
     def test_reconstruction_identity_on_unitaries(self):
         u = random_unitary(15, seed=6)
         eig = unitary_eig(u)
-        assert np.abs(eig.reconstruct() - u).max() <= 1e-9
+        assert np.abs(reconstruct(eig) - u).max() <= 1e-9
 
     def test_clustered_phases(self):
         # nearly degenerate eigenphases exercise the cluster split
         base = np.diag(np.exp(1j * np.array([0.5, 0.5 + 3e-9, 2.0])))
         w = random_unitary(3, seed=7)
         eig = unitary_eig(w @ base @ w.conj().T)
-        assert eig.orthonormality_defect() <= 1e-10
+        assert orthonormality_defect(eig) <= 1e-10
         assert eig.residual(w @ base @ w.conj().T) <= 1e-9
 
     def test_rejects_non_unitary(self):
@@ -124,7 +125,7 @@ class TestUnitaryEig:
         assert kinds == [np.float64, np.complex128]
         assert real.vectors.dtype == np.complex128
         assert real.residual(theta) <= 10 * cplx.residual(theta) <= 1e-10
-        assert real.orthonormality_defect() <= 10 * cplx.orthonormality_defect() <= 1e-13
+        assert orthonormality_defect(real) <= 10 * orthonormality_defect(cplx) <= 1e-13
         assert np.abs(real.values - cplx.values).max() <= 1e-13
 
     @pytest.mark.parametrize("seed", [5, 6, 21])
@@ -133,6 +134,30 @@ class TestUnitaryEig:
         got, want = unitary_eig(u), self.complex_route(u, monkeypatch)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
+
+
+class TestWholeMatrixReferences:
+    """The blocked and in-place forms against the whole-matrix expressions they replace."""
+
+    def test_unitary_defect(self):
+        for u in (random_unitary(40, seed=22), np.eye(3, dtype=complex),
+                  np.diag([1.0, 2.0]).astype(complex)):
+            want = float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+            assert unitary_defect(u) == want
+
+    @pytest.mark.parametrize("where", [None, (0, 1), (199, 3), (5, 199)])
+    def test_symmetry_test_over_row_blocks(self, where):
+        a = random_unitary(200, seed=23)
+        u = (a.T @ a).copy()               # symmetric to round-off, over 4 row blocks
+        if where is not None:
+            u[where] += 1e-13
+        for tol in (0.0, numerics.SYMMETRY_TOL, 1e-12):
+            assert numerics._symmetric(u, tol) == (np.abs(u - u.T).max() <= tol)
+
+    def test_tiebreak_returns_its_inputs_without_a_tie(self):
+        values, vectors = np.array([0.1, 0.2, 0.3]), random_unitary(3, seed=24)
+        got = numerics._lex_tiebreak(values, vectors, values)
+        assert got[0] is values and got[1] is vectors
 
 
 def _fix_phases_loop(vectors):
@@ -192,6 +217,23 @@ class TestExpmHermitian:
         v, phases = exp.eig.vectors, np.exp(-0.7j * exp.eig.values)
         want = v @ (phases[:, None] * (v.conj().T @ x))
         assert np.array_equal(exp.apply(0.7, x), want)
+
+    def test_apply_keeps_a_vector_a_vector(self):
+        # a 1-d x once broadcast the phases against V^H x into an L x L array
+        from floqscat.model import build_lattice
+        from floqscat.propagation import PropagatorSchedule, monodromy
+
+        ring = build_lattice(16, 1.0, -1.0, 0.5, [7, 8])
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=16) + 1j * rng.normal(size=16)
+        got = ring.free_apply(0.5, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, ring.free_apply(0.5, x[:, None])[:, 0])
+        assert np.abs(got - ring.free_propagator(0.5) @ x).max() <= 1e-14
+        mono = monodromy(ring, 0.0, PropagatorSchedule(16, 2))
+        got = mono.apply(3, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, mono.apply(3, x[:, None])[:, 0])
 
     @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
     def test_spectral_mapping(self, tau):
