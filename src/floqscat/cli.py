@@ -19,9 +19,6 @@ Reports are deterministic for a fixed config and seed: numbers are
 serialized with shortest round-trip precision and keys are sorted; wall time
 appears only in sweep tables.
 
-`--jobs` above 1 fans configs out over worker processes; concurrent.futures
-is imported only then.
-
 Exit codes: 0 success, 2 config validation failure (the message names the
 offending field), 3 numerical failure (non-convergence, singular solve, a
 NaN or infinite report value, named by its key path: reports are strict JSON).
@@ -32,6 +29,7 @@ and the exit code is the largest of theirs.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -577,8 +575,6 @@ def main(argv=None) -> int:
     if jobs == 1:
         outcomes = [_run_one(c, args.out, args.seed) for c in args.config]
     else:
-        import concurrent.futures
-
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one, args.config, [args.out] * len(args.config),
                                      [args.seed] * len(args.config)))

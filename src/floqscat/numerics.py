@@ -41,9 +41,6 @@ CLUSTER_GAP = 1e-4
 # asymmetric at order one
 SYMMETRY_TOL = 1e-14
 PIVOT_RTOL = 1e-14
-# rows per block where a test over an L x L matrix builds its masks or
-# differences a block at a time
-_ROW_BLOCK = 64
 
 
 class SingularMatrixError(RuntimeError):
@@ -94,12 +91,6 @@ def unitary_defect(a: np.ndarray) -> float:
     gram = a.conj().T @ a
     gram.flat[::gram.shape[1] + 1] -= 1.0
     return float(np.abs(gram).max())
-
-
-def _symmetric(u: np.ndarray, tol: float) -> bool:
-    """Whether max |U - U^T| <= tol, taken over row blocks (no L x L difference)."""
-    return all(np.abs(u[i:i + _ROW_BLOCK] - u[:, i:i + _ROW_BLOCK].T).max() <= tol
-               for i in range(0, u.shape[0], _ROW_BLOCK))
 
 
 def adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -204,7 +195,7 @@ def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenD
     and the clusters are rotated as above.
     """
     u = check_unitary(u, tol)
-    if _symmetric(u, SYMMETRY_TOL):
+    if np.abs(u - u.T).max() <= SYMMETRY_TOL:
         re = u.real
         wc, basis = np.linalg.eigh((re + re.T) / 2)
         basis = basis.astype(np.complex128)

@@ -22,8 +22,8 @@ of u: the public `omega @ x` reaches the same kernel after some 6 us of
 dispatch per call, about a third of the product on a 48-site ring.  A
 propagator is therefore unitary to round-off, not by construction;
 `unitary_eig`'s `check_unitary` gates every monodromy.  After each step
-`flush` zeroes the parts below 2^-200, a block of rows at a time, and writes
-nothing where there are none.  A stepper is built once per model, step width and
+`flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
+where there are none.  A stepper is built once per model, step width and
 order and kept in the model's `steppers` cache, so every propagate call on
 that model at that width, the monodromy's and the time average's alike,
 shares it.
@@ -95,9 +95,6 @@ _MAX_DEGREE = 55
 # place they reach subnormal numbers, in the propagator and in the powers of
 # it that the wave operators take, whose arithmetic is many times slower
 _FLUSH_BELOW = 2.0**-200
-# parts (real or imaginary) per block of rows that flush masks at a time, so
-# that an L x L propagator's masks are not formed whole
-_FLUSH_PARTS = 2**15
 # Omega's entries for the steps of one propagate call are formed in blocks of
 # at most this many (16 bytes each), so a long sweep over a dense pattern does
 # not hold every step's entries at once
@@ -120,14 +117,8 @@ class StepPlanError(ValueError):
 
 def flush(u: np.ndarray) -> np.ndarray:
     """u with every real and imaginary part below _FLUSH_BELOW set to +0.0, in place;
-    above _FLUSH_PARTS parts, a block of rows at a time.  A block with no part
-    that small is not written."""
+    where no part is that small, u is returned unwritten."""
     parts = u.view(np.float64)
-    if parts.size > _FLUSH_PARTS and len(u) > 1:
-        rows = max(1, _FLUSH_PARTS * len(u) // parts.size)
-        for lo in range(0, len(u), rows):
-            flush(u[lo:lo + rows])
-        return u
     small = np.abs(parts) < _FLUSH_BELOW
     if small.any():
         parts[small] = 0.0

@@ -5,7 +5,6 @@ that the library neither forms nor keeps.
     orthonormality_defect(eig)  max |V^H V - I|
     iterates(w, n)              Theta^{+-j} phi for j = 1..n, from the library's loop
     image(w, n)                 W^(n) phi = Theta0^{-+n} Theta^{+-n} phi
-    probe_images(w)             W^(n) phi for n = 1..n_max
     operator(w)                 W^(n_max) on the full space (L x L)
 
 `w` is a scattering.WaveOperatorIterates.  Its iterates are recomputed by
@@ -40,11 +39,6 @@ def iterates(w, n=None):
 def image(w, n):
     """W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, (L, p), from the n-th iterate."""
     return w.model.free_apply(-w.direction * n, iterates(w, n)[-1])
-
-
-def probe_images(w):
-    """W^(n) phi for n = 1..n_max, each (L, p)."""
-    return [w.model.free_apply(-w.direction * n, x) for n, x in enumerate(iterates(w), 1)]
 
 
 def operator(w):

@@ -598,13 +598,6 @@ class TestImportGraph:
         # eigsh is imported by the bound-state cross-check's ARPACK branch only
         assert self.loaded_after_import(["scipy.sparse.linalg"]) == "[False]"
 
-    def test_cli_imports_concurrent_futures_only_for_jobs(self):
-        # numpy.testing, which scipy.linalg imports, loads concurrent.futures
-        # itself; the CLI binds it only on the --jobs > 1 branch
-        import floqscat.cli as cli
-
-        assert "concurrent" not in vars(cli)
-
 
 class TestMemory:
     """A wave-operators run holds each L x L array once, and only while it is read."""

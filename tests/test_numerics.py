@@ -137,22 +137,13 @@ class TestUnitaryEig:
 
 
 class TestWholeMatrixReferences:
-    """The blocked and in-place forms against the whole-matrix expressions they replace."""
+    """The in-place forms against the whole-matrix expressions they replace."""
 
     def test_unitary_defect(self):
         for u in (random_unitary(40, seed=22), np.eye(3, dtype=complex),
                   np.diag([1.0, 2.0]).astype(complex)):
             want = float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
             assert unitary_defect(u) == want
-
-    @pytest.mark.parametrize("where", [None, (0, 1), (199, 3), (5, 199)])
-    def test_symmetry_test_over_row_blocks(self, where):
-        a = random_unitary(200, seed=23)
-        u = (a.T @ a).copy()               # symmetric to round-off, over 4 row blocks
-        if where is not None:
-            u[where] += 1e-13
-        for tol in (0.0, numerics.SYMMETRY_TOL, 1e-12):
-            assert numerics._symmetric(u, tol) == (np.abs(u - u.T).max() <= tol)
 
     def test_tiebreak_returns_its_inputs_without_a_tie(self):
         values, vectors = np.array([0.1, 0.2, 0.3]), random_unitary(3, seed=24)

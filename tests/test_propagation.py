@@ -475,19 +475,6 @@ class TestStepBookkeeping:
         u.flags.writeable = False     # a write would raise
         assert flush(u) is u
 
-    def test_flush_in_row_blocks_equals_one_mask(self):
-        # 300 x 300 is masked in 55-row blocks; the reference masks the whole array
-        from floqscat.propagation import flush
-
-        rng = np.random.default_rng(16)
-        u = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
-        u[rng.random(u.shape) < 0.1] *= 1e-70
-        u[rng.random(u.shape) < 0.05] = complex(-0.0, -0.0)
-        want = u.copy()
-        parts = want.view(np.float64)
-        parts[np.abs(parts) < 2.0**-200] = 0.0
-        assert flush(u).tobytes() == want.tobytes()
-
 
 def stepped_period(h, s, sched):
     """Theta by stepping the whole model: the half path where the model allows."""
