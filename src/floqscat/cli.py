@@ -190,9 +190,20 @@ def _horizon(model) -> int:
         raise ValidationError("model.lattice.hopping", str(exc)) from exc
 
 
+# stroboscopic iterates above which a wave-operators run is refused, given or
+# defaulted: every shipped config, test and benchmark takes at most 256 (2048
+# sites at the default n_max = L / 8), while the wrap-around horizon
+# L / (8 |hopping|) of a 64-site ring at hopping 1e-9 is 8e9 iterates, whose
+# gap table alone would take 477 GiB
+MAX_ITERATES = 2**12
+
+
 def _within_horizon(n_max, model):
-    if not 1 <= n_max <= _horizon(model):
-        return f"n_max {n_max} outside [1, {_horizon(model)}], the ring's wrap-around horizon"
+    horizon = _horizon(model)
+    if not 1 <= n_max <= horizon:
+        return f"n_max {n_max} outside [1, {horizon}], the ring's wrap-around horizon"
+    if n_max > MAX_ITERATES:
+        return f"n_max {n_max} above the iterate ceiling {MAX_ITERATES}"
 
 
 SCHEDULE = {"steps_per_period": Field(int, 512, _at_least(MIN_STEPS)),

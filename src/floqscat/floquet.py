@@ -2,8 +2,9 @@
 
 The extended-space operator acts on vectors x = (x_n), |n| <= N, with
 d-dimensional fiber blocks: the (n, m) block is H_{n-m} for n != m and
-2 pi n I + H0 + H_0-mode on the diagonal, assembled by ModeSpace as the
-Kronecker sum K = K0 + V.  Its eigenvalues are quasi-energies;
+2 pi n I + H0 + H_0-mode on the diagonal, the block-Toeplitz layout that
+ModeSpace alone writes (sparse for K = K0 + V, dense for any other block
+operator).  Its eigenvalues are quasi-energies;
 the commutation with the mode shift generates the 2pi translation structure,
 and the interior folded spectrum reproduces the eigenphases of the one-period
 operator.
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import PeriodicHamiltonian
-from .numerics import hermitian_eig, max_norm
+from .numerics import hermitian_eig
 from .propagation import Monodromy
 
 # edge rule: a state is truncation-corrupted when the norm fraction of its
@@ -47,11 +48,14 @@ def start_vector(size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeSpace:
-    """(2N+1) mode blocks of fiber dimension d and the sparse Kronecker sums on them.
+    """(2N+1) mode blocks of fiber dimension d and the block-Toeplitz operators on them.
 
     With the shift (S x)_n = x_{n-1}: K0 = I (x) H + diag(2 pi n) (x) I,
     V = sum_m S^m (x) H_m, K = K0 + V and Q(zeta) = V (K0 - zeta)^{-1}
-    (Shirley's extended-space form).
+    (Shirley's extended-space form).  Such an operator's block (n, n - m)
+    holds its m-th block on the row blocks `row_blocks(m)`, the one statement
+    of that layout: `assemble` writes K sparse from it, `toeplitz` any
+    block-Toeplitz matrix dense.
     """
 
     n_modes: int
@@ -93,34 +97,36 @@ class ModeSpace:
         edge_mass = probs[:edge].sum(axis=0) + probs[len(probs) - edge:].sum(axis=0)
         return np.sqrt(edge_mass) <= EDGE_NORM_LIMIT
 
-    def shift(self, m: int = 1) -> sp.csr_array:
-        """S^m (x) I_d = kron(eye(2N+1, k=-m), I_d), the identity at offset -m d."""
-        return sp.eye_array(self.size, k=-m * self.fiber_dim, format="csr")
+    def row_blocks(self, m: int) -> np.ndarray:
+        """The row blocks n whose block (n, n - m) lies inside the truncation; none
+        for |m| > 2N."""
+        return np.arange(max(0, m), self.n_blocks + min(0, m))
 
-    def blockdiag(self, blocks: np.ndarray):
-        """I (x) h for one (d, d) block h, or blockdiag_n h_n for a (2N+1, d, d) stack."""
-        if blocks.ndim == 2:  # the Kronecker product keeps only h's nonzeros
-            return sp.kron(sp.eye_array(self.n_blocks), blocks, format="csr")
-        nb = self.n_blocks
-        return sp.bsr_array((blocks, np.arange(nb), np.arange(nb + 1)), shape=(self.size,) * 2)
+    def toeplitz(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
+        """Dense block-Toeplitz matrix whose block (n, n - m) is blocks[m]: one (d, d)
+        array, or a (2N+1, d, d) stack indexed by the column block n - m."""
+        nb, d = self.n_blocks, self.fiber_dim
+        out = np.zeros((nb, d, nb, d), dtype=np.complex128)
+        for m, bm in blocks.items():
+            n = self.row_blocks(m)
+            out[n, :, n - m, :] = bm if bm.ndim == 2 else bm[n - m]
+        return out.reshape(self.size, self.size)
 
     def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> sp.csr_array:
         """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, in one
         COO -> CSR step from the blocks' nonzeros; without `modes`, the free K0.
 
-        Bit for bit the Kronecker sums blockdiag(h0) + kron(diag(2 pi n), I) +
-        coupling(modes) in canonical (sorted) order: a diagonal entry is
-        h0_ii + 2 pi n (the n = 0 zeros are left out, as the sums drop them),
-        every other entry is one block's, and entries that come to zero are
-        removed.
+        Bit for bit the sparse Kronecker sums kron(I, h0) + kron(diag(2 pi n), I) +
+        sum_m kron(S^m, I) kron(I, H_m) in canonical (sorted) order: a diagonal
+        entry is h0_ii + 2 pi n (the n = 0 zeros are left out, as the sums drop
+        them), every other entry is one block's, and entries that come to zero
+        are removed.
         """
-        nb, d = self.n_blocks, self.fiber_dim
+        d = self.fiber_dim
         rows, cols, data = [], [], []
         for m, hm in [(0, h0), *(modes or {}).items()]:
-            if abs(m) >= nb:
-                continue
             r, c = np.nonzero(hm)
-            blocks = np.arange(max(0, m), nb + min(0, m))[:, None]   # row blocks n, columns n - m
+            blocks = self.row_blocks(m)[:, None]   # row blocks n, columns n - m
             rows.append((blocks * d + r).ravel())
             cols.append(((blocks - m) * d + c).ravel())
             data.append(np.tile(hm[r, c], len(blocks)))
@@ -136,15 +142,6 @@ class ModeSpace:
         k.eliminate_zeros()
         return k
 
-    def coupling(self, modes: dict[int, np.ndarray]) -> sp.csr_array:
-        """sum_m S^m (x) H_m = sum_m (S^m (x) I) blockdiag(H_m): the (n, k) block is H_{n-k}.
-
-        An H_m given as a (2N+1, d, d) stack varies with the column block k;
-        modes beyond 2N drop out.
-        """
-        return sum((self.shift(m) @ self.blockdiag(hm) for m, hm in modes.items()
-                    if abs(m) < self.n_blocks), sp.csr_array((self.size,) * 2, dtype=np.complex128))
-
     def free_resolvent(self, h0: np.ndarray, zeta: complex) -> np.ndarray:
         """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d)."""
         eig = hermitian_eig(h0)
@@ -159,7 +156,6 @@ class FloquetMatrix:
     fiber_dim: int
     n_modes: int
     matrix: np.ndarray
-    mode_diag: np.ndarray  # the 2 pi n block multipliers, length 2N+1
 
     @property
     def space(self) -> ModeSpace:
@@ -188,33 +184,31 @@ def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> sp.csr_array:
 def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
     """Dense truncated mode-space matrix, for the tasks that report whole spectra."""
     return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes,
-                         matrix=floquet_operator(h, n_modes).toarray(),
-                         mode_diag=ModeSpace(n_modes, h.dim).frequencies)
+                         matrix=floquet_operator(h, n_modes).toarray())
 
 
 def shift_commutation_defect(k: FloquetMatrix) -> float:
-    """Interior defect of K S - S K = 2 pi S on the truncated space.
+    """Interior defect of K S - S K = 2 pi S on the truncated space, in max norm.
 
     The relation is exact on the rows n in [-N+1, N] and columns
-    m in [-N, N-1] where the truncated shift is defined; the defect there
-    is zero in exact arithmetic and is returned in max norm.
+    m in [-N, N-1] where the truncated shift is defined, and there it reads
+    K[d:, d:] - K[:-d, :-d] = 2 pi I; the defect is zero in exact arithmetic
+    (and at N = 0, where no such entry exists).
     """
-    s = k.space.shift().toarray()
-    return _interior_max(k, k.matrix @ s - s @ k.matrix - 2 * np.pi * s)
+    d = k.fiber_dim
+    defect = k.matrix[d:, d:] - k.matrix[:-d, :-d]
+    defect.flat[::defect.shape[0] + 1] -= 2 * np.pi
+    return float(np.abs(defect).max(initial=0.0))
 
 
 def shift_group_defect(k: FloquetMatrix, sigma: float) -> float:
-    """Defect of exp(i J sigma) S exp(-i J sigma) = exp(2 pi i sigma) S (interior)."""
-    s = k.space.shift().toarray()
-    phases = np.repeat(np.exp(1j * k.mode_diag * sigma), k.fiber_dim)
-    conj = (phases[:, None] * s) * phases.conj()[None, :]
-    return _interior_max(k, conj - np.exp(2j * np.pi * sigma) * s)
+    """Interior defect of exp(i J sigma) S exp(-i J sigma) = exp(2 pi i sigma) S.
 
-
-def _interior_max(k: FloquetMatrix, defect: np.ndarray) -> float:
-    """Max norm on the rows n > -N and columns m < N where the shift is defined."""
-    d = k.fiber_dim
-    return max_norm(defect[d:, :-d] if k.n_modes > 0 else defect)
+    With the block phases p_n = exp(2 pi i n sigma) of exp(i J sigma), the
+    conjugated shift's interior block (n, n - 1) is p_n conj(p_{n-1}).
+    """
+    p = np.exp(1j * k.space.frequencies * sigma)
+    return float(np.abs(p[1:] * p[:-1].conj() - np.exp(2j * np.pi * sigma)).max(initial=0.0))
 
 
 @dataclass

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import EigenDecomposition, HermitianExponential, as_complex_matrix, check_hermitian
+from .numerics import EigenDecomposition, as_complex_matrix, check_hermitian, hermitian_eig
 
 HERMITIAN_TOL = 1e-12
 
@@ -113,32 +113,30 @@ class PeriodicHamiltonian:
         return sites
 
     @cached_property
-    def _free(self) -> HermitianExponential:
-        return HermitianExponential(self.h0)
-
-    @property
     def free_eig(self) -> EigenDecomposition:
         """H0's eigendecomposition (hermitian_eig), formed once per model: the one
         behind free_propagator and free_apply."""
-        return self._free.eig
+        return hermitian_eig(self.h0)
 
     @cached_property
     def free_period(self) -> np.ndarray:
         """Theta0 = U0(1) = exp(-i H0), the free one-period operator: the bits of
         free_propagator(1.0), formed once per model and read-only."""
-        theta0 = self._free(1.0)
+        theta0 = self.free_eig.exp(1.0)
         theta0.flags.writeable = False
         return theta0
 
     def free_propagator(self, t: float) -> np.ndarray:
         """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
         one eigendecomposition of H0 per model."""
-        return self._free(float(t))
+        return self.free_eig.exp(float(t))
 
     def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """U0(t) x for a block x of columns, from the same eigendecomposition of H0,
-        without forming U0(t)."""
-        return self._free.apply(float(t), x)
+        without forming U0(t): V (e^{-i t E} (V^H x)), whose phases are exact for
+        every t (no repeated products)."""
+        eig = self.free_eig
+        return eig.apply(np.exp(-1j * float(t) * eig.values), x)
 
 
 def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:

@@ -10,8 +10,7 @@ runs on the same platform produce identical output.
 
 A unitary is diagonalized through its Hermitian part, whose eigenvectors are
 clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
-of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`); on
-the driven ring the largest cluster has 2 members at 256 sites, 12 at 1024.
+of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic.
 
@@ -163,6 +162,13 @@ class EigenDecomposition:
         y = adjoint_apply(self.vectors, x)
         return self.vectors @ (phases.reshape((-1,) + (1,) * (y.ndim - 1)) * y)
 
+    def exp(self, tau: float) -> np.ndarray:
+        """exp(-i tau A) = V e^{-i tau mu} V^H for the Hermitian A decomposed here:
+        each factor exactly a phase, the identity exactly at tau = 0."""
+        if tau == 0.0:
+            return np.eye(len(self.values), dtype=np.complex128)
+        return (self.vectors * np.exp(-1j * tau * self.values)) @ self.vectors.conj().T
+
 
 def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
@@ -217,33 +223,10 @@ def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenD
     return EigenDecomposition(values=values, vectors=basis)
 
 
-class HermitianExponential:
-    """tau -> exp(-i tau H) for one Hermitian H, from a single eigendecomposition.
-
-    Each factor is exactly a phase; tau = 0 returns the identity exactly.
-    Every time shares the eigenbasis, so a caller that needs several times
-    pays for one eigh and gets the same matrices as expm_hermitian; `apply`
-    acts on a block of columns without forming the matrix.
-    """
-
-    def __init__(self, h):
-        self.eig = hermitian_eig(h)
-
-    def apply(self, tau: float, x: np.ndarray) -> np.ndarray:
-        """exp(-i tau H) x for a block x of columns: V (e^{-i tau E} (V^H x)), whose
-        phases are exact for every tau (no repeated products)."""
-        return self.eig.apply(np.exp(-1j * tau * self.eig.values), x)
-
-    def __call__(self, tau: float) -> np.ndarray:
-        if tau == 0.0:
-            return np.eye(len(self.eig.values), dtype=np.complex128)
-        phases = np.exp(-1j * tau * self.eig.values)
-        return (self.eig.vectors * phases) @ self.eig.vectors.conj().T
-
-
 def expm_hermitian(h, tau: float) -> np.ndarray:
-    """exp(-i tau H) for Hermitian H, unitary by construction (HermitianExponential)."""
-    return HermitianExponential(h)(tau)
+    """exp(-i tau H) for Hermitian H, unitary by construction (`EigenDecomposition.exp`
+    of hermitian_eig(H))."""
+    return hermitian_eig(h).exp(tau)
 
 
 def solve(a, b, pivot_rtol: float = PIVOT_RTOL):

@@ -18,8 +18,9 @@ round-off (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)), evaluated by
 Horner's rule: acc <- u + X_j acc for j = degree..1, X_j = -i Omega /
 (substeps j).  On a sparse pattern each term is one call of scipy's private
 CSR multivector kernel `csr_matvecs`, which adds X_j acc onto a C-ordered copy
-of u: the public `omega @ x` reaches the same kernel after some 6 us of
-dispatch per call, about a third of the product on a 48-site ring.  A
+of u: the public `omega @ x` reaches the same kernel only after per-call
+format checks and a zeroed result, about a third of the product's cost on a
+48-site ring.  A
 propagator is therefore unitary to round-off, not by construction;
 `unitary_eig`'s `check_unitary` gates every monodromy.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
@@ -76,10 +77,8 @@ from math import lgamma, log
 
 import numpy as np
 import scipy.sparse as sp
-# scipy's CSR multivector kernel, Y += A X on C-ordered blocks: `omega @ x`
-# reaches the same kernel, but after some 6 us of format checks and a zeroed
-# result per call, a third of the product's cost on a 48-site ring; imported
-# here so that a scipy without it fails at import, not mid-propagation
+# Y += A X on C-ordered blocks (module docstring); imported here so that a scipy
+# without it fails at import, not mid-propagation
 from scipy.sparse._sparsetools import csr_matvecs
 
 from .model import LatticeModel, PeriodicHamiltonian, ring_h0

@@ -280,9 +280,8 @@ def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
         raise ValueError("block resolvent requires Im(zeta) != 0")
     space = ModeSpace(n_modes, h.dim)
     r0 = space.free_resolvent(h.h0, zeta)
-    # Q = V blockdiag(R0_k) with each block a dense d x d product H_m R0_k, which rounds
-    # like the per-block definition (a sparse V @ blockdiag(R0) sums in another order)
-    return space.coupling({m: hm @ r0 for m, hm in h.modes.items()}).toarray()
+    # block (n, k) is the dense d x d product H_{n-k} R0_k, rounded as the definition
+    return space.toeplitz({m: hm @ r0 for m, hm in h.modes.items()})
 
 
 def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
@@ -370,12 +369,9 @@ class ScanOperators:
         self.free_levels = eig.values
         self.u = eig.vectors
         self.u_s = self.u[h.support]
-        nb, width = self.space.n_blocks, len(h.support)
-        v_s = np.zeros((nb, width, nb, width), dtype=np.complex128)
-        for m, hm in h.modes.items():
-            n = np.arange(max(0, m), nb + min(0, m))
-            v_s[n, :, n - m, :] = hm[np.ix_(h.support, h.support)]
-        self.v_s = v_s.reshape(nb * width, nb * width)
+        support = np.ix_(h.support, h.support)
+        self.v_s = ModeSpace(n_modes, len(h.support)).toeplitz(
+            {m: hm[support] for m, hm in h.modes.items()})
         self.start = self.space.blocks(start_vector(self.space.size)) @ self.u.conj()
 
     def _factor(self, zeta: complex):

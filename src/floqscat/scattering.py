@@ -337,12 +337,10 @@ def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) 
     column is dropped whole, so the probes lie in the span and every orbit
     column within 1e-8 of it."""
     cols = [probes.vectors]
-    fwd = probes.vectors.copy()
-    back = probes.vectors.copy()
-    adjoint = theta0.conj().T    # one copy for every translate
+    fwd = back = probes.vectors
     for _ in range(translates):
         fwd = theta0 @ fwd
-        back = adjoint @ back
+        back = adjoint_apply(theta0, back)    # Theta0^H back, without a copy of Theta0^H
         cols += [fwd, back]
     basis = probes.vectors[:, :0]
     for col in np.column_stack(cols).T:

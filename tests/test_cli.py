@@ -740,6 +740,11 @@ class TestFieldTables:
          {"steps_per_period": 8, "n_max": 3}, "model.lattice.hopping"),
         ("floquet-spectrum", {"builtin": "fleet-d3", "delta": 5.0, "v": -3.0}, {"n_modes": 2},
          "model.delta"),
+        # the default n_max, the horizon 64 / (8 x 1e-9), is above the iterate ceiling
+        ("wave-operators", {"lattice": {"sites": 64, "hopping": 1e-9}}, {"steps_per_period": 8},
+         "parameters.n_max"),
+        ("wave-operators", {"lattice": {"sites": 64, "hopping": 1e-4}},
+         {"steps_per_period": 8, "n_max": 2**12 + 1}, "parameters.n_max"),
     ])
     def test_invalid_input_exit_2_names_field(self, tmp_path, capsys, task, model, params, field):
         p = write_config(tmp_path, {"task": task, "model": model, "parameters": params})
@@ -777,6 +782,17 @@ class TestFieldTables:
         assert params == {"steps_per_period": 512, "order": 4, "start": 0.0,
                           "n_max": wrap_horizon(model), "translates": 1,
                           "average_window": 1.0, "floquet_modes": 8}
+
+    def test_iterate_ceiling(self):
+        # a horizon of 8e9 iterates: refused by default, an explicit n_max within the
+        # ceiling accepted
+        from floqscat.cli import MAX_ITERATES, PARAMETERS, ValueRangeError, parse
+
+        table, model = PARAMETERS["wave-operators"], build_model({"lattice": {"sites": 64,
+                                                                             "hopping": 1e-9}})
+        with pytest.raises(ValueRangeError, match="iterate ceiling"):
+            parse({}, table, "parameters", model)
+        assert parse({"n_max": MAX_ITERATES}, table, "parameters", model)["n_max"] == MAX_ITERATES
 
     def test_int_accepted_as_float(self):
         from floqscat.cli import PARAMETERS, parse

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from floqscat.floquet import (
     build_floquet,
@@ -67,9 +69,32 @@ class TestShiftCommutation:
     def test_group_form_sigma_one_is_plain_shift(self, rabi):
         # exp(-iJ) = I: at sigma = 1 the conjugation returns S itself
         k = build_floquet(rabi, 8)
-        d, nb = k.fiber_dim, 2 * k.n_modes + 1
-        phases = np.repeat(np.exp(1j * k.mode_diag), d)
+        phases = np.exp(1j * k.space.frequencies)
         assert np.abs(phases - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 4, 12])
+    def test_sliced_defects_are_the_dense_shift_definitions(self, fleet_models, n_modes):
+        # the defects of K S - S K - 2 pi S and exp(i J sigma) S exp(-i J sigma) -
+        # exp(2 pi i sigma) S with S = S (x) I_d dense, on the rows n > -N and columns
+        # m < N where the truncated shift is defined (all of them at N = 0), bit for bit
+        from floqscat.floquet import FloquetMatrix, ModeSpace
+        from floqscat.model import build_lattice
+
+        ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
+        for h in [ring, *fleet_models]:
+            d = h.dim
+            modes = {m: hm for m, hm in h.modes.items() if m != 0}
+            matrix = ModeSpace(n_modes, d).assemble(h.h0 + h.mode(0), modes).toarray()
+            k = FloquetMatrix(fiber_dim=d, n_modes=n_modes, matrix=matrix)
+            s = np.kron(np.eye(2 * n_modes + 1, k=-1), np.eye(d))
+            interior = (slice(d, None), slice(None, -d)) if n_modes > 0 else np.s_[:, :]
+            comm = matrix @ s - s @ matrix - 2 * np.pi * s
+            assert shift_commutation_defect(k) == np.abs(comm[interior]).max()
+            for sigma in (0.25, 0.3, 1.7):
+                phases = np.repeat(np.exp(1j * k.space.frequencies * sigma), d)
+                conj = (phases[:, None] * s) * phases.conj()[None, :]
+                group = conj - np.exp(2j * np.pi * sigma) * s
+                assert shift_group_defect(k, sigma) == np.abs(group[interior]).max()
 
 
 class TestQuasiSpectrum:
@@ -183,27 +208,39 @@ class TestModeSpace:
             shifted = k0 - zeta * np.eye(space.size)
             lhs = (np.eye(space.size) + q) @ shifted
             assert np.abs(lhs - (k - zeta * np.eye(space.size))).max() <= 1e-12
-            r0 = space.blockdiag(space.free_resolvent(h.h0, zeta)).toarray()
+            r0 = block_diag(*space.free_resolvent(h.h0, zeta))
             assert np.abs(r0 @ shifted - np.eye(space.size)).max() <= 1e-12
 
-    def test_shift_powers(self):
+    @pytest.mark.parametrize("n_modes", [0, 1, 3])
+    def test_toeplitz_is_the_kronecker_sum(self, n_modes):
+        # block (n, n - m) is blocks[m]: sum_m S^m (x) H_m for (d, d) blocks, and
+        # sum_m S^m blockdiag_k(H_{m, k}) for (2N + 1, d, d) stacks; |m| > 2N drops out
         from floqscat.floquet import ModeSpace
 
-        space = ModeSpace(3, 2)
-        s = space.shift().toarray()
-        assert np.array_equal(s, np.kron(np.eye(7, k=-1), np.eye(2)))
-        assert np.array_equal(space.shift(-2).toarray(), np.linalg.matrix_power(s.T, 2))
-        x = np.arange(space.size, dtype=float)
-        assert np.array_equal(space.blocks(s @ x)[1:], space.blocks(x)[:-1])
+        space, d = ModeSpace(n_modes, 3), 3
+        nb = space.n_blocks
+        rng = np.random.default_rng(16)
+        offsets = (-2, -1, 0, 1, 2, nb, -nb - 1)
+        blocks = {m: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for m in offsets}
+        stacks = {m: rng.normal(size=(nb, d, d)) + 1j * rng.normal(size=(nb, d, d))
+                  for m in offsets}
+        want = sum(np.kron(np.eye(nb, k=-m), hm) for m, hm in blocks.items())
+        assert np.array_equal(space.toeplitz(blocks), want)
+        want = sum(np.kron(np.eye(nb, k=-m), np.eye(d)) @ block_diag(*hm)
+                   for m, hm in stacks.items())
+        assert np.array_equal(space.toeplitz(stacks), want)
 
 
 def kronecker_sum_k(space, h0, modes):
-    """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m as sparse Kronecker sums."""
-    import scipy.sparse as sp
-
-    free = space.blockdiag(h0) + sp.kron(sp.diags_array(space.frequencies),
-                                         sp.eye_array(space.fiber_dim))
-    return free + space.coupling(modes) if modes else free
+    """I (x) h0 + diag(2 pi n) (x) I + sum_m (S^m (x) I)(I (x) H_m) as sparse Kronecker
+    sums, each built by scipy.sparse."""
+    nb, d = space.n_blocks, space.fiber_dim
+    free = (sp.kron(sp.eye_array(nb), h0, format="csr")
+            + sp.kron(sp.diags_array(space.frequencies), sp.eye_array(d)))
+    for m, hm in modes.items():
+        shift = sp.kron(sp.eye_array(nb, k=-m), sp.eye_array(d), format="csr")
+        free = free + shift @ sp.kron(sp.eye_array(nb), hm, format="csr")
+    return free
 
 
 class TestIndexAssembly:

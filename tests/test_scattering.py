@@ -361,11 +361,13 @@ class TestFreeEvolution:
         assert np.array_equal(lat.free_propagator(0.0), np.eye(64))
 
     def test_one_eigendecomposition_per_model(self, monkeypatch):
+        import floqscat.model as model
         import floqscat.numerics as numerics
 
         calls = []
         eig = numerics.hermitian_eig
-        monkeypatch.setattr(numerics, "hermitian_eig", lambda a: calls.append(a) or eig(a))
+        for holder in (numerics, model):    # every binding a model's free motion can reach
+            monkeypatch.setattr(holder, "hermitian_eig", lambda a: calls.append(a) or eig(a))
         lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
         sched = PropagatorSchedule(16, 2)
         probes = make_probes(lat)
