@@ -178,6 +178,13 @@ def _block_side(n_modes, model):
     return _cutoff(n_modes, model)
 
 
+def _ring_sites(sites, model):
+    """A ring's H0, modes and propagators are dense L x L arrays, held to the side
+    of every other dense matrix the CLI allows (and to build_lattice's least ring)."""
+    if not 8 <= sites <= MAX_DENSE_SIDE:
+        return f"must lie in [8, {MAX_DENSE_SIDE}], got {sites}"
+
+
 def _off_axis(im):
     if not 0.0 < abs(im) <= MAX_IM_LAMBDA:
         return f"Im(lambda) = {im} must be nonzero and at most {MAX_IM_LAMBDA} in magnitude"
@@ -237,9 +244,9 @@ BUILTINS = {"rabi": (rabi_model, {"delta": Field(float, 0.0), "v": Field(float, 
             "fleet-d4": (lambda: model_mod.fleet()[2], {})}
 MODELS = {"builtin": {"builtin": Field(str, REQUIRED, _one_of(tuple(BUILTINS)))},
           "file": {"file": Field(str)}, "lattice": {"lattice": Field(dict)}}
-LATTICE = {"sites": Field(int), "hopping": Field(float, 1.0), "well_depth": Field(float, 0.0),
-           "drive_amp": Field(float, 0.0), "support": Field([int], None),
-           "support_width": Field(int, 5)}
+LATTICE = {"sites": Field(int, REQUIRED, _ring_sites), "hopping": Field(float, 1.0),
+           "well_depth": Field(float, 0.0), "drive_amp": Field(float, 0.0),
+           "support": Field([int], None), "support_width": Field(int, 5, _at_least(1))}
 
 
 def build_model(spec: dict, where: str = "model"):

@@ -165,10 +165,6 @@ class FloquetMatrix:
     def size(self) -> int:
         return self.space.size
 
-    def block(self, n: int, m: int) -> np.ndarray:
-        nb, d = self.space.n_blocks, self.fiber_dim
-        return self.matrix.reshape(nb, d, nb, d)[n + self.n_modes, :, m + self.n_modes]
-
 
 def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> sp.csr_array:
     """Sparse truncated mode-space Hamiltonian K; requires N >= mode support."""
@@ -234,10 +230,6 @@ class QuasiEnergySpectrum:
         """Eigenvector idx reshaped to (2N+1, d) mode blocks."""
         return self.space.blocks(self.vectors[:, idx])
 
-    def spatial_mass(self) -> np.ndarray:
-        """Per-eigenvector fiber-site occupation, summed over modes: (d, n_eig)."""
-        return self.space.fiber_mass(self.vectors)
-
 
 def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
     """Diagonalize the truncated Floquet matrix and fold to [0, 2pi).
@@ -273,9 +265,7 @@ def reconstruct_mode(spec: QuasiEnergySpectrum, idx: int, t: float) -> np.ndarra
 class CorrespondenceReport:
     """Comparison of interior folded quasi-energies with monodromy eigenphases."""
 
-    n_modes: int
     theta_phases: np.ndarray          # quasi-energies of the one-period operator
-    interior_folded: np.ndarray
     max_match_distance: float         # interior folded -> nearest theta phase
     mean_match_distance: float        # over the full truncated spectrum, edge included
     coverage_distance: float          # theta phase -> nearest interior folded
@@ -320,9 +310,7 @@ def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
         resid = theta @ phi - np.exp(-1j * spec.values[idx]) * phi
         defects.append(np.linalg.norm(resid) / norm)
     return CorrespondenceReport(
-        n_modes=n_modes,
         theta_phases=theta_phases,
-        interior_folded=np.sort(folded),
         max_match_distance=max_match,
         mean_match_distance=mean_match,
         coverage_distance=coverage,

@@ -20,10 +20,10 @@ bound-states and wave-operators (exit 2).
 
 Every model owns what is built once from it: where its interaction acts
 (`support`, the sites where some mode has a nonzero row or column), the H0
-eigendecomposition (`free_eig`) behind U0(t) = exp(-i t H0) (`free_propagator`,
-`free_apply`) and the null scan's free resolvent, the free one-period operator
-U0(1) (`free_period`, read-only) and the Magnus steppers of each step width
-and order it is propagated with (`steppers`, filled by propagation.propagate).
+eigendecomposition (`free_eig`) behind U0(t) = exp(-i t H0) (`free_apply`) and
+the null scan's free resolvent, the free one-period operator U0(1)
+(`free_period`, read-only) and the Magnus steppers of each step width and
+order it is propagated with (`steppers`, filled by propagation.propagate).
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ class PeriodicHamiltonian:
         """Largest |n| with a stored mode (0 for a constant Hamiltonian)."""
         return max((abs(n) for n in self.modes), default=0)
 
-    def validate(self, tol: float = HERMITIAN_TOL):
+    def validate(self):
         scale = max(float(np.abs(self.h0).max()), 1.0)
         for n, m in self.modes.items():
             partner = self.modes.get(-n)
             if partner is None:
                 raise ValueError(f"mode {n} has no partner mode {-n} (H_-n = H_n^dagger required)")
             defect = float(np.abs(partner - m.conj().T).max())
-            if defect > tol * max(scale, float(np.abs(m).max()), 1.0):
+            if defect > HERMITIAN_TOL * max(scale, float(np.abs(m).max()), 1.0):
                 raise ValueError(f"mode symmetry violated at n={n}: |H_-n - H_n^dagger| = {defect:.3e}")
 
     def evaluate(self, t: float) -> np.ndarray:
@@ -115,21 +115,16 @@ class PeriodicHamiltonian:
     @cached_property
     def free_eig(self) -> EigenDecomposition:
         """H0's eigendecomposition (hermitian_eig), formed once per model: the one
-        behind free_propagator and free_apply."""
+        behind free_period and free_apply."""
         return hermitian_eig(self.h0)
 
     @cached_property
     def free_period(self) -> np.ndarray:
         """Theta0 = U0(1) = exp(-i H0), the free one-period operator: the bits of
-        free_propagator(1.0), formed once per model and read-only."""
+        free_eig.exp(1.0), formed once per model and read-only."""
         theta0 = self.free_eig.exp(1.0)
         theta0.flags.writeable = False
         return theta0
-
-    def free_propagator(self, t: float) -> np.ndarray:
-        """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
-        one eigendecomposition of H0 per model."""
-        return self.free_eig.exp(float(t))
 
     def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """U0(t) x for a block x of columns, from the same eigendecomposition of H0,
@@ -261,15 +256,6 @@ def rabi_quasi_energies(delta: float = 0.0, v: float = 1.0) -> np.ndarray:
     """
     mu = np.sqrt((delta / 2 + np.pi) ** 2 + v**2)
     return np.sort(np.mod([mu - np.pi, -mu - np.pi], 2 * np.pi))
-
-
-def rabi_closed_form_propagator(t: float, delta: float = 0.0, v: float = 1.0) -> np.ndarray:
-    """Exact U(t, 0) for the driven two-level model via the rotating frame."""
-    from .numerics import expm_hermitian
-
-    sz = np.diag([1.0, -1.0]).astype(np.complex128)
-    hrot = np.array([[delta / 2 + np.pi, v], [v, -delta / 2 - np.pi]], dtype=np.complex128)
-    return expm_hermitian(-np.pi * t * sz, 1.0) @ expm_hermitian(hrot, t)
 
 
 def _random_two_harmonic(dim: int, seed: int, label: str) -> PeriodicHamiltonian:

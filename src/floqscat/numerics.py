@@ -69,19 +69,19 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(defect: float, max_abs: float, rtol: float = HERMITIAN_RTOL):
-    """Raise unless the asymmetry max|A - A^H| is within rtol x max(max|A|, 1)."""
+def require_hermitian(defect: float, max_abs: float):
+    """Raise unless the asymmetry max|A - A^H| is within HERMITIAN_RTOL x max(max|A|, 1)."""
     scale = max(max_abs, 1.0)
-    if defect > rtol * scale:
+    if defect > HERMITIAN_RTOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} "
-            f"exceeds {rtol:.1e} x max|A| = {rtol * scale:.3e}"
+            f"exceeds {HERMITIAN_RTOL:.1e} x max|A| = {HERMITIAN_RTOL * scale:.3e}"
         )
 
 
-def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     a = check_square(a)
-    require_hermitian(hermitian_defect(a), float(np.abs(a).max()), rtol)
+    require_hermitian(hermitian_defect(a), float(np.abs(a).max()))
     return a
 
 
@@ -99,11 +99,12 @@ def adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conj(y, out=y)
 
 
-def check_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(a) -> np.ndarray:
     a = check_square(a)
     defect = unitary_defect(a)
-    if defect > tol:
-        raise NonUnitaryError(f"matrix is not unitary: |A^H A - I| = {defect:.3e} > {tol:.1e}")
+    if defect > UNITARY_TOL:
+        raise NonUnitaryError(
+            f"matrix is not unitary: |A^H A - I| = {defect:.3e} > {UNITARY_TOL:.1e}")
     return a
 
 
@@ -150,11 +151,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def residual(self, a: np.ndarray) -> float:
-        """max_k ||A v_k - mu_k v_k||_2."""
-        r = a @ self.vectors - self.vectors * self.values
-        return float(np.linalg.norm(r, axis=0).max())
-
     def apply(self, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
         """V (phases (V^H x)) for a vector or a block x of columns, in x's shape: the
         function of the matrix that takes the value phases[k] on eigenvector k,
@@ -170,24 +166,24 @@ class EigenDecomposition:
         return (self.vectors * np.exp(-1j * tau * self.values)) @ self.vectors.conj().T
 
 
-def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
+def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
     Backed by LAPACK (numpy.linalg.eigh) with the deterministic phase and
     tie-break conventions applied on top.
     """
-    a = check_hermitian(a, rtol)
+    a = check_hermitian(a)
     values, vectors = np.linalg.eigh(a)
     vectors = _fix_phases(vectors)
     values, vectors = _lex_tiebreak(values, vectors, values)
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenDecomposition:
+def unitary_eig(u) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix.
 
     Diagonalizes C = (U + U^H)/2, which commutes with U, and clusters its
-    eigenvectors across every gap in C's spectrum up to `gap`; each cluster B
+    eigenvectors across every gap in C's spectrum up to CLUSTER_GAP; each cluster B
     spans an invariant subspace of U, and one of several members is rotated
     by the complex Schur vectors of B^H U B.  The gap is wide because
     eigenphases +-theta share cos(theta): the bipartite ring's near-pairs
@@ -200,14 +196,14 @@ def unitary_eig(u, tol: float = UNITARY_TOL, gap: float = CLUSTER_GAP) -> EigenD
     then diagonalized by a real eigh, at a third of the complex one's cost,
     and the clusters are rotated as above.
     """
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     if np.abs(u - u.T).max() <= SYMMETRY_TOL:
         re = u.real
         wc, basis = np.linalg.eigh((re + re.T) / 2)
         basis = basis.astype(np.complex128)
     else:
         wc, basis = np.linalg.eigh((u + u.conj().T) / 2)
-    cuts = [0, *(np.flatnonzero(np.diff(wc) > gap) + 1), len(wc)]
+    cuts = [0, *(np.flatnonzero(np.diff(wc) > CLUSTER_GAP) + 1), len(wc)]
     for start, stop in zip(cuts[:-1], cuts[1:]):
         if stop - start > 1:
             block = basis[:, start:stop]
@@ -229,11 +225,11 @@ def expm_hermitian(h, tau: float) -> np.ndarray:
     return hermitian_eig(h).exp(tau)
 
 
-def solve(a, b, pivot_rtol: float = PIVOT_RTOL):
+def solve(a, b):
     """Solve A x = b by partial-pivot LU.  Returns (x, condition_estimate).
 
     Raises SingularMatrixError when a pivot falls below
-    pivot_rtol * max row norm, which downstream code interprets as the
+    PIVOT_RTOL * max row norm, which downstream code interprets as the
     shifted operator hitting a spectral point.
     """
     a = check_square(a)
@@ -246,10 +242,10 @@ def solve(a, b, pivot_rtol: float = PIVOT_RTOL):
     except np.linalg.LinAlgError as exc:  # exactly singular
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
     pivots = np.abs(np.diag(lu))
-    if row_norm == 0.0 or pivots.min() < pivot_rtol * row_norm:
+    if row_norm == 0.0 or pivots.min() < PIVOT_RTOL * row_norm:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold "
-            f"{pivot_rtol:.1e} x max row norm {row_norm:.3e}"
+            f"{PIVOT_RTOL:.1e} x max row norm {row_norm:.3e}"
         )
     rcond, info = zgecon(lu, row_norm, norm="I")
     cond = float(1.0 / rcond) if rcond > 0 else np.inf

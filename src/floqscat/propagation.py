@@ -66,7 +66,9 @@ each time it is read.  The wave operators act with Theta without reading it.
 
 A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
 applications of Omega is rejected when its stepper is planned
-(StepPlanError), before any step is taken.
+(StepPlanError), before any step is taken.  The plan is costed in floating
+point, so every norm bound above the ceiling, infinity included, is
+rejected, and no count wraps in a cast to int.
 """
 
 from __future__ import annotations
@@ -143,9 +145,17 @@ _TAYLOR_RADII = _taylor_radii()
 
 def taylor_plan(norm_bound: float) -> tuple[int, int]:
     """(degree, substeps) of the cheapest Taylor action of exp(X), ||X|| <= norm_bound:
-    `substeps` degree-`degree` polynomials of exp(X / substeps), each exact to round-off."""
-    substeps = np.maximum(1, np.ceil(norm_bound / _TAYLOR_RADII)).astype(int)
-    best = int(np.argmin(np.arange(1, _MAX_DEGREE + 1) * substeps))
+    `substeps` degree-`degree` polynomials of exp(X / substeps), each exact to round-off.
+    Raises StepPlanError where it costs more than MAX_TAYLOR_APPLICATIONS."""
+    with np.errstate(over="ignore"):    # a bound past the float range costs inf
+        substeps = np.maximum(1.0, np.ceil(norm_bound / _TAYLOR_RADII))
+    cost = np.arange(1, _MAX_DEGREE + 1) * substeps
+    best = int(np.argmin(cost))
+    if cost[best] > MAX_TAYLOR_APPLICATIONS:
+        raise StepPlanError(
+            f"a step with ||Omega||_1 <= {norm_bound:.3g} needs {best + 1} x {substeps[best]:g} "
+            f"Taylor applications, above the ceiling of {MAX_TAYLOR_APPLICATIONS}: take more "
+            "steps per period")
     return best + 1, int(substeps[best])
 
 
@@ -208,8 +218,8 @@ class MagnusStepper:
                  zip(map(np.flatnonzero, ops), ops)]
         bound = dt * sum(float(np.bincount(keys % dim, np.abs(values), dim).max())
                          for keys, values in parts)   # the largest column sum, ||M_i||_1
-        if order == 4:
-            bound += _GAUSS_OFFSET * bound**2
+        if order == 4:   # a square past the float range is inf, which taylor_plan rejects
+            bound += _GAUSS_OFFSET * (bound**2 if bound < 1e154 else np.inf)
             sparse = [sp.csr_array((values, np.divmod(keys, dim)), shape=(dim, dim))
                       for keys, values in parts]
             for i, j in self.pairs.T:
@@ -218,11 +228,6 @@ class MagnusStepper:
                 parts.append((comm.row[keep].astype(np.int64) * dim + comm.col[keep],
                               comm.data[keep]))
         self.degree, self.substeps = taylor_plan(bound)
-        if self.degree * self.substeps > MAX_TAYLOR_APPLICATIONS:
-            raise StepPlanError(
-                f"a step of width {dt:.3g} needs {self.degree} x {self.substeps} Taylor "
-                f"applications (||Omega||_1 <= {bound:.3g}), above the ceiling of "
-                f"{MAX_TAYLOR_APPLICATIONS}: take more steps per period")
 
         # the pattern: the union of the supports and its transpose, sorted row-major
         keys = np.concatenate([k for k, _ in parts])
@@ -292,10 +297,6 @@ class MagnusStepper:
             for data in self.entries(starts[first:first + block]):
                 u = self._step(data, u)
         return u
-
-    def __call__(self, a: float, u: np.ndarray) -> np.ndarray:
-        """exp(-i Omega) u for the step from a."""
-        return self.sweep(a, 1, u)
 
 
 def propagate(h: PeriodicHamiltonian, s: float, t: float,
@@ -426,7 +427,13 @@ def window_block(h: PeriodicHamiltonian, s: float,
     """
     if not isinstance(h, LatticeModel):
         return None
-    width, r = h.arc[1], light_cone_radius(h.hopping)
+    width = h.arc[1]
+    # light_cone_radius's bound |hopping|^r / r! is >= 1 up to r = |hopping|, so r > |hopping|:
+    # where that radius does not fit, none does, and the search (whose bound overflows,
+    # never to fall again, past |hopping| ~ 710) is not started
+    if 2 * (width + 4 * abs(h.hopping)) > h.sites:
+        return None
+    r = light_cone_radius(h.hopping)
     local = 2 * (width + 4 * r) <= h.sites and _local_ring(h)
     while local and 2 * (width + 4 * r) <= h.sites:
         segment = h.support_window(2 * r)
@@ -519,17 +526,3 @@ def check_period_shift(h: PeriodicHamiltonian, t: float,
     lhs = propagate(h, 0.0, t + 1.0, sched)
     rhs = propagate(h, 0.0, t, sched) @ theta
     return max_norm(lhs - rhs)
-
-
-def convergence_ladder(h: PeriodicHamiltonian, order: int,
-                       steps: tuple[int, ...] = (64, 128, 256, 512, 1024),
-                       s: float = 0.0) -> dict:
-    """Self-convergence study of the one-period operator over a step ladder.
-
-    Returns the max-norm differences ||Theta(N) - Theta(2N)|| and their
-    successive ratios, which should approach 2**order.
-    """
-    thetas = [period_operator(h, s, PropagatorSchedule(n, order)) for n in steps]
-    diffs = [max_norm(thetas[i] - thetas[i + 1]) for i in range(len(thetas) - 1)]
-    ratios = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1) if diffs[i + 1] > 0]
-    return {"steps": list(steps), "differences": diffs, "ratios": ratios}

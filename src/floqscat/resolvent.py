@@ -66,6 +66,12 @@ RAYLEIGH_ULPS = 4
 RAYLEIGH_MAXITER = 3
 # largest |Im lambda| the resolvent admits: its kernel carries factors e^{|Im lambda| t}
 MAX_IM_LAMBDA = 500.0
+# the bound-state verdict's thresholds and eps ladder (bound_state_correspondence)
+THRESHOLD_MARGIN = 1e-3
+SEARCH_WINDOW = 5e-4
+EPS_LADDER = (1e-2, 1e-3, 1e-4)
+NULL_TOL = 1e-6
+RESIDUAL_TOL = 1e-6
 # largest side of the resolvent check's dense matrices, N_t d (grid) and (2 N + 1) d
 # (block_q): 256 MiB each; a check at this side peaks at 1.1 GB (fleet d = 4, N_t = 1024).
 # The CLI holds the dense mode-space matrix (2 N + 1) d of floquet-spectrum and
@@ -158,16 +164,6 @@ def mode_oracle_apply(h0: np.ndarray, lam: complex, f: np.ndarray) -> np.ndarray
     mult = 1.0 / (2 * np.pi * freq[:, None] + eig.values[None, :] - lam)
     out = np.fft.ifft(comp * mult, axis=0) * n_t
     return out @ eig.vectors.T
-
-
-def k0_grid_matrix(h0: np.ndarray, n_t: int) -> np.ndarray:
-    """Discretized -i d/dt + H0 on the grid space (spectral differentiation)."""
-    d = h0.shape[0]
-    deriv = np.fft.ifft(
-        2j * np.pi * np.fft.fftfreq(n_t, d=1.0 / n_t)[:, None] * np.fft.fft(np.eye(n_t), axis=0),
-        axis=0,
-    )
-    return np.kron(-1j * deriv, np.eye(d)) + np.kron(np.eye(n_t), h0)
 
 
 @dataclass
@@ -284,25 +280,6 @@ def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
     return space.toeplitz({m: hm @ r0 for m, hm in h.modes.items()})
 
 
-def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
-    """Greedy nearest matching of two complex eigenvalue multisets above a floor.
-
-    Returns the largest matching distance among eigenvalues of `a` with
-    magnitude above `floor` (each matched to its nearest unused partner
-    in `b`).
-    """
-    sel = np.abs(a) >= floor
-    picked = np.asarray(a)[sel]
-    pool = list(np.asarray(b))
-    worst = 0.0
-    for z in sorted(picked, key=lambda z: -abs(z)):
-        dists = [abs(z - p) for p in pool]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        pool.pop(j)
-    return worst
-
-
 def free_spectrum_distance(levels: np.ndarray, lam: float) -> float:
     """Distance of a real quasi-energy to the translated free spectrum, from H0's
     eigenvalues `levels`."""
@@ -321,8 +298,6 @@ class BoundStateVerdict:
     smin_ladder: list
     smin_extrapolated: float
     residual: float
-    threshold_distance: float
-    mode_vector: np.ndarray  # reconstructed psi over modes, shape (2N+1, d)
 
 
 def _support_solve(factor, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -460,10 +435,7 @@ class ScanOperators:
             f"{INVERSE_ITERATION_MAXITER} inverse-iteration steps (last {s_prev:.3e})")
 
 
-def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
-                               eps_ladder=(1e-2, 1e-3, 1e-4), search_window: float = 5e-4,
-                               null_tol: float = 1e-6, residual_tol: float = 1e-6,
-                               threshold_margin: float = 1e-3) -> BoundStateVerdict:
+def bound_state_correspondence(scan: ScanOperators, lam_candidate: float) -> BoundStateVerdict:
     """Verify a candidate bound quasi-energy through the null-vector scan of the
     model at the cutoff `scan` was prepared for (ScanOperators, built once for
     several candidates of one model).
@@ -473,28 +445,26 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
     same zeta, and lambda_{j+1} = psi^H K psi / psi^H psi.  K is Hermitian,
     so each step squares the distance to K's eigenvalue; the iteration stops
     when the quotient moves by at most RAYLEIGH_ULPS units in the last place,
-    after RAYLEIGH_MAXITER steps, or when the quotient leaves the search
-    window around the candidate (refined then stays at the last value
-    inside).  The last psi is the mode vector, and the residual
-    ||(K - refined) psi|| / ||psi|| of the truncated eigenvalue equation is
-    measured on it with the assembled K.  The smallest singular values at refined + i eps over the
-    ladder are extrapolated linearly in eps to the axis (never evaluating
-    exactly on it).
+    after RAYLEIGH_MAXITER steps, or when the quotient leaves the
+    SEARCH_WINDOW around the candidate (refined then stays at the last value
+    inside).  The residual ||(K - refined) psi|| / ||psi|| of the truncated
+    eigenvalue equation is measured on the last psi with the assembled K, and
+    the smallest singular values at refined + i eps over EPS_LADDER are
+    extrapolated linearly in eps to the axis (never evaluating exactly on it).
     """
     dist = free_spectrum_distance(scan.free_levels, lam_candidate)
-    if dist < threshold_margin:
+    if dist < THRESHOLD_MARGIN:
         raise ThresholdProximityError(
             f"candidate {lam_candidate} lies {dist:.2e} from the free spectrum "
-            f"(threshold margin {threshold_margin})"
+            f"(threshold margin {THRESHOLD_MARGIN})"
         )
-    eps_ladder = sorted(eps_ladder, reverse=True)
 
     refined = float(lam_candidate)
     for _ in range(RAYLEIGH_MAXITER):
         _, _, psi = scan.null_pair(refined + 1j * RAYLEIGH_EPS)
         k_psi = scan.k @ psi
         quotient = float((np.vdot(psi, k_psi) / np.vdot(psi, psi)).real)
-        if abs(quotient - lam_candidate) > search_window:
+        if abs(quotient - lam_candidate) > SEARCH_WINDOW:
             break
         step, refined = quotient - refined, quotient
         if abs(step) <= RAYLEIGH_ULPS * np.spacing(abs(refined)):
@@ -502,11 +472,11 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
     # residual of the truncated eigenvalue equation (K - lambda) psi = 0
     residual = float(np.linalg.norm(k_psi - refined * psi) / np.linalg.norm(psi))
 
-    ladder = [scan.null_pair(refined + 1j * eps)[0] for eps in eps_ladder]
-    e1, e2 = eps_ladder[-2], eps_ladder[-1]
+    ladder = [scan.null_pair(refined + 1j * eps)[0] for eps in EPS_LADDER]
+    e1, e2 = EPS_LADDER[-2], EPS_LADDER[-1]
     s1, s2 = ladder[-2], ladder[-1]
     extrapolated = float((e1 * s2 - e2 * s1) / (e1 - e2))
-    confirmed = abs(extrapolated) <= null_tol and residual <= residual_tol
+    confirmed = abs(extrapolated) <= NULL_TOL and residual <= RESIDUAL_TOL
     return BoundStateVerdict(
         candidate=float(lam_candidate),
         refined=refined,
@@ -514,6 +484,4 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float,
         smin_ladder=[float(s) for s in ladder],
         smin_extrapolated=extrapolated,
         residual=residual,
-        threshold_distance=dist,
-        mode_vector=scan.space.blocks(psi),
     )

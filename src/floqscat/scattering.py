@@ -37,7 +37,7 @@ the same eigenbasis, so neither the L x L kernel nor a dense U0(t) is formed.
 Every function here that needs Theta or its eigenbasis takes the scenario's
 one Monodromy, built by the caller at its start time s; none builds it from
 a schedule, except start_time_covariance_defect, which builds the one at
-s + shift.
+s + 1/2.
 
 The probe subspace used for S-matrix defects is the span of the packets'
 short free orbits {Theta0^j phi}: it contains the scattered packets
@@ -51,6 +51,8 @@ there is certified by inverse iteration whose solves with K - zeta go through
 resolvent.ScanOperators, the one factorization on the potential's support
 that the null scan also uses; shift-invert eigsh diagnoses a phase without
 a certified partner, and ARPACK (scipy.sparse.linalg) is imported only then.
+A shift that sits exactly on an eigenvalue of K leaves eigsh's factor of
+K - sigma singular, and the scan raises SingularMatrixError naming it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import numpy as np
 
 from .floquet import circular_distance, start_vector
 from .model import LatticeModel
-from .numerics import adjoint_apply
+from .numerics import SingularMatrixError, adjoint_apply
 from .propagation import Monodromy, monodromy, propagate
 from .resolvent import RAYLEIGH_EPS, ScanOperators
 
@@ -73,6 +75,8 @@ ARPACK_TOL = 1e-4      # relative accuracy of the cross-check's shift-invert eig
 # inverse-iteration solves the cross-check spends on a certified partner before
 # it hands the phase to eigsh
 PARTNER_SOLVES = 3
+# the cross-check's partner distance, and the distance within which bound phases are one
+CROSS_CHECK_TOL = 1e-5
 
 
 class ConvergenceError(RuntimeError):
@@ -98,7 +102,6 @@ class ProbeSet:
     vectors: np.ndarray          # (L, p) columns, unit norm
     momenta: np.ndarray
     centers: np.ndarray
-    sigma: float
 
     @property
     def count(self) -> int:
@@ -113,20 +116,19 @@ def gaussian_packet(sites: int, center: float, momentum: float, sigma: float) ->
 
 
 def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
-                distance: int | None = None, sigma: float | None = None,
                 rng: np.random.Generator | None = None) -> ProbeSet:
     """Mirror-paired packets aimed through the interaction window at the arc's midpoint.
 
     Momenta sit on ring wavenumbers near `bands` (in units of pi), away from
-    the band edges where the group velocity vanishes.  Width defaults to
-    sites/16 (full width; sigma = width/2.355), launch distance to about
-    4 sigma outside the window.  An optional generator jitters the momentum
-    index by one ring quantum per probe.
+    the band edges where the group velocity vanishes.  The width is sites/16
+    (full width; sigma = width/2.355), the launch distance about 4 sigma from
+    the midpoint.  An optional generator jitters the momentum index by one
+    ring quantum per probe.
     """
     sites = model.sites
     ctr = int(np.round(model.arc[0] + (model.arc[1] - 1) / 2)) % sites
-    sigma = sigma if sigma is not None else (sites / 16.0) / 2.355
-    distance = distance if distance is not None else int(np.round(4.0 * sigma))
+    sigma = (sites / 16.0) / 2.355
+    distance = int(np.round(4.0 * sigma))
     vectors, momenta, centers = [], [], []
     for band in bands:
         k_idx = int(np.round(band * np.pi * sites / (2 * np.pi)))
@@ -138,7 +140,7 @@ def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
             momenta.append(sign * kappa)
             centers.append(x0)
     return ProbeSet(vectors=np.array(vectors).T, momenta=np.array(momenta),
-                    centers=np.array(centers), sigma=sigma)
+                    centers=np.array(centers))
 
 
 def wrap_horizon(model: LatticeModel) -> int:
@@ -170,13 +172,8 @@ class WaveOperatorIterates:
     n_max: int
     probe_set: ProbeSet
     converged: np.ndarray                    # per-probe bool
-    n_converged: np.ndarray                  # first index of the final stable run
     model: LatticeModel = field(repr=False)   # its H0 eigenbasis gives Theta0^{-+n}
     mono: Monodromy = field(repr=False)       # its eigenbasis gives Theta^{+-n}
-
-    @property
-    def converged_fraction(self) -> float:
-        return float(self.converged.mean())
 
     def image(self) -> np.ndarray:
         """W^(n_max) phi = Theta0^{-+n_max} Theta^{+-n_max} phi, (L, p), from the kept
@@ -192,22 +189,6 @@ class WaveOperatorIterates:
         """W^(n_max)^H x for a block x of columns."""
         n = self.direction * self.n_max
         return self.mono.apply(-n, self.model.free_apply(n, x))
-
-
-def _stability(gaps: np.ndarray, tol: float = GAP_TOL, run: int = GAP_RUN):
-    """Converged = the final `run` gaps all below tol; returns (mask, start index)."""
-    n_max, p = gaps.shape
-    converged = np.zeros(p, dtype=bool)
-    n_conv = np.full(p, -1)
-    for j in range(p):
-        below = gaps[:, j] < tol
-        if n_max >= run and below[-run:].all():
-            converged[j] = True
-            k = n_max
-            while k > 0 and below[k - 1]:
-                k -= 1
-            n_conv[j] = k + 1
-    return converged, n_conv
 
 
 def _iterates(model: LatticeModel, direction: int, mono: Monodromy, x: np.ndarray):
@@ -240,8 +221,9 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     monodromy at the start time the wave operator is taken at (_iterates:
     Theta0 plus the window block, never Theta itself).  The gaps of every
     iterate and the iterate at n_max are kept; W^(n_max) acts through mono's
-    eigenbasis.  Raises ConvergenceError (carrying the gap trace) if no probe
-    stabilizes before n_max.
+    eigenbasis.  A probe has converged when its last GAP_RUN gaps are all
+    below GAP_TOL (none has at n_max < GAP_RUN).  Raises ConvergenceError
+    (carrying the gap trace) if no probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -253,7 +235,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     steps = _iterates(model, direction, mono, probes.vectors)
     for n in range(n_max):
         gaps[n], cur = next(steps)
-    converged, n_conv = _stability(gaps)
+    converged = (gaps[-GAP_RUN:] < GAP_TOL).all(axis=0) & (n_max >= GAP_RUN)
     if not converged.any():
         raise ConvergenceError(
             f"no probe stabilized before the horizon (direction {direction:+d}); "
@@ -267,7 +249,6 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
         n_max=n_max,
         probe_set=probes,
         converged=converged,
-        n_converged=n_conv,
         model=model,
         mono=mono,
     )
@@ -466,14 +447,21 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
         dist = _certified_partner(model, scan, phase, sigma, tol)
         if dist is not None:
             return dist, 1
-    from scipy.sparse.linalg import eigsh   # ARPACK: loaded only for this diagnosis
+    from scipy.sparse.linalg import ArpackError, eigsh   # loaded only for this diagnosis
 
     v0 = start_vector(space.size)
     nearest, candidates = np.inf, 0
     for sigma in sigmas:
         n_eig = min(3, space.size - 2)
         while True:
-            values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=ARPACK_TOL)
+            try:
+                values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=ARPACK_TOL)
+            except ArpackError:
+                raise
+            except RuntimeError as exc:   # SuperLU's factor of K - sigma
+                raise SingularMatrixError(
+                    f"K - sigma singular at the shift sigma = {float(sigma)!r}, an eigenvalue "
+                    f"of the mode-space matrix K at N={space.n_modes} ({exc})") from exc
             if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
                 break
             n_eig = min(2 * n_eig, space.size - 2)
@@ -487,8 +475,8 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
     return nearest, candidates
 
 
-def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
-                     cross_check_tol: float = 1e-5) -> list[BoundStateInfo]:
+def bound_state_scan(model: LatticeModel, mono: Monodromy,
+                     n_modes: int = 12) -> list[BoundStateInfo]:
     """Bound states from localization of the one-period operator's eigenvectors.
 
     Eigenvectors of the monodromy `mono` with at least 90% of their mass on
@@ -499,7 +487,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
     (_mode_space_partner).  One ScanOperators at n_modes per scan holds K
     and solves every K - zeta on the potential's support.  Raises
     DetectorDisagreementError if the two detectors disagree beyond
-    cross_check_tol.
+    CROSS_CHECK_TOL.
     """
     score, bound = _localization(model, np.abs(mono.eig.vectors) ** 2)
     phases = mono.quasi_energies
@@ -509,8 +497,8 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
     if found:
         scan = ScanOperators(model, n_modes)
         for phase, _ in found:
-            dist, candidates = _mode_space_partner(model, scan, phase, cross_check_tol)
-            if dist > cross_check_tol:
+            dist, candidates = _mode_space_partner(model, scan, phase, CROSS_CHECK_TOL)
+            if dist > CROSS_CHECK_TOL:
                 raise DetectorDisagreementError(
                     f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
                     f"spectrum at N={n_modes} (nearest of {candidates} localized "
@@ -521,7 +509,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy, n_modes: int = 12,
             if used[i]:
                 continue
             cluster = [j for j in range(len(found))
-                       if circular_distance(found[j][0], phase) <= cross_check_tol]
+                       if circular_distance(found[j][0], phase) <= CROSS_CHECK_TOL]
             used[cluster] = True
             infos.append(BoundStateInfo(quasi_energy=float(phase), localization=float(loc),
                                         multiplicity=len(cluster)))
@@ -542,8 +530,8 @@ def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:
 
 
 def start_time_covariance_defect(model: LatticeModel, mono: Monodromy, n_max: int,
-                                 probes: ProbeSet, shift: float = 0.5) -> float:
-    """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + shift on probes,
+                                 probes: ProbeSet) -> float:
+    """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + 1/2 on probes,
     with s = mono.start.
 
     Both sides map a state at time s' to its future free asymptote; the
@@ -553,7 +541,7 @@ def start_time_covariance_defect(model: LatticeModel, mono: Monodromy, n_max: in
     on the probe columns through their monodromies' eigenbases, the free
     factors through the H0 eigenbasis.
     """
-    s, sched = mono.start, mono.scheme
+    s, sched, shift = mono.start, mono.scheme, 0.5
     s2 = s + shift
 
     def wave_op(m: Monodromy, x: np.ndarray, t: float) -> np.ndarray:

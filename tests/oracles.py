@@ -1,11 +1,21 @@
-"""Test-only readings of library objects: whole matrices and per-n iterates
-that the library neither forms nor keeps.
+"""Test-only readings of library objects, and the test-only oracles: whole
+matrices, per-n iterates and reference values that the library neither forms
+nor keeps.
 
     reconstruct(eig)            V diag(values) V^H
     orthonormality_defect(eig)  max |V^H V - I|
+    residual(eig, a)            max_k ||A v_k - mu_k v_k||_2
     iterates(w, n)              Theta^{+-j} phi for j = 1..n, from the library's loop
     image(w, n)                 W^(n) phi = Theta0^{-+n} Theta^{+-n} phi
     operator(w)                 W^(n_max) on the full space (L x L)
+    free_propagator(h, t)       U0(t) = exp(-i t H0) from the model's H0 eigendecomposition
+    step(stepper, a, u)         one Magnus step from a of a propagation.MagnusStepper
+    convergence_ladder(h, ...)  ||Theta(N) - Theta(2N)|| over a step ladder
+    rabi_closed_form_propagator(t, delta, v)  exact U(t, 0) of the driven two-level model
+    block(k, n, m)              block (n, m) of a floquet.FloquetMatrix
+    spatial_mass(spec)          per-eigenvector fiber-site occupation of a spectrum
+    k0_grid_matrix(h0, n_t)     -i d/dt + H0 on the periodic grid
+    match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
 
 `w` is a scattering.WaveOperatorIterates.  Its iterates are recomputed by
 scattering._iterates, the generator stroboscopic_wave_op consumes, so they
@@ -18,7 +28,8 @@ from itertools import islice
 
 import numpy as np
 
-from floqscat.numerics import unitary_defect
+from floqscat.numerics import expm_hermitian, max_norm, unitary_defect
+from floqscat.propagation import PropagatorSchedule, period_operator
 from floqscat.scattering import _iterates
 
 
@@ -28,6 +39,12 @@ def reconstruct(eig):
 
 def orthonormality_defect(eig):
     return unitary_defect(eig.vectors)
+
+
+def residual(eig, a: np.ndarray) -> float:
+    """max_k ||A v_k - mu_k v_k||_2."""
+    r = a @ eig.vectors - eig.vectors * eig.values
+    return float(np.linalg.norm(r, axis=0).max())
 
 
 def iterates(w, n=None):
@@ -44,3 +61,73 @@ def image(w, n):
 def operator(w):
     """Full-space iterate at n_max (unitary)."""
     return w.apply(np.eye(w.model.sites, dtype=np.complex128))
+
+
+def free_propagator(h, t: float) -> np.ndarray:
+    """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
+    one eigendecomposition of H0 per model."""
+    return h.free_eig.exp(float(t))
+
+
+def step(stepper, a: float, u: np.ndarray) -> np.ndarray:
+    """exp(-i Omega) u for the step from a."""
+    return stepper.sweep(a, 1, u)
+
+
+def convergence_ladder(h, order: int, steps: tuple[int, ...] = (64, 128, 256, 512, 1024),
+                       s: float = 0.0) -> dict:
+    """Self-convergence study of the one-period operator over a step ladder.
+
+    Returns the max-norm differences ||Theta(N) - Theta(2N)|| and their
+    successive ratios, which should approach 2**order.
+    """
+    thetas = [period_operator(h, s, PropagatorSchedule(n, order)) for n in steps]
+    diffs = [max_norm(thetas[i] - thetas[i + 1]) for i in range(len(thetas) - 1)]
+    ratios = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1) if diffs[i + 1] > 0]
+    return {"steps": list(steps), "differences": diffs, "ratios": ratios}
+
+
+def rabi_closed_form_propagator(t: float, delta: float = 0.0, v: float = 1.0) -> np.ndarray:
+    """Exact U(t, 0) for the driven two-level model via the rotating frame."""
+    sz = np.diag([1.0, -1.0]).astype(np.complex128)
+    hrot = np.array([[delta / 2 + np.pi, v], [v, -delta / 2 - np.pi]], dtype=np.complex128)
+    return expm_hermitian(-np.pi * t * sz, 1.0) @ expm_hermitian(hrot, t)
+
+
+def block(k, n: int, m: int) -> np.ndarray:
+    nb, d = k.space.n_blocks, k.fiber_dim
+    return k.matrix.reshape(nb, d, nb, d)[n + k.n_modes, :, m + k.n_modes]
+
+
+def spatial_mass(spec) -> np.ndarray:
+    """Per-eigenvector fiber-site occupation, summed over modes: (d, n_eig)."""
+    return spec.space.fiber_mass(spec.vectors)
+
+
+def k0_grid_matrix(h0: np.ndarray, n_t: int) -> np.ndarray:
+    """Discretized -i d/dt + H0 on the grid space (spectral differentiation)."""
+    d = h0.shape[0]
+    deriv = np.fft.ifft(
+        2j * np.pi * np.fft.fftfreq(n_t, d=1.0 / n_t)[:, None] * np.fft.fft(np.eye(n_t), axis=0),
+        axis=0,
+    )
+    return np.kron(-1j * deriv, np.eye(d)) + np.kron(np.eye(n_t), h0)
+
+
+def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
+    """Greedy nearest matching of two complex eigenvalue multisets above a floor.
+
+    Returns the largest matching distance among eigenvalues of `a` with
+    magnitude above `floor` (each matched to its nearest unused partner
+    in `b`).
+    """
+    sel = np.abs(a) >= floor
+    picked = np.asarray(a)[sel]
+    pool = list(np.asarray(b))
+    worst = 0.0
+    for z in sorted(picked, key=lambda z: -abs(z)):
+        dists = [abs(z - p) for p in pool]
+        j = int(np.argmin(dists))
+        worst = max(worst, dists[j])
+        pool.pop(j)
+    return worst

@@ -28,7 +28,6 @@ from floqscat.propagation import (
     PropagatorSchedule,
     check_cocycle,
     check_period_shift,
-    convergence_ladder,
     monodromy,
     propagate,
 )
@@ -38,13 +37,13 @@ from floqscat.resolvent import (
     bound_state_correspondence,
     full_resolvent,
     grid_potential,
-    match_eigenvalues,
     mode_oracle_apply,
     r0_apply,
     r0_matrix,
     resolvent_residual,
 )
 from floqscat.scattering import (
+    CROSS_CHECK_TOL,
     bound_state_scan,
     bound_vectors,
     make_probes,
@@ -54,6 +53,8 @@ from floqscat.scattering import (
     time_averaged_wave_op,
     wrap_horizon,
 )
+
+from oracles import convergence_ladder, match_eigenvalues, spatial_mass
 
 SCHED = PropagatorSchedule(steps_per_period=512, order=4)
 NOISE_FLOOR = 5e-12  # integrator/eigensolver floor for interior matching
@@ -251,13 +252,14 @@ def test_criterion_8_bound_states(driven_64, driven_256):
     """Three independent bound-state detectors agree; translation by 2 pi
     reappears in the interior spectrum; probes are orthogonal to bound states."""
     lat, mono = driven_64
-    infos = bound_state_scan(lat, mono, n_modes=12, cross_check_tol=1e-5)
+    assert CROSS_CHECK_TOL == 1e-5
+    infos = bound_state_scan(lat, mono, n_modes=12)
     assert len(infos) >= 1
     spec = quasi_spectrum(build_floquet(lat, 12))
     window = lat.support_window(4)
     mask = np.zeros(lat.sites, bool)
     mask[window] = True
-    site_mass = spec.spatial_mass()
+    site_mass = spatial_mass(spec)
     loc_mask = (site_mass[mask, :].sum(axis=0) >= 0.9) & spec.interior
     floq_folded = spec.folded[loc_mask]
     worst_pair = 0.0

@@ -2,12 +2,16 @@
 task with one field of its parameter table replaced by a wrong type, a bool,
 NaN or infinity, an out-of-range number, or an unknown key exits 2, names
 the field on stderr and raises nothing.  Every draw fails validation before
-any computation starts."""
+any computation starts.  A list of inputs that once broke the contract (a
+wrong answer, a traceback or a hang) checks each one's exit code and message."""
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import floqscat
 from floqscat.cli import PARAMETERS, main
 from floqscat.propagation import MIN_STEPS, ORDERS
 from floqscat.resolvent import MAX_IM_LAMBDA
@@ -111,3 +116,55 @@ def test_one_bad_field_exits_2_naming_it(task, field, data):
     err = err.getvalue()
     assert code == 2, err
     assert f"'parameters.{field}" in err and "Traceback" not in err
+
+
+def lattice(**fields):
+    return {"lattice": {"sites": 40, "well_depth": -1.8, "drive_amp": 0.5, **fields}}
+
+
+HUGE_DRIVE = {"builtin": "rabi", "v": 1e300}
+# (task, model, parameters, exit code, text the message holds)
+CONTRACT = [
+    # a norm bound past 1e19 once wrapped the substep count in its cast to int
+    ("monodromy", HUGE_DRIVE, {"order": 2, "steps_per_period": 64}, 2,
+     "'parameters.steps_per_period'"),
+    # and its order-4 square overflowed a Python float
+    ("monodromy", HUGE_DRIVE, {"order": 4, "steps_per_period": 64}, 2,
+     "'parameters.steps_per_period'"),
+    # a shift-invert shift exactly on an eigenvalue of K: SuperLU's singular factor
+    ("bound-states", lattice(hopping=0.0),
+     {"steps_per_period": 64, "n_modes": 4, "scan_modes": 4}, 3, "K - sigma singular"),
+    ("monodromy", lattice(sites=10**7), {}, 2, "'model.lattice.sites'"),
+    ("monodromy", lattice(sites=7), {}, 2, "'model.lattice.sites'"),
+    ("monodromy", lattice(support_width=0), {}, 2, "'model.lattice.support_width'"),
+    ("monodromy", lattice(support_width=-3), {}, 2, "'model.lattice.support_width'"),
+]
+
+
+@pytest.mark.parametrize("task, model, params, code, text", CONTRACT)
+def test_contract_case(task, model, params, code, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "case.json"
+        cfg.write_text(json.dumps({"task": task, "model": model, "parameters": params}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            got = main(["--config", str(cfg), "--out", tmp])
+    assert got == code, err.getvalue()
+    assert text in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_large_hopping_lattice_finishes(tmp_path):
+    # the light-cone search once ran forever past |hopping| ~ 710; in a
+    # subprocess, so that a regression fails here instead of stalling the suite
+    cfg = tmp_path / "hop.json"
+    cfg.write_text(json.dumps({"task": "monodromy", "model": lattice(hopping=1e3),
+                               "parameters": {"steps_per_period": 64, "order": 2,
+                                              "self_convergence": False}}))
+    src = str(Path(floqscat.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "floqscat.cli", "--config", str(cfg),
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "hop.report.json").exists()

@@ -18,8 +18,6 @@ from floqscat.resolvent import (
     free_spectrum_distance,
     full_resolvent,
     grid_potential,
-    k0_grid_matrix,
-    match_eigenvalues,
     mode_oracle_apply,
     q_factorized,
     r0_apply,
@@ -28,6 +26,7 @@ from floqscat.resolvent import (
 )
 
 from conftest import random_hermitian
+from oracles import k0_grid_matrix, match_eigenvalues
 
 RING_SLOT = (40, 1.0, -1.7, 0.45, range(19, 22))   # TestRayleighRefinement's ring-bound slot
 
@@ -546,6 +545,6 @@ class TestRayleighRefinement:
 
     def test_zero_potential_unconfirmed_inside_window(self):
         h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
-        verdict = bound_state_correspondence(ScanOperators(h, 4), 3.0, search_window=5e-4)
+        verdict = bound_state_correspondence(ScanOperators(h, 4), 3.0)
         assert not verdict.confirmed
         assert abs(verdict.refined - 3.0) <= 5e-4

@@ -34,7 +34,8 @@ from floqscat.scattering import (
     wrap_horizon,
 )
 
-from oracles import image, iterates, operator, orthonormality_defect
+from oracles import (free_propagator, image, iterates, operator, orthonormality_defect,
+                     residual, spatial_mass)
 
 CHEAP = PropagatorSchedule(96, 2)
 
@@ -86,6 +87,15 @@ class TestFreeRing:
         wav = stroboscopic_wave_op(free_ring, +1, 16, free_ring_mono)
         assert wav.cauchy_gaps.max() == 0.0
         assert np.abs(operator(wav) - np.eye(256)).max() <= 1e-12
+        assert wav.converged.all()
+
+    def test_convergence_rule_below_the_run(self, free_ring, free_ring_mono):
+        # every gap is 0 here, so the run length alone decides: fewer than
+        # GAP_RUN iterates converge no probe, GAP_RUN iterates every probe
+        with pytest.raises(ConvergenceError):
+            stroboscopic_wave_op(free_ring, +1, scattering.GAP_RUN - 1, free_ring_mono)
+        wav = stroboscopic_wave_op(free_ring, +1, scattering.GAP_RUN, free_ring_mono)
+        assert wav.cauchy_gaps.max() == 0.0
         assert wav.converged.all()
 
     def test_s_matrix_identity(self, free_ring, free_ring_mono):
@@ -180,7 +190,7 @@ class TestDrivenWell:
     def test_monodromy_eigenpairs_to_round_off(self, driven_256_run):
         # the bipartite ring's near-pairs of eigenphases +-theta share a cluster
         mono = driven_256_run[0]
-        assert mono.eig.residual(mono.operator) <= 1e-11
+        assert residual(mono.eig, mono.operator) <= 1e-11
         assert orthonormality_defect(mono.eig) <= 1e-12
 
     def test_start_time_covariance(self, driven_256, driven_256_run):
@@ -342,7 +352,7 @@ class TestBoundStateScan:
         n_modes, tol = 8, 1e-5
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes)
         spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
-        _, localized = _localization(driven_well_64, spec.spatial_mass())
+        _, localized = _localization(driven_well_64, spatial_mass(spec))
         dense = spec.folded[localized & spec.interior]
         scan = ScanOperators(driven_well_64, n_modes)
         assert len(infos) >= 2
@@ -357,8 +367,8 @@ class TestFreeEvolution:
     def test_bit_identical_to_expm_at_the_nodes(self, window):
         lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
         for t in [*np.linspace(0.0, window, 9), 0.5, 1.0]:
-            assert np.array_equal(lat.free_propagator(t), expm_hermitian(lat.h0, float(t)))
-        assert np.array_equal(lat.free_propagator(0.0), np.eye(64))
+            assert np.array_equal(free_propagator(lat, t), expm_hermitian(lat.h0, float(t)))
+        assert np.array_equal(free_propagator(lat, 0.0), np.eye(64))
 
     def test_one_eigendecomposition_per_model(self, monkeypatch):
         import floqscat.model as model
@@ -400,11 +410,10 @@ class TestFreeEvolution:
 class TestPartnerTolerance:
     def test_stated_accuracy_matches_converged_arpack(self, driven_well_64,
                                                       driven_well_64_monodromy, monkeypatch):
-        # acceptance criterion 8's cross-check: N = 12, cross_check_tol 1e-5; a
+        # acceptance criterion 8's cross-check: N = 12, CROSS_CHECK_TOL 1e-5; a
         # phase moved by 3 tol has no partner either way
         n_modes, tol = 12, 1e-5
-        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes,
-                                 cross_check_tol=tol)
+        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes)
         phases = [b.quasi_energy for b in infos] + [infos[0].quasi_energy + 3 * tol]
         scan = ScanOperators(driven_well_64, n_modes)
         requested = []
@@ -446,7 +455,7 @@ class TestProbeBlockAverage:
             return inner(h, s, t, sched, initial=initial, **kwargs)
 
         monkeypatch.setattr(scattering, "propagate", spy)
-        monkeypatch.setattr(lat, "free_propagator", lambda t: pytest.fail("dense U0(t)"))
+        monkeypatch.setattr(lat.free_eig, "exp", lambda t: pytest.fail("dense U0(t)"))
         got = time_averaged_wave_op(lat, mono, +1, n_max, probes, 1.0)
         assert widths == [probes.count] * 8
         assert len(lat.steppers) == 1    # monodromy and nodes share the step width
