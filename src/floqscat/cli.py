@@ -373,14 +373,14 @@ def run_resolvent_check(h, params, rng):
     n_t = params["n_t"]
     lam = 1j * params["eta"] if params["lambda"] is None else complex(*params["lambda"])
     f = np.ones((n_t, h.dim), dtype=np.complex128)
-    out = r0_apply(h.h0, lam, f)
-    oracle = mode_oracle_apply(h.h0, lam, f)
+    out = r0_apply(h, lam, f)
+    oracle = mode_oracle_apply(h, lam, f)
     results = {
-        "defining_residual": resolvent_residual(h.h0, lam, f),
+        "defining_residual": resolvent_residual(h, lam, f),
         "oracle_distance": float(np.abs(out - oracle).max()),
         "r0_constant_value": out[0],
         "adjoint_defect": max_norm(
-            r0_matrix(h.h0, lam, min(n_t, 64)).conj().T - r0_matrix(h.h0, np.conj(lam), min(n_t, 64))
+            r0_matrix(h, lam, min(n_t, 64)).conj().T - r0_matrix(h, np.conj(lam), min(n_t, 64))
         ),
     }
     if h.modes:

@@ -7,7 +7,8 @@ ModeSpace alone writes (sparse for K = K0 + V, dense for any other block
 operator).  Its eigenvalues are quasi-energies;
 the commutation with the mode shift generates the 2pi translation structure,
 and the interior folded spectrum reproduces the eigenphases of the one-period
-operator.
+operator.  The free blocks (H0 + 2 pi n - zeta)^{-1} come from the model's
+free_eig; the only eigendecomposition made here is K's.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import PeriodicHamiltonian
-from .numerics import hermitian_eig
+from .numerics import EigenDecomposition, hermitian_eig
 from .propagation import Monodromy
 
 # edge rule: a state is truncation-corrupted when the norm fraction of its
@@ -82,10 +83,6 @@ class ModeSpace:
         """x with its leading axis split into (2N+1, d) mode blocks."""
         return x.reshape(self.n_blocks, self.fiber_dim, *x.shape[1:])
 
-    def fiber_mass(self, vectors: np.ndarray) -> np.ndarray:
-        """Per-column fiber-site occupation summed over modes: (d, n_columns)."""
-        return (np.abs(self.blocks(vectors)) ** 2).sum(axis=0)
-
     def interior(self, vectors: np.ndarray) -> np.ndarray:
         """Per unit column: not corrupted by the truncation edge.
 
@@ -142,11 +139,10 @@ class ModeSpace:
         k.eliminate_zeros()
         return k
 
-    def free_resolvent(self, h0: np.ndarray, zeta: complex) -> np.ndarray:
-        """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d)."""
-        eig = hermitian_eig(h0)
-        return np.stack([(eig.vectors * (1.0 / (eig.values + w - zeta))) @ eig.vectors.conj().T
-                         for w in self.frequencies])
+    def free_resolvent(self, free: EigenDecomposition, zeta: complex) -> np.ndarray:
+        """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d), from
+        H0's eigendecomposition `free`."""
+        return np.stack([free.matrix(1.0 / (free.values + w - zeta)) for w in self.frequencies])
 
 
 @dataclass

@@ -21,7 +21,7 @@ bound-states and wave-operators (exit 2).
 Every model owns what is built once from it: where its interaction acts
 (`support`, the sites where some mode has a nonzero row or column), the H0
 eigendecomposition (`free_eig`) behind U0(t) = exp(-i t H0) (`free_apply`) and
-the null scan's free resolvent, the free one-period operator U0(1)
+every free resolvent (grid, mode space, null scan), the free one-period operator U0(1)
 (`free_period`, read-only) and the Magnus steppers of each step width and
 order it is propagated with (`steppers`, filled by propagation.propagate).
 """
@@ -114,8 +114,8 @@ class PeriodicHamiltonian:
 
     @cached_property
     def free_eig(self) -> EigenDecomposition:
-        """H0's eigendecomposition (hermitian_eig), formed once per model: the one
-        behind free_period and free_apply."""
+        """H0's eigendecomposition (hermitian_eig), formed once per model: the only
+        one, behind free_period, free_apply and every free resolvent."""
         return hermitian_eig(self.h0)
 
     @cached_property

@@ -13,10 +13,6 @@ clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
 of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic.
-
-An EigenDecomposition holds its eigenvalues and eigenvectors V and nothing
-else: `apply` takes V^H x by `adjoint_apply`, conj(V^T conj(x)), whose bits
-are those of the product with V^H, so no L x L copy of V^H is made or kept.
 """
 
 from __future__ import annotations
@@ -146,7 +142,11 @@ def _lex_tiebreak(values: np.ndarray, vectors: np.ndarray, keys: np.ndarray):
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvalues plus orthonormal eigenvectors (columns); no adjoint is kept."""
+    """Eigenvalues plus orthonormal eigenvectors V (columns) and nothing else; the one
+    change of basis to and from them (`apply` on columns, `to_eigenbasis` and
+    `from_eigenbasis` on rows, `matrix` dense).  A product with V^H or conj(V) is
+    the conjugate of one with V, as in `adjoint_apply`: the same bits, and no L x L
+    copy of V^H or conj(V).  H0's is the model's `free_eig`, read by every route."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -158,12 +158,26 @@ class EigenDecomposition:
         y = adjoint_apply(self.vectors, x)
         return self.vectors @ (phases.reshape((-1,) + (1,) * (y.ndim - 1)) * y)
 
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """x @ conj(V), each row x_j as V^H x_j: conj(conj(x) @ V)."""
+        return np.conj(np.conj(x) @ self.vectors)
+
+    def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
+        """c @ V^T, each row c_j of coefficients as V c_j."""
+        return c @ self.vectors.T
+
+    def matrix(self, weights: np.ndarray) -> np.ndarray:
+        """V diag(weights) V^H, dense: conj(conj(V weights) @ V^T)."""
+        y = self.vectors * weights
+        y = np.conj(y, out=y) @ self.vectors.T
+        return np.conj(y, out=y)
+
     def exp(self, tau: float) -> np.ndarray:
         """exp(-i tau A) = V e^{-i tau mu} V^H for the Hermitian A decomposed here:
         each factor exactly a phase, the identity exactly at tau = 0."""
         if tau == 0.0:
             return np.eye(len(self.values), dtype=np.complex128)
-        return (self.vectors * np.exp(-1j * tau * self.values)) @ self.vectors.conj().T
+        return self.matrix(np.exp(-1j * tau * self.values))
 
 
 def hermitian_eig(a) -> EigenDecomposition:

@@ -13,9 +13,10 @@ uniform grid t_j = j/N_t.  In the H0 eigenbasis (eigenvalues e_a) the grid
 operator is a circulant per eigencomponent (Davis, Circulant Matrices, 1979):
 entry (j, k) is kappa_a((k - j) mod N_t) / N_t, with the kernel
 kappa_a(o) = p_a e^{w_a o/N_t}, w_a = i (e_a - lambda), p_a = i / (e^{w_a} - 1),
-and its jump at o = 0 averaged.  r0_apply takes the kernel's circular
-correlation by FFT; r0_matrix gathers it into the dense matrix.  The grid
-operator is second-order accurate with leading error -(Delta^2/12) (K0 - lambda) f.
+and its jump at o = 0 averaged.  The eigenpairs are the model's free_eig,
+moved to and from by its one change of basis.  r0_apply takes the kernel's
+circular correlation by FFT; r0_matrix gathers it into the dense matrix.  The
+grid operator is second-order accurate with leading error -(Delta^2/12) (K0 - lambda) f.
 Grid functions are plain complex arrays of shape (N_t, d).
 
 The factorized perturbation uses the operator square root A(t) = |V(t)|^{1/2}
@@ -34,9 +35,9 @@ every solve with I + Q, and so with K - zeta = (I + Q)(K0 - zeta), to one
 r x r LU of I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, with (K0 - zeta)^{-1}
 diagonal in H0's eigenbasis (a Birman-Schwinger problem of the support's
 size; Simon, Trace Ideals and Their Applications, ch. 7).  ScanOperators
-prepares the support block, H0's eigendecomposition and the sparse K once
-per model and cutoff, and is the one owner of those solves: its null_pair
-serves the null scan here, its solver the certified partners of
+prepares the support block, H0's eigendecomposition (the model's) and the
+sparse K once per model and cutoff, and is the one owner of those solves: its
+null_pair serves the null scan here, its solver the certified partners of
 scattering's bound-state cross-check.  The candidate is refined to K's
 eigenvalue by Rayleigh quotients of psi = (K0 - zeta)^{-1} phi taken from
 the scan's own null direction phi, and the verdict's residual
@@ -52,7 +53,7 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .floquet import ModeSpace, floquet_operator, start_vector
 from .model import PeriodicHamiltonian
-from .numerics import SingularMatrixError, hermitian_eig, require_hermitian, solve
+from .numerics import SingularMatrixError, require_hermitian, solve
 
 SGN_FLOOR = 1e-13
 # inverse iteration for the smallest singular pair of I + Q stops when s moves by
@@ -105,21 +106,20 @@ def _kernel(values: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
     return kern
 
 
-def r0_apply(h0: np.ndarray, lam: complex, f: np.ndarray) -> np.ndarray:
+def r0_apply(h: PeriodicHamiltonian, lam: complex, f: np.ndarray) -> np.ndarray:
     """Apply the free periodic resolvent to grid values f, shape (N_t, d)
     (trapezoid rule): the kernel's circular correlation, taken by FFT."""
     lam = _check_offaxis(lam)
     f = np.asarray(f, dtype=np.complex128)
-    if f.ndim != 2 or f.shape[1] != h0.shape[0]:
-        raise ValueError(f"grid values of shape {f.shape} do not match H0 dim {h0.shape[0]}")
-    eig = hermitian_eig(h0)
-    comp = f @ eig.vectors.conj()                 # components in the H0 eigenbasis
+    if f.ndim != 2 or f.shape[1] != h.dim:
+        raise ValueError(f"grid values of shape {f.shape} do not match H0 dim {h.dim}")
+    eig = h.free_eig
     kern = _kernel(eig.values, lam, f.shape[0])
-    out = np.fft.ifft(np.fft.fft(comp, axis=0) * np.fft.ifft(kern, axis=0), axis=0)
-    return out @ eig.vectors.T
+    comp = np.fft.fft(eig.to_eigenbasis(f), axis=0)
+    return eig.from_eigenbasis(np.fft.ifft(comp * np.fft.ifft(kern, axis=0), axis=0))
 
 
-def r0_matrix(h0: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
+def r0_matrix(h: PeriodicHamiltonian, lam: complex, n_t: int) -> np.ndarray:
     """Dense grid-space matrix of the free resolvent, shape (N_t d, N_t d).
 
     The kernel's circulant per H0 eigencomponent: entry (j, k) carries
@@ -127,13 +127,13 @@ def r0_matrix(h0: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
     symmetry R0(lambda)^H = R0(conj lambda) holds at the matrix level.
     """
     lam = _check_offaxis(lam)
-    eig = hermitian_eig(h0)
-    d = h0.shape[0]
+    eig, d = h.free_eig, h.dim
     offs = np.subtract.outer(np.arange(n_t), np.arange(n_t)).T % n_t
-    kern = _kernel(eig.values, lam, n_t)[offs]   # (j, k, a)
-    v = eig.vectors
-    mat = np.einsum("jka,pa,qa->jpkq", kern, v, v.conj(), optimize=True) / n_t
-    return mat.reshape(n_t * d, n_t * d)
+    kern = _kernel(eig.values, lam, n_t).T[:, offs]   # (a, j, k)
+    proj = np.conjugate(eig.vectors[None], out=np.empty((d, d, d), dtype=np.complex128))
+    proj *= eig.vectors[:, None, :]           # eigenprojectors P[p, q, a] = v_pa conj(v_qa)
+    mat = (proj.reshape(d * d, d) @ kern.reshape(d, n_t * n_t)).reshape(d, d, n_t, n_t)
+    return (mat.transpose(2, 0, 3, 1) / n_t).reshape(n_t * d, n_t * d)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -143,27 +143,25 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(2j * np.pi * freq[:, None] * np.fft.fft(values, axis=0), axis=0)
 
 
-def resolvent_residual(h0: np.ndarray, lam: complex, f: np.ndarray) -> float:
+def resolvent_residual(h: PeriodicHamiltonian, lam: complex, f: np.ndarray) -> float:
     """||(-i d/dt + H0 - lambda) R0 f - f|| / ||f|| with spectral differentiation."""
-    g = r0_apply(h0, lam, f)
-    back = -1j * spectral_derivative(g) + g @ h0.T - lam * g
+    g = r0_apply(h, lam, f)
+    back = -1j * spectral_derivative(g) + g @ h.h0.T - lam * g
     return float(np.linalg.norm(back - f) / np.linalg.norm(f))
 
 
-def mode_oracle_apply(h0: np.ndarray, lam: complex, f: np.ndarray) -> np.ndarray:
+def mode_oracle_apply(h: PeriodicHamiltonian, lam: complex, f: np.ndarray) -> np.ndarray:
     """Independent mode-space route: diagonal action (2 pi n + H0 - lambda)^{-1}.
 
     Exact on band-limited inputs; used as the oracle the grid implementation
     is measured against.
     """
     lam = _check_offaxis(lam)
-    eig = hermitian_eig(h0)
-    n_t = f.shape[0]
-    comp = np.fft.fft(f @ eig.vectors.conj(), axis=0) / n_t
+    eig, n_t = h.free_eig, f.shape[0]
+    comp = np.fft.fft(eig.to_eigenbasis(f), axis=0) / n_t
     freq = np.fft.fftfreq(n_t, d=1.0 / n_t)
     mult = 1.0 / (2 * np.pi * freq[:, None] + eig.values[None, :] - lam)
-    out = np.fft.ifft(comp * mult, axis=0) * n_t
-    return out @ eig.vectors.T
+    return eig.from_eigenbasis(np.fft.ifft(comp * mult, axis=0) * n_t)
 
 
 @dataclass
@@ -172,14 +170,6 @@ class FactorizedPotential:
 
     a_ops: np.ndarray  # shape (N_t, d, d)
     b_ops: np.ndarray
-
-    @property
-    def n_t(self) -> int:
-        return self.a_ops.shape[0]
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.a_ops.shape[1]
 
     def factorization_defect(self, v_ops: np.ndarray) -> float:
         """max_j |B(t_j) A(t_j) - V(t_j)|."""
@@ -226,9 +216,8 @@ def q_factorized(h: PeriodicHamiltonian, lam: complex, n_t: int,
 
     Returns (matrix, schmidt_norm).  V identically zero gives the zero matrix.
     """
-    lam = _check_offaxis(lam)
+    r0 = r0_matrix(h, lam, n_t)
     fact = fact or factorized_potential(h, n_t)
-    r0 = r0_matrix(h.h0, lam, n_t)
     q = _block_multiply(fact.a_ops, _block_multiply(fact.b_ops, r0, "right"), "left")
     return q, float(np.linalg.norm(q))
 
@@ -241,13 +230,13 @@ def full_resolvent(h: PeriodicHamiltonian, lam: complex, n_t: int):
     a singular I + Q (an exceptional point) raises SingularMatrixError.
     """
     lam = _check_offaxis(lam)
-    fact = factorized_potential(h, n_t)
-    r0 = r0_matrix(h.h0, lam, n_t)
+    r0 = r0_matrix(h, lam, n_t)
     if not h.modes:
         return r0, 1.0
+    fact = factorized_potential(h, n_t)
     a_r0 = _block_multiply(fact.a_ops, r0, "left")
     q = _block_multiply(fact.b_ops, a_r0, "right")
-    r0_bar = r0_matrix(h.h0, np.conj(lam), n_t)
+    r0_bar = r0_matrix(h, np.conj(lam), n_t)
     left = (_block_multiply(fact.b_ops, r0_bar, "left")).conj().T
     dim = q.shape[0]
     try:
@@ -275,7 +264,7 @@ def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
     if zeta.imag == 0.0:
         raise ValueError("block resolvent requires Im(zeta) != 0")
     space = ModeSpace(n_modes, h.dim)
-    r0 = space.free_resolvent(h.h0, zeta)
+    r0 = space.free_resolvent(h.free_eig, zeta)
     # block (n, k) is the dense d x d product H_{n-k} R0_k, rounded as the definition
     return space.toeplitz({m: hm @ r0 for m, hm in h.modes.items()})
 
@@ -311,8 +300,8 @@ class ScanOperators:
     shifts and solved by both bound-state detectors: the null scan (null_pair)
     and the cross-check's certified partners (solver).  It holds the sparse
     K = K0 + V (for Rayleigh quotients, residuals and ARPACK), H0's
-    eigendecomposition (eps, U) from the model (`free_eig`; `free_levels` are
-    its eps), and the potential's block V_S on its support.
+    eigendecomposition (eps, U), the model's `free_eig` (`free`), and the
+    potential's block V_S on its support.
 
     The support S is the model's `support`.  P picks the r = |S| (2N + 1)
     mode-space rows (n, a) with a in S, and V_S is the r x r block whose (n, m)
@@ -340,20 +329,18 @@ class ScanOperators:
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
         self.k = floquet_operator(h, n_modes)
         self.space = ModeSpace(n_modes, h.dim)
-        eig = h.free_eig
-        self.free_levels = eig.values
-        self.u = eig.vectors
-        self.u_s = self.u[h.support]
+        self.free = h.free_eig
+        self.u_s = self.free.vectors[h.support]
         support = np.ix_(h.support, h.support)
         self.v_s = ModeSpace(n_modes, len(h.support)).toeplitz(
             {m: hm[support] for m, hm in h.modes.items()})
-        self.start = self.space.blocks(start_vector(self.space.size)) @ self.u.conj()
+        self.start = self.free.to_eigenbasis(self.space.blocks(start_vector(self.space.size)))
 
     def _factor(self, zeta: complex):
         """(g, LU): g = (g_n) of G0 at zeta, shape (2N + 1, d), and the LAPACK LU
         (getrf) of A = I_r + G_S V_S, where G_S has the mode blocks
         U_S diag(g_n) U_S^H; the LU is None for r = 0."""
-        g = 1.0 / (self.free_levels + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
+        g = 1.0 / (self.free.values + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
         nb, width = self.space.n_blocks, self.u_s.shape[0]
         r = nb * width
         if r == 0:
@@ -384,8 +371,8 @@ class ScanOperators:
         g, factor = self._factor(complex(zeta))
 
         def solve(x: np.ndarray) -> np.ndarray:
-            y = self.space.blocks(x) @ self.u.conj()
-            return (g * self._inverse(g, factor, y) @ self.u.T).ravel()
+            y = self.free.to_eigenbasis(self.space.blocks(x))
+            return self.free.from_eigenbasis(g * self._inverse(g, factor, y)).ravel()
         return solve
 
     def null_pair(self, zeta: complex):
@@ -427,7 +414,7 @@ class ScanOperators:
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
             if abs(s - s_prev) <= INVERSE_ITERATION_RTOL * s:
-                back = np.concatenate([phi, g * phi]) @ self.u.T      # psi = G0 phi
+                back = self.free.from_eigenbasis(np.concatenate([phi, g * phi]))   # psi = G0 phi
                 return s, back[:nb].ravel(), back[nb:].ravel()
             s_prev = s
         raise InverseIterationError(
@@ -452,7 +439,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float) -> Bou
     the smallest singular values at refined + i eps over EPS_LADDER are
     extrapolated linearly in eps to the axis (never evaluating exactly on it).
     """
-    dist = free_spectrum_distance(scan.free_levels, lam_candidate)
+    dist = free_spectrum_distance(scan.free.values, lam_candidate)
     if dist < THRESHOLD_MARGIN:
         raise ThresholdProximityError(
             f"candidate {lam_candidate} lies {dist:.2e} from the free spectrum "

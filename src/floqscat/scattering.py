@@ -375,11 +375,13 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     )
 
 
-def _localization(model: LatticeModel, weights: np.ndarray):
-    """Per column of site weights (L, k): mass near the support, and whether it is bound."""
+def _localization(model: LatticeModel, blocks: np.ndarray):
+    """Per column of mode blocks (n, L, k) of site amplitudes: the mass near the
+    support, summed over modes and squared on those rows only, and whether it is bound."""
     # contiguous rows in site order: a state's score rounds alike for any window start
     window = np.sort(model.support_window(LOCALIZATION_MARGIN))
-    score = np.ascontiguousarray(weights[window].T).sum(axis=1)
+    mass = (np.abs(blocks[:, window]) ** 2).sum(axis=0)
+    score = np.ascontiguousarray(mass.T).sum(axis=1)
     return score, score >= LOCALIZATION_SCORE
 
 
@@ -410,7 +412,7 @@ def _certified_partner(model: LatticeModel, scan: ScanOperators, phase: float,
         dist = float(circular_distance(phase, lam))
         if dist + np.linalg.norm(kx - lam * x) <= tol:
             x = x[:, None]
-            _, localized = _localization(model, space.fiber_mass(x))
+            _, localized = _localization(model, space.blocks(x))
             return dist if localized[0] and space.interior(x)[0] else None
     return None
 
@@ -437,8 +439,7 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
     sigma, while a value farther away stays beyond tol.
     """
     k, space = scan.k, scan.space
-    fiber = model.h0 + model.mode(0)
-    centre = float(np.trace(fiber).real) / model.sites
+    centre = float((model.h0.diagonal() + model.mode(0).diagonal()).sum().real) / model.sites
     bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
@@ -465,7 +466,7 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
             if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
                 break
             n_eig = min(2 * n_eig, space.size - 2)
-        _, localized = _localization(model, space.fiber_mass(vectors))
+        _, localized = _localization(model, space.blocks(vectors))
         partners = values[localized & space.interior(vectors)]
         candidates += len(partners)
         if len(partners):
@@ -489,7 +490,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     DetectorDisagreementError if the two detectors disagree beyond
     CROSS_CHECK_TOL.
     """
-    score, bound = _localization(model, np.abs(mono.eig.vectors) ** 2)
+    score, bound = _localization(model, mono.eig.vectors[None])
     phases = mono.quasi_energies
     found = sorted((phases[j], score[j]) for j in np.flatnonzero(bound))
 
@@ -518,7 +519,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
 
 def bound_vectors(model: LatticeModel, mono: Monodromy) -> np.ndarray:
     """Columns: eigenvectors of the one-period operator flagged as bound."""
-    _, bound = _localization(model, np.abs(mono.eig.vectors) ** 2)
+    _, bound = _localization(model, mono.eig.vectors[None])
     return mono.eig.vectors[:, bound]
 
 

@@ -101,7 +101,7 @@ def block(k, n: int, m: int) -> np.ndarray:
 
 def spatial_mass(spec) -> np.ndarray:
     """Per-eigenvector fiber-site occupation, summed over modes: (d, n_eig)."""
-    return spec.space.fiber_mass(spec.vectors)
+    return (np.abs(spec.space.blocks(spec.vectors)) ** 2).sum(axis=0)
 
 
 def k0_grid_matrix(h0: np.ndarray, n_t: int) -> np.ndarray:

@@ -143,7 +143,7 @@ def test_criterion_4_resolvent_formula():
     the mode-space oracle match at N_t = 256."""
     # order measurement: generic band-limited probe on a d=2 fiber
     rng = np.random.default_rng(21)
-    h0 = np.array([[0.4, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
+    h = PeriodicHamiltonian(np.array([[0.4, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]]))
     lam = 0.3 + 0.7j
     coeffs = {n: rng.standard_normal(2) + 1j * rng.standard_normal(2) for n in range(-2, 3)}
     resids = []
@@ -152,15 +152,15 @@ def test_criterion_4_resolvent_formula():
         vals = np.zeros((n_t, 2), complex)
         for n, c in coeffs.items():
             vals += np.exp(2j * np.pi * n * t)[:, None] * c[None, :]
-        resids.append(resolvent_residual(h0, lam, vals))
+        resids.append(resolvent_residual(h, lam, vals))
     order = np.log2(resids[0] / resids[2]) / 2
     assert abs(order - 2.0) <= 0.3, f"measured order {order}"
     # oracle match at N_t = 256: probe with small (K0 - lambda) symbol so the
     # second-order constant |2 pi n + h - lambda|/12 stays below the target
-    h0s = np.array([[0.3]])
+    hs = PeriodicHamiltonian(np.array([[0.3]]))
     lam_s = 0.3 + 0.5j
     f = np.ones((256, 1), dtype=np.complex128)
-    dist = np.abs(r0_apply(h0s, lam_s, f) - mode_oracle_apply(h0s, lam_s, f)).max()
+    dist = np.abs(r0_apply(hs, lam_s, f) - mode_oracle_apply(hs, lam_s, f)).max()
     assert dist <= 1e-6
     ok(4, f"resolvent defining property at order {order:.2f} (within 2 +- 0.3); "
           f"mode-space oracle match {dist:.2e} <= 1e-6 at N_t=256")
@@ -193,7 +193,7 @@ def test_criterion_5_factorized_resolvent():
     # second resolvent identity R - R0 + R0 V R = 0 (algebraically exact)
     n_t2 = 64
     r2, _ = full_resolvent(h, lam, n_t2)
-    r0 = r0_matrix(h.h0, lam, n_t2)
+    r0 = r0_matrix(h, lam, n_t2)
     v_blocks = grid_potential(h, n_t2)
     view = r2.reshape(n_t2, 2, n_t2, 2)
     vr = np.einsum("jpr,jrkq->jpkq", v_blocks, view, optimize=True).reshape(r2.shape)
@@ -203,7 +203,7 @@ def test_criterion_5_factorized_resolvent():
     # zero potential reduces exactly to the free resolvent
     h_free = PeriodicHamiltonian(h0=h.h0)
     r_free, _ = full_resolvent(h_free, lam, n_t2)
-    red = max_norm(r_free - r0_matrix(h.h0, lam, n_t2))
+    red = max_norm(r_free - r0_matrix(h, lam, n_t2))
     assert red == 0.0
     ok(5, f"factorized resolvent matches truncated inverse to {dist:.2e} <= 1e-6; "
           f"second-resolvent defect {ident:.2e} <= 1e-8; V=0 reduction exact")

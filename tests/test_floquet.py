@@ -12,7 +12,7 @@ from floqscat.floquet import (
     shift_commutation_defect,
     shift_group_defect,
 )
-from floqscat.model import PeriodicHamiltonian, rabi_model, rabi_quasi_energies
+from floqscat.model import PeriodicHamiltonian, rabi_quasi_energies
 from floqscat.numerics import hermitian_defect
 from floqscat.propagation import PropagatorSchedule, monodromy
 
@@ -209,7 +209,7 @@ class TestModeSpace:
             shifted = k0 - zeta * np.eye(space.size)
             lhs = (np.eye(space.size) + q) @ shifted
             assert np.abs(lhs - (k - zeta * np.eye(space.size))).max() <= 1e-12
-            r0 = block_diag(*space.free_resolvent(h.h0, zeta))
+            r0 = block_diag(*space.free_resolvent(h.free_eig, zeta))
             assert np.abs(r0 @ shifted - np.eye(space.size)).max() <= 1e-12
 
     @pytest.mark.parametrize("n_modes", [0, 1, 3])

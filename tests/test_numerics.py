@@ -208,6 +208,15 @@ class TestExpmHermitian:
         want = v @ (phases[:, None] * (v.conj().T @ x))
         assert np.array_equal(eig.apply(phases, x), want)
 
+    def test_row_change_of_basis_and_matrix(self):
+        # the conjugate-free forms, bit for bit against the copies of conj(V)
+        eig = hermitian_eig(random_hermitian(10, seed=13))
+        x = random_hermitian(10, seed=14)[:3]
+        v, weights = eig.vectors, 1.0 / (eig.values - 0.3j)
+        assert np.array_equal(eig.to_eigenbasis(x), x @ v.conj())
+        assert np.array_equal(eig.from_eigenbasis(x), x @ v.T)
+        assert np.array_equal(eig.matrix(weights), (v * weights) @ v.conj().T)
+
     def test_apply_keeps_a_vector_a_vector(self):
         # a 1-d x once broadcast the phases against V^H x into an L x L array
         from floqscat.model import build_lattice

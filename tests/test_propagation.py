@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floqscat.model import PeriodicHamiltonian, rabi_quasi_energies
-from floqscat.numerics import expm_hermitian, max_norm, unitary_defect
+from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import (
     PropagatorSchedule,
     check_cocycle,

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import eigsh, splu
 
 import floqscat.resolvent as resolvent
 from floqscat.floquet import ModeSpace, build_floquet, floquet_operator, start_vector
-from floqscat.model import PeriodicHamiltonian, build_lattice, rabi_model
+from floqscat.model import PeriodicHamiltonian, build_lattice
 from floqscat.numerics import SingularMatrixError, max_norm, op_norm
 from floqscat.propagation import PropagatorSchedule
 from floqscat.resolvent import (
@@ -45,24 +45,24 @@ class TestR0Apply:
         # d=1, H0=0, f = 1, lambda = i: exact result is -1/lambda = i; the
         # trapezoid error constant is |h - lambda|/12 per the error analysis
         n_t = 256
-        out = r0_apply(np.zeros((1, 1)), 1j, constant_f(n_t))
+        out = r0_apply(PeriodicHamiltonian(np.zeros((1, 1))), 1j, constant_f(n_t))
         err = np.abs(out - 1j).max()
         assert err <= 1.2 * abs(0 - 1j) / 12 / n_t**2
         assert err > 0  # genuinely second order, not the oracle route
 
     def test_mode_eigenvector_input(self):
-        h0 = random_hermitian(3, seed=1)
-        evals, evecs = np.linalg.eigh(h0)
+        h = PeriodicHamiltonian(random_hermitian(3, seed=1))
+        evals, evecs = np.linalg.eigh(h.h0)
         lam = 0.4 + 0.8j
         n_t, n = 256, 2
         f = mode_f(n_t, n, evecs[:, 1])
-        out = r0_apply(h0, lam, f)
+        out = r0_apply(h, lam, f)
         want = f / (2 * np.pi * n + evals[1] - lam)
         err = np.abs(out - want).max()
         assert err <= 1.2 * abs(2 * np.pi * n + evals[1] - lam) / 12 / n_t**2
 
     def test_defining_property_second_order(self):
-        h0 = random_hermitian(2, seed=2)
+        h = PeriodicHamiltonian(random_hermitian(2, seed=2))
         lam = 0.3 + 0.7j
         rng = np.random.default_rng(3)
         resids = []
@@ -73,38 +73,38 @@ class TestR0Apply:
                 coef = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 vals += np.exp(2j * np.pi * n * t)[:, None] * coef[None, :]
             rng = np.random.default_rng(3)  # same probe on every grid
-            resids.append(resolvent_residual(h0, lam, vals))
+            resids.append(resolvent_residual(h, lam, vals))
         order = np.log2(resids[0] / resids[2]) / 2
         assert abs(order - 2.0) <= 0.3
 
     def test_matches_mode_oracle_to_quadrature_error(self):
-        h0 = np.array([[0.3]])
+        h = PeriodicHamiltonian(np.array([[0.3]]))
         lam = 0.3 + 0.5j
         n_t = 256
         f = constant_f(n_t)
-        out = r0_apply(h0, lam, f)
-        oracle = mode_oracle_apply(h0, lam, f)
+        out = r0_apply(h, lam, f)
+        oracle = mode_oracle_apply(h, lam, f)
         assert np.abs(out - oracle).max() <= 1e-6
 
     def test_real_lambda_rejected(self):
         with pytest.raises(ValueError, match="Im"):
-            r0_apply(np.zeros((1, 1)), 2.0, constant_f(16))
+            r0_apply(PeriodicHamiltonian(np.zeros((1, 1))), 2.0, constant_f(16))
 
     def test_fiber_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="H0 dim 2"):
-            r0_apply(np.eye(2), 1j, constant_f(16, d=3))
+            r0_apply(PeriodicHamiltonian(np.eye(2)), 1j, constant_f(16, d=3))
 
 
 class TestR0Matrix:
     def test_matches_apply(self):
-        h0 = random_hermitian(2, seed=4)
+        h = PeriodicHamiltonian(random_hermitian(2, seed=4))
         lam = 1.0 + 0.6j
         n_t = 32
-        mat = r0_matrix(h0, lam, n_t)
+        mat = r0_matrix(h, lam, n_t)
         rng = np.random.default_rng(5)
         f = rng.standard_normal((n_t, 2)) + 1j * rng.standard_normal((n_t, 2))
         via_mat = (mat @ f.ravel()).reshape(n_t, 2)
-        via_apply = r0_apply(h0, lam, f)
+        via_apply = r0_apply(h, lam, f)
         assert np.abs(via_mat - via_apply).max() <= 1e-12
 
     @pytest.mark.parametrize("n_t", [1, 2, 7])
@@ -116,15 +116,15 @@ class TestR0Matrix:
         rng = np.random.default_rng(n_t)
         for h in [*fleet_models, lattice]:
             f = rng.standard_normal((n_t, h.dim)) + 1j * rng.standard_normal((n_t, h.dim))
-            via_mat = (r0_matrix(h.h0, lam, n_t) @ f.ravel()).reshape(n_t, h.dim)
-            via_apply = r0_apply(h.h0, lam, f)
+            via_mat = (r0_matrix(h, lam, n_t) @ f.ravel()).reshape(n_t, h.dim)
+            via_apply = r0_apply(h, lam, f)
             assert np.abs(via_apply - via_mat).max() <= 1e-13 * np.abs(via_mat).max()
 
     def test_adjoint_symmetry_exact(self):
-        h0 = random_hermitian(3, seed=6)
+        h = PeriodicHamiltonian(random_hermitian(3, seed=6))
         lam = -0.7 + 1.3j
-        mat = r0_matrix(h0, lam, 48)
-        mat_bar = r0_matrix(h0, np.conj(lam), 48)
+        mat = r0_matrix(h, lam, 48)
+        mat_bar = r0_matrix(h, np.conj(lam), 48)
         assert max_norm(mat.conj().T - mat_bar) <= 1e-12
 
 
@@ -203,7 +203,7 @@ class TestFullResolvent:
         h = PeriodicHamiltonian(h0=random_hermitian(2, seed=8))
         lam = 0.5 + 0.9j
         r, cond = full_resolvent(h, lam, 32)
-        assert max_norm(r - r0_matrix(h.h0, lam, 32)) == 0.0
+        assert max_norm(r - r0_matrix(h, lam, 32)) == 0.0
         assert cond == 1.0
 
     def test_matches_direct_grid_inverse(self, rabi):
@@ -227,7 +227,7 @@ class TestFullResolvent:
         lam = 2.0 + 1.0j
         n_t = 64
         r, _ = full_resolvent(rabi, lam, n_t)
-        r0 = r0_matrix(rabi.h0, lam, n_t)
+        r0 = r0_matrix(rabi, lam, n_t)
         v_blocks = grid_potential(rabi, n_t)
         vr = np.zeros_like(r)
         view = r.reshape(n_t, 2, n_t, 2)

@@ -35,7 +35,7 @@ from floqscat.scattering import (
 )
 
 from oracles import (free_propagator, image, iterates, operator, orthonormality_defect,
-                     residual, spatial_mass)
+                     residual)
 
 CHEAP = PropagatorSchedule(96, 2)
 
@@ -342,7 +342,7 @@ class TestBoundStateScan:
 
         sched = PropagatorSchedule(64, 4)
         eig = monodromy(driven_well_64, 0.25, sched).eig
-        score, bound = _localization(driven_well_64, np.abs(eig.vectors) ** 2)
+        score, bound = _localization(driven_well_64, eig.vectors[None])
         phases = np.mod(-np.angle(eig.values), 2 * np.pi)
         want = [score[j] for j in sorted(np.flatnonzero(bound), key=lambda j: phases[j])]
         assert localizations(0.25) == want
@@ -352,7 +352,7 @@ class TestBoundStateScan:
         n_modes, tol = 8, 1e-5
         infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes)
         spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
-        _, localized = _localization(driven_well_64, spatial_mass(spec))
+        _, localized = _localization(driven_well_64, spec.space.blocks(spec.vectors))
         dense = spec.folded[localized & spec.interior]
         scan = ScanOperators(driven_well_64, n_modes)
         assert len(infos) >= 2
@@ -385,6 +385,41 @@ class TestFreeEvolution:
         time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
         start_time_covariance_defect(lat, mono, 2, probes)
         assert len(calls) == 1 and calls[0] is lat.h0
+
+    RING_16 = {"sites": 16, "hopping": 1.0, "well_depth": -1.0, "drive_amp": 0.5,
+               "support_width": 3}
+    RING_40 = {"sites": 40, "hopping": 1.0, "well_depth": -1.7, "drive_amp": 0.45,
+               "support_width": 3}
+
+    @pytest.mark.parametrize("cfg", [
+        {"task": "resolvent-check", "model": {"builtin": "rabi", "delta": 0.0, "v": 1.0},
+         "parameters": {"lambda": [2.0, 1.0], "n_t": 256, "n_modes": 8}},
+        {"task": "resolvent-check", "model": {"lattice": RING_16},
+         "parameters": {"eta": 1.0, "n_t": 32, "n_modes": 4}},
+        {"task": "resolvent-check", "model": {"builtin": "fleet-d3"},   # a block_q eta sweep row
+         "parameters": {"eta": 4.0, "n_t": 64, "n_modes": 12}},
+        {"task": "bound-states", "model": {"lattice": RING_40},
+         "parameters": {"steps_per_period": 256, "order": 4, "n_modes": 8, "scan_modes": 4}},
+    ], ids=["fiber-resolvent-check", "lattice-resolvent-check", "block-q-row", "bound-states"])
+    def test_one_eigendecomposition_per_scenario(self, monkeypatch, cfg):
+        # the free motion, the grid resolvent, the mode-space blocks and the null
+        # scan all read the scenario model's free_eig
+        import floqscat.cli as cli
+        import floqscat.floquet as floquet
+        import floqscat.model as model
+        import floqscat.numerics as numerics
+        import floqscat.resolvent as resolvent
+
+        calls, models = [], []
+        eig, build = numerics.hermitian_eig, cli.build_model
+        for holder in (numerics, model, resolvent, floquet):
+            if hasattr(holder, "hermitian_eig"):
+                monkeypatch.setattr(holder, "hermitian_eig", lambda a: calls.append(a) or eig(a))
+        monkeypatch.setattr(cli, "build_model",
+                            lambda spec: models.append(build(spec)) or models[-1])
+        run_scenario(cfg, 1)
+        [h] = models
+        assert sum(a is h.h0 for a in calls) == 1
 
     def test_one_stepper_per_step_width(self, monkeypatch):
         # the model keeps its steppers: the monodromy, the time average's nodes
@@ -480,7 +515,7 @@ def sparse_lu_certified_partner(model, k, space, phase, sigma, tol):
         dist = float(circular_distance(phase, lam))
         if dist + np.linalg.norm(kx - lam * x) <= tol:
             x = x[:, None]
-            _, localized = _localization(model, space.fiber_mass(x))
+            _, localized = _localization(model, space.blocks(x))
             return dist if localized[0] and space.interior(x)[0] else None
     return None
 
@@ -553,7 +588,7 @@ class TestCertifiedPartner:
         lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
         scan = ScanOperators(lat, 8)
         sigma = 1.0 + 2 * np.pi * 7
-        assert (scan.free_levels + scan.space.frequencies[:, None] == sigma).any()
+        assert (scan.free.values + scan.space.frequencies[:, None] == sigma).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _certified_partner(lat, scan, 1.0, sigma, 1e-5) is None
