@@ -142,7 +142,7 @@ class ModeSpace:
     def free_resolvent(self, free: EigenDecomposition, zeta: complex) -> np.ndarray:
         """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d), from
         H0's eigendecomposition `free`."""
-        return np.stack([free.matrix(1.0 / (free.values + w - zeta)) for w in self.frequencies])
+        return free.matrix(1.0 / (free.values + self.frequencies[:, None] - zeta))
 
 
 @dataclass

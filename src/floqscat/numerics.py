@@ -143,10 +143,10 @@ def _lex_tiebreak(values: np.ndarray, vectors: np.ndarray, keys: np.ndarray):
 @dataclass
 class EigenDecomposition:
     """Eigenvalues plus orthonormal eigenvectors V (columns) and nothing else; the one
-    change of basis to and from them (`apply` on columns, `to_eigenbasis` and
-    `from_eigenbasis` on rows, `matrix` dense).  A product with V^H or conj(V) is
-    the conjugate of one with V, as in `adjoint_apply`: the same bits, and no L x L
-    copy of V^H or conj(V).  H0's is the model's `free_eig`, read by every route."""
+    change of basis through them (`apply` on columns, `to_eigenbasis` on rows,
+    `matrix` dense).  A product with V^H or conj(V) is the conjugate of one with V,
+    as in `adjoint_apply`: the same bits, and no L x L copy of V^H or conj(V).
+    H0's is the model's `free_eig`, read by every route."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -162,13 +162,10 @@ class EigenDecomposition:
         """x @ conj(V), each row x_j as V^H x_j: conj(conj(x) @ V)."""
         return np.conj(np.conj(x) @ self.vectors)
 
-    def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        """c @ V^T, each row c_j of coefficients as V c_j."""
-        return c @ self.vectors.T
-
     def matrix(self, weights: np.ndarray) -> np.ndarray:
-        """V diag(weights) V^H, dense: conj(conj(V weights) @ V^T)."""
-        y = self.vectors * weights
+        """V diag(w) V^H, dense, for each row w of weights (shape (..., d) gives
+        (..., d, d)): conj(conj(V w) @ V^T)."""
+        y = self.vectors * weights[..., None, :]
         y = np.conj(y, out=y) @ self.vectors.T
         return np.conj(y, out=y)
 

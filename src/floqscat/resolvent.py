@@ -116,24 +116,25 @@ def r0_apply(h: PeriodicHamiltonian, lam: complex, f: np.ndarray) -> np.ndarray:
     eig = h.free_eig
     kern = _kernel(eig.values, lam, f.shape[0])
     comp = np.fft.fft(eig.to_eigenbasis(f), axis=0)
-    return eig.from_eigenbasis(np.fft.ifft(comp * np.fft.ifft(kern, axis=0), axis=0))
+    return np.fft.ifft(comp * np.fft.ifft(kern, axis=0), axis=0) @ eig.vectors.T
 
 
 def r0_matrix(h: PeriodicHamiltonian, lam: complex, n_t: int) -> np.ndarray:
     """Dense grid-space matrix of the free resolvent, shape (N_t d, N_t d).
 
-    The kernel's circulant per H0 eigencomponent: entry (j, k) carries
-    kappa((k - j) mod N_t).  The same operator as r0_apply; exact adjoint
-    symmetry R0(lambda)^H = R0(conj lambda) holds at the matrix level.
+    The kernel's circulant per H0 eigencomponent: block (j, k) is the d x d
+    matrix C_o = V diag(kappa(o)) V^H / N_t at o = (k - j) mod N_t, so the N_t
+    distinct blocks are formed once and block row j is them rolled by j.  The
+    same operator as r0_apply; exact adjoint symmetry R0(lambda)^H =
+    R0(conj lambda) holds at the matrix level.
     """
     lam = _check_offaxis(lam)
     eig, d = h.free_eig, h.dim
-    offs = np.subtract.outer(np.arange(n_t), np.arange(n_t)).T % n_t
-    kern = _kernel(eig.values, lam, n_t).T[:, offs]   # (a, j, k)
-    proj = np.conjugate(eig.vectors[None], out=np.empty((d, d, d), dtype=np.complex128))
-    proj *= eig.vectors[:, None, :]           # eigenprojectors P[p, q, a] = v_pa conj(v_qa)
-    mat = (proj.reshape(d * d, d) @ kern.reshape(d, n_t * n_t)).reshape(d, d, n_t, n_t)
-    return (mat.transpose(2, 0, 3, 1) / n_t).reshape(n_t * d, n_t * d)
+    blocks = eig.matrix(_kernel(eig.values, lam, n_t)) / n_t       # C_o, shape (N_t, d, d)
+    mat = np.empty((n_t, d, n_t, d), dtype=np.complex128)
+    for j in range(n_t):
+        mat[j] = np.roll(blocks, j, axis=0).transpose(1, 0, 2)
+    return mat.reshape(n_t * d, n_t * d)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -161,7 +162,7 @@ def mode_oracle_apply(h: PeriodicHamiltonian, lam: complex, f: np.ndarray) -> np
     comp = np.fft.fft(eig.to_eigenbasis(f), axis=0) / n_t
     freq = np.fft.fftfreq(n_t, d=1.0 / n_t)
     mult = 1.0 / (2 * np.pi * freq[:, None] + eig.values[None, :] - lam)
-    return eig.from_eigenbasis(np.fft.ifft(comp * mult, axis=0) * n_t)
+    return (np.fft.ifft(comp * mult, axis=0) * n_t) @ eig.vectors.T
 
 
 @dataclass
@@ -372,7 +373,7 @@ class ScanOperators:
 
         def solve(x: np.ndarray) -> np.ndarray:
             y = self.free.to_eigenbasis(self.space.blocks(x))
-            return self.free.from_eigenbasis(g * self._inverse(g, factor, y)).ravel()
+            return (g * self._inverse(g, factor, y) @ self.free.vectors.T).ravel()
         return solve
 
     def null_pair(self, zeta: complex):
@@ -414,7 +415,7 @@ class ScanOperators:
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
             if abs(s - s_prev) <= INVERSE_ITERATION_RTOL * s:
-                back = self.free.from_eigenbasis(np.concatenate([phi, g * phi]))   # psi = G0 phi
+                back = np.concatenate([phi, g * phi]) @ self.free.vectors.T   # psi = G0 phi
                 return s, back[:nb].ravel(), back[nb:].ravel()
             s_prev = s
         raise InverseIterationError(

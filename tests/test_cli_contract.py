@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,3 +169,24 @@ def test_large_hopping_lattice_finishes(tmp_path):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "hop.report.json").exists()
+
+
+
+def test_lattice_resolvent_check_within_memory(tmp_path):
+    # a fiber wider than N_t^2 once formed a d x d x d eigenprojector stack
+    # (256 MiB at 256 sites) for a 4 MiB grid matrix, and at 4096 sites failed
+    # with a MemoryError; the run's traced peak stays below that one array
+    sites = 256
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"task": "resolvent-check", "model": lattice(sites=sites),
+                               "parameters": {"lambda": [2.0, 1.0], "n_t": 2, "n_modes": 1}}))
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(cfg), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err.getvalue()
+    assert peak < 16 * sites**3, peak

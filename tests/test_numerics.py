@@ -214,8 +214,9 @@ class TestExpmHermitian:
         x = random_hermitian(10, seed=14)[:3]
         v, weights = eig.vectors, 1.0 / (eig.values - 0.3j)
         assert np.array_equal(eig.to_eigenbasis(x), x @ v.conj())
-        assert np.array_equal(eig.from_eigenbasis(x), x @ v.T)
         assert np.array_equal(eig.matrix(weights), (v * weights) @ v.conj().T)
+        stack = np.stack([weights, np.exp(-0.7j * eig.values)])
+        assert np.array_equal(eig.matrix(stack), np.stack([eig.matrix(w) for w in stack]))
 
     def test_apply_keeps_a_vector_a_vector(self):
         # a 1-d x once broadcast the phases against V^H x into an L x L array
