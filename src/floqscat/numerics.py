@@ -13,6 +13,9 @@ clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
 of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic.
+
+Every decomposition here runs in numpy.linalg.  scipy.linalg, a second LAPACK,
+is imported only inside `solve`, for its LU with a condition estimate.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, schur
-from scipy.linalg.lapack import zgecon
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -180,8 +181,8 @@ class EigenDecomposition:
 def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
-    Backed by LAPACK (numpy.linalg.eigh) with the deterministic phase and
-    tie-break conventions applied on top.
+    Backed by numpy.linalg.eigh with the deterministic phase and tie-break
+    conventions applied on top.
     """
     a = check_hermitian(a)
     values, vectors = np.linalg.eigh(a)
@@ -196,7 +197,10 @@ def unitary_eig(u) -> EigenDecomposition:
     Diagonalizes C = (U + U^H)/2, which commutes with U, and clusters its
     eigenvectors across every gap in C's spectrum up to CLUSTER_GAP; each cluster B
     spans an invariant subspace of U, and one of several members is rotated
-    by the complex Schur vectors of B^H U B.  The gap is wide because
+    by the eigenvectors (numpy.linalg.eigh) of the Hermitian sine part
+    S = (M - M^H)/2i of M = B^H U B: M is normal, so they are its Schur
+    vectors, and S takes sin(theta) on M's eigenvector at e^{i theta}, so it
+    separates the pairs +-theta that a cluster holds.  The gap is wide because
     eigenphases +-theta share cos(theta): the bipartite ring's near-pairs
     differ by ~1e-6 in it, and a pair split between clusters keeps eigh's
     eps/gap mixing.  Eigenvalues are sorted by principal argument in [0, 2pi).
@@ -218,7 +222,8 @@ def unitary_eig(u) -> EigenDecomposition:
     for start, stop in zip(cuts[:-1], cuts[1:]):
         if stop - start > 1:
             block = basis[:, start:stop]
-            _, rot = schur(block.conj().T @ u @ block, output="complex")
+            m = block.conj().T @ u @ block
+            _, rot = np.linalg.eigh((m - m.conj().T) / 2j)
             basis[:, start:stop] = block @ rot
 
     values = (basis.conj() * (u @ basis)).sum(axis=0)   # diag(B^H U B): one BLAS product
@@ -243,6 +248,9 @@ def solve(a, b):
     PIVOT_RTOL * max row norm, which downstream code interprets as the
     shifted operator hitting a spectral point.
     """
+    from scipy.linalg import lu_factor, lu_solve   # loaded only here, for zgecon
+    from scipy.linalg.lapack import zgecon
+
     a = check_square(a)
     b = np.asarray(b, dtype=np.complex128)
     row_norm = float(np.abs(a).sum(axis=1).max())

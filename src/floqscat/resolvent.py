@@ -31,14 +31,14 @@ I + Q(lambda + i0) is singular, and the corresponding mode vector is
 recovered from the null direction.  No solve with K - zeta forms Q or
 factors the mode space: V lives on the potential's support S, so
 V = P V_S P^T with r = |S| (2N + 1) rows, and Woodbury's identity reduces
-every solve with I + Q, and so with K - zeta = (I + Q)(K0 - zeta), to one
-r x r LU of I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, with (K0 - zeta)^{-1}
-diagonal in H0's eigenbasis (a Birman-Schwinger problem of the support's
-size; Simon, Trace Ideals and Their Applications, ch. 7).  ScanOperators
-prepares the support block, H0's eigendecomposition (the model's) and the
-sparse K once per model and cutoff, and is the one owner of those solves: its
-null_pair serves the null scan here, its solver the certified partners of
-scattering's bound-state cross-check.  The candidate is refined to K's
+every solve with I + Q, and so with K - zeta = (I + Q)(K0 - zeta), to the
+r x r matrix I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, factored in
+numpy.linalg, with (K0 - zeta)^{-1} diagonal in H0's eigenbasis (a
+Birman-Schwinger problem of the support's size; Simon, Trace Ideals and Their
+Applications, ch. 7).  ScanOperators prepares the support block, H0's
+eigendecomposition (the model's) and the sparse K once per model and cutoff,
+and is the one owner of those solves: its null_pair serves the null scan here,
+its solver the certified partners of scattering's bound-state cross-check.  The candidate is refined to K's
 eigenvalue by Rayleigh quotients of psi = (K0 - zeta)^{-1} phi taken from
 the scan's own null direction phi, and the verdict's residual
 ||(K - lambda) psi|| / ||psi|| measures that psi on the assembled K.
@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .floquet import ModeSpace, floquet_operator, start_vector
 from .model import PeriodicHamiltonian
@@ -290,10 +289,23 @@ class BoundStateVerdict:
     residual: float
 
 
-def _support_solve(factor, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """A^{-1} b (trans 0) or A^{-H} b (trans 2) from ScanOperators._factor's LU;
-    b itself where r = 0 leaves no factor."""
-    return b if factor is None else zgetrs(*factor, b, trans=trans)[0]
+def _singular(zeta: complex, exc: np.linalg.LinAlgError) -> SingularMatrixError:
+    return SingularMatrixError(f"I + Q({zeta}) singular on the potential's support ({exc})")
+
+
+def _support_solve(a, zeta: complex):
+    """b -> A^{-1} b for ScanOperators._factor's A at zeta, one LU per call
+    (numpy.linalg.solve); b itself where r = 0 leaves no A.  A singular A raises
+    SingularMatrixError naming zeta."""
+    if a is None:
+        return lambda b: b
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise _singular(zeta, exc) from exc
+    return solve
 
 
 class ScanOperators:
@@ -310,12 +322,13 @@ class ScanOperators:
     has r = 0.  U_S (`u_s`) holds U's rows S, and `start` the fixed start
     vector in H0's eigenbasis.
 
-    Every solve goes through one r x r factorization on the support
-    (Birman-Schwinger; Simon, Trace Ideals and Their Applications, ch. 7).
+    Every solve goes through the r x r matrix A on the support
+    (Birman-Schwinger; Simon, Trace Ideals and Their Applications, ch. 7),
+    factored in numpy.linalg: solver solves with A, null_pair inverts it once.
     On mode block n, G0 = (K0 - zeta)^{-1} is U diag(g_n) U^H with
     g_n = 1 / (eps + 2 pi n - zeta).  With Q = V G0, K - zeta = (I + Q)(K0 - zeta),
-    and with A = I_r + G_S V_S, G_S = P^T G0 P (one getrf per zeta, `_factor`),
-    Woodbury's identity gives
+    and with A = I_r + G_S V_S, G_S = P^T G0 P (`_factor`), Woodbury's identity
+    gives
 
         (I + Q)^{-1} = I - P V_S A^{-1} P^T G0,
         (I + Q)^{-H} = I - G0^H P A^{-H} V_S^H P^T,
@@ -338,9 +351,10 @@ class ScanOperators:
         self.start = self.free.to_eigenbasis(self.space.blocks(start_vector(self.space.size)))
 
     def _factor(self, zeta: complex):
-        """(g, LU): g = (g_n) of G0 at zeta, shape (2N + 1, d), and the LAPACK LU
-        (getrf) of A = I_r + G_S V_S, where G_S has the mode blocks
-        U_S diag(g_n) U_S^H; the LU is None for r = 0."""
+        """(g, A): g = (g_n) of G0 at zeta, shape (2N + 1, d), and the r x r
+        A = I_r + G_S V_S, where G_S has the mode blocks U_S diag(g_n) U_S^H;
+        A is None for r = 0.  The caller factors A: solver by an LU per solve,
+        null_pair by one inverse."""
         g = 1.0 / (self.free.values + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
         nb, width = self.space.n_blocks, self.u_s.shape[0]
         r = nb * width
@@ -349,31 +363,31 @@ class ScanOperators:
         g_s = (self.u_s * g[:, None, :]) @ self.u_s.conj().T          # (2N + 1, |S|, |S|)
         a = (g_s @ self.v_s.reshape(nb, width, r)).reshape(r, r)
         a.flat[::r + 1] += 1.0
-        lu, piv, info = zgetrf(a, overwrite_a=True)
-        if info != 0:
-            raise SingularMatrixError(
-                f"I + Q({zeta}) singular on the potential's support (getrf info {info})")
-        return g, (lu, piv)
+        return g, a
 
-    def _inverse(self, g: np.ndarray, factor, y: np.ndarray) -> np.ndarray:
+    def _inverse(self, g: np.ndarray, support_solve, y: np.ndarray) -> np.ndarray:
         """(I + Q)^{-1} y = y - P V_S A^{-1} (G0 y)_S on eigenbasis coefficients y,
-        mode blocks as rows."""
-        b = self.v_s @ _support_solve(factor, (g * y @ self.u_s.T).ravel())
+        mode blocks as rows; support_solve is b -> A^{-1} b."""
+        b = self.v_s @ support_solve((g * y @ self.u_s.T).ravel())
         return y - b.reshape(y.shape[0], self.u_s.shape[0]) @ self.u_s.conj()
 
     def solver(self, zeta: complex):
         """x -> (K - zeta)^{-1} x = G0 (I + Q)^{-1} x on site-basis mode vectors of
-        length (2N + 1) d, from one factor at zeta.
+        length (2N + 1) d, from one A at zeta.
 
         x goes to H0's eigenbasis by U^H per mode block, through `_inverse` and
         g, and back by U.  Cost per solve: (2N + 1) d^2 for the two changes of
-        basis and r^2 for the support solve; no LU of the (2N + 1) d mode space.
+        basis and r^3 for the support solve (`_support_solve`, an LU of A); no LU
+        of the (2N + 1) d mode space.  A singular A raises SingularMatrixError
+        naming zeta at the solve.
         """
-        g, factor = self._factor(complex(zeta))
+        zeta = complex(zeta)
+        g, a = self._factor(zeta)
+        support_solve = _support_solve(a, zeta)
 
         def solve(x: np.ndarray) -> np.ndarray:
             y = self.free.to_eigenbasis(self.space.blocks(x))
-            return (g * self._inverse(g, factor, y) @ self.free.vectors.T).ravel()
+            return (g * self._inverse(g, support_solve, y) @ self.free.vectors.T).ravel()
         return solve
 
     def null_pair(self, zeta: complex):
@@ -394,11 +408,20 @@ class ScanOperators:
         it has not after INVERSE_ITERATION_MAXITER steps, and
         SingularMatrixError naming zeta where A is singular.
 
-        Cost per zeta: r^3 for the factor, (2N + 1) d |S| per step and
+        Cost per zeta: r^3 for the inverse of A (numpy.linalg.inv), formed once
+        for the two support solves of every step; r^2 + (2N + 1) d |S| per step;
         (2N + 1) d^2 to carry phi and psi back.
         """
         zeta = complex(zeta)
-        g, factor = self._factor(zeta)
+        g, a = self._factor(zeta)
+        if a is None:
+            a_inv = np.zeros((0, 0), dtype=np.complex128)
+        else:
+            try:
+                a_inv = np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise _singular(zeta, exc) from exc
+        a_inv_h = a_inv.conj().T
         g_h = g.conj()
         # P^T and P on eigenbasis coefficients, mode blocks as rows
         to_support, from_support = self.u_s.T, self.u_s.conj()
@@ -408,9 +431,9 @@ class ScanOperators:
         phi = self.start
         s_prev = np.inf
         for _ in range(INVERSE_ITERATION_MAXITER):
-            c = _support_solve(factor, v_s_h @ (phi @ to_support).ravel(), trans=2)
+            c = a_inv_h @ (v_s_h @ (phi @ to_support).ravel())
             y = phi - g_h * (c.reshape(shape) @ from_support)        # (I + Q)^{-H} phi
-            z = self._inverse(g, factor, y)                          # (I + Q)^{-1} y
+            z = self._inverse(g, lambda b: a_inv @ b, y)             # (I + Q)^{-1} y
             z_norm = np.linalg.norm(z)
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y

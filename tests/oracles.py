@@ -3,6 +3,7 @@ matrices, per-n iterates and reference values that the library neither forms
 nor keeps.
 
     reconstruct(eig)            V diag(values) V^H
+    schur_unitary_eig(u)        unitary_eig's clusters rotated by complex Schur vectors
     orthonormality_defect(eig)  max |V^H V - I|
     residual(eig, a)            max_k ||A v_k - mu_k v_k||_2
     iterates(w, n)              Theta^{+-j} phi for j = 1..n, from the library's loop
@@ -28,13 +29,35 @@ from itertools import islice
 
 import numpy as np
 
-from floqscat.numerics import expm_hermitian, max_norm, unitary_defect
+from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, expm_hermitian, max_norm,
+                               unitary_defect)
 from floqscat.propagation import PropagatorSchedule, period_operator
 from floqscat.scattering import _iterates
 
 
 def reconstruct(eig):
     return (eig.vectors * eig.values) @ eig.vectors.conj().T
+
+
+def schur_unitary_eig(u: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a unitary by the rotation numerics.unitary_eig used
+    before its sine-part eigh: the eigenvectors of the complex eigh of
+    (U + U^H)/2, clustered across gaps up to CLUSTER_GAP, each cluster B of
+    several members rotated by the complex Schur vectors of B^H U B
+    (scipy.linalg.schur).  Values sorted by principal argument in [0, 2pi); no
+    phase or tie-break convention."""
+    from scipy.linalg import schur
+
+    wc, basis = np.linalg.eigh((u + u.conj().T) / 2)
+    cuts = [0, *(np.flatnonzero(np.diff(wc) > CLUSTER_GAP) + 1), len(wc)]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        if stop - start > 1:
+            block = basis[:, start:stop]
+            _, rot = schur(block.conj().T @ u @ block, output="complex")
+            basis[:, start:stop] = block @ rot
+    values = (basis.conj() * (u @ basis)).sum(axis=0)
+    order = np.argsort(np.mod(np.angle(values), 2 * np.pi), kind="stable")
+    return EigenDecomposition(values=values[order], vectors=basis[:, order])
 
 
 def orthonormality_defect(eig):

@@ -5,8 +5,9 @@
 Each config runs through `floqscat.cli.main` in a new Python process with
 BLAS and OpenMP pinned to one thread, as the benchmark pins them, and
 imported from `--src` (default: this checkout's `src`).  One line per config
-gives its exit code, the wall seconds of the `main` call (import excluded)
-and the process's peak resident set (`ru_maxrss`) in MB.  Reports go to
+gives its exit code, the wall seconds of the `main` call (import excluded),
+the process's peak resident set (`ru_maxrss`) in MB and whether the run
+loaded `scipy.linalg`.  Reports go to
 `--out` (default: the current directory), so two trees' reports can be
 compared with tests/report_diff.py.
 
@@ -36,7 +37,8 @@ from pathlib import Path
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# the child: import, then time the CLI call alone and read its own peak RSS
+# the child: import, then time the CLI call alone, read its own peak RSS and
+# whether scipy.linalg was loaded
 CHILD = """
 import json, resource, sys, time
 import floqscat.cli as cli
@@ -44,12 +46,14 @@ begin = time.perf_counter()
 code = cli.main(sys.argv[1:])
 wall = time.perf_counter() - begin
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak}))
+print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak,
+                  "scipy_linalg": "scipy.linalg" in sys.modules}))
 """
 
 
 def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
-    """One config in a fresh interpreter: {"code", "wall_s", "peak_rss_mb"}."""
+    """One config in a fresh interpreter: {"code", "wall_s", "peak_rss_mb",
+    "scipy_linalg"}."""
     env = {**os.environ, **{name: "1" for name in THREAD_VARIABLES},
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     argv = ["--config", config, "--out", out]
@@ -58,7 +62,8 @@ def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
                           stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
-        return {"code": done.returncode, "wall_s": float("nan"), "peak_rss_mb": float("nan")}
+        return {"code": done.returncode, "wall_s": float("nan"), "peak_rss_mb": float("nan"),
+                "scipy_linalg": None}
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -74,7 +79,8 @@ def main(argv=None) -> int:
     for config in args.configs:
         got = probe(config, args.out, args.seed, args.src.resolve())
         print(f"{config}  exit {got['code']}  wall {got['wall_s']:.2f} s  "
-              f"peak {got['peak_rss_mb']:.1f} MB", flush=True)
+              f"peak {got['peak_rss_mb']:.1f} MB  scipy.linalg {got['scipy_linalg']}",
+              flush=True)
         status = max(status, got["code"])
     return status
 

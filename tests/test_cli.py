@@ -598,6 +598,36 @@ class TestImportGraph:
         # eigsh is imported by the bound-state cross-check's ARPACK branch only
         assert self.loaded_after_import(["scipy.sparse.linalg"]) == "[False]"
 
+    def test_cli_runs_leave_scipy_linalg_unloaded(self, tmp_path):
+        # every decomposition on a CLI path runs in numpy.linalg: only numerics.solve
+        # and the ARPACK branch import scipy.linalg
+        configs = [
+            {"task": "wave-operators",
+             "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                   "drive_amp": 0.5, "support_width": 5}},
+             "parameters": {"steps_per_period": 64, "order": 4, "floquet_modes": 3}},
+            {"task": "bound-states",
+             "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.7,
+                                   "drive_amp": 0.45, "support_width": 3}},
+             "parameters": {"steps_per_period": 256, "n_modes": 8, "scan_modes": 4,
+                            "verify": True}}]
+        argv = []
+        for i, cfg in enumerate(configs):
+            argv += ["--config", str(write_config(tmp_path, cfg, f"cfg{i}.json"))]
+        argv += ["--out", str(tmp_path)]
+        src = str(Path(floqscat.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import contextlib, io, sys, floqscat.cli as cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    status = cli.main({argv!r})\n"
+                "print(status, 'scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["0", "False"]
+        report = json.loads((tmp_path / "cfg1.report.json").read_text())
+        assert report["results"]["verdicts"]     # the null scan ran
+
 
 class TestMemory:
     """A wave-operators run holds each L x L array once, and only while it is read."""

@@ -13,7 +13,8 @@ from floqscat.numerics import (
 )
 
 from conftest import random_hermitian, random_unitary
-from oracles import free_propagator, orthonormality_defect, reconstruct, residual
+from oracles import (free_propagator, orthonormality_defect, reconstruct, residual,
+                     schur_unitary_eig)
 
 
 class TestHermitianEig:
@@ -118,7 +119,13 @@ class TestUnitaryEig:
         theta = period_operator(ring, 0.0, PropagatorSchedule(64, 4))
         assert 0.0 < np.abs(theta - theta.T).max() <= numerics.SYMMETRY_TOL
         kinds, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype) or eigh(a))
+
+        def spy(a):
+            if len(a) == len(theta):    # the Hermitian part's, not a cluster rotation's 2 x 2
+                kinds.append(a.dtype)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         real = unitary_eig(theta)
         cplx = self.complex_route(theta, monkeypatch)
         assert kinds == [np.float64, np.complex128]
@@ -133,6 +140,42 @@ class TestUnitaryEig:
         got, want = unitary_eig(u), self.complex_route(u, monkeypatch)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
+
+
+class TestClusterRotation:
+    """unitary_eig's sine-part rotation of each cluster against the complex Schur
+    rotation it replaced (oracles.schur_unitary_eig)."""
+
+    @staticmethod
+    def check(u):
+        eig, ref = unitary_eig(u), schur_unitary_eig(u)
+        assert np.abs(u @ eig.vectors - eig.vectors * eig.values).max() <= 1e-12
+        assert orthonormality_defect(eig) <= 1e-13
+        assert np.abs(eig.values - ref.values).max() <= 1e-13
+
+    def test_window_route_monodromy(self):
+        from floqscat.model import build_lattice
+        from floqscat.propagation import PropagatorSchedule, period_operator
+
+        ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
+        theta = period_operator(ring, 0.0, PropagatorSchedule(64, 4))
+        cos = np.linalg.eigvalsh((theta + theta.conj().T) / 2)
+        clusters = np.diff([0, *(np.flatnonzero(np.diff(cos) > numerics.CLUSTER_GAP) + 1),
+                            len(cos)])
+        assert (clusters > 1).sum() == 12 and clusters.max() == 2
+        self.check(theta)
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-3, np.pi / 3, np.pi - 1e-3])
+    def test_planted_pairs(self, theta):
+        # eigenphases +-theta share cos(theta), so they share a cluster; 2.0 is
+        # exactly degenerate; the rest are drawn away from both
+        rng = np.random.default_rng(31)
+        rest = rng.uniform(0.0, 2 * np.pi, 20)
+        keep = ((np.abs(np.cos(rest) - np.cos(theta)) > 1e-2)
+                & (np.abs(np.cos(rest) - np.cos(2.0)) > 1e-2))
+        phases = np.concatenate([[theta, -theta, 2.0, 2.0], rest[keep]])
+        w = random_unitary(len(phases), seed=32)
+        self.check((w * np.exp(1j * phases)) @ w.conj().T)
 
 
 class TestWholeMatrixReferences:

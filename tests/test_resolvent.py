@@ -405,9 +405,8 @@ class TestSupportNullScan:
 
     def test_factor_on_support(self, models, driven_well_64, monkeypatch):
         factors = []
-        getrf = resolvent.zgetrf
-        monkeypatch.setattr(resolvent, "zgetrf",
-                            lambda a, **kw: factors.append(a.shape) or getrf(a, **kw))
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: factors.append(a.shape) or inv(a))
         zeta = 2.5 + 1e-2j
         for h, shape in ((models["rabi"], (18, 18)),     # every site: r = (2N + 1) d
                          (driven_well_64, (45, 45))):    # a 5-site well at N = 4
@@ -425,9 +424,22 @@ class TestSupportNullScan:
         assert np.linalg.norm(k0 @ psi - phi) <= 1e-14
 
     def test_singular_factor_named(self, models, monkeypatch):
-        monkeypatch.setattr(resolvent, "zgetrf", lambda a, **kw: (a, np.arange(len(a)), 3))
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(SingularMatrixError, match=r"I \+ Q\(\(-2\.5\+0\.01j\)\)"):
             ScanOperators(models["ring"], 4).null_pair(-2.5 + 1e-2j)
+
+    def test_singular_solve_named(self, models, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        scan = ScanOperators(models["ring"], 4)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        solve = scan.solver(-2.5 + 1e-2j)
+        with pytest.raises(SingularMatrixError, match=r"I \+ Q\(\(-2\.5\+0\.01j\)\)"):
+            solve(start_vector(scan.space.size))
 
 
 class TestSmallestSingularPair:
