@@ -197,13 +197,15 @@ def unitary_eig(u) -> EigenDecomposition:
     Diagonalizes C = (U + U^H)/2, which commutes with U, and clusters its
     eigenvectors across every gap in C's spectrum up to CLUSTER_GAP; each cluster B
     spans an invariant subspace of U, and one of several members is rotated
-    by the eigenvectors (numpy.linalg.eigh) of the Hermitian sine part
-    S = (M - M^H)/2i of M = B^H U B: M is normal, so they are its Schur
-    vectors, and S takes sin(theta) on M's eigenvector at e^{i theta}, so it
-    separates the pairs +-theta that a cluster holds.  The gap is wide because
-    eigenphases +-theta share cos(theta): the bipartite ring's near-pairs
-    differ by ~1e-6 in it, and a pair split between clusters keeps eigh's
-    eps/gap mixing.  Eigenvalues are sorted by principal argument in [0, 2pi).
+    by the Q factor (numpy.linalg.qr) of the eigenvectors of M = B^H U B
+    (numpy.linalg.eig, in the order of its Schur form).  Those eigenvectors are
+    M's Schur vectors times an upper-triangular matrix, so Q is M's Schur
+    basis, its eigenbasis since M is normal: it separates M's eigenvalues
+    themselves, both the pairs +-theta that share cos(theta) and the pairs
+    near +-pi/2 that share sin(theta).  The gap is wide because eigenphases
+    +-theta share cos(theta): the bipartite ring's near-pairs differ by ~1e-6
+    in it, and a pair split between clusters keeps eigh's eps/gap mixing.
+    Eigenvalues are sorted by principal argument in [0, 2pi).
 
     A symmetric U (max|U - U^T| <= SYMMETRY_TOL), the Floquet operator of a
     time-reversal-invariant drive, has the real C = Re(U + U^T)/2 and a real
@@ -222,8 +224,7 @@ def unitary_eig(u) -> EigenDecomposition:
     for start, stop in zip(cuts[:-1], cuts[1:]):
         if stop - start > 1:
             block = basis[:, start:stop]
-            m = block.conj().T @ u @ block
-            _, rot = np.linalg.eigh((m - m.conj().T) / 2j)
+            rot, _ = np.linalg.qr(np.linalg.eig(block.conj().T @ u @ block)[1])
             basis[:, start:stop] = block @ rot
 
     values = (basis.conj() * (u @ basis)).sum(axis=0)   # diag(B^H U B): one BLAS product

@@ -41,7 +41,7 @@ def reconstruct(eig):
 
 def schur_unitary_eig(u: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a unitary by the rotation numerics.unitary_eig used
-    before its sine-part eigh: the eigenvectors of the complex eigh of
+    while it loaded scipy.linalg: the eigenvectors of the complex eigh of
     (U + U^H)/2, clustered across gaps up to CLUSTER_GAP, each cluster B of
     several members rotated by the complex Schur vectors of B^H U B
     (scipy.linalg.schur).  Values sorted by principal argument in [0, 2pi); no

@@ -7,9 +7,8 @@ BLAS and OpenMP pinned to one thread, as the benchmark pins them, and
 imported from `--src` (default: this checkout's `src`).  One line per config
 gives its exit code, the wall seconds of the `main` call (import excluded),
 the process's peak resident set (`ru_maxrss`) in MB and whether the run
-loaded `scipy.linalg`.  Reports go to
-`--out` (default: the current directory), so two trees' reports can be
-compared with tests/report_diff.py.
+loaded `scipy.linalg`.  Reports go to `--out` (default: the current
+directory), so two trees' reports can be compared with tests/report_diff.py.
 
 The at-scale wave-operators figures in CHANGES.md come from the benchmark's
 ring-scatter ring (hopping 1, well depth -0.8, drive 0.5, support width 5)

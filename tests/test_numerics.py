@@ -119,13 +119,7 @@ class TestUnitaryEig:
         theta = period_operator(ring, 0.0, PropagatorSchedule(64, 4))
         assert 0.0 < np.abs(theta - theta.T).max() <= numerics.SYMMETRY_TOL
         kinds, eigh = [], np.linalg.eigh
-
-        def spy(a):
-            if len(a) == len(theta):    # the Hermitian part's, not a cluster rotation's 2 x 2
-                kinds.append(a.dtype)
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype) or eigh(a))
         real = unitary_eig(theta)
         cplx = self.complex_route(theta, monkeypatch)
         assert kinds == [np.float64, np.complex128]
@@ -143,8 +137,9 @@ class TestUnitaryEig:
 
 
 class TestClusterRotation:
-    """unitary_eig's sine-part rotation of each cluster against the complex Schur
-    rotation it replaced (oracles.schur_unitary_eig)."""
+    """unitary_eig's rotation of each cluster (the orthonormalized eigenvectors of
+    B^H U B) against the complex Schur rotation it replaced
+    (oracles.schur_unitary_eig)."""
 
     @staticmethod
     def check(u):
@@ -165,15 +160,21 @@ class TestClusterRotation:
         assert (clusters > 1).sum() == 12 and clusters.max() == 2
         self.check(theta)
 
-    @pytest.mark.parametrize("theta", [1e-9, 1e-3, np.pi / 3, np.pi - 1e-3])
-    def test_planted_pairs(self, theta):
-        # eigenphases +-theta share cos(theta), so they share a cluster; 2.0 is
-        # exactly degenerate; the rest are drawn away from both
+    PAIRS = {f"+-{t:.3g}": (t, -t) for t in (1e-9, 1e-3, np.pi / 3, np.pi - 1e-3)}
+    PAIRS.update({f"{c}pi/2+-{d:g}": (c * np.pi / 2 + d, c * np.pi / 2 - d)
+                  for c in (1, 3) for d in (1e-5, 1e-8, 0.0)})
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    def test_planted_pairs(self, pair):
+        # eigenphases +-theta share cos(theta), so they share a cluster; c +- delta
+        # at c = pi/2 or 3pi/2 share a cluster and sin(c +- delta) too, which a
+        # rotation by the sine part alone cannot split; 2.0 is exactly
+        # degenerate; the rest are drawn away from both
         rng = np.random.default_rng(31)
         rest = rng.uniform(0.0, 2 * np.pi, 20)
-        keep = ((np.abs(np.cos(rest) - np.cos(theta)) > 1e-2)
+        keep = ((np.abs(np.cos(rest) - np.cos(pair[0])) > 1e-2)
                 & (np.abs(np.cos(rest) - np.cos(2.0)) > 1e-2))
-        phases = np.concatenate([[theta, -theta, 2.0, 2.0], rest[keep]])
+        phases = np.concatenate([pair, [2.0, 2.0], rest[keep]])
         w = random_unitary(len(phases), seed=32)
         self.check((w * np.exp(1j * phases)) @ w.conj().T)
 
