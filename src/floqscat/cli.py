@@ -388,7 +388,11 @@ def run_resolvent_check(h, params, rng):
         results["factorization_defect"] = fact.factorization_defect(grid_potential(h, n_t))
         _, schmidt = q_factorized(h, lam, n_t, fact)
         results["schmidt_norm"] = schmidt
-        results["block_q_norm"] = op_norm(block_q(h, lam, params["n_modes"]))
+        # Q = V G0 vanishes off the rows (n, a) with a in the support: the 2-norm of
+        # those (2N + 1)|S| rows is Q's
+        q = block_q(h, lam, params["n_modes"])
+        rows = q.reshape(-1, h.dim, q.shape[1])[:, h.support]
+        results["block_q_norm"] = op_norm(rows.reshape(-1, q.shape[1]))
     else:
         results["block_q_norm"] = 0.0
     return results
@@ -427,10 +431,9 @@ def run_bound_states(model, params, rng):
     infos = _bound_state_scan(model, mono, params["n_modes"], "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if params["verify"]:
-        fields = ("candidate", "refined", "confirmed", "smin_ladder", "smin_extrapolated", "residual")
         scan = ScanOperators(model, params["scan_modes"])   # K and K0 once per scenario
-        verdicts = [bound_state_correspondence(scan, b.quasi_energy) for b in infos]
-        results["verdicts"] = [{f: getattr(v, f) for f in fields} for v in verdicts]
+        results["verdicts"] = [asdict(bound_state_correspondence(scan, b.quasi_energy))
+                               for b in infos]
     return results
 
 

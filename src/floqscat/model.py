@@ -3,9 +3,11 @@
 A model is held as a time-independent part ``h0`` plus a finite set of
 Fourier modes ``{n: H_n}`` so that ``H(t) = h0 + sum_n H_n exp(2 pi i n t)``.
 Hermiticity of H(t) is encoded structurally through the mode symmetry
-H_{-n} = H_n^dagger.  Fourier coefficients use the plain convention
-H_n = integral_0^1 exp(-2 pi i n t) H(t) dt (prefactor 1), which is the one
-that makes the expansion above exact.
+H_{-n} = H_n^dagger, held to numerics.require_hermitian's rule.  `potential`
+is the one evaluator of V(t) = H(t) - h0, at a time or over an array of
+times (the resolvent's grid among them).  Fourier coefficients use the plain
+convention H_n = integral_0^1 exp(-2 pi i n t) H(t) dt (prefactor 1), which
+is the one that makes the expansion above exact.
 
 The lattice model is a periodically driven ring: a PeriodicHamiltonian
 subclass whose free part is a tridiagonal hopping Hamiltonian with periodic
@@ -34,9 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import EigenDecomposition, as_complex_matrix, check_hermitian, hermitian_eig
-
-HERMITIAN_TOL = 1e-12
+from .numerics import (EigenDecomposition, as_complex_matrix, check_hermitian, check_square,
+                       hermitian_defect, hermitian_eig, require_hermitian)
 
 
 @dataclass
@@ -50,7 +51,7 @@ class PeriodicHamiltonian:
     steppers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.h0 = check_hermitian(as_complex_matrix(self.h0))
+        self.h0 = check_square(self.h0)
         clean = {}
         for n, m in sorted(self.modes.items()):
             m = as_complex_matrix(m)
@@ -70,14 +71,19 @@ class PeriodicHamiltonian:
         return max((abs(n) for n in self.modes), default=0)
 
     def validate(self):
-        scale = max(float(np.abs(self.h0).max()), 1.0)
-        for n, m in self.modes.items():
-            partner = self.modes.get(-n)
-            if partner is None:
+        """Every mode has its partner, and H0 = H0^dagger and each H_-n = H_n^dagger
+        hold to require_hermitian's rule as one stack, a mode pair at the scale
+        max(max|H0|, max|H_n|)."""
+        for n in self.modes:
+            if -n not in self.modes:
                 raise ValueError(f"mode {n} has no partner mode {-n} (H_-n = H_n^dagger required)")
-            defect = float(np.abs(partner - m.conj().T).max())
-            if defect > HERMITIAN_TOL * max(scale, float(np.abs(m).max()), 1.0):
-                raise ValueError(f"mode symmetry violated at n={n}: |H_-n - H_n^dagger| = {defect:.3e}")
+        scale = float(np.abs(self.h0).max())
+        require_hermitian(
+            [hermitian_defect(self.h0)] +
+            [float(np.abs(self.modes[-n] - m.conj().T).max()) for n, m in self.modes.items()],
+            [scale] + [max(scale, float(np.abs(m).max())) for m in self.modes.values()],
+            ["H0 is not Hermitian"] +
+            [f"mode symmetry H_-n = H_n^dagger violated at n={n}" for n in self.modes])
 
     def evaluate(self, t: float) -> np.ndarray:
         """H(t) as a dense Hermitian matrix.
@@ -88,12 +94,14 @@ class PeriodicHamiltonian:
         """
         return self.h0 + self.potential(t)
 
-    def potential(self, t: float) -> np.ndarray:
-        """V(t) = H(t) - h0, the mode sum alone (includes the n=0 mode)."""
-        tau = float(t) % 1.0
-        out = np.zeros_like(self.h0)
+    def potential(self, t) -> np.ndarray:
+        """V(t) = H(t) - h0, the mode sum alone (includes the n=0 mode): one (d, d)
+        matrix at a time t, or a stack of shape t.shape + (d, d) over an array of
+        times, each entry the bits of its single-time call."""
+        tau = np.asarray(t, dtype=float) % 1.0
+        out = np.zeros(tau.shape + self.h0.shape, dtype=np.complex128)
         for n, m in self.modes.items():
-            out = out + m * np.exp(2j * np.pi * n * tau)
+            out = out + m * np.exp(2j * np.pi * n * tau)[..., None, None]
         return out
 
     def mode(self, n: int) -> np.ndarray:

@@ -3,7 +3,10 @@
 Matrices are plain complex128 numpy arrays in row-major layout.  The
 routines here add the structure checks (Hermitian, unitary), deterministic
 eigenvector conventions and diagnostics that the rest of the package relies
-on.  Eigenvalue ordering is fixed: ascending for Hermitian input, ascending
+on.  `require_hermitian` is the one Hermitian rule: a matrix, a stack of
+them (a grid of V(t_j), a sweep of Magnus exponents) and a model's H0 and
+mode pairs H_-n = H_n^dagger are all held to HERMITIAN_RTOL through it.
+Eigenvalue ordering is fixed: ascending for Hermitian input, ascending
 principal argument in [0, 2pi) for unitary input, with exact ties broken by
 a lexicographic comparison of the phase-fixed eigenvector entries, so two
 runs on the same platform produce identical output.
@@ -31,10 +34,9 @@ CLUSTER_GAP = 1e-4
 # the largest max|U - U^T| at which unitary_eig takes U as symmetric and
 # diagonalizes its Hermitian part Re(U + U^T)/2 in real arithmetic: the
 # imaginary part this drops is at most the asymmetry, below the backward
-# error of the complex eigh itself (~ n eps: 5.7e-14 at n = 256).  A
-# half-path Theta = A^T A is symmetric exactly, a window-route Theta to
-# 2.2e-16 (256 sites), while a unitary without time-reversal symmetry is
-# asymmetric at order one
+# error of the complex eigh itself (~ n eps).  A half-path Theta = A^T A is
+# symmetric exactly and a window-route Theta to round-off, while a unitary
+# without time-reversal symmetry is asymmetric at order one
 SYMMETRY_TOL = 1e-14
 PIVOT_RTOL = 1e-14
 
@@ -66,13 +68,21 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(defect: float, max_abs: float):
-    """Raise unless the asymmetry max|A - A^H| is within HERMITIAN_RTOL x max(max|A|, 1)."""
-    scale = max(max_abs, 1.0)
-    if defect > HERMITIAN_RTOL * scale:
+def require_hermitian(defect, max_abs, subjects=None):
+    """Raise unless the asymmetry max|A - A^H| is within HERMITIAN_RTOL x max(max|A|, 1).
+
+    The package's one Hermitian rule.  `defect` and `max_abs` are one matrix's,
+    or arrays of them over a stack, whose worst entry (the largest relative
+    asymmetry) is held to the rule; `subjects`, one per entry, opens the
+    message in place of "matrix is not Hermitian"."""
+    defect = np.atleast_1d(np.asarray(defect, dtype=float))
+    scale = np.maximum(np.broadcast_to(max_abs, defect.shape), 1.0)
+    worst = int(np.argmax(defect / scale))
+    if defect[worst] > HERMITIAN_RTOL * scale[worst]:
+        subject = "matrix is not Hermitian" if subjects is None else subjects[worst]
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} "
-            f"exceeds {HERMITIAN_RTOL:.1e} x max|A| = {HERMITIAN_RTOL * scale:.3e}"
+            f"{subject}: max asymmetry {defect[worst]:.3e} "
+            f"exceeds {HERMITIAN_RTOL:.1e} x max|A| = {HERMITIAN_RTOL * scale[worst]:.3e}"
         )
 
 
@@ -210,8 +220,8 @@ def unitary_eig(u) -> EigenDecomposition:
     A symmetric U (max|U - U^T| <= SYMMETRY_TOL), the Floquet operator of a
     time-reversal-invariant drive, has the real C = Re(U + U^T)/2 and a real
     orthogonal eigenbasis (Haake, Quantum Signatures of Chaos, ch. 2): C is
-    then diagonalized by a real eigh, at a third of the complex one's cost,
-    and the clusters are rotated as above.
+    then diagonalized by a real eigh, cheaper than the complex one, and the
+    clusters are rotated as above.
     """
     u = check_unitary(u)
     if np.abs(u - u.T).max() <= SYMMETRY_TOL:

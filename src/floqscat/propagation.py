@@ -8,19 +8,18 @@ products: with H(t) = sum_i c_i(t) M_i over M_0 = H0 + H_0 and the modes H_n,
 every M_i and pairwise commutator [M_i, M_j] is held once per propagate call
 as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
-nodes with that stack, each step's checked Hermitian.  The pattern, the stack
-and the positions of each entry's transpose are built with numpy from the
-operands' nonzero keys (one np.unique, searchsorted); scipy.sparse forms only
-the commutator products.  exp(-i Omega) acts on the running product through a
-Taylor polynomial whose degree and substep count are fixed per call from the
-a-priori bound on ||Omega||_1 so that the truncation error stays below unit
-round-off (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)), evaluated by
-Horner's rule: acc <- u + X_j acc for j = degree..1, X_j = -i Omega /
-(substeps j).  On a sparse pattern each term is one call of scipy's private
-CSR multivector kernel `csr_matvecs`, which adds X_j acc onto a C-ordered copy
-of u: the public `omega @ x` reaches the same kernel only after per-call
-format checks and a zeroed result, about a third of the product's cost on a
-48-site ring.  A
+nodes with that stack, held to require_hermitian's rule as one stack.  The
+pattern, the stack and the positions of each entry's transpose are built with
+numpy from the operands' nonzero keys (one np.unique, searchsorted);
+scipy.sparse forms only the commutator products.  exp(-i Omega) acts on the
+running product through a Taylor polynomial whose degree and substep count
+are fixed per call from the a-priori bound on ||Omega||_1 so that the
+truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33 (2011)), evaluated by Horner's rule: acc <- u + X_j acc for
+j = degree..1, X_j = -i Omega / (substeps j).  On a sparse pattern each term
+is one call of scipy's private CSR multivector kernel `csr_matvecs`, which
+adds X_j acc onto a C-ordered copy of u: the public `omega @ x` reaches the
+same kernel only after per-call format checks and a zeroed result.  A
 propagator is therefore unitary to round-off, not by construction;
 `unitary_eig`'s `check_unitary` gates every monodromy.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
@@ -41,7 +40,7 @@ dynamics; its eigenphases are the quasi-energies mod 2pi.  Where
 H(t)^T = H(-t) (H_-n = H_n^T for every mode, H0 = H0^T), 2s is an integer
 and the step count N is even, the second half-period's steps are the
 transposes of the first half's in reverse order, so Theta = A^T A with
-A = U(s + 1/2, s) costs N/2 steps (`period_operator`); every other model
+A = U(s + 1/2, s) costs N/2 steps (`_stepped_period`); every other model
 and schedule takes all N.  Theta(s) has period 1 in s, and `monodromy`
 forms it at s mod 1, the start its Monodromy records.
 
@@ -63,6 +62,9 @@ the ring's size.  Such a Monodromy keeps the window, E_w and a reference to
 the model's read-only U0(1), not Theta: `monodromy` drops Theta once it is
 diagonalized, and `Monodromy.operator` forms it again, with the same bits,
 each time it is read.  The wave operators act with Theta without reading it.
+`period_operator` asks window_block which of Theta's two routes applies, the
+window block or the stepped period (`_stepped_period`); `monodromy` takes the
+same route from its one window_block call.
 
 A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
 applications of Omega is rejected when its stepper is planned
@@ -104,7 +106,7 @@ _ENTRY_BLOCK = 2**12
 # every shipped config, test and benchmark schedule plans at most 1760 (the
 # d = 4 two-harmonic model at 8 steps, order 4; the 256-site ring plans 14 at
 # 8 steps, 8 at 64 and 5 at 512), while {"builtin": "rabi", "v": 1e6} at 8
-# steps plans 55 x 26299 and would run for half a minute before failing
+# steps plans 55 x 26299 and would run long before failing
 MAX_TAYLOR_APPLICATIONS = 2**15
 # the largest entry E_w's border rows and columns may hold: E decays faster
 # than geometrically away from the support, so a border this small leaves
@@ -261,10 +263,8 @@ class MagnusStepper:
         """Omega's entries on the pattern for the steps from each time in `starts`,
         one row per step, each step's Omega checked Hermitian."""
         data = self.weights(starts) @ self.stack
-        defects = np.abs(data - data[:, self.mirror].conj()).max(axis=1, initial=0.0)
-        scales = np.abs(data).max(axis=1, initial=0.0)
-        for defect, scale in zip(defects.tolist(), scales.tolist()):
-            require_hermitian(defect, scale)
+        require_hermitian(np.abs(data - data[:, self.mirror].conj()).max(axis=1, initial=0.0),
+                          np.abs(data).max(axis=1, initial=0.0))
         return data
 
     def accumulate(self, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -454,13 +454,8 @@ def _with_block(theta0: np.ndarray, window: np.ndarray, block: np.ndarray) -> np
     return flush(theta)
 
 
-_ASK = object()   # period_operator's default: no window_block answer given
-
-
-def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
-                    sched: PropagatorSchedule | None = None, block=_ASK) -> np.ndarray:
-    """The one-period operator U(s + 1, s): from the free ring and a window block
-    where `window_block` applies, else from half a period where the model allows.
+def _stepped_period(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule) -> np.ndarray:
+    """U(s + 1, s) stepped: from half a period where the model allows, else all N steps.
 
     Under `reflection_symmetric`, step N-1-k's Magnus exponent is the
     transpose of step k's (the midpoint exponent and the Gauss-Magnus one
@@ -468,28 +463,30 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
     N steps then multiply to Theta = A^T A with A = U(s + 1/2, s), the first
     N/2 steps.  This is the symmetric-unitary Floquet operator of a
     time-reversal-invariant drive (Haake, Quantum Signatures of Chaos, ch. 2).
-    Theta is flushed like every step.  Otherwise all N steps are taken.
-
-    `block` is window_block's answer where the caller holds it already
-    (monodromy), so that segments it stepped before declining are not stepped
-    again; by default it is asked for here.
+    Theta is flushed like every step.
     """
-    sched = sched or PropagatorSchedule()
-    if block is _ASK:
-        block = window_block(h, s, sched)
-    if block is not None:
-        return _with_block(h.free_period, *block)
     if not reflection_symmetric(h, s, sched):
         return propagate(h, s, s + 1.0, sched)
     half = propagate(h, s, s + 0.5, sched)
     return flush(half.T @ half)
 
 
+def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
+                    sched: PropagatorSchedule | None = None) -> np.ndarray:
+    """The one-period operator U(s + 1, s): from the free ring and a window block
+    where `window_block` applies, else stepped (`_stepped_period`)."""
+    sched = sched or PropagatorSchedule()
+    block = window_block(h, s, sched)
+    return _stepped_period(h, s, sched) if block is None else _with_block(h.free_period, *block)
+
+
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
               sched: PropagatorSchedule | None = None) -> Monodromy:
-    """Theta = U(s + 1, s) (`period_operator`) and its eigendecomposition, with
-    the window and E_w where `window_block` applies; there Theta is dropped once
-    diagonalized, and Monodromy.operator forms it when read.
+    """Theta = U(s + 1, s), by `period_operator`'s route, and its
+    eigendecomposition, with the window and E_w where `window_block` applies;
+    there Theta is dropped once diagonalized, and Monodromy.operator forms it
+    when read.  window_block is asked once, so the segments it stepped before
+    declining are not stepped again.
 
     Theta is formed, and its start recorded, at s mod 1: the same operator,
     whose steps from a large s would lose their offsets to rounding (at
@@ -497,11 +494,11 @@ def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
     sched = sched or PropagatorSchedule()
     s = s % 1.0
     block = window_block(h, s, sched)
-    theta = period_operator(h, s, sched, block)
-    eig = unitary_eig(theta)
     if block is None:
-        return Monodromy(theta=theta, start=s, eig=eig, scheme=sched)
+        theta = _stepped_period(h, s, sched)
+        return Monodromy(theta=theta, start=s, eig=unitary_eig(theta), scheme=sched)
     window, defect = block
+    eig = unitary_eig(_with_block(h.free_period, window, defect))
     return Monodromy(theta=None, start=s, eig=eig, scheme=sched, window=window, block=defect,
                      free=h.free_period)
 

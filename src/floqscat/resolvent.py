@@ -20,13 +20,16 @@ grid operator is second-order accurate with leading error -(Delta^2/12) (K0 - la
 Grid functions are plain complex arrays of shape (N_t, d).
 
 The factorized perturbation uses the operator square root A(t) = |V(t)|^{1/2}
-and B(t) = |V(t)|^{1/2} sgn V(t), so B A = V pointwise, and the full
+and B(t) = |V(t)|^{1/2} sgn V(t), so B A = V pointwise, with V(t_j) from the
+model's one evaluator (`PeriodicHamiltonian.potential`) and held to
+numerics.require_hermitian's rule as one stack, and the full
 resolvent follows the correction formula
 R = R0 - [B R0(conj lambda)]^H [I + A R0 B]^{-1} A R0.
 
 The mode-space block operator (Q(zeta) x)_n = sum_k V_{n-k} (H0 + 2 pi k -
 zeta)^{-1} x_k drives the norm-decay probes and the bound-state scan: a
-quasi-energy lambda off the free spectrum is an eigenvalue exactly when
+quasi-energy lambda off the free spectrum {e_a + 2 pi n} (its distance taken
+by floquet.circular_distance) is an eigenvalue exactly when
 I + Q(lambda + i0) is singular, and the corresponding mode vector is
 recovered from the null direction.  No solve with K - zeta forms Q or
 factors the mode space: V lives on the potential's support S, so
@@ -50,13 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import ModeSpace, floquet_operator, start_vector
+from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
 from .model import PeriodicHamiltonian
 from .numerics import SingularMatrixError, require_hermitian, solve
 
 SGN_FLOOR = 1e-13
 # inverse iteration for the smallest singular pair of I + Q stops when s moves by
-# at most this much relative (1-7 steps on the driven ring's bound states)
+# at most this much relative
 INVERSE_ITERATION_RTOL = 1e-12
 INVERSE_ITERATION_MAXITER = 100
 # Rayleigh refinement of a bound quasi-energy: null scans at Im zeta = RAYLEIGH_EPS,
@@ -73,9 +76,9 @@ EPS_LADDER = (1e-2, 1e-3, 1e-4)
 NULL_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 # largest side of the resolvent check's dense matrices, N_t d (grid) and (2 N + 1) d
-# (block_q): 256 MiB each; a check at this side peaks at 1.1 GB (fleet d = 4, N_t = 1024).
-# The CLI holds the dense mode-space matrix (2 N + 1) d of floquet-spectrum and
-# correspondence to the same side
+# (block_q): 256 MiB each, of which a check holds a few at once.  The CLI holds
+# the dense mode-space matrix (2 N + 1) d of floquet-spectrum and correspondence
+# to the same side
 MAX_DENSE_SIDE = 4096
 
 
@@ -179,16 +182,14 @@ class FactorizedPotential:
 def factorized_potential(h: PeriodicHamiltonian, n_t: int) -> FactorizedPotential:
     """Factorize V(t_j) through one stacked eigendecomposition of the grid.
 
-    Every V(t_j) is held to hermitian_eig's rule (the point with the largest
-    relative asymmetry is checked).  Eigenvalues below SGN_FLOOR in magnitude
-    are treated as zero with sgn 0 = 0, so B A = V holds exactly on the
-    retained spectrum; A and B do not depend on eigenvector phases.
+    Every V(t_j) is held to require_hermitian's rule (the point with the
+    largest relative asymmetry is checked).  Eigenvalues below SGN_FLOOR in
+    magnitude are treated as zero with sgn 0 = 0, so B A = V holds exactly on
+    the retained spectrum; A and B do not depend on eigenvector phases.
     """
     v = grid_potential(h, n_t)
-    defects = np.abs(v - v.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    scales = np.abs(v).max(axis=(1, 2))
-    worst = np.argmax(defects / np.maximum(scales, 1.0))
-    require_hermitian(float(defects[worst]), float(scales[worst]))
+    require_hermitian(np.abs(v - v.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+                      np.abs(v).max(axis=(1, 2)))
     values, vecs = np.linalg.eigh(v)
     mags = np.abs(values)
     root = np.sqrt(mags)
@@ -231,8 +232,6 @@ def full_resolvent(h: PeriodicHamiltonian, lam: complex, n_t: int):
     """
     lam = _check_offaxis(lam)
     r0 = r0_matrix(h, lam, n_t)
-    if not h.modes:
-        return r0, 1.0
     fact = factorized_potential(h, n_t)
     a_r0 = _block_multiply(fact.a_ops, r0, "left")
     q = _block_multiply(fact.b_ops, a_r0, "right")
@@ -249,13 +248,8 @@ def full_resolvent(h: PeriodicHamiltonian, lam: complex, n_t: int):
 
 
 def grid_potential(h: PeriodicHamiltonian, n_t: int) -> np.ndarray:
-    """V(t_j) stacked, shape (N_t, d, d): h.potential at every grid point, one
-    pass per mode."""
-    t = np.arange(n_t) / n_t
-    out = np.zeros((n_t, h.dim, h.dim), dtype=np.complex128)
-    for n, m in h.modes.items():
-        out = out + m * np.exp(2j * np.pi * n * t)[:, None, None]
-    return out
+    """V(t_j) stacked on the grid t_j = j/N_t, shape (N_t, d, d) (h.potential)."""
+    return h.potential(np.arange(n_t) / n_t)
 
 
 def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
@@ -267,14 +261,6 @@ def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
     r0 = space.free_resolvent(h.free_eig, zeta)
     # block (n, k) is the dense d x d product H_{n-k} R0_k, rounded as the definition
     return space.toeplitz({m: hm @ r0 for m, hm in h.modes.items()})
-
-
-def free_spectrum_distance(levels: np.ndarray, lam: float) -> float:
-    """Distance of a real quasi-energy to the translated free spectrum, from H0's
-    eigenvalues `levels`."""
-    evals = np.asarray(levels)[:, None]
-    shifts = np.round((lam - evals) / (2 * np.pi)) + np.array([-1.0, 0.0, 1.0])
-    return float(np.abs(lam - (evals + 2 * np.pi * shifts)).min())
 
 
 @dataclass
@@ -463,7 +449,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float) -> Bou
     the smallest singular values at refined + i eps over EPS_LADDER are
     extrapolated linearly in eps to the axis (never evaluating exactly on it).
     """
-    dist = free_spectrum_distance(scan.free.values, lam_candidate)
+    dist = float(circular_distance(lam_candidate, scan.free.values).min())   # to {e_a + 2 pi n}
     if dist < THRESHOLD_MARGIN:
         raise ThresholdProximityError(
             f"candidate {lam_candidate} lies {dist:.2e} from the free spectrum "

@@ -1,0 +1,80 @@
+"""Every report of the shipped configs and the benchmark's scenarios, from one checkout.
+
+    python tests/report_set.py --src CHECKOUT --out DIR
+    python tests/report_diff.py DIR_A DIR_B
+
+runs the CLI of CHECKOUT/src on
+
+- the configs/*.json of this checkout at --seed 1, 2, 3 and 7, into
+  DIR/configs/seed<k>/;
+- the ring-scatter, ring-bound and fiber-batch scenarios that this checkout's
+  floqbench/workloads.py draws from seeds 1, 2 and 3 (the seed goes to the CLI
+  as well, as the benchmark passes it), into DIR/<workload>/seed<k>/.
+
+The inputs come from this checkout whatever CHECKOUT is, so two checkouts run
+the same scenarios.  Each directory is run by one fresh interpreter, from
+inside that directory and with BLAS and OpenMP pinned to one thread, so model
+files are named by relative paths and the echoed configs match between
+checkouts.  Prints one line per directory with the CLI's exit code and wall
+time; exits with the largest code.  report_diff.py then compares two such
+directories field by field.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from scale_probe import THREAD_VARIABLES
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_SEEDS = (1, 2, 3, 7)
+WORKLOAD_SEEDS = (1, 2, 3)
+CHILD = "import sys, floqscat.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def run(configs: list[Path], directory: Path, seed: int, src: Path) -> int:
+    """The CLI on `configs` with --seed `seed`, from `directory`, reports written there."""
+    env = {**os.environ, **{name: "1" for name in THREAD_VARIABLES},
+           "PYTHONPATH": str(src / "src")}
+    argv = [arg for c in configs for arg in ("--config", str(c))]
+    begin = time.perf_counter()
+    code = subprocess.run([sys.executable, "-c", CHILD, *argv, "--out", ".", "--seed", str(seed)],
+                          cwd=directory, env=env, stdout=subprocess.DEVNULL).returncode
+    print(f"{directory}  exit {code}  {time.perf_counter() - begin:.1f} s", flush=True)
+    return code
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, required=True,
+                        help="the checkout whose src/floqscat runs")
+    parser.add_argument("--out", type=Path, required=True, help="directory for the reports")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "src" / "floqscat").is_dir():
+        parser.error(f"{src} holds no src/floqscat")
+    sys.path.insert(0, str(ROOT))
+    from floqbench import workloads
+
+    status = 0
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    for seed in CONFIG_SEEDS:
+        directory = args.out / "configs" / f"seed{seed}"
+        directory.mkdir(parents=True, exist_ok=True)
+        status = max(status, run(configs, directory, seed, src))
+    for name in workloads.WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            directory = args.out / name / f"seed{seed}"
+            directory.mkdir(parents=True, exist_ok=True)
+            written = [s.write(directory).name for s in workloads.make(name, seed)]
+            status = max(status, run(written, directory, seed, src))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

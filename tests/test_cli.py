@@ -184,6 +184,24 @@ class TestRunScenario:
         val = report["results"]["r0_constant_value"][0]
         assert abs(complex(val[0], val[1]) - 1j) < 2e-6
 
+    def test_block_q_norm_from_the_support_rows(self, monkeypatch):
+        # Q = V G0 is zero off the rows (n, a) with a in the support, so the SVD
+        # takes only those (2N + 1)|S| rows, and the norm is the full matrix's
+        import floqscat.cli as cli
+        from floqscat.numerics import op_norm
+
+        shapes = []
+        monkeypatch.setattr(cli, "op_norm", lambda a: shapes.append(a.shape) or op_norm(a))
+        cfg = {"task": "resolvent-check",
+               "model": {"lattice": {"sites": 16, "hopping": 1.0, "well_depth": -1.0,
+                                     "drive_amp": 0.5, "support": [6, 7, 9]}},
+               "parameters": {"lambda": [0.3, 1.0], "n_t": 8, "n_modes": 4}}
+        value = run_scenario(cfg)["results"]["block_q_norm"]
+        assert shapes == [(9 * 3, 9 * 16)]
+        model = build_model({"lattice": cfg["model"]["lattice"]})
+        full = op_norm(resolvent.block_q(model, 0.3 + 1j, 4))
+        assert abs(value - full) <= 1e-13 * full
+
     def test_wave_operators_free_ring(self):
         cfg = {
             "task": "wave-operators",
@@ -373,7 +391,7 @@ class TestExitCodes:
         import floqscat.cli as cli
         import floqscat.propagation as propagation
 
-        monkeypatch.setattr(propagation, "period_operator",
+        monkeypatch.setattr(propagation, "_stepped_period",
                             lambda h, *args: 1.001 * np.eye(h.dim, dtype=complex))
         cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
                "parameters": {"steps_per_period": 8, "order": 2, "self_convergence": False}}

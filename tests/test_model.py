@@ -68,6 +68,27 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="symmetry"):
             PeriodicHamiltonian(h0=np.zeros((2, 2)), modes={1: bad, -1: 2 * bad.conj().T})
 
+    def test_asymmetric_mode_pair_named_by_n(self):
+        # the n = +-1 pair holds; the n = +-2 pair breaks H_-2 = H_2^dagger
+        h = two_harmonic(seed=4)
+        modes = dict(h.modes)
+        modes[-2] = modes[-2] + 1e-6
+        with pytest.raises(ValueError, match=r"symmetry.* violated at n=-?2:"):
+            PeriodicHamiltonian(h0=h.h0, modes=modes)
+
+    def test_potential_stacked_over_times(self):
+        # V over an array of times is the stack of the single-time calls, bit for bit
+        from floqscat.resolvent import grid_potential
+
+        times = np.concatenate([np.arange(32) / 32,
+                                np.random.default_rng(3).uniform(-3.0, 3.0, 16)])
+        for h in (*fleet(), build_lattice(12, 1.0, -1.0, 0.5, [3, 4, 5]), two_harmonic(2)):
+            stacked = h.potential(times)
+            assert stacked.shape == (len(times), h.dim, h.dim)
+            assert stacked.tobytes() == np.stack([h.potential(t) for t in times]).tobytes()
+            assert grid_potential(h, 32).tobytes() == stacked[:32].tobytes()
+            assert h.potential(times.reshape(4, 12)).shape == (4, 12, h.dim, h.dim)
+
 
 class TestFourierModes:
     def test_constant_samples(self):

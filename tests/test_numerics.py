@@ -51,6 +51,17 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="asymmetry"):
             hermitian_eig(a)
 
+    def test_stack_holds_its_worst_entry(self):
+        # a stack passes or fails as its largest relative asymmetry does, and
+        # the message names that entry
+        defects, scales = np.array([0.0, 3e-12, 5e-13]), np.array([0.0, 10.0, 0.1])
+        numerics.require_hermitian(defects, scales)
+        defects[2] = 2e-12
+        with pytest.raises(ValueError, match="^c is not Hermitian: max asymmetry 2.000e-12"):
+            numerics.require_hermitian(defects, scales, ["a", "b", "c is not Hermitian"])
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            numerics.require_hermitian(defects, scales)
+
     def test_deterministic(self):
         a = random_hermitian(20, seed=3)
         e1, e2 = hermitian_eig(a), hermitian_eig(a)

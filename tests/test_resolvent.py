@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 import floqscat.resolvent as resolvent
-from floqscat.floquet import ModeSpace, build_floquet, floquet_operator, start_vector
+from floqscat.floquet import (ModeSpace, build_floquet, circular_distance, floquet_operator,
+                              start_vector)
 from floqscat.model import PeriodicHamiltonian, build_lattice
 from floqscat.numerics import SingularMatrixError, max_norm, op_norm
 from floqscat.propagation import PropagatorSchedule
@@ -15,7 +16,6 @@ from floqscat.resolvent import (
     block_q,
     bound_state_correspondence,
     factorized_potential,
-    free_spectrum_distance,
     full_resolvent,
     grid_potential,
     mode_oracle_apply,
@@ -325,8 +325,8 @@ class TestBoundStates:
 
     def test_free_spectrum_distance(self):
         levels = np.linalg.eigvalsh(np.diag([0.0, 1.0]))
-        assert free_spectrum_distance(levels, 1.0) == 0.0
-        assert abs(free_spectrum_distance(levels, 2 * np.pi + 0.3) - 0.3) < 1e-12
+        assert circular_distance(1.0, levels).min() == 0.0
+        assert abs(circular_distance(2 * np.pi + 0.3, levels).min() - 0.3) < 1e-12
 
     def test_driven_well_scan_agrees_with_theta(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
