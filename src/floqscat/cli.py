@@ -33,6 +33,9 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+# argparse's gettext imports locale when main builds its parser; loaded at import,
+# the first call does not pay for it
+import locale  # noqa: F401
 import math
 import sys
 import time

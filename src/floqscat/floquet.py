@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import PeriodicHamiltonian
-from .numerics import EigenDecomposition, hermitian_eig
+from .numerics import CSRMatrix, EigenDecomposition, hermitian_eig
 from .propagation import Monodromy
 
 # edge rule: a state is truncation-corrupted when the norm fraction of its
@@ -109,12 +108,13 @@ class ModeSpace:
             out[n, :, n - m, :] = bm if bm.ndim == 2 else bm[n - m]
         return out.reshape(self.size, self.size)
 
-    def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> sp.csr_array:
-        """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, in one
-        COO -> CSR step from the blocks' nonzeros; without `modes`, the free K0.
+    def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> CSRMatrix:
+        """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, as canonical
+        CSR arrays summed in numpy from the blocks' nonzeros (CSRMatrix.from_entries);
+        without `modes`, the free K0.
 
-        Bit for bit the sparse Kronecker sums kron(I, h0) + kron(diag(2 pi n), I) +
-        sum_m kron(S^m, I) kron(I, H_m) in canonical (sorted) order: a diagonal
+        Bit for bit scipy.sparse's Kronecker sums kron(I, h0) + kron(diag(2 pi n), I)
+        + sum_m kron(S^m, I) kron(I, H_m) in canonical (sorted) order: a diagonal
         entry is h0_ii + 2 pi n (the n = 0 zeros are left out, as the sums drop
         them), every other entry is one block's, and entries that come to zero
         are removed.
@@ -132,12 +132,8 @@ class ModeSpace:
         rows.append(shifted)
         cols.append(shifted)
         data.append(frequencies[shifted].astype(np.complex128))
-        # int32 indices where they fit, as scipy's own constructors choose
-        index = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
-        coords = (np.concatenate(rows).astype(index), np.concatenate(cols).astype(index))
-        k = sp.coo_array((np.concatenate(data), coords), shape=(self.size,) * 2).tocsr()
-        k.eliminate_zeros()
-        return k
+        keys = np.concatenate(rows).astype(np.int64) * self.size + np.concatenate(cols)
+        return CSRMatrix.from_entries(keys, np.concatenate(data), (self.size,) * 2)
 
     def free_resolvent(self, free: EigenDecomposition, zeta: complex) -> np.ndarray:
         """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d), from
@@ -162,7 +158,7 @@ class FloquetMatrix:
         return self.space.size
 
 
-def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> sp.csr_array:
+def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> CSRMatrix:
     """Sparse truncated mode-space Hamiltonian K; requires N >= mode support."""
     if n_modes < h.max_mode:
         raise ValueError(
@@ -174,7 +170,8 @@ def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> sp.csr_array:
 
 
 def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
-    """Dense truncated mode-space matrix, for the tasks that report whole spectra."""
+    """Dense truncated mode-space matrix, for the tasks that report whole spectra: K's
+    CSR arrays densified (CSRMatrix.toarray)."""
     return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes,
                          matrix=floquet_operator(h, n_modes).toarray())
 

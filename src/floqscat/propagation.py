@@ -10,16 +10,18 @@ as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
 nodes with that stack, held to require_hermitian's rule as one stack.  The
 pattern, the stack and the positions of each entry's transpose are built with
-numpy from the operands' nonzero keys (one np.unique, searchsorted);
-scipy.sparse forms only the commutator products.  exp(-i Omega) acts on the
+numpy from the operands' nonzero keys (one np.unique, searchsorted), and so
+are the commutators, each entry summed as scipy's CSR product sums it
+(`_commutator`).  exp(-i Omega) acts on the
 running product through a Taylor polynomial whose degree and substep count
 are fixed per call from the a-priori bound on ||Omega||_1 so that the
 truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33 (2011)), evaluated by Horner's rule: acc <- u + X_j acc for
 j = degree..1, X_j = -i Omega / (substeps j).  On a sparse pattern each term
-is one call of scipy's private CSR multivector kernel `csr_matvecs`, which
-adds X_j acc onto a C-ordered copy of u: the public `omega @ x` reaches the
-same kernel only after per-call format checks and a zeroed result.  A
+is one call of scipy's compiled CSR multivector kernel `csr_matvecs`
+(numerics), which adds X_j acc onto a C-ordered copy of u: a product through
+scipy.sparse's `omega @ x` reaches the same kernel only after per-call format
+checks and a zeroed result.  A
 propagator is therefore unitary to round-off, not by construction;
 `unitary_eig`'s `check_unitary` gates every monodromy.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
@@ -80,14 +82,10 @@ from itertools import combinations
 from math import lgamma, log
 
 import numpy as np
-import scipy.sparse as sp
-# Y += A X on C-ordered blocks (module docstring); imported here so that a scipy
-# without it fails at import, not mid-propagation
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .model import LatticeModel, PeriodicHamiltonian, ring_h0
-from .numerics import (EigenDecomposition, expm_hermitian, max_norm, require_hermitian,
-                       unitary_eig)
+from .numerics import (EigenDecomposition, csr_matvecs, csr_structure, expm_hermitian, max_norm,
+                       require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -179,12 +177,39 @@ class PropagatorSchedule:
             raise ValueError(f"integrator order must be one of {ORDERS}")
 
 
+def _product(a: np.ndarray, b: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] b[k] over k in `inner`, ascending, each entry summed from 0 one
+    term at a time in real arithmetic: the sums of scipy's CSR product (csr_matmat),
+    whose complex multiply is not fused, as numpy's may be.  A term where a[i, k] or
+    b[k, j] is zero adds a signed zero, which leaves every sum's bits as they are."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
+    for k in inner:
+        x, y = a[:, k, None], b[None, k]
+        out.real += x.real * y.real - x.imag * y.imag
+        out.imag += x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row-major keys, values) of the nonzero entries of AB - BA, bit for bit as scipy.sparse
+    forms it from CSR operands: each product summed as `_product` sums it, an entry of BA
+    alone as 0 - BA_ij.  Only the rows and columns either product reaches are formed."""
+    ab = np.flatnonzero(a.any(axis=0) & b.any(axis=1))   # the k of A[:, k] B[k] != 0
+    ba = np.flatnonzero(b.any(axis=0) & a.any(axis=1))
+    rows = np.flatnonzero(a[:, ab].any(axis=1) | b[:, ba].any(axis=1))
+    cols = np.flatnonzero(b[ab].any(axis=0) | a[ba].any(axis=0))
+    comm = _product(a[rows], b[:, cols], ab) - _product(b[rows], a[:, cols], ba)
+    r, c = np.nonzero(comm)
+    return rows[r] * a.shape[1] + cols[c], comm[r, c]
+
+
 class MagnusStepper:
     """exp(-i Omega) of one Magnus step of width dt, applied to a running product.
 
     H(t) = sum_i c_i(t) M_i with M_0 = H0 + H_0 (c_0 = 1) and M_i = H_n
     (c_i = e^{2 pi i n t}) for each mode n != 0.  The operands, and at
-    order 4 the commutators [M_i, M_j] for i < j (sparse products), are data
+    order 4 the commutators [M_i, M_j] for i < j (`_commutator`, formed once
+    the Taylor plan is accepted), are data
     rows on one symmetric CSR pattern, the union of their supports, so a
     step's Omega costs one small matrix-vector product of scalar weights
     with that stack:
@@ -200,7 +225,7 @@ class MagnusStepper:
     A step evaluates its Taylor polynomial by Horner's rule, acc <- u + X_j acc
     for j = degree..1 with X_j = -i Omega / (substeps j), the term scales
     folded into the step's entries by one multiply.  Each term is one call of
-    scipy's private kernel csr_matvecs, accumulating X_j acc onto a C-ordered
+    scipy's compiled kernel csr_matvecs, accumulating X_j acc onto a C-ordered
     copy of u, so that no `omega @ x` dispatch and no separate add is paid per
     term (`accumulate`), whatever the pattern's fill.  Each step ends in
     `flush`, which writes nothing where no part is below 2^-200.  The stepper
@@ -222,21 +247,15 @@ class MagnusStepper:
                          for keys, values in parts)   # the largest column sum, ||M_i||_1
         if order == 4:   # a square past the float range is inf, which taylor_plan rejects
             bound += _GAUSS_OFFSET * (bound**2 if bound < 1e154 else np.inf)
-            sparse = [sp.csr_array((values, np.divmod(keys, dim)), shape=(dim, dim))
-                      for keys, values in parts]
-            for i, j in self.pairs.T:
-                comm = (sparse[i] @ sparse[j] - sparse[j] @ sparse[i]).tocoo()
-                keep = comm.data != 0
-                parts.append((comm.row[keep].astype(np.int64) * dim + comm.col[keep],
-                              comm.data[keep]))
-        self.degree, self.substeps = taylor_plan(bound)
+        self.degree, self.substeps = taylor_plan(bound)   # a rejected plan forms no commutator
+        if order == 4:
+            parts += [_commutator(ops[i], ops[j]) for i, j in self.pairs.T]
 
         # the pattern: the union of the supports and its transpose, sorted row-major
         keys = np.concatenate([k for k, _ in parts])
         self.keys = np.unique(np.concatenate([keys, keys % dim * dim + keys // dim]))
+        self.indptr, self.indices = csr_structure(self.keys, (dim, dim))
         row, col = np.divmod(self.keys, dim)
-        self.indptr = np.searchsorted(row, np.arange(dim + 1)).astype(np.int32)
-        self.indices = col.astype(np.int32)
         self.stack = np.zeros((len(parts), len(self.keys)), dtype=np.complex128)
         for line, (k, values) in zip(self.stack, parts):
             line[np.searchsorted(self.keys, k)] = values

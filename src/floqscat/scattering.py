@@ -50,7 +50,8 @@ phase is cross-checked against the truncated mode-space matrix K.  A partner
 there is certified by inverse iteration whose solves with K - zeta go through
 resolvent.ScanOperators, the one factorization on the potential's support
 that the null scan also uses; shift-invert eigsh diagnoses a phase without
-a certified partner, and ARPACK (scipy.sparse.linalg) is imported only then.
+a certified partner, and only then are ARPACK (scipy.sparse.linalg) and the
+scipy.sparse package imported, K's CSR arrays wrapped as a scipy csr_array.
 A shift that sits exactly on an eigenvalue of K leaves eigsh's factor of
 K - sigma singular, and the scan raises SingularMatrixError naming it.
 """
@@ -436,11 +437,14 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
     each value nu = 1/(lambda - sigma) of (K - sigma)^{-1} to relative
     accuracy ARPACK_TOL = 1e-4, so a returned lambda is exact to
     1e-4 |lambda - sigma|: within 1e-3 tol for every value within 10 tol of
-    sigma, while a value farther away stays beyond tol.
+    sigma, while a value farther away stays beyond tol.  The bound on K's spectral radius
+    is its largest absolute row sum, summed as scipy.sparse sums a CSR matrix's rows
+    (np.add.reduceat over the nonempty ones).
     """
     k, space = scan.k, scan.space
     centre = float((model.h0.diagonal() + model.mode(0).diagonal()).sum().real) / model.sites
-    bound = float(abs(k).sum(axis=1).max()) + tol     # >= the spectral radius of K
+    nonempty = np.flatnonzero(np.diff(k.indptr))
+    bound = float(np.add.reduceat(np.abs(k.data), k.indptr[nonempty]).max(initial=0.0)) + tol
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
     sigmas = sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]
@@ -448,8 +452,10 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
         dist = _certified_partner(model, scan, phase, sigma, tol)
         if dist is not None:
             return dist, 1
-    from scipy.sparse.linalg import ArpackError, eigsh   # loaded only for this diagnosis
+    import scipy.sparse as sp   # loaded only for this diagnosis
+    from scipy.sparse.linalg import ArpackError, eigsh
 
+    k = sp.csr_array((k.data, k.indices, k.indptr), shape=k.shape)
     v0 = start_vector(space.size)
     nearest, candidates = np.inf, 0
     for sigma in sigmas:

@@ -17,6 +17,7 @@ nor keeps.
     spatial_mass(spec)          per-eigenvector fiber-site occupation of a spectrum
     k0_grid_matrix(h0, n_t)     -i d/dt + H0 on the periodic grid
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
+    scipy_csr(k)                the arrays of a numerics.CSRMatrix as a scipy.sparse csr_array
 
 `w` is a scattering.WaveOperatorIterates.  Its iterates are recomputed by
 scattering._iterates, the generator stroboscopic_wave_op consumes, so they
@@ -154,3 +155,11 @@ def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
         worst = max(worst, dists[j])
         pool.pop(j)
     return worst
+
+
+def scipy_csr(k):
+    """A numerics.CSRMatrix's own data, indices and indptr wrapped as a scipy.sparse
+    csr_array, for the tests that read K with scipy (sums, splu, ARPACK)."""
+    import scipy.sparse as sp
+
+    return sp.csr_array((k.data, k.indices, k.indptr), shape=k.shape)

@@ -597,17 +597,40 @@ class TestStrictJson:
 
 
 class TestImportGraph:
+    # a wave-operators run on the ring-scatter ring and a bound-states run whose
+    # cross-check and null scan both run
+    CONFIGS = [
+        {"task": "wave-operators",
+         "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                               "drive_amp": 0.5, "support_width": 5}},
+         "parameters": {"steps_per_period": 64, "order": 4, "floquet_modes": 3}},
+        {"task": "bound-states",
+         "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.7,
+                               "drive_amp": 0.45, "support_width": 3}},
+         "parameters": {"steps_per_period": 256, "n_modes": 8, "scan_modes": 4,
+                        "verify": True}}]
+
     @staticmethod
-    def loaded_after_import(modules):
-        """Which of `modules` a fresh interpreter has loaded after `import floqscat.cli`."""
+    def fresh(code):
+        """The stdout words of `code` run by a fresh interpreter that imports this floqscat."""
         src = str(Path(floqscat.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, floqscat.cli; print([m in sys.modules for m in {modules!r}])"],
-            env=env, capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        return out.stdout.split()
+
+    @classmethod
+    def loaded_after_import(cls, modules):
+        """Which of `modules` a fresh interpreter has loaded after `import floqscat.cli`."""
+        return " ".join(cls.fresh(
+            f"import sys, floqscat.cli; print([m in sys.modules for m in {modules!r}])"))
+
+    @classmethod
+    def argvs(cls, tmp_path):
+        """One `cli.main` argument list per config of CONFIGS, reports into tmp_path."""
+        return [["--config", str(write_config(tmp_path, cfg, f"cfg{i}.json")),
+                 "--out", str(tmp_path)] for i, cfg in enumerate(cls.CONFIGS)]
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         assert self.loaded_after_import(["scipy.optimize"]) == "[False]"
@@ -616,35 +639,35 @@ class TestImportGraph:
         # eigsh is imported by the bound-state cross-check's ARPACK branch only
         assert self.loaded_after_import(["scipy.sparse.linalg"]) == "[False]"
 
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        # numerics loads scipy's compiled CSR kernels without the package
+        assert self.loaded_after_import(["scipy.sparse"]) == "[False]"
+
     def test_cli_runs_leave_scipy_linalg_unloaded(self, tmp_path):
         # every decomposition on a CLI path runs in numpy.linalg: only numerics.solve
-        # and the ARPACK branch import scipy.linalg
-        configs = [
-            {"task": "wave-operators",
-             "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
-                                   "drive_amp": 0.5, "support_width": 5}},
-             "parameters": {"steps_per_period": 64, "order": 4, "floquet_modes": 3}},
-            {"task": "bound-states",
-             "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.7,
-                                   "drive_amp": 0.45, "support_width": 3}},
-             "parameters": {"steps_per_period": 256, "n_modes": 8, "scan_modes": 4,
-                            "verify": True}}]
-        argv = []
-        for i, cfg in enumerate(configs):
-            argv += ["--config", str(write_config(tmp_path, cfg, f"cfg{i}.json"))]
-        argv += ["--out", str(tmp_path)]
-        src = str(Path(floqscat.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # and the ARPACK branch import scipy.linalg, and only the ARPACK branch
+        # imports scipy.sparse
+        argvs = self.argvs(tmp_path)
+        argv = [*argvs[0][:2], *argvs[1]]
         code = ("import contextlib, io, sys, floqscat.cli as cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    status = cli.main({argv!r})\n"
-                "print(status, 'scipy.linalg' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.split() == ["0", "False"]
+                "print(status, 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
+        assert self.fresh(code) == ["0", "False", "False"]
         report = json.loads((tmp_path / "cfg1.report.json").read_text())
         assert report["results"]["verdicts"]     # the null scan ran
+
+    def test_first_calls_import_nothing(self, tmp_path):
+        # whatever a wave-operators or a bound-states run loads is loaded by the
+        # import, so the first timed call of each pays for no import
+        code = ("import contextlib, io, sys, floqscat.cli as cli\n"
+                f"for argv in {self.argvs(tmp_path)!r}:\n"
+                "    before = set(sys.modules)\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        status = cli.main(argv)\n"
+                "    added = sorted(set(sys.modules) - before)\n"
+                "    print(status, len(added), *added)")
+        assert self.fresh(code) == ["0", "0", "0", "0"]
 
 
 class TestMemory:

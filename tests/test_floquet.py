@@ -17,7 +17,7 @@ from floqscat.numerics import hermitian_defect
 from floqscat.propagation import PropagatorSchedule, monodromy
 
 from conftest import random_hermitian
-from oracles import block
+from oracles import block, scipy_csr
 
 
 class TestBuildFloquet:
@@ -258,9 +258,9 @@ class TestIndexAssembly:
         for h in [ring, *fleet_models]:
             space = ModeSpace(n_modes, h.dim)
             couplings = {m: hm for m, hm in h.modes.items() if m != 0}
-            for got, want in ((floquet_operator(h, n_modes),
+            for got, want in ((scipy_csr(floquet_operator(h, n_modes)),
                                kronecker_sum_k(space, h.h0 + h.mode(0), couplings)),
-                              (space.assemble(h.h0), kronecker_sum_k(space, h.h0, {}))):
+                              (scipy_csr(space.assemble(h.h0)), kronecker_sum_k(space, h.h0, {}))):
                 want.sort_indices()
                 assert got.has_canonical_format
                 for part in ("data", "indices", "indptr"):
@@ -275,7 +275,25 @@ class TestIndexAssembly:
 
         space = ModeSpace(1, 2)
         h0 = np.diag([2 * np.pi, 1.0]).astype(np.complex128)
-        k0 = space.assemble(h0)
+        k0 = scipy_csr(space.assemble(h0))
         assert (k0.data != 0).all()
         assert np.array_equal(k0.toarray(), kronecker_sum_k(space, h0, {}).toarray())
         assert k0.nnz == 5
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_products_and_dense_are_scipy_bits(self, fleet_models, n_modes):
+        # K x for a vector and for a block of columns, and K densified, carry the
+        # bits scipy.sparse gives on the same arrays, signed zeros included
+        from floqscat.floquet import floquet_operator
+        from floqscat.model import build_lattice
+
+        rng = np.random.default_rng(5)
+        for h in [build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)), *fleet_models]:
+            k = floquet_operator(h, n_modes)
+            want = scipy_csr(k)
+            x = rng.normal(size=(k.shape[1], 3)) + 1j * rng.normal(size=(k.shape[1], 3))
+            assert (k @ x).tobytes() == (want @ x).tobytes()
+            assert (k @ x[:, 0]).tobytes() == (want @ x[:, 0]).tobytes()
+            assert k.toarray().tobytes() == want.toarray().tobytes()
+        with pytest.raises(ValueError, match="cannot multiply"):
+            k @ x[1:]

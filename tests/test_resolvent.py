@@ -26,7 +26,7 @@ from floqscat.resolvent import (
 )
 
 from conftest import random_hermitian
-from oracles import k0_grid_matrix, match_eigenvalues
+from oracles import k0_grid_matrix, match_eigenvalues, scipy_csr
 
 RING_SLOT = (40, 1.0, -1.7, 0.45, range(19, 22))   # TestRayleighRefinement's ring-bound slot
 
@@ -355,7 +355,8 @@ def sparse_lu_null_pair(h, n_modes, zeta):
     """The reference null scan: inverse iteration with one sparse LU of K - zeta I on
     the whole mode space and products with K0 - zeta I, as
     I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}; returns (s, phi, psi) as null_pair."""
-    k, k0 = floquet_operator(h, n_modes), ModeSpace(n_modes, h.dim).assemble(h.h0)
+    k, k0 = (scipy_csr(floquet_operator(h, n_modes)),
+             scipy_csr(ModeSpace(n_modes, h.dim).assemble(h.h0)))
     eye = sp.eye_array(k.shape[0], format="csc")
     lu = splu(sp.csc_array(k - zeta * eye))
     free = sp.csr_array(k0 - zeta * eye)
@@ -509,7 +510,7 @@ class TestRayleighRefinement:
 
     @staticmethod
     def _check_at_eigenvalue(h, n_modes, candidates):
-        k = floquet_operator(h, n_modes).tocsc()
+        k = scipy_csr(floquet_operator(h, n_modes)).tocsc()
         scan = ScanOperators(h, n_modes)
         for lam in candidates:
             verdict = bound_state_correspondence(scan, lam)

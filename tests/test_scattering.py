@@ -35,7 +35,7 @@ from floqscat.scattering import (
 )
 
 from oracles import (free_propagator, image, iterates, operator, orthonormality_defect,
-                     residual)
+                     residual, scipy_csr)
 
 CHEAP = PropagatorSchedule(96, 2)
 
@@ -569,8 +569,8 @@ class TestCertifiedPartner:
 
         def both(model, scan, phase, sigma, tol):
             got = certified(model, scan, phase, sigma, tol)
-            pairs.append((got, sparse_lu_certified_partner(model, scan.k, scan.space, phase,
-                                                           sigma, tol)))
+            pairs.append((got, sparse_lu_certified_partner(model, scipy_csr(scan.k), scan.space,
+                                                           phase, sigma, tol)))
             return got
 
         monkeypatch.setattr(scattering, "_certified_partner", both)
