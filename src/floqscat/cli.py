@@ -29,7 +29,6 @@ and the exit code is the largest of theirs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -57,8 +56,6 @@ from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, Sc
                         bound_state_correspondence, factorized_potential, grid_potential,
                         mode_oracle_apply, q_factorized, r0_apply, r0_matrix, resolvent_residual)
 from .scattering import (
-    LOCALIZATION_MARGIN,
-    LOCALIZATION_SCORE,
     ConvergenceError,
     DetectorDisagreementError,
     bound_state_scan,
@@ -311,12 +308,12 @@ def _jsonable(obj, path: str = "report"):
 
 
 def _bound_state_scan(model, mono, n_modes, field):
-    """bound_state_scan at the mode cutoff parameters.<field>; a cutoff too
-    small to leave any interior state to cross-check against is invalid."""
+    """bound_state_scan at the mode cutoff parameters.<field>; a cutoff that leaves
+    no interior state to cross-check against (at most EDGE_BLOCKS) is invalid."""
     try:
         return bound_state_scan(model, mono, n_modes=n_modes)
     except DetectorDisagreementError as exc:
-        if exc.candidates == 0 and n_modes <= EDGE_BLOCKS:
+        if n_modes <= EDGE_BLOCKS:
             raise ValueRangeError(f"parameters.{field}", f"mode cutoff {n_modes} <= EDGE_BLOCKS="
                                   f"{EDGE_BLOCKS} leaves no interior mode-space state") from exc
         raise
@@ -476,13 +473,6 @@ def run_scenario(cfg: dict, seed: int | None = None) -> dict:
     model = build_model(parsed["model"])
     if task in LATTICE_TASKS and not isinstance(model, LatticeModel):
         raise ValidationError("model", f"{task} requires a lattice model")
-    if task in LATTICE_TASKS and \
-            len(model.support_window(LOCALIZATION_MARGIN)) >= LOCALIZATION_SCORE * model.sites:
-        # every state, an evenly spread one too, would score as bound
-        field = "support" if "support" in parsed["model"]["lattice"] else "support_width"
-        raise ValueRangeError(f"model.lattice.{field}",
-                              f"the localization window (support +- {LOCALIZATION_MARGIN} "
-                              f"sites) holds at least {LOCALIZATION_SCORE:.0%} of the ring")
     params = parse(parsed["parameters"], PARAMETERS[task], "parameters", model)
     rng = np.random.default_rng(seed) if seed is not None else None
     try:
@@ -599,6 +589,8 @@ def main(argv=None) -> int:
     if jobs == 1:
         outcomes = [_run_one(c, args.out, args.seed) for c in args.config]
     else:
+        import concurrent.futures   # with logging, loaded only where configs fan out
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one, args.config, [args.out] * len(args.config),
                                      [args.seed] * len(args.config)))

@@ -19,13 +19,17 @@ from functools import cache
 import numpy as np
 
 from .model import PeriodicHamiltonian
-from .numerics import CSRMatrix, EigenDecomposition, hermitian_eig
+from .numerics import UNITARY_TOL, CSRMatrix, EigenDecomposition, hermitian_eig
 from .propagation import Monodromy
 
 # edge rule: a state is truncation-corrupted when the norm fraction of its
 # component in the outermost blocks exceeds 1% (i.e. probability 1e-4)
 EDGE_NORM_LIMIT = 0.01
 EDGE_BLOCKS = 2
+# a phase within this of the free band's edge is on it, not in the gap: a monodromy
+# is held unitary to UNITARY_TOL only, and a free ring's band-edge phases fall
+# within round-off of H0's extreme levels, on either side of them
+GAP_MARGIN = UNITARY_TOL
 
 
 class NoInteriorError(ValueError):
@@ -246,6 +250,16 @@ def circular_distance(a, b) -> np.ndarray:
     """Distance on the phase circle of circumference 2pi."""
     d = np.mod(np.asarray(a) - np.asarray(b), 2 * np.pi)
     return np.minimum(d, 2 * np.pi - d)
+
+
+def sidebands_closed(phase, levels: np.ndarray) -> np.ndarray:
+    """Whether every sideband E_n = phase - 2 pi n lies outside the hull [lo, hi] of
+    the ascending free levels (H0's eigenvalues) widened by GAP_MARGIN on each side:
+    the quasi-energy sits in the gap of the folded band, where no free channel is
+    open.  A phase on the widened band's edge is not in the gap, and where
+    hi - lo + 2 GAP_MARGIN >= 2 pi no phase is."""
+    lo, hi = levels[0] - GAP_MARGIN, levels[-1] + GAP_MARGIN
+    return np.mod(np.asarray(phase) - lo, 2 * np.pi) > hi - lo
 
 
 def reconstruct_mode(spec: QuasiEnergySpectrum, idx: int, t: float) -> np.ndarray:

@@ -14,11 +14,9 @@ subclass whose free part is a tridiagonal hopping Hamiltonian with periodic
 closure, plus a static well and a cosine drive on the declared sites
 `potential_support`, which may cross site 0, encoded as modes {-1, 0, 1}.
 Their `arc` is the shortest run of ring sites that holds them: the probe
-packets aim at its midpoint, `support_window` widens it and `mirror`
-reflects the ring about it.  The bound-state detectors score a state by its
-mass on support_window(4); where that window holds 90 % of the ring, an
-evenly spread state scores as bound, and the CLI refuses the lattice for
-bound-states and wave-operators (exit 2).
+packets aim at its midpoint, `support_window` widens it (a bound state's
+reported localization is its mass on support_window(4)) and `mirror`
+reflects the ring about it.
 
 Every model owns what is built once from it: where its interaction acts
 (`support`, the sites where some mode has a nonzero row or column), the H0
@@ -37,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (EigenDecomposition, as_complex_matrix, check_hermitian, check_square,
-                       hermitian_defect, hermitian_eig, require_hermitian)
+                       distinct, hermitian_defect, hermitian_eig, require_hermitian)
 
 
 @dataclass
@@ -185,7 +183,7 @@ class LatticeModel(PeriodicHamiltonian):
         potential_support.  It leaves out the widest gap between cyclically
         consecutive declared sites; a tie goes to the gap from the largest round
         to the smallest, which leaves min..max."""
-        sites = np.unique(self.potential_support)
+        sites = distinct(self.potential_support)
         gaps = np.diff(sites, append=sites[0] + self.sites)
         widest = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
         return int(sites[(widest + 1) % len(sites)]), self.sites + 1 - int(gaps[widest])

@@ -35,9 +35,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads these two on first use (np.random.default_rng; numpy.ma on the first
-# np.unique); loaded at import, a run's first timed call does not pay for them
-import numpy.ma  # noqa: F401
+# numpy loads this on first use (np.random.default_rng); loaded at import, a run's
+# first timed call does not pay for it
 import numpy.random  # noqa: F401
 
 HERMITIAN_RTOL = 1e-12
@@ -73,6 +72,15 @@ _KERNELS = _csr_kernels()
 # Y += A X for a CSR A and C-ordered blocks X, Y of n_vecs columns:
 # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y)
 csr_matvecs = _KERNELS.csr_matvecs
+
+
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a, the array np.unique(a) gives, by a sort and a
+    mask of the entries that differ from their predecessor: np.unique loads numpy.ma."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def csr_structure(keys: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,8 @@ as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
 nodes with that stack, held to require_hermitian's rule as one stack.  The
 pattern, the stack and the positions of each entry's transpose are built with
-numpy from the operands' nonzero keys (one np.unique, searchsorted), and so
-are the commutators, each entry summed as scipy's CSR product sums it
+numpy from the operands' nonzero keys (numerics.distinct, searchsorted), and
+so are the commutators, each entry summed as scipy's CSR product sums it
 (`_commutator`).  exp(-i Omega) acts on the
 running product through a Taylor polynomial whose degree and substep count
 are fixed per call from the a-priori bound on ||Omega||_1 so that the
@@ -54,11 +54,13 @@ window around the support's arc: one period of free motion carries amplitude
 farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).  With
 r the smallest radius where that bound falls to unit round-off (19 at
 hopping 1, `light_cone_radius`), the model is sliced to the open segment
-support_window(2r) and stepped there on the same schedule and start (half
-path included), and E_w is the block of Theta_seg - U0_seg(1) on the window
-support_window(r).  Its border rows and columns must be at most
-WINDOW_BORDER_TOL, checked on every build, or r doubles; a ring whose segment
-would exceed half its sites takes the stepped route.  Theta = Theta0 + P E_w P^T
+support_window(2r), itself a LatticeModel, and stepped there on the same
+schedule and start (half path included, and one column per mirror orbit
+where the segment is symmetric about the arc), and E_w is the block of
+Theta_seg - U0_seg(1) on the window support_window(r).  Its border rows and
+columns must be at most WINDOW_BORDER_TOL, checked on every build, or r
+doubles; a ring whose segment would exceed half its sites takes the stepped
+route.  Theta = Theta0 + P E_w P^T
 then costs a copy of the model's U0(1) and a segment of ~4r sites, whatever
 the ring's size.  Such a Monodromy keeps the window, E_w and a reference to
 the model's read-only U0(1), not Theta: `monodromy` drops Theta once it is
@@ -84,8 +86,8 @@ from math import lgamma, log
 import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian, ring_h0
-from .numerics import (EigenDecomposition, csr_matvecs, csr_structure, expm_hermitian, max_norm,
-                       require_hermitian, unitary_eig)
+from .numerics import (EigenDecomposition, csr_matvecs, csr_structure, distinct, expm_hermitian,
+                       max_norm, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -220,7 +222,7 @@ class MagnusStepper:
     ||Omega||_1 <= dt B + (sqrt(3)/6) (dt B)^2, B = sum_i ||M_i||_1.
     The pattern (`indptr`, `indices`, the sorted row-major `keys`), the
     `stack` and each entry's transposed partner (`mirror`) come from the
-    operands' nonzero keys by one np.unique and searchsorted.
+    operands' nonzero keys by one `distinct` and searchsorted.
 
     A step evaluates its Taylor polynomial by Horner's rule, acc <- u + X_j acc
     for j = degree..1 with X_j = -i Omega / (substeps j), the term scales
@@ -253,7 +255,7 @@ class MagnusStepper:
 
         # the pattern: the union of the supports and its transpose, sorted row-major
         keys = np.concatenate([k for k, _ in parts])
-        self.keys = np.unique(np.concatenate([keys, keys % dim * dim + keys // dim]))
+        self.keys = distinct(np.concatenate([keys, keys % dim * dim + keys // dim]))
         self.indptr, self.indices = csr_structure(self.keys, (dim, dim))
         row, col = np.divmod(self.keys, dim)
         self.stack = np.zeros((len(parts), len(self.keys)), dtype=np.complex128)
@@ -438,8 +440,10 @@ def window_block(h: PeriodicHamiltonian, s: float,
     """(window, E_w) with Theta = U0(1) + P E_w P^T, or None where the route does not apply.
 
     For a LatticeModel that is a `_local_ring`, the model is sliced to the open
-    segment support_window(2r), r = light_cone_radius(hopping), and its
-    Theta_seg is taken on `sched` from s by `period_operator`; E_w is
+    segment support_window(2r), r = light_cone_radius(hopping), a LatticeModel
+    with the ring's hopping and its support in segment coordinates, and its
+    Theta_seg is taken on `sched` from s by `period_operator` (stepped, on the
+    segment's mirror orbits where it has a `mirror`); E_w is
     Theta_seg - U0_seg(1) on the window support_window(r).  Where a border row
     or column of E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the
     segment would exceed half the ring.
@@ -457,7 +461,11 @@ def window_block(h: PeriodicHamiltonian, s: float,
     while local and 2 * (width + 4 * r) <= h.sites:
         segment = h.support_window(2 * r)
         cut = np.ix_(segment, segment)
-        part = PeriodicHamiltonian(h.h0[cut], {n: m[cut] for n, m in h.modes.items()})
+        # the open segment, its support in segment coordinates: a LatticeModel, so
+        # that a segment symmetric about the arc is stepped on its mirror orbits
+        part = LatticeModel(h0=h.h0[cut], modes={n: m[cut] for n, m in h.modes.items()},
+                            hopping=h.hopping,
+                            potential_support=(h.potential_support - segment[0]) % h.sites)
         block = (period_operator(part, s, sched) - part.free_period)[r:-r, r:-r]
         border = np.abs(np.concatenate([block[[0, -1]].ravel(), block[:, [0, -1]].ravel()]))
         if border.max() <= WINDOW_BORDER_TOL:

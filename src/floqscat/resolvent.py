@@ -298,7 +298,7 @@ class ScanOperators:
     """(K - zeta)^{-1} of one model at mode cutoff N, prepared once for all its
     shifts and solved by both bound-state detectors: the null scan (null_pair)
     and the cross-check's certified partners (solver).  It holds the sparse
-    K = K0 + V (for Rayleigh quotients, residuals and ARPACK), H0's
+    K = K0 + V (for Rayleigh quotients and residuals), H0's
     eigendecomposition (eps, U), the model's `free_eig` (`free`), and the
     potential's block V_S on its support.
 

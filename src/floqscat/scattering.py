@@ -45,15 +45,18 @@ including their time delays, so the restriction of S = W+ W-^dagger to it
 is close to unitary, while single-packet restrictions would be spoiled by
 delay-induced position mismatch.
 
-Bound states are the Theta eigenvectors localized on the well, and each one's
-phase is cross-checked against the truncated mode-space matrix K.  A partner
-there is certified by inverse iteration whose solves with K - zeta go through
-resolvent.ScanOperators, the one factorization on the potential's support
-that the null scan also uses; shift-invert eigsh diagnoses a phase without
-a certified partner, and only then are ARPACK (scipy.sparse.linalg) and the
-scipy.sparse package imported, K's CSR arrays wrapped as a scipy csr_array.
-A shift that sits exactly on an eigenvalue of K leaves eigsh's factor of
-K - sigma singular, and the scan raises SingularMatrixError naming it.
+Bound states are the Theta eigenvectors whose quasi-energy lies in the gap
+of the folded free band: every sideband eps - 2 pi n outside the hull of
+H0's levels (floquet.sidebands_closed), so no free channel is open there.  A
+band eigenphase is never called bound, and neither is a Floquet resonance
+that sits in the band, however localized on the ring (Yajima, Commun. Math.
+Phys. 87 (1982)); each state's localization is reported as a measured value
+only.  Each bound phase is cross-checked against the truncated mode-space
+matrix K: a partner there is certified by inverse iteration whose solves
+with K - zeta go through resolvent.ScanOperators, the one factorization on
+the potential's support that the null scan also uses.  A phase without a
+certified partner raises DetectorDisagreementError with the null scan's
+smallest singular value of I + Q at that phase.
 """
 
 from __future__ import annotations
@@ -62,19 +65,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .floquet import circular_distance, start_vector
+from .floquet import circular_distance, sidebands_closed, start_vector
 from .model import LatticeModel
-from .numerics import SingularMatrixError, adjoint_apply
+from .numerics import adjoint_apply
 from .propagation import Monodromy, monodromy, propagate
 from .resolvent import RAYLEIGH_EPS, ScanOperators
 
 GAP_TOL = 1e-3
 GAP_RUN = 3
-LOCALIZATION_SCORE = 0.9
+# the reported localization is a state's mass on support_window(LOCALIZATION_MARGIN)
 LOCALIZATION_MARGIN = 4
-ARPACK_TOL = 1e-4      # relative accuracy of the cross-check's shift-invert eigsh
-# inverse-iteration solves the cross-check spends on a certified partner before
-# it hands the phase to eigsh
+# inverse-iteration solves the cross-check spends on a certified partner at each shift
 PARTNER_SOLVES = 3
 # the cross-check's partner distance, and the distance within which bound phases are one
 CROSS_CHECK_TOL = 1e-5
@@ -89,11 +90,12 @@ class ConvergenceError(RuntimeError):
 
 
 class DetectorDisagreementError(ValueError):
-    """A monodromy bound state has none of `candidates` mode-space values as partner."""
+    """A monodromy bound state has no certified mode-space partner; `s_min` is the
+    smallest singular value of I + Q at its phase."""
 
-    def __init__(self, message, candidates: int):
+    def __init__(self, message, s_min: float):
         super().__init__(message)
-        self.candidates = candidates
+        self.s_min = s_min
 
 
 @dataclass
@@ -376,22 +378,12 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     )
 
 
-def _localization(model: LatticeModel, blocks: np.ndarray):
-    """Per column of mode blocks (n, L, k) of site amplitudes: the mass near the
-    support, summed over modes and squared on those rows only, and whether it is bound."""
-    # contiguous rows in site order: a state's score rounds alike for any window start
-    window = np.sort(model.support_window(LOCALIZATION_MARGIN))
-    mass = (np.abs(blocks[:, window]) ** 2).sum(axis=0)
-    score = np.ascontiguousarray(mass.T).sum(axis=1)
-    return score, score >= LOCALIZATION_SCORE
-
-
-def _certified_partner(model: LatticeModel, scan: ScanOperators, phase: float,
-                       sigma: float, tol: float) -> float | None:
-    """Circular distance from `phase` to a localized interior eigenvalue of K
-    within tol, certified by inverse iteration at the shift sigma; None where
+def _certified_partner(scan: ScanOperators, phase: float, sigma: float,
+                       tol: float) -> float | None:
+    """Circular distance from `phase` to an interior in-gap eigenvalue of K within
+    tol, certified by inverse iteration at the shift sigma; None where
     PARTNER_SOLVES solves certify no eigenvalue within tol, or the certified
-    one's vector is not localized and interior.
+    one has an open sideband or an edge vector.
 
     The solves are x <- (K - zeta)^{-1} x from start_vector at
     zeta = sigma + i RAYLEIGH_EPS, through one scan.solver factor on the
@@ -402,7 +394,8 @@ def _certified_partner(model: LatticeModel, scan: ScanOperators, phase: float,
     Hermitian K has an eigenvalue within r of lambda (Parlett, The Symmetric
     Eigenvalue Problem, ch. 4), so dist(phase, lambda) + r <= tol places one
     within tol, and a poor solve can only fail to certify.  It is accepted
-    when x is localized (_localization) and interior (ModeSpace.interior)."""
+    when lambda is in the gap (sidebands_closed) and x is interior
+    (ModeSpace.interior)."""
     solve, space = scan.solver(sigma + 1j * RAYLEIGH_EPS), scan.space
     x = start_vector(space.size)
     for _ in range(PARTNER_SOLVES):
@@ -412,104 +405,77 @@ def _certified_partner(model: LatticeModel, scan: ScanOperators, phase: float,
         lam = float(np.vdot(x, kx).real)
         dist = float(circular_distance(phase, lam))
         if dist + np.linalg.norm(kx - lam * x) <= tol:
-            x = x[:, None]
-            _, localized = _localization(model, space.blocks(x))
-            return dist if localized[0] and space.interior(x)[0] else None
+            closed = sidebands_closed(lam, scan.free.values)
+            return dist if closed and space.interior(x[:, None])[0] else None
     return None
 
 
 def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
-                        tol: float) -> tuple[float, int]:
-    """Circular distance from `phase` to its nearest localized interior eigenvalue of
-    the sparse mode-space matrix K = scan.k, and the number of such values seen.
+                        tol: float) -> float | None:
+    """Circular distance from `phase` to a certified interior in-gap eigenvalue of
+    the sparse mode-space matrix K = scan.k within tol, or None.
 
     The translates sigma = phase + 2 pi j inside K's spectral bound are taken
     nearest the centre of the fiber spectrum first.  At each in turn, inverse
     iteration through scan's support factorization looks for a certified
-    partner within tol (_certified_partner), and the first found gives (its
-    distance, 1): the driven rings' partners sit at the first translate, an
+    partner within tol (_certified_partner), and the first found gives its
+    distance: the driven rings' partners sit at the first translate, an
     undriven well's may sit at a later one, whose block of K is interior.
-    Where none is certified, ARPACK diagnoses: shift-invert eigsh of scan.k
-    runs at the translates in the same order and stops at the first with a
-    partner within tol.  At each translate the request grows until some
-    returned value lies beyond tol, so every eigenvalue within tol is judged:
-    the predicate is that of the whole truncated spectrum.  ARPACK converges
-    each value nu = 1/(lambda - sigma) of (K - sigma)^{-1} to relative
-    accuracy ARPACK_TOL = 1e-4, so a returned lambda is exact to
-    1e-4 |lambda - sigma|: within 1e-3 tol for every value within 10 tol of
-    sigma, while a value farther away stays beyond tol.  The bound on K's spectral radius
-    is its largest absolute row sum, summed as scipy.sparse sums a CSR matrix's rows
-    (np.add.reduceat over the nonempty ones).
+    The bound on K's spectral radius is its largest absolute row sum (np.add.reduceat
+    over the nonempty rows).
     """
-    k, space = scan.k, scan.space
+    k = scan.k
     centre = float((model.h0.diagonal() + model.mode(0).diagonal()).sum().real) / model.sites
     nonempty = np.flatnonzero(np.diff(k.indptr))
     bound = float(np.add.reduceat(np.abs(k.data), k.indptr[nonempty]).max(initial=0.0)) + tol
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
-    sigmas = sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]
-    for sigma in sigmas:
-        dist = _certified_partner(model, scan, phase, sigma, tol)
+    for sigma in sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]:
+        dist = _certified_partner(scan, phase, sigma, tol)
         if dist is not None:
-            return dist, 1
-    import scipy.sparse as sp   # loaded only for this diagnosis
-    from scipy.sparse.linalg import ArpackError, eigsh
+            return dist
+    return None
 
-    k = sp.csr_array((k.data, k.indices, k.indptr), shape=k.shape)
-    v0 = start_vector(space.size)
-    nearest, candidates = np.inf, 0
-    for sigma in sigmas:
-        n_eig = min(3, space.size - 2)
-        while True:
-            try:
-                values, vectors = eigsh(k, k=n_eig, sigma=sigma, v0=v0, tol=ARPACK_TOL)
-            except ArpackError:
-                raise
-            except RuntimeError as exc:   # SuperLU's factor of K - sigma
-                raise SingularMatrixError(
-                    f"K - sigma singular at the shift sigma = {float(sigma)!r}, an eigenvalue "
-                    f"of the mode-space matrix K at N={space.n_modes} ({exc})") from exc
-            if (np.abs(values - sigma) > tol).any() or n_eig == space.size - 2:
-                break
-            n_eig = min(2 * n_eig, space.size - 2)
-        _, localized = _localization(model, space.blocks(vectors))
-        partners = values[localized & space.interior(vectors)]
-        candidates += len(partners)
-        if len(partners):
-            nearest = min(nearest, float(circular_distance(phase, partners).min()))
-        if nearest <= tol:
-            break
-    return nearest, candidates
+
+def _localization(model: LatticeModel, vectors: np.ndarray) -> np.ndarray:
+    """Per column of site amplitudes: its mass on support_window(LOCALIZATION_MARGIN)."""
+    # contiguous rows in site order: a state's score rounds alike for any window start
+    window = np.sort(model.support_window(LOCALIZATION_MARGIN))
+    return np.ascontiguousarray((np.abs(vectors[window]) ** 2).T).sum(axis=1)
 
 
 def bound_state_scan(model: LatticeModel, mono: Monodromy,
                      n_modes: int = 12) -> list[BoundStateInfo]:
-    """Bound states from localization of the one-period operator's eigenvectors.
+    """Bound states of the one-period operator: the eigenvectors of the monodromy
+    `mono` whose quasi-energy has every sideband closed (sidebands_closed on H0's
+    levels), in order of quasi-energy.
 
-    Eigenvectors of the monodromy `mono` with at least 90% of their mass on
-    support_window(LOCALIZATION_MARGIN) (bound_vectors) are flagged bound; their
-    eigenphases are cross-checked against localized interior quasi-energies
-    of the truncated mode-space matrix K, found near each phase by inverse
-    iteration, or by shift-invert eigsh where that certifies none
-    (_mode_space_partner).  One ScanOperators at n_modes per scan holds K
-    and solves every K - zeta on the potential's support.  Raises
-    DetectorDisagreementError if the two detectors disagree beyond
-    CROSS_CHECK_TOL.
+    Each one reports its localization, the mass on
+    support_window(LOCALIZATION_MARGIN), as a measured value that decides
+    nothing.  Each phase is cross-checked against an interior in-gap eigenvalue
+    of the truncated mode-space matrix K, certified near it by inverse
+    iteration (_mode_space_partner); one ScanOperators at n_modes per scan
+    holds K and solves every K - zeta on the potential's support.  A phase
+    with no certified partner within CROSS_CHECK_TOL raises
+    DetectorDisagreementError carrying the smallest singular value of I + Q
+    at the phase (null_pair at phase + i RAYLEIGH_EPS).  Phases within
+    CROSS_CHECK_TOL of each other are one state of that multiplicity.
     """
-    score, bound = _localization(model, mono.eig.vectors[None])
     phases = mono.quasi_energies
-    found = sorted((phases[j], score[j]) for j in np.flatnonzero(bound))
+    bound = sidebands_closed(phases, model.free_eig.values)
+    found = sorted(zip(phases[bound], _localization(model, mono.eig.vectors[:, bound])))
 
     infos = []
     if found:
         scan = ScanOperators(model, n_modes)
         for phase, _ in found:
-            dist, candidates = _mode_space_partner(model, scan, phase, CROSS_CHECK_TOL)
-            if dist > CROSS_CHECK_TOL:
+            if _mode_space_partner(model, scan, phase, CROSS_CHECK_TOL) is None:
+                s_min = scan.null_pair(phase + 1j * RAYLEIGH_EPS)[0]
                 raise DetectorDisagreementError(
                     f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
-                    f"spectrum at N={n_modes} (nearest of {candidates} localized "
-                    f"interior values {dist:.2e} away)", candidates)
+                    f"spectrum at N={n_modes} (no interior in-gap eigenvalue certified within "
+                    f"{CROSS_CHECK_TOL:.0e}; smallest singular value of I + Q there "
+                    f"{s_min:.2e})", s_min)
         # multiplicity: cluster phases within the cross-check tolerance
         used = np.zeros(len(found), dtype=bool)
         for i, (phase, loc) in enumerate(found):
@@ -524,9 +490,9 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
 
 
 def bound_vectors(model: LatticeModel, mono: Monodromy) -> np.ndarray:
-    """Columns: eigenvectors of the one-period operator flagged as bound."""
-    _, bound = _localization(model, mono.eig.vectors[None])
-    return mono.eig.vectors[:, bound]
+    """Columns: the eigenvectors of the one-period operator whose quasi-energy is in
+    the gap."""
+    return mono.eig.vectors[:, sidebands_closed(mono.quasi_energies, model.free_eig.values)]
 
 
 def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:

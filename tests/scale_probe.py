@@ -6,9 +6,10 @@ Each config runs through `floqscat.cli.main` in a new Python process with
 BLAS and OpenMP pinned to one thread, as the benchmark pins them, and
 imported from `--src` (default: this checkout's `src`).  One line per config
 gives its exit code, the wall seconds of the `main` call (import excluded),
-the process's peak resident set (`ru_maxrss`) in MB and whether the run
-loaded `scipy.linalg` and the `scipy.sparse` package.  Reports go to `--out` (default: the current
-directory), so two trees' reports can be compared with tests/report_diff.py.
+the process's peak resident set (`ru_maxrss`) in MB and which of the modules in
+MODULES (`scipy.linalg`, the `scipy.sparse` package, `numpy.ma` and
+`concurrent.futures`) the process had loaded.  Reports go to `--out` (default: the
+current directory), so two trees' reports can be compared with tests/report_diff.py.
 
 The at-scale wave-operators figures in CHANGES.md come from the benchmark's
 ring-scatter ring (hopping 1, well depth -0.8, drive 0.5, support width 5)
@@ -36,24 +37,26 @@ from pathlib import Path
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
+# modules whose loading each child reports
+MODULES = ("scipy.linalg", "scipy.sparse", "numpy.ma", "concurrent.futures")
+
 # the child: import, then time the CLI call alone, read its own peak RSS and
-# whether scipy.linalg and scipy.sparse were loaded
-CHILD = """
+# which of MODULES were loaded
+CHILD = f"""
 import json, resource, sys, time
 import floqscat.cli as cli
 begin = time.perf_counter()
 code = cli.main(sys.argv[1:])
 wall = time.perf_counter() - begin
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak,
-                  "scipy_linalg": "scipy.linalg" in sys.modules,
-                  "scipy_sparse": "scipy.sparse" in sys.modules}))
+print(json.dumps({{"code": code, "wall_s": wall, "peak_rss_mb": peak,
+                  **{{m: m in sys.modules for m in {MODULES!r}}}}}))
 """
 
 
 def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
-    """One config in a fresh interpreter: {"code", "wall_s", "peak_rss_mb",
-    "scipy_linalg", "scipy_sparse"}."""
+    """One config in a fresh interpreter: {"code", "wall_s", "peak_rss_mb"} and, for
+    each name in MODULES, whether it was loaded (None where the child failed)."""
     env = {**os.environ, **{name: "1" for name in THREAD_VARIABLES},
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     argv = ["--config", config, "--out", out]
@@ -63,7 +66,7 @@ def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
                           stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
         return {"code": done.returncode, "wall_s": float("nan"), "peak_rss_mb": float("nan"),
-                "scipy_linalg": None, "scipy_sparse": None}
+                **dict.fromkeys(MODULES)}
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -78,10 +81,9 @@ def main(argv=None) -> int:
     status = 0
     for config in args.configs:
         got = probe(config, args.out, args.seed, args.src.resolve())
+        loaded = "  ".join(f"{m} {got[m]}" for m in MODULES)
         print(f"{config}  exit {got['code']}  wall {got['wall_s']:.2f} s  "
-              f"peak {got['peak_rss_mb']:.1f} MB  scipy.linalg {got['scipy_linalg']}  "
-              f"scipy.sparse {got['scipy_sparse']}",
-              flush=True)
+              f"peak {got['peak_rss_mb']:.1f} MB  {loaded}", flush=True)
         status = max(status, got["code"])
     return status
 

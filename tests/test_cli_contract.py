@@ -132,9 +132,10 @@ CONTRACT = [
     # and its order-4 square overflowed a Python float
     ("monodromy", HUGE_DRIVE, {"order": 4, "steps_per_period": 64}, 2,
      "'parameters.steps_per_period'"),
-    # a shift-invert shift exactly on an eigenvalue of K: SuperLU's singular factor
+    # a shift-invert shift exactly on an eigenvalue of K once exited 3 from a singular
+    # sparse LU of K - sigma; the certified partners solve off the axis
     ("bound-states", lattice(hopping=0.0),
-     {"steps_per_period": 64, "n_modes": 4, "scan_modes": 4}, 3, "K - sigma singular"),
+     {"steps_per_period": 64, "n_modes": 4, "scan_modes": 4}, 0, "case.report.json"),
     ("monodromy", lattice(sites=10**7), {}, 2, "'model.lattice.sites'"),
     ("monodromy", lattice(sites=7), {}, 2, "'model.lattice.sites'"),
     ("monodromy", lattice(support_width=0), {}, 2, "'model.lattice.support_width'"),
@@ -147,11 +148,28 @@ def test_contract_case(task, model, params, code, text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "case.json"
         cfg.write_text(json.dumps({"task": task, "model": model, "parameters": params}))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             got = main(["--config", str(cfg), "--out", tmp])
     assert got == code, err.getvalue()
-    assert text in err.getvalue() and "Traceback" not in err.getvalue()
+    # a failure's message, or a success's written report path
+    assert text in err.getvalue() + out.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_decoupled_well_sites_are_one_bound_state(tmp_path):
+    # at hopping 0 the five well sites are decoupled copies of one state at
+    # quasi-energy 2 pi - 1.8, off the flat band at 0 (CONTRACT's hopping-0 row)
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"task": "bound-states", "model": lattice(hopping=0.0),
+                               "parameters": {"steps_per_period": 64, "n_modes": 4,
+                                              "scan_modes": 4}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "flat.report.json").read_text())["results"]
+    [state] = results["bound_states"]
+    assert state["multiplicity"] == 5
+    assert abs(state["quasi_energy"] - (2 * math.pi - 1.8)) <= 1e-12
+    assert [v["confirmed"] for v in results["verdicts"]] == [True]
 
 
 def test_large_hopping_lattice_finishes(tmp_path):

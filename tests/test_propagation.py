@@ -513,6 +513,35 @@ class TestWindowRoute:
         assert np.abs(mono.operator - full).max() <= 1e-13
         assert np.array_equal(mono.operator, self.period(ring, start, sched))
 
+    def test_segment_steps_one_column_per_mirror_orbit(self, monkeypatch):
+        # the 81-site segment around the 5-site well is a LatticeModel whose mirror is
+        # the reflection about the well: 41 of its 81 columns are stepped, over half
+        # a period (Theta_seg = A^T A)
+        from floqscat.propagation import MagnusStepper, window_block
+
+        ring, sched = self.ring(), PropagatorSchedule(64, 4)
+        widths, sweep = [], MagnusStepper.sweep
+
+        def spy(self, s, n_steps, u):
+            widths.append((self.dim, n_steps, u.shape[1]))
+            return sweep(self, s, n_steps, u)
+
+        monkeypatch.setattr(MagnusStepper, "sweep", spy)
+        window, block = window_block(ring, 0.0, sched)
+        assert widths == [(81, 32, 41)]
+        monkeypatch.undo()
+        assert np.abs(block - self.unmirrored_block(ring, sched)).max() <= 1e-15
+
+    @staticmethod
+    def unmirrored_block(ring, sched):
+        # E_w from the same segment as a plain PeriodicHamiltonian, every column stepped
+        from floqscat.propagation import period_operator
+
+        segment = ring.support_window(38)
+        cut = np.ix_(segment, segment)
+        part = PeriodicHamiltonian(ring.h0[cut], {n: m[cut] for n, m in ring.modes.items()})
+        return (period_operator(part, 0.0, sched) - part.free_period)[19:-19, 19:-19]
+
     @staticmethod
     def period(h, s, sched):
         from floqscat.propagation import period_operator
