@@ -56,6 +56,7 @@ from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, Sc
                         bound_state_correspondence, factorized_potential, grid_potential,
                         mode_oracle_apply, q_factorized, r0_apply, r0_matrix, resolvent_residual)
 from .scattering import (
+    GAP_RUN,
     ConvergenceError,
     DetectorDisagreementError,
     bound_state_scan,
@@ -206,9 +207,12 @@ MAX_ITERATES = 2**12
 
 
 def _within_horizon(n_max, model):
+    """A probe converges on its last GAP_RUN gaps, before the wrap-around horizon: a
+    ring whose horizon is below GAP_RUN admits no n_max."""
     horizon = _horizon(model)
-    if not 1 <= n_max <= horizon:
-        return f"n_max {n_max} outside [1, {horizon}], the ring's wrap-around horizon"
+    if not GAP_RUN <= n_max <= horizon:
+        return (f"n_max {n_max} outside [{GAP_RUN}, {horizon}]: a probe converges over "
+                f"GAP_RUN={GAP_RUN} iterates, within the ring's wrap-around horizon")
     if n_max > MAX_ITERATES:
         return f"n_max {n_max} above the iterate ceiling {MAX_ITERATES}"
 
@@ -389,10 +393,8 @@ def run_resolvent_check(h, params, rng):
         _, schmidt = q_factorized(h, lam, n_t, fact)
         results["schmidt_norm"] = schmidt
         # Q = V G0 vanishes off the rows (n, a) with a in the support: the 2-norm of
-        # those (2N + 1)|S| rows is Q's
-        q = block_q(h, lam, params["n_modes"])
-        rows = q.reshape(-1, h.dim, q.shape[1])[:, h.support]
-        results["block_q_norm"] = op_norm(rows.reshape(-1, q.shape[1]))
+        # those (2N + 1)|S| rows, formed from H_m's support rows alone, is Q's
+        results["block_q_norm"] = op_norm(block_q(h, lam, params["n_modes"], h.support))
     else:
         results["block_q_norm"] = 0.0
     return results
@@ -421,6 +423,7 @@ def run_wave_operators(model, params, rng):
         "intertwining_defect": report.intertwining_defect,
         "time_averaged_agreement": avg_agreement,
         "s_matrix": report.s_matrix,
+        "channel_momenta": report.channels,
         "bound_states": [asdict(b) for b in scan],
         "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, mono)),
     }

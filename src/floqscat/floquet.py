@@ -103,14 +103,17 @@ class ModeSpace:
         return np.arange(max(0, m), self.n_blocks + min(0, m))
 
     def toeplitz(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Dense block-Toeplitz matrix whose block (n, n - m) is blocks[m]: one (d, d)
-        array, or a (2N+1, d, d) stack indexed by the column block n - m."""
+        """Dense block-Toeplitz matrix whose block (n, n - m) is blocks[m]: one (r, d)
+        array, or a (2N+1, r, d) stack indexed by the column block n - m.  Square
+        (d, d) blocks give the (2N+1)d-side matrix; r < d rows, the same r rows of
+        every row block of it."""
         nb, d = self.n_blocks, self.fiber_dim
-        out = np.zeros((nb, d, nb, d), dtype=np.complex128)
+        r = next(iter(blocks.values())).shape[-2] if blocks else d
+        out = np.zeros((nb, r, nb, d), dtype=np.complex128)
         for m, bm in blocks.items():
             n = self.row_blocks(m)
             out[n, :, n - m, :] = bm if bm.ndim == 2 else bm[n - m]
-        return out.reshape(self.size, self.size)
+        return out.reshape(nb * r, self.size)
 
     def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> CSRMatrix:
         """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, as canonical

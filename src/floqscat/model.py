@@ -20,10 +20,20 @@ reflects the ring about it.
 
 Every model owns what is built once from it: where its interaction acts
 (`support`, the sites where some mode has a nonzero row or column), the H0
-eigendecomposition (`free_eig`) behind U0(t) = exp(-i t H0) (`free_apply`) and
-every free resolvent (grid, mode space, null scan), the free one-period operator U0(1)
-(`free_period`, read-only) and the Magnus steppers of each step width and
-order it is propagated with (`steppers`, filled by propagation.propagate).
+eigendecomposition (`free_eig`) behind every free resolvent (grid, mode space,
+null scan), the free one-period operator U0(1) (`free_period`, read-only) and
+the Magnus steppers of each step width and order it is propagated with
+(`steppers`, filled by propagation.propagate).
+
+The model also owns U0(t) = exp(-i t H0) and its spectrum.  `free_apply`
+applies U0(t) to a block of columns and `free_levels` gives H0's levels.  A
+LatticeModel whose h0 is exactly the nearest-neighbour ring of its hopping, a
+circulant, has `ring_spectrum`: eps_k, the FFT of h0's first column, one per
+ring momentum k = 2 pi q / L (Davis, Circulant Matrices, 1979).  There U0(t) x
+is ifft(e^{-i t eps_k} fft(x)) and U0(1) is the circulant of U0(1)'s first
+column, so neither needs free_eig.  On every other model (`ring_spectrum`
+None) both come from free_eig.  propagation's window route reads the same
+`ring_spectrum` test.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+# loaded at import, so that a ring's first free_apply does not pay for it
+import numpy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import (EigenDecomposition, as_complex_matrix, check_hermitian, check_square,
                        distinct, hermitian_defect, hermitian_eig, require_hermitian)
@@ -121,23 +134,46 @@ class PeriodicHamiltonian:
     @cached_property
     def free_eig(self) -> EigenDecomposition:
         """H0's eigendecomposition (hermitian_eig), formed once per model: the only
-        one, behind free_period, free_apply and every free resolvent."""
+        one, behind every free resolvent, and behind free_period and free_apply
+        where the model has no ring_spectrum."""
         return hermitian_eig(self.h0)
+
+    @property
+    def ring_spectrum(self) -> np.ndarray | None:
+        """H0's levels per ring momentum where h0 is a nearest-neighbour ring; a
+        PeriodicHamiltonian has none."""
+        return None
+
+    @property
+    def free_levels(self) -> np.ndarray:
+        """H0's levels, ascending: the sorted ring_spectrum, else free_eig.values."""
+        levels = self.ring_spectrum
+        return self.free_eig.values if levels is None else np.sort(levels)
 
     @cached_property
     def free_period(self) -> np.ndarray:
-        """Theta0 = U0(1) = exp(-i H0), the free one-period operator: the bits of
-        free_eig.exp(1.0), formed once per model and read-only."""
-        theta0 = self.free_eig.exp(1.0)
+        """Theta0 = U0(1) = exp(-i H0), the free one-period operator, formed once per
+        model and read-only: on a ring the circulant of free_apply(1, e_0), else
+        the bits of free_eig.exp(1.0)."""
+        if self.ring_spectrum is None:
+            theta0 = self.free_eig.exp(1.0)
+        else:
+            unit = np.zeros(self.dim, dtype=np.complex128)
+            unit[0] = 1.0
+            theta0 = circulant(self.free_apply(1.0, unit))
         theta0.flags.writeable = False
         return theta0
 
     def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
-        """U0(t) x for a block x of columns, from the same eigendecomposition of H0,
-        without forming U0(t): V (e^{-i t E} (V^H x)), whose phases are exact for
-        every t (no repeated products)."""
-        eig = self.free_eig
-        return eig.apply(np.exp(-1j * float(t) * eig.values), x)
+        """U0(t) x for a vector or a block x of columns, without forming U0(t): on a
+        ring ifft(e^{-i t eps_k} fft(x)) along the sites, else V (e^{-i t E} (V^H x))
+        from free_eig.  The phases are exact for every t (no repeated products)."""
+        levels = self.ring_spectrum
+        if levels is None:
+            eig = self.free_eig
+            return eig.apply(np.exp(-1j * float(t) * eig.values), x)
+        phases = np.exp(-1j * float(t) * levels).reshape((-1,) + (1,) * (np.ndim(x) - 1))
+        return np.fft.ifft(phases * np.fft.fft(x, axis=0), axis=0)
 
 
 def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:
@@ -178,6 +214,18 @@ class LatticeModel(PeriodicHamiltonian):
         return self.dim
 
     @cached_property
+    def ring_spectrum(self) -> np.ndarray | None:
+        """eps_k, the FFT of h0's first column at momentum k = 2 pi q / L (index q),
+        read-only, where h0 is exactly ring_h0(sites, hopping); else None (an open
+        segment, an edited h0).  A real circulant's eigenvalues are real: the FFT's
+        round-off in the imaginary part is dropped."""
+        if not np.array_equal(self.h0, ring_h0(self.sites, self.hopping)):
+            return None
+        levels = np.fft.fft(self.h0[:, 0]).real
+        levels.flags.writeable = False
+        return levels
+
+    @cached_property
     def arc(self) -> tuple[int, int]:
         """(lo, width): the shortest run of ring sites from lo that holds
         potential_support.  It leaves out the widest gap between cyclically
@@ -205,6 +253,13 @@ class LatticeModel(PeriodicHamiltonian):
         symmetric = np.array_equal(self.h0[flip], self.h0) and \
             all(np.array_equal(m[flip], m) for m in self.modes.values())
         return r if symmetric else None
+
+
+def circulant(column: np.ndarray) -> np.ndarray:
+    """The dense circulant C[i, j] = column[(i - j) mod L]: row i is the window
+    of (column reversed, twice) that ends at column[i]."""
+    twice = np.tile(column[::-1], 2)
+    return np.ascontiguousarray(sliding_window_view(twice, len(column))[-2::-1])
 
 
 def ring_h0(sites: int, hopping: float) -> np.ndarray:

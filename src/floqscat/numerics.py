@@ -15,7 +15,8 @@ A unitary is diagonalized through its Hermitian part, whose eigenvectors are
 clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
 of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
-start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic.
+start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic,
+and so is a Hermitian matrix with no imaginary part (`hermitian_eig`).
 
 Every decomposition here runs in numpy.linalg.  scipy.linalg, a second LAPACK,
 is imported only inside `solve`, for its LU with a condition estimate.
@@ -290,10 +291,17 @@ def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
     Backed by numpy.linalg.eigh with the deterministic phase and tie-break
-    conventions applied on top.
+    conventions applied on top.  A matrix whose imaginary part is all zero, a
+    real symmetric one such as a ring's H0, is diagonalized in real arithmetic
+    (eigh of a.real, about a third of the complex eigh's time); its real
+    orthogonal eigenvectors are returned as complex columns.
     """
     a = check_hermitian(a)
-    values, vectors = np.linalg.eigh(a)
+    if a.imag.any():
+        values, vectors = np.linalg.eigh(a)
+    else:
+        values, vectors = np.linalg.eigh(a.real)
+        vectors = vectors.astype(np.complex128)
     vectors = _fix_phases(vectors)
     values, vectors = _lex_tiebreak(values, vectors, values)
     return EigenDecomposition(values=values, vectors=vectors)

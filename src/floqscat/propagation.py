@@ -47,8 +47,9 @@ and schedule takes all N.  Theta(s) has period 1 in s, and `monodromy`
 forms it at s mod 1, the start its Monodromy records.
 
 A third route serves the driven ring (`window_block`).  Where a LatticeModel's
-h0 is exactly the nearest-neighbour ring of its hopping and its `support`
-lies in potential_support, E = Theta - Theta0, Theta0 = U0(1), lives on a
+h0 is exactly the nearest-neighbour ring of its hopping (the model has a
+`ring_spectrum`, whose FFT gives its U0(1)) and its `support` lies in
+potential_support, E = Theta - Theta0, Theta0 = U0(1), lives on a
 window around the support's arc: one period of free motion carries amplitude
 |U0(1)_xy| <= |hopping|^|x-y| / |x-y|! (Abramowitz & Stegun 9.1.62) and no
 farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).  With
@@ -57,7 +58,8 @@ hopping 1, `light_cone_radius`), the model is sliced to the open segment
 support_window(2r), itself a LatticeModel, and stepped there on the same
 schedule and start (half path included, and one column per mirror orbit
 where the segment is symmetric about the arc), and E_w is the block of
-Theta_seg - U0_seg(1) on the window support_window(r).  Its border rows and
+Theta_seg - U0_seg(1) on the window support_window(r) (the open segment is
+no circulant: its U0_seg(1) comes from its real eigh).  Its border rows and
 columns must be at most WINDOW_BORDER_TOL, checked on every build, or r
 doubles; a ring whose segment would exceed half its sites takes the stepped
 route.  Theta = Theta0 + P E_w P^T
@@ -85,7 +87,7 @@ from math import lgamma, log
 
 import numpy as np
 
-from .model import LatticeModel, PeriodicHamiltonian, ring_h0
+from .model import LatticeModel, PeriodicHamiltonian
 from .numerics import (EigenDecomposition, csr_matvecs, csr_structure, distinct, expm_hermitian,
                        max_norm, require_hermitian, unitary_eig)
 
@@ -430,9 +432,9 @@ def light_cone_radius(hopping: float) -> int:
 
 def _local_ring(h: LatticeModel) -> bool:
     """Whether every mode vanishes off potential_support and h0 is exactly the
-    nearest-neighbour ring of the hopping."""
+    nearest-neighbour ring of the hopping (the model has a ring_spectrum)."""
     return bool(np.isin(h.support, h.potential_support).all()) and \
-        np.array_equal(h.h0, ring_h0(h.sites, h.hopping))
+        h.ring_spectrum is not None
 
 
 def window_block(h: PeriodicHamiltonian, s: float,

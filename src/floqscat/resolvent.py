@@ -252,15 +252,19 @@ def grid_potential(h: PeriodicHamiltonian, n_t: int) -> np.ndarray:
     return h.potential(np.arange(n_t) / n_t)
 
 
-def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int) -> np.ndarray:
-    """Mode-space block operator (Q x)_n = sum_k V_{n-k} (H0 + 2 pi k - zeta)^{-1} x_k."""
+def block_q(h: PeriodicHamiltonian, zeta: complex, n_modes: int,
+            rows: np.ndarray | None = None) -> np.ndarray:
+    """Mode-space block operator (Q x)_n = sum_k V_{n-k} (H0 + 2 pi k - zeta)^{-1} x_k,
+    or, given fiber `rows`, only Q's rows (n, a) for a in rows, every n in order,
+    formed from those rows of each H_m alone."""
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise ValueError("block resolvent requires Im(zeta) != 0")
     space = ModeSpace(n_modes, h.dim)
     r0 = space.free_resolvent(h.free_eig, zeta)
-    # block (n, k) is the dense d x d product H_{n-k} R0_k, rounded as the definition
-    return space.toeplitz({m: hm @ r0 for m, hm in h.modes.items()})
+    # block (n, k) is the dense product H_{n-k} R0_k (its rows), rounded as the definition
+    return space.toeplitz({m: (hm if rows is None else hm[rows]) @ r0
+                           for m, hm in h.modes.items()})
 
 
 @dataclass

@@ -10,40 +10,54 @@ unitaries, hence unitary to round-off on the full space; every defect
 reported here measures probe-subspace leakage, not loss of unitarity.
 
 Wave operators are strong limits, so only their action on vectors is
-computed: every reported number uses W on a block of at most
-(2 translates + 1) p probe columns.  No power of Theta is formed: Theta^{+-n}
-acts as V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
-Monodromy holds (Monodromy.apply), and the free factors Theta0^{-+n} act as
-V e^{+-inE} V^H from the one H0 eigendecomposition the model caches, so
-every phase is exact.  No L x L matrix is formed inside the iterate loop, and
-the loop never multiplies by Theta: it takes Theta = Theta0 + P E_w P^T from
-the Monodromy (on the driven ring E_w is the window block of
+computed: every reported number uses W on a block of at most 3p probe
+columns.  No power of Theta is formed: Theta^{+-n} acts as
+V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
+Monodromy holds (Monodromy.apply), and every free factor Theta0^{-+n} = U0(-+n)
+acts through the model's free_apply, on the ring ifft(e^{+-in eps_k} fft(x)),
+so every phase is exact.  No L x L matrix is formed inside the iterate loop,
+and the loop never multiplies by Theta: it takes Theta = Theta0 + P E_w P^T
+from the Monodromy (on the driven ring E_w is the window block of
 propagation.window_block; otherwise the window is every site and
-E_w = Theta - Theta0), so an iterate costs one L x L x p product with the
-model's U0(1) and one on the window, and the Cauchy gap ||(Theta - Theta0) x||
-is the norm of the window product.  The time-reversed loop applies Theta0^H
-and E_w^H by numerics.adjoint_apply, with no adjoint copy.  Only the gaps
-(n_max x p) and the last iterate Theta^{+-n_max} phi (L x p) are kept, and
-the image W^(n_max) phi is formed from it when read.  A wave-operators run on
-the window route therefore holds these L x L arrays: H0, the well and the
-one drive array, H0's eigenvectors and U0(1) on the model, Theta's
-eigenvectors on the Monodromy, and in s_matrix one U0(1)^H for the orbit
-basis; Theta itself is formed only where a reader asks for it.
+E_w = Theta - Theta0), so an iterate costs two FFTs of the p columns and one
+product on the window, and the Cauchy gap ||(Theta - Theta0) x|| is the norm
+of the window product.  The time-reversed loop applies U0(-1) and E_w^H
+(numerics.adjoint_apply, with no adjoint copy).  Only the gaps (n_max x p)
+and the last iterate Theta^{+-n_max} phi (L x p) are kept, and the image
+W^(n_max) phi is formed from it when read.  A wave-operators run on the
+window route therefore holds these L x L arrays: H0, the well and the one
+drive array and U0(1) on the model (with H0's eigenvectors once the null
+scan reads them), and Theta's eigenvectors on the Monodromy; U0(1) is read
+only to form Theta, and Theta itself only where a reader asks for it.
 The time average applies its kernel to the probe block only: the columns
 are propagated through the quadrature nodes on the Monodromy's schedule,
 with the Magnus steppers the model keeps, and the free factors act through
-the same eigenbasis, so neither the L x L kernel nor a dense U0(t) is formed.
+free_apply, so neither the L x L kernel nor a dense U0(t) is formed.
 
 Every function here that needs Theta or its eigenbasis takes the scenario's
 one Monodromy, built by the caller at its start time s; none builds it from
 a schedule, except start_time_covariance_defect, which builds the one at
 s + 1/2.
 
-The probe subspace used for S-matrix defects is the span of the packets'
-short free orbits {Theta0^j phi}: it contains the scattered packets
-including their time delays, so the restriction of S = W+ W-^dagger to it
-is close to unitary, while single-packet restrictions would be spoiled by
-delay-induced position mismatch.
+S = W+ W-^dagger is reported on Theta0's channels.  Floquet scattering is
+fibred over quasi-energy (Yajima, J. Math. Soc. Japan 29 (1977)), so S
+commutes with Theta0 up to the intertwining defect, and on the ring Theta0
+is diagonal in the Fourier basis (Davis, Circulant Matrices, 1979): S is one
+block per cluster of ring momenta that share an eigenvalue e^{-i eps_k} of
+Theta0 (channel_clusters): {k, -k} below hopping pi/2, joined above it by a
+sideband momentum where the ring's level meets eps_k - 2 pi n.  Each block is fitted by least squares from the Fourier
+transforms of S phi and phi over the converged probes, and reported where
+the probes' weight on the cluster makes that fit well conditioned
+(fit_channels), beside the channel momenta.  No rank decision enters the
+blocks, so round-off in Theta0 moves them by round-off over FIT_WEIGHT.  In a
+{-k, k} block the diagonal holds the transmission amplitudes and the
+off-diagonal the reflection amplitudes.
+
+S's unitarity defect is measured on the span of the packets' short free
+orbits {Theta0^j phi, |j| <= translates} (free_orbit_basis): it contains the
+scattered packets including their time delays, so S phi leaks little out of
+it, while a single packet's span would be spoiled by the delay-induced
+position mismatch.
 
 Bound states are the Theta eigenvectors whose quasi-energy lies in the gap
 of the folded free band: every sideband eps - 2 pi n outside the hull of
@@ -79,6 +93,15 @@ LOCALIZATION_MARGIN = 4
 PARTNER_SOLVES = 3
 # the cross-check's partner distance, and the distance within which bound phases are one
 CROSS_CHECK_TOL = 1e-5
+# the least singular value of a direction of the probes' free-orbit span (unit columns)
+SPAN_TOL = 1e-8
+# free levels (mod 2 pi) this close are one eigenvalue of Theta0, one channel cluster:
+# far above the FFT's round-off in eps_k, below the 2.4e-6 between a 4096-site ring's
+# two lowest levels at hopping 1
+CHANNEL_TOL = 1e-8
+# the least singular value of the probes' Fourier weights on a channel cluster (unit
+# probes, unitary transform) at which S's block there is fitted and reported
+FIT_WEIGHT = 0.1
 
 
 class ConvergenceError(RuntimeError):
@@ -200,17 +223,16 @@ def _iterates(model: LatticeModel, direction: int, mono: Monodromy, x: np.ndarra
 
     A x is B x plus E_w on the window's rows of x (mono's window and block, or
     every site and Theta - Theta0 without them), so the gap is the norm of
-    that window product; direction -1 applies Theta0^H and E_w^H by
-    adjoint_apply.  Each yielded iterate is a new array."""
-    theta0 = model.free_period
+    that window product.  B acts as model.free_apply(+-1); direction -1 applies
+    E_w^H by adjoint_apply.  Each yielded iterate is a new array."""
     if mono.window is None:
-        window, block = slice(None), mono.operator - theta0
+        window, block = slice(None), mono.operator - model.free_period
     else:
         window, block = mono.window, mono.block
     act = np.matmul if direction == +1 else adjoint_apply
     while True:
         kick = act(block, x[window])      # (A - B) x, zero off the window
-        x = act(theta0, x)
+        x = model.free_apply(direction, x)
         x[window] += kick
         yield np.linalg.norm(kick, axis=0), x
 
@@ -306,72 +328,130 @@ class BoundStateInfo:
 
 @dataclass
 class ScatteringReport:
-    """S-matrix on the free-orbit basis and its defects on the scattering-subspace proxy."""
+    """S on Theta0's channels, one block per reported cluster of ring momenta, with
+    the momenta of its rows and columns, and S's defects on the probe subspace."""
 
-    s_matrix: np.ndarray
+    s_matrix: list[np.ndarray]
+    channels: list[np.ndarray]
     isometry_defect: float
     unitarity_defect: float
     intertwining_defect: float
 
 
-def free_orbit_basis(theta0: np.ndarray, probes: ProbeSet, translates: int = 2) -> np.ndarray:
-    """Orthonormal basis of span{Theta0^j phi, |j| <= translates}: the orbit
-    columns in order, the probes first, each joining when its residual against
-    the basis so far (Gram-Schmidt, two passes) exceeds 1e-8.  A dependent
-    column is dropped whole, so the probes lie in the span and every orbit
-    column within 1e-8 of it."""
-    cols = [probes.vectors]
-    fwd = back = probes.vectors
-    for _ in range(translates):
-        fwd = theta0 @ fwd
-        back = adjoint_apply(theta0, back)    # Theta0^H back, without a copy of Theta0^H
-        cols += [fwd, back]
-    basis = probes.vectors[:, :0]
-    for col in np.column_stack(cols).T:
-        for _ in range(2):
-            col = col - basis @ (basis.conj().T @ col)
-        if np.linalg.norm(col) > 1e-8:
-            basis = np.column_stack([basis, col / np.linalg.norm(col)])
-    return basis
+def free_orbit_basis(model: LatticeModel, probes: ProbeSet, translates: int = 2) -> np.ndarray:
+    """Orthonormal basis of span{Theta0^j phi, |j| <= translates}: the left singular
+    vectors of the probes, then those of the other orbit columns (free_apply(j),
+    j = +-1 .. +-translates) with the probes' span projected out, each where its
+    singular value exceeds SPAN_TOL.  The probes lie in the span to round-off (a
+    repeated probe adds no direction).
+
+    The orbit's singular values fall geometrically, without a gap, so some
+    cut is made; the SVD fixes each kept direction to round-off over the
+    singular-value gap, where column-by-column Gram-Schmidt divided each
+    near-dependent column by its residual and carried its round-off 1e-8
+    relative into every later one (Golub & Van Loan, Matrix Computations, 5.4)."""
+    phi = probes.vectors
+    u, sv, _ = np.linalg.svd(phi, full_matrices=False)
+    basis = u[:, sv > SPAN_TOL]
+    if translates == 0:
+        return basis
+    rest = np.column_stack([model.free_apply(sign * j, phi)
+                            for j in range(1, translates + 1) for sign in (1, -1)])
+    u, sv, _ = np.linalg.svd(rest - basis @ (basis.conj().T @ rest), full_matrices=False)
+    # a direction of singular value sigma carries the probe span's round-off over sigma:
+    # projected out once more, and the columns orthonormalized again
+    extra = u[:, sv > SPAN_TOL]
+    extra = np.linalg.qr(extra - basis @ (basis.conj().T @ extra))[0]
+    return np.column_stack([basis, extra])
+
+
+def channel_clusters(model: LatticeModel) -> list[np.ndarray]:
+    """The ring's momentum indices q in (-L/2, L/2] (k = 2 pi q / L) grouped by
+    Theta0's eigenvalue e^{-i eps_q}: the ring_spectrum folded to [0, 2 pi),
+    sorted and cut wherever two neighbours (round the circle) lie more than
+    CHANNEL_TOL apart.  Each cluster is ascending, the clusters in ascending
+    least |q|.
+
+    eps_q = eps_{-q}, so every cluster holds {q, -q}; below hopping pi/2 the
+    band is narrower than 2 pi and that is all.  Above it a momentum joins where
+    its level meets eps_q - 2 pi n within CHANNEL_TOL, an open sideband."""
+    levels = model.ring_spectrum
+    if levels is None:
+        raise ValueError("S on Theta0's channels needs a ring: h0 is not ring_h0(sites, hopping)")
+    folded = np.mod(levels, 2 * np.pi)
+    order = np.argsort(folded, kind="stable")
+    clusters = np.split(order, np.flatnonzero(np.diff(folded[order]) > CHANNEL_TOL) + 1)
+    if len(clusters) > 1 and folded[order[0]] + 2 * np.pi - folded[order[-1]] <= CHANNEL_TOL:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    sites = model.sites
+    signed = np.arange(sites) - sites * (np.arange(sites) > sites // 2)
+    return sorted((np.sort(signed[c]) for c in clusters), key=lambda c: int(np.abs(c).min()))
+
+
+def fit_channels(model: LatticeModel, s_phi: np.ndarray,
+                 phi: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(blocks, momenta): S's block on each channel cluster where the fit is well
+    conditioned, by least squares from the unitary Fourier transforms of the
+    probes phi (X) and of their images S phi (Y).
+
+    S commutes with Theta0 up to the intertwining defect, so on a cluster C
+    Y_C = S_C X_C; S_C = Y_C X_C^+ is fitted where X_C's least singular value is
+    at least FIT_WEIGHT (so C has at most as many members as there are probes),
+    and the round-off in Y grows by at most 1 / FIT_WEIGHT.  The momenta are
+    2 pi q / L in (-pi, pi], the block's rows and columns in that order."""
+    x = np.fft.fft(phi, axis=0, norm="ortho")
+    y = np.fft.fft(s_phi, axis=0, norm="ortho")
+    weight = np.linalg.norm(x, axis=1)
+    blocks, momenta = [], []
+    for c in channel_clusters(model):    # a negative index q reads row L + q
+        if len(c) > phi.shape[1] or weight[c].min() < FIT_WEIGHT:
+            continue
+        u, sv, vh = np.linalg.svd(x[c], full_matrices=False)
+        if sv[-1] >= FIT_WEIGHT:
+            blocks.append(((y[c] @ vh.conj().T) / sv) @ u.conj().T)
+            momenta.append(2 * np.pi * c / model.sites)
+    return blocks, momenta
 
 
 def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
              translates: int = 2) -> ScatteringReport:
-    """Assemble S = W+ W-^dagger on the probe subspace and its defects.
+    """Assemble S = W+ W-^dagger on Theta0's channels and its defects.
 
-    The probe subspace is the span of the packets' short free orbits under
-    Theta0 = U0(1), the free monodromy of W+'s model.
-    unitarity_defect is the largest per-probe leakage ||(I - P) S phi||
-    (equivalently the deviation of the restricted columns from unit norm);
-    intertwining_defect the largest ||(S Theta0 - Theta0 S) phi|| over
-    converged probes; isometry_defect the deviation of ||W phi|| from 1.
-    S acts on the one block X = [basis, phi, Theta0 phi] (W-^dagger, then
-    W+); W+ and W- act on phi.  No L x L product is formed.
+    S is applied to the converged probes phi and to Theta0 phi (W-^dagger, then
+    W+, which also takes phi itself), 3m columns for m probes; Theta0 = U0(1)
+    acts through the model's free_apply.  The blocks are fitted from S phi and
+    phi (fit_channels).  unitarity_defect is the largest per-probe leakage
+    ||(I - P) S phi|| out of the span of the probes' short free orbits
+    {Theta0^j phi, |j| <= translates} (free_orbit_basis), which holds the
+    scattered packets with their time delays; intertwining_defect the largest
+    ||(S Theta0 - Theta0 S) phi||; isometry_defect the deviation of ||W phi||
+    from 1.  No L x L product is formed.
     """
     if wplus.probe_set is not wminus.probe_set:
         if wplus.probe_set.vectors.shape != wminus.probe_set.vectors.shape or not np.allclose(
             wplus.probe_set.vectors, wminus.probe_set.vectors
         ):
             raise ValueError("wave operators were computed on different probe sets")
-    probes, theta0 = wplus.probe_set, wplus.model.free_period
-    basis = free_orbit_basis(theta0, probes, translates)
+    probes, model = wplus.probe_set, wplus.model
     use = wplus.converged & wminus.converged
     phi = probes.vectors[:, use]
-    k, m = basis.shape[1], phi.shape[1]
-    block = np.column_stack([basis, phi, theta0 @ phi])
+    m = phi.shape[1]
+    block = np.column_stack([phi, model.free_apply(1, phi)])
     # one W+ apply gives W+ phi and S X = W+ W-^H X
     images = wplus.apply(np.column_stack([phi, wminus.apply_adjoint(block)]))
-    wp_phi, s_block = images[:, :m], images[:, m:]
+    wp_phi, s_phi, s_theta0_phi = images[:, :m], images[:, m:2 * m], images[:, 2 * m:]
     wm_phi = wminus.apply(phi)
-    s_phi, s_theta0_phi = s_block[:, k:k + m], s_block[:, k + m:]
+    basis = free_orbit_basis(model, probes, translates)
     leak = s_phi - basis @ (basis.conj().T @ s_phi)
     unitarity = float(np.linalg.norm(leak, axis=0).max()) if use.any() else np.inf
-    comm_phi = s_theta0_phi - theta0 @ s_phi
+    comm_phi = s_theta0_phi - model.free_apply(1, s_phi)
     intertwining = float(np.linalg.norm(comm_phi, axis=0).max()) if use.any() else np.inf
     iso = [np.abs(np.linalg.norm(w, axis=0) - 1.0).max() if use.any() else np.inf
            for w in (wp_phi, wm_phi)]
+    blocks, momenta = fit_channels(model, s_phi, phi)
     return ScatteringReport(
-        s_matrix=basis.conj().T @ s_block[:, :k],
+        s_matrix=blocks,
+        channels=momenta,
         isometry_defect=float(max(iso)),
         unitarity_defect=unitarity,
         intertwining_defect=intertwining,
@@ -462,7 +542,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     CROSS_CHECK_TOL of each other are one state of that multiplicity.
     """
     phases = mono.quasi_energies
-    bound = sidebands_closed(phases, model.free_eig.values)
+    bound = sidebands_closed(phases, model.free_levels)
     found = sorted(zip(phases[bound], _localization(model, mono.eig.vectors[:, bound])))
 
     infos = []
@@ -492,7 +572,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
 def bound_vectors(model: LatticeModel, mono: Monodromy) -> np.ndarray:
     """Columns: the eigenvectors of the one-period operator whose quasi-energy is in
     the gap."""
-    return mono.eig.vectors[:, sidebands_closed(mono.quasi_energies, model.free_eig.values)]
+    return mono.eig.vectors[:, sidebands_closed(mono.quasi_energies, model.free_levels)]
 
 
 def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:

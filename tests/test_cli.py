@@ -219,7 +219,7 @@ class TestRunScenario:
         assert res["bound_states"] == []
         s = np.array(res["s_matrix"])
         s_c = s[..., 0] + 1j * s[..., 1]
-        assert np.abs(s_c - np.eye(len(s_c))).max() <= 1e-12
+        assert np.abs(s_c - np.eye(s_c.shape[-1])).max() <= 1e-12
 
     def test_wave_operators_form_no_power_of_theta(self, monkeypatch):
         # Theta^{+-n_max} acts through the monodromy's eigenbasis: no L x L power
@@ -740,6 +740,29 @@ class TestMemory:
                                                   PropagatorSchedule(64, 4)).tobytes()
 
 
+class TestRingFreeMotion:
+    """The ring's free motion runs by FFT on the wave-operators path."""
+
+    def test_no_complex_eigh_of_side_l_and_one_u0(self, monkeypatch):
+        import floqscat.model as model
+        from floqscat.numerics import EigenDecomposition
+
+        sites = 256
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args: eighs.append((a.shape[0], a.dtype)) or eigh(a, *args))
+        formed, circulant = [], model.circulant
+        monkeypatch.setattr(model, "circulant", lambda c: formed.append(len(c)) or circulant(c))
+        exps, exp = [], EigenDecomposition.exp
+        monkeypatch.setattr(EigenDecomposition, "exp",
+                            lambda self, tau: exps.append(len(self.values)) or exp(self, tau))
+        res = run_scenario(TestMemory.RING_SCATTER, 1)["results"]
+        assert res["s_matrix"] and res["bound_states"]
+        assert (sites, np.complex128) not in eighs
+        assert (sites, np.float64) in eighs      # H0 for the null scan, Theta's real part
+        assert formed == [sites] and sites not in exps    # U0(1): one circulant, no V e V^H
+
+
 class TestBoundStateScenario:
     def test_scan_operators_built_once_per_scenario(self, monkeypatch):
         built = []
@@ -1032,11 +1055,14 @@ class TestTranslationCovariance:
         params = {"steps_per_period": 64, "floquet_modes": 3}
         wrapped = _scenario("wave-operators", 256, [254, 255, 0, 1, 2], **params)
         centred = _scenario("wave-operators", 256, list(range(126, 131)), **params)
-        # s_matrix and unitarity_defect are left out: the orbit basis behind them
-        # makes a rank decision that round-off in the free period moves
         for field in ("converged_fraction", "final_gap_max", "isometry_defect",
                       "intertwining_defect", "time_averaged_agreement", "orthogonality_defect"):
             assert abs(wrapped[field] - centred[field]) <= 1e-12, field
+        assert abs(wrapped["unitarity_defect"] - centred["unitarity_defect"]) <= 1e-10
+        # a translation by L/2 multiplies S's entry between k and k' by e^{-i(k - k')L/2},
+        # which is 1 on every channel {k, -k}
+        assert wrapped["channel_momenta"] == centred["channel_momenta"]
+        assert np.abs(np.subtract(wrapped["s_matrix"], centred["s_matrix"])).max() <= 1e-10
         assert len(wrapped["bound_states"]) == len(centred["bound_states"])
         for a, b in zip(wrapped["bound_states"], centred["bound_states"]):
             assert abs(a["quasi_energy"] - b["quasi_energy"]) <= 1e-12

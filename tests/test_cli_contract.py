@@ -24,6 +24,7 @@ import floqscat
 from floqscat.cli import PARAMETERS, main
 from floqscat.propagation import MIN_STEPS, ORDERS
 from floqscat.resolvent import MAX_IM_LAMBDA
+from floqscat.scattering import GAP_RUN
 
 RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8, "drive_amp": 0.5,
                     "support_width": 4}}
@@ -58,7 +59,7 @@ def out_of_range(field: str, support: int):
         "floquet_modes": st.integers(max_value=support - 1),
         "n_t": st.integers(max_value=0),
         "translates": st.integers(max_value=-1),
-        "n_max": st.integers(max_value=0) | st.integers(min_value=RING_HORIZON + 1),
+        "n_max": st.integers(max_value=GAP_RUN - 1) | st.integers(min_value=RING_HORIZON + 1),
         "average_window": (st.floats(max_value=0.0, allow_infinity=False)
                            | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)),
         "eta": BAD_IM,
@@ -140,6 +141,10 @@ CONTRACT = [
     ("monodromy", lattice(sites=7), {}, 2, "'model.lattice.sites'"),
     ("monodromy", lattice(support_width=0), {}, 2, "'model.lattice.support_width'"),
     ("monodromy", lattice(support_width=-3), {}, 2, "'model.lattice.support_width'"),
+    # a horizon of 1 or 2 iterates (L / 8 at hopping 1), below GAP_RUN, once admitted the
+    # default n_max and exited 3 with "no probe stabilized"
+    ("wave-operators", lattice(sites=12, well_depth=-1.0), {}, 2, "'parameters.n_max'"),
+    ("wave-operators", lattice(sites=20, well_depth=-1.0), {}, 2, "'parameters.n_max'"),
 ]
 
 

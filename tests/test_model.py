@@ -166,6 +166,33 @@ class TestLattice:
         swing = np.diag(h.potential(0.0) - h.potential(0.5)).real
         assert np.allclose(swing[lat.potential_support], 2 * 0.5)
 
+    @pytest.mark.parametrize("sites, hopping", [(8, 1.0), (37, 0.7), (256, 2.5)])
+    def test_ring_free_motion_by_fft(self, sites, hopping):
+        # eps_k from h0's first column: -2 J cos k; U0(t) and U0(1) those of exp(-i t H0)
+        lat = build_lattice(sites, hopping, -1.0, 0.5, [sites // 2])
+        k = 2 * np.pi * np.arange(sites) / sites
+        assert np.abs(lat.ring_spectrum + 2 * hopping * np.cos(k)).max() <= 1e-13 * sites
+        assert np.array_equal(lat.free_levels, np.sort(lat.ring_spectrum))
+        assert np.abs(lat.free_levels - lat.free_eig.values).max() <= 1e-13 * sites
+        x = np.random.default_rng(3).normal(size=(sites, 3)) + 0j
+        for t in (0.5, 1.0, -7.0):
+            dense = lat.free_eig.exp(t)
+            assert np.abs(lat.free_apply(t, x) - dense @ x).max() <= 1e-12
+        assert np.abs(lat.free_period - lat.free_eig.exp(1.0)).max() <= 1e-13
+
+    def test_only_the_exact_ring_has_a_spectrum(self):
+        # an open segment or an edited bond is no circulant: free motion by free_eig
+        ring = build_lattice(16, 1.0, -1.0, 0.5, [7, 8])
+        h0 = ring.h0.copy()
+        h0[0, 15] = h0[15, 0] = 0.0
+        for lat in (LatticeModel(h0=h0, modes=ring.modes, hopping=1.0,
+                                 potential_support=ring.potential_support),
+                    PeriodicHamiltonian(h0=ring.h0, modes=ring.modes)):
+            assert lat.ring_spectrum is None
+            assert np.array_equal(lat.free_levels, lat.free_eig.values)
+            assert np.array_equal(lat.free_period, lat.free_eig.exp(1.0))
+        assert ring.ring_spectrum is not None
+
     def test_rejects_bad_support(self):
         with pytest.raises(ValueError, match="support"):
             build_lattice(16, 1.0, -1.0, 0.0, [20])

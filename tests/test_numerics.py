@@ -62,6 +62,24 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="^matrix is not Hermitian"):
             numerics.require_hermitian(defects, scales)
 
+    def test_real_matrix_takes_the_real_eigh(self, monkeypatch):
+        # a Hermitian matrix with no imaginary part is diagonalized as a.real: the
+        # values and projectors of the complex eigh, with the same conventions
+        a = random_hermitian(30, seed=5).real
+        a = (a + a.T) / 2 + np.diag(np.repeat([0.5, -0.5, 2.0], 10))
+        complex_eig = np.linalg.eigh(a.astype(np.complex128))
+        dtypes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: dtypes.append(m.dtype) or eigh(m))
+        eig = hermitian_eig(a.astype(np.complex128))
+        assert dtypes == [np.float64]
+        assert eig.vectors.dtype == np.complex128 and not eig.vectors.imag.any()
+        assert np.abs(eig.values - complex_eig[0]).max() <= 1e-13
+        assert residual(eig, a) <= 1e-13 and orthonormality_defect(eig) <= 1e-14
+        top = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), np.arange(len(a))]
+        assert (top.real > 0).all()      # the phase convention: largest entry positive
+        hermitian_eig(a + 1e-3j * (np.triu(a, 1) - np.tril(a, -1)))
+        assert dtypes == [np.float64, np.complex128]
+
     def test_deterministic(self):
         a = random_hermitian(20, seed=3)
         e1, e2 = hermitian_eig(a), hermitian_eig(a)

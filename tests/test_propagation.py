@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floqscat.model import PeriodicHamiltonian, rabi_quasi_energies
+from floqscat.model import PeriodicHamiltonian, circulant, rabi_quasi_energies
 from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import (
     PropagatorSchedule,
@@ -632,7 +632,10 @@ class TestWindowRoute:
         ring = self.ring()
         theta0 = ring.free_period
         assert theta0 is ring.free_period and not theta0.flags.writeable
-        assert np.array_equal(theta0, free_propagator(ring, 1.0))
+        # on a ring: the circulant of U0(1)'s first column by FFT, exp(-i H0) to round-off
+        unit = np.eye(ring.sites, dtype=np.complex128)[:, 0]
+        assert np.array_equal(theta0, circulant(ring.free_apply(1.0, unit)))
+        assert np.abs(theta0 - free_propagator(ring, 1.0)).max() <= 1e-14
         before = theta0.copy()
         monodromy(ring, 0.0, PropagatorSchedule(16, 2))
         assert np.array_equal(ring.free_period, before)

@@ -259,6 +259,16 @@ class TestFullResolvent:
 
 
 class TestBlockQ:
+    def test_support_rows_from_the_modes_support_rows(self):
+        # the (2N + 1)|S| rows (n, a), a in the support, from H_m's support rows alone
+        lat = build_lattice(16, 1.0, -1.0, 0.5, [6, 7, 9])
+        zeta, n_modes = 0.3 + 1.0j, 4
+        full = block_q(lat, zeta, n_modes)
+        rows = block_q(lat, zeta, n_modes, lat.support)
+        assert rows.shape == ((2 * n_modes + 1) * 3, full.shape[1])
+        want = full.reshape(-1, lat.sites, full.shape[1])[:, lat.support].reshape(rows.shape)
+        assert np.abs(rows - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_static_potential_block_diagonal(self):
         h0 = random_hermitian(2, seed=9)
         v0 = random_hermitian(2, seed=10)

@@ -9,8 +9,8 @@ import floqscat.scattering as scattering
 from floqscat.cli import run_scenario
 from floqscat.floquet import (EDGE_BLOCKS, GAP_MARGIN, build_floquet, circular_distance,
                               quasi_spectrum, sidebands_closed, start_vector)
-from floqscat.model import build_lattice
-from floqscat.numerics import expm_hermitian, unitary_defect
+from floqscat.model import LatticeModel, build_lattice
+from floqscat.numerics import EigenDecomposition, expm_hermitian, unitary_defect
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate
 from floqscat.resolvent import NULL_TOL, RAYLEIGH_EPS, ScanOperators
 from floqscat.scattering import (
@@ -105,11 +105,66 @@ class TestFreeRing:
         assert rep.unitarity_defect <= 1e-12
         assert rep.intertwining_defect <= 1e-12
         assert rep.isometry_defect <= 1e-12
-        p = rep.s_matrix.shape[0]
-        assert np.abs(rep.s_matrix - np.eye(p)).max() <= 1e-12
+        assert rep.s_matrix
+        for block in rep.s_matrix:
+            assert np.abs(block - np.eye(len(block))).max() <= 1e-12
+            reflection, transmission = block[0, 1:], block[0, 0]    # r = 0, |t| = 1
+            assert np.abs(reflection).max(initial=0.0) <= 1e-12
+            assert abs(abs(transmission) - 1.0) <= 1e-12
 
     def test_no_bound_states(self, free_ring, free_ring_mono):
         assert bound_state_scan(free_ring, free_ring_mono, n_modes=2) == []
+
+
+def eigenbasis_route(lat, phases=None):
+    """lat with U0(t) and U0(1) taken from free_eig, whose eigenvector columns are
+    first multiplied by `phases` where given (the same operator, rounded otherwise),
+    in place of the FFT."""
+    eig = lat.free_eig
+    if phases is not None:
+        eig = lat.free_eig = EigenDecomposition(eig.values, eig.vectors * phases)
+    lat.free_apply = lambda t, x: eig.apply(np.exp(-1j * float(t) * eig.values), x)
+    lat.free_period = eig.exp(1.0)
+    return lat
+
+
+class TestChannelBlocks:
+    """S on Theta0's channels does not move with the round-off in Theta0."""
+
+    @staticmethod
+    def report(lat):
+        mono = monodromy(lat, 0.0, PropagatorSchedule(64, 4))
+        probes, n_max = make_probes(lat), wrap_horizon(lat)
+        wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
+        wm = stroboscopic_wave_op(lat, -1, n_max, mono, probes)
+        return s_matrix(wp, wm, translates=2)
+
+    def test_theta0_round_off_moves_no_block(self):
+        def ring():
+            return build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
+
+        phases = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=256))
+        fft = self.report(ring())
+        assert len(fft.s_matrix) >= 20
+        for other in (eigenbasis_route(ring()), eigenbasis_route(ring(), phases)):
+            rep = self.report(other)
+            assert [m.tolist() for m in rep.channels] == [m.tolist() for m in fft.channels]
+            assert np.abs(np.subtract(rep.s_matrix, fft.s_matrix)).max() <= 1e-10
+            assert abs(rep.unitarity_defect - fft.unitarity_defect) <= 1e-10
+
+    def test_channels_pair_each_momentum_with_its_mirror(self, driven_256):
+        # at hopping 1 < pi/2 the band is narrower than 2 pi: Theta0's eigenspaces
+        # are {k, -k}, and {0} and {pi} alone
+        clusters = scattering.channel_clusters(driven_256)
+        assert sorted(len(c) for c in clusters) == [1, 1] + [2] * 127
+        assert all(len(c) == 1 or c[0] == -c[1] for c in clusters)
+
+    def test_sidebands_join_above_hopping_pi_over_2(self):
+        # eps(k) = -2 J cos k at J = 2 pi / 3: eps(0) = -4 pi / 3 and eps(+-2 pi / 3)
+        # = 2 pi / 3 are 2 pi apart, so k = 0 shares Theta0's eigenvalue with them
+        lat = build_lattice(12, 2 * np.pi / 3, 0.0, 0.0, [6])
+        clusters = [sorted(c.tolist()) for c in scattering.channel_clusters(lat)]
+        assert [-4, 0, 4] in clusters
 
 
 class TestDrivenWell:
@@ -137,8 +192,7 @@ class TestDrivenWell:
         assert rep.unitarity_defect <= 5e-3
         assert rep.intertwining_defect <= 5e-3
         # scattering is nontrivial: off-diagonal S entries present
-        p = rep.s_matrix.shape[0]
-        off = rep.s_matrix - np.diag(np.diag(rep.s_matrix))
+        off = [block - np.diag(np.diag(block)) for block in rep.s_matrix]
         assert np.abs(off).max() > 1e-3
 
     def test_wave_op_intertwining_from_iterates(self, driven_256, driven_256_run):
@@ -257,7 +311,7 @@ class TestDrivenWell:
         assert np.abs(operator(wm) - w_minus).max() <= 1e-12
 
         rep = s_matrix(wp, wm, translates=2)
-        basis = free_orbit_basis(lat.free_period, probes, translates=2)
+        basis = free_orbit_basis(lat, probes, translates=2)
         got = vars(rep) | {"w_plus": basis.conj().T @ wp.apply(basis),
                            "w_minus": basis.conj().T @ wm.apply(basis)}
         use = wp.converged & wm.converged
@@ -268,7 +322,6 @@ class TestDrivenWell:
         dense = {
             "w_plus": basis.conj().T @ w_plus @ basis,
             "w_minus": basis.conj().T @ w_minus @ basis,
-            "s_matrix": basis.conj().T @ s_full @ basis,
             "isometry_defect": max(np.abs(np.linalg.norm(w @ phi, axis=0) - 1.0).max()
                                    for w in (w_plus, w_minus)),
             "unitarity_defect": np.linalg.norm(leak, axis=0).max(),
@@ -276,6 +329,15 @@ class TestDrivenWell:
         }
         for name, want in dense.items():
             assert np.abs(got[name] - want).max() <= 1e-12, name
+        # S's blocks: the least-squares fit on each reported channel, from the
+        # Fourier transforms of phi and of the dense S phi; the fit grows the
+        # difference in S phi by at most 1 / FIT_WEIGHT
+        x, y = (np.fft.fft(a, axis=0, norm="ortho") for a in (phi, s_phi))
+        assert rep.s_matrix
+        for block, momenta in zip(rep.s_matrix, rep.channels):
+            rows = np.round(momenta * lat.sites / (2 * np.pi)).astype(int) % lat.sites
+            want = np.linalg.lstsq(x[rows].T, y[rows].T, rcond=None)[0].T
+            assert np.abs(block - want).max() <= 1e-12 / scattering.FIT_WEIGHT
 
         kernel = time_average(lat, mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
         for direction, want in (
@@ -436,13 +498,20 @@ class TestFreeEvolution:
         eig = numerics.hermitian_eig
         for holder in (numerics, model):    # every binding a model's free motion can reach
             monkeypatch.setattr(holder, "hermitian_eig", lambda a: calls.append(a) or eig(a))
-        lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
         sched = PropagatorSchedule(16, 2)
-        probes = make_probes(lat)
-        mono = monodromy(lat, 0.0, sched)
-        time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
-        start_time_covariance_defect(lat, mono, 2, probes)
-        assert len(calls) == 1 and calls[0] is lat.h0
+        ring = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
+        # the same ring with one weaker bond: no ring_spectrum, so free_eig carries U0(t)
+        h0 = ring.h0.copy()
+        h0[0, 1] = h0[1, 0] = -0.5
+        edited = LatticeModel(h0=h0, modes=ring.modes, hopping=1.0,
+                              potential_support=ring.potential_support)
+        for lat, eigs in ((ring, 0), (edited, 1)):   # a ring's free motion runs by FFT
+            calls.clear()
+            probes = make_probes(lat)
+            mono = monodromy(lat, 0.0, sched)
+            time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
+            start_time_covariance_defect(lat, mono, 2, probes)
+            assert len(calls) == eigs and all(a is lat.h0 for a in calls)
 
     RING_16 = {"sites": 16, "hopping": 1.0, "well_depth": -1.0, "drive_amp": 0.5,
                "support_width": 3}
