@@ -89,9 +89,14 @@ class PeriodicHamiltonian:
             if -n not in self.modes:
                 raise ValueError(f"mode {n} has no partner mode {-n} (H_-n = H_n^dagger required)")
         scale = float(np.abs(self.h0).max())
+        # max|H_-n - H_n^H| = max|H_n - H_-n^H| (the adjoint, negated): one dense pass
+        # per pair {n, -n}, read for both
+        defect = {}
+        for n, m in self.modes.items():
+            if n not in defect:
+                defect[n] = defect[-n] = float(np.abs(self.modes[-n] - m.conj().T).max())
         require_hermitian(
-            [hermitian_defect(self.h0)] +
-            [float(np.abs(self.modes[-n] - m.conj().T).max()) for n, m in self.modes.items()],
+            [hermitian_defect(self.h0)] + [defect[n] for n in self.modes],
             [scale] + [max(scale, float(np.abs(m).max())) for m in self.modes.values()],
             ["H0 is not Hermitian"] +
             [f"mode symmetry H_-n = H_n^dagger violated at n={n}" for n in self.modes])

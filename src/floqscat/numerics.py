@@ -16,7 +16,10 @@ clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
 of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic,
-and so is a Hermitian matrix with no imaginary part (`hermitian_eig`).
+and so is a Hermitian matrix with no imaginary part (`hermitian_eig`).  A
+unitary that commutes with a site reflection R, as the monodromy of a
+mirror-symmetric ring does, is diagonalized on R's even and odd sectors
+(`MirrorSectors`): two blocks of about half the side.
 
 Every decomposition here runs in numpy.linalg.  scipy.linalg, a second LAPACK,
 is imported only inside `solve`, for its LU with a condition estimate.
@@ -217,13 +220,21 @@ def check_unitary(a) -> np.ndarray:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Deterministic eigenvector phase: largest-magnitude entry real positive.
 
-    The first entry of largest magnitude of each column is z, and the column
-    is multiplied by conj(z)/|z|; a zero column is left as it is."""
+    The first entry of largest magnitude of each column is z.  A column whose z
+    is real and not negative (a zero column among them) is left as it is,
+    signed zeros included; any other is multiplied by conj(z)/|z|, formed from
+    conj(z)'s real and imaginary parts over the real |z| (a complex division
+    by |z| may round a real positive z's factor to 1 - 1e-16).  A real column
+    is thus multiplied by exactly +-1 and fixed again unchanged; a complex
+    product may leave z an imaginary part of order 1e-17, which a second fix
+    takes out at that order.  Mirror-image entries (equal or opposite) stay so."""
     z = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    scale = np.abs(z)
-    moved = scale > 0
-    out = vectors * (np.conj(z) / np.where(moved, scale, 1.0))
-    out[:, ~moved] = vectors[:, ~moved]    # a zero column keeps its signed zeros
+    moved = (z.imag != 0) | (z.real < 0)
+    scale = np.where(moved, np.abs(z), 1.0)
+    factor = np.empty_like(z)
+    factor.real, factor.imag = z.real / scale, -(z.imag / scale)
+    out = vectors.copy()
+    np.multiply(vectors, factor, out=out, where=moved)    # no temporary of the moved columns
     return out
 
 
@@ -307,7 +318,79 @@ def hermitian_eig(a) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def unitary_eig(u) -> EigenDecomposition:
+def _diagonalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, V) of a unitary checked by check_unitary, in no particular order:
+    the eigenvectors of C = (U + U^H)/2, each cluster rotated (unitary_eig)."""
+    u = check_unitary(u)
+    if np.abs(u - u.T).max() <= SYMMETRY_TOL:
+        re = u.real
+        wc, basis = np.linalg.eigh((re + re.T) / 2)
+        basis = basis.astype(np.complex128)
+    else:
+        wc, basis = np.linalg.eigh((u + u.conj().T) / 2)
+    cuts = [0, *(np.flatnonzero(np.diff(wc) > CLUSTER_GAP) + 1), len(wc)]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        if stop - start > 1:
+            block = basis[:, start:stop]
+            rot, _ = np.linalg.qr(np.linalg.eig(block.conj().T @ u @ block)[1])
+            basis[:, start:stop] = block @ rot
+    return (basis.conj() * (u @ basis)).sum(axis=0), basis   # diag(B^H U B): one BLAS product
+
+
+class MirrorSectors:
+    """The even and odd sectors of a site reflection R (an involution of the indices):
+    the orthonormal real basis (e_a + e_R[a]) / sqrt 2 for each orbit a < R[a], then
+    e_f for each fixed point f = R[f] (even), and (e_a - e_R[a]) / sqrt 2 (odd).
+    `fold` takes a block of rows to its even and odd rows, `unfold` takes sector
+    coefficients back to site rows."""
+
+    def __init__(self, mirror: np.ndarray):
+        sites = np.arange(len(mirror))
+        self.a = np.flatnonzero(sites < mirror)
+        self.b = mirror[self.a]
+        self.fixed = np.flatnonzero(sites == mirror)
+        self.size = len(mirror)
+
+    def fold(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(even rows, odd rows) of x in the sectors' bases."""
+        c = np.sqrt(0.5)
+        xa, xb = x[self.a], x[self.b]
+        return np.concatenate([(xa + xb) * c, x[self.fixed]]), (xa - xb) * c
+
+    def blocks(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """U's blocks on the even and the odd sector; NonUnitaryError where an even-odd
+        coupling entry exceeds UNITARY_TOL.  The folded rows go when it returns."""
+        even, odd = self.fold(u)
+        ee, eo = self.fold(even.T)
+        oe, oo = self.fold(odd.T)
+        coupling = max(float(np.abs(eo).max(initial=0.0)), float(np.abs(oe).max(initial=0.0)))
+        if coupling > UNITARY_TOL:
+            raise NonUnitaryError(
+                f"matrix does not commute with the mirror: even-odd coupling {coupling:.3e} > "
+                f"{UNITARY_TOL:.1e}")
+        return ee.T, oo.T
+
+    def eig(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, V) of U from its two blocks (_diagonalize), V unfolded to sites:
+        the even sector's eigenpairs, then the odd sector's."""
+        even, odd = self.blocks(u)
+        values_even, even = _diagonalize(even)
+        values_odd, odd = _diagonalize(odd)
+        return np.concatenate([values_even, values_odd]), self.unfold(even, odd)
+
+    def unfold(self, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """Site rows of the sector coefficients: even columns, then odd columns."""
+        c, pairs = np.sqrt(0.5), len(self.a)
+        out = np.zeros((self.size, even.shape[1] + odd.shape[1]), dtype=np.complex128)
+        k = even.shape[1]
+        out[self.a, :k] = out[self.b, :k] = even[:pairs] * c
+        out[self.fixed, :k] = even[pairs:]
+        out[self.a, k:] = odd * c
+        out[self.b, k:] = -odd * c
+        return out
+
+
+def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix.
 
     Diagonalizes C = (U + U^H)/2, which commutes with U, and clusters its
@@ -328,22 +411,22 @@ def unitary_eig(u) -> EigenDecomposition:
     orthogonal eigenbasis (Haake, Quantum Signatures of Chaos, ch. 2): C is
     then diagonalized by a real eigh, cheaper than the complex one, and the
     clusters are rotated as above.
-    """
-    u = check_unitary(u)
-    if np.abs(u - u.T).max() <= SYMMETRY_TOL:
-        re = u.real
-        wc, basis = np.linalg.eigh((re + re.T) / 2)
-        basis = basis.astype(np.complex128)
-    else:
-        wc, basis = np.linalg.eigh((u + u.conj().T) / 2)
-    cuts = [0, *(np.flatnonzero(np.diff(wc) > CLUSTER_GAP) + 1), len(wc)]
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        if stop - start > 1:
-            block = basis[:, start:stop]
-            rot, _ = np.linalg.qr(np.linalg.eig(block.conj().T @ u @ block)[1])
-            basis[:, start:stop] = block @ rot
 
-    values = (basis.conj() * (u @ basis)).sum(axis=0)   # diag(B^H U B): one BLAS product
+    Given a site reflection `mirror` R that U commutes with (a model's
+    LatticeModel.mirror), U is folded into its blocks on R's even and odd
+    sectors (MirrorSectors; 129 and 127 rows on a 256-site ring), each
+    diagonalized as above, its own check_unitary included, and the
+    eigenvectors unfolded to sites: two eighs of about half the side, about a
+    quarter of the one eigh's work.  The even-odd coupling blocks must be at
+    most UNITARY_TOL entrywise, or NonUnitaryError is raised.  An eigenvector
+    of either sector is one of U; the two routes agree to round-off over the
+    eigenphase gaps, and a pair split between sectors is separated exactly.
+    Both routes end in the same order, phase and tie-break conventions.
+    """
+    if mirror is None:
+        values, basis = _diagonalize(u)
+    else:
+        values, basis = MirrorSectors(mirror).eig(check_square(u))
     args = np.mod(np.angle(values), 2 * np.pi)
     order = np.argsort(args, kind="stable")
     values, basis, args = values[order], basis[:, order], args[order]

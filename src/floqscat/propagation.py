@@ -55,22 +55,27 @@ window around the support's arc: one period of free motion carries amplitude
 farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).  With
 r the smallest radius where that bound falls to unit round-off (19 at
 hopping 1, `light_cone_radius`), the model is sliced to the open segment
-support_window(2r), itself a LatticeModel, and stepped there on the same
-schedule and start (half path included, and one column per mirror orbit
-where the segment is symmetric about the arc), and E_w is the block of
-Theta_seg - U0_seg(1) on the window support_window(r) (the open segment is
-no circulant: its U0_seg(1) comes from its real eigh).  Its border rows and
-columns must be at most WINDOW_BORDER_TOL, checked on every build, or r
-doubles; a ring whose segment would exceed half its sites takes the stepped
-route.  Theta = Theta0 + P E_w P^T
-then costs a copy of the model's U0(1) and a segment of ~4r sites, whatever
-the ring's size.  Such a Monodromy keeps the window, E_w and a reference to
-the model's read-only U0(1), not Theta: `monodromy` drops Theta once it is
-diagonalized, and `Monodromy.operator` forms it again, with the same bits,
-each time it is read.  The wave operators act with Theta without reading it.
-`period_operator` asks window_block which of Theta's two routes applies, the
-window block or the stepped period (`_stepped_period`); `monodromy` takes the
-same route from its one window_block call.
+support_window(2r), itself a LatticeModel, and the window W = support_window(r)
+of it is stepped there on the same schedule and start: W's columns alone
+(`propagate`'s `columns`), one per mirror orbit where the segment is
+symmetric about the arc, and on the half path Theta_seg[W, W] = A[:, W]^T A[:, W]
+(22 of the 81-site segment's columns at hopping 1 and a 5-site well).  E_w
+is Theta_seg[W, W] - U0_seg(1)[W, W] (the open segment is no circulant: its
+U0_seg(1) comes from its real eigh).  Its border rows and columns must be at
+most WINDOW_BORDER_TOL, checked on every build, or r doubles; a ring whose
+segment would exceed half its sites takes the stepped route.
+Theta = Theta0 + P E_w P^T then costs a copy of the model's U0(1) and a
+segment of ~4r sites, whatever the ring's size.  Such a Monodromy keeps the
+window, E_w, the segment (with the steppers and free_eig it was stepped
+with, which scattering's time average and bound-state cross-check read) and
+a reference to the model's read-only U0(1), not Theta: `monodromy` drops
+Theta once it is diagonalized, and `Monodromy.operator` forms it again, with
+the same bits, each time it is read.  The wave operators act with Theta
+without reading it.  `period_operator` asks window_block which of Theta's two
+routes applies, the window block or the stepped period (`_stepped_period`);
+`monodromy` takes the same route from its one window_block call, and
+diagonalizes Theta on the even and odd sectors of the model's mirror
+(numerics.unitary_eig) where it has one: Theta commutes with R on both routes.
 
 A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
 applications of Omega is rejected when its stepper is planned
@@ -324,21 +329,25 @@ class MagnusStepper:
 
 def propagate(h: PeriodicHamiltonian, s: float, t: float,
               sched: PropagatorSchedule | None = None,
-              initial: np.ndarray | None = None) -> np.ndarray:
-    """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given.
+              initial: np.ndarray | None = None,
+              columns: np.ndarray | None = None) -> np.ndarray:
+    """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given; without
+    `initial`, its `columns` alone (U(t, s)[:, columns]) where those are given.
 
     U(s, s) = I; t < s via the adjoint.  Stepping continues the running
     product from `initial`, so for a given `initial` a sweep cut into pieces
     at step boundaries rounds like one uninterrupted propagate.  From the
-    identity, a LatticeModel with a `mirror` R steps only column j <= R[j] of
-    each orbit {j, R[j]} and fills column R[j] with rows R of column j at the
-    end, so those columns round unlike initial=I's.  The MagnusStepper of
-    each (dt, order) is built on first use and kept in h.steppers, so a sweep
-    whose pieces share their step width builds one stepper.
+    identity, a LatticeModel with a `mirror` R whose `columns` R maps onto
+    themselves (every column, by default) steps only column j <= R[j] of each
+    orbit {j, R[j]} and fills column R[j] with rows R of column j at the end,
+    so those columns round unlike initial=I's.  The MagnusStepper of each
+    (dt, order) is built on first use and kept in h.steppers, so a sweep whose
+    pieces share their step width builds one stepper.
     """
     sched = sched or PropagatorSchedule()
-    if initial is not None and (t <= s or h.max_mode == 0):
-        return propagate(h, s, t, sched) @ initial
+    if (t <= s or h.max_mode == 0) and (initial is not None or columns is not None):
+        full = propagate(h, s, t, sched)
+        return full @ initial if initial is not None else full[:, columns]
     if t == s:
         return np.eye(h.dim, dtype=np.complex128)
     if h.max_mode == 0:
@@ -357,16 +366,23 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
         # complex from the start (a real `initial` could not take the complex
         # steps in place); the stepper copies before it writes
         return step.sweep(s, n_steps, np.asarray(initial, dtype=np.complex128))
+    cols = np.arange(h.dim) if columns is None else np.asarray(columns)
     mirror = h.mirror() if isinstance(h, LatticeModel) else None
-    cols = np.arange(h.dim) if mirror is None else np.flatnonzero(np.arange(h.dim) <= mirror)
-    start = np.zeros((h.dim, len(cols)), dtype=np.complex128)
-    start[cols, np.arange(len(cols))] = 1.0
+    if mirror is not None and not np.array_equal(np.sort(mirror[cols]), np.sort(cols)):
+        mirror = None
+    # each column's orbit representative min(j, R[j]), stepped once
+    rep = cols if mirror is None else np.minimum(cols, mirror[cols])
+    reps = distinct(rep)
+    start = np.zeros((h.dim, len(reps)), dtype=np.complex128)
+    start[reps, np.arange(len(reps))] = 1.0
     stepped = step.sweep(s, n_steps, start)
-    if mirror is None:
+    if mirror is None and columns is None:
         return stepped
-    u = np.empty((h.dim, h.dim), dtype=np.complex128)
-    u[:, mirror[cols]] = stepped[mirror]
-    u[:, cols] = stepped
+    k = np.searchsorted(reps, rep)
+    u = stepped.take(k, axis=1)    # C-ordered, as the stepped block is
+    if mirror is not None:
+        flip = np.flatnonzero(cols != rep)
+        u[:, flip] = stepped[mirror[:, None], k[flip]]
     return u
 
 
@@ -376,8 +392,9 @@ class Monodromy:
 
     Off the window route Theta is stored (`theta`).  On it `theta` is None and
     the Monodromy keeps the window, E_w (the block of Theta - U0(1) on it, zero
-    elsewhere) and the model's read-only U0(1) (`free`); `operator` then forms
-    Theta from them each time it is read."""
+    elsewhere), the open segment E_w was stepped on (`segment`, a LatticeModel
+    holding its steppers and free_eig) and the model's read-only U0(1) (`free`);
+    `operator` then forms Theta from them each time it is read."""
 
     theta: np.ndarray | None
     start: float
@@ -385,6 +402,7 @@ class Monodromy:
     scheme: PropagatorSchedule
     window: np.ndarray | None = None
     block: np.ndarray | None = None
+    segment: LatticeModel | None = field(default=None, repr=False)
     free: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -437,18 +455,22 @@ def _local_ring(h: LatticeModel) -> bool:
         h.ring_spectrum is not None
 
 
-def window_block(h: PeriodicHamiltonian, s: float,
-                 sched: PropagatorSchedule) -> tuple[np.ndarray, np.ndarray] | None:
-    """(window, E_w) with Theta = U0(1) + P E_w P^T, or None where the route does not apply.
+def window_block(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule
+                 ) -> tuple[np.ndarray, np.ndarray, LatticeModel] | None:
+    """(window, E_w, segment) with Theta = U0(1) + P E_w P^T, or None where the route
+    does not apply.
 
     For a LatticeModel that is a `_local_ring`, the model is sliced to the open
     segment support_window(2r), r = light_cone_radius(hopping), a LatticeModel
-    with the ring's hopping and its support in segment coordinates, and its
-    Theta_seg is taken on `sched` from s by `period_operator` (stepped, on the
-    segment's mirror orbits where it has a `mirror`); E_w is
-    Theta_seg - U0_seg(1) on the window support_window(r).  Where a border row
-    or column of E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the
-    segment would exceed half the ring.
+    with the ring's hopping and its support in segment coordinates, and the
+    block Theta_seg[W, W] on the window W = support_window(r) (the segment's
+    rows and columns r..-r) is stepped on `sched` from s: W's columns alone
+    (_stepped_period), on the segment's mirror orbits where it has a `mirror`.
+    E_w is that block minus U0_seg(1)[W, W].  Where a border row or column of
+    E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the segment would
+    exceed half the ring.  The segment is returned with the steppers and
+    free_eig it was stepped with, for the readers of the window (the time
+    average and the bound-state cross-check in scattering).
     """
     if not isinstance(h, LatticeModel):
         return None
@@ -468,10 +490,11 @@ def window_block(h: PeriodicHamiltonian, s: float,
         part = LatticeModel(h0=h.h0[cut], modes={n: m[cut] for n, m in h.modes.items()},
                             hopping=h.hopping,
                             potential_support=(h.potential_support - segment[0]) % h.sites)
-        block = (period_operator(part, s, sched) - part.free_period)[r:-r, r:-r]
+        inner = np.arange(r, len(segment) - r)
+        block = _stepped_period(part, s, sched, inner) - part.free_period[r:-r, r:-r]
         border = np.abs(np.concatenate([block[[0, -1]].ravel(), block[:, [0, -1]].ravel()]))
         if border.max() <= WINDOW_BORDER_TOL:
-            return h.support_window(r), block
+            return h.support_window(r), block, part
         r *= 2
     return None
 
@@ -483,20 +506,25 @@ def _with_block(theta0: np.ndarray, window: np.ndarray, block: np.ndarray) -> np
     return flush(theta)
 
 
-def _stepped_period(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule) -> np.ndarray:
-    """U(s + 1, s) stepped: from half a period where the model allows, else all N steps.
+def _stepped_period(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule,
+                    inner: np.ndarray | None = None) -> np.ndarray:
+    """U(s + 1, s) stepped, from half a period where the model allows, else all N
+    steps; given `inner`, its block Theta[inner, inner] from the `inner` columns
+    alone.
 
     Under `reflection_symmetric`, step N-1-k's Magnus exponent is the
     transpose of step k's (the midpoint exponent and the Gauss-Magnus one
     alike, [H2^T, H1^T] = [H1, H2]^T), and so is its Taylor polynomial; the
     N steps then multiply to Theta = A^T A with A = U(s + 1/2, s), the first
-    N/2 steps.  This is the symmetric-unitary Floquet operator of a
-    time-reversal-invariant drive (Haake, Quantum Signatures of Chaos, ch. 2).
-    Theta is flushed like every step.
+    N/2 steps, and Theta[inner, inner] = A[:, inner]^T A[:, inner].  This is
+    the symmetric-unitary Floquet operator of a time-reversal-invariant drive
+    (Haake, Quantum Signatures of Chaos, ch. 2).  Theta is flushed like every
+    step.
     """
     if not reflection_symmetric(h, s, sched):
-        return propagate(h, s, s + 1.0, sched)
-    half = propagate(h, s, s + 0.5, sched)
+        theta = propagate(h, s, s + 1.0, sched, columns=inner)
+        return theta if inner is None else theta[inner]
+    half = propagate(h, s, s + 0.5, sched, columns=inner)
     return flush(half.T @ half)
 
 
@@ -506,30 +534,33 @@ def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
     where `window_block` applies, else stepped (`_stepped_period`)."""
     sched = sched or PropagatorSchedule()
     block = window_block(h, s, sched)
-    return _stepped_period(h, s, sched) if block is None else _with_block(h.free_period, *block)
+    return _stepped_period(h, s, sched) if block is None else _with_block(h.free_period,
+                                                                          *block[:2])
 
 
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
               sched: PropagatorSchedule | None = None) -> Monodromy:
     """Theta = U(s + 1, s), by `period_operator`'s route, and its
-    eigendecomposition, with the window and E_w where `window_block` applies;
-    there Theta is dropped once diagonalized, and Monodromy.operator forms it
-    when read.  window_block is asked once, so the segments it stepped before
-    declining are not stepped again.
+    eigendecomposition (unitary_eig, on the sectors of the model's `mirror` where
+    it has one), with the window, E_w and the segment where `window_block`
+    applies; there Theta is dropped once diagonalized, and Monodromy.operator
+    forms it when read.  window_block is asked once, so the segments it stepped
+    before declining are not stepped again.
 
     Theta is formed, and its start recorded, at s mod 1: the same operator,
     whose steps from a large s would lose their offsets to rounding (at
     s = 1e17, s + 1/2 == s and Theta would come out as I)."""
     sched = sched or PropagatorSchedule()
     s = s % 1.0
+    mirror = h.mirror() if isinstance(h, LatticeModel) else None
     block = window_block(h, s, sched)
     if block is None:
         theta = _stepped_period(h, s, sched)
-        return Monodromy(theta=theta, start=s, eig=unitary_eig(theta), scheme=sched)
-    window, defect = block
-    eig = unitary_eig(_with_block(h.free_period, window, defect))
+        return Monodromy(theta=theta, start=s, eig=unitary_eig(theta, mirror), scheme=sched)
+    window, defect, segment = block
+    eig = unitary_eig(_with_block(h.free_period, window, defect), mirror)
     return Monodromy(theta=None, start=s, eig=eig, scheme=sched, window=window, block=defect,
-                     free=h.free_period)
+                     segment=segment, free=h.free_period)
 
 
 def check_cocycle(h: PeriodicHamiltonian, s: float, r: float, t: float,

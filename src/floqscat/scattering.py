@@ -26,13 +26,23 @@ of the window product.  The time-reversed loop applies U0(-1) and E_w^H
 and the last iterate Theta^{+-n_max} phi (L x p) are kept, and the image
 W^(n_max) phi is formed from it when read.  A wave-operators run on the
 window route therefore holds these L x L arrays: H0, the well and the one
-drive array and U0(1) on the model (with H0's eigenvectors once the null
-scan reads them), and Theta's eigenvectors on the Monodromy; U0(1) is read
-only to form Theta, and Theta itself only where a reader asks for it.
-The time average applies its kernel to the probe block only: the columns
-are propagated through the quadrature nodes on the Monodromy's schedule,
-with the Magnus steppers the model keeps, and the free factors act through
-free_apply, so neither the L x L kernel nor a dense U0(t) is formed.
+drive array and U0(1) on the model, and Theta's eigenvectors on the
+Monodromy (H0's eigenvectors only where the bound-state cross-check falls
+back to the whole ring); U0(1) is read only to form Theta, and Theta itself
+only where a reader asks for it.
+
+The time average applies its kernel to the probe block only, and the free
+factors act through free_apply, so neither the L x L kernel nor a dense U0(t)
+is formed.  On the window route it steps only the window: for t <= 1,
+D(t) = U(s + t, s) - U0(t) lives on W x W, W the Monodromy's window, by the
+light cone that bounds E_w, so the kernel applied to x is
+x + sum_j w_j U0(-t_j) P_W D_j x_W, each D_j x_W stepped on the Monodromy's
+segment through the quadrature nodes with the segment's steppers, minus
+U0_seg(t_j) x_W; its rows outside W must stay at or below WINDOW_BORDER_TOL
+relative to x.  Elsewhere the columns are propagated through the nodes on the
+whole model with the steppers it keeps.  A wave-operators run on the window
+route thus steps no L x L model: Theta's window and the time average both
+run on the segment of ~4r sites.
 
 Every function here that needs Theta or its eigenbasis takes the scenario's
 one Monodromy, built by the caller at its start time s; none builds it from
@@ -68,9 +78,13 @@ Phys. 87 (1982)); each state's localization is reported as a measured value
 only.  Each bound phase is cross-checked against the truncated mode-space
 matrix K: a partner there is certified by inverse iteration whose solves
 with K - zeta go through resolvent.ScanOperators, the one factorization on
-the potential's support that the null scan also uses.  A phase without a
-certified partner raises DetectorDisagreementError with the null scan's
-smallest singular value of I + Q at that phase.
+the potential's support that the null scan also uses.  On the window route
+the cross-check first takes the K of the Monodromy's segment, which holds a
+state bound to the well to e^{-kappa r} (the segment reaches 2r sites past the
+support); only a phase it does not certify goes to the whole ring's K, at the
+same CROSS_CHECK_TOL.  A phase the ring's K does not certify either raises
+DetectorDisagreementError with the ring's null-scan smallest singular value
+of I + Q at that phase.
 """
 
 from __future__ import annotations
@@ -82,7 +96,7 @@ import numpy as np
 from .floquet import circular_distance, sidebands_closed, start_vector
 from .model import LatticeModel
 from .numerics import adjoint_apply
-from .propagation import Monodromy, monodromy, propagate
+from .propagation import WINDOW_BORDER_TOL, Monodromy, monodromy, propagate
 from .resolvent import RAYLEIGH_EPS, ScanOperators
 
 GAP_TOL = 1e-3
@@ -284,9 +298,15 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
     """The trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt times a block
     x of columns, with s = mono.start and mono's schedule.
 
-    x is propagated through the nodes t_j in one running sweep, and each
-    U0(t_j)^dagger acts through the H0 eigenbasis; the L x L kernel is not
-    formed unless x is the identity."""
+    Where mono holds a window segment (the window route), the kernel is
+    I + h^{-1} int_0^h U0(-t) D(t) dt with D(t) = U(s + t, s) - U0(t), which for
+    t <= 1 lives on W x W, W = mono.window (the light cone of
+    propagation.window_block): the sum is x + sum_j w_j U0(-t_j) P_W D_j x_W,
+    each D_j x_W from the segment (_window_kicks).  Otherwise, or where the
+    segment's rows outside W exceed WINDOW_BORDER_TOL, x is propagated on the
+    whole model through the nodes t_j in one running sweep.  Each U0(-t_j)
+    acts through free_apply; the L x L kernel is not formed unless x is the
+    identity."""
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
     s, sched = mono.start, mono.scheme
@@ -294,11 +314,40 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
     weights = np.full(n_quad + 1, 1.0)
     weights[0] = weights[-1] = 0.5
     weights /= weights.sum()
+    kicks = None if mono.segment is None else _window_kicks(mono, x, nodes)
+    if kicks is not None:
+        out = np.array(x, dtype=np.complex128)
+        for i, kick in enumerate(kicks, start=1):   # t_0 = 0: D_0 = 0
+            spread = np.zeros_like(out)
+            spread[mono.window] = kick
+            out += weights[i] * model.free_apply(-nodes[i], spread)
+        return out
     out = weights[0] * x        # t_0 = 0: U0(0)^dagger U(s, s) = I
     for i in range(1, n_quad + 1):
         x = propagate(model, s + nodes[i - 1], s + nodes[i], sched, initial=x)
         out = out + weights[i] * model.free_apply(-nodes[i], x)
     return out
+
+
+def _window_kicks(mono: Monodromy, x: np.ndarray, nodes: np.ndarray) -> list[np.ndarray] | None:
+    """D(t_j) x_W on W's rows for the nodes t_j after the first: x_W = x's rows on
+    the window W, placed on the segment's rows r..-r and stepped there through the
+    node intervals with the segment's steppers, minus U0_seg(t_j) x_W.  None where
+    a segment row outside W exceeds WINDOW_BORDER_TOL times its column's norm of x."""
+    seg = mono.segment
+    r = (seg.sites - len(mono.window)) // 2
+    start = np.zeros((seg.sites,) + x.shape[1:], dtype=np.complex128)
+    start[r:-r] = x[mono.window]
+    limit = WINDOW_BORDER_TOL * np.linalg.norm(x, axis=0)
+    s, sched, y, kicks = mono.start, mono.scheme, start, []
+    for t0, t1 in zip(nodes[:-1], nodes[1:]):
+        y = propagate(seg, s + t0, s + t1, sched, initial=y)
+        kick = y - seg.free_apply(t1, start)
+        outside = np.concatenate([kick[:r], kick[-r:]])
+        if (np.abs(outside).max(axis=0) > limit).any():
+            return None
+        kicks.append(kick[r:-r])
+    return kicks
 
 
 def time_averaged_wave_op(model: LatticeModel, mono: Monodromy, direction: int, n_max: int,
@@ -534,11 +583,14 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     support_window(LOCALIZATION_MARGIN), as a measured value that decides
     nothing.  Each phase is cross-checked against an interior in-gap eigenvalue
     of the truncated mode-space matrix K, certified near it by inverse
-    iteration (_mode_space_partner); one ScanOperators at n_modes per scan
-    holds K and solves every K - zeta on the potential's support.  A phase
-    with no certified partner within CROSS_CHECK_TOL raises
-    DetectorDisagreementError carrying the smallest singular value of I + Q
-    at the phase (null_pair at phase + i RAYLEIGH_EPS).  Phases within
+    iteration (_mode_space_partner); one ScanOperators at n_modes holds K and
+    solves every K - zeta on the potential's support.  Where mono holds a
+    window segment, that is first the segment's ScanOperators, and the
+    model's is built only for the phases the segment leaves uncertified.  A
+    phase with no certified partner on the model within CROSS_CHECK_TOL
+    raises DetectorDisagreementError carrying the model's smallest singular
+    value of I + Q at the phase (null_pair at phase + i RAYLEIGH_EPS).  The
+    report is the same whichever K certified a phase.  Phases within
     CROSS_CHECK_TOL of each other are one state of that multiplicity.
     """
     phases = mono.quasi_energies
@@ -547,8 +599,13 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
 
     infos = []
     if found:
-        scan = ScanOperators(model, n_modes)
-        for phase, _ in found:
+        open_phases = [phase for phase, _ in found]
+        if mono.segment is not None:   # the window route's segment first
+            seg_scan = ScanOperators(mono.segment, n_modes)
+            open_phases = [phase for phase in open_phases if _mode_space_partner(
+                mono.segment, seg_scan, phase, CROSS_CHECK_TOL) is None]
+        scan = ScanOperators(model, n_modes) if open_phases else None
+        for phase in open_phases:
             if _mode_space_partner(model, scan, phase, CROSS_CHECK_TOL) is None:
                 s_min = scan.null_pair(phase + 1j * RAYLEIGH_EPS)[0]
                 raise DetectorDisagreementError(

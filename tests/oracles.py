@@ -10,6 +10,7 @@ nor keeps.
     image(w, n)                 W^(n) phi = Theta0^{-+n} Theta^{+-n} phi
     operator(w)                 W^(n_max) on the full space (L x L)
     free_propagator(h, t)       U0(t) = exp(-i t H0) from the model's H0 eigendecomposition
+    ring_time_average(h, mono, x, width)  scattering.time_average on the whole model
     step(stepper, a, u)         one Magnus step from a of a propagation.MagnusStepper
     convergence_ladder(h, ...)  ||Theta(N) - Theta(2N)|| over a step ladder
     rabi_closed_form_propagator(t, delta, v)  exact U(t, 0) of the driven two-level model
@@ -32,7 +33,7 @@ import numpy as np
 
 from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, expm_hermitian, max_norm,
                                unitary_defect)
-from floqscat.propagation import PropagatorSchedule, period_operator
+from floqscat.propagation import PropagatorSchedule, period_operator, propagate
 from floqscat.scattering import _iterates
 
 
@@ -91,6 +92,23 @@ def free_propagator(h, t: float) -> np.ndarray:
     """U0(t) = exp(-i t H0), equal to expm_hermitian(h0, t); every t shares
     one eigendecomposition of H0 per model."""
     return h.free_eig.exp(float(t))
+
+
+def ring_time_average(h, mono, x: np.ndarray, width: float, n_quad: int = 8) -> np.ndarray:
+    """The trapezoid kernel width^{-1} int_0^width U0(t)^dagger U(s + t, s) dt times
+    the block x, s = mono.start: x propagated on the whole model through the nodes
+    in one running sweep on mono's schedule, each U0(-t_j) through free_apply
+    (scattering.time_average's route where mono holds no window segment)."""
+    s, sched = mono.start, mono.scheme
+    nodes = np.linspace(0.0, width, n_quad + 1)
+    weights = np.full(n_quad + 1, 1.0)
+    weights[0] = weights[-1] = 0.5
+    weights /= weights.sum()
+    out = weights[0] * x
+    for i in range(1, n_quad + 1):
+        x = propagate(h, s + nodes[i - 1], s + nodes[i], sched, initial=x)
+        out = out + weights[i] * h.free_apply(-nodes[i], x)
+    return out
 
 
 def step(stepper, a: float, u: np.ndarray) -> np.ndarray:

@@ -465,14 +465,14 @@ class TestWindowRouteReport:
                               "average_window": 1.0, "floquet_modes": 3}}
         routes, inner = set(), propagation.window_block
 
-        def spy(h, *args):   # also called on the segment, which is stepped whole
+        def spy(h, *args):   # the ring only: the segment's window block is stepped directly
             block = inner(h, *args)
             routes.add((h.dim, block is not None))
             return block
 
         monkeypatch.setattr(propagation, "window_block", spy)
         shipped = run_scenario(cfg, seed=1)
-        assert routes == {(256, True), (5 + 4 * 19, False)}
+        assert routes == {(256, True)}
         monkeypatch.setattr(propagation, "window_block", lambda *args: None)
         dense = run_scenario(cfg, seed=1)
         diffs = report_differences(shipped, dense)   # ints, bools and strings equal
@@ -744,7 +744,10 @@ class TestRingFreeMotion:
     """The ring's free motion runs by FFT on the wave-operators path."""
 
     def test_no_complex_eigh_of_side_l_and_one_u0(self, monkeypatch):
+        # nothing of side L is diagonalized or stepped: Theta on the mirror's two
+        # sectors, the cross-check's K and the time average on the 81-site segment
         import floqscat.model as model
+        import floqscat.propagation as propagation
         from floqscat.numerics import EigenDecomposition
 
         sites = 256
@@ -756,10 +759,21 @@ class TestRingFreeMotion:
         exps, exp = [], EigenDecomposition.exp
         monkeypatch.setattr(EigenDecomposition, "exp",
                             lambda self, tau: exps.append(len(self.values)) or exp(self, tau))
+        free_eigs, hermitian_eig = [], model.hermitian_eig
+        monkeypatch.setattr(model, "hermitian_eig",
+                            lambda a: free_eigs.append(len(a)) or hermitian_eig(a))
+        scans, scan_init = [], resolvent.ScanOperators.__init__
+        monkeypatch.setattr(resolvent.ScanOperators, "__init__",
+                            lambda self, h, n: scans.append(h.dim) or scan_init(self, h, n))
+        steppers, stepper_init = [], propagation.MagnusStepper.__init__
+        monkeypatch.setattr(propagation.MagnusStepper, "__init__",
+                            lambda self, h, dt, order: steppers.append(h.dim) or
+                            stepper_init(self, h, dt, order))
         res = run_scenario(TestMemory.RING_SCATTER, 1)["results"]
         assert res["s_matrix"] and res["bound_states"]
-        assert (sites, np.complex128) not in eighs
-        assert (sites, np.float64) in eighs      # H0 for the null scan, Theta's real part
+        assert sites not in {side for side, _ in eighs}
+        assert sorted({side for side, _ in eighs if side > 81}) == [127, 129]
+        assert free_eigs == [81] and scans == [81] and steppers == [81]
         assert formed == [sites] and sites not in exps    # U0(1): one circulant, no V e V^H
 
 

@@ -76,6 +76,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"symmetry.* violated at n=-?2:"):
             PeriodicHamiltonian(h0=h.h0, modes=modes)
 
+    @pytest.mark.parametrize("big", [-1, 1])
+    def test_pair_named_at_its_smaller_scale(self, monkeypatch, big):
+        # H_-1 - H_1^dagger and H_1 - H_-1^dagger share one max; each n is held at
+        # its own scale max(max|H0|, max|H_n|), so the n of the smaller mode is named.
+        # One difference is formed per pair, each its own pair's
+        mode = np.array([[0.0, 1.0], [0.0, 0.0]])
+        modes = {big: 10 * mode, -big: mode.T + 1e-6}
+        formed = []
+        monkeypatch.setattr(np, "abs", lambda a, *args, **kwargs: formed.append(a.shape) or
+                            np.absolute(a, *args, **kwargs))
+        with pytest.raises(ValueError, match=f"violated at n={-big}:"):
+            PeriodicHamiltonian(h0=np.zeros((2, 2)), modes=modes)
+        # |H0|, |H0 - H0^H|, one |H_-n - H_n^H| and the two |H_n|
+        assert len(formed) == 5
+
     def test_potential_stacked_over_times(self):
         # V over an array of times is the stack of the single-time calls, bit for bit
         from floqscat.resolvent import grid_potential

@@ -165,6 +165,73 @@ class TestUnitaryEig:
         assert np.array_equal(got.vectors, want.vectors)
 
 
+class TestMirrorSectors:
+    """unitary_eig(u, mirror): Theta folded on R's even and odd sectors, each
+    diagonalized alone, against the one decomposition of the whole matrix."""
+
+    @staticmethod
+    def ring(sites):
+        from floqscat.model import build_lattice
+
+        return build_lattice(sites, 1.0, -0.8, 0.5, range(sites // 2 - 2, sites // 2 + 3))
+
+    @staticmethod
+    def theta(sites, start):
+        from floqscat.propagation import PropagatorSchedule, period_operator
+
+        ring = TestMirrorSectors.ring(sites)
+        return period_operator(ring, start, PropagatorSchedule(64, 4)), ring.mirror()
+
+    @staticmethod
+    def planted(delta):
+        # a unitary commuting with the 40-site reflection, with one even and one
+        # odd eigenphase delta apart: clustered by the whole matrix's route
+        mirror = TestMirrorSectors.ring(40).mirror()
+        sectors = numerics.MirrorSectors(mirror)
+        n_even = len(sectors.a) + len(sectors.fixed)
+        rng = np.random.default_rng(41)
+        phases = rng.uniform(0.0, 2 * np.pi, 40)
+        phases[n_even] = phases[0] + delta
+        basis = sectors.unfold(random_unitary(n_even, seed=42),
+                               random_unitary(len(sectors.a), seed=43))
+        return (basis * np.exp(1j * phases)) @ basis.conj().T, mirror
+
+    CASES = {"window-256": lambda: TestMirrorSectors.theta(256, 0.0),
+             "start-0.25": lambda: TestMirrorSectors.theta(256, 0.25),
+             "stepped-44": lambda: TestMirrorSectors.theta(44, 0.0),
+             "planted-1e-5": lambda: TestMirrorSectors.planted(1e-5)}
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_agrees_with_the_whole_matrix(self, case):
+        u, mirror = case()
+        got, want = unitary_eig(u, mirror), unitary_eig(u)
+        assert np.abs(got.values - want.values).max() <= 1e-12
+        # each eigenvector up to its phase: where mirrored entries tie in
+        # magnitude, round-off picks the whole route's largest entry
+        overlap = (want.vectors.conj() * got.vectors).sum(axis=0)
+        aligned = got.vectors * (overlap.conj() / np.abs(overlap))
+        assert np.abs(aligned - want.vectors).max() <= 1e-12
+        assert residual(got, u) <= 10 * residual(want, u) <= 1e-10
+        assert orthonormality_defect(got) <= 1e-13
+
+    def test_sector_vectors_are_even_or_odd(self):
+        u, mirror = self.theta(256, 0.0)
+        vectors = unitary_eig(u, mirror).vectors
+        even = np.all(vectors[mirror] == vectors, axis=0)
+        odd = np.all(vectors[mirror] == -vectors, axis=0)
+        assert (even ^ odd).all() and even.sum() == 129 and odd.sum() == 127
+
+    def test_coupled_sectors_rejected(self):
+        u, mirror = self.theta(256, 0.0)
+        a = int(np.flatnonzero(np.arange(256) < mirror)[0])
+        b = int(mirror[a])
+        u = u.copy()
+        u[a, a] += 1e-8     # the even-odd coupling of the orbit {a, R[a]}: 5e-9
+        u[b, b] -= 1e-8
+        with pytest.raises(numerics.NonUnitaryError, match="even-odd coupling"):
+            unitary_eig(u, mirror)
+
+
 class TestClusterRotation:
     """unitary_eig's rotation of each cluster (the orthonormalized eigenvectors of
     B^H U B) against the complex Schur rotation it replaced
@@ -229,8 +296,9 @@ def _fix_phases_loop(vectors):
     for k in range(out.shape[1]):
         idx = int(np.argmax(np.abs(out[:, k])))
         z = out[idx, k]
-        if np.abs(z) > 0:
-            out[:, k] *= np.conj(z) / np.abs(z)
+        if z.imag != 0 or z.real < 0:
+            scale = np.abs(z)
+            out[:, k] *= complex(z.real / scale, -(z.imag / scale))
     return out
 
 
@@ -247,6 +315,20 @@ class TestFixPhases:
             a[:2, 2] = [10j, -10.0]          # tied largest magnitudes: the first wins
         got, want = _fix_phases(a), _fix_phases_loop(a)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(7, 3), (30, 6), (64, 4)])
+    def test_idempotent_on_real_columns(self, n, seed):
+        # a real symmetric matrix's eigenvectors, each column times exactly +-1:
+        # a second fix changes no bit
+        a = np.random.default_rng(seed).normal(size=(n, n))
+        once = _fix_phases(np.linalg.eigh(a + a.T)[1].astype(np.complex128))
+        assert np.all(once[np.argmax(np.abs(once), axis=0), np.arange(n)].real > 0)
+        assert _fix_phases(once).tobytes() == once.tobytes()
+
+    def test_real_positive_pivot_left_unchanged(self):
+        # 0.383119395068616 times conj(z)/|z| by complex division is 0.9999999999999999 z
+        col = np.array([[0.1 + 0.2j], [0.383119395068616], [-0.3 + 0.0j]])
+        assert _fix_phases(col).tobytes() == col.tobytes()
 
 
 class TestExpmHermitian:

@@ -468,6 +468,24 @@ class TestStepBookkeeping:
         assert np.array_equal(parts, [0.0, 0.0, 0.0, 2.0, 0.5, 0.0, -1.0, 0.0])
         assert not np.signbit(parts[parts == 0.0]).any()
 
+    @pytest.mark.parametrize("columns", [np.arange(10, 30), np.array([29, 3, 17]),
+                                         np.arange(0, 40, 3)],
+                             ids=["mirror-closed", "unsorted", "not-closed"])
+    def test_columns_of_the_propagator(self, columns):
+        # U(t, s)[:, columns] from those columns alone: on their mirror orbits where
+        # the reflection maps them onto themselves (10..29 about the well's centre
+        # 19.5), else each stepped; the stepped ones bit for bit those of a full sweep
+        from floqscat.model import build_lattice
+
+        ring, sched = build_lattice(40, 1.0, -1.0, 0.5, range(18, 22)), PropagatorSchedule(16, 4)
+        full = propagate(ring, 0.0, 0.5, sched)
+        got = propagate(ring, 0.0, 0.5, sched, columns=columns)
+        assert got.flags.c_contiguous and got.shape == (40, len(columns))
+        assert np.abs(got - full[:, columns]).max() <= 1e-15
+        mirror = ring.mirror()
+        stepped = columns <= mirror[columns]
+        assert np.array_equal(got[:, stepped], full[:, columns[stepped]])
+
     def test_flush_leaves_an_array_without_small_parts_unwritten(self):
         from floqscat.propagation import flush
 
@@ -515,8 +533,9 @@ class TestWindowRoute:
 
     def test_segment_steps_one_column_per_mirror_orbit(self, monkeypatch):
         # the 81-site segment around the 5-site well is a LatticeModel whose mirror is
-        # the reflection about the well: 41 of its 81 columns are stepped, over half
-        # a period (Theta_seg = A^T A)
+        # the reflection about the well, and E_w reads only Theta_seg[W, W] =
+        # A[:, W]^T A[:, W] on the 43-site window W: 22 of W's columns (one per
+        # mirror orbit) are stepped, over half a period
         from floqscat.propagation import MagnusStepper, window_block
 
         ring, sched = self.ring(), PropagatorSchedule(64, 4)
@@ -527,8 +546,9 @@ class TestWindowRoute:
             return sweep(self, s, n_steps, u)
 
         monkeypatch.setattr(MagnusStepper, "sweep", spy)
-        window, block = window_block(ring, 0.0, sched)
-        assert widths == [(81, 32, 41)]
+        window, block, segment = window_block(ring, 0.0, sched)
+        assert widths == [(81, 32, 22)]
+        assert segment.sites == 81 and list(segment.steppers) == [(1 / 64, 4)]
         monkeypatch.undo()
         assert np.abs(block - self.unmirrored_block(ring, sched)).max() <= 1e-15
 
@@ -552,15 +572,15 @@ class TestWindowRoute:
         import floqscat.propagation as propagation
 
         ring, sched = self.ring(), PropagatorSchedule(64, 4)
-        radii, inner = [], propagation.period_operator
+        radii, inner = [], propagation._stepped_period
 
-        def spy(h, s, sched):   # the segment's period: 4r sites beyond the support
+        def spy(h, s, sched, cols):   # the segment's window block: 4r sites beyond the support
             radii.append((h.dim - 5) // 4)
-            return inner(h, s, sched)
+            return inner(h, s, sched, cols)
 
         monkeypatch.setattr(propagation, "light_cone_radius", lambda hopping: 6)
-        monkeypatch.setattr(propagation, "period_operator", spy)
-        window, block = propagation.window_block(ring, 0.0, sched)
+        monkeypatch.setattr(propagation, "_stepped_period", spy)
+        window, block, _ = propagation.window_block(ring, 0.0, sched)
         assert radii == [6, 12, 24]
         assert len(window) == 5 + 2 * 24
         theta = propagation._with_block(ring.free_period, window, block)
@@ -575,9 +595,9 @@ class TestWindowRoute:
         ring, sched = self.ring(64), PropagatorSchedule(64, 4)
         dims, inner = [], propagation.propagate
 
-        def spy(h, s, t, sched=None, initial=None):
+        def spy(h, s, t, sched=None, initial=None, columns=None):
             dims.append(h.dim)
-            return inner(h, s, t, sched, initial)
+            return inner(h, s, t, sched, initial, columns)
 
         monkeypatch.setattr(propagation, "light_cone_radius", lambda hopping: 6)
         monkeypatch.setattr(propagation, "propagate", spy)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from floqscat.scattering import (
 )
 
 from oracles import (free_propagator, image, iterates, operator, orthonormality_defect,
-                     residual, scipy_csr)
+                     residual, ring_time_average, scipy_csr)
 
 CHEAP = PropagatorSchedule(96, 2)
 
@@ -626,6 +627,85 @@ SUITE_SCANS = [
     (256, -0.8, 0.5, range(126, 131), 64, 4, 3, 2),     # the ring-scatter benchmark
     (40, -1.7, 0.45, range(19, 22), 256, 4, 8, 2),      # a ring-bound benchmark slot
 ]
+
+
+RING_SCATTER = {"task": "wave-operators",
+                "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                      "drive_amp": 0.5, "support_width": 5}},
+                "parameters": {"steps_per_period": 64, "order": 4, "translates": 2,
+                               "average_window": 1.0, "floquet_modes": 3}}
+
+
+class TestWindowAverage:
+    """time_average on the window route: x + sum_j w_j U0(-t_j) P_W D_j x_W, each
+    D_j x_W stepped on the window segment, against the whole ring swept
+    (oracles.ring_time_average)."""
+
+    @pytest.fixture(scope="class", params=[(256, 0.0), (256, 0.25), (1024, 0.0), (1024, 0.25)],
+                    ids=lambda p: f"L{p[0]}-start{p[1]}")
+    def ring_run(self, request):
+        sites, start = request.param
+        ring = build_lattice(sites, 1.0, -0.8, 0.5, range(sites // 2 - 2, sites // 2 + 3))
+        mono = monodromy(ring, start, PropagatorSchedule(64, 4))
+        rng = np.random.default_rng(sites)
+        x = rng.normal(size=(sites, 3)) + 1j * rng.normal(size=(sites, 3))
+        x = np.column_stack([x / np.linalg.norm(x, axis=0), make_probes(ring).vectors[:, :2],
+                             mono.apply(sites // 16, make_probes(ring).vectors[:, :2])])
+        return ring, mono, x
+
+    @pytest.mark.parametrize("width", [0.3, 1.0])
+    def test_matches_the_ring_sweep(self, ring_run, width):
+        ring, mono, x = ring_run
+        assert mono.segment is not None and mono.segment.sites == 81
+        ring.steppers.clear()
+        got = time_average(ring, mono, x, width)
+        assert not ring.steppers                  # the ring is not stepped
+        want = ring_time_average(ring, mono, x, width)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_border_breach_takes_the_ring_sweep(self, ring_run, monkeypatch):
+        ring, mono, x = ring_run
+        monkeypatch.setattr(scattering, "WINDOW_BORDER_TOL", 0.0)
+        ring.steppers.clear()
+        got = time_average(ring, mono, x, 1.0)
+        assert ring.steppers                      # the whole ring stepped
+        assert got.tobytes() == ring_time_average(ring, mono, x, 1.0).tobytes()
+
+
+class TestSegmentCrossCheck:
+    def test_ring_scan_only_for_phases_the_segment_leaves(self, monkeypatch):
+        # where the 81-site segment certifies no phase, the ring's ScanOperators
+        # takes every one, and the report is the same to the byte
+        import floqscat.cli as cli
+
+        def run(segment_certifies):
+            scans, init = [], ScanOperators.__init__
+            partner = scattering._mode_space_partner
+            with monkeypatch.context() as m:
+                m.setattr(ScanOperators, "__init__",
+                          lambda self, h, n: scans.append(h.dim) or init(self, h, n))
+                if not segment_certifies:
+                    m.setattr(scattering, "_mode_space_partner",
+                              lambda h, *args: None if h.dim == 81 else partner(h, *args))
+                report = run_scenario(RING_SCATTER, seed=1)
+            return scans, cli.canonical_json(report)
+
+        (seg_scans, shipped), (ring_scans, fallback) = run(True), run(False)
+        assert seg_scans == [81] and ring_scans == [81, 256]
+        assert json.loads(shipped)["results"]["bound_states"]
+        assert shipped == fallback
+
+    def test_disagreement_names_the_rings_smallest_singular_value(self, monkeypatch):
+        # certified nowhere: the error carries the ring's null scan at the phase
+        monkeypatch.setattr(scattering, "_mode_space_partner", lambda *args: None)
+        lat = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
+        mono = monodromy(lat, 0.0, PropagatorSchedule(64, 4))
+        with pytest.raises(DetectorDisagreementError) as err:
+            bound_state_scan(lat, mono, n_modes=3)
+        phase = min(mono.quasi_energies[sidebands_closed(mono.quasi_energies,
+                                                         lat.free_levels)])
+        want = ScanOperators(lat, 3).null_pair(phase + 1j * RAYLEIGH_EPS)[0]
+        assert err.value.s_min == want
 
 
 class TestCertifiedPartner:
