@@ -291,15 +291,16 @@ def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: floa
     if support.size == 0 or support.min() < 0 or support.max() >= sites:
         raise ValueError(f"support {support} outside lattice [0, {sites})")
     h0 = ring_h0(sites, hopping)
-    well = np.zeros(sites)
-    well[support] = well_depth
-    drv = np.zeros(sites)
-    drv[support] = drive_amp / 2.0
+
+    def diagonal(value: float) -> np.ndarray:    # value on the support's diagonal, formed complex
+        out = np.zeros((sites, sites), dtype=np.complex128)
+        out[support, support] = value
+        return out
     modes = {}
     if well_depth != 0.0:
-        modes[0] = np.diag(well).astype(np.complex128)
+        modes[0] = diagonal(well_depth)
     if drive_amp != 0.0:
-        modes[1] = modes[-1] = np.diag(drv).astype(np.complex128)
+        modes[1] = modes[-1] = diagonal(drive_amp / 2.0)
     return LatticeModel(h0=h0, modes=modes, label=label or f"lattice L={sites}",
                         hopping=hopping, potential_support=support)
 

@@ -1,15 +1,16 @@
 """Dense complex linear algebra, and the one sparse matrix type, used by every other module.
 
 Matrices are plain complex128 numpy arrays in row-major layout.  The
-routines here add the structure checks (Hermitian, unitary), deterministic
-eigenvector conventions and diagnostics that the rest of the package relies
-on.  `require_hermitian` is the one Hermitian rule: a matrix, a stack of
-them (a grid of V(t_j), a sweep of Magnus exponents) and a model's H0 and
-mode pairs H_-n = H_n^dagger are all held to HERMITIAN_RTOL through it.
-Eigenvalue ordering is fixed: ascending for Hermitian input, ascending
-principal argument in [0, 2pi) for unitary input, with exact ties broken by
-a lexicographic comparison of the phase-fixed eigenvector entries, so two
-runs on the same platform produce identical output.
+routines here add the structure checks (Hermitian, unitary) and diagnostics
+that the rest of the package relies on.  `require_hermitian` is the one
+Hermitian rule: a matrix, a stack of them (a grid of V(t_j), a sweep of
+Magnus exponents) and a model's H0 and mode pairs H_-n = H_n^dagger are all
+held to HERMITIAN_RTOL through it.  Eigenvectors are LAPACK's, with no phase
+or tie-break convention: every reader takes them through |v|^2, V f(mu) V^H
+or a residual norm.  Eigenvalues are ascending for Hermitian input (eigh's
+order), and stably sorted by principal argument in [0, 2pi) for unitary
+input.  Two runs on the same platform at the same BLAS thread count produce
+identical output, as LAPACK returns the same bits there.
 
 A unitary is diagonalized through its Hermitian part, whose eigenvectors are
 clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
@@ -217,50 +218,6 @@ def check_unitary(a) -> np.ndarray:
     return a
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector phase: largest-magnitude entry real positive.
-
-    The first entry of largest magnitude of each column is z.  A column whose z
-    is real and not negative (a zero column among them) is left as it is,
-    signed zeros included; any other is multiplied by conj(z)/|z|, formed from
-    conj(z)'s real and imaginary parts over the real |z| (a complex division
-    by |z| may round a real positive z's factor to 1 - 1e-16).  A real column
-    is thus multiplied by exactly +-1 and fixed again unchanged; a complex
-    product may leave z an imaginary part of order 1e-17, which a second fix
-    takes out at that order.  Mirror-image entries (equal or opposite) stay so."""
-    z = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    moved = (z.imag != 0) | (z.real < 0)
-    scale = np.where(moved, np.abs(z), 1.0)
-    factor = np.empty_like(z)
-    factor.real, factor.imag = z.real / scale, -(z.imag / scale)
-    out = vectors.copy()
-    np.multiply(vectors, factor, out=out, where=moved)    # no temporary of the moved columns
-    return out
-
-
-def _lex_tiebreak(values: np.ndarray, vectors: np.ndarray, keys: np.ndarray):
-    """Reorder columns inside runs of exactly equal sort keys lexicographically;
-    the inputs themselves where no key repeats."""
-    if not (keys[1:] == keys[:-1]).any():
-        return values, vectors
-    order = np.arange(len(keys))
-    start = 0
-    while start < len(keys):
-        stop = start + 1
-        while stop < len(keys) and keys[stop] == keys[start]:
-            stop += 1
-        if stop - start > 1:
-            block = sorted(
-                range(start, stop),
-                key=lambda j: tuple(
-                    np.round(np.concatenate([vectors[:, j].real, vectors[:, j].imag]), 12)
-                ),
-            )
-            order[start:stop] = block
-        start = stop
-    return values[order], vectors[:, order]
-
-
 @dataclass
 class EigenDecomposition:
     """Eigenvalues plus orthonormal eigenvectors V (columns) and nothing else; the one
@@ -301,11 +258,11 @@ class EigenDecomposition:
 def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
-    Backed by numpy.linalg.eigh with the deterministic phase and tie-break
-    conventions applied on top.  A matrix whose imaginary part is all zero, a
-    real symmetric one such as a ring's H0, is diagonalized in real arithmetic
-    (eigh of a.real, about a third of the complex eigh's time); its real
-    orthogonal eigenvectors are returned as complex columns.
+    numpy.linalg.eigh's values and vectors, as it returns them.  A matrix whose
+    imaginary part is all zero, a real symmetric one such as a ring's H0, is
+    diagonalized in real arithmetic (eigh of a.real, about a third of the
+    complex eigh's time); its real orthogonal eigenvectors are returned as
+    complex columns.
     """
     a = check_hermitian(a)
     if a.imag.any():
@@ -313,8 +270,6 @@ def hermitian_eig(a) -> EigenDecomposition:
     else:
         values, vectors = np.linalg.eigh(a.real)
         vectors = vectors.astype(np.complex128)
-    vectors = _fix_phases(vectors)
-    values, vectors = _lex_tiebreak(values, vectors, values)
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -404,7 +359,8 @@ def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
     near +-pi/2 that share sin(theta).  The gap is wide because eigenphases
     +-theta share cos(theta): the bipartite ring's near-pairs differ by ~1e-6
     in it, and a pair split between clusters keeps eigh's eps/gap mixing.
-    Eigenvalues are sorted by principal argument in [0, 2pi).
+    Eigenvalues are stably sorted by principal argument in [0, 2pi); the
+    eigenvectors carry no phase or tie-break convention.
 
     A symmetric U (max|U - U^T| <= SYMMETRY_TOL), the Floquet operator of a
     time-reversal-invariant drive, has the real C = Re(U + U^T)/2 and a real
@@ -421,18 +377,13 @@ def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
     most UNITARY_TOL entrywise, or NonUnitaryError is raised.  An eigenvector
     of either sector is one of U; the two routes agree to round-off over the
     eigenphase gaps, and a pair split between sectors is separated exactly.
-    Both routes end in the same order, phase and tie-break conventions.
     """
     if mirror is None:
         values, basis = _diagonalize(u)
     else:
         values, basis = MirrorSectors(mirror).eig(check_square(u))
-    args = np.mod(np.angle(values), 2 * np.pi)
-    order = np.argsort(args, kind="stable")
-    values, basis, args = values[order], basis[:, order], args[order]
-    basis = _fix_phases(basis)
-    values, basis = _lex_tiebreak(values, basis, args)
-    return EigenDecomposition(values=values, vectors=basis)
+    order = np.argsort(np.mod(np.angle(values), 2 * np.pi), kind="stable")
+    return EigenDecomposition(values=values[order], vectors=basis[:, order])
 
 
 def expm_hermitian(h, tau: float) -> np.ndarray:

@@ -35,7 +35,7 @@ recovered from the null direction.  No solve with K - zeta forms Q or
 factors the mode space: V lives on the potential's support S, so
 V = P V_S P^T with r = |S| (2N + 1) rows, and Woodbury's identity reduces
 every solve with I + Q, and so with K - zeta = (I + Q)(K0 - zeta), to the
-r x r matrix I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, factored in
+r x r matrix I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, inverted once in
 numpy.linalg, with (K0 - zeta)^{-1} diagonal in H0's eigenbasis (a
 Birman-Schwinger problem of the support's size; Simon, Trace Ideals and Their
 Applications, ch. 7).  ScanOperators prepares the support block, H0's
@@ -279,25 +279,6 @@ class BoundStateVerdict:
     residual: float
 
 
-def _singular(zeta: complex, exc: np.linalg.LinAlgError) -> SingularMatrixError:
-    return SingularMatrixError(f"I + Q({zeta}) singular on the potential's support ({exc})")
-
-
-def _support_solve(a, zeta: complex):
-    """b -> A^{-1} b for ScanOperators._factor's A at zeta, one LU per call
-    (numpy.linalg.solve); b itself where r = 0 leaves no A.  A singular A raises
-    SingularMatrixError naming zeta."""
-    if a is None:
-        return lambda b: b
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise _singular(zeta, exc) from exc
-    return solve
-
-
 class ScanOperators:
     """(K - zeta)^{-1} of one model at mode cutoff N, prepared once for all its
     shifts and solved by both bound-state detectors: the null scan (null_pair)
@@ -314,7 +295,8 @@ class ScanOperators:
 
     Every solve goes through the r x r matrix A on the support
     (Birman-Schwinger; Simon, Trace Ideals and Their Applications, ch. 7),
-    factored in numpy.linalg: solver solves with A, null_pair inverts it once.
+    inverted once per zeta in numpy.linalg (`_factor`), for solver and
+    null_pair alike.
     On mode block n, G0 = (K0 - zeta)^{-1} is U diag(g_n) U^H with
     g_n = 1 / (eps + 2 pi n - zeta).  With Q = V G0, K - zeta = (I + Q)(K0 - zeta),
     and with A = I_r + G_S V_S, G_S = P^T G0 P (`_factor`), Woodbury's identity
@@ -341,24 +323,28 @@ class ScanOperators:
         self.start = self.free.to_eigenbasis(self.space.blocks(start_vector(self.space.size)))
 
     def _factor(self, zeta: complex):
-        """(g, A): g = (g_n) of G0 at zeta, shape (2N + 1, d), and the r x r
-        A = I_r + G_S V_S, where G_S has the mode blocks U_S diag(g_n) U_S^H;
-        A is None for r = 0.  The caller factors A: solver by an LU per solve,
-        null_pair by one inverse."""
+        """(g, A^{-1}): g = (g_n) of G0 at zeta, shape (2N + 1, d), and the inverse
+        (numpy.linalg.inv) of the r x r A = I_r + G_S V_S, where G_S has the mode
+        blocks U_S diag(g_n) U_S^H; 0 x 0 for r = 0.  A singular A raises
+        SingularMatrixError naming zeta."""
         g = 1.0 / (self.free.values + self.space.frequencies[:, None] - zeta)   # (2N + 1, d)
         nb, width = self.space.n_blocks, self.u_s.shape[0]
         r = nb * width
         if r == 0:
-            return g, None
+            return g, np.zeros((0, 0), dtype=np.complex128)
         g_s = (self.u_s * g[:, None, :]) @ self.u_s.conj().T          # (2N + 1, |S|, |S|)
         a = (g_s @ self.v_s.reshape(nb, width, r)).reshape(r, r)
         a.flat[::r + 1] += 1.0
-        return g, a
+        try:
+            return g, np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"I + Q({zeta}) singular on the potential's support ({exc})") from exc
 
-    def _inverse(self, g: np.ndarray, support_solve, y: np.ndarray) -> np.ndarray:
+    def _inverse(self, g: np.ndarray, a_inv: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(I + Q)^{-1} y = y - P V_S A^{-1} (G0 y)_S on eigenbasis coefficients y,
-        mode blocks as rows; support_solve is b -> A^{-1} b."""
-        b = self.v_s @ support_solve((g * y @ self.u_s.T).ravel())
+        mode blocks as rows."""
+        b = self.v_s @ (a_inv @ (g * y @ self.u_s.T).ravel())
         return y - b.reshape(y.shape[0], self.u_s.shape[0]) @ self.u_s.conj()
 
     def solver(self, zeta: complex):
@@ -366,18 +352,16 @@ class ScanOperators:
         length (2N + 1) d, from one A at zeta.
 
         x goes to H0's eigenbasis by U^H per mode block, through `_inverse` and
-        g, and back by U.  Cost per solve: (2N + 1) d^2 for the two changes of
-        basis and r^3 for the support solve (`_support_solve`, an LU of A); no LU
-        of the (2N + 1) d mode space.  A singular A raises SingularMatrixError
-        naming zeta at the solve.
+        g, and back by U.  Cost: r^3 once for the inverse of A (`_factor`), then
+        (2N + 1) d^2 for the two changes of basis and r^2 per solve; no LU of the
+        (2N + 1) d mode space.  A singular A raises SingularMatrixError naming
+        zeta here.
         """
-        zeta = complex(zeta)
-        g, a = self._factor(zeta)
-        support_solve = _support_solve(a, zeta)
+        g, a_inv = self._factor(complex(zeta))
 
         def solve(x: np.ndarray) -> np.ndarray:
             y = self.free.to_eigenbasis(self.space.blocks(x))
-            return (g * self._inverse(g, support_solve, y) @ self.free.vectors.T).ravel()
+            return (g * self._inverse(g, a_inv, y) @ self.free.vectors.T).ravel()
         return solve
 
     def null_pair(self, zeta: complex):
@@ -403,14 +387,7 @@ class ScanOperators:
         (2N + 1) d^2 to carry phi and psi back.
         """
         zeta = complex(zeta)
-        g, a = self._factor(zeta)
-        if a is None:
-            a_inv = np.zeros((0, 0), dtype=np.complex128)
-        else:
-            try:
-                a_inv = np.linalg.inv(a)
-            except np.linalg.LinAlgError as exc:
-                raise _singular(zeta, exc) from exc
+        g, a_inv = self._factor(zeta)
         a_inv_h = a_inv.conj().T
         g_h = g.conj()
         # P^T and P on eigenbasis coefficients, mode blocks as rows
@@ -423,7 +400,7 @@ class ScanOperators:
         for _ in range(INVERSE_ITERATION_MAXITER):
             c = a_inv_h @ (v_s_h @ (phi @ to_support).ravel())
             y = phi - g_h * (c.reshape(shape) @ from_support)        # (I + Q)^{-H} phi
-            z = self._inverse(g, lambda b: a_inv @ b, y)             # (I + Q)^{-1} y
+            z = self._inverse(g, a_inv, y)                           # (I + Q)^{-1} y
             z_norm = np.linalg.norm(z)
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y

@@ -15,17 +15,14 @@ columns.  No power of Theta is formed: Theta^{+-n} acts as
 V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
 Monodromy holds (Monodromy.apply), and every free factor Theta0^{-+n} = U0(-+n)
 acts through the model's free_apply, on the ring ifft(e^{+-in eps_k} fft(x)),
-so every phase is exact.  No L x L matrix is formed inside the iterate loop,
-and the loop never multiplies by Theta: it takes Theta = Theta0 + P E_w P^T
-from the Monodromy (on the driven ring E_w is the window block of
+so every phase is exact.  The Cauchy gaps come from the same eigenbasis:
+Theta = Theta0 + P E_w P^T (on the driven ring E_w is the window block of
 propagation.window_block; otherwise the window is every site and
-E_w = Theta - Theta0), so an iterate costs two FFTs of the p columns and one
-product on the window, and the Cauchy gap ||(Theta - Theta0) x|| is the norm
-of the window product.  The time-reversed loop applies U0(-1) and E_w^H
-(numerics.adjoint_apply, with no adjoint copy).  Only the gaps (n_max x p)
-and the last iterate Theta^{+-n_max} phi (L x p) are kept, and the image
-W^(n_max) phi is formed from it when read.  A wave-operators run on the
-window route therefore holds these L x L arrays: H0, the well and the one
+E_w = Theta - Theta0), so the gap ||(Theta - Theta0) Theta^{n-1} phi|| is the
+norm of E_w V_W e^{-i(n-1) lambda} V^H phi, V_W the eigenvectors' window rows,
+and E_w^H in its place time-reversed.  Only the gaps (n_max x p) are kept.
+A wave-operators run on the window route therefore holds these L x L
+arrays: H0, the well and the one
 drive array and U0(1) on the model, and Theta's eigenvectors on the
 Monodromy (H0's eigenvectors only where the bound-state cross-check falls
 back to the whole ring); U0(1) is read only to form Theta, and Theta itself
@@ -101,6 +98,8 @@ from .resolvent import RAYLEIGH_EPS, ScanOperators
 
 GAP_TOL = 1e-3
 GAP_RUN = 3
+# the iterates whose Cauchy gaps one product forms (_cauchy_gaps)
+GAP_BLOCK = 32
 # the reported localization is a state's mass on support_window(LOCALIZATION_MARGIN)
 LOCALIZATION_MARGIN = 4
 # inverse-iteration solves the cross-check spends on a certified partner at each shift
@@ -196,17 +195,15 @@ def wrap_horizon(model: LatticeModel) -> int:
 
 @dataclass
 class WaveOperatorIterates:
-    """The stroboscopic limit on the probe packets: every iterate's Cauchy gaps,
-    the iterate at n_max, and W^(n_max) as an action on vectors.
+    """The stroboscopic limit on the probe packets: every iterate's Cauchy gaps
+    and W^(n_max) as an action on vectors.
 
     Direction +1 holds W+ = Theta0^{-n} Theta^n, direction -1 the time-reversed
     W- = Theta0^n Theta^{-n}, at n = n_max; `apply` and `apply_adjoint` act on
-    a block of columns.  Only the gaps and the last iterate Theta^{+-n_max} phi
-    are kept, one L x p block; `image` forms W^(n_max) phi from it.
+    a block of columns, `image` on the probes.
     """
 
     direction: int
-    iterate: np.ndarray = field(repr=False)  # Theta^{+-n_max} phi, (L, p)
     # (n_max, p): ||(A - B) A^(n-1) phi|| with A = Theta^+-1, B = Theta0^+-1
     cauchy_gaps: np.ndarray
     n_max: int
@@ -216,9 +213,8 @@ class WaveOperatorIterates:
     mono: Monodromy = field(repr=False)       # its eigenbasis gives Theta^{+-n}
 
     def image(self) -> np.ndarray:
-        """W^(n_max) phi = Theta0^{-+n_max} Theta^{+-n_max} phi, (L, p), from the kept
-        iterate."""
-        return self.model.free_apply(-self.direction * self.n_max, self.iterate)
+        """W^(n_max) phi for the probes phi, (L, p)."""
+        return self.apply(self.probe_set.vectors)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max) x for a block x of columns."""
@@ -231,37 +227,44 @@ class WaveOperatorIterates:
         return self.mono.apply(-n, self.model.free_apply(n, x))
 
 
-def _iterates(model: LatticeModel, direction: int, mono: Monodromy, x: np.ndarray):
-    """Yield (gap, Theta^{+-n} x) for n = 1, 2, ...: the gap is the column norms of
-    (A - B) A^(n-1) x, A = Theta^{+-1}, B = Theta0^{+-1}.
+def _cauchy_gaps(model: LatticeModel, direction: int, mono: Monodromy, x: np.ndarray,
+                 n_max: int) -> np.ndarray:
+    """(n_max, p): the column norms of (A - B) A^(n-1) x for n = 1..n_max,
+    A = Theta^{+-1}, B = Theta0^{+-1}, from mono's eigenbasis.
 
-    A x is B x plus E_w on the window's rows of x (mono's window and block, or
-    every site and Theta - Theta0 without them), so the gap is the norm of
-    that window product.  B acts as model.free_apply(+-1); direction -1 applies
-    E_w^H by adjoint_apply.  Each yielded iterate is a new array."""
+    A - B is E_w on the window's rows (mono's window and block, or every site
+    and Theta - Theta0 without them), E_w^H for direction -1, and
+    A^(n-1) x = V e^{-+i(n-1) lambda} V^H x.  So (A - B) V on the window is
+    formed once (adjoint_apply for E_w^H, with no adjoint copy), and each run
+    of at most GAP_BLOCK iterates is one product of it with V^H x's columns
+    times their phases, an L x p GAP_BLOCK array."""
     if mono.window is None:
         window, block = slice(None), mono.operator - model.free_period
     else:
         window, block = mono.window, mono.block
     act = np.matmul if direction == +1 else adjoint_apply
-    while True:
-        kick = act(block, x[window])      # (A - B) x, zero off the window
-        x = model.free_apply(direction, x)
-        x[window] += kick
-        yield np.linalg.norm(kick, axis=0), x
+    rows = act(block, mono.eig.vectors[window])
+    coeffs = adjoint_apply(mono.eig.vectors, x)[:, None, :]
+    angles = (-direction * mono.quasi_energies)[:, None]
+    gaps = np.empty((n_max, x.shape[1]))
+    for first in range(0, n_max, GAP_BLOCK):
+        n = np.arange(first, min(first + GAP_BLOCK, n_max))
+        phased = np.exp(1j * angles * n)[:, :, None] * coeffs        # (L, len(n), p)
+        kicks = rows @ phased.reshape(len(coeffs), -1)
+        gaps[n] = np.linalg.norm(kicks, axis=0).reshape(len(n), -1)
+    return gaps
 
 
 def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: Monodromy,
                          probes: ProbeSet | None = None) -> WaveOperatorIterates:
-    """Iterate the stroboscopic limit on wave packets.
+    """The stroboscopic limit on wave packets.
 
-    direction +1 iterates Theta0^dagger^n Theta^n, direction -1 the
+    direction +1 takes Theta0^dagger^n Theta^n, direction -1 the
     time-reversed pair Theta0^n Theta^dagger^n, with Theta from mono, the
-    monodromy at the start time the wave operator is taken at (_iterates:
-    Theta0 plus the window block, never Theta itself).  The gaps of every
-    iterate and the iterate at n_max are kept; W^(n_max) acts through mono's
-    eigenbasis.  A probe has converged when its last GAP_RUN gaps are all
-    below GAP_TOL (none has at n_max < GAP_RUN).  Raises ConvergenceError
+    monodromy at the start time the wave operator is taken at.  The gaps of
+    every iterate n = 1..n_max are kept (_cauchy_gaps); W^(n_max) acts through
+    mono's eigenbasis.  A probe has converged when its last GAP_RUN gaps are
+    all below GAP_TOL (none has at n_max < GAP_RUN).  Raises ConvergenceError
     (carrying the gap trace) if no probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
@@ -270,10 +273,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     horizon = wrap_horizon(model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
-    gaps = np.empty((n_max, probes.count))
-    steps = _iterates(model, direction, mono, probes.vectors)
-    for n in range(n_max):
-        gaps[n], cur = next(steps)
+    gaps = _cauchy_gaps(model, direction, mono, probes.vectors, n_max)
     converged = (gaps[-GAP_RUN:] < GAP_TOL).all(axis=0) & (n_max >= GAP_RUN)
     if not converged.any():
         raise ConvergenceError(
@@ -283,7 +283,6 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
         )
     return WaveOperatorIterates(
         direction=direction,
-        iterate=cur,
         cauchy_gaps=gaps,
         n_max=n_max,
         probe_set=probes,

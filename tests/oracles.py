@@ -6,8 +6,9 @@ nor keeps.
     schur_unitary_eig(u)        unitary_eig's clusters rotated by complex Schur vectors
     orthonormality_defect(eig)  max |V^H V - I|
     residual(eig, a)            max_k ||A v_k - mu_k v_k||_2
-    iterates(w, n)              Theta^{+-j} phi for j = 1..n, from the library's loop
-    image(w, n)                 W^(n) phi = Theta0^{-+n} Theta^{+-n} phi
+    loop(w)                     (gap, Theta^{+-n} phi) for n = 1, 2, ..., by the FFT iterate loop
+    loop_gaps(w, n)             the loop's Cauchy gaps for n = 1..n (default n_max), (n, p)
+    image(w, n)                 W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, from the loop
     operator(w)                 W^(n_max) on the full space (L x L)
     free_propagator(h, t)       U0(t) = exp(-i t H0) from the model's H0 eigendecomposition
     ring_time_average(h, mono, x, width)  scattering.time_average on the whole model
@@ -20,21 +21,22 @@ nor keeps.
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
     scipy_csr(k)                the arrays of a numerics.CSRMatrix as a scipy.sparse csr_array
 
-`w` is a scattering.WaveOperatorIterates.  Its iterates are recomputed by
-scattering._iterates, the generator stroboscopic_wave_op consumes, so they
-carry the bits of the run's own loop; stroboscopic_wave_op itself cannot be
-asked for them at every n, since it raises ConvergenceError where no probe
-has settled (at n < GAP_RUN, or while the packets cross the well).
+`w` is a scattering.WaveOperatorIterates.  Its iterates and gaps are
+recomputed here by an iterate loop independent of Theta's eigenbasis, which
+the library takes them from: each step applies Theta as Theta0 plus the
+Monodromy's window block, Theta0 by the model's free_apply.
+stroboscopic_wave_op itself cannot be asked for the iterates at every n,
+since it raises ConvergenceError where no probe has settled (at n < GAP_RUN,
+or while the packets cross the well).
 """
 
 from itertools import islice
 
 import numpy as np
 
-from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, expm_hermitian, max_norm,
-                               unitary_defect)
+from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, adjoint_apply, expm_hermitian,
+                               max_norm, unitary_defect)
 from floqscat.propagation import PropagatorSchedule, period_operator, propagate
-from floqscat.scattering import _iterates
 
 
 def reconstruct(eig):
@@ -72,15 +74,37 @@ def residual(eig, a: np.ndarray) -> float:
     return float(np.linalg.norm(r, axis=0).max())
 
 
-def iterates(w, n=None):
-    """Theta^{+-j} phi for j = 1..n (default n_max), each (L, p)."""
-    steps = _iterates(w.model, w.direction, w.mono, w.probe_set.vectors)
-    return [x for _, x in islice(steps, w.n_max if n is None else n)]
+def loop(w):
+    """Yield (gap, Theta^{+-n} phi) for n = 1, 2, ...: the gap is the column norms of
+    (A - B) A^(n-1) phi, A = Theta^{+-1}, B = Theta0^{+-1}.
+
+    A x is B x plus E_w on the window's rows of x (the Monodromy's window and
+    block, or every site and Theta - Theta0 without them), so the gap is the
+    norm of that window product.  B acts as free_apply(+-1); direction -1
+    applies E_w^H.  Each yielded iterate is a new array."""
+    model, mono, direction = w.model, w.mono, w.direction
+    if mono.window is None:
+        window, block = slice(None), mono.operator - model.free_period
+    else:
+        window, block = mono.window, mono.block
+    act = np.matmul if direction == +1 else adjoint_apply
+    x = w.probe_set.vectors
+    while True:
+        kick = act(block, x[window])      # (A - B) x, zero off the window
+        x = model.free_apply(direction, x)
+        x[window] += kick
+        yield np.linalg.norm(kick, axis=0), x
+
+
+def loop_gaps(w, n=None):
+    """The loop's Cauchy gaps for n = 1..n (default n_max), (n, p)."""
+    return np.array([gap for gap, _ in islice(loop(w), w.n_max if n is None else n)])
 
 
 def image(w, n):
-    """W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, (L, p), from the n-th iterate."""
-    return w.model.free_apply(-w.direction * n, iterates(w, n)[-1])
+    """W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, (L, p), from the loop's n-th iterate."""
+    *_, (_, x) = islice(loop(w), n)
+    return w.model.free_apply(-w.direction * n, x)
 
 
 def operator(w):

@@ -482,6 +482,69 @@ class TestWindowRouteReport:
             [b["multiplicity"] for b in dense["results"]["bound_states"]]
 
 
+class TestEigenvectorPhases:
+    """No report reads an eigenvector's phase: every eigendecomposition's columns
+    times random unit phases (H0's free_eig, the monodromy's and the mode-space
+    spectrum's) move no report field beyond round-off."""
+
+    RABI = {"builtin": "rabi", "delta": 0.0, "v": 1.0}
+    CONFIGS = {
+        "monodromy": {"model": RABI, "parameters": {"steps_per_period": 128, "order": 4}},
+        "floquet-spectrum": {"model": RABI, "parameters": {"n_modes": 8}},
+        "correspondence": {"model": RABI,
+                           "parameters": {"n_modes": 8, "steps_per_period": 128, "order": 4}},
+        "resolvent-check": {"model": RABI,
+                            "parameters": {"lambda": [2.0, 1.0], "n_t": 64, "n_modes": 8}},
+        "wave-operators": {
+            "model": {"lattice": {"sites": 256, "hopping": 1.0, "well_depth": -0.8,
+                                  "drive_amp": 0.5, "support_width": 5}},
+            "parameters": {"steps_per_period": 64, "order": 4, "translates": 2,
+                           "average_window": 1.0, "floquet_modes": 3}},
+        "bound-states": {
+            "model": {"lattice": {"sites": 64, "hopping": 1.0, "well_depth": -2.0,
+                                  "drive_amp": 0.5, "support_width": 5}},
+            "parameters": {"steps_per_period": 128, "order": 4, "n_modes": 8,
+                           "scan_modes": 4}},
+    }
+
+    # the modules whose decompositions each task reads: free_eig (model), the
+    # monodromy's (propagation) and the mode-space spectrum's (floquet)
+    SCRAMBLED = {"monodromy": {"propagation"}, "floquet-spectrum": {"floquet"},
+                 "correspondence": {"floquet", "propagation"}, "resolvent-check": {"model"},
+                 "wave-operators": {"model", "propagation"},
+                 "bound-states": {"model", "propagation"}}
+
+    @pytest.mark.parametrize("task", CONFIGS)
+    def test_report_within_round_off(self, task, monkeypatch):
+        import floqscat.floquet as floquet
+        import floqscat.model as model
+        import floqscat.propagation as propagation
+        from floqscat.numerics import EigenDecomposition
+        from report_diff import report_differences
+
+        cfg = {"task": task, **self.CONFIGS[task]}
+        plain = run_scenario(cfg, seed=1)
+        rng, calls = np.random.default_rng(5), []
+
+        def scramble(module, name):
+            decompose = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                eig = decompose(*args, **kwargs)
+                calls.append(module.__name__.split(".")[-1])
+                phases = np.exp(2j * np.pi * rng.random(eig.vectors.shape[1]))
+                return EigenDecomposition(eig.values, eig.vectors * phases)
+            monkeypatch.setattr(module, name, spy)
+
+        for module, name in ((model, "hermitian_eig"), (floquet, "hermitian_eig"),
+                             (propagation, "unitary_eig")):
+            scramble(module, name)
+        moved = run_scenario(cfg, seed=1)
+        assert set(calls) == self.SCRAMBLED[task]
+        diffs = report_differences(plain, moved)      # ints, bools and strings equal
+        assert max(diffs.values(), default=0.0) <= 1e-10, diffs
+
+
 class TestCollidingProbes:
     def test_ring_scatter_seed_407_passes_criterion_7(self):
         # the probe jitter at seed 407 puts two packets on one ring index, so
@@ -726,9 +789,10 @@ class TestMemory:
         assert set(vars(model.free_eig)) == {"values", "vectors"}     # no adjoint kept
         assert len(waves) == 2
         for w in waves:
+            # the gaps (n_max x p) and no block of L rows: no iterate is kept
             blocks = [v for v in vars(w).values()
                       if isinstance(v, np.ndarray) and v.ndim == 2 and sites in v.shape]
-            assert [b.shape for b in blocks] == [(sites, w.probe_set.count)]
+            assert blocks == []
             assert not any(isinstance(v, list) for v in vars(w).values())
         # on the window route Theta is formed when read, with the bits it was
         # diagonalized with

@@ -208,6 +208,16 @@ class TestLattice:
             assert np.array_equal(lat.free_period, lat.free_eig.exp(1.0))
         assert ring.ring_spectrum is not None
 
+    def test_modes_are_the_complex_diagonals(self):
+        # formed complex on the support: the bits of the real diagonals cast
+        support = [3, 4, 4, 5]
+        lat = build_lattice(16, 1.0, -0.8, 0.5, support)
+        for n, value in ((0, -0.8), (1, 0.25), (-1, 0.25)):
+            diag = np.zeros(16)
+            diag[support] = value
+            assert lat.modes[n].tobytes() == np.diag(diag).astype(np.complex128).tobytes()
+        assert lat.modes[1] is lat.modes[-1]
+
     def test_rejects_bad_support(self):
         with pytest.raises(ValueError, match="support"):
             build_lattice(16, 1.0, -1.0, 0.0, [20])

@@ -4,7 +4,6 @@ import pytest
 import floqscat.numerics as numerics
 from floqscat.numerics import (
     SingularMatrixError,
-    _fix_phases,
     expm_hermitian,
     hermitian_eig,
     solve,
@@ -64,7 +63,7 @@ class TestHermitianEig:
 
     def test_real_matrix_takes_the_real_eigh(self, monkeypatch):
         # a Hermitian matrix with no imaginary part is diagonalized as a.real: the
-        # values and projectors of the complex eigh, with the same conventions
+        # values and projectors of the complex eigh
         a = random_hermitian(30, seed=5).real
         a = (a + a.T) / 2 + np.diag(np.repeat([0.5, -0.5, 2.0], 10))
         complex_eig = np.linalg.eigh(a.astype(np.complex128))
@@ -75,8 +74,6 @@ class TestHermitianEig:
         assert eig.vectors.dtype == np.complex128 and not eig.vectors.imag.any()
         assert np.abs(eig.values - complex_eig[0]).max() <= 1e-13
         assert residual(eig, a) <= 1e-13 and orthonormality_defect(eig) <= 1e-14
-        top = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), np.arange(len(a))]
-        assert (top.real > 0).all()      # the phase convention: largest entry positive
         hermitian_eig(a + 1e-3j * (np.triu(a, 1) - np.tril(a, -1)))
         assert dtypes == [np.float64, np.complex128]
 
@@ -206,8 +203,7 @@ class TestMirrorSectors:
         u, mirror = case()
         got, want = unitary_eig(u, mirror), unitary_eig(u)
         assert np.abs(got.values - want.values).max() <= 1e-12
-        # each eigenvector up to its phase: where mirrored entries tie in
-        # magnitude, round-off picks the whole route's largest entry
+        # each eigenvector up to its phase, which neither route fixes
         overlap = (want.vectors.conj() * got.vectors).sum(axis=0)
         aligned = got.vectors * (overlap.conj() / np.abs(overlap))
         assert np.abs(aligned - want.vectors).max() <= 1e-12
@@ -283,52 +279,6 @@ class TestWholeMatrixReferences:
                   np.diag([1.0, 2.0]).astype(complex)):
             want = float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
             assert unitary_defect(u) == want
-
-    def test_tiebreak_returns_its_inputs_without_a_tie(self):
-        values, vectors = np.array([0.1, 0.2, 0.3]), random_unitary(3, seed=24)
-        got = numerics._lex_tiebreak(values, vectors, values)
-        assert got[0] is values and got[1] is vectors
-
-
-def _fix_phases_loop(vectors):
-    """The per-column phase fix: the reference _fix_phases must equal bit for bit."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        z = out[idx, k]
-        if z.imag != 0 or z.real < 0:
-            scale = np.abs(z)
-            out[:, k] *= complex(z.real / scale, -(z.imag / scale))
-    return out
-
-
-class TestFixPhases:
-    # square, as every eigenvector matrix is (a single row of several entries
-    # can round differently: numpy multiplies a lone entry by its scalar kernel)
-    @pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (7, 3), (64, 4), (256, 5)])
-    def test_equals_the_column_loop(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        if n > 2:
-            a[:, 0] = 0.0                    # zero columns stay as they are
-            a[:, 1] = complex(-0.0, -0.0)
-            a[:2, 2] = [10j, -10.0]          # tied largest magnitudes: the first wins
-        got, want = _fix_phases(a), _fix_phases_loop(a)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n, seed", [(7, 3), (30, 6), (64, 4)])
-    def test_idempotent_on_real_columns(self, n, seed):
-        # a real symmetric matrix's eigenvectors, each column times exactly +-1:
-        # a second fix changes no bit
-        a = np.random.default_rng(seed).normal(size=(n, n))
-        once = _fix_phases(np.linalg.eigh(a + a.T)[1].astype(np.complex128))
-        assert np.all(once[np.argmax(np.abs(once), axis=0), np.arange(n)].real > 0)
-        assert _fix_phases(once).tobytes() == once.tobytes()
-
-    def test_real_positive_pivot_left_unchanged(self):
-        # 0.383119395068616 times conj(z)/|z| by complex division is 0.9999999999999999 z
-        col = np.array([[0.1 + 0.2j], [0.383119395068616], [-0.3 + 0.0j]])
-        assert _fix_phases(col).tobytes() == col.tobytes()
 
 
 class TestExpmHermitian:

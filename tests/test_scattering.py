@@ -35,7 +35,7 @@ from floqscat.scattering import (
     wrap_horizon,
 )
 
-from oracles import (free_propagator, image, iterates, operator, orthonormality_defect,
+from oracles import (free_propagator, image, loop_gaps, operator, orthonormality_defect,
                      residual, ring_time_average, scipy_csr)
 
 CHEAP = PropagatorSchedule(96, 2)
@@ -127,6 +127,32 @@ def eigenbasis_route(lat, phases=None):
     lat.free_apply = lambda t, x: eig.apply(np.exp(-1j * float(t) * eig.values), x)
     lat.free_period = eig.exp(1.0)
     return lat
+
+
+class TestEigenbasisGaps:
+    """The Cauchy gaps and W^(n_max) phi from Theta's eigenbasis against the FFT
+    iterate loop (oracles.loop), on the window route and without a window."""
+
+    @pytest.fixture(scope="class", params=[(256, 0.0), (256, 0.25), (1024, 0.0), (1024, 0.25)],
+                    ids=lambda p: f"L{p[0]}-s{p[1]}")
+    def run(self, request):
+        sites, start = request.param
+        lat = build_lattice(sites, 1.0, -0.8, 0.5, range(sites // 2 - 2, sites // 2 + 3))
+        mono = monodromy(lat, start, CHEAP)
+        assert mono.window is not None
+        return lat, mono, make_probes(lat), wrap_horizon(lat)
+
+    @pytest.mark.parametrize("window", [True, False], ids=["window", "no-window"])
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_against_the_loop(self, run, window, direction):
+        from dataclasses import replace
+
+        lat, mono, probes, n_max = run
+        if not window:
+            mono = replace(mono, theta=mono.operator, window=None, block=None)
+        wav = stroboscopic_wave_op(lat, direction, n_max, mono, probes)
+        assert np.abs(wav.cauchy_gaps - loop_gaps(wav)).max() <= 1e-12
+        assert np.abs(wav.image() - image(wav, n_max)).max() <= 1e-12
 
 
 class TestChannelBlocks:
@@ -260,20 +286,21 @@ class TestDrivenWell:
         assert orthogonality_defect(probes, bound) <= 1e-3
 
     def test_iterates_never_read_theta(self, driven_256, driven_256_run, monkeypatch):
-        # the loop takes Theta as Theta0 plus the Monodromy's window block
+        # the gaps take Theta - Theta0 as the Monodromy's window block
         from floqscat.propagation import Monodromy
 
         mono, probes, wp, wm = driven_256_run
         assert mono.window is not None
+        images = [done.image() for done in (wp, wm)]
         monkeypatch.setattr(Monodromy, "operator", property(lambda m: pytest.fail("Theta read")))
-        for done in (wp, wm):
+        for done, want in zip((wp, wm), images):
             again = stroboscopic_wave_op(driven_256, done.direction, done.n_max, mono, probes)
             assert np.array_equal(again.cauchy_gaps, done.cauchy_gaps)
-            assert np.array_equal(again.iterate, done.iterate)
+            assert np.array_equal(again.image(), want)
 
     def test_iterates_without_a_window(self, driven_256, driven_256_run):
-        # a Monodromy without a window block (the stepped route): the loop
-        # takes E = Theta - Theta0 on every site
+        # a Monodromy without a window block (the stepped route): the gaps
+        # take E = Theta - Theta0 on every site
         from dataclasses import replace
 
         mono, probes, wp, _ = driven_256_run
@@ -284,14 +311,13 @@ class TestDrivenWell:
             a_op = theta if direction == +1 else theta.conj().T
             b_op = theta0 if direction == +1 else theta0.conj().T
             wav = stroboscopic_wave_op(lat, direction, n_max, mono, probes)
-            got = iterates(wav)
-            assert np.array_equal(got[-1], wav.iterate)
             cur = probes.vectors
             for n in range(n_max):
                 gap = np.linalg.norm((a_op - b_op) @ cur, axis=0)
                 cur = a_op @ cur
                 assert np.abs(wav.cauchy_gaps[n] - gap).max() <= 1e-13
-                assert np.abs(got[n] - cur).max() <= 1e-13
+            free = np.linalg.matrix_power(b_op.conj().T, n_max)
+            assert np.abs(wav.image() - free @ cur).max() <= 1e-13
 
     def test_block_path_matches_dense_oracle(self, driven_256, driven_256_run):
         # W+- = Theta0^{-+n} Theta^{+-n} as dense L x L products, against the
