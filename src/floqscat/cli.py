@@ -160,6 +160,11 @@ def _at_least(low):
     return lambda value, model: None if value >= low else f"must be >= {low}, got {value}"
 
 
+def _between(low, high):
+    return lambda value, model: (None if low <= value <= high
+                                 else f"must lie in [{low}, {high}], got {value}")
+
+
 def _cutoff(n_modes, model):
     """A mode cutoff below the model's mode support would truncate the interaction."""
     support = model.max_mode
@@ -176,6 +181,25 @@ def _grid_side(n_t, model):
 def _block_side(n_modes, model):
     if (2 * n_modes + 1) * model.dim > MAX_DENSE_SIDE:
         return f"mode cutoff {n_modes} too large ((2 n_modes + 1) * dim <= {MAX_DENSE_SIDE})"
+    return _cutoff(n_modes, model)
+
+
+# the long side of the tall arrays a lattice run holds beside its dense L x L ones:
+# the (2 n_modes + 1) L rows of a ScanOperators' sparse K, start vector and null-scan
+# iterates, and the (2 translates + 1) L entries per probe of the packets' free
+# orbit.  At 2**20 the first add some 330 MB to the 815 MB of a 4096-site ring, the
+# orbit of 8 probes 128 MB; a model without a potential has |S| = 0 and no other
+# bound on its cutoff, and 4096 translates of a 4096-site ring once ran out of memory
+MAX_TALL_SIDE = 2**20
+
+
+def _scan_side(n_modes, model):
+    """A cutoff that builds ScanOperators: its support block V_S and the factor of A
+    are (2 n_modes + 1) |S| on a side, its sparse K (2 n_modes + 1) L."""
+    blocks = 2 * n_modes + 1
+    if blocks * len(model.support) > MAX_DENSE_SIDE or blocks * model.dim > MAX_TALL_SIDE:
+        return (f"mode cutoff {n_modes} too large ((2 n_modes + 1) * |support| <= "
+                f"{MAX_DENSE_SIDE} and (2 n_modes + 1) * sites <= {MAX_TALL_SIDE})")
     return _cutoff(n_modes, model)
 
 
@@ -217,7 +241,27 @@ def _within_horizon(n_max, model):
         return f"n_max {n_max} above the iterate ceiling {MAX_ITERATES}"
 
 
-SCHEDULE = {"steps_per_period": Field(int, 512, _at_least(MIN_STEPS)),
+def _within_orbit(translates, model):
+    """The packets' free orbit Theta0^j phi, |j| <= translates, stays within the ring's
+    wrap-around horizon, and its (2 translates + 1) L entries per probe within
+    MAX_TALL_SIDE."""
+    horizon = _horizon(model)
+    if not 0 <= translates <= horizon:
+        return (f"translates {translates} outside [0, {horizon}]: the free orbit stays "
+                "within the ring's wrap-around horizon")
+    if (2 * translates + 1) * model.sites > MAX_TALL_SIDE:
+        return f"translates {translates} too large ((2 translates + 1) * sites <= {MAX_TALL_SIDE})"
+
+
+# steps per period above which a schedule is refused: every shipped config, test and
+# benchmark takes at most 512 (1024 where self_convergence doubles it); the steps of
+# a period run one after another, and 2**20 of them take some 6 s on the Rabi model
+# and 27 s on the 256-site ring (one Xeon core), while 10**23 once failed in numpy
+# with "Maximum allowed size exceeded"
+MAX_STEPS = 2**20
+
+
+SCHEDULE = {"steps_per_period": Field(int, 512, _between(MIN_STEPS, MAX_STEPS)),
             "order": Field(int, 4, _one_of(ORDERS)), "start": Field(float, 0.0)}
 PARAMETERS = {
     "monodromy": {**SCHEDULE, "self_convergence": Field(bool, True)},
@@ -229,12 +273,12 @@ PARAMETERS = {
         "n_t": Field(int, 256, _grid_side), "n_modes": Field(int, 8, _block_side)},
     "wave-operators": {
         **SCHEDULE, "n_max": Field(int, _horizon, _within_horizon),
-        "translates": Field(int, 2, _at_least(0)),
+        "translates": Field(int, 2, _within_orbit),
         "average_window": Field(float, 1.0, lambda h, model: None if 0.0 < h <= 1.0
                                 else "must lie in (0, 1]"),
-        "floquet_modes": Field(int, 8, _cutoff)},
-    "bound-states": {**SCHEDULE, "n_modes": Field(int, 12, _cutoff),
-                     "scan_modes": Field(int, 8, _cutoff), "verify": Field(bool, True)},
+        "floquet_modes": Field(int, 8, _scan_side)},
+    "bound-states": {**SCHEDULE, "n_modes": Field(int, 12, _scan_side),
+                     "scan_modes": Field(int, 8, _scan_side), "verify": Field(bool, True)},
 }
 LATTICE_TASKS = ("wave-operators", "bound-states")
 CONFIG = {"task": Field(str, REQUIRED, _one_of(tuple(PARAMETERS))), "model": Field(dict),
@@ -269,12 +313,18 @@ def build_model(spec: dict, where: str = "model"):
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{where}.file", str(exc)) from exc
     lat = parse(fields["lattice"], LATTICE, f"{where}.lattice")
-    support = lat["support"]
+    sites, width, support = lat["sites"], lat["support_width"], lat["support"]
+    # before a width past the ring builds its list, or an entry past int64 reaches numpy
+    if width > sites:
+        raise ValidationError(f"{where}.lattice.support_width",
+                              f"must be at most sites={sites}, got {width}")
     if support is None:
-        lo = lat["sites"] // 2 - lat["support_width"] // 2
-        support = list(range(lo, lo + lat["support_width"]))
+        lo = sites // 2 - width // 2
+        support = list(range(lo, lo + width))
+    elif not all(0 <= i < sites for i in support):
+        raise ValidationError(f"{where}.lattice.support", f"entries must lie in [0, {sites})")
     try:
-        return build_lattice(lat["sites"], lat["hopping"], lat["well_depth"], lat["drive_amp"],
+        return build_lattice(sites, lat["hopping"], lat["well_depth"], lat["drive_amp"],
                              support)
     except ValueError as exc:
         raise ValidationError(f"{where}.lattice", str(exc)) from exc

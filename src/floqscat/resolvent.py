@@ -40,11 +40,12 @@ numpy.linalg, with (K0 - zeta)^{-1} diagonal in H0's eigenbasis (a
 Birman-Schwinger problem of the support's size; Simon, Trace Ideals and Their
 Applications, ch. 7).  ScanOperators prepares the support block, H0's
 eigendecomposition (the model's) and the sparse K once per model and cutoff,
-and is the one owner of those solves: its null_pair serves the null scan here,
-its solver the certified partners of scattering's bound-state cross-check.  The candidate is refined to K's
-eigenvalue by Rayleigh quotients of psi = (K0 - zeta)^{-1} phi taken from
-the scan's own null direction phi, and the verdict's residual
-||(K - lambda) psi|| / ||psi|| measures that psi on the assembled K.
+and runs the one inverse iteration on them (null_pair).  Both bound-state
+detectors take their Rayleigh steps from it (ScanOperators.rayleigh): the
+quotient of psi = (K0 - zeta)^{-1} phi, phi the null direction at
+zeta = lambda + i RAYLEIGH_EPS, refines a candidate here to K's eigenvalue,
+and certifies a partner in scattering's bound-state cross-check.  The
+residual ||(K - lambda) psi|| / ||psi|| measures that psi on the assembled K.
 """
 
 from __future__ import annotations
@@ -281,8 +282,9 @@ class BoundStateVerdict:
 
 class ScanOperators:
     """(K - zeta)^{-1} of one model at mode cutoff N, prepared once for all its
-    shifts and solved by both bound-state detectors: the null scan (null_pair)
-    and the cross-check's certified partners (solver).  It holds the sparse
+    shifts: the one inverse iteration (null_pair) and the Rayleigh step taken
+    from it (rayleigh), which both bound-state detectors run, the null scan's
+    verdict and the cross-check's certified partners.  It holds the sparse
     K = K0 + V (for Rayleigh quotients and residuals), H0's
     eigendecomposition (eps, U), the model's `free_eig` (`free`), and the
     potential's block V_S on its support.
@@ -295,8 +297,8 @@ class ScanOperators:
 
     Every solve goes through the r x r matrix A on the support
     (Birman-Schwinger; Simon, Trace Ideals and Their Applications, ch. 7),
-    inverted once per zeta in numpy.linalg (`_factor`), for solver and
-    null_pair alike.
+    inverted once per zeta in numpy.linalg (`_factor`, whose one client is
+    null_pair).
     On mode block n, G0 = (K0 - zeta)^{-1} is U diag(g_n) U^H with
     g_n = 1 / (eps + 2 pi n - zeta).  With Q = V G0, K - zeta = (I + Q)(K0 - zeta),
     and with A = I_r + G_S V_S, G_S = P^T G0 P (`_factor`), Woodbury's identity
@@ -306,10 +308,9 @@ class ScanOperators:
         (I + Q)^{-H} = I - G0^H P A^{-H} V_S^H P^T,
         (K - zeta)^{-1} = G0 (I + Q)^{-1}.
 
-    The first is applied in one place (`_inverse`), on coefficients in H0's
-    eigenbasis, where G0 is the diagonal g and P, P^T act through U_S.  A
-    real zeta on a free level eps + 2 pi n divides by zero in g; the
-    detectors shift off the axis.
+    null_pair applies the first two on coefficients in H0's eigenbasis, where
+    G0 is the diagonal g and P, P^T act through U_S.  A real zeta on a free
+    level eps + 2 pi n divides by zero in g; the detectors shift off the axis.
     """
 
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
@@ -341,37 +342,14 @@ class ScanOperators:
             raise SingularMatrixError(
                 f"I + Q({zeta}) singular on the potential's support ({exc})") from exc
 
-    def _inverse(self, g: np.ndarray, a_inv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(I + Q)^{-1} y = y - P V_S A^{-1} (G0 y)_S on eigenbasis coefficients y,
-        mode blocks as rows."""
-        b = self.v_s @ (a_inv @ (g * y @ self.u_s.T).ravel())
-        return y - b.reshape(y.shape[0], self.u_s.shape[0]) @ self.u_s.conj()
-
-    def solver(self, zeta: complex):
-        """x -> (K - zeta)^{-1} x = G0 (I + Q)^{-1} x on site-basis mode vectors of
-        length (2N + 1) d, from one A at zeta.
-
-        x goes to H0's eigenbasis by U^H per mode block, through `_inverse` and
-        g, and back by U.  Cost: r^3 once for the inverse of A (`_factor`), then
-        (2N + 1) d^2 for the two changes of basis and r^2 per solve; no LU of the
-        (2N + 1) d mode space.  A singular A raises SingularMatrixError naming
-        zeta here.
-        """
-        g, a_inv = self._factor(complex(zeta))
-
-        def solve(x: np.ndarray) -> np.ndarray:
-            y = self.free.to_eigenbasis(self.space.blocks(x))
-            return (g * self._inverse(g, a_inv, y) @ self.free.vectors.T).ravel()
-        return solve
-
     def null_pair(self, zeta: complex):
         """(s, phi, psi): the smallest singular value s and right singular vector phi
         of I + Q(zeta), and psi = (K0 - zeta)^{-1} phi.
 
         Inverse iteration on (I + Q)^{-1} (I + Q)^{-H} from the fixed start
         vector gives phi.  One step takes c = A^{-H} V_S^H phi_S and
-        y = phi - G0^H P c = (I + Q)^{-H} phi, then z = (I + Q)^{-1} y
-        (`_inverse`), whose unit vector is the next phi.
+        y = phi - G0^H P c = (I + Q)^{-H} phi, then b = V_S A^{-1} (G0 y)_S and
+        z = y - P b = (I + Q)^{-1} y, whose unit vector is the next phi.
         s = ||(I + Q) phi|| = ||y|| / ||z|| comes from the same step; unlike the
         Hermitian form (I + Q)^H (I + Q), this resolves s far below
         sqrt(machine eps) ||I + Q||.  psi = G0 phi is the last step's
@@ -400,7 +378,8 @@ class ScanOperators:
         for _ in range(INVERSE_ITERATION_MAXITER):
             c = a_inv_h @ (v_s_h @ (phi @ to_support).ravel())
             y = phi - g_h * (c.reshape(shape) @ from_support)        # (I + Q)^{-H} phi
-            z = self._inverse(g, a_inv, y)                           # (I + Q)^{-1} y
+            b = self.v_s @ (a_inv @ (g * y @ to_support).ravel())
+            z = y - b.reshape(shape) @ from_support                  # (I + Q)^{-1} y
             z_norm = np.linalg.norm(z)
             phi = z / z_norm
             s = float(np.linalg.norm(y) / z_norm)     # ||(I + Q) phi||, as (I + Q) z = y
@@ -412,15 +391,23 @@ class ScanOperators:
             f"smallest singular value of I + Q({zeta}) did not settle in "
             f"{INVERSE_ITERATION_MAXITER} inverse-iteration steps (last {s_prev:.3e})")
 
+    def rayleigh(self, lam: float):
+        """(psi, K psi, psi^H K psi / psi^H psi): one Rayleigh step at the shift lam,
+        from null_pair's psi at zeta = lam + i RAYLEIGH_EPS, the quotient taken on
+        the assembled K.  Raises as null_pair does."""
+        psi = self.null_pair(lam + 1j * RAYLEIGH_EPS)[2]
+        k_psi = self.k @ psi
+        return psi, k_psi, float((np.vdot(psi, k_psi) / np.vdot(psi, psi)).real)
+
 
 def bound_state_correspondence(scan: ScanOperators, lam_candidate: float) -> BoundStateVerdict:
     """Verify a candidate bound quasi-energy through the null-vector scan of the
     model at the cutoff `scan` was prepared for (ScanOperators, built once for
     several candidates of one model).
 
-    Rayleigh refinement: from lambda_0 = candidate, the null direction phi of
-    I + Q(lambda_j + i RAYLEIGH_EPS) gives psi = (K0 - zeta)^{-1} phi at the
-    same zeta, and lambda_{j+1} = psi^H K psi / psi^H psi.  K is Hermitian,
+    Rayleigh refinement: from lambda_0 = candidate, lambda_{j+1} is the
+    quotient of scan.rayleigh(lambda_j) (psi^H K psi / psi^H psi, psi from the
+    null direction of I + Q(lambda_j + i RAYLEIGH_EPS)).  K is Hermitian,
     so each step squares the distance to K's eigenvalue; the iteration stops
     when the quotient moves by at most RAYLEIGH_ULPS units in the last place,
     after RAYLEIGH_MAXITER steps, or when the quotient leaves the
@@ -439,9 +426,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float) -> Bou
 
     refined = float(lam_candidate)
     for _ in range(RAYLEIGH_MAXITER):
-        _, _, psi = scan.null_pair(refined + 1j * RAYLEIGH_EPS)
-        k_psi = scan.k @ psi
-        quotient = float((np.vdot(psi, k_psi) / np.vdot(psi, psi)).real)
+        psi, k_psi, quotient = scan.rayleigh(refined)
         if abs(quotient - lam_candidate) > SEARCH_WINDOW:
             break
         step, refined = quotient - refined, quotient

@@ -73,13 +73,13 @@ band eigenphase is never called bound, and neither is a Floquet resonance
 that sits in the band, however localized on the ring (Yajima, Commun. Math.
 Phys. 87 (1982)); each state's localization is reported as a measured value
 only.  Each bound phase is cross-checked against the truncated mode-space
-matrix K: a partner there is certified by inverse iteration whose solves
-with K - zeta go through resolvent.ScanOperators, the one factorization on
-the potential's support that the null scan also uses.  On the window route
-the cross-check first takes the K of the Monodromy's segment, which holds a
-state bound to the well to e^{-kappa r} (the segment reaches 2r sites past the
-support); only a phase it does not certify goes to the whole ring's K, at the
-same CROSS_CHECK_TOL.  A phase the ring's K does not certify either raises
+matrix K: a partner there is certified by one Rayleigh step of
+resolvent.ScanOperators, taken from the null scan's own inverse iteration
+on the potential's support.  On the window route the cross-check first
+takes the K of the Monodromy's segment, which holds a state bound to the well
+to e^{-kappa r} (the segment reaches 2r sites past the support); only a phase
+it does not certify goes to the whole ring's K, at the same CROSS_CHECK_TOL.
+A phase the ring's K does not certify either raises
 DetectorDisagreementError with the ring's null-scan smallest singular value
 of I + Q at that phase.
 """
@@ -90,11 +90,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .floquet import circular_distance, sidebands_closed, start_vector
+from .floquet import circular_distance, sidebands_closed
 from .model import LatticeModel
 from .numerics import adjoint_apply
 from .propagation import WINDOW_BORDER_TOL, Monodromy, monodromy, propagate
-from .resolvent import RAYLEIGH_EPS, ScanOperators
+from .resolvent import RAYLEIGH_EPS, InverseIterationError, ScanOperators
 
 GAP_TOL = 1e-3
 GAP_RUN = 3
@@ -102,8 +102,6 @@ GAP_RUN = 3
 GAP_BLOCK = 32
 # the reported localization is a state's mass on support_window(LOCALIZATION_MARGIN)
 LOCALIZATION_MARGIN = 4
-# inverse-iteration solves the cross-check spends on a certified partner at each shift
-PARTNER_SOLVES = 3
 # the cross-check's partner distance, and the distance within which bound phases are one
 CROSS_CHECK_TOL = 1e-5
 # the least singular value of a direction of the probes' free-orbit span (unit columns)
@@ -509,33 +507,31 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
 def _certified_partner(scan: ScanOperators, phase: float, sigma: float,
                        tol: float) -> float | None:
     """Circular distance from `phase` to an interior in-gap eigenvalue of K within
-    tol, certified by inverse iteration at the shift sigma; None where
-    PARTNER_SOLVES solves certify no eigenvalue within tol, or the certified
-    one has an open sideband or an edge vector.
+    tol, certified by one Rayleigh step at the shift sigma; None where the step
+    certifies no eigenvalue within tol, or the certified one has an open
+    sideband or an edge vector.
 
-    The solves are x <- (K - zeta)^{-1} x from start_vector at
-    zeta = sigma + i RAYLEIGH_EPS, through one scan.solver factor on the
-    potential's support.  Off the axis K0 - zeta is never singular, where a
-    real sigma on a free level eps + 2 pi n would divide by zero in G0.
-    After each solve, the unit x has the Rayleigh quotient lambda = x^H K x
-    and the residual r = ||K x - lambda x||, both on the assembled scan.k; a
-    Hermitian K has an eigenvalue within r of lambda (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4), so dist(phase, lambda) + r <= tol places one
-    within tol, and a poor solve can only fail to certify.  It is accepted
-    when lambda is in the gap (sidebands_closed) and x is interior
+    The step is scan.rayleigh(sigma): psi from the null scan of I + Q at
+    zeta = sigma + i RAYLEIGH_EPS, its quotient lambda and K psi on the
+    assembled scan.k.  Off the axis K0 - zeta is never singular, where a real
+    sigma on a free level eps + 2 pi n would divide by zero in G0.  A
+    Hermitian K has an eigenvalue within r = ||(K - lambda) psi|| / ||psi|| of
+    lambda (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so
+    dist(phase, lambda) + r <= tol places one within tol, and a poor psi can
+    only fail to certify: a shift whose null scan does not settle
+    (InverseIterationError) certifies nothing.  It is accepted when lambda
+    is in the gap (sidebands_closed) and psi / ||psi|| is interior
     (ModeSpace.interior)."""
-    solve, space = scan.solver(sigma + 1j * RAYLEIGH_EPS), scan.space
-    x = start_vector(space.size)
-    for _ in range(PARTNER_SOLVES):
-        x = solve(x)
-        x /= np.linalg.norm(x)
-        kx = scan.k @ x
-        lam = float(np.vdot(x, kx).real)
-        dist = float(circular_distance(phase, lam))
-        if dist + np.linalg.norm(kx - lam * x) <= tol:
-            closed = sidebands_closed(lam, scan.free.values)
-            return dist if closed and space.interior(x[:, None])[0] else None
-    return None
+    try:
+        psi, k_psi, lam = scan.rayleigh(sigma)
+    except InverseIterationError:
+        return None
+    norm = np.linalg.norm(psi)
+    dist = float(circular_distance(phase, lam))
+    if dist + np.linalg.norm(k_psi - lam * psi) / norm > tol:
+        return None
+    closed = sidebands_closed(lam, scan.free.values)
+    return dist if closed and scan.space.interior(psi[:, None] / norm)[0] else None
 
 
 def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
@@ -544,9 +540,9 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
     the sparse mode-space matrix K = scan.k within tol, or None.
 
     The translates sigma = phase + 2 pi j inside K's spectral bound are taken
-    nearest the centre of the fiber spectrum first.  At each in turn, inverse
-    iteration through scan's support factorization looks for a certified
-    partner within tol (_certified_partner), and the first found gives its
+    nearest the centre of the fiber spectrum first.  At each in turn, a Rayleigh
+    step from scan's null scan looks for a certified partner within tol
+    (_certified_partner), and the first found gives its
     distance: the driven rings' partners sit at the first translate, an
     undriven well's may sit at a later one, whose block of K is interior.
     The bound on K's spectral radius is its largest absolute row sum (np.add.reduceat
@@ -581,47 +577,48 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     Each one reports its localization, the mass on
     support_window(LOCALIZATION_MARGIN), as a measured value that decides
     nothing.  Each phase is cross-checked against an interior in-gap eigenvalue
-    of the truncated mode-space matrix K, certified near it by inverse
-    iteration (_mode_space_partner); one ScanOperators at n_modes holds K and
-    solves every K - zeta on the potential's support.  Where mono holds a
-    window segment, that is first the segment's ScanOperators, and the
-    model's is built only for the phases the segment leaves uncertified.  A
-    phase with no certified partner on the model within CROSS_CHECK_TOL
-    raises DetectorDisagreementError carrying the model's smallest singular
-    value of I + Q at the phase (null_pair at phase + i RAYLEIGH_EPS).  The
-    report is the same whichever K certified a phase.  Phases within
-    CROSS_CHECK_TOL of each other are one state of that multiplicity.
+    of the truncated mode-space matrix K, certified near it by a Rayleigh step
+    from the null scan (_mode_space_partner); one ScanOperators at n_modes
+    holds K and solves every K - zeta on the potential's support.  The
+    cross-check takes mono's window segment, where it holds one, then the
+    model, and builds each one's ScanOperators only while phases are left
+    uncertified.  The first phase with no certified partner on the model
+    within CROSS_CHECK_TOL raises DetectorDisagreementError carrying the
+    model's smallest singular value of I + Q at the phase (null_pair at
+    phase + i RAYLEIGH_EPS).  The report is the same whichever K certified a
+    phase.  Phases within CROSS_CHECK_TOL of each other are one state of that
+    multiplicity: in ascending order, each phase not yet clustered takes every
+    other such phase within that distance.
     """
     phases = mono.quasi_energies
     bound = sidebands_closed(phases, model.free_levels)
     found = sorted(zip(phases[bound], _localization(model, mono.eig.vectors[:, bound])))
 
+    open_phases = [phase for phase, _ in found]
+    for h in (mono.segment, model):   # the window route's segment first
+        if h is not None and open_phases:
+            scan = ScanOperators(h, n_modes)
+            open_phases = [phase for phase in open_phases
+                           if _mode_space_partner(h, scan, phase, CROSS_CHECK_TOL) is None]
+    if open_phases:
+        phase = open_phases[0]
+        s_min = scan.null_pair(phase + 1j * RAYLEIGH_EPS)[0]
+        raise DetectorDisagreementError(
+            f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
+            f"spectrum at N={n_modes} (no interior in-gap eigenvalue certified within "
+            f"{CROSS_CHECK_TOL:.0e}; smallest singular value of I + Q there "
+            f"{s_min:.2e})", s_min)
+    # multiplicity: cluster the phases not yet clustered within the cross-check tolerance
     infos = []
-    if found:
-        open_phases = [phase for phase, _ in found]
-        if mono.segment is not None:   # the window route's segment first
-            seg_scan = ScanOperators(mono.segment, n_modes)
-            open_phases = [phase for phase in open_phases if _mode_space_partner(
-                mono.segment, seg_scan, phase, CROSS_CHECK_TOL) is None]
-        scan = ScanOperators(model, n_modes) if open_phases else None
-        for phase in open_phases:
-            if _mode_space_partner(model, scan, phase, CROSS_CHECK_TOL) is None:
-                s_min = scan.null_pair(phase + 1j * RAYLEIGH_EPS)[0]
-                raise DetectorDisagreementError(
-                    f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
-                    f"spectrum at N={n_modes} (no interior in-gap eigenvalue certified within "
-                    f"{CROSS_CHECK_TOL:.0e}; smallest singular value of I + Q there "
-                    f"{s_min:.2e})", s_min)
-        # multiplicity: cluster phases within the cross-check tolerance
-        used = np.zeros(len(found), dtype=bool)
-        for i, (phase, loc) in enumerate(found):
-            if used[i]:
-                continue
-            cluster = [j for j in range(len(found))
-                       if circular_distance(found[j][0], phase) <= CROSS_CHECK_TOL]
-            used[cluster] = True
-            infos.append(BoundStateInfo(quasi_energy=float(phase), localization=float(loc),
-                                        multiplicity=len(cluster)))
+    used = np.zeros(len(found), dtype=bool)
+    for i, (phase, loc) in enumerate(found):
+        if used[i]:
+            continue
+        cluster = [j for j in range(len(found))
+                   if not used[j] and circular_distance(found[j][0], phase) <= CROSS_CHECK_TOL]
+        used[cluster] = True
+        infos.append(BoundStateInfo(quasi_energy=float(phase), localization=float(loc),
+                                    multiplicity=len(cluster)))
     return infos
 
 

@@ -21,24 +21,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floqscat
-from floqscat.cli import PARAMETERS, main
+from floqscat.cli import MAX_STEPS, PARAMETERS, main
 from floqscat.propagation import MIN_STEPS, ORDERS
-from floqscat.resolvent import MAX_IM_LAMBDA
+from floqscat.resolvent import MAX_DENSE_SIDE, MAX_IM_LAMBDA
 from floqscat.scattering import GAP_RUN
 
 RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8, "drive_amp": 0.5,
                     "support_width": 4}}
 RING_HORIZON = 5   # wrap_horizon: 40 sites / (4 x 2 |hopping|)
 
-# (model, parameters, mode support of the model): valid, and cheap were they run
+# (model, parameters, mode support of the model, width of its dense mode-space side:
+# the dimension, or the potential's support |S| where a cutoff builds ScanOperators):
+# valid, and cheap were they run
 VALID = {
-    "monodromy": ({"builtin": "rabi"}, {"steps_per_period": 16, "order": 2}, 1),
-    "floquet-spectrum": ({"builtin": "rabi"}, {"n_modes": 4}, 1),
-    "correspondence": ({"builtin": "rabi"}, {"n_modes": 4, "steps_per_period": 16}, 1),
+    "monodromy": ({"builtin": "rabi"}, {"steps_per_period": 16, "order": 2}, 1, 2),
+    "floquet-spectrum": ({"builtin": "rabi"}, {"n_modes": 4}, 1, 2),
+    "correspondence": ({"builtin": "rabi"}, {"n_modes": 4, "steps_per_period": 16}, 1, 2),
     "resolvent-check": ({"builtin": "fleet-d3"}, {"lambda": [2.0, 1.0], "n_t": 16, "n_modes": 4},
-                        2),
-    "wave-operators": (RING, {"steps_per_period": 8, "n_max": 4}, 1),
-    "bound-states": (RING, {"steps_per_period": 8, "n_modes": 8, "scan_modes": 4}, 1),
+                        2, 3),
+    "wave-operators": (RING, {"steps_per_period": 8, "n_max": 4}, 1, 4),
+    "bound-states": (RING, {"steps_per_period": 8, "n_modes": 8, "scan_modes": 4}, 1, 4),
 }
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -49,16 +51,20 @@ BAD_IM = (st.just(0.0) | st.floats(min_value=MAX_IM_LAMBDA, exclude_min=True, al
           | st.floats(max_value=-MAX_IM_LAMBDA, exclude_max=True, allow_infinity=False))
 
 
-def out_of_range(field: str, support: int):
+def out_of_range(field: str, support: int, width: int):
     """Numbers of the right type that the field's rule rejects (None: no rule)."""
+    # the least cutoff N with (2 N + 1) width > MAX_DENSE_SIDE
+    cutoffs = st.integers(max_value=support - 1) | st.integers(
+        min_value=(MAX_DENSE_SIDE // width - 1) // 2 + 1)
     return {
-        "steps_per_period": st.integers(max_value=MIN_STEPS - 1),
+        "steps_per_period": (st.integers(max_value=MIN_STEPS - 1)
+                             | st.integers(min_value=MAX_STEPS + 1)),
         "order": st.integers().filter(lambda n: n not in ORDERS),
-        "n_modes": st.integers(max_value=support - 1),
-        "scan_modes": st.integers(max_value=support - 1),
-        "floquet_modes": st.integers(max_value=support - 1),
-        "n_t": st.integers(max_value=0),
-        "translates": st.integers(max_value=-1),
+        "n_modes": cutoffs,
+        "scan_modes": cutoffs,
+        "floquet_modes": cutoffs,
+        "n_t": st.integers(max_value=0) | st.integers(min_value=MAX_DENSE_SIDE // width + 1),
+        "translates": st.integers(max_value=-1) | st.integers(min_value=RING_HORIZON + 1),
         "n_max": st.integers(max_value=GAP_RUN - 1) | st.integers(min_value=RING_HORIZON + 1),
         "average_window": (st.floats(max_value=0.0, allow_infinity=False)
                            | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)),
@@ -67,7 +73,7 @@ def out_of_range(field: str, support: int):
     }.get(field)
 
 
-def bad_values(typ, field: str, support: int):
+def bad_values(typ, field: str, support: int, width: int):
     kinds = [OTHER_JSON]
     if typ is not bool:
         kinds.append(st.booleans())
@@ -81,8 +87,8 @@ def bad_values(typ, field: str, support: int):
         kinds += [st.booleans().map(lambda b: [b, 1.0]), FINITE,
                   st.lists(FINITE, max_size=4).filter(lambda xs: len(xs) != len(typ)),
                   NON_FINITE.map(lambda x: [2.0, x])]
-    if out_of_range(field, support) is not None:
-        kinds.append(out_of_range(field, support))
+    if out_of_range(field, support, width) is not None:
+        kinds.append(out_of_range(field, support, width))
     return st.one_of(kinds)
 
 
@@ -94,7 +100,7 @@ CASES = [(task, field) for task in sorted(VALID) for field in [*PARAMETERS[task]
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_one_bad_field_exits_2_naming_it(task, field, data):
-    model, params, support = VALID[task]
+    model, params, support, width = VALID[task]
     table = PARAMETERS[task]
     params = dict(params)
     if field is None:
@@ -102,7 +108,7 @@ def test_one_bad_field_exits_2_naming_it(task, field, data):
                           .filter(lambda key: key not in table), label="unknown key")
         value = data.draw(st.integers(), label="value")
     else:
-        value = data.draw(bad_values(table[field].typ, field, support), label="value")
+        value = data.draw(bad_values(table[field].typ, field, support, width), label="value")
         for name, spec in table.items():   # the field's alternative gives way to it
             if spec.alt == field:
                 params.pop(name, None)
@@ -145,6 +151,26 @@ CONTRACT = [
     # default n_max and exited 3 with "no probe stabilized"
     ("wave-operators", lattice(sites=12, well_depth=-1.0), {}, 2, "'parameters.n_max'"),
     ("wave-operators", lattice(sites=20, well_depth=-1.0), {}, 2, "'parameters.n_max'"),
+    # a width past the ring once built its support list until MemoryError, and an entry
+    # past int64 raised OverflowError in build_lattice
+    ("monodromy", lattice(support_width=10**9), {}, 2, "'model.lattice.support_width'"),
+    ("monodromy", lattice(support=[10**29]), {}, 2, "'model.lattice.support'"),
+    ("monodromy", lattice(support=[3, -1]), {}, 2, "'model.lattice.support'"),
+    # a cutoff whose support block V_S is (2 N + 1)|S| = 20005 on a side once asked
+    # for 5.96 GiB; translates past the horizon for a 6.5 GB free-orbit block; and
+    # 10**23 steps for an array numpy cannot allocate
+    ("bound-states", lattice(sites=64, support_width=5), {"n_modes": 2000}, 2,
+     "'parameters.n_modes'"),
+    # without a potential |S| = 0, and the sparse K's (2 N + 1) L rows bound the cutoff
+    ("bound-states", {"lattice": {"sites": 16}}, {"steps_per_period": 16, "scan_modes": 10**6},
+     2, "'parameters.scan_modes'"),
+    ("wave-operators", lattice(sites=256, well_depth=-0.8), {"translates": 100000}, 2,
+     "'parameters.translates'"),
+    # past 2**20 / 512 entries per probe at hopping 1e-3, whose horizon is 64000 iterates:
+    # 4096 translates of a 4096-site ring once ran out of memory in the free orbit
+    ("wave-operators", lattice(sites=512, hopping=1e-3), {"n_max": 4, "translates": 1024},
+     2, "'parameters.translates'"),
+    ("monodromy", lattice(), {"steps_per_period": 10**23}, 2, "'parameters.steps_per_period'"),
 ]
 
 

@@ -443,14 +443,17 @@ class TestSupportNullScan:
             ScanOperators(models["ring"], 4).null_pair(-2.5 + 1e-2j)
 
     def test_singular_solve_named(self, models, monkeypatch):
-        # the solver inverts A once, as null_pair does, and names zeta where it cannot
+        # the cross-check's Rayleigh step factors A through null_pair, and a singular
+        # one there names zeta = sigma + i RAYLEIGH_EPS
+        from floqscat.scattering import _certified_partner
+
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
         scan = ScanOperators(models["ring"], 4)
         monkeypatch.setattr(np.linalg, "inv", singular)
-        with pytest.raises(SingularMatrixError, match=r"I \+ Q\(\(-2\.5\+0\.01j\)\)"):
-            scan.solver(-2.5 + 1e-2j)(start_vector(scan.space.size))
+        with pytest.raises(SingularMatrixError, match=r"I \+ Q\(\(-2\.5\+1e-13j\)\)"):
+            _certified_partner(scan, -2.5, -2.5, 1e-5)
 
 
 class TestSmallestSingularPair:

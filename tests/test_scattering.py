@@ -12,10 +12,9 @@ from floqscat.floquet import (EDGE_BLOCKS, GAP_MARGIN, build_floquet, circular_d
                               quasi_spectrum, sidebands_closed, start_vector)
 from floqscat.model import LatticeModel, build_lattice
 from floqscat.numerics import EigenDecomposition, expm_hermitian, unitary_defect
-from floqscat.propagation import PropagatorSchedule, monodromy, propagate
-from floqscat.resolvent import NULL_TOL, RAYLEIGH_EPS, ScanOperators
+from floqscat.propagation import Monodromy, PropagatorSchedule, monodromy, propagate
+from floqscat.resolvent import NULL_TOL, RAYLEIGH_EPS, InverseIterationError, ScanOperators
 from floqscat.scattering import (
-    PARTNER_SOLVES,
     _certified_partner,
     _localization,
     _mode_space_partner,
@@ -625,10 +624,14 @@ class TestProbeBlockAverage:
         assert np.abs(got - want).max() <= 1e-12
 
 
+# inverse-iteration solves the reference partner spends at each shift
+PARTNER_SOLVES = 3
+
+
 def sparse_lu_certified_partner(k, space, levels, phase, sigma, tol):
-    """The reference partner: inverse iteration with one sparse LU of K - sigma on the
-    whole mode space at the real shift sigma, certified as _certified_partner
-    certifies (in the gap of the free levels, interior)."""
+    """The reference partner: PARTNER_SOLVES steps of inverse iteration with one sparse
+    LU of K - sigma on the whole mode space at the real shift sigma, certified as
+    _certified_partner certifies (in the gap of the free levels, interior)."""
     lu = splu(sp.csc_array(k - sigma * sp.eye_array(k.shape[0], format="csc")))
     x = start_vector(space.size)
     for _ in range(PARTNER_SOLVES):
@@ -807,3 +810,39 @@ class TestCertifiedPartner:
             warnings.simplefilter("error")
             assert _certified_partner(scan, 1.0, sigma, 1e-5) is None
 
+    def test_unsettled_shift_tries_the_next_translate(self, monkeypatch):
+        # the static well's K has a partner at every interior translate: where the
+        # null scan does not settle at the first, that shift certifies nothing and
+        # the next translate certifies the phase
+        lat = build_lattice(64, 1.0, -2.0, 0.0, range(30, 35))
+        scan = ScanOperators(lat, 6)
+        phase = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(96, 2)),
+                                 6)[0].quasi_energy
+        tried, null_pair = [], scan.null_pair
+
+        def unsettled_first(zeta):
+            tried.append(zeta)
+            if len(tried) == 1:
+                raise InverseIterationError("did not settle")
+            return null_pair(zeta)
+
+        monkeypatch.setattr(scan, "null_pair", unsettled_first)
+        assert _mode_space_partner(lat, scan, phase, 1e-5) <= 1e-5
+        assert len(tried) >= 2
+        monkeypatch.undo()
+        # settled, the first translate would have certified the phase itself
+        assert _certified_partner(scan, phase, tried[0].real, 1e-5) <= 1e-5
+
+
+class TestMultiplicity:
+    def test_a_phase_joins_one_cluster(self, monkeypatch):
+        # 3.0 and 3.0 + 6e-6 are one state of multiplicity 2; 3.0 + 1.2e-5, within
+        # CROSS_CHECK_TOL of the second but not of the first, is a state of its own
+        lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
+        phases = np.array([3.0, 3.0 + 6e-6, 3.0 + 1.2e-5])
+        mono = Monodromy(theta=None, start=0.0, scheme=PropagatorSchedule(64, 4),
+                         eig=EigenDecomposition(np.exp(-1j * phases), np.eye(64)[:, :3]))
+        assert sidebands_closed(phases, lat.free_levels).all()
+        monkeypatch.setattr(scattering, "_mode_space_partner", lambda *args: 0.0)
+        infos = bound_state_scan(lat, mono, n_modes=2)
+        assert [b.multiplicity for b in infos] == [2, 1]
