@@ -49,8 +49,8 @@ from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondenc
                       quasi_spectrum, shift_commutation_defect)
 from .model import LatticeModel, build_lattice, rabi_model
 from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
-from .propagation import (MIN_STEPS, ORDERS, PropagatorSchedule, StepPlanError, monodromy,
-                          period_operator)
+from .propagation import (MIN_STEPS, ORDERS, MagnusStepper, PropagatorSchedule, StepPlanError,
+                          monodromy, period_operator)
 from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
                         ThresholdProximityError, block_q,
                         bound_state_correspondence, factorized_potential, grid_potential,
@@ -382,7 +382,7 @@ def _bound_state_scan(model, mono, n_modes, field):
 def run_monodromy(model, params, rng):
     sched = _schedule(params)
     mono = monodromy(model, params["start"], sched)
-    theta = mono.operator    # formed once (on the window route, when read)
+    theta = mono.operator    # formed once, when read
     results = {
         "quasi_energies": np.sort(mono.quasi_energies),
         "unitarity_defect": unitary_defect(theta),
@@ -484,7 +484,8 @@ def run_bound_states(model, params, rng):
     infos = _bound_state_scan(model, mono, params["n_modes"], "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if params["verify"]:
-        scan = ScanOperators(model, params["scan_modes"])   # K and K0 once per scenario
+        # K and K0 once per scenario, where a bound state is left to verify
+        scan = ScanOperators(model, params["scan_modes"]) if infos else None
         results["verdicts"] = [asdict(bound_state_correspondence(scan, b.quasi_energy))
                                for b in infos]
     return results
@@ -531,7 +532,13 @@ def run_scenario(cfg: dict, seed: int | None = None) -> dict:
     try:
         results = RUNNERS[task](model, params, rng)
     except StepPlanError as exc:   # raised when the stepper is planned, before any step
-        raise ValueRangeError("parameters.steps_per_period", str(exc)) from exc
+        try:   # planned once more at the finest schedule a config admits
+            MagnusStepper(model, 1.0 / MAX_STEPS, params["order"])
+        except StepPlanError as again:
+            raise ValidationError("model", f"no steps_per_period up to {MAX_STEPS} can step "
+                                  f"it: at {MAX_STEPS}, {again}") from exc
+        raise ValueRangeError("parameters.steps_per_period",
+                              f"{exc}: take more steps per period") from exc
     return {
         "task": task,
         "config_sha256": config_hash(cfg),

@@ -311,7 +311,7 @@ def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
     all_d = circular_distance(spec.folded[:, None], theta_phases[None, :]).min(axis=1)
     mean_match = float(all_d.mean())
 
-    defects, theta = [], mono.operator    # formed once (on the window route, when read)
+    defects, theta = [], mono.operator    # formed once, when read
     for idx in np.flatnonzero(spec.interior):
         phi = reconstruct_mode(spec, idx, mono.start)
         norm = np.linalg.norm(phi)

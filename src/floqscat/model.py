@@ -32,7 +32,7 @@ circulant, has `ring_spectrum`: eps_k, the FFT of h0's first column, one per
 ring momentum k = 2 pi q / L (Davis, Circulant Matrices, 1979).  There U0(t) x
 is ifft(e^{-i t eps_k} fft(x)) and U0(1) is the circulant of U0(1)'s first
 column, so neither needs free_eig.  On every other model (`ring_spectrum`
-None) both come from free_eig.  propagation's window route reads the same
+None) both come from free_eig.  propagation's light-cone window reads the same
 `ring_spectrum` test.
 """
 

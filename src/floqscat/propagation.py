@@ -46,14 +46,15 @@ A = U(s + 1/2, s) costs N/2 steps (`_stepped_period`); every other model
 and schedule takes all N.  Theta(s) has period 1 in s, and `monodromy`
 forms it at s mod 1, the start its Monodromy records.
 
-A third route serves the driven ring (`window_block`).  Where a LatticeModel's
-h0 is exactly the nearest-neighbour ring of its hopping (the model has a
-`ring_spectrum`, whose FFT gives its U0(1)) and its `support` lies in
-potential_support, E = Theta - Theta0, Theta0 = U0(1), lives on a
-window around the support's arc: one period of free motion carries amplitude
-|U0(1)_xy| <= |hopping|^|x-y| / |x-y|! (Abramowitz & Stegun 9.1.62) and no
-farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).  With
-r the smallest radius where that bound falls to unit round-off (19 at
+Every Monodromy holds Theta in one shape, Theta = Theta0 + P E_w P^T with
+Theta0 = U0(1): E_w is the block of E = Theta - Theta0 on a window W of sites,
+and P places W's rows (`window_block`).  Where a LatticeModel's h0 is exactly
+the nearest-neighbour ring of its hopping (the model has a `ring_spectrum`,
+whose FFT gives its U0(1)) and its `support` lies in potential_support, E
+lives on a window around the support's arc: one period of free motion carries
+amplitude |U0(1)_xy| <= |hopping|^|x-y| / |x-y|! (Abramowitz & Stegun 9.1.62)
+and no farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).
+With r the smallest radius where that bound falls to unit round-off (19 at
 hopping 1, `light_cone_radius`), the model is sliced to the open segment
 support_window(2r), itself a LatticeModel, and the window W = support_window(r)
 of it is stepped there on the same schedule and start: W's columns alone
@@ -62,20 +63,21 @@ symmetric about the arc, and on the half path Theta_seg[W, W] = A[:, W]^T A[:, W
 (22 of the 81-site segment's columns at hopping 1 and a 5-site well).  E_w
 is Theta_seg[W, W] - U0_seg(1)[W, W] (the open segment is no circulant: its
 U0_seg(1) comes from its real eigh).  Its border rows and columns must be at
-most WINDOW_BORDER_TOL, checked on every build, or r doubles; a ring whose
-segment would exceed half its sites takes the stepped route.
-Theta = Theta0 + P E_w P^T then costs a copy of the model's U0(1) and a
-segment of ~4r sites, whatever the ring's size.  Such a Monodromy keeps the
-window, E_w, the segment (with the steppers and free_eig it was stepped
-with, which scattering's time average and bound-state cross-check read) and
-a reference to the model's read-only U0(1), not Theta: `monodromy` drops
-Theta once it is diagonalized, and `Monodromy.operator` forms it again, with
-the same bits, each time it is read.  The wave operators act with Theta
-without reading it.  `period_operator` asks window_block which of Theta's two
-routes applies, the window block or the stepped period (`_stepped_period`);
-`monodromy` takes the same route from its one window_block call, and
-diagonalizes Theta on the even and odd sectors of the model's mirror
-(numerics.unitary_eig) where it has one: Theta commutes with R on both routes.
+most WINDOW_BORDER_TOL, checked on every build, or r doubles.  Where the light
+cone does not fit (a model that is no local ring, a ring whose segment would
+exceed half its sites, a border that keeps failing), W is every site, E is
+Theta - Theta0 with Theta stepped on the model itself (`_stepped_period`), and
+the segment is the model.  A Monodromy keeps the window, E_w, the segment
+(with the steppers and free_eig it was stepped with, which scattering's time
+average and bound-state cross-check read) and a reference to the model's
+read-only U0(1), not Theta: `monodromy` drops Theta once it is diagonalized,
+and `Monodromy.operator` forms it again, with the same bits, each time it is
+read.  On the light cone that costs a copy of the model's U0(1) and a segment
+of ~4r sites, whatever the ring's size.  The wave operators act with Theta
+without reading it.  `period_operator` and `monodromy` each take
+window_block's one answer, and `monodromy` diagonalizes Theta on the even and
+odd sectors of the model's mirror (numerics.unitary_eig) where it has one:
+Theta commutes with R on every window.
 
 A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
 applications of Omega is rejected when its stepper is planned
@@ -163,8 +165,7 @@ def taylor_plan(norm_bound: float) -> tuple[int, int]:
     if cost[best] > MAX_TAYLOR_APPLICATIONS:
         raise StepPlanError(
             f"a step with ||Omega||_1 <= {norm_bound:.3g} needs {best + 1} x {substeps[best]:g} "
-            f"Taylor applications, above the ceiling of {MAX_TAYLOR_APPLICATIONS}: take more "
-            "steps per period")
+            f"Taylor applications, above the ceiling of {MAX_TAYLOR_APPLICATIONS}")
     return best + 1, int(substeps[best])
 
 
@@ -390,27 +391,25 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
 class Monodromy:
     """One-period propagator Theta = U(s + 1, s) with its eigendecomposition.
 
-    Off the window route Theta is stored (`theta`).  On it `theta` is None and
-    the Monodromy keeps the window, E_w (the block of Theta - U0(1) on it, zero
-    elsewhere), the open segment E_w was stepped on (`segment`, a LatticeModel
-    holding its steppers and free_eig) and the model's read-only U0(1) (`free`);
-    `operator` then forms Theta from them each time it is read."""
+    Theta is kept as window_block returns it: the window, E_w (the block of
+    Theta - U0(1) on it, zero elsewhere), the model E_w was stepped on
+    (`segment`: the light cone's open segment, or the model itself where the
+    window is every site, holding its steppers and free_eig) and the model's
+    read-only U0(1) (`free`); `operator` forms Theta from them each time it is
+    read."""
 
-    theta: np.ndarray | None
     start: float
     eig: EigenDecomposition
     scheme: PropagatorSchedule
-    window: np.ndarray | None = None
-    block: np.ndarray | None = None
-    segment: LatticeModel | None = field(default=None, repr=False)
-    free: np.ndarray | None = field(default=None, repr=False)
+    window: np.ndarray
+    block: np.ndarray
+    segment: PeriodicHamiltonian = field(repr=False)
+    free: np.ndarray = field(repr=False)
 
     @property
     def operator(self) -> np.ndarray:
-        """Theta: the stored matrix, or on the window route U0(1) + P E_w P^T formed
-        now (_with_block), with the bits of the matrix that was diagonalized."""
-        if self.window is None:
-            return self.theta
+        """Theta = U0(1) + P E_w P^T formed now (_with_block), with the bits of the
+        matrix that was diagonalized."""
         return _with_block(self.free, self.window, self.block)
 
     @property
@@ -456,9 +455,8 @@ def _local_ring(h: LatticeModel) -> bool:
 
 
 def window_block(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule
-                 ) -> tuple[np.ndarray, np.ndarray, LatticeModel] | None:
-    """(window, E_w, segment) with Theta = U0(1) + P E_w P^T, or None where the route
-    does not apply.
+                 ) -> tuple[np.ndarray, np.ndarray, PeriodicHamiltonian]:
+    """(window, E_w, segment) with Theta = U0(1) + P E_w P^T.
 
     For a LatticeModel that is a `_local_ring`, the model is sliced to the open
     segment support_window(2r), r = light_cone_radius(hopping), a LatticeModel
@@ -467,22 +465,20 @@ def window_block(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule
     rows and columns r..-r) is stepped on `sched` from s: W's columns alone
     (_stepped_period), on the segment's mirror orbits where it has a `mirror`.
     E_w is that block minus U0_seg(1)[W, W].  Where a border row or column of
-    E_w exceeds WINDOW_BORDER_TOL, r doubles; None once the segment would
-    exceed half the ring.  The segment is returned with the steppers and
-    free_eig it was stepped with, for the readers of the window (the time
-    average and the bound-state cross-check in scattering).
+    E_w exceeds WINDOW_BORDER_TOL, r doubles.  Where the light cone does not
+    fit (another model, or a segment that would exceed half the ring), the
+    window is every site, E_w = Theta - U0(1) with Theta stepped on the model
+    (_stepped_period) and the segment is the model.  The segment is returned
+    with the steppers and free_eig it was stepped with, for the readers of the
+    window (_window_kicks and the bound-state cross-check in scattering).
     """
-    if not isinstance(h, LatticeModel):
-        return None
-    width = h.arc[1]
     # light_cone_radius's bound |hopping|^r / r! is >= 1 up to r = |hopping|, so r > |hopping|:
     # where that radius does not fit, none does, and the search (whose bound overflows,
     # never to fall again, past |hopping| ~ 710) is not started
-    if 2 * (width + 4 * abs(h.hopping)) > h.sites:
-        return None
-    r = light_cone_radius(h.hopping)
-    local = 2 * (width + 4 * r) <= h.sites and _local_ring(h)
-    while local and 2 * (width + 4 * r) <= h.sites:
+    local = isinstance(h, LatticeModel) and 2 * (h.arc[1] + 4 * abs(h.hopping)) <= h.sites \
+        and _local_ring(h)
+    r = light_cone_radius(h.hopping) if local else 0
+    while local and 2 * (h.arc[1] + 4 * r) <= h.sites:
         segment = h.support_window(2 * r)
         cut = np.ix_(segment, segment)
         # the open segment, its support in segment coordinates: a LatticeModel, so
@@ -496,7 +492,30 @@ def window_block(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule
         if border.max() <= WINDOW_BORDER_TOL:
             return h.support_window(r), block, part
         r *= 2
-    return None
+    return np.arange(h.dim), _stepped_period(h, s, sched) - h.free_period, h
+
+
+def _window_kicks(mono: Monodromy, x: np.ndarray, nodes: np.ndarray) -> list[np.ndarray] | None:
+    """D(t_j) x_W = (U(s + t_j, s) - U0(t_j)) x_W on W's rows for the nodes t_j after
+    the first: x_W = x's rows on mono's window W, placed on the segment's rows that
+    hold W (the middle |W| rows, every row where the segment is the model) and
+    stepped there through the node intervals with the segment's steppers, minus
+    U0_seg(t_j) x_W.  None where a segment row outside W exceeds WINDOW_BORDER_TOL
+    times its column's norm of x."""
+    seg = mono.segment
+    r = (seg.dim - len(mono.window)) // 2
+    rows = slice(r, seg.dim - r)
+    start = np.zeros((seg.dim,) + x.shape[1:], dtype=np.complex128)
+    start[rows] = x[mono.window]
+    limit = WINDOW_BORDER_TOL * np.linalg.norm(x, axis=0)
+    s, sched, y, kicks = mono.start, mono.scheme, start, []
+    for t0, t1 in zip(nodes[:-1], nodes[1:]):
+        y = propagate(seg, s + t0, s + t1, sched, initial=y)
+        kick = y - seg.free_apply(t1, start)
+        if (np.abs(np.delete(kick, rows, axis=0)).max(axis=0, initial=0.0) > limit).any():
+            return None
+        kicks.append(kick[rows])
+    return kicks
 
 
 def _with_block(theta0: np.ndarray, window: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -530,22 +549,19 @@ def _stepped_period(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule,
 
 def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
                     sched: PropagatorSchedule | None = None) -> np.ndarray:
-    """The one-period operator U(s + 1, s): from the free ring and a window block
-    where `window_block` applies, else stepped (`_stepped_period`)."""
+    """The one-period operator U(s + 1, s) = U0(1) + P E_w P^T from `window_block`."""
     sched = sched or PropagatorSchedule()
-    block = window_block(h, s, sched)
-    return _stepped_period(h, s, sched) if block is None else _with_block(h.free_period,
-                                                                          *block[:2])
+    return _with_block(h.free_period, *window_block(h, s, sched)[:2])
 
 
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
               sched: PropagatorSchedule | None = None) -> Monodromy:
-    """Theta = U(s + 1, s), by `period_operator`'s route, and its
-    eigendecomposition (unitary_eig, on the sectors of the model's `mirror` where
-    it has one), with the window, E_w and the segment where `window_block`
-    applies; there Theta is dropped once diagonalized, and Monodromy.operator
-    forms it when read.  window_block is asked once, so the segments it stepped
-    before declining are not stepped again.
+    """Theta = U(s + 1, s) as `period_operator` forms it, and its eigendecomposition
+    (unitary_eig, on the sectors of the model's `mirror` where it has one), with
+    the window, E_w and the segment of `window_block`; Theta is dropped once
+    diagonalized, and Monodromy.operator forms it when read.  window_block is
+    asked once, so the segments it stepped before settling on a window are not
+    stepped again.
 
     Theta is formed, and its start recorded, at s mod 1: the same operator,
     whose steps from a large s would lose their offsets to rounding (at
@@ -553,13 +569,9 @@ def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
     sched = sched or PropagatorSchedule()
     s = s % 1.0
     mirror = h.mirror() if isinstance(h, LatticeModel) else None
-    block = window_block(h, s, sched)
-    if block is None:
-        theta = _stepped_period(h, s, sched)
-        return Monodromy(theta=theta, start=s, eig=unitary_eig(theta, mirror), scheme=sched)
-    window, defect, segment = block
-    eig = unitary_eig(_with_block(h.free_period, window, defect), mirror)
-    return Monodromy(theta=None, start=s, eig=eig, scheme=sched, window=window, block=defect,
+    window, block, segment = window_block(h, s, sched)
+    eig = unitary_eig(_with_block(h.free_period, window, block), mirror)
+    return Monodromy(start=s, eig=eig, scheme=sched, window=window, block=block,
                      segment=segment, free=h.free_period)
 
 

@@ -16,30 +16,27 @@ V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
 Monodromy holds (Monodromy.apply), and every free factor Theta0^{-+n} = U0(-+n)
 acts through the model's free_apply, on the ring ifft(e^{+-in eps_k} fft(x)),
 so every phase is exact.  The Cauchy gaps come from the same eigenbasis:
-Theta = Theta0 + P E_w P^T (on the driven ring E_w is the window block of
-propagation.window_block; otherwise the window is every site and
-E_w = Theta - Theta0), so the gap ||(Theta - Theta0) Theta^{n-1} phi|| is the
-norm of E_w V_W e^{-i(n-1) lambda} V^H phi, V_W the eigenvectors' window rows,
-and E_w^H in its place time-reversed.  Only the gaps (n_max x p) are kept.
-A wave-operators run on the window route therefore holds these L x L
-arrays: H0, the well and the one
-drive array and U0(1) on the model, and Theta's eigenvectors on the
-Monodromy (H0's eigenvectors only where the bound-state cross-check falls
-back to the whole ring); U0(1) is read only to form Theta, and Theta itself
-only where a reader asks for it.
+every Monodromy holds Theta = Theta0 + P E_w P^T (propagation.window_block),
+so the gap ||(Theta - Theta0) Theta^{n-1} phi|| is the norm of
+E_w V_W e^{-i(n-1) lambda} V^H phi, V_W the eigenvectors' window rows, and
+E_w^H in its place time-reversed.  Only the gaps (n_max x p) are kept.  A
+wave-operators run on the light cone's window therefore holds these L x L
+arrays: H0, the well and the one drive array and U0(1) on the model, and
+Theta's eigenvectors on the Monodromy (H0's eigenvectors only where the
+bound-state cross-check falls back to the whole ring); U0(1) is read only to
+form Theta, and Theta itself only where a reader asks for it.
 
 The time average applies its kernel to the probe block only, and the free
 factors act through free_apply, so neither the L x L kernel nor a dense U0(t)
-is formed.  On the window route it steps only the window: for t <= 1,
-D(t) = U(s + t, s) - U0(t) lives on W x W, W the Monodromy's window, by the
-light cone that bounds E_w, so the kernel applied to x is
-x + sum_j w_j U0(-t_j) P_W D_j x_W, each D_j x_W stepped on the Monodromy's
-segment through the quadrature nodes with the segment's steppers, minus
-U0_seg(t_j) x_W; its rows outside W must stay at or below WINDOW_BORDER_TOL
-relative to x.  Elsewhere the columns are propagated through the nodes on the
-whole model with the steppers it keeps.  A wave-operators run on the window
-route thus steps no L x L model: Theta's window and the time average both
-run on the segment of ~4r sites.
+is formed.  It steps only the window: for t <= 1, D(t) = U(s + t, s) - U0(t)
+lives on W x W, W the Monodromy's window, by the light cone that bounds E_w,
+so the kernel applied to x is x + sum_j w_j U0(-t_j) P_W D_j x_W, each
+D_j x_W stepped on the Monodromy's segment through the quadrature nodes with
+the segment's steppers, minus U0_seg(t_j) x_W (propagation._window_kicks);
+its rows outside W must stay at or below WINDOW_BORDER_TOL relative to x, or
+the columns are propagated through the nodes on the whole model.  A
+wave-operators run on the light cone's window thus steps no L x L model:
+Theta's window and the time average both run on the segment of ~4r sites.
 
 Every function here that needs Theta or its eigenbasis takes the scenario's
 one Monodromy, built by the caller at its start time s; none builds it from
@@ -75,10 +72,11 @@ Phys. 87 (1982)); each state's localization is reported as a measured value
 only.  Each bound phase is cross-checked against the truncated mode-space
 matrix K: a partner there is certified by one Rayleigh step of
 resolvent.ScanOperators, taken from the null scan's own inverse iteration
-on the potential's support.  On the window route the cross-check first
-takes the K of the Monodromy's segment, which holds a state bound to the well
-to e^{-kappa r} (the segment reaches 2r sites past the support); only a phase
-it does not certify goes to the whole ring's K, at the same CROSS_CHECK_TOL.
+on the potential's support.  The cross-check first takes the K of the
+Monodromy's segment, which on the light cone's window holds a state bound to
+the well to e^{-kappa r} (the segment reaches 2r sites past the support); only
+a phase it does not certify goes to the whole ring's K, at the same
+CROSS_CHECK_TOL, where the segment is not the ring itself.
 A phase the ring's K does not certify either raises
 DetectorDisagreementError with the ring's null-scan smallest singular value
 of I + Q at that phase.
@@ -93,7 +91,7 @@ import numpy as np
 from .floquet import circular_distance, sidebands_closed
 from .model import LatticeModel
 from .numerics import adjoint_apply
-from .propagation import WINDOW_BORDER_TOL, Monodromy, monodromy, propagate
+from .propagation import Monodromy, _window_kicks, monodromy, propagate
 from .resolvent import RAYLEIGH_EPS, InverseIterationError, ScanOperators
 
 GAP_TOL = 1e-3
@@ -225,23 +223,18 @@ class WaveOperatorIterates:
         return self.mono.apply(-n, self.model.free_apply(n, x))
 
 
-def _cauchy_gaps(model: LatticeModel, direction: int, mono: Monodromy, x: np.ndarray,
-                 n_max: int) -> np.ndarray:
+def _cauchy_gaps(direction: int, mono: Monodromy, x: np.ndarray, n_max: int) -> np.ndarray:
     """(n_max, p): the column norms of (A - B) A^(n-1) x for n = 1..n_max,
     A = Theta^{+-1}, B = Theta0^{+-1}, from mono's eigenbasis.
 
-    A - B is E_w on the window's rows (mono's window and block, or every site
-    and Theta - Theta0 without them), E_w^H for direction -1, and
+    A - B is E_w on the window's rows (mono's window and block), E_w^H for
+    direction -1, and
     A^(n-1) x = V e^{-+i(n-1) lambda} V^H x.  So (A - B) V on the window is
     formed once (adjoint_apply for E_w^H, with no adjoint copy), and each run
     of at most GAP_BLOCK iterates is one product of it with V^H x's columns
     times their phases, an L x p GAP_BLOCK array."""
-    if mono.window is None:
-        window, block = slice(None), mono.operator - model.free_period
-    else:
-        window, block = mono.window, mono.block
     act = np.matmul if direction == +1 else adjoint_apply
-    rows = act(block, mono.eig.vectors[window])
+    rows = act(mono.block, mono.eig.vectors[mono.window])
     coeffs = adjoint_apply(mono.eig.vectors, x)[:, None, :]
     angles = (-direction * mono.quasi_energies)[:, None]
     gaps = np.empty((n_max, x.shape[1]))
@@ -271,7 +264,7 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
     horizon = wrap_horizon(model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
-    gaps = _cauchy_gaps(model, direction, mono, probes.vectors, n_max)
+    gaps = _cauchy_gaps(direction, mono, probes.vectors, n_max)
     converged = (gaps[-GAP_RUN:] < GAP_TOL).all(axis=0) & (n_max >= GAP_RUN)
     if not converged.any():
         raise ConvergenceError(
@@ -295,15 +288,15 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
     """The trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt times a block
     x of columns, with s = mono.start and mono's schedule.
 
-    Where mono holds a window segment (the window route), the kernel is
-    I + h^{-1} int_0^h U0(-t) D(t) dt with D(t) = U(s + t, s) - U0(t), which for
-    t <= 1 lives on W x W, W = mono.window (the light cone of
-    propagation.window_block): the sum is x + sum_j w_j U0(-t_j) P_W D_j x_W,
-    each D_j x_W from the segment (_window_kicks).  Otherwise, or where the
-    segment's rows outside W exceed WINDOW_BORDER_TOL, x is propagated on the
-    whole model through the nodes t_j in one running sweep.  Each U0(-t_j)
-    acts through free_apply; the L x L kernel is not formed unless x is the
-    identity."""
+    The kernel is I + h^{-1} int_0^h U0(-t) D(t) dt with D(t) = U(s + t, s) - U0(t),
+    which for t <= 1 lives on W x W, W = mono.window (the light cone of
+    propagation.window_block, or every site): the sum is
+    x + sum_j w_j U0(-t_j) P_W D_j x_W, each D_j x_W from mono's segment
+    (_window_kicks; on the every-site window the segment is the model).  Where
+    the segment's rows outside W exceed WINDOW_BORDER_TOL, x is propagated on
+    the whole model through the nodes t_j in one running sweep instead.  Each
+    U0(-t_j) acts through free_apply; the L x L kernel is not formed unless x
+    is the identity."""
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
     s, sched = mono.start, mono.scheme
@@ -311,7 +304,7 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
     weights = np.full(n_quad + 1, 1.0)
     weights[0] = weights[-1] = 0.5
     weights /= weights.sum()
-    kicks = None if mono.segment is None else _window_kicks(mono, x, nodes)
+    kicks = _window_kicks(mono, x, nodes)
     if kicks is not None:
         out = np.array(x, dtype=np.complex128)
         for i, kick in enumerate(kicks, start=1):   # t_0 = 0: D_0 = 0
@@ -324,27 +317,6 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
         x = propagate(model, s + nodes[i - 1], s + nodes[i], sched, initial=x)
         out = out + weights[i] * model.free_apply(-nodes[i], x)
     return out
-
-
-def _window_kicks(mono: Monodromy, x: np.ndarray, nodes: np.ndarray) -> list[np.ndarray] | None:
-    """D(t_j) x_W on W's rows for the nodes t_j after the first: x_W = x's rows on
-    the window W, placed on the segment's rows r..-r and stepped there through the
-    node intervals with the segment's steppers, minus U0_seg(t_j) x_W.  None where
-    a segment row outside W exceeds WINDOW_BORDER_TOL times its column's norm of x."""
-    seg = mono.segment
-    r = (seg.sites - len(mono.window)) // 2
-    start = np.zeros((seg.sites,) + x.shape[1:], dtype=np.complex128)
-    start[r:-r] = x[mono.window]
-    limit = WINDOW_BORDER_TOL * np.linalg.norm(x, axis=0)
-    s, sched, y, kicks = mono.start, mono.scheme, start, []
-    for t0, t1 in zip(nodes[:-1], nodes[1:]):
-        y = propagate(seg, s + t0, s + t1, sched, initial=y)
-        kick = y - seg.free_apply(t1, start)
-        outside = np.concatenate([kick[:r], kick[-r:]])
-        if (np.abs(outside).max(axis=0) > limit).any():
-            return None
-        kicks.append(kick[r:-r])
-    return kicks
 
 
 def time_averaged_wave_op(model: LatticeModel, mono: Monodromy, direction: int, n_max: int,
@@ -580,7 +552,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     of the truncated mode-space matrix K, certified near it by a Rayleigh step
     from the null scan (_mode_space_partner); one ScanOperators at n_modes
     holds K and solves every K - zeta on the potential's support.  The
-    cross-check takes mono's window segment, where it holds one, then the
+    cross-check takes mono's segment, then the model unless the segment is the
     model, and builds each one's ScanOperators only while phases are left
     uncertified.  The first phase with no certified partner on the model
     within CROSS_CHECK_TOL raises DetectorDisagreementError carrying the
@@ -595,8 +567,8 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     found = sorted(zip(phases[bound], _localization(model, mono.eig.vectors[:, bound])))
 
     open_phases = [phase for phase, _ in found]
-    for h in (mono.segment, model):   # the window route's segment first
-        if h is not None and open_phases:
+    for h in (mono.segment,) if mono.segment is model else (mono.segment, model):
+        if open_phases:
             scan = ScanOperators(h, n_modes)
             open_phases = [phase for phase in open_phases
                            if _mode_space_partner(h, scan, phase, CROSS_CHECK_TOL) is None]

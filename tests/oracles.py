@@ -79,20 +79,16 @@ def loop(w):
     (A - B) A^(n-1) phi, A = Theta^{+-1}, B = Theta0^{+-1}.
 
     A x is B x plus E_w on the window's rows of x (the Monodromy's window and
-    block, or every site and Theta - Theta0 without them), so the gap is the
-    norm of that window product.  B acts as free_apply(+-1); direction -1
-    applies E_w^H.  Each yielded iterate is a new array."""
+    block), so the gap is the norm of that window product.  B acts as
+    free_apply(+-1); direction -1 applies E_w^H.  Each yielded iterate is a
+    new array."""
     model, mono, direction = w.model, w.mono, w.direction
-    if mono.window is None:
-        window, block = slice(None), mono.operator - model.free_period
-    else:
-        window, block = mono.window, mono.block
     act = np.matmul if direction == +1 else adjoint_apply
     x = w.probe_set.vectors
     while True:
-        kick = act(block, x[window])      # (A - B) x, zero off the window
+        kick = act(mono.block, x[mono.window])      # (A - B) x, zero off the window
         x = model.free_apply(direction, x)
-        x[window] += kick
+        x[mono.window] += kick
         yield np.linalg.norm(kick, axis=0), x
 
 
@@ -122,7 +118,8 @@ def ring_time_average(h, mono, x: np.ndarray, width: float, n_quad: int = 8) -> 
     """The trapezoid kernel width^{-1} int_0^width U0(t)^dagger U(s + t, s) dt times
     the block x, s = mono.start: x propagated on the whole model through the nodes
     in one running sweep on mono's schedule, each U0(-t_j) through free_apply
-    (scattering.time_average's route where mono holds no window segment)."""
+    (scattering.time_average's fallback where the segment's rows outside the
+    window exceed WINDOW_BORDER_TOL)."""
     s, sched = mono.start, mono.scheme
     nodes = np.linspace(0.0, width, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)

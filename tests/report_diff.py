@@ -19,7 +19,10 @@ their paths relative to them; a file on one side only is a mismatch.
     python tests/report_diff.py DIR_A DIR_B
 
 prints one line per float field, largest difference first (per file for two
-directories), and exits 1 on any structural mismatch.
+directories), and exits 1 on any structural mismatch.  For two directories it
+ends with a summary (`directory_summary`): the files compared, those
+byte-identical, those equal in every float, and per field the largest
+difference over all files.
 """
 
 from __future__ import annotations
@@ -97,6 +100,22 @@ def directory_differences(dir_a, dir_b) -> dict[str, dict[str, float]]:
     return out
 
 
+def directory_summary(dir_a, dir_b, diffs: dict[str, dict[str, float]]) -> dict:
+    """For directory_differences' result on dir_a and dir_b: the number of files
+    compared, of those byte-identical and of those equal in every float (the
+    byte-identical among them), and per field its largest difference over all
+    files."""
+    same = [name for name in diffs
+            if (Path(dir_a) / name).read_bytes() == (Path(dir_b) / name).read_bytes()]
+    fields: dict[str, float] = {}
+    for file_diffs in diffs.values():
+        for name, diff in file_diffs.items():
+            fields[name] = max(fields.get(name, 0.0), diff)
+    return {"compared": len(diffs), "byte_identical": len(same),
+            "float_equal": sum(not any(d.values()) for d in diffs.values()),
+            "fields": fields}
+
+
 def _print(diffs: dict[str, float], indent: str = ""):
     for name, diff in sorted(diffs.items(), key=lambda kv: -kv[1]):
         print(f"{indent}{diff:.3e}  {name}")
@@ -106,9 +125,16 @@ def main(argv: list[str]) -> int:
     a, b = argv
     try:
         if Path(a).is_dir():
-            for name, diffs in directory_differences(a, b).items():
+            per_file = directory_differences(a, b)
+            for name, diffs in per_file.items():
                 print(name)
                 _print(diffs, "  ")
+            summary = directory_summary(a, b, per_file)
+            print(f"summary: {summary['compared']} files compared, "
+                  f"{summary['byte_identical']} byte-identical, "
+                  f"{summary['float_equal']} equal in every float; "
+                  "largest difference per field over all files:")
+            _print(summary["fields"], "  ")
         else:
             _print(report_differences(_read(Path(a)), _read(Path(b))))
     except AssertionError as exc:

@@ -467,14 +467,17 @@ class TestWindowRouteReport:
 
         def spy(h, *args):   # the ring only: the segment's window block is stepped directly
             block = inner(h, *args)
-            routes.add((h.dim, block is not None))
+            routes.add((h.dim, len(block[0])))
             return block
 
         monkeypatch.setattr(propagation, "window_block", spy)
         shipped = run_scenario(cfg, seed=1)
-        assert routes == {(256, True)}
-        monkeypatch.setattr(propagation, "window_block", lambda *args: None)
+        assert routes == {(256, 43)}
+        # no light cone: the window is every site, Theta stepped on the whole ring
+        monkeypatch.setattr(propagation, "_local_ring", lambda h: False)
+        routes.clear()
         dense = run_scenario(cfg, seed=1)
+        assert routes == {(256, 256)}
         diffs = report_differences(shipped, dense)   # ints, bools and strings equal
         assert max(diffs.values()) <= 1e-11, diffs
         assert "report.results.s_matrix" in diffs
@@ -507,10 +510,12 @@ class TestEigenvectorPhases:
                            "scan_modes": 4}},
     }
 
-    # the modules whose decompositions each task reads: free_eig (model), the
-    # monodromy's (propagation) and the mode-space spectrum's (floquet)
-    SCRAMBLED = {"monodromy": {"propagation"}, "floquet-spectrum": {"floquet"},
-                 "correspondence": {"floquet", "propagation"}, "resolvent-check": {"model"},
+    # the modules whose decompositions each task reads: free_eig (model; on the
+    # Rabi model the monodromy's U0(1)), the monodromy's (propagation) and the
+    # mode-space spectrum's (floquet)
+    SCRAMBLED = {"monodromy": {"model", "propagation"}, "floquet-spectrum": {"floquet"},
+                 "correspondence": {"floquet", "model", "propagation"},
+                 "resolvent-check": {"model"},
                  "wave-operators": {"model", "propagation"},
                  "bound-states": {"model", "propagation"}}
 
@@ -794,9 +799,9 @@ class TestMemory:
                       if isinstance(v, np.ndarray) and v.ndim == 2 and sites in v.shape]
             assert blocks == []
             assert not any(isinstance(v, list) for v in vars(w).values())
-        # on the window route Theta is formed when read, with the bits it was
-        # diagonalized with
-        assert mono.window is not None and mono.theta is None
+        # on the light cone's window Theta is formed when read, with the bits it
+        # was diagonalized with
+        assert len(mono.window) == 43 and not hasattr(mono, "theta")
         theta = mono.operator
         assert theta.tobytes() == _with_block(model.free_period, mono.window,
                                               mono.block).tobytes()
@@ -856,6 +861,21 @@ class TestBoundStateScenario:
         assert all(v["confirmed"] for v in results["verdicts"])
         # one K per cutoff: the scan's cross-check at n_modes, the verdicts at scan_modes
         assert [n for _, n in built] == [8, 4]
+
+    def test_no_scan_operators_without_a_bound_state(self, monkeypatch):
+        # no potential, no bound state: neither the cross-check nor the verdicts
+        # build a ScanOperators, and the report's verdicts are an empty list
+        from floqscat.cli import canonical_json
+
+        built, init = [], resolvent.ScanOperators.__init__
+        monkeypatch.setattr(resolvent.ScanOperators, "__init__",
+                            lambda self, h, n: built.append(n) or init(self, h, n))
+        cfg = {"task": "bound-states", "model": {"lattice": {"sites": 16}},
+               "parameters": {"verify": True}}
+        report = run_scenario(cfg, seed=1)
+        assert built == []
+        assert canonical_json(report["results"]) == \
+            '{"bound_states":[],"n_bound":0,"verdicts":[]}'
 
 
 RABI = {"builtin": "rabi"}

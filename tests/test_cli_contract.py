@@ -133,12 +133,11 @@ def lattice(**fields):
 HUGE_DRIVE = {"builtin": "rabi", "v": 1e300}
 # (task, model, parameters, exit code, text the message holds)
 CONTRACT = [
-    # a norm bound past 1e19 once wrapped the substep count in its cast to int
-    ("monodromy", HUGE_DRIVE, {"order": 2, "steps_per_period": 64}, 2,
-     "'parameters.steps_per_period'"),
+    # a norm bound past 1e19 once wrapped the substep count in its cast to int; no
+    # steps_per_period up to MAX_STEPS can step the model, so the model is named
+    ("monodromy", HUGE_DRIVE, {"order": 2, "steps_per_period": 64}, 2, "'model'"),
     # and its order-4 square overflowed a Python float
-    ("monodromy", HUGE_DRIVE, {"order": 4, "steps_per_period": 64}, 2,
-     "'parameters.steps_per_period'"),
+    ("monodromy", HUGE_DRIVE, {"order": 4, "steps_per_period": 64}, 2, "'model'"),
     # a shift-invert shift exactly on an eigenvalue of K once exited 3 from a singular
     # sparse LU of K - sigma; the certified partners solve off the axis
     ("bound-states", lattice(hopping=0.0),
@@ -171,6 +170,12 @@ CONTRACT = [
     ("wave-operators", lattice(sites=512, hopping=1e-3), {"n_max": 4, "translates": 1024},
      2, "'parameters.translates'"),
     ("monodromy", lattice(), {"steps_per_period": 10**23}, 2, "'parameters.steps_per_period'"),
+    # a drive that 65536 steps per period would step names the schedule; one that even
+    # MAX_STEPS = 2**20 cannot step names the model
+    ("monodromy", {"builtin": "rabi", "v": 1e4}, {"order": 4, "steps_per_period": 8}, 2,
+     "'parameters.steps_per_period'"),
+    ("monodromy", {"builtin": "rabi", "v": 1e15}, {"order": 4, "steps_per_period": 2**20}, 2,
+     "'model'"),
 ]
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import floqscat.numerics as numerics
 from floqscat.numerics import (
@@ -209,6 +211,46 @@ class TestMirrorSectors:
         assert np.abs(aligned - want.vectors).max() <= 1e-12
         assert residual(got, u) <= 10 * residual(want, u) <= 1e-10
         assert orthonormality_defect(got) <= 1e-13
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(sites=st.integers(16, 64), hopping=st.floats(0.3, 1.5), first=st.integers(0, 63),
+           half=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 1.0)), min_size=1,
+                         max_size=3),
+           odd=st.booleans(), start=st.sampled_from([0.0, 0.25]))
+    def test_random_mirror_symmetric_rings(self, sites, hopping, first, half, odd, start):
+        # a well and a drive whose profiles read the same from either end of the
+        # support: unitary_eig with and without the mirror gives the same sorted
+        # eigenphases, and either eigenbasis rebuilds Theta
+        from floqscat.model import LatticeModel, ring_h0
+        from floqscat.propagation import PropagatorSchedule, period_operator
+
+        half = np.array(half)    # (well, drive) on the support's first half
+        well, drive = np.concatenate([half, half[::-1][1:] if odd else half[::-1]]).T
+        support = (first + np.arange(len(well))) % sites
+
+        def diagonal(values):
+            out = np.zeros((sites, sites), dtype=np.complex128)
+            out[support, support] = values
+            return out
+        ring = LatticeModel(h0=ring_h0(sites, hopping),
+                            modes={0: diagonal(well), 1: diagonal(drive / 2),
+                                   -1: diagonal(drive / 2)},
+                            hopping=hopping, potential_support=support)
+        mirror = ring.mirror()
+        assert mirror is not None
+        theta = period_operator(ring, start, PropagatorSchedule(32, 4))
+        phases = []
+        for eig in (unitary_eig(theta), unitary_eig(theta, mirror)):
+            assert np.abs((eig.vectors * eig.values) @ eig.vectors.conj().T - theta).max() \
+                <= 1e-12
+            phases.append(np.mod(-np.angle(eig.values), 2 * np.pi))
+        # sorted from the middle of the widest gap, so no phase near the cut at 0
+        # sorts to the other end
+        ring_order = np.sort(phases[0])
+        gaps = np.diff(ring_order, append=ring_order[0] + 2 * np.pi)
+        cut = ring_order[np.argmax(gaps)] + gaps.max() / 2
+        plain, folded = (np.sort(np.mod(p - cut, 2 * np.pi)) for p in phases)
+        assert np.abs(plain - folded).max() <= 1e-12
 
     def test_sector_vectors_are_even_or_odd(self):
         u, mirror = self.theta(256, 0.0)

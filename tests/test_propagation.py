@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqscat.model import PeriodicHamiltonian, circulant, rabi_quasi_energies
 from floqscat.numerics import expm_hermitian, unitary_defect
@@ -418,8 +420,9 @@ class TestHalfPeriod:
         full = propagate(h, start, start + 1.0, sched)
         spans = record_propagate_spans(monkeypatch)
         assert not reflection_symmetric(h, start, sched)
-        assert np.array_equal(monodromy(h, start, sched).operator, full)
-        assert np.array_equal(period_operator(h, start, sched), full)
+        mono = monodromy(h, start, sched)     # the every-site window: E = Theta - U0(1)
+        assert np.array_equal(mono.block, full - h.free_period)
+        assert np.array_equal(period_operator(h, start, sched), mono.operator)
         assert spans == [(start, start + 1.0)] * 2
 
     def test_constant_model_not_stepped(self, fast_sched):
@@ -588,8 +591,8 @@ class TestWindowRoute:
 
     def test_declined_window_steps_each_segment_once(self, monkeypatch):
         # at radius 6 the border check fails and radius 12 no longer fits a
-        # 64-site ring: window_block steps one 29-site segment and declines, and
-        # the monodromy's stepped route does not step that segment again
+        # 64-site ring: window_block steps one 29-site segment, then the whole
+        # ring for the every-site window, and does not step that segment again
         import floqscat.propagation as propagation
 
         ring, sched = self.ring(64), PropagatorSchedule(64, 4)
@@ -602,16 +605,15 @@ class TestWindowRoute:
         monkeypatch.setattr(propagation, "light_cone_radius", lambda hopping: 6)
         monkeypatch.setattr(propagation, "propagate", spy)
         mono = monodromy(ring, 0.0, sched)
-        assert mono.window is None
+        assert np.array_equal(mono.window, np.arange(64)) and mono.segment is ring
         assert dims == [5 + 4 * 6, 64]
         monkeypatch.undo()
-        assert np.array_equal(mono.operator, stepped_period(ring, 0.0, sched))
+        assert np.array_equal(mono.block, stepped_period(ring, 0.0, sched) - ring.free_period)
 
     @pytest.mark.parametrize("case", ["mode-off-support", "next-nearest-hopping",
                                       "one-weak-bond"])
     def test_other_models_take_the_stepped_route(self, case):
         from floqscat.model import LatticeModel
-        from floqscat.propagation import window_block
 
         ring, sched = self.ring(), PropagatorSchedule(16, 2)
         h0, modes = ring.h0.copy(), dict(ring.modes)
@@ -624,29 +626,68 @@ class TestWindowRoute:
             h0[0, 1] = h0[1, 0] = -0.5
         lat = LatticeModel(h0=h0, modes=modes, hopping=1.0,
                            potential_support=ring.potential_support)
-        assert window_block(lat, 0.0, sched) is None
-        assert np.array_equal(self.period(lat, 0.0, sched), stepped_period(lat, 0.0, sched))
-        assert monodromy(lat, 0.0, sched).window is None
+        self.assert_every_site(lat, 0.0, sched)
 
     @pytest.mark.parametrize("sites", [48, 64])
     @pytest.mark.parametrize("start", [0.0, 0.25])
     def test_small_rings_keep_the_stepped_route(self, sites, start):
         # 5 + 4 * 19 = 81 sites of segment exceed half of either ring
-        from floqscat.propagation import window_block
+        self.assert_every_site(self.ring(sites), start, PropagatorSchedule(64, 4))
 
-        ring, sched = self.ring(sites), PropagatorSchedule(64, 4)
-        assert window_block(ring, start, sched) is None
-        assert np.array_equal(self.period(ring, start, sched), stepped_period(ring, start, sched))
-        mono = monodromy(ring, start, sched)
-        assert mono.window is None and mono.block is None
+    @staticmethod
+    def assert_every_site(h, start, sched):
+        # the window is every site, E = Theta - U0(1) with Theta stepped on the
+        # model itself, and the segment is the model
+        from floqscat.propagation import _with_block, window_block
+
+        window, block, segment = window_block(h, start, sched)
+        every = np.arange(h.dim)
+        assert np.array_equal(window, every) and segment is h
+        assert np.array_equal(block, stepped_period(h, start, sched) - h.free_period)
+        theta = _with_block(h.free_period, every, block)
+        assert np.array_equal(TestWindowRoute.period(h, start, sched), theta)
+        mono = monodromy(h, start, sched)
+        assert np.array_equal(mono.window, every) and mono.segment is h
+        assert np.array_equal(mono.block, block) and np.array_equal(mono.operator, theta)
 
     def test_free_ring_block_is_zero(self):
         from floqscat.model import build_lattice
 
         free = build_lattice(256, 1.0, 0.0, 0.0, [128])
         mono = monodromy(free, 0.0, PropagatorSchedule(16, 2))
-        assert mono.window is not None and not mono.block.any()
+        assert len(mono.window) == 1 + 2 * 19 and not mono.block.any()
         assert np.array_equal(mono.operator, free.free_period)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(hopping=st.floats(0.25, 0.6), width=st.integers(1, 6), extra=st.integers(0, 1),
+           first=st.integers(0, 139), depth=st.floats(-2.0, 0.0), drive=st.floats(0.0, 1.0),
+           start=st.sampled_from([0.0, 0.25]), steps=st.sampled_from([32, 64]))
+    def test_light_cone_matches_the_stepped_period(self, hopping, width, extra, first, depth,
+                                                   drive, start, steps):
+        # on a ring just wide enough for the light cone's segment, the border check
+        # takes the light cone's radius at once, and Theta from the window block
+        # has the stepped Theta's entries and in-gap phases to round-off
+        from floqscat.floquet import sidebands_closed
+        from floqscat.model import build_lattice
+        from floqscat.numerics import unitary_eig
+        from floqscat.propagation import light_cone_radius
+
+        radius = light_cone_radius(hopping)
+        sites = 2 * (width + 4 * radius) + extra
+        support = (first + np.arange(width)) % sites
+        ring = build_lattice(sites, hopping, depth, drive, support)
+        sched = PropagatorSchedule(steps, 4)
+        mono = monodromy(ring, start, sched)
+        assert len(mono.window) == width + 2 * radius
+        theta = stepped_period(ring, start, sched)
+        assert np.abs(mono.operator - theta).max() <= 1e-12
+
+        def in_gap(phases):
+            return np.sort(phases[sidebands_closed(phases, ring.free_levels)])
+        stepped = unitary_eig(theta, ring.mirror()).values
+        want = in_gap(np.mod(-np.angle(stepped), 2 * np.pi))
+        got = in_gap(mono.quasi_energies)
+        assert len(got) == len(want) and np.abs(got - want).max(initial=0.0) <= 1e-12
 
     def test_free_period_read_only_and_copied(self):
         ring = self.ring()

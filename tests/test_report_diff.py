@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from report_diff import directory_differences
+from report_diff import directory_differences, directory_summary
 
 SCRIPT = Path(__file__).with_name("report_diff.py")
 REPORT = {"task": "resolvent-check", "seed": None,
@@ -56,3 +56,24 @@ def test_sweep_string_column_mismatch_named(tmp_path):
     b = write_outputs(tmp_path / "b", REPORT, SWEEP.replace("failed: singular", "failed: other"))
     with pytest.raises(AssertionError, match=r"eta.sweep.csv: sweep\[1\].status"):
         directory_differences(a, b)
+
+
+def test_directory_summary(tmp_path):
+    # res.report.json byte-identical; eta.sweep.csv equal in every float but its
+    # wall time; other.report.json off by 2^-40 in one field
+    a = write_outputs(tmp_path / "a", REPORT, SWEEP)
+    b = write_outputs(tmp_path / "b", REPORT, SWEEP.replace("0.33,ok,0.01", "0.33,ok,0.5"))
+    moved = json.loads(json.dumps(REPORT))
+    moved["results"]["schmidt_norm"] += 2**-40
+    (a / "other.report.json").write_text(json.dumps(REPORT))
+    (b / "other.report.json").write_text(json.dumps(moved))
+    summary = directory_summary(a, b, directory_differences(a, b))
+    assert summary == {"compared": 3, "byte_identical": 1, "float_equal": 2,
+                       "fields": {"headline_value": 0.0, "report.results.schmidt_norm": 2**-40,
+                                  "report.results.r0_constant_value": 0.0}}
+    done = run(a, b)
+    assert done.returncode == 0
+    tail = done.stdout.split("summary: ")[1].splitlines()
+    assert tail[0] == ("3 files compared, 1 byte-identical, 2 equal in every float; "
+                       "largest difference per field over all files:")
+    assert tail[1] == "  9.095e-13  report.results.schmidt_norm"

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import floqscat.propagation as propagation
 import floqscat.scattering as scattering
 from floqscat.cli import run_scenario
 from floqscat.floquet import (EDGE_BLOCKS, GAP_MARGIN, build_floquet, circular_distance,
@@ -130,7 +131,8 @@ def eigenbasis_route(lat, phases=None):
 
 class TestEigenbasisGaps:
     """The Cauchy gaps and W^(n_max) phi from Theta's eigenbasis against the FFT
-    iterate loop (oracles.loop), on the window route and without a window."""
+    iterate loop (oracles.loop), on the light cone's window and on the every-site
+    window."""
 
     @pytest.fixture(scope="class", params=[(256, 0.0), (256, 0.25), (1024, 0.0), (1024, 0.25)],
                     ids=lambda p: f"L{p[0]}-s{p[1]}")
@@ -138,7 +140,7 @@ class TestEigenbasisGaps:
         sites, start = request.param
         lat = build_lattice(sites, 1.0, -0.8, 0.5, range(sites // 2 - 2, sites // 2 + 3))
         mono = monodromy(lat, start, CHEAP)
-        assert mono.window is not None
+        assert len(mono.window) < sites
         return lat, mono, make_probes(lat), wrap_horizon(lat)
 
     @pytest.mark.parametrize("window", [True, False], ids=["window", "no-window"])
@@ -147,8 +149,10 @@ class TestEigenbasisGaps:
         from dataclasses import replace
 
         lat, mono, probes, n_max = run
-        if not window:
-            mono = replace(mono, theta=mono.operator, window=None, block=None)
+        sites = lat.sites
+        if not window:     # the every-site window: E = Theta - Theta0 on every row
+            mono = replace(mono, window=np.arange(sites), block=mono.operator - lat.free_period,
+                           segment=lat)
         wav = stroboscopic_wave_op(lat, direction, n_max, mono, probes)
         assert np.abs(wav.cauchy_gaps - loop_gaps(wav)).max() <= 1e-12
         assert np.abs(wav.image() - image(wav, n_max)).max() <= 1e-12
@@ -289,7 +293,7 @@ class TestDrivenWell:
         from floqscat.propagation import Monodromy
 
         mono, probes, wp, wm = driven_256_run
-        assert mono.window is not None
+        assert len(mono.window) < driven_256.sites
         images = [done.image() for done in (wp, wm)]
         monkeypatch.setattr(Monodromy, "operator", property(lambda m: pytest.fail("Theta read")))
         for done, want in zip((wp, wm), images):
@@ -298,13 +302,14 @@ class TestDrivenWell:
             assert np.array_equal(again.image(), want)
 
     def test_iterates_without_a_window(self, driven_256, driven_256_run):
-        # a Monodromy without a window block (the stepped route): the gaps
-        # take E = Theta - Theta0 on every site
+        # a Monodromy on the every-site window (where the light cone does not
+        # fit): the gaps take E = Theta - Theta0 on every site
         from dataclasses import replace
 
         mono, probes, wp, _ = driven_256_run
-        mono = replace(mono, theta=mono.operator, window=None, block=None)
         lat, n_max = driven_256, wp.n_max
+        mono = replace(mono, window=np.arange(lat.sites), block=mono.operator - lat.free_period,
+                       segment=lat)
         theta, theta0 = mono.operator, expm_hermitian(lat.h0, 1.0)
         for direction in (+1, -1):
             a_op = theta if direction == +1 else theta.conj().T
@@ -612,7 +617,7 @@ class TestProbeBlockAverage:
             widths.append(initial.shape[1])
             return inner(h, s, t, sched, initial=initial, **kwargs)
 
-        monkeypatch.setattr(scattering, "propagate", spy)
+        monkeypatch.setattr(propagation, "propagate", spy)   # the segment is the ring
         monkeypatch.setattr(lat.free_eig, "exp", lambda t: pytest.fail("dense U0(t)"))
         got = time_averaged_wave_op(lat, mono, +1, n_max, probes, 1.0)
         assert widths == [probes.count] * 8
@@ -666,7 +671,7 @@ RING_SCATTER = {"task": "wave-operators",
 
 
 class TestWindowAverage:
-    """time_average on the window route: x + sum_j w_j U0(-t_j) P_W D_j x_W, each
+    """time_average on the light cone's window: x + sum_j w_j U0(-t_j) P_W D_j x_W, each
     D_j x_W stepped on the window segment, against the whole ring swept
     (oracles.ring_time_average)."""
 
@@ -694,7 +699,7 @@ class TestWindowAverage:
 
     def test_border_breach_takes_the_ring_sweep(self, ring_run, monkeypatch):
         ring, mono, x = ring_run
-        monkeypatch.setattr(scattering, "WINDOW_BORDER_TOL", 0.0)
+        monkeypatch.setattr(propagation, "WINDOW_BORDER_TOL", 0.0)
         ring.steppers.clear()
         got = time_average(ring, mono, x, 1.0)
         assert ring.steppers                      # the whole ring stepped
@@ -840,8 +845,10 @@ class TestMultiplicity:
         # CROSS_CHECK_TOL of the second but not of the first, is a state of its own
         lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
         phases = np.array([3.0, 3.0 + 6e-6, 3.0 + 1.2e-5])
-        mono = Monodromy(theta=None, start=0.0, scheme=PropagatorSchedule(64, 4),
-                         eig=EigenDecomposition(np.exp(-1j * phases), np.eye(64)[:, :3]))
+        mono = Monodromy(start=0.0, scheme=PropagatorSchedule(64, 4),
+                         eig=EigenDecomposition(np.exp(-1j * phases), np.eye(64)[:, :3]),
+                         window=np.arange(64), block=np.zeros((64, 64)), segment=lat,
+                         free=lat.free_period)
         assert sidebands_closed(phases, lat.free_levels).all()
         monkeypatch.setattr(scattering, "_mode_space_partner", lambda *args: 0.0)
         infos = bound_state_scan(lat, mono, n_modes=2)
