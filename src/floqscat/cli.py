@@ -204,8 +204,9 @@ def _scan_side(n_modes, model):
 
 
 def _ring_sites(sites, model):
-    """A ring's H0, modes and propagators are dense L x L arrays, held to the side
-    of every other dense matrix the CLI allows (and to build_lattice's least ring)."""
+    """A ring's U0(1), Theta and Theta's eigenvectors are dense L x L arrays (its H0
+    and modes only on a generic route), held to the side of every other dense
+    matrix the CLI allows (and to build_lattice's least ring)."""
     if not 8 <= sites <= MAX_DENSE_SIDE:
         return f"must lie in [8, {MAX_DENSE_SIDE}], got {sites}"
 

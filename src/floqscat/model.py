@@ -9,14 +9,17 @@ times (the resolvent's grid among them).  Fourier coefficients use the plain
 convention H_n = integral_0^1 exp(-2 pi i n t) H(t) dt (prefactor 1), which
 is the one that makes the expansion above exact.
 
-The lattice model is a periodically driven ring: a PeriodicHamiltonian
-subclass whose free part is a tridiagonal hopping Hamiltonian with periodic
-closure, plus a static well and a cosine drive on the declared sites
-`potential_support`, which may cross site 0, encoded as modes {-1, 0, 1}.
-Their `arc` is the shortest run of ring sites that holds them: the probe
-packets aim at its midpoint, `support_window` widens it (a bound state's
-reported localization is its mass on support_window(4)) and `mirror`
-reflects the ring about it.
+The lattice model is a periodically driven ring, held as its structure: a
+PeriodicHamiltonian subclass whose free part is the nearest-neighbour
+hopping with periodic closure (or an open chain cut from it, `segment`) and
+whose well and cosine drive are two real length-L diagonals, nonzero only on
+the declared sites `potential_support`, which may cross site 0.  Its `h0`
+and its modes {-1, 0, 1} are dense arrays formed on first read, for the
+generic routes alone; `support`, `ring_spectrum`, `mirror` and `segment`
+read the diagonals in O(L).  The declared sites' `arc` is the shortest run
+of ring sites that holds them: the probe packets aim at its midpoint,
+`support_window` widens it (a bound state's reported localization is its
+mass on support_window(4)) and `mirror` reflects the ring about it.
 
 Every model owns what is built once from it: where its interaction acts
 (`support`, the sites where some mode has a nonzero row or column), the H0
@@ -27,13 +30,12 @@ the Magnus steppers of each step width and order it is propagated with
 
 The model also owns U0(t) = exp(-i t H0) and its spectrum.  `free_apply`
 applies U0(t) to a block of columns and `free_levels` gives H0's levels.  A
-LatticeModel whose h0 is exactly the nearest-neighbour ring of its hopping, a
-circulant, has `ring_spectrum`: eps_k, the FFT of h0's first column, one per
-ring momentum k = 2 pi q / L (Davis, Circulant Matrices, 1979).  There U0(t) x
-is ifft(e^{-i t eps_k} fft(x)) and U0(1) is the circulant of U0(1)'s first
-column, so neither needs free_eig.  On every other model (`ring_spectrum`
-None) both come from free_eig.  propagation's light-cone window reads the same
-`ring_spectrum` test.
+closed LatticeModel, whose h0 is the nearest-neighbour ring of its hopping,
+a circulant, has `ring_spectrum`: eps_k, the FFT of h0's first column, one
+per ring momentum k = 2 pi q / L (Davis, Circulant Matrices, 1979).  There
+U0(t) x is ifft(e^{-i t eps_k} fft(x)) and U0(1) is the circulant of U0(1)'s
+first column, so neither needs free_eig.  On every other model
+(`ring_spectrum` None) both come from free_eig.
 """
 
 from __future__ import annotations
@@ -132,9 +134,7 @@ class PeriodicHamiltonian:
         """The sites where some mode (n = 0 included) has a nonzero row or column,
         sorted and read-only; empty for a constant Hamiltonian."""
         touched = sum((m != 0 for m in self.modes.values()), np.zeros(self.h0.shape, dtype=bool))
-        sites = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
-        sites.flags.writeable = False
-        return sites
+        return _read_only(np.flatnonzero(touched.any(axis=0) | touched.any(axis=1)))
 
     @cached_property
     def free_eig(self) -> EigenDecomposition:
@@ -166,8 +166,7 @@ class PeriodicHamiltonian:
             unit = np.zeros(self.dim, dtype=np.complex128)
             unit[0] = 1.0
             theta0 = circulant(self.free_apply(1.0, unit))
-        theta0.flags.writeable = False
-        return theta0
+        return _read_only(theta0)
 
     def free_apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """U0(t) x for a vector or a block x of columns, without forming U0(t): on a
@@ -207,28 +206,70 @@ def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:
     return PeriodicHamiltonian(h0=np.zeros((dim, dim)), modes=modes, label=label)
 
 
-@dataclass(kw_only=True)
 class LatticeModel(PeriodicHamiltonian):
-    """Driven ring lattice: free hopping part plus windowed well and drive."""
+    """Driven ring lattice, held as its structure: the hopping, the declared sites
+    `potential_support` and two real length-L diagonals, the static `well` and
+    the cosine's amplitude `drive`, both zero off potential_support.  H(t) is
+    h0 + diag(well) + diag(drive) cos(2 pi t): Hermitian by construction, since
+    the hopping and both diagonals are real and H_-1 = H_1 = diag(drive / 2), so
+    PeriodicHamiltonian.validate does not run on it.  `closed` is False only on
+    an open chain cut from a ring (`segment`).
 
-    hopping: float
-    potential_support: np.ndarray
+    Every structural question is answered from the diagonals in O(L):
+    `support`, `ring_spectrum`, `mirror`, `segment`.  `h0` and `modes` are the
+    dense arrays of the generic routes (MagnusStepper, floquet_operator,
+    ScanOperators, free_eig, potential), formed on first read and kept."""
+
+    def __init__(self, hopping: float, potential_support, well, drive, label="", closed=True):
+        self.hopping, self.potential_support = hopping, np.asarray(potential_support)
+        self.well, self.drive, self.label, self.closed = well, drive, label, closed
+        self.steppers = {}
 
     @property
-    def sites(self) -> int:
-        return self.dim
+    def dim(self) -> int:
+        return len(self.well)
+
+    sites = dim
+
+    @property
+    def max_mode(self) -> int:
+        return int(self.drive.any())
+
+    @cached_property
+    def h0(self) -> np.ndarray:
+        """The hopping H0[i, i+1] = H0[i+1, i] = -hopping, and between sites L - 1
+        and 0 where the model is closed: the ring's circulant, or the open chain's."""
+        h0 = np.zeros((self.sites, self.sites), dtype=np.complex128)
+        i = np.arange(self.sites if self.closed else self.sites - 1)
+        h0[i, (i + 1) % self.sites] = h0[(i + 1) % self.sites, i] = -self.hopping
+        return h0
+
+    @cached_property
+    def modes(self) -> dict[int, np.ndarray]:
+        """The diagonals formed complex, keys ascending: the well as mode 0 where it
+        is nonzero somewhere, drive / 2 as modes -1 and 1 (one array, which no code
+        writes into) where the drive is."""
+        modes = {0: np.diag(self.well.astype(np.complex128))} if self.well.any() else {}
+        if self.drive.any():
+            half = np.diag((self.drive / 2.0).astype(np.complex128))
+            modes = {-1: half, **modes, 1: half}
+        return modes
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The sites where the well or the drive is nonzero, sorted and read-only."""
+        return _read_only(np.flatnonzero((self.well != 0) | (self.drive != 0)))
 
     @cached_property
     def ring_spectrum(self) -> np.ndarray | None:
         """eps_k, the FFT of h0's first column at momentum k = 2 pi q / L (index q),
-        read-only, where h0 is exactly ring_h0(sites, hopping); else None (an open
-        segment, an edited h0).  A real circulant's eigenvalues are real: the FFT's
-        round-off in the imaginary part is dropped."""
-        if not np.array_equal(self.h0, ring_h0(self.sites, self.hopping)):
-            return None
-        levels = np.fft.fft(self.h0[:, 0]).real
-        levels.flags.writeable = False
-        return levels
+        read-only, that column built alone; None on an open chain.  A real
+        circulant's eigenvalues are real: the FFT's round-off in the imaginary part
+        is dropped."""
+        if self.closed:
+            column = np.zeros(self.sites, dtype=np.complex128)
+            column[[1, -1]] = -self.hopping
+            return _read_only(np.fft.fft(column).real)
 
     @cached_property
     def arc(self) -> tuple[int, int]:
@@ -249,15 +290,28 @@ class LatticeModel(PeriodicHamiltonian):
 
     def mirror(self) -> np.ndarray | None:
         """The site reflection R: x -> 2 lo + width - 1 - x (mod L) about the arc, where
-        h0 and every mode equal their reflected copies exactly; else None.
+        it maps h0 onto itself (on a ring always, on a chain where it reverses the
+        chain) and both diagonals equal their reflected copies; else None.
 
         H(t) then commutes with R for every t, and so does U(t, s): column R[j]
         of a propagator is rows R of column j."""
         r = (2 * self.arc[0] + self.arc[1] - 1 - np.arange(self.sites)) % self.sites
-        flip = np.ix_(r, r)
-        symmetric = np.array_equal(self.h0[flip], self.h0) and \
-            all(np.array_equal(m[flip], m) for m in self.modes.values())
+        symmetric = (self.closed or r[0] == self.sites - 1) and \
+            np.array_equal(self.well[r], self.well) and np.array_equal(self.drive[r], self.drive)
         return r if symmetric else None
+
+    def segment(self, margin: int) -> LatticeModel:
+        """The open chain on support_window(margin), with the diagonals' slices and
+        potential_support in its coordinates."""
+        sites = self.support_window(margin)
+        return LatticeModel(self.hopping, (self.potential_support - sites[0]) % self.sites,
+                            self.well[sites], self.drive[sites], closed=False)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, its writeable flag cleared: a model's cached arrays, which no caller may write."""
+    a.flags.writeable = False
+    return a
 
 
 def circulant(column: np.ndarray) -> np.ndarray:
@@ -267,42 +321,22 @@ def circulant(column: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(twice, len(column))[-2::-1])
 
 
-def ring_h0(sites: int, hopping: float) -> np.ndarray:
-    """The free ring's tridiagonal hopping with periodic closure: H0[i, i+-1 mod L] = -hopping."""
-    h0 = np.zeros((sites, sites), dtype=np.complex128)
-    i = np.arange(sites)
-    h0[i, (i + 1) % sites] = h0[(i + 1) % sites, i] = -hopping
-    return h0
-
-
 def build_lattice(sites: int, hopping: float, well_depth: float, drive_amp: float,
                   support, label: str = "") -> LatticeModel:
     """Ring lattice with a static well and cosine drive on a support window.
 
-    The free part has H0[i, i+-1 mod L] = -hopping; the well enters as the
-    n = 0 mode and the drive drive_amp * cos(2 pi t) as modes n = +-1 with
-    coefficient drive_amp / 2, all diagonal and confined to `support`.  The
-    drive is real and diagonal, so H_-1 = H_1^dagger = H_1: both modes are one
-    array, which no code writes into.
+    The free part has H0[i, i+-1 mod L] = -hopping; the well well_depth and the
+    drive drive_amp * cos(2 pi t) sit on the diagonal at the sites `support`
+    (the model's two length-L diagonals: nothing L x L is formed here).
     """
     if sites < 8:
         raise ValueError("lattice needs at least 8 sites")
     support = np.asarray(support, dtype=int)
     if support.size == 0 or support.min() < 0 or support.max() >= sites:
         raise ValueError(f"support {support} outside lattice [0, {sites})")
-    h0 = ring_h0(sites, hopping)
-
-    def diagonal(value: float) -> np.ndarray:    # value on the support's diagonal, formed complex
-        out = np.zeros((sites, sites), dtype=np.complex128)
-        out[support, support] = value
-        return out
-    modes = {}
-    if well_depth != 0.0:
-        modes[0] = diagonal(well_depth)
-    if drive_amp != 0.0:
-        modes[1] = modes[-1] = diagonal(drive_amp / 2.0)
-    return LatticeModel(h0=h0, modes=modes, label=label or f"lattice L={sites}",
-                        hopping=hopping, potential_support=support)
+    well, drive = np.zeros(sites), np.zeros(sites)
+    well[support], drive[support] = well_depth, drive_amp
+    return LatticeModel(hopping, support, well, drive, label=label or f"lattice L={sites}")
 
 
 def rabi_model(delta: float = 0.0, v: float = 1.0) -> PeriodicHamiltonian:

@@ -30,12 +30,13 @@ order and kept in the model's `steppers` cache, so every propagate call on
 that model at that width, the monodromy's and the time average's alike,
 shares it.
 
-A LatticeModel whose h0 and modes equal their copies under the site
-reflection R about the support (`LatticeModel.mirror`) has H(t) R = R H(t),
-so U(t, s) commutes with R as well (Haake, Quantum Signatures of Chaos,
-ch. 2).  `propagate` from the identity then steps one column per mirror
-orbit, j <= R[j], and fills column R[j] with rows R of column j: about half
-the columns, whose stepped ones are bit for bit those of a full sweep.
+A LatticeModel whose diagonals equal their copies under the site reflection R
+about the support, and whose hopping R maps onto itself (`LatticeModel.mirror`),
+has H(t) R = R H(t), so U(t, s) commutes with R as well (Haake, Quantum
+Signatures of Chaos, ch. 2).  `propagate` from the identity then steps one
+column per mirror orbit, j <= R[j], and fills column R[j] with rows R of
+column j: about half the columns, whose stepped ones are bit for bit those
+of a full sweep.
 
 The one-period operator Theta = U(s + 1, s) carries the stroboscopic
 dynamics; its eigenphases are the quasi-energies mod 2pi.  Where
@@ -48,23 +49,23 @@ forms it at s mod 1, the start its Monodromy records.
 
 Every Monodromy holds Theta in one shape, Theta = Theta0 + P E_w P^T with
 Theta0 = U0(1): E_w is the block of E = Theta - Theta0 on a window W of sites,
-and P places W's rows (`window_block`).  Where a LatticeModel's h0 is exactly
-the nearest-neighbour ring of its hopping (the model has a `ring_spectrum`,
-whose FFT gives its U0(1)) and its `support` lies in potential_support, E
-lives on a window around the support's arc: one period of free motion carries
-amplitude |U0(1)_xy| <= |hopping|^|x-y| / |x-y|! (Abramowitz & Stegun 9.1.62)
-and no farther, a light cone (Lieb & Robinson, Commun. Math. Phys. 28 (1972)).
-With r the smallest radius where that bound falls to unit round-off (19 at
-hopping 1, `light_cone_radius`), the model is sliced to the open segment
-support_window(2r), itself a LatticeModel, and the window W = support_window(r)
-of it is stepped there on the same schedule and start: W's columns alone
-(`propagate`'s `columns`), one per mirror orbit where the segment is
-symmetric about the arc, and on the half path Theta_seg[W, W] = A[:, W]^T A[:, W]
+and P places W's rows (`window_block`).  On a closed LatticeModel (a ring,
+whose `ring_spectrum` gives its U0(1) by FFT) E lives on a window around the
+arc of the declared sites, which hold the well and the drive: one period of
+free motion carries amplitude |U0(1)_xy| <= |hopping|^|x-y| / |x-y|!
+(Abramowitz & Stegun 9.1.62) and no farther, a light cone (Lieb & Robinson,
+Commun. Math. Phys. 28 (1972)).  With r the smallest radius where that bound
+falls to unit round-off (19 at hopping 1, `light_cone_radius`), the model is
+cut to the open chain `segment(2r)` on support_window(2r), itself a
+LatticeModel, and the window W = support_window(r) of it is stepped there on
+the same schedule and start: W's columns alone (`propagate`'s `columns`), one
+per mirror orbit where the segment is symmetric about the arc, and on the
+half path Theta_seg[W, W] = A[:, W]^T A[:, W]
 (22 of the 81-site segment's columns at hopping 1 and a 5-site well).  E_w
 is Theta_seg[W, W] - U0_seg(1)[W, W] (the open segment is no circulant: its
 U0_seg(1) comes from its real eigh).  Its border rows and columns must be at
 most WINDOW_BORDER_TOL, checked on every build, or r doubles.  Where the light
-cone does not fit (a model that is no local ring, a ring whose segment would
+cone does not fit (a model that is no ring, a ring whose segment would
 exceed half its sites, a border that keeps failing), W is every site, E is
 Theta - Theta0 with Theta stepped on the model itself (`_stepped_period`), and
 the segment is the model.  A Monodromy keeps the window, E_w, the segment
@@ -447,46 +448,35 @@ def light_cone_radius(hopping: float) -> int:
     return r
 
 
-def _local_ring(h: LatticeModel) -> bool:
-    """Whether every mode vanishes off potential_support and h0 is exactly the
-    nearest-neighbour ring of the hopping (the model has a ring_spectrum)."""
-    return bool(np.isin(h.support, h.potential_support).all()) and \
-        h.ring_spectrum is not None
-
-
 def window_block(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule
                  ) -> tuple[np.ndarray, np.ndarray, PeriodicHamiltonian]:
     """(window, E_w, segment) with Theta = U0(1) + P E_w P^T.
 
-    For a LatticeModel that is a `_local_ring`, the model is sliced to the open
-    segment support_window(2r), r = light_cone_radius(hopping), a LatticeModel
-    with the ring's hopping and its support in segment coordinates, and the
-    block Theta_seg[W, W] on the window W = support_window(r) (the segment's
-    rows and columns r..-r) is stepped on `sched` from s: W's columns alone
-    (_stepped_period), on the segment's mirror orbits where it has a `mirror`.
-    E_w is that block minus U0_seg(1)[W, W].  Where a border row or column of
-    E_w exceeds WINDOW_BORDER_TOL, r doubles.  Where the light cone does not
-    fit (another model, or a segment that would exceed half the ring), the
-    window is every site, E_w = Theta - U0(1) with Theta stepped on the model
-    (_stepped_period) and the segment is the model.  The segment is returned
-    with the steppers and free_eig it was stepped with, for the readers of the
-    window (_window_kicks and the bound-state cross-check in scattering).
+    For a closed LatticeModel, the model is cut to the open chain
+    h.segment(2r) on support_window(2r), r = light_cone_radius(hopping), and
+    the block Theta_seg[W, W] on the window W = support_window(r) (the
+    segment's rows and columns r..-r) is stepped on `sched` from s: W's
+    columns alone (_stepped_period), on the segment's mirror orbits where it
+    has a `mirror`.  E_w is that block minus U0_seg(1)[W, W].  Where a border
+    row or column of E_w exceeds WINDOW_BORDER_TOL, r doubles.  Where the light
+    cone does not fit (another model, or a segment that would exceed half the
+    ring), the window is every site, E_w = Theta - U0(1) with Theta stepped on
+    the model (_stepped_period) and the segment is the model.  The segment is
+    returned with the steppers and free_eig it was stepped with, for the
+    readers of the window (_window_kicks and the bound-state cross-check in
+    scattering).
     """
     # light_cone_radius's bound |hopping|^r / r! is >= 1 up to r = |hopping|, so r > |hopping|:
     # where that radius does not fit, none does, and the search (whose bound overflows,
     # never to fall again, past |hopping| ~ 710) is not started
-    local = isinstance(h, LatticeModel) and 2 * (h.arc[1] + 4 * abs(h.hopping)) <= h.sites \
-        and _local_ring(h)
+    local = isinstance(h, LatticeModel) and h.closed and \
+        2 * (h.arc[1] + 4 * abs(h.hopping)) <= h.sites
     r = light_cone_radius(h.hopping) if local else 0
     while local and 2 * (h.arc[1] + 4 * r) <= h.sites:
-        segment = h.support_window(2 * r)
-        cut = np.ix_(segment, segment)
-        # the open segment, its support in segment coordinates: a LatticeModel, so
-        # that a segment symmetric about the arc is stepped on its mirror orbits
-        part = LatticeModel(h0=h.h0[cut], modes={n: m[cut] for n, m in h.modes.items()},
-                            hopping=h.hopping,
-                            potential_support=(h.potential_support - segment[0]) % h.sites)
-        inner = np.arange(r, len(segment) - r)
+        # a LatticeModel, so that a segment symmetric about the arc is stepped on
+        # its mirror orbits
+        part = h.segment(2 * r)
+        inner = np.arange(r, part.sites - r)
         block = _stepped_period(part, s, sched, inner) - part.free_period[r:-r, r:-r]
         border = np.abs(np.concatenate([block[[0, -1]].ravel(), block[:, [0, -1]].ravel()]))
         if border.max() <= WINDOW_BORDER_TOL:

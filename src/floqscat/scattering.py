@@ -21,10 +21,10 @@ so the gap ||(Theta - Theta0) Theta^{n-1} phi|| is the norm of
 E_w V_W e^{-i(n-1) lambda} V^H phi, V_W the eigenvectors' window rows, and
 E_w^H in its place time-reversed.  Only the gaps (n_max x p) are kept.  A
 wave-operators run on the light cone's window therefore holds these L x L
-arrays: H0, the well and the one drive array and U0(1) on the model, and
-Theta's eigenvectors on the Monodromy (H0's eigenvectors only where the
-bound-state cross-check falls back to the whole ring); U0(1) is read only to
-form Theta, and Theta itself only where a reader asks for it.
+arrays: U0(1) on the model and Theta's eigenvectors on the Monodromy (the
+ring's H0, modes and eigenvectors only where the bound-state cross-check
+falls back to the whole ring); U0(1) is read only to form Theta, and Theta
+itself only where a reader asks for it.
 
 The time average applies its kernel to the probe block only, and the free
 factors act through free_apply, so neither the L x L kernel nor a dense U0(t)
@@ -158,7 +158,9 @@ def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
     the band edges where the group velocity vanishes.  The width is sites/16
     (full width; sigma = width/2.355), the launch distance about 4 sigma from
     the midpoint.  An optional generator jitters the momentum index by one
-    ring quantum per probe.
+    ring quantum per probe.  At negative hopping the group velocity 2 J sin k
+    turns round, and the index moves by L/2: on an even ring H(-J) = G H(J) G
+    with G = diag((-1)^x), and k + pi is G's image of k.
     """
     sites = model.sites
     ctr = int(np.round(model.arc[0] + (model.arc[1] - 1) / 2)) % sites
@@ -166,7 +168,7 @@ def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
     distance = int(np.round(4.0 * sigma))
     vectors, momenta, centers = [], [], []
     for band in bands:
-        k_idx = int(np.round(band * np.pi * sites / (2 * np.pi)))
+        k_idx = int(np.round(band * np.pi * sites / (2 * np.pi))) + sites // 2 * (model.hopping < 0)
         if rng is not None:
             k_idx += int(rng.integers(-1, 2))
         kappa = 2 * np.pi * k_idx / sites
@@ -395,7 +397,7 @@ def channel_clusters(model: LatticeModel) -> list[np.ndarray]:
     its level meets eps_q - 2 pi n within CHANNEL_TOL, an open sideband."""
     levels = model.ring_spectrum
     if levels is None:
-        raise ValueError("S on Theta0's channels needs a ring: h0 is not ring_h0(sites, hopping)")
+        raise ValueError("S on Theta0's channels needs a ring: the model is an open chain")
     folded = np.mod(levels, 2 * np.pi)
     order = np.argsort(folded, kind="stable")
     clusters = np.split(order, np.flatnonzero(np.diff(folded[order]) > CHANNEL_TOL) + 1)

@@ -20,6 +20,10 @@ nor keeps.
     k0_grid_matrix(h0, n_t)     -i d/dt + H0 on the periodic grid
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
     scipy_csr(k)                the arrays of a numerics.CSRMatrix as a scipy.sparse csr_array
+    dense_lattice(sites, ...)   build_lattice's h0 and modes as dense arrays formed at once
+    dense_support(h0, modes)    the sites where some mode has a nonzero row or column
+    dense_mirror(h0, modes, arc)  the reflection about the arc, where every array equals its copy
+    dense_ring_spectrum(h0)     the FFT of h0's first column
 
 `w` is a scattering.WaveOperatorIterates.  Its iterates and gaps are
 recomputed here by an iterate loop independent of Theta's eigenbasis, which
@@ -202,3 +206,47 @@ def scipy_csr(k):
     import scipy.sparse as sp
 
     return sp.csr_array((k.data, k.indices, k.indptr), shape=k.shape)
+
+
+def dense_lattice(sites: int, hopping: float, well_depth: float, drive_amp: float,
+                  support) -> tuple[np.ndarray, dict]:
+    """(h0, modes) of the driven ring, formed as dense complex arrays at once: the
+    tridiagonal hopping with periodic closure, H0[i, i+-1 mod L] = -hopping, the
+    well as mode 0 and drive_amp / 2 as modes +-1 (one array) on the support's
+    diagonal, each mode only where its value is nonzero, keys ascending."""
+    h0 = np.zeros((sites, sites), dtype=np.complex128)
+    i = np.arange(sites)
+    h0[i, (i + 1) % sites] = h0[(i + 1) % sites, i] = -hopping
+
+    def diagonal(value):
+        out = np.zeros((sites, sites), dtype=np.complex128)
+        out[support, support] = value
+        return out
+    modes = {}
+    if well_depth != 0.0:
+        modes[0] = diagonal(well_depth)
+    if drive_amp != 0.0:
+        modes[1] = modes[-1] = diagonal(drive_amp / 2.0)
+    return h0, dict(sorted(modes.items()))
+
+
+def dense_support(h0: np.ndarray, modes: dict) -> np.ndarray:
+    """The sites where some mode has a nonzero row or column, sorted."""
+    touched = sum((m != 0 for m in modes.values()), np.zeros(h0.shape, dtype=bool))
+    return np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
+
+
+def dense_mirror(h0: np.ndarray, modes: dict, arc: tuple[int, int]) -> np.ndarray | None:
+    """R: x -> 2 lo + width - 1 - x (mod L) for arc = (lo, width), where h0 and every
+    mode equal their copies under R exactly; else None."""
+    sites = len(h0)
+    r = (2 * arc[0] + arc[1] - 1 - np.arange(sites)) % sites
+    flip = np.ix_(r, r)
+    symmetric = np.array_equal(h0[flip], h0) and \
+        all(np.array_equal(m[flip], m) for m in modes.values())
+    return r if symmetric else None
+
+
+def dense_ring_spectrum(h0: np.ndarray) -> np.ndarray:
+    """The real part of the FFT of h0's first column."""
+    return np.fft.fft(h0[:, 0]).real

@@ -9,7 +9,9 @@ runs the CLI of CHECKOUT/src on
   DIR/configs/seed<k>/;
 - the ring-scatter, ring-bound and fiber-batch scenarios that this checkout's
   floqbench/workloads.py draws from seeds 1, 2 and 3 (the seed goes to the CLI
-  as well, as the benchmark passes it), into DIR/<workload>/seed<k>/.
+  as well, as the benchmark passes it), into DIR/<workload>/seed<k>/;
+- scale_probe.ring_config's 1024- and 2048-site wave-operators runs at
+  --seed 7, into DIR/scale/.
 
 The inputs come from this checkout whatever CHECKOUT is, so two checkouts run
 the same scenarios.  Each directory is run by one fresh interpreter, from
@@ -29,11 +31,12 @@ import sys
 import time
 from pathlib import Path
 
-from scale_probe import THREAD_VARIABLES
+from scale_probe import THREAD_VARIABLES, write_ring_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_SEEDS = (1, 2, 3, 7)
 WORKLOAD_SEEDS = (1, 2, 3)
+SCALE_SITES, SCALE_SEED = (1024, 2048), 7
 CHILD = "import sys, floqscat.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
@@ -73,6 +76,9 @@ def main(argv=None) -> int:
             directory.mkdir(parents=True, exist_ok=True)
             written = [s.write(directory).name for s in workloads.make(name, seed)]
             status = max(status, run(written, directory, seed, src))
+    directory = args.out / "scale"
+    written = [p.name for p in write_ring_configs(SCALE_SITES, directory)]
+    status = max(status, run(written, directory, SCALE_SEED, src))
     return status
 
 

@@ -1,6 +1,6 @@
 """Wall time and peak resident memory of CLI runs, one fresh interpreter per config.
 
-    python tests/scale_probe.py CONFIG [CONFIG ...] [--out DIR] [--seed N] [--src DIR]
+    python tests/scale_probe.py [CONFIG ...] [--ring SITES ...] [--out DIR] [--seed N] [--src DIR]
 
 Each config runs through `floqscat.cli.main` in a new Python process with
 BLAS and OpenMP pinned to one thread, as the benchmark pins them, and
@@ -11,18 +11,11 @@ MODULES (`scipy.linalg`, the `scipy.sparse` package, `numpy.ma` and
 `concurrent.futures`) the process had loaded.  Reports go to `--out` (default: the
 current directory), so two trees' reports can be compared with tests/report_diff.py.
 
-The at-scale wave-operators figures in CHANGES.md come from the benchmark's
-ring-scatter ring (hopping 1, well depth -0.8, drive 0.5, support width 5)
-grown in size, with the benchmark's schedule:
-
-    {"task": "wave-operators",
-     "model": {"lattice": {"sites": 1024, "hopping": 1.0, "well_depth": -0.8,
-                           "drive_amp": 0.5, "support_width": 5}},
-     "parameters": {"steps_per_period": 64, "order": 4, "n_max": 128,
-                    "translates": 2, "average_window": 1.0, "floquet_modes": 3}}
-
-and the same at "sites": 2048 with "n_max": 256 (n_max = L / 8, the ring's
-wrap-around horizon in both).
+The at-scale wave-operators figures in CHANGES.md come from `ring_config(L)`:
+the benchmark's ring-scatter ring (hopping 1, well depth -0.8, drive 0.5,
+support width 5) grown to L sites, with the benchmark's schedule and
+n_max = L / 8, the ring's wrap-around horizon.  `--ring 1024 2048` writes
+those configs to `--out` as ring-<L>.json and runs them after any CONFIG.
 """
 
 from __future__ import annotations
@@ -54,6 +47,24 @@ print(json.dumps({{"code": code, "wall_s": wall, "peak_rss_mb": peak,
 """
 
 
+def ring_config(sites: int) -> dict:
+    """The at-scale wave-operators config on a ring of `sites` sites."""
+    return {"task": "wave-operators",
+            "model": {"lattice": {"sites": sites, "hopping": 1.0, "well_depth": -0.8,
+                                  "drive_amp": 0.5, "support_width": 5}},
+            "parameters": {"steps_per_period": 64, "order": 4, "n_max": sites // 8,
+                           "translates": 2, "average_window": 1.0, "floquet_modes": 3}}
+
+
+def write_ring_configs(sizes, directory: Path) -> list[Path]:
+    """ring_config(L) for each L in `sizes`, written to directory/ring-<L>.json."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / f"ring-{sites}.json" for sites in sizes]
+    for sites, path in zip(sizes, paths):
+        path.write_text(json.dumps(ring_config(sites), indent=1) + "\n")
+    return paths
+
+
 def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
     """One config in a fresh interpreter: {"code", "wall_s", "peak_rss_mb"} and, for
     each name in MODULES, whether it was loaded (None where the child failed)."""
@@ -72,14 +83,19 @@ def probe(config: str, out: str, seed: int | None, src: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("configs", nargs="+", metavar="CONFIG")
+    parser.add_argument("configs", nargs="*", metavar="CONFIG")
+    parser.add_argument("--ring", nargs="+", type=int, default=[], metavar="SITES",
+                        help="also write and run ring_config(SITES) for each size")
     parser.add_argument("--out", default=".", help="report directory (default: .)")
     parser.add_argument("--seed", type=int, default=None, help="the CLI's --seed")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="the floqscat source tree to import (default: this checkout's)")
     args = parser.parse_args(argv)
+    if not args.configs and not args.ring:
+        parser.error("give a CONFIG or --ring SITES")
+    configs = args.configs + [str(p) for p in write_ring_configs(args.ring, Path(args.out))]
     status = 0
-    for config in args.configs:
+    for config in configs:
         got = probe(config, args.out, args.seed, args.src.resolve())
         loaded = "  ".join(f"{m} {got[m]}" for m in MODULES)
         print(f"{config}  exit {got['code']}  wall {got['wall_s']:.2f} s  "

@@ -473,8 +473,9 @@ class TestWindowRouteReport:
         monkeypatch.setattr(propagation, "window_block", spy)
         shipped = run_scenario(cfg, seed=1)
         assert routes == {(256, 43)}
-        # no light cone: the window is every site, Theta stepped on the whole ring
-        monkeypatch.setattr(propagation, "_local_ring", lambda h: False)
+        # no light cone (a radius whose segment exceeds the ring): the window is every
+        # site, Theta stepped on the whole ring
+        monkeypatch.setattr(propagation, "light_cone_radius", lambda hopping: 256)
         routes.clear()
         dense = run_scenario(cfg, seed=1)
         assert routes == {(256, 256)}
@@ -483,6 +484,52 @@ class TestWindowRouteReport:
         assert "report.results.s_matrix" in diffs
         assert [b["multiplicity"] for b in shipped["results"]["bound_states"]] == \
             [b["multiplicity"] for b in dense["results"]["bound_states"]]
+
+
+class TestRingStructure:
+    """A wave-operators run reads the ring's structure: its h0 and modes are formed
+    only on the light cone's segment, and negative hopping scatters alike."""
+
+    def test_scale_run_forms_no_ring_arrays(self, monkeypatch):
+        import floqscat.cli as cli
+        from scale_probe import ring_config
+
+        models, build = [], cli.build_model
+
+        def spy(*args):
+            models.append(build(*args))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "build_model", spy)
+        report = run_scenario(ring_config(1024), seed=7)
+        assert report["config_echo"]["parameters"]["n_max"] == 128
+        assert report["results"]["converged_fraction"] == 1.0
+        [ring] = models
+        assert ring.sites == 1024 and not {"h0", "modes"} & vars(ring).keys()
+
+    def test_negative_hopping_matches_positive(self):
+        # on an even ring H(-J) = G H(J) G, G = diag((-1)^x), and the probes turn by pi:
+        # every result equal to round-off but S's entries and momenta, whose channels
+        # move by pi, and S's moduli, which do not
+        from report_diff import report_differences
+
+        def results(hopping):
+            cfg = {"task": "wave-operators",
+                   "model": {"lattice": {"sites": 256, "hopping": hopping, "well_depth": -0.8,
+                                         "drive_amp": 0.5, "support_width": 5}},
+                   "parameters": {"steps_per_period": 64, "order": 4, "translates": 2,
+                                  "average_window": 1.0, "floquet_modes": 3}}
+            return run_scenario(cfg, seed=1)["results"]
+
+        plus, minus = results(1.0), results(-1.0)
+        diffs = report_differences(plus, minus)    # ints, bools and strings equal
+        moved = {"report.s_matrix", "report.channel_momenta"}
+        assert max(v for k, v in diffs.items() if k not in moved) <= 1e-10, diffs
+
+        def moduli(r):
+            return np.sort(np.concatenate([np.abs(np.asarray(b) @ [1, 1j]).ravel()
+                                           for b in r["s_matrix"]]))
+        assert np.abs(moduli(plus) - moduli(minus)).max() <= 1e-10
 
 
 class TestEigenvectorPhases:

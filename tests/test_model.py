@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from floqscat.cli import build_model
 from floqscat.model import (
-    LatticeModel,
     PeriodicHamiltonian,
     build_lattice,
+    circulant,
     fleet,
     fourier_modes,
     load_model,
@@ -22,6 +22,7 @@ from floqscat.model import (
 from floqscat.numerics import hermitian_defect
 
 from conftest import random_hermitian
+from oracles import dense_lattice, dense_mirror, dense_ring_spectrum, dense_support
 
 
 def two_harmonic(seed=0, dim=3):
@@ -196,13 +197,9 @@ class TestLattice:
         assert np.abs(lat.free_period - lat.free_eig.exp(1.0)).max() <= 1e-13
 
     def test_only_the_exact_ring_has_a_spectrum(self):
-        # an open segment or an edited bond is no circulant: free motion by free_eig
+        # an open segment or the ring's arrays held generically: free motion by free_eig
         ring = build_lattice(16, 1.0, -1.0, 0.5, [7, 8])
-        h0 = ring.h0.copy()
-        h0[0, 15] = h0[15, 0] = 0.0
-        for lat in (LatticeModel(h0=h0, modes=ring.modes, hopping=1.0,
-                                 potential_support=ring.potential_support),
-                    PeriodicHamiltonian(h0=ring.h0, modes=ring.modes)):
+        for lat in (ring.segment(2), PeriodicHamiltonian(h0=ring.h0, modes=ring.modes)):
             assert lat.ring_spectrum is None
             assert np.array_equal(lat.free_levels, lat.free_eig.values)
             assert np.array_equal(lat.free_period, lat.free_eig.exp(1.0))
@@ -291,8 +288,7 @@ def suite_models():
     weak_bond[0, 1] = weak_bond[1, 0] = -0.5
     off_support[0][10, 10] = -0.8
     for h0, modes in ((weak_bond, ring.modes), (ring.h0, off_support)):
-        lattices.append(LatticeModel(h0=h0, modes=modes, hopping=1.0,
-                                     potential_support=ring.potential_support))
+        lattices.append(PeriodicHamiltonian(h0=h0, modes=modes))
     return models + lattices
 
 
@@ -367,3 +363,74 @@ class TestArc:
         if ra is not None:
             x = np.arange(sites)
             assert np.array_equal(rb[(x + shift) % sites], (ra + shift) % sites)
+
+
+class TestStructure:
+    """LatticeModel holds the hopping and two diagonals: every array and structure
+    read equals, bit for bit, what the dense arrays build_lattice once formed give."""
+
+    @staticmethod
+    def assert_mirror(got, want):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def assert_modes(got, want):
+        assert list(got) == list(want)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+        if 1 in got:
+            assert got[1] is got[-1]
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dense_oracle(self, data):
+        sites = data.draw(st.integers(8, 64), label="sites")
+        width = data.draw(st.integers(1, sites // 2), label="width")
+        # the arc's ends, then any sites of it, repeats allowed; width 1 holds one site
+        offsets = [0, width - 1] + data.draw(st.lists(st.integers(0, width - 1), max_size=4),
+                                             label="inner")
+        start = data.draw(st.integers(0, sites - 1), label="start")   # a late start wraps site 0
+        support = [(start + i) % sites for i in offsets]
+        value = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False))
+        hopping = data.draw(st.floats(0.1, 3.0), label="|hopping|") * \
+            data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+        depth, drive = data.draw(value, label="well"), data.draw(value, label="drive")
+        margin = data.draw(st.integers(0, (sites - width - 1) // 2), label="margin")
+
+        args = (sites, hopping, depth, drive, support)
+        lat, (h0, modes) = build_lattice(*args), dense_lattice(*args)
+        assert lat.max_mode == max(map(abs, modes), default=0)
+        assert np.array_equal(lat.support, dense_support(h0, modes))
+        self.assert_mirror(lat.mirror(), dense_mirror(h0, modes, lat.arc))
+        levels = dense_ring_spectrum(h0)
+        assert lat.ring_spectrum.tobytes() == levels.tobytes()
+        unit = np.eye(sites, dtype=np.complex128)[:, 0]
+        free = circulant(np.fft.ifft(np.exp(-1j * levels) * np.fft.fft(unit)))
+        assert lat.free_period.tobytes() == free.tobytes()
+        # the open chain on the window: the dense arrays' block there
+        segment, window = lat.segment(margin), lat.support_window(margin)
+        cut = np.ix_(window, window)
+        seg_h0, seg_modes = h0[cut], {n: m[cut] for n, m in modes.items()}
+        assert segment.ring_spectrum is None and segment.sites == len(window)
+        assert np.array_equal(segment.support, dense_support(seg_h0, seg_modes))
+        self.assert_mirror(segment.mirror(), dense_mirror(seg_h0, seg_modes, segment.arc))
+        # h0 and the modes, formed only now
+        assert not {"h0", "modes"} & (vars(lat).keys() | vars(segment).keys())
+        assert lat.h0.tobytes() == h0.tobytes() and segment.h0.tobytes() == seg_h0.tobytes()
+        self.assert_modes(lat.modes, modes)
+        self.assert_modes(segment.modes, seg_modes)
+
+    def test_structure_reads_form_no_square_array(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            lat = build_lattice(2048, 1.0, -0.8, 0.5, range(1022, 1027))
+            assert lat.mirror() is not None and len(lat.support) == 5 and lat.arc == (1022, 5)
+            assert len(lat.ring_spectrum) == len(lat.free_levels) == 2048 and lat.max_mode == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20    # one 2048-site complex matrix takes 64 MiB
+        assert not {"h0", "modes"} & vars(lat).keys()

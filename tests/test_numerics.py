@@ -221,21 +221,15 @@ class TestMirrorSectors:
         # a well and a drive whose profiles read the same from either end of the
         # support: unitary_eig with and without the mirror gives the same sorted
         # eigenphases, and either eigenbasis rebuilds Theta
-        from floqscat.model import LatticeModel, ring_h0
+        from floqscat.model import LatticeModel
         from floqscat.propagation import PropagatorSchedule, period_operator
 
         half = np.array(half)    # (well, drive) on the support's first half
-        well, drive = np.concatenate([half, half[::-1][1:] if odd else half[::-1]]).T
-        support = (first + np.arange(len(well))) % sites
-
-        def diagonal(values):
-            out = np.zeros((sites, sites), dtype=np.complex128)
-            out[support, support] = values
-            return out
-        ring = LatticeModel(h0=ring_h0(sites, hopping),
-                            modes={0: diagonal(well), 1: diagonal(drive / 2),
-                                   -1: diagonal(drive / 2)},
-                            hopping=hopping, potential_support=support)
+        profile = np.concatenate([half, half[::-1][1:] if odd else half[::-1]]).T
+        support = (first + np.arange(profile.shape[1])) % sites
+        well, drive = np.zeros((2, sites))
+        well[support], drive[support] = profile
+        ring = LatticeModel(hopping, support, well, drive)
         mirror = ring.mirror()
         assert mirror is not None
         theta = period_operator(ring, start, PropagatorSchedule(32, 4))

@@ -344,10 +344,9 @@ class TestHornerStep:
         from floqscat.model import LatticeModel
 
         ring = mirror_ring(40, 4)
-        h0 = ring.h0.copy()
-        h0[0, 1] = h0[1, 0] = -0.5
-        lat = LatticeModel(h0=h0, modes=ring.modes, hopping=1.0,
-                           potential_support=ring.potential_support)
+        well = ring.well.copy()
+        well[ring.potential_support[0]] -= 0.5    # deeper on the support's first site
+        lat = LatticeModel(1.0, ring.potential_support, well, ring.drive)
         assert lat.mirror() is None
         sched = PropagatorSchedule(16, 4)
         assert np.array_equal(propagate(lat, 0.0, 0.5, sched),
@@ -613,8 +612,6 @@ class TestWindowRoute:
     @pytest.mark.parametrize("case", ["mode-off-support", "next-nearest-hopping",
                                       "one-weak-bond"])
     def test_other_models_take_the_stepped_route(self, case):
-        from floqscat.model import LatticeModel
-
         ring, sched = self.ring(), PropagatorSchedule(16, 2)
         h0, modes = ring.h0.copy(), dict(ring.modes)
         if case == "mode-off-support":
@@ -624,9 +621,7 @@ class TestWindowRoute:
             h0[0, 2] = h0[2, 0] = -0.1
         else:
             h0[0, 1] = h0[1, 0] = -0.5
-        lat = LatticeModel(h0=h0, modes=modes, hopping=1.0,
-                           potential_support=ring.potential_support)
-        self.assert_every_site(lat, 0.0, sched)
+        self.assert_every_site(PeriodicHamiltonian(h0=h0, modes=modes), 0.0, sched)
 
     @pytest.mark.parametrize("sites", [48, 64])
     @pytest.mark.parametrize("start", [0.0, 0.25])

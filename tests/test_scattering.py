@@ -531,12 +531,9 @@ class TestFreeEvolution:
             monkeypatch.setattr(holder, "hermitian_eig", lambda a: calls.append(a) or eig(a))
         sched = PropagatorSchedule(16, 2)
         ring = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
-        # the same ring with one weaker bond: no ring_spectrum, so free_eig carries U0(t)
-        h0 = ring.h0.copy()
-        h0[0, 1] = h0[1, 0] = -0.5
-        edited = LatticeModel(h0=h0, modes=ring.modes, hopping=1.0,
-                              potential_support=ring.potential_support)
-        for lat, eigs in ((ring, 0), (edited, 1)):   # a ring's free motion runs by FFT
+        # the open chain of the same sites: no ring_spectrum, so free_eig carries U0(t)
+        chain = LatticeModel(1.0, ring.potential_support, ring.well, ring.drive, closed=False)
+        for lat, eigs in ((ring, 0), (chain, 1)):   # a ring's free motion runs by FFT
             calls.clear()
             probes = make_probes(lat)
             mono = monodromy(lat, 0.0, sched)
