@@ -185,17 +185,17 @@ def _block_side(n_modes, model):
 
 
 # the long side of the tall arrays a lattice run holds beside its dense L x L ones:
-# the (2 n_modes + 1) L rows of a ScanOperators' sparse K, start vector and null-scan
-# iterates, and the (2 translates + 1) L entries per probe of the packets' free
-# orbit.  At 2**20 the first add some 330 MB to the 815 MB of a 4096-site ring, the
-# orbit of 8 probes 128 MB; a model without a potential has |S| = 0 and no other
+# the (2 n_modes + 1) L rows of a ScanOperators' start vector, null-scan iterates
+# and K psi, and the (2 translates + 1) L entries per probe of the packets' free
+# orbit.  At 2**20 each such vector is 16 MB beside the 815 MB of a 4096-site ring,
+# the orbit of 8 probes 128 MB; a model without a potential has |S| = 0 and no other
 # bound on its cutoff, and 4096 translates of a 4096-site ring once ran out of memory
 MAX_TALL_SIDE = 2**20
 
 
 def _scan_side(n_modes, model):
     """A cutoff that builds ScanOperators: its support block V_S and the factor of A
-    are (2 n_modes + 1) |S| on a side, its sparse K (2 n_modes + 1) L."""
+    are (2 n_modes + 1) |S| on a side, its mode-space vectors (2 n_modes + 1) L long."""
     blocks = 2 * n_modes + 1
     if blocks * len(model.support) > MAX_DENSE_SIDE or blocks * model.dim > MAX_TALL_SIDE:
         return (f"mode cutoff {n_modes} too large ((2 n_modes + 1) * |support| <= "
@@ -284,7 +284,9 @@ PARAMETERS = {
 LATTICE_TASKS = ("wave-operators", "bound-states")
 CONFIG = {"task": Field(str, REQUIRED, _one_of(tuple(PARAMETERS))), "model": Field(dict),
           "parameters": Field(dict, {}), "output": Field(dict, {}), "sweep": Field(dict, None)}
-OUTPUT = {"path": Field(str, None), "format": Field(str, "json", _one_of(("json", "csv")))}
+# `format`, where given, names what the config writes (_run_one): json for a
+# scenario's report, csv for a sweep's table
+OUTPUT = {"path": Field(str, None), "format": Field(str, None, _one_of(("json", "csv")))}
 SWEEP = {"parameter": Field(str),
          "values": Field(list, REQUIRED, lambda vals, model: None if vals else "must be non-empty")}
 # each builtin with its own fields, passed to it by name
@@ -609,6 +611,10 @@ def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, st
             cfg = json.load(f)
         parsed = validate_config(cfg)
         is_sweep = parsed["sweep"] is not None
+        kind, written = ("sweep", "csv") if is_sweep else ("scenario", "json")
+        if parsed["output"]["format"] not in (None, written):
+            raise ValidationError("config.output.format",
+                                  f"a {kind} writes {written}, got {parsed['output']['format']!r}")
         default = cfg_path.stem + (".sweep.csv" if is_sweep else ".report.json")
         out_path = Path(out_dir) / (parsed["output"]["path"] or default)
         if is_sweep:

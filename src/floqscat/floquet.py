@@ -3,8 +3,8 @@
 The extended-space operator acts on vectors x = (x_n), |n| <= N, with
 d-dimensional fiber blocks: the (n, m) block is H_{n-m} for n != m and
 2 pi n I + H0 + H_0-mode on the diagonal, the block-Toeplitz layout that
-ModeSpace alone writes (sparse for K = K0 + V, dense for any other block
-operator).  Its eigenvalues are quasi-energies;
+ModeSpace alone writes (dense, `toeplitz`) and applies (block by block from
+the model's own sparse blocks, `apply`).  Its eigenvalues are quasi-energies;
 the commutation with the mode shift generates the 2pi translation structure,
 and the interior folded spectrum reproduces the eigenphases of the one-period
 operator.  The free blocks (H0 + 2 pi n - zeta)^{-1} come from the model's
@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .model import PeriodicHamiltonian
-from .numerics import UNITARY_TOL, CSRMatrix, EigenDecomposition, hermitian_eig
+from .numerics import UNITARY_TOL, EigenDecomposition, csr_matvecs, hermitian_eig
 from .propagation import Monodromy
 
 # edge rule: a state is truncation-corrupted when the norm fraction of its
@@ -58,8 +58,9 @@ class ModeSpace:
     V = sum_m S^m (x) H_m, K = K0 + V and Q(zeta) = V (K0 - zeta)^{-1}
     (Shirley's extended-space form).  Such an operator's block (n, n - m)
     holds its m-th block on the row blocks `row_blocks(m)`, the one statement
-    of that layout: `assemble` writes K sparse from it, `toeplitz` any
-    block-Toeplitz matrix dense.
+    of that layout: `toeplitz` writes any block-Toeplitz matrix dense, and
+    `apply` and `max_row_sum` read K from its (d, d) blocks (`k_blocks`) held
+    as CSR arrays (numerics.csr_arrays), nothing of the mode space assembled.
     """
 
     n_modes: int
@@ -106,41 +107,44 @@ class ModeSpace:
         """Dense block-Toeplitz matrix whose block (n, n - m) is blocks[m]: one (r, d)
         array, or a (2N+1, r, d) stack indexed by the column block n - m.  Square
         (d, d) blocks give the (2N+1)d-side matrix; r < d rows, the same r rows of
-        every row block of it."""
+        every row block of it.  Each block is written plus 0.0, so an entry's -0.0
+        part reads +0.0, as in scipy's densified sums."""
         nb, d = self.n_blocks, self.fiber_dim
         r = next(iter(blocks.values())).shape[-2] if blocks else d
         out = np.zeros((nb, r, nb, d), dtype=np.complex128)
         for m, bm in blocks.items():
             n = self.row_blocks(m)
-            out[n, :, n - m, :] = bm if bm.ndim == 2 else bm[n - m]
+            out[n, :, n - m, :] = (bm if bm.ndim == 2 else bm[n - m]) + 0.0
         return out.reshape(nb * r, self.size)
 
-    def assemble(self, h0: np.ndarray, modes: dict[int, np.ndarray] | None = None) -> CSRMatrix:
-        """I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m for (d, d) blocks, as canonical
-        CSR arrays summed in numpy from the blocks' nonzeros (CSRMatrix.from_entries);
-        without `modes`, the free K0.
-
-        Bit for bit scipy.sparse's Kronecker sums kron(I, h0) + kron(diag(2 pi n), I)
-        + sum_m kron(S^m, I) kron(I, H_m) in canonical (sorted) order: a diagonal
-        entry is h0_ii + 2 pi n (the n = 0 zeros are left out, as the sums drop
-        them), every other entry is one block's, and entries that come to zero
-        are removed.
-        """
+    def apply(self, blocks: dict, x: np.ndarray) -> np.ndarray:
+        """K x for a mode-space vector x: (K x)_n = 2 pi n x_n + sum_m B_m x_{n-m} over
+        the row blocks n of row_blocks(m), for K's (d, d) blocks B_m as CSR arrays
+        (indptr, indices, data).  Each B_m takes its valid column blocks x_{n-m} at
+        once, as the columns of one (d, count) array, in one csr_matvecs call."""
         d = self.fiber_dim
-        rows, cols, data = [], [], []
-        for m, hm in [(0, h0), *(modes or {}).items()]:
-            r, c = np.nonzero(hm)
-            blocks = self.row_blocks(m)[:, None]   # row blocks n, columns n - m
-            rows.append((blocks * d + r).ravel())
-            cols.append(((blocks - m) * d + c).ravel())
-            data.append(np.tile(hm[r, c], len(blocks)))
-        frequencies = np.repeat(self.frequencies, d)
-        shifted = np.flatnonzero(frequencies)
-        rows.append(shifted)
-        cols.append(shifted)
-        data.append(frequencies[shifted].astype(np.complex128))
-        keys = np.concatenate(rows).astype(np.int64) * self.size + np.concatenate(cols)
-        return CSRMatrix.from_entries(keys, np.concatenate(data), (self.size,) * 2)
+        xt = np.ascontiguousarray(self.blocks(x).T, dtype=np.complex128)   # column n: x_n
+        out = xt * self.frequencies
+        for m, csr in blocks.items():
+            n = self.row_blocks(m)                       # the run n[0] .. n[-1]
+            columns = np.ascontiguousarray(xt[:, n[0] - m:n[-1] + 1 - m])
+            y = np.zeros_like(columns)
+            csr_matvecs(d, d, len(n), *csr, columns, y)
+            out[:, n[0]:n[-1] + 1] += y
+        return out.T.ravel()
+
+    def max_row_sum(self, blocks: dict) -> float:
+        """K's largest absolute row sum, a bound on its spectral radius, from the blocks
+        `apply` reads: row (n, a) holds |B_0[a, a] + 2 pi n| and the other entries
+        of row a of each B_m whose column block n - m lies inside the truncation."""
+        d = self.fiber_dim
+        sums, diagonal = np.zeros((self.n_blocks, d)), np.zeros(d, dtype=np.complex128)
+        for m, (indptr, indices, data) in blocks.items():
+            rows = np.repeat(np.arange(d), np.diff(indptr))
+            off = indices != rows if m == 0 else np.ones(len(data), dtype=bool)
+            diagonal[rows[~off]] = data[~off]
+            sums[self.row_blocks(m)] += np.bincount(rows[off], np.abs(data[off]), d)
+        return float((sums + np.abs(diagonal + self.frequencies[:, None])).max())
 
     def free_resolvent(self, free: EigenDecomposition, zeta: complex) -> np.ndarray:
         """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d), from
@@ -165,22 +169,25 @@ class FloquetMatrix:
         return self.space.size
 
 
-def floquet_operator(h: PeriodicHamiltonian, n_modes: int) -> CSRMatrix:
-    """Sparse truncated mode-space Hamiltonian K; requires N >= mode support."""
+def k_blocks(h: PeriodicHamiltonian, n_modes: int) -> dict[int, np.ndarray]:
+    """K's (d, d) blocks at mode cutoff N, without the 2 pi n shifts: M0 = H0 + H_0 at
+    m = 0, then H_m for each other mode; requires N >= mode support."""
     if n_modes < h.max_mode:
         raise ValueError(
             f"mode cutoff N={n_modes} below the interaction support M={h.max_mode}; "
             "this would silently truncate the interaction"
         )
-    return ModeSpace(n_modes, h.dim).assemble(
-        h.h0 + h.mode(0), {m: hm for m, hm in h.modes.items() if m != 0})
+    return {0: h.h0 + h.mode(0), **{m: hm for m, hm in h.modes.items() if m != 0}}
 
 
 def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
-    """Dense truncated mode-space matrix, for the tasks that report whole spectra: K's
-    CSR arrays densified (CSRMatrix.toarray)."""
-    return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes,
-                         matrix=floquet_operator(h, n_modes).toarray())
+    """Dense truncated mode-space matrix, for the tasks that report whole spectra: the
+    block-Toeplitz matrix of k_blocks (ModeSpace.toeplitz), 2 pi n added on the
+    diagonal."""
+    space = ModeSpace(n_modes, h.dim)
+    matrix = space.toeplitz(k_blocks(h, n_modes))
+    matrix.flat[::space.size + 1] += np.repeat(space.frequencies, h.dim)
+    return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes, matrix=matrix)
 
 
 def shift_commutation_defect(k: FloquetMatrix) -> float:

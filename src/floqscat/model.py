@@ -217,7 +217,7 @@ class LatticeModel(PeriodicHamiltonian):
 
     Every structural question is answered from the diagonals in O(L):
     `support`, `ring_spectrum`, `mirror`, `segment`.  `h0` and `modes` are the
-    dense arrays of the generic routes (MagnusStepper, floquet_operator,
+    dense arrays of the generic routes (MagnusStepper, floquet.k_blocks,
     ScanOperators, free_eig, potential), formed on first read and kept."""
 
     def __init__(self, hopping: float, potential_support, well, drive, label="", closed=True):

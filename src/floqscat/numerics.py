@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, and the one sparse matrix type, used by every other module.
+"""Dense complex linear algebra, and the sparse products, used by every other module.
 
 Matrices are plain complex128 numpy arrays in row-major layout.  The
 routines here add the structure checks (Hermitian, unitary) and diagnostics
@@ -25,10 +25,11 @@ mirror-symmetric ring does, is diagonalized on R's even and odd sectors
 Every decomposition here runs in numpy.linalg.  scipy.linalg, a second LAPACK,
 is imported only inside `solve`, for its LU with a condition estimate.
 
-Sparse matrices are canonical CSR arrays (`CSRMatrix`, built by `csr_structure`
-from sorted row-major keys) whose products run through scipy's compiled CSR
-kernels, loaded here alone (`_csr_kernels`) and not through the scipy.sparse
-package.
+A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
+pattern from sorted row-major keys (`csr_structure`), or a dense block's
+nonzeros (`csr_arrays`).  Its products run through scipy's compiled CSR
+multivector kernel (`csr_matvecs`), loaded here alone (`_csr_kernels`) and not
+through the scipy.sparse package.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def _csr_kernels():
     return module
 
 
-_KERNELS = _csr_kernels()
-# Y += A X for a CSR A and C-ordered blocks X, Y of n_vecs columns:
+# Y += A X for a CSR A and C-ordered blocks X, Y of n_vecs columns, read unchecked:
 # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y)
-csr_matvecs = _KERNELS.csr_matvecs
+csr_matvecs = _csr_kernels().csr_matvecs
 
 
 def distinct(a: np.ndarray) -> np.ndarray:
@@ -97,51 +97,11 @@ def csr_structure(keys: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray,
     return np.searchsorted(row, np.arange(n_rows + 1)).astype(index), col.astype(index)
 
 
-@dataclass(frozen=True)
-class CSRMatrix:
-    """A complex matrix in canonical CSR arrays: each row's column `indices` ascending,
-    none repeated, no stored zero.  `@` and `toarray` give the bits of scipy.sparse's
-    csr_array on the same arrays, through the same kernels."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-    @classmethod
-    def from_entries(cls, keys: np.ndarray, values: np.ndarray,
-                     shape: tuple[int, int]) -> CSRMatrix:
-        """The sum of the entries at row-major keys row * n_cols + col, as scipy's COO ->
-        CSR conversion forms it: the keys sorted, the values of a repeated key summed in
-        order, and sums that are exactly zero dropped."""
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))     # the first entry of each key
-        keys, values = keys[first], np.add.reduceat(values, first)
-        keep = values != 0
-        indptr, indices = csr_structure(keys[keep], shape)
-        return cls(values[keep], indices, indptr, shape)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector (csr_matvec) or a block of columns (csr_matvecs), summed into
-        zeros as scipy's product sums.  The kernels read x unchecked, so its shape is
-        checked here."""
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
-        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=np.complex128)
-        if x.ndim == 1:
-            _KERNELS.csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, out)
-        else:
-            csr_matvecs(*self.shape, x.shape[1], self.indptr, self.indices, self.data, x, out)
-        return out
-
-    def toarray(self) -> np.ndarray:
-        """Dense, each entry 0 + its value as scipy's csr_todense adds it (an imaginary
-        part -0.0 reads +0.0)."""
-        out = np.zeros(self.shape, dtype=np.complex128)
-        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] += self.data
-        return out
+def csr_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the nonzero entries of the dense matrix a, row-major:
+    the CSR arrays csr_matvecs reads."""
+    keys = np.flatnonzero(a)
+    return (*csr_structure(keys, a.shape), a.ravel()[keys])
 
 
 class SingularMatrixError(RuntimeError):

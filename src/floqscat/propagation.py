@@ -539,9 +539,10 @@ def _stepped_period(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule,
 
 def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
                     sched: PropagatorSchedule | None = None) -> np.ndarray:
-    """The one-period operator U(s + 1, s) = U0(1) + P E_w P^T from `window_block`."""
+    """The one-period operator U(s + 1, s) = U0(1) + P E_w P^T from `window_block`,
+    formed at s mod 1 as `monodromy` forms it."""
     sched = sched or PropagatorSchedule()
-    return _with_block(h.free_period, *window_block(h, s, sched)[:2])
+    return _with_block(h.free_period, *window_block(h, s % 1.0, sched)[:2])
 
 
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,

@@ -39,13 +39,16 @@ r x r matrix I_r + P^T (K0 - zeta)^{-1} P V_S per zeta, inverted once in
 numpy.linalg, with (K0 - zeta)^{-1} diagonal in H0's eigenbasis (a
 Birman-Schwinger problem of the support's size; Simon, Trace Ideals and Their
 Applications, ch. 7).  ScanOperators prepares the support block, H0's
-eigendecomposition (the model's) and the sparse K once per model and cutoff,
-and runs the one inverse iteration on them (null_pair).  Both bound-state
-detectors take their Rayleigh steps from it (ScanOperators.rayleigh): the
-quotient of psi = (K0 - zeta)^{-1} phi, phi the null direction at
-zeta = lambda + i RAYLEIGH_EPS, refines a candidate here to K's eigenvalue,
-and certifies a partner in scattering's bound-state cross-check.  The
-residual ||(K - lambda) psi|| / ||psi|| measures that psi on the assembled K.
+eigendecomposition (the model's) and K's own sparse (d, d) blocks once per
+model and cutoff, and runs the one inverse iteration on them (null_pair).
+Both bound-state detectors take their Rayleigh steps from it
+(ScanOperators.rayleigh): the quotient of psi = (K0 - zeta)^{-1} phi, phi the
+null direction at zeta = lambda + i RAYLEIGH_EPS, refines a candidate here to
+K's eigenvalue, and certifies a partner in scattering's bound-state
+cross-check.  The
+residual ||(K - lambda) psi|| / ||psi|| measures that psi with K applied block
+by block from the model's blocks (ModeSpace.apply), which the support factor
+does not read: it checks the factor rather than restating it.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import ModeSpace, circular_distance, floquet_operator, start_vector
+from .floquet import ModeSpace, circular_distance, k_blocks, start_vector
 from .model import PeriodicHamiltonian
-from .numerics import SingularMatrixError, require_hermitian, solve
+from .numerics import SingularMatrixError, csr_arrays, require_hermitian, solve
 
 SGN_FLOOR = 1e-13
 # inverse iteration for the smallest singular pair of I + Q stops when s moves by
@@ -284,8 +287,10 @@ class ScanOperators:
     """(K - zeta)^{-1} of one model at mode cutoff N, prepared once for all its
     shifts: the one inverse iteration (null_pair) and the Rayleigh step taken
     from it (rayleigh), which both bound-state detectors run, the null scan's
-    verdict and the cross-check's certified partners.  It holds the sparse
-    K = K0 + V (for Rayleigh quotients and residuals), H0's
+    verdict and the cross-check's certified partners.  It holds K's (d, d)
+    blocks (floquet.k_blocks) as CSR arrays (`blocks`, for Rayleigh quotients
+    and residuals through ModeSpace.apply) and K's largest absolute row sum
+    (`row_sum`, the cross-check's bound on K's spectrum), H0's
     eigendecomposition (eps, U), the model's `free_eig` (`free`), and the
     potential's block V_S on its support.
 
@@ -314,8 +319,9 @@ class ScanOperators:
     """
 
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
-        self.k = floquet_operator(h, n_modes)
+        self.blocks = {m: csr_arrays(b) for m, b in k_blocks(h, n_modes).items()}
         self.space = ModeSpace(n_modes, h.dim)
+        self.row_sum = self.space.max_row_sum(self.blocks)
         self.free = h.free_eig
         self.u_s = self.free.vectors[h.support]
         support = np.ix_(h.support, h.support)
@@ -393,10 +399,10 @@ class ScanOperators:
 
     def rayleigh(self, lam: float):
         """(psi, K psi, psi^H K psi / psi^H psi): one Rayleigh step at the shift lam,
-        from null_pair's psi at zeta = lam + i RAYLEIGH_EPS, the quotient taken on
-        the assembled K.  Raises as null_pair does."""
+        from null_pair's psi at zeta = lam + i RAYLEIGH_EPS, K psi taken block by
+        block from K's blocks (ModeSpace.apply).  Raises as null_pair does."""
         psi = self.null_pair(lam + 1j * RAYLEIGH_EPS)[2]
-        k_psi = self.k @ psi
+        k_psi = self.space.apply(self.blocks, psi)
         return psi, k_psi, float((np.vdot(psi, k_psi) / np.vdot(psi, psi)).real)
 
 
@@ -413,7 +419,7 @@ def bound_state_correspondence(scan: ScanOperators, lam_candidate: float) -> Bou
     after RAYLEIGH_MAXITER steps, or when the quotient leaves the
     SEARCH_WINDOW around the candidate (refined then stays at the last value
     inside).  The residual ||(K - refined) psi|| / ||psi|| of the truncated
-    eigenvalue equation is measured on the last psi with the assembled K, and
+    eigenvalue equation is measured on the last psi and its K psi, and
     the smallest singular values at refined + i eps over EPS_LADDER are
     extrapolated linearly in eps to the axis (never evaluating exactly on it).
     """

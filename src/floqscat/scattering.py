@@ -486,8 +486,8 @@ def _certified_partner(scan: ScanOperators, phase: float, sigma: float,
     sideband or an edge vector.
 
     The step is scan.rayleigh(sigma): psi from the null scan of I + Q at
-    zeta = sigma + i RAYLEIGH_EPS, its quotient lambda and K psi on the
-    assembled scan.k.  Off the axis K0 - zeta is never singular, where a real
+    zeta = sigma + i RAYLEIGH_EPS, its quotient lambda and K psi from K's
+    blocks.  Off the axis K0 - zeta is never singular, where a real
     sigma on a free level eps + 2 pi n would divide by zero in G0.  A
     Hermitian K has an eigenvalue within r = ||(K - lambda) psi|| / ||psi|| of
     lambda (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so
@@ -511,7 +511,7 @@ def _certified_partner(scan: ScanOperators, phase: float, sigma: float,
 def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
                         tol: float) -> float | None:
     """Circular distance from `phase` to a certified interior in-gap eigenvalue of
-    the sparse mode-space matrix K = scan.k within tol, or None.
+    the truncated mode-space matrix K of scan within tol, or None.
 
     The translates sigma = phase + 2 pi j inside K's spectral bound are taken
     nearest the centre of the fiber spectrum first.  At each in turn, a Rayleigh
@@ -519,13 +519,10 @@ def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
     (_certified_partner), and the first found gives its
     distance: the driven rings' partners sit at the first translate, an
     undriven well's may sit at a later one, whose block of K is interior.
-    The bound on K's spectral radius is its largest absolute row sum (np.add.reduceat
-    over the nonempty rows).
+    The bound on K's spectral radius is its largest absolute row sum, scan.row_sum.
     """
-    k = scan.k
     centre = float((model.h0.diagonal() + model.mode(0).diagonal()).sum().real) / model.sites
-    nonempty = np.flatnonzero(np.diff(k.indptr))
-    bound = float(np.add.reduceat(np.abs(k.data), k.indptr[nonempty]).max(initial=0.0)) + tol
+    bound = scan.row_sum + tol
     sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
                                            np.floor((bound - phase) / (2 * np.pi)) + 1)
     for sigma in sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]:
@@ -553,7 +550,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     nothing.  Each phase is cross-checked against an interior in-gap eigenvalue
     of the truncated mode-space matrix K, certified near it by a Rayleigh step
     from the null scan (_mode_space_partner); one ScanOperators at n_modes
-    holds K and solves every K - zeta on the potential's support.  The
+    holds K's blocks and solves every K - zeta on the potential's support.  The
     cross-check takes mono's segment, then the model unless the segment is the
     model, and builds each one's ScanOperators only while phases are left
     uncertified.  The first phase with no certified partner on the model

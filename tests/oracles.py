@@ -19,7 +19,8 @@ nor keeps.
     spatial_mass(spec)          per-eigenvector fiber-site occupation of a spectrum
     k0_grid_matrix(h0, n_t)     -i d/dt + H0 on the periodic grid
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
-    scipy_csr(k)                the arrays of a numerics.CSRMatrix as a scipy.sparse csr_array
+    kronecker_sum_k(N, h0, modes)  I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m, by scipy
+    kronecker_k(h, n_modes)     (K, K0) of a model as those Kronecker sums
     dense_lattice(sites, ...)   build_lattice's h0 and modes as dense arrays formed at once
     dense_support(h0, modes)    the sites where some mode has a nonzero row or column
     dense_mirror(h0, modes, arc)  the reflection about the arc, where every array equals its copy
@@ -200,12 +201,30 @@ def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:
     return worst
 
 
-def scipy_csr(k):
-    """A numerics.CSRMatrix's own data, indices and indptr wrapped as a scipy.sparse
-    csr_array, for the tests that read K with scipy (sums, splu, ARPACK)."""
+def kronecker_sum_k(n_modes, h0, modes):
+    """I (x) h0 + diag(2 pi n) (x) I + sum_m (S^m (x) I)(I (x) H_m) on the modes
+    n = -N..N, (S x)_n = x_{n-1}, as sparse Kronecker sums, each built by
+    scipy.sparse; csr."""
     import scipy.sparse as sp
 
-    return sp.csr_array((k.data, k.indices, k.indptr), shape=k.shape)
+    nb, d = 2 * n_modes + 1, h0.shape[0]
+    free = (sp.kron(sp.eye_array(nb), h0, format="csr")
+            + sp.kron(sp.diags_array(2 * np.pi * np.arange(-n_modes, n_modes + 1)),
+                      sp.eye_array(d)))
+    for m, hm in modes.items():
+        if abs(m) >= nb:   # S^m = 0: no block (n, n - m) inside the truncation
+            continue
+        shift = sp.kron(sp.eye_array(nb, k=-m), sp.eye_array(d), format="csr")
+        free = free + shift @ sp.kron(sp.eye_array(nb), hm, format="csr")
+    return free.tocsr()
+
+
+def kronecker_k(h, n_modes):
+    """(K, K0) of the model h at mode cutoff N (kronecker_sum_k), from its h0 and modes
+    alone: K with the blocks H0 + H_0 and H_m (m != 0), K0 with H0 alone."""
+    couplings = {m: hm for m, hm in h.modes.items() if m != 0}
+    return (kronecker_sum_k(n_modes, h.h0 + h.mode(0), couplings),
+            kronecker_sum_k(n_modes, h.h0, {}))
 
 
 def dense_lattice(sites: int, hopping: float, well_depth: float, drive_amp: float,

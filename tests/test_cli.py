@@ -895,10 +895,9 @@ class TestRingFreeMotion:
 
 class TestBoundStateScenario:
     def test_scan_operators_built_once_per_scenario(self, monkeypatch):
-        built = []
-        floquet_operator = resolvent.floquet_operator
-        monkeypatch.setattr(resolvent, "floquet_operator",
-                            lambda *args: built.append(args) or floquet_operator(*args))
+        built, scan_init = [], resolvent.ScanOperators.__init__
+        monkeypatch.setattr(resolvent.ScanOperators, "__init__",
+                            lambda self, h, n: built.append((h, n)) or scan_init(self, h, n))
         cfg = {"task": "bound-states",
                "model": {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.7,
                                      "drive_amp": 0.45, "support_width": 3}},
@@ -906,7 +905,8 @@ class TestBoundStateScenario:
         results = run_scenario(cfg)["results"]
         assert results["n_bound"] == 2
         assert all(v["confirmed"] for v in results["verdicts"])
-        # one K per cutoff: the scan's cross-check at n_modes, the verdicts at scan_modes
+        # one ScanOperators per cutoff: the scan's cross-check at n_modes, the verdicts
+        # at scan_modes
         assert [n for _, n in built] == [8, 4]
 
     def test_no_scan_operators_without_a_bound_state(self, monkeypatch):

@@ -160,7 +160,8 @@ CONTRACT = [
     # 10**23 steps for an array numpy cannot allocate
     ("bound-states", lattice(sites=64, support_width=5), {"n_modes": 2000}, 2,
      "'parameters.n_modes'"),
-    # without a potential |S| = 0, and the sparse K's (2 N + 1) L rows bound the cutoff
+    # without a potential |S| = 0, and the mode-space vectors' (2 N + 1) L rows bound
+    # the cutoff
     ("bound-states", {"lattice": {"sites": 16}}, {"steps_per_period": 16, "scan_modes": 10**6},
      2, "'parameters.scan_modes'"),
     ("wave-operators", lattice(sites=256, well_depth=-0.8), {"translates": 100000}, 2,
@@ -190,6 +191,30 @@ def test_contract_case(task, model, params, code, text):
     assert got == code, err.getvalue()
     # a failure's message, or a success's written report path
     assert text in err.getvalue() + out.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("sweep, fmt, code", [(False, "csv", 2), (True, "json", 2),
+                                              (False, "json", 0), (True, "csv", 0),
+                                              (False, None, 0), (True, None, 0)])
+def test_output_format_is_the_output_kind(tmp_path, sweep, fmt, code):
+    # a scenario writes a JSON report and a sweep a CSV table: a format naming the
+    # other kind once exited 0 and wrote the one kind under the other's name
+    output = {"path": "out.txt"} if fmt is None else {"path": "out.txt", "format": fmt}
+    cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+           "parameters": {"steps_per_period": 16, "order": 2}, "output": output}
+    if sweep:
+        cfg["sweep"] = {"parameter": "steps_per_period", "values": [16, 32]}
+    (tmp_path / "case.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        got = main(["--config", str(tmp_path / "case.json"), "--out", str(tmp_path)])
+    assert got == code, err.getvalue()
+    if code:
+        assert "'config.output.format'" in err.getvalue() and "Traceback" not in err.getvalue()
+        assert not (tmp_path / "out.txt").exists()
+    else:
+        text = (tmp_path / "out.txt").read_text()
+        assert text.startswith("parameter,value,") if sweep else json.loads(text)["results"]
 
 
 def test_decoupled_well_sites_are_one_bound_state(tmp_path):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from floqscat.floquet import (
@@ -12,12 +11,12 @@ from floqscat.floquet import (
     shift_commutation_defect,
     shift_group_defect,
 )
-from floqscat.model import PeriodicHamiltonian, rabi_quasi_energies
+from floqscat.model import PeriodicHamiltonian, build_lattice, rabi_quasi_energies
 from floqscat.numerics import hermitian_defect
 from floqscat.propagation import PropagatorSchedule, monodromy
 
 from conftest import random_hermitian
-from oracles import block, scipy_csr
+from oracles import block, kronecker_k
 
 
 class TestBuildFloquet:
@@ -78,14 +77,12 @@ class TestShiftCommutation:
         # the defects of K S - S K - 2 pi S and exp(i J sigma) S exp(-i J sigma) -
         # exp(2 pi i sigma) S with S = S (x) I_d dense, on the rows n > -N and columns
         # m < N where the truncated shift is defined (all of them at N = 0), bit for bit
-        from floqscat.floquet import FloquetMatrix, ModeSpace
-        from floqscat.model import build_lattice
+        from floqscat.floquet import FloquetMatrix
 
         ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         for h in [ring, *fleet_models]:
             d = h.dim
-            modes = {m: hm for m, hm in h.modes.items() if m != 0}
-            matrix = ModeSpace(n_modes, d).assemble(h.h0 + h.mode(0), modes).toarray()
+            matrix = kronecker_k(h, n_modes)[0].toarray()
             k = FloquetMatrix(fiber_dim=d, n_modes=n_modes, matrix=matrix)
             s = np.kron(np.eye(2 * n_modes + 1, k=-1), np.eye(d))
             interior = (slice(d, None), slice(None, -d)) if n_modes > 0 else np.s_[:, :]
@@ -232,68 +229,64 @@ class TestModeSpace:
         assert np.array_equal(space.toeplitz(stacks), want)
 
 
-def kronecker_sum_k(space, h0, modes):
-    """I (x) h0 + diag(2 pi n) (x) I + sum_m (S^m (x) I)(I (x) H_m) as sparse Kronecker
-    sums, each built by scipy.sparse."""
-    nb, d = space.n_blocks, space.fiber_dim
-    free = (sp.kron(sp.eye_array(nb), h0, format="csr")
-            + sp.kron(sp.diags_array(space.frequencies), sp.eye_array(d)))
-    for m, hm in modes.items():
-        shift = sp.kron(sp.eye_array(nb, k=-m), sp.eye_array(d), format="csr")
-        free = free + shift @ sp.kron(sp.eye_array(nb), hm, format="csr")
-    return free
+class TestBlockProduct:
+    """K read from its (d, d) blocks (floquet.k_blocks) against the scipy.sparse
+    Kronecker sums of the model's h0 and modes (oracles.kronecker_k): the product
+    ModeSpace.apply and the row-sum bound that ScanOperators hold, and the dense
+    K of build_floquet."""
 
+    @pytest.fixture(scope="class")
+    def models(self, fleet_models):
+        return [build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)), *fleet_models]
 
-class TestIndexAssembly:
-    @pytest.mark.parametrize("n_modes", [4, 10])
-    def test_equal_to_the_kronecker_sums(self, fleet_models, n_modes):
-        # data, indices and indptr, each in canonical (sorted) order: the
-        # Kronecker sums of a dense complex block leave the indices unsorted.
-        # The data are always complex; the sums are real where every block is
-        # zero (K0 of the Rabi model)
-        from floqscat.floquet import ModeSpace, floquet_operator
-        from floqscat.model import build_lattice
+    @pytest.mark.parametrize("n_modes", [2, 4, 10])
+    def test_product_is_the_kronecker_product(self, models, n_modes):
+        from floqscat.resolvent import ScanOperators
 
-        ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
-        for h in [ring, *fleet_models]:
-            space = ModeSpace(n_modes, h.dim)
-            couplings = {m: hm for m, hm in h.modes.items() if m != 0}
-            for got, want in ((scipy_csr(floquet_operator(h, n_modes)),
-                               kronecker_sum_k(space, h.h0 + h.mode(0), couplings)),
-                              (scipy_csr(space.assemble(h.h0)), kronecker_sum_k(space, h.h0, {}))):
-                want.sort_indices()
-                assert got.has_canonical_format
-                for part in ("data", "indices", "indptr"):
-                    a, b = getattr(got, part), getattr(want, part)
-                    assert np.array_equal(a, b), part
-                assert got.indices.dtype == want.indices.dtype == got.indptr.dtype
-                assert got.dtype == np.complex128
+        rng = np.random.default_rng(41)
+        for h in models:
+            k = kronecker_k(h, n_modes)[0]
+            scan = ScanOperators(h, n_modes)
+            x = rng.normal(size=k.shape[1]) + 1j * rng.normal(size=k.shape[1])
+            got = scan.space.apply(scan.blocks, x)
+            want = k @ x
+            # round-off of a sum over each row's entries
+            scale = float((abs(k) @ np.abs(x)).max())
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
 
-    def test_entries_that_cancel_are_dropped(self):
-        # h0_ii = -2 pi n on the n-th diagonal block sums to an exact zero
-        from floqscat.floquet import ModeSpace
+    def test_product_allocates_vectors_only(self):
+        # sparse from the blocks' nonzeros: one dense d x d block of a 1024-site ring
+        # would be 16 MiB, the product's vectors are 0.27 MiB each
+        import tracemalloc
 
-        space = ModeSpace(1, 2)
-        h0 = np.diag([2 * np.pi, 1.0]).astype(np.complex128)
-        k0 = scipy_csr(space.assemble(h0))
-        assert (k0.data != 0).all()
-        assert np.array_equal(k0.toarray(), kronecker_sum_k(space, h0, {}).toarray())
-        assert k0.nnz == 5
+        from floqscat.floquet import ModeSpace, k_blocks
+        from floqscat.numerics import csr_arrays
 
-    @pytest.mark.parametrize("n_modes", [2, 4])
-    def test_products_and_dense_are_scipy_bits(self, fleet_models, n_modes):
-        # K x for a vector and for a block of columns, and K densified, carry the
-        # bits scipy.sparse gives on the same arrays, signed zeros included
-        from floqscat.floquet import floquet_operator
-        from floqscat.model import build_lattice
+        ring = build_lattice(1024, 1.0, -0.8, 0.5, range(510, 515))
+        blocks = {m: csr_arrays(b) for m, b in k_blocks(ring, 8).items()}
+        space = ModeSpace(8, ring.dim)
+        x = np.ones(space.size, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            space.apply(blocks, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes, peak
 
-        rng = np.random.default_rng(5)
-        for h in [build_lattice(40, 1.0, -1.8, 0.5, range(18, 22)), *fleet_models]:
-            k = floquet_operator(h, n_modes)
-            want = scipy_csr(k)
-            x = rng.normal(size=(k.shape[1], 3)) + 1j * rng.normal(size=(k.shape[1], 3))
-            assert (k @ x).tobytes() == (want @ x).tobytes()
-            assert (k @ x[:, 0]).tobytes() == (want @ x[:, 0]).tobytes()
-            assert k.toarray().tobytes() == want.toarray().tobytes()
-        with pytest.raises(ValueError, match="cannot multiply"):
-            k @ x[1:]
+    @pytest.mark.parametrize("n_modes", [2, 3, 4, 8, 10, 16])
+    def test_row_sum_is_the_largest_absolute_row_sum(self, models, n_modes):
+        from floqscat.resolvent import ScanOperators
+
+        for h in models:
+            want = float(abs(kronecker_k(h, n_modes)[0]).sum(axis=1).max())
+            got = ScanOperators(h, n_modes).row_sum
+            assert abs(got - want) <= 2 * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("n_modes", [2, 4, 10])
+    def test_dense_k_is_the_kronecker_sum(self, models, n_modes):
+        # bit for bit, signed zeros included: scipy's densified sums read +0.0
+        for h in [*models, PeriodicHamiltonian(h0=np.diag([2 * np.pi, 1.0]))]:
+            k = build_floquet(h, n_modes)
+            assert k.matrix.tobytes() == kronecker_k(h, n_modes)[0].toarray().tobytes()

@@ -80,6 +80,18 @@ class TestMonodromy:
         want = np.linalg.matrix_power(theta, abs(n)) @ x
         assert np.abs(mono.apply(n, x) - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("start, reduced", [(1e17, 0.0), (3.25, 0.25)])
+    def test_period_operator_reduces_its_start(self, rabi, start, reduced):
+        # Theta(s) has period 1 in s: formed at s mod 1, as monodromy forms it.
+        # Stepped from 1e17 itself, s + 1/2 == s and Theta would come out as I
+        from floqscat.propagation import period_operator
+
+        sched = PropagatorSchedule(64, 4)
+        theta = period_operator(rabi, start, sched)
+        assert np.array_equal(theta, period_operator(rabi, reduced, sched))
+        assert np.array_equal(theta, monodromy(rabi, start, sched).operator)
+        assert not np.array_equal(theta, np.eye(2))
+
 
 class TestStructuralIdentities:
     def test_cocycle_r_equals_s(self, rabi, fast_sched):

@@ -4,8 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 import floqscat.resolvent as resolvent
-from floqscat.floquet import (ModeSpace, build_floquet, circular_distance, floquet_operator,
-                              start_vector)
+from floqscat.floquet import ModeSpace, build_floquet, circular_distance, start_vector
 from floqscat.model import PeriodicHamiltonian, build_lattice
 from floqscat.numerics import SingularMatrixError, max_norm, op_norm
 from floqscat.propagation import PropagatorSchedule
@@ -26,7 +25,7 @@ from floqscat.resolvent import (
 )
 
 from conftest import random_hermitian
-from oracles import k0_grid_matrix, match_eigenvalues, scipy_csr
+from oracles import k0_grid_matrix, kronecker_k, match_eigenvalues
 
 RING_SLOT = (40, 1.0, -1.7, 0.45, range(19, 22))   # TestRayleighRefinement's ring-bound slot
 
@@ -365,8 +364,7 @@ def sparse_lu_null_pair(h, n_modes, zeta):
     """The reference null scan: inverse iteration with one sparse LU of K - zeta I on
     the whole mode space and products with K0 - zeta I, as
     I + Q(zeta) = (K - zeta)(K0 - zeta)^{-1}; returns (s, phi, psi) as null_pair."""
-    k, k0 = (scipy_csr(floquet_operator(h, n_modes)),
-             scipy_csr(ModeSpace(n_modes, h.dim).assemble(h.h0)))
+    k, k0 = kronecker_k(h, n_modes)
     eye = sp.eye_array(k.shape[0], format="csc")
     lu = splu(sp.csc_array(k - zeta * eye))
     free = sp.csr_array(k0 - zeta * eye)
@@ -406,7 +404,7 @@ class TestSupportNullScan:
     @pytest.mark.parametrize("name", ["rabi", "fleet-d3", "ring"])
     def test_matches_sparse_lu(self, models, name, eps):
         h = models[name]
-        levels = np.linalg.eigvalsh(floquet_operator(h, 4).toarray())
+        levels = np.linalg.eigvalsh(kronecker_k(h, 4)[0].toarray())
         lam = levels[np.argmin(np.abs(levels - np.linalg.eigvalsh(h.h0 + h.mode(0))[0]))]
         s, phi, psi = ScanOperators(h, 4).null_pair(lam + 1j * eps)
         s_ref, phi_ref, psi_ref = sparse_lu_null_pair(h, 4, lam + 1j * eps)
@@ -430,7 +428,7 @@ class TestSupportNullScan:
         free = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))
         s, phi, psi = ScanOperators(free, 4).null_pair(zeta)
         assert factors == []
-        k0 = ModeSpace(4, 2).assemble(free.h0).toarray() - zeta * np.eye(18)
+        k0 = kronecker_k(free, 4)[1].toarray() - zeta * np.eye(18)
         assert abs(s - 1.0) <= 1e-15
         assert np.linalg.norm(k0 @ psi - phi) <= 1e-14
 
@@ -471,7 +469,7 @@ class TestSmallestSingularPair:
         h = driven_well_64
         space = ModeSpace(self.N, h.dim)
         zeta = bound_phase + 1j * eps
-        k, k0 = floquet_operator(h, self.N), space.assemble(h.h0)
+        k, k0 = kronecker_k(h, self.N)
         s, phi = ScanOperators(h, self.N).null_pair(zeta)[:2]
         m = np.eye(space.size) + block_q(h, zeta, self.N)
         _, sv, vh = np.linalg.svd(m)
@@ -523,7 +521,7 @@ class TestRayleighRefinement:
 
     @staticmethod
     def _check_at_eigenvalue(h, n_modes, candidates):
-        k = scipy_csr(floquet_operator(h, n_modes)).tocsc()
+        k = kronecker_k(h, n_modes)[0].tocsc()
         scan = ScanOperators(h, n_modes)
         for lam in candidates:
             verdict = bound_state_correspondence(scan, lam)
@@ -568,6 +566,30 @@ class TestRayleighRefinement:
             assert abs(got_s - s) <= (1e-13 * s if eps == 1e-2 else 4e-15)
             assert phase_distance(got_phi, phi) <= 1e-12
             assert phase_distance(got_psi, psi) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-5])
+    def test_residual_reads_the_model_not_the_support_block(self, scale):
+        # a support block V_S off by `scale` relative: null_pair's psi then solves a K
+        # that is not the model's, and the residual, K psi taken from the model's
+        # blocks, sees it.  At 1e-5 the null scan's own smallest singular value
+        # passes, and a residual formed from the scan's quantities (K psi = phi +
+        # zeta psi + P V_S psi_S) would confirm the perturbed K's eigenvalue
+        from floqscat.propagation import monodromy
+        from floqscat.scattering import bound_state_scan
+
+        lat = build_lattice(48, 1.0, -1.7, 0.45, range(22, 25))
+        infos = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(256, 4)),
+                                 n_modes=8)
+        assert len(infos) == 2
+        for b in infos:
+            scan = ScanOperators(lat, 4)
+            assert bound_state_correspondence(scan, b.quasi_energy).confirmed
+            scan.v_s = scan.v_s * (1 + scale)
+            verdict = bound_state_correspondence(scan, b.quasi_energy)
+            assert not verdict.confirmed
+            assert verdict.residual > resolvent.RESIDUAL_TOL
+            if scale == 1e-5:
+                assert abs(verdict.smin_extrapolated) <= resolvent.NULL_TOL
 
     def test_zero_potential_unconfirmed_inside_window(self):
         h = PeriodicHamiltonian(h0=np.diag([0.0, 1.0]))

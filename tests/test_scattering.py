@@ -36,7 +36,7 @@ from floqscat.scattering import (
 )
 
 from oracles import (free_propagator, image, loop_gaps, operator, orthonormality_defect,
-                     residual, ring_time_average, scipy_csr)
+                     kronecker_k, residual, ring_time_average)
 
 CHEAP = PropagatorSchedule(96, 2)
 
@@ -784,14 +784,22 @@ class TestCertifiedPartner:
         # the sparse LU of K - sigma does, at the same distance
         lat = build_lattice(sites, 1.0, depth, drive, support)
         mono = monodromy(lat, 0.0, PropagatorSchedule(steps, order))
-        certified, pairs = scattering._certified_partner, []
+        certified, partner = scattering._certified_partner, scattering._mode_space_partner
+        pairs, oracle = [], []
+
+        def with_oracle(model, scan, phase, tol):
+            # the Kronecker K of the model (the segment or the ring) scan was built for
+            if not oracle or oracle[0] is not model:
+                oracle[:] = [model, kronecker_k(model, n_modes)[0]]
+            return partner(model, scan, phase, tol)
 
         def both(scan, phase, sigma, tol):
             got = certified(scan, phase, sigma, tol)
-            pairs.append((got, sparse_lu_certified_partner(scipy_csr(scan.k), scan.space,
+            pairs.append((got, sparse_lu_certified_partner(oracle[1], scan.space,
                                                            scan.free.values, phase, sigma, tol)))
             return got
 
+        monkeypatch.setattr(scattering, "_mode_space_partner", with_oracle)
         monkeypatch.setattr(scattering, "_certified_partner", both)
         assert len(bound_state_scan(lat, mono, n_modes=n_modes)) == count
         assert pairs
