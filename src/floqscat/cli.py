@@ -50,7 +50,7 @@ from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondenc
 from .model import LatticeModel, build_lattice, rabi_model
 from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
 from .propagation import (MIN_STEPS, ORDERS, MagnusStepper, PropagatorSchedule, StepPlanError,
-                          monodromy, period_operator)
+                          monodromy)
 from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
                         ThresholdProximityError, block_q,
                         bound_state_correspondence, factorized_potential, grid_potential,
@@ -60,7 +60,7 @@ from .scattering import (
     ConvergenceError,
     DetectorDisagreementError,
     bound_state_scan,
-    bound_vectors,
+    in_gap,
     make_probes,
     orthogonality_defect,
     s_matrix,
@@ -364,11 +364,11 @@ def _jsonable(obj, path: str = "report"):
     return obj
 
 
-def _bound_state_scan(model, mono, n_modes, field):
+def _bound_state_scan(mono, n_modes, field):
     """bound_state_scan at the mode cutoff parameters.<field>; a cutoff that leaves
     no interior state to cross-check against (at most EDGE_BLOCKS) is invalid."""
     try:
-        return bound_state_scan(model, mono, n_modes=n_modes)
+        return bound_state_scan(mono, n_modes=n_modes)
     except DetectorDisagreementError as exc:
         if n_modes <= EDGE_BLOCKS:
             raise ValueRangeError(f"parameters.{field}", f"mode cutoff {n_modes} <= EDGE_BLOCKS="
@@ -385,15 +385,16 @@ def _bound_state_scan(model, mono, n_modes, field):
 def run_monodromy(model, params, rng):
     sched = _schedule(params)
     mono = monodromy(model, params["start"], sched)
-    theta = mono.operator    # formed once, when read
+    phases = np.sort(mono.quasi_energies)    # diagonalized before Theta is formed again
+    theta = mono.operator
     results = {
-        "quasi_energies": np.sort(mono.quasi_energies),
+        "quasi_energies": phases,
         "unitarity_defect": unitary_defect(theta),
         "unit_circle_defect": float(np.abs(np.abs(mono.eig.values) - 1.0).max()),
     }
     if params["self_convergence"]:
         finer = PropagatorSchedule(2 * sched.steps_per_period, sched.order)
-        theta2 = period_operator(model, mono.start, finer)
+        theta2 = monodromy(model, mono.start, finer).operator
         results["self_convergence_difference"] = max_norm(theta - theta2)
     return results
 
@@ -412,7 +413,7 @@ def run_floquet_spectrum(model, params, rng):
 def run_correspondence(model, params, rng):
     n_modes, mono = params["n_modes"], monodromy(model, params["start"], _schedule(params))
     try:
-        rep = correspondence_report(model, n_modes, mono)
+        rep = correspondence_report(mono, n_modes)
     except NoInteriorError as exc:
         raise ValueRangeError("parameters.n_modes", f"mode cutoff {n_modes} leaves no "
                               f"interior mode-space state (EDGE_BLOCKS={EDGE_BLOCKS})") from exc
@@ -457,15 +458,15 @@ def run_wave_operators(model, params, rng):
     n_max = params["n_max"]
     probes = make_probes(model, rng=rng)
     mono = monodromy(model, params["start"], _schedule(params))
-    wp = stroboscopic_wave_op(model, +1, n_max, mono, probes)
-    wm = stroboscopic_wave_op(model, -1, n_max, mono, probes)
+    wp = stroboscopic_wave_op(mono, +1, n_max, probes)
+    wm = stroboscopic_wave_op(mono, -1, n_max, probes)
     converged_fraction = float((wp.converged & wm.converged).mean())
     if converged_fraction < 0.9:
         raise ConvergenceError(f"only {converged_fraction:.0%} of probes converged before the "
                                "horizon", gaps=wp.cauchy_gaps)
-    scan = _bound_state_scan(model, mono, params["floquet_modes"], "floquet_modes")
+    scan = _bound_state_scan(mono, params["floquet_modes"], "floquet_modes")
     report = s_matrix(wp, wm, translates=params["translates"])
-    avg = time_averaged_wave_op(model, mono, +1, n_max, probes, params["average_window"])
+    avg = time_averaged_wave_op(mono, +1, n_max, probes, params["average_window"])
     use = wp.converged & wm.converged
     avg_agreement = float(np.linalg.norm((avg - wp.image())[:, use], axis=0).max())
     return {
@@ -478,13 +479,13 @@ def run_wave_operators(model, params, rng):
         "s_matrix": report.s_matrix,
         "channel_momenta": report.channels,
         "bound_states": [asdict(b) for b in scan],
-        "orthogonality_defect": orthogonality_defect(probes, bound_vectors(model, mono)),
+        "orthogonality_defect": orthogonality_defect(probes, in_gap(mono)[1]),
     }
 
 
 def run_bound_states(model, params, rng):
     mono = monodromy(model, params["start"], _schedule(params))
-    infos = _bound_state_scan(model, mono, params["n_modes"], "n_modes")
+    infos = _bound_state_scan(mono, params["n_modes"], "n_modes")
     results = {"bound_states": [asdict(b) for b in infos], "n_bound": len(infos)}
     if params["verify"]:
         # K and K0 once per scenario, where a bound state is left to verify

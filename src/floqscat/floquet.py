@@ -290,17 +290,16 @@ class CorrespondenceReport:
     mode_eigen_defect: float          # max || Theta phi(s) - e^{-i lambda} phi(s) ||
 
 
-def correspondence_report(h: PeriodicHamiltonian, n_modes: int,
-                          mono: Monodromy) -> CorrespondenceReport:
+def correspondence_report(mono: Monodromy, n_modes: int) -> CorrespondenceReport:
     """Check both halves of the spectral correspondence at mode cutoff N.
 
-    Interior folded quasi-energies must reproduce the eigenphases of the
-    monodromy Theta = U(s + 1, s) at s = mono.start as a multiset (each phase
+    Interior folded quasi-energies of mono.model must reproduce the eigenphases
+    of the monodromy Theta = U(s + 1, s) at s = mono.start as a multiset (each phase
     once per interior mode translate), and every interior eigenvector,
     resummed into a periodic mode phi(t), must satisfy the stroboscopic
     eigenvalue relation Theta phi(s) = e^{-i lambda} phi(s) at the same s.
     """
-    k = build_floquet(h, n_modes)
+    k = build_floquet(mono.model, n_modes)
     spec = quasi_spectrum(k)
     if spec.interior.sum() == 0:
         raise NoInteriorError("no interior quasi-energies: window too close to the "

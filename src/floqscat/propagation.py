@@ -23,7 +23,7 @@ is one call of scipy's compiled CSR multivector kernel `csr_matvecs`
 scipy.sparse's `omega @ x` reaches the same kernel only after per-call format
 checks and a zeroed result.  A
 propagator is therefore unitary to round-off, not by construction;
-`unitary_eig`'s `check_unitary` gates every monodromy.  After each step
+`unitary_eig`'s `check_unitary` gates every Monodromy.eig.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
 where there are none.  A stepper is built once per model, step width and
 order and kept in the model's `steppers` cache, so every propagate call on
@@ -68,17 +68,17 @@ most WINDOW_BORDER_TOL, checked on every build, or r doubles.  Where the light
 cone does not fit (a model that is no ring, a ring whose segment would
 exceed half its sites, a border that keeps failing), W is every site, E is
 Theta - Theta0 with Theta stepped on the model itself (`_stepped_period`), and
-the segment is the model.  A Monodromy keeps the window, E_w, the segment
-(with the steppers and free_eig it was stepped with, which scattering's time
-average and bound-state cross-check read) and a reference to the model's
-read-only U0(1), not Theta: `monodromy` drops Theta once it is diagonalized,
-and `Monodromy.operator` forms it again, with the same bits, each time it is
-read.  On the light cone that costs a copy of the model's U0(1) and a segment
-of ~4r sites, whatever the ring's size.  The wave operators act with Theta
-without reading it.  `period_operator` and `monodromy` each take
-window_block's one answer, and `monodromy` diagonalizes Theta on the even and
-odd sectors of the model's mirror (numerics.unitary_eig) where it has one:
-Theta commutes with R on every window.
+the segment is the model.  A Monodromy is its model's Theta: it keeps the
+model, the window, E_w and the segment (with the steppers and free_eig it was
+stepped with, which scattering's time average and bound-state cross-check
+read), not Theta itself.  `Monodromy.operator` forms Theta from the model's
+read-only U0(1) and E_w, with the same bits, each time it is read, so on the
+light cone a Monodromy adds to its model a segment of ~4r sites, whatever the
+ring's size.  `monodromy` takes window_block's one answer and diagonalizes
+nothing: `Monodromy.eig` diagonalizes Theta when first read, on the even and
+odd sectors of the model's mirror (numerics.unitary_eig) where it has one
+(Theta commutes with R on every window), and keeps the answer.  The wave
+operators act with Theta through that eigenbasis without reading Theta.
 
 A schedule whose step needs more than MAX_TAYLOR_APPLICATIONS Taylor
 applications of Omega is rejected when its stepper is planned
@@ -90,6 +90,7 @@ rejected, and no count wraps in a cast to int.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import lgamma, log
 
@@ -390,28 +391,34 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
 
 @dataclass
 class Monodromy:
-    """One-period propagator Theta = U(s + 1, s) with its eigendecomposition.
+    """One-period propagator Theta = U(s + 1, s) of `model`, diagonalized on read.
 
     Theta is kept as window_block returns it: the window, E_w (the block of
-    Theta - U0(1) on it, zero elsewhere), the model E_w was stepped on
+    Theta - U0(1) on it, zero elsewhere) and the model E_w was stepped on
     (`segment`: the light cone's open segment, or the model itself where the
-    window is every site, holding its steppers and free_eig) and the model's
-    read-only U0(1) (`free`); `operator` forms Theta from them each time it is
-    read."""
+    window is every site, holding its steppers and free_eig); `operator` forms
+    Theta from them and the model's U0(1) each time it is read, and `eig`
+    diagonalizes it once, when first read."""
 
     start: float
-    eig: EigenDecomposition
     scheme: PropagatorSchedule
     window: np.ndarray
     block: np.ndarray
     segment: PeriodicHamiltonian = field(repr=False)
-    free: np.ndarray = field(repr=False)
+    model: PeriodicHamiltonian = field(repr=False)
 
     @property
     def operator(self) -> np.ndarray:
         """Theta = U0(1) + P E_w P^T formed now (_with_block), with the bits of the
-        matrix that was diagonalized."""
-        return _with_block(self.free, self.window, self.block)
+        matrix `eig` diagonalizes."""
+        return _with_block(self.model.free_period, self.window, self.block)
+
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        """Theta's eigendecomposition (unitary_eig, on the sectors of the model's
+        `mirror` where it has one), formed when first read and kept."""
+        mirror = self.model.mirror() if isinstance(self.model, LatticeModel) else None
+        return unitary_eig(self.operator, mirror)
 
     @property
     def quasi_energies(self) -> np.ndarray:
@@ -537,33 +544,18 @@ def _stepped_period(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule,
     return flush(half.T @ half)
 
 
-def period_operator(h: PeriodicHamiltonian, s: float = 0.0,
-                    sched: PropagatorSchedule | None = None) -> np.ndarray:
-    """The one-period operator U(s + 1, s) = U0(1) + P E_w P^T from `window_block`,
-    formed at s mod 1 as `monodromy` forms it."""
-    sched = sched or PropagatorSchedule()
-    return _with_block(h.free_period, *window_block(h, s % 1.0, sched)[:2])
-
-
 def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
               sched: PropagatorSchedule | None = None) -> Monodromy:
-    """Theta = U(s + 1, s) as `period_operator` forms it, and its eigendecomposition
-    (unitary_eig, on the sectors of the model's `mirror` where it has one), with
-    the window, E_w and the segment of `window_block`; Theta is dropped once
-    diagonalized, and Monodromy.operator forms it when read.  window_block is
-    asked once, so the segments it stepped before settling on a window are not
-    stepped again.
+    """Theta = U(s + 1, s) of h as window_block's window, E_w and segment; nothing is
+    diagonalized until Monodromy.eig is read.  window_block is asked once, so the
+    segments it stepped before settling on a window are not stepped again.
 
     Theta is formed, and its start recorded, at s mod 1: the same operator,
     whose steps from a large s would lose their offsets to rounding (at
     s = 1e17, s + 1/2 == s and Theta would come out as I)."""
     sched = sched or PropagatorSchedule()
     s = s % 1.0
-    mirror = h.mirror() if isinstance(h, LatticeModel) else None
-    window, block, segment = window_block(h, s, sched)
-    eig = unitary_eig(_with_block(h.free_period, window, block), mirror)
-    return Monodromy(start=s, eig=eig, scheme=sched, window=window, block=block,
-                     segment=segment, free=h.free_period)
+    return Monodromy(s, sched, *window_block(h, s, sched), h)
 
 
 def check_cocycle(h: PeriodicHamiltonian, s: float, r: float, t: float,

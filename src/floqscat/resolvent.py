@@ -104,9 +104,16 @@ def _check_offaxis(lam: complex) -> complex:
 
 
 def _kernel(values: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
-    """kappa_a(o) for o = 0..N_t-1 and every H0 eigenvalue e_a, shape (N_t, d)."""
+    """kappa_a(o) for o = 0..N_t-1 and every H0 eigenvalue e_a, shape (N_t, d).
+
+    Raises SingularMatrixError where e^{w_a} - 1 rounds to 0: lambda on the free
+    spectrum to within round-off (at e_a - lambda = i 1e-16, e^{w_a} == 1)."""
     w = 1j * (values - lam)
-    pref = 1j / (np.exp(w) - 1.0)
+    denom = np.exp(w) - 1.0
+    if not denom.all():
+        raise SingularMatrixError(f"free resolvent singular at lambda = {lam}: e^(i(e_a - lambda))"
+                                  f" - 1 rounds to 0 at e_a = {values[denom == 0][0]:.17g}")
+    pref = 1j / denom
     kern = pref * np.exp(np.outer(np.arange(n_t) / n_t, w))
     kern[0] = pref * (1.0 + np.exp(w)) / 2.0
     return kern

@@ -12,19 +12,21 @@ reported here measures probe-subspace leakage, not loss of unitarity.
 Wave operators are strong limits, so only their action on vectors is
 computed: every reported number uses W on a block of at most 3p probe
 columns.  No power of Theta is formed: Theta^{+-n} acts as
-V e^{-+in lambda} V^H from the eigendecomposition the scenario's one
-Monodromy holds (Monodromy.apply), and every free factor Theta0^{-+n} = U0(-+n)
-acts through the model's free_apply, on the ring ifft(e^{+-in eps_k} fft(x)),
-so every phase is exact.  The Cauchy gaps come from the same eigenbasis:
-every Monodromy holds Theta = Theta0 + P E_w P^T (propagation.window_block),
-so the gap ||(Theta - Theta0) Theta^{n-1} phi|| is the norm of
+V e^{-+in lambda} V^H from the eigendecomposition of the scenario's one
+Monodromy (Monodromy.apply; the first reader of Monodromy.eig diagonalizes
+Theta, and every later one reuses it), and every free factor
+Theta0^{-+n} = U0(-+n) acts through the free_apply of the Monodromy's model,
+on the ring ifft(e^{+-in eps_k} fft(x)), so every phase is exact.  The
+Cauchy gaps come from the same eigenbasis: every Monodromy holds
+Theta = Theta0 + P E_w P^T (propagation.window_block), so the gap
+||(Theta - Theta0) Theta^{n-1} phi|| is the norm of
 E_w V_W e^{-i(n-1) lambda} V^H phi, V_W the eigenvectors' window rows, and
 E_w^H in its place time-reversed.  Only the gaps (n_max x p) are kept.  A
 wave-operators run on the light cone's window therefore holds these L x L
 arrays: U0(1) on the model and Theta's eigenvectors on the Monodromy (the
 ring's H0, modes and eigenvectors only where the bound-state cross-check
 falls back to the whole ring); U0(1) is read only to form Theta, and Theta
-itself only where a reader asks for it.
+itself only while it is diagonalized or where a reader asks for it.
 
 The time average applies its kernel to the probe block only, and the free
 factors act through free_apply, so neither the L x L kernel nor a dense U0(t)
@@ -39,9 +41,10 @@ wave-operators run on the light cone's window thus steps no L x L model:
 Theta's window and the time average both run on the segment of ~4r sites.
 
 Every function here that needs Theta or its eigenbasis takes the scenario's
-one Monodromy, built by the caller at its start time s; none builds it from
-a schedule, except start_time_covariance_defect, which builds the one at
-s + 1/2.
+one Monodromy, built by the caller at its start time s, and reads the model
+from it (Monodromy.model): a Monodromy is its model's Theta, so no model is
+passed beside it.  None builds a Monodromy from a schedule, except
+start_time_covariance_defect, which builds the one at s + 1/2.
 
 S = W+ W-^dagger is reported on Theta0's channels.  Floquet scattering is
 fibred over quasi-energy (Yajima, J. Math. Soc. Japan 29 (1977)), so S
@@ -65,11 +68,12 @@ position mismatch.
 
 Bound states are the Theta eigenvectors whose quasi-energy lies in the gap
 of the folded free band: every sideband eps - 2 pi n outside the hull of
-H0's levels (floquet.sidebands_closed), so no free channel is open there.  A
-band eigenphase is never called bound, and neither is a Floquet resonance
-that sits in the band, however localized on the ring (Yajima, Commun. Math.
-Phys. 87 (1982)); each state's localization is reported as a measured value
-only.  Each bound phase is cross-checked against the truncated mode-space
+H0's levels (floquet.sidebands_closed), so no free channel is open there;
+`in_gap` picks them, for the bound-state scan and the probes' orthogonality
+alike.  A band eigenphase is never called bound, and neither is a Floquet
+resonance that sits in the band, however localized on the ring (Yajima,
+Commun. Math. Phys. 87 (1982)); each state's localization is reported as a
+measured value only.  Each bound phase is cross-checked against the truncated mode-space
 matrix K: a partner there is certified by one Rayleigh step of
 resolvent.ScanOperators, taken from the null scan's own inverse iteration
 on the potential's support.  The cross-check first takes the K of the
@@ -207,8 +211,8 @@ class WaveOperatorIterates:
     n_max: int
     probe_set: ProbeSet
     converged: np.ndarray                    # per-probe bool
-    model: LatticeModel = field(repr=False)   # its H0 eigenbasis gives Theta0^{-+n}
-    mono: Monodromy = field(repr=False)       # its eigenbasis gives Theta^{+-n}
+    # its eigenbasis gives Theta^{+-n}, its model's free_apply Theta0^{-+n}
+    mono: Monodromy = field(repr=False)
 
     def image(self) -> np.ndarray:
         """W^(n_max) phi for the probes phi, (L, p)."""
@@ -217,12 +221,12 @@ class WaveOperatorIterates:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max) x for a block x of columns."""
         n = self.direction * self.n_max
-        return self.model.free_apply(-n, self.mono.apply(n, x))
+        return self.mono.model.free_apply(-n, self.mono.apply(n, x))
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """W^(n_max)^H x for a block x of columns."""
         n = self.direction * self.n_max
-        return self.mono.apply(-n, self.model.free_apply(n, x))
+        return self.mono.apply(-n, self.mono.model.free_apply(n, x))
 
 
 def _cauchy_gaps(direction: int, mono: Monodromy, x: np.ndarray, n_max: int) -> np.ndarray:
@@ -248,22 +252,22 @@ def _cauchy_gaps(direction: int, mono: Monodromy, x: np.ndarray, n_max: int) -> 
     return gaps
 
 
-def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: Monodromy,
+def stroboscopic_wave_op(mono: Monodromy, direction: int, n_max: int,
                          probes: ProbeSet | None = None) -> WaveOperatorIterates:
     """The stroboscopic limit on wave packets.
 
     direction +1 takes Theta0^dagger^n Theta^n, direction -1 the
     time-reversed pair Theta0^n Theta^dagger^n, with Theta from mono, the
-    monodromy at the start time the wave operator is taken at.  The gaps of
-    every iterate n = 1..n_max are kept (_cauchy_gaps); W^(n_max) acts through
-    mono's eigenbasis.  A probe has converged when its last GAP_RUN gaps are
+    monodromy of the ring mono.model at the start time the wave operator is
+    taken at.  The gaps of every iterate n = 1..n_max are kept (_cauchy_gaps);
+    W^(n_max) acts through mono's eigenbasis.  A probe has converged when its last GAP_RUN gaps are
     all below GAP_TOL (none has at n_max < GAP_RUN).  Raises ConvergenceError
     (carrying the gap trace) if no probe stabilizes before n_max.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    probes = probes or make_probes(model)
-    horizon = wrap_horizon(model)
+    probes = probes or make_probes(mono.model)
+    horizon = wrap_horizon(mono.model)
     if n_max > horizon:
         raise ValueError(f"n_max={n_max} beyond the wrap-around horizon {horizon}")
     gaps = _cauchy_gaps(direction, mono, probes.vectors, n_max)
@@ -280,15 +284,13 @@ def stroboscopic_wave_op(model: LatticeModel, direction: int, n_max: int, mono: 
         n_max=n_max,
         probe_set=probes,
         converged=converged,
-        model=model,
         mono=mono,
     )
 
 
-def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
-                 n_quad: int = 8) -> np.ndarray:
+def time_average(mono: Monodromy, x: np.ndarray, h: float, n_quad: int = 8) -> np.ndarray:
     """The trapezoid kernel h^{-1} int_0^h U0(t)^dagger U(s + t, s) dt times a block
-    x of columns, with s = mono.start and mono's schedule.
+    x of columns, with s = mono.start and mono's schedule and model.
 
     The kernel is I + h^{-1} int_0^h U0(-t) D(t) dt with D(t) = U(s + t, s) - U0(t),
     which for t <= 1 lives on W x W, W = mono.window (the light cone of
@@ -301,7 +303,7 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
     is the identity."""
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
-    s, sched = mono.start, mono.scheme
+    model, s, sched = mono.model, mono.start, mono.scheme
     nodes = np.linspace(0.0, h, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)
     weights[0] = weights[-1] = 0.5
@@ -321,8 +323,8 @@ def time_average(model: LatticeModel, mono: Monodromy, x: np.ndarray, h: float,
     return out
 
 
-def time_averaged_wave_op(model: LatticeModel, mono: Monodromy, direction: int, n_max: int,
-                          probes: ProbeSet, h: float, n_quad: int = 8) -> np.ndarray:
+def time_averaged_wave_op(mono: Monodromy, direction: int, n_max: int, probes: ProbeSet,
+                          h: float, n_quad: int = 8) -> np.ndarray:
     """Time-averaged wave operator at stroboscopic offset n_max, applied to probes.
 
     Evaluates h^{-1} int_0^h U0(t + n)^dagger U(s + t + n, s) dt from
@@ -336,7 +338,7 @@ def time_averaged_wave_op(model: LatticeModel, mono: Monodromy, direction: int, 
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     moved = mono.apply(direction * n_max, probes.vectors)
-    return model.free_apply(-direction * n_max, time_average(model, mono, moved, h, n_quad))
+    return mono.model.free_apply(-direction * n_max, time_average(mono, moved, h, n_quad))
 
 
 @dataclass
@@ -452,7 +454,7 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
             wplus.probe_set.vectors, wminus.probe_set.vectors
         ):
             raise ValueError("wave operators were computed on different probe sets")
-    probes, model = wplus.probe_set, wplus.model
+    probes, model = wplus.probe_set, wplus.mono.model
     use = wplus.converged & wminus.converged
     phi = probes.vectors[:, use]
     m = phi.shape[1]
@@ -539,11 +541,17 @@ def _localization(model: LatticeModel, vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((np.abs(vectors[window]) ** 2).T).sum(axis=1)
 
 
-def bound_state_scan(model: LatticeModel, mono: Monodromy,
-                     n_modes: int = 12) -> list[BoundStateInfo]:
+def in_gap(mono: Monodromy) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, vectors): the quasi-energies of mono whose every sideband is closed
+    (sidebands_closed on its model's H0 levels) and their eigenvectors, as columns."""
+    phases = mono.quasi_energies
+    bound = sidebands_closed(phases, mono.model.free_levels)
+    return phases[bound], mono.eig.vectors[:, bound]
+
+
+def bound_state_scan(mono: Monodromy, n_modes: int = 12) -> list[BoundStateInfo]:
     """Bound states of the one-period operator: the eigenvectors of the monodromy
-    `mono` whose quasi-energy has every sideband closed (sidebands_closed on H0's
-    levels), in order of quasi-energy.
+    `mono` in the gap (in_gap), in order of quasi-energy.
 
     Each one reports its localization, the mass on
     support_window(LOCALIZATION_MARGIN), as a measured value that decides
@@ -551,7 +559,7 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     of the truncated mode-space matrix K, certified near it by a Rayleigh step
     from the null scan (_mode_space_partner); one ScanOperators at n_modes
     holds K's blocks and solves every K - zeta on the potential's support.  The
-    cross-check takes mono's segment, then the model unless the segment is the
+    cross-check takes mono's segment, then mono.model unless the segment is the
     model, and builds each one's ScanOperators only while phases are left
     uncertified.  The first phase with no certified partner on the model
     within CROSS_CHECK_TOL raises DetectorDisagreementError carrying the
@@ -561,9 +569,9 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     multiplicity: in ascending order, each phase not yet clustered takes every
     other such phase within that distance.
     """
-    phases = mono.quasi_energies
-    bound = sidebands_closed(phases, model.free_levels)
-    found = sorted(zip(phases[bound], _localization(model, mono.eig.vectors[:, bound])))
+    model = mono.model
+    phases, vectors = in_gap(mono)
+    found = sorted(zip(phases, _localization(model, vectors)))
 
     open_phases = [phase for phase, _ in found]
     for h in (mono.segment,) if mono.segment is model else (mono.segment, model):
@@ -593,12 +601,6 @@ def bound_state_scan(model: LatticeModel, mono: Monodromy,
     return infos
 
 
-def bound_vectors(model: LatticeModel, mono: Monodromy) -> np.ndarray:
-    """Columns: the eigenvectors of the one-period operator whose quasi-energy is in
-    the gap."""
-    return mono.eig.vectors[:, sidebands_closed(mono.quasi_energies, model.free_levels)]
-
-
 def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:
     """Largest overlap |<bound vector, probe>|."""
     if bound.shape[1] == 0:
@@ -606,10 +608,9 @@ def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:
     return float(np.abs(bound.conj().T @ probes.vectors).max())
 
 
-def start_time_covariance_defect(model: LatticeModel, mono: Monodromy, n_max: int,
-                                 probes: ProbeSet) -> float:
+def start_time_covariance_defect(mono: Monodromy, n_max: int, probes: ProbeSet) -> float:
     """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + 1/2 on probes,
-    with s = mono.start.
+    with s = mono.start, on mono's model.
 
     Both sides map a state at time s' to its future free asymptote; the
     left-hand side is computed from the monodromy at s', built here on
@@ -618,7 +619,7 @@ def start_time_covariance_defect(model: LatticeModel, mono: Monodromy, n_max: in
     on the probe columns through their monodromies' eigenbases, the free
     factors through the H0 eigenbasis.
     """
-    s, sched, shift = mono.start, mono.scheme, 0.5
+    model, s, sched, shift = mono.model, mono.start, mono.scheme, 0.5
     s2 = s + shift
 
     def wave_op(m: Monodromy, x: np.ndarray, t: float) -> np.ndarray:

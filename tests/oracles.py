@@ -11,7 +11,7 @@ nor keeps.
     image(w, n)                 W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, from the loop
     operator(w)                 W^(n_max) on the full space (L x L)
     free_propagator(h, t)       U0(t) = exp(-i t H0) from the model's H0 eigendecomposition
-    ring_time_average(h, mono, x, width)  scattering.time_average on the whole model
+    ring_time_average(mono, x, width)  scattering.time_average on the whole model
     step(stepper, a, u)         one Magnus step from a of a propagation.MagnusStepper
     convergence_ladder(h, ...)  ||Theta(N) - Theta(2N)|| over a step ladder
     rabi_closed_form_propagator(t, delta, v)  exact U(t, 0) of the driven two-level model
@@ -41,7 +41,7 @@ import numpy as np
 
 from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, adjoint_apply, expm_hermitian,
                                max_norm, unitary_defect)
-from floqscat.propagation import PropagatorSchedule, period_operator, propagate
+from floqscat.propagation import PropagatorSchedule, monodromy, propagate
 
 
 def reconstruct(eig):
@@ -87,12 +87,12 @@ def loop(w):
     block), so the gap is the norm of that window product.  B acts as
     free_apply(+-1); direction -1 applies E_w^H.  Each yielded iterate is a
     new array."""
-    model, mono, direction = w.model, w.mono, w.direction
+    mono, direction = w.mono, w.direction
     act = np.matmul if direction == +1 else adjoint_apply
     x = w.probe_set.vectors
     while True:
         kick = act(mono.block, x[mono.window])      # (A - B) x, zero off the window
-        x = model.free_apply(direction, x)
+        x = mono.model.free_apply(direction, x)
         x[mono.window] += kick
         yield np.linalg.norm(kick, axis=0), x
 
@@ -105,12 +105,12 @@ def loop_gaps(w, n=None):
 def image(w, n):
     """W^(n) phi = Theta0^{-+n} Theta^{+-n} phi, (L, p), from the loop's n-th iterate."""
     *_, (_, x) = islice(loop(w), n)
-    return w.model.free_apply(-w.direction * n, x)
+    return w.mono.model.free_apply(-w.direction * n, x)
 
 
 def operator(w):
     """Full-space iterate at n_max (unitary)."""
-    return w.apply(np.eye(w.model.sites, dtype=np.complex128))
+    return w.apply(np.eye(w.mono.model.sites, dtype=np.complex128))
 
 
 def free_propagator(h, t: float) -> np.ndarray:
@@ -119,13 +119,13 @@ def free_propagator(h, t: float) -> np.ndarray:
     return h.free_eig.exp(float(t))
 
 
-def ring_time_average(h, mono, x: np.ndarray, width: float, n_quad: int = 8) -> np.ndarray:
+def ring_time_average(mono, x: np.ndarray, width: float, n_quad: int = 8) -> np.ndarray:
     """The trapezoid kernel width^{-1} int_0^width U0(t)^dagger U(s + t, s) dt times
-    the block x, s = mono.start: x propagated on the whole model through the nodes
+    the block x, s = mono.start: x propagated on mono's whole model through the nodes
     in one running sweep on mono's schedule, each U0(-t_j) through free_apply
     (scattering.time_average's fallback where the segment's rows outside the
     window exceed WINDOW_BORDER_TOL)."""
-    s, sched = mono.start, mono.scheme
+    h, s, sched = mono.model, mono.start, mono.scheme
     nodes = np.linspace(0.0, width, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)
     weights[0] = weights[-1] = 0.5
@@ -149,7 +149,7 @@ def convergence_ladder(h, order: int, steps: tuple[int, ...] = (64, 128, 256, 51
     Returns the max-norm differences ||Theta(N) - Theta(2N)|| and their
     successive ratios, which should approach 2**order.
     """
-    thetas = [period_operator(h, s, PropagatorSchedule(n, order)) for n in steps]
+    thetas = [monodromy(h, s, PropagatorSchedule(n, order)).operator for n in steps]
     diffs = [max_norm(thetas[i] - thetas[i + 1]) for i in range(len(thetas) - 1)]
     ratios = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1) if diffs[i + 1] > 0]
     return {"steps": list(steps), "differences": diffs, "ratios": ratios}

@@ -45,7 +45,7 @@ from floqscat.resolvent import (
 from floqscat.scattering import (
     CROSS_CHECK_TOL,
     bound_state_scan,
-    bound_vectors,
+    in_gap,
     make_probes,
     orthogonality_defect,
     s_matrix,
@@ -75,8 +75,8 @@ def driven_256():
     mono = monodromy(lat, 0.0, SCHED)
     probes = make_probes(lat)
     n_max = wrap_horizon(lat)
-    wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
-    wm = stroboscopic_wave_op(lat, -1, n_max, mono, probes)
+    wp = stroboscopic_wave_op(mono, +1, n_max, probes)
+    wm = stroboscopic_wave_op(mono, -1, n_max, probes)
     return lat, mono, probes, wp, wm
 
 
@@ -92,7 +92,7 @@ def test_criterion_1_correspondence(fleet_monos):
     the one-period eigenphases as multisets at N=32; distance decays with N."""
     worst = 0.0
     for label, (h, mono) in fleet_monos.items():
-        reports = [correspondence_report(h, n, mono=mono) for n in (8, 16, 32)]
+        reports = [correspondence_report(mono, n) for n in (8, 16, 32)]
         d32 = reports[-1].max_match_distance
         assert d32 <= 1e-6, f"{label}: interior match {d32:.2e} exceeds 1e-6"
         assert reports[-1].coverage_distance <= 1e-6, label
@@ -233,12 +233,12 @@ def test_criterion_7_wave_operators(driven_256):
     frac = float((wp.converged & wm.converged).mean())
     assert frac >= 0.9, f"converged fraction {frac}"
     assert wp.cauchy_gaps[-1][wp.converged].max() < 1e-3
-    bound_state_scan(lat, mono, n_modes=4)   # raises if the two detectors disagree
+    bound_state_scan(mono, n_modes=4)   # raises if the two detectors disagree
     rep = s_matrix(wp, wm, translates=2)
     assert rep.isometry_defect <= 1e-3
     assert rep.unitarity_defect <= 5e-3
     assert rep.intertwining_defect <= 5e-3
-    avg = time_averaged_wave_op(lat, mono, +1, wp.n_max, probes, 1.0)
+    avg = time_averaged_wave_op(mono, +1, wp.n_max, probes, 1.0)
     use = wp.converged & wm.converged
     avg_diff = float(np.linalg.norm((avg - wp.image())[:, use], axis=0).max())
     assert avg_diff <= 2e-3
@@ -253,7 +253,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
     reappears in the interior spectrum; probes are orthogonal to bound states."""
     lat, mono = driven_64
     assert CROSS_CHECK_TOL == 1e-5
-    infos = bound_state_scan(lat, mono, n_modes=12)
+    infos = bound_state_scan(mono, n_modes=12)
     assert len(infos) >= 1
     spec = quasi_spectrum(build_floquet(lat, 12))
     window = lat.support_window(4)
@@ -278,7 +278,7 @@ def test_criterion_8_bound_states(driven_64, driven_256):
         assert shift <= 1e-6
         worst_shift = max(worst_shift, shift)
     lat256, mono256, probes, wp, wm = driven_256
-    ortho = orthogonality_defect(probes, bound_vectors(lat256, mono256))
+    ortho = orthogonality_defect(probes, in_gap(mono256)[1])
     assert ortho <= 1e-3
     ok(8, f"{len(infos)} bound state(s): detectors agree pairwise to "
           f"{worst_pair:.1e} <= 1e-5; 2 pi translation to {worst_shift:.1e} <= 1e-6; "

@@ -813,7 +813,7 @@ class TestMemory:
         import tracemalloc
 
         import floqscat.cli as cli
-        from floqscat.propagation import PropagatorSchedule, _with_block, period_operator
+        from floqscat.propagation import PropagatorSchedule, _with_block, monodromy
 
         seen = {"model": [], "mono": [], "waves": []}
 
@@ -852,8 +852,8 @@ class TestMemory:
         theta = mono.operator
         assert theta.tobytes() == _with_block(model.free_period, mono.window,
                                               mono.block).tobytes()
-        assert theta.tobytes() == period_operator(model, 0.0,
-                                                  PropagatorSchedule(64, 4)).tobytes()
+        assert theta.tobytes() == monodromy(model, 0.0,
+                                            PropagatorSchedule(64, 4)).operator.tobytes()
 
 
 class TestRingFreeMotion:
@@ -944,17 +944,43 @@ class TestOneMonodromyPerScenario:
         # every floqscat module that holds monodromy() reaches the spy
         import floqscat.propagation as propagation
 
-        starts, monodromy = [], propagation.monodromy
+        built, monodromy = [], propagation.monodromy
 
-        def spy(h, s=0.0, *args, **kwargs):
-            starts.append(s)
-            return monodromy(h, s, *args, **kwargs)
+        def spy(h, s, sched):
+            built.append((s, sched.steps_per_period))
+            return monodromy(h, s, sched)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("floqscat") and getattr(module, "monodromy", None) is monodromy:
                 monkeypatch.setattr(module, "monodromy", spy)
         run_scenario({"task": task, "model": model, "parameters": {**params, "start": 0.25}})
-        assert starts == [0.25]
+        # the monodromy task's self-convergence takes Theta at 2N steps from monodromy too
+        n = params["steps_per_period"]
+        assert built == [(0.25, n)] + [(0.25, 2 * n)] * (task == "monodromy")
+
+    def test_monodromy_task_diagonalizes_the_scenarios_theta_alone(self, monkeypatch):
+        # the 2N-step Theta of the self-convergence is formed, never diagonalized
+        import floqscat.cli as cli
+        import floqscat.propagation as propagation
+
+        built, diagonalized = [], []
+        monodromy, unitary_eig = propagation.monodromy, propagation.unitary_eig
+
+        def build(*args):
+            built.append(monodromy(*args))
+            return built[-1]
+
+        def diagonalize(u, mirror=None):
+            diagonalized.append(u.copy())
+            return unitary_eig(u, mirror)
+        monkeypatch.setattr(cli, "monodromy", build)
+        monkeypatch.setattr(propagation, "unitary_eig", diagonalize)
+        run_scenario({"task": "monodromy", "model": RABI,
+                      "parameters": {"steps_per_period": 16, "start": 0.25}})
+        assert [mono.scheme.steps_per_period for mono in built] == [16, 32]
+        [theta] = diagonalized
+        assert theta.tobytes() == built[0].operator.tobytes()
+        assert theta.tobytes() != built[1].operator.tobytes()
 
     @pytest.mark.parametrize("start, reduced", [(1e17, 0.0), (1.25, 0.25)])
     def test_start_taken_mod_one(self, start, reduced):

@@ -3,7 +3,10 @@ task with one field of its parameter table replaced by a wrong type, a bool,
 NaN or infinity, an out-of-range number, or an unknown key exits 2, names
 the field on stderr and raises nothing.  Every draw fails validation before
 any computation starts.  A list of inputs that once broke the contract (a
-wrong answer, a traceback or a hang) checks each one's exit code and message."""
+wrong answer, a traceback or a hang) checks each one's exit code and message.
+Valid lattice configs, drawn over every field of the lattice table and of the
+parameter tables of the tasks that step a lattice, exit 0, 2 or 3, name the
+field on an exit 2, and give the same bytes when run again."""
 
 import contextlib
 import io
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floqscat
-from floqscat.cli import MAX_STEPS, PARAMETERS, main
+from floqscat.cli import LATTICE, LATTICE_TASKS, MAX_STEPS, PARAMETERS, _run_one, main
 from floqscat.propagation import MIN_STEPS, ORDERS
 from floqscat.resolvent import MAX_DENSE_SIDE, MAX_IM_LAMBDA
 from floqscat.scattering import GAP_RUN
@@ -177,6 +180,12 @@ CONTRACT = [
      "'parameters.steps_per_period'"),
     ("monodromy", {"builtin": "rabi", "v": 1e15}, {"order": 4, "steps_per_period": 2**20}, 2,
      "'model'"),
+    # on the free spectrum to round-off (H0 = 0, lambda = i eta), e^{i(e_a - lambda)} - 1
+    # rounds to 0 below eta ~ 1.1e-16: the kernel once divided by it and the report
+    # failed on a NaN defining_residual
+    ("resolvent-check", {"builtin": "rabi"}, {"eta": 1e-16}, 3,
+     "free resolvent singular at lambda = 1e-16j"),
+    ("resolvent-check", {"builtin": "rabi"}, {"eta": 1e-15}, 0, "case.report.json"),
 ]
 
 
@@ -269,3 +278,58 @@ def test_lattice_resolvent_check_within_memory(tmp_path):
         tracemalloc.stop()
     assert code == 0, err.getvalue()
     assert peak < 16 * sites**3, peak
+
+
+# a value for every field of the parameter tables of the tasks that step a lattice,
+# small enough that each run is cheap: a field added to one of those tables without
+# a value here fails the test
+FUZZ_TASKS = ("monodromy", "correspondence", *LATTICE_TASKS)
+FUZZ_VALUES = {
+    "steps_per_period": st.sampled_from([8, 16, 32, 64]),
+    "order": st.sampled_from(ORDERS),
+    "start": st.floats(0.0, 1.0, exclude_max=True),
+    "self_convergence": st.booleans(),
+    "n_modes": st.integers(1, 6),
+    "n_max": st.integers(1, 8),
+    "translates": st.integers(0, 3),
+    "average_window": st.floats(0.125, 1.0),
+    "floquet_modes": st.integers(1, 4),
+    "scan_modes": st.integers(1, 4),
+    "verify": st.booleans(),
+}
+
+
+@st.composite
+def lattice_configs(draw):
+    """A valid lattice config: 8-48 sites, hopping of either sign, 1-4 declared
+    sites anywhere on the ring (support_width, which they override, is left out)."""
+    sites = draw(st.integers(8, 48), label="sites")
+    lattice = {"sites": sites,
+               "hopping": draw(st.sampled_from([1, -1])) * draw(st.floats(0.25, 1.25)),
+               "well_depth": draw(st.floats(-2.0, 0.0)), "drive_amp": draw(st.floats(0.0, 1.0)),
+               "support": draw(st.lists(st.integers(0, sites - 1), min_size=1, max_size=4,
+                                        unique=True))}
+    assert set(LATTICE) == {*lattice, "support_width"}
+    task = draw(st.sampled_from(FUZZ_TASKS), label="task")
+    params = {name: draw(FUZZ_VALUES[name], label=name) for name in PARAMETERS[task]}
+    return {"task": task, "model": {"lattice": lattice}, "parameters": params}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(cfg=lattice_configs())
+def test_valid_lattice_configs_keep_the_contract(cfg):
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        for run in ("first", "again"):
+            written, code, message = _run_one(str(path), str(Path(tmp) / run), 3)
+            outcomes.append((code, message, written and Path(written).read_bytes()))
+    code, message, _ = outcomes[0]
+    assert code in (0, 2, 3), message
+    if code == 2:
+        field = message.split("'")[1]     # invalid field '<path>': ...
+        names = [f"parameters.{name}" for name in cfg["parameters"]]
+        names += ["model", "model.lattice", *(f"model.lattice.{name}" for name in LATTICE)]
+        assert field in names, message
+    assert outcomes[0] == outcomes[1]

@@ -147,12 +147,12 @@ class TestQuasiSpectrum:
 class TestCorrespondence:
     def test_constant_exact(self, fast_sched):
         h = PeriodicHamiltonian(h0=np.diag([0.4, 1.3]))
-        rep = correspondence_report(h, 4, monodromy(h, 0.0, fast_sched))
+        rep = correspondence_report(monodromy(h, 0.0, fast_sched), 4)
         assert rep.max_match_distance < 1e-9
         assert rep.coverage_distance < 1e-9
 
     def test_rabi(self, rabi, accurate_sched):
-        rep = correspondence_report(rabi, 32, monodromy(rabi, 0.0, accurate_sched))
+        rep = correspondence_report(monodromy(rabi, 0.0, accurate_sched), 32)
         assert rep.max_match_distance <= 1e-6
         assert rep.coverage_distance <= 1e-6
         assert rep.mode_eigen_defect <= 1e-6
@@ -160,11 +160,11 @@ class TestCorrespondence:
     def test_modes_resummed_at_the_monodromy_start(self, rabi):
         # Theta(s) phi(s) = e^{-i lambda} phi(s): the modes are read at s = mono.start
         mono = monodromy(rabi, 0.25, PropagatorSchedule(512, 4))
-        assert correspondence_report(rabi, 20, mono).mode_eigen_defect <= 1e-10
+        assert correspondence_report(mono, 20).mode_eigen_defect <= 1e-10
 
     def test_truncation_ladder_monotone(self, rabi, accurate_sched):
         mono = monodromy(rabi, 0.0, accurate_sched)
-        reports = [correspondence_report(rabi, n, mono=mono) for n in (8, 16, 32)]
+        reports = [correspondence_report(mono, n) for n in (8, 16, 32)]
         # full-spectrum mean distance decays as the edge fraction shrinks
         means = [r.mean_match_distance for r in reports]
         assert means[0] > means[1] > means[2]

@@ -141,10 +141,10 @@ class TestUnitaryEig:
         # Measured: residual 1.65e-12 (complex route 1.79e-12), orthonormality
         # defect 2.7e-15 (3.3e-15); eigenvalues within 3.7e-15
         from floqscat.model import build_lattice
-        from floqscat.propagation import PropagatorSchedule, period_operator
+        from floqscat.propagation import PropagatorSchedule, monodromy
 
         ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
-        theta = period_operator(ring, 0.0, PropagatorSchedule(64, 4))
+        theta = monodromy(ring, 0.0, PropagatorSchedule(64, 4)).operator
         assert 0.0 < np.abs(theta - theta.T).max() <= numerics.SYMMETRY_TOL
         kinds, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype) or eigh(a))
@@ -176,10 +176,10 @@ class TestMirrorSectors:
 
     @staticmethod
     def theta(sites, start):
-        from floqscat.propagation import PropagatorSchedule, period_operator
+        from floqscat.propagation import PropagatorSchedule, monodromy
 
         ring = TestMirrorSectors.ring(sites)
-        return period_operator(ring, start, PropagatorSchedule(64, 4)), ring.mirror()
+        return monodromy(ring, start, PropagatorSchedule(64, 4)).operator, ring.mirror()
 
     @staticmethod
     def planted(delta):
@@ -222,7 +222,7 @@ class TestMirrorSectors:
         # support: unitary_eig with and without the mirror gives the same sorted
         # eigenphases, and either eigenbasis rebuilds Theta
         from floqscat.model import LatticeModel
-        from floqscat.propagation import PropagatorSchedule, period_operator
+        from floqscat.propagation import PropagatorSchedule, monodromy
 
         half = np.array(half)    # (well, drive) on the support's first half
         profile = np.concatenate([half, half[::-1][1:] if odd else half[::-1]]).T
@@ -232,7 +232,7 @@ class TestMirrorSectors:
         ring = LatticeModel(hopping, support, well, drive)
         mirror = ring.mirror()
         assert mirror is not None
-        theta = period_operator(ring, start, PropagatorSchedule(32, 4))
+        theta = monodromy(ring, start, PropagatorSchedule(32, 4)).operator
         phases = []
         for eig in (unitary_eig(theta), unitary_eig(theta, mirror)):
             assert np.abs((eig.vectors * eig.values) @ eig.vectors.conj().T - theta).max() \
@@ -278,10 +278,10 @@ class TestClusterRotation:
 
     def test_window_route_monodromy(self):
         from floqscat.model import build_lattice
-        from floqscat.propagation import PropagatorSchedule, period_operator
+        from floqscat.propagation import PropagatorSchedule, monodromy
 
         ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
-        theta = period_operator(ring, 0.0, PropagatorSchedule(64, 4))
+        theta = monodromy(ring, 0.0, PropagatorSchedule(64, 4)).operator
         cos = np.linalg.eigvalsh((theta + theta.conj().T) / 2)
         clusters = np.diff([0, *(np.flatnonzero(np.diff(cos) > numerics.CLUSTER_GAP) + 1),
                             len(cos)])

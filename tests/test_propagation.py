@@ -82,15 +82,56 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("start, reduced", [(1e17, 0.0), (3.25, 0.25)])
     def test_period_operator_reduces_its_start(self, rabi, start, reduced):
-        # Theta(s) has period 1 in s: formed at s mod 1, as monodromy forms it.
-        # Stepped from 1e17 itself, s + 1/2 == s and Theta would come out as I
-        from floqscat.propagation import period_operator
+        # Theta(s) has period 1 in s: formed at s mod 1, U0(1) + P E_w P^T from
+        # window_block's answer there.  Stepped from 1e17 itself, s + 1/2 == s and
+        # Theta would come out as I
+        from floqscat.propagation import _with_block, window_block
 
         sched = PropagatorSchedule(64, 4)
-        theta = period_operator(rabi, start, sched)
-        assert np.array_equal(theta, period_operator(rabi, reduced, sched))
-        assert np.array_equal(theta, monodromy(rabi, start, sched).operator)
+        theta = monodromy(rabi, start, sched).operator
+        assert np.array_equal(theta, monodromy(rabi, reduced, sched).operator)
+        assert np.array_equal(theta, _with_block(rabi.free_period,
+                                                 *window_block(rabi, reduced, sched)[:2]))
         assert not np.array_equal(theta, np.eye(2))
+
+
+class TestSpectrumOnRead:
+    """monodromy diagonalizes nothing; Monodromy.eig diagonalizes Theta when first read,
+    on the model's mirror sectors, and keeps the answer."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        import floqscat.propagation as propagation
+
+        calls, unitary_eig = [], propagation.unitary_eig
+
+        def spy(u, mirror=None):
+            calls.append((u.copy(), mirror))
+            return unitary_eig(u, mirror)
+        monkeypatch.setattr(propagation, "unitary_eig", spy)
+        return calls
+
+    def test_monodromy_diagonalizes_nothing(self, monkeypatch):
+        from floqscat.model import build_lattice
+
+        calls = self.spy(monkeypatch)
+        ring = build_lattice(64, 1.0, -1.0, 0.5, [31, 32])
+        mono = monodromy(ring, 0.25, PropagatorSchedule(16, 2))
+        assert calls == []
+        mono.operator
+        assert calls == []
+
+    def test_eig_read_twice_diagonalizes_once(self, monkeypatch):
+        from floqscat.model import build_lattice
+
+        calls = self.spy(monkeypatch)
+        ring = build_lattice(64, 1.0, -1.0, 0.5, [31, 32])
+        mono = monodromy(ring, 0.25, PropagatorSchedule(16, 2))
+        eig = mono.eig
+        assert mono.eig is eig and mono.quasi_energies.shape == (64,)
+        [(theta, mirror)] = calls
+        assert theta.tobytes() == mono.operator.tobytes()
+        assert np.array_equal(mirror, ring.mirror())
 
 
 class TestStructuralIdentities:
@@ -424,7 +465,7 @@ class TestHalfPeriod:
         ("ring-40", 0.0, 65),             # odd step count
     ])
     def test_full_path_where_the_symmetry_fails(self, name, start, steps, monkeypatch):
-        from floqscat.propagation import period_operator, reflection_symmetric
+        from floqscat.propagation import reflection_symmetric
 
         h, _ = magnus_cases()[name]
         sched = PropagatorSchedule(steps, 4)
@@ -433,7 +474,7 @@ class TestHalfPeriod:
         assert not reflection_symmetric(h, start, sched)
         mono = monodromy(h, start, sched)     # the every-site window: E = Theta - U0(1)
         assert np.array_equal(mono.block, full - h.free_period)
-        assert np.array_equal(period_operator(h, start, sched), mono.operator)
+        assert np.array_equal(monodromy(h, start, sched).operator, mono.operator)
         assert spans == [(start, start + 1.0)] * 2
 
     def test_constant_model_not_stepped(self, fast_sched):
@@ -444,12 +485,12 @@ class TestHalfPeriod:
     def test_half_path_has_no_subnormal_entries(self):
         # A^T A is flushed like every step
         from floqscat.model import build_lattice
-        from floqscat.propagation import period_operator, reflection_symmetric
+        from floqscat.propagation import reflection_symmetric
 
         ring = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
         sched = PropagatorSchedule(32, 2)
         assert reflection_symmetric(ring, 0.0, sched)
-        parts = np.abs(period_operator(ring, 0.0, sched).view(np.float64))
+        parts = np.abs(monodromy(ring, 0.0, sched).operator.view(np.float64))
         assert not ((parts > 0) & (parts < np.finfo(np.float64).tiny)).any()
 
     def test_convergence_ladder_takes_the_same_operators(self, rabi, monkeypatch):
@@ -569,18 +610,14 @@ class TestWindowRoute:
     @staticmethod
     def unmirrored_block(ring, sched):
         # E_w from the same segment as a plain PeriodicHamiltonian, every column stepped
-        from floqscat.propagation import period_operator
-
         segment = ring.support_window(38)
         cut = np.ix_(segment, segment)
         part = PeriodicHamiltonian(ring.h0[cut], {n: m[cut] for n, m in ring.modes.items()})
-        return (period_operator(part, 0.0, sched) - part.free_period)[19:-19, 19:-19]
+        return (monodromy(part, 0.0, sched).operator - part.free_period)[19:-19, 19:-19]
 
     @staticmethod
     def period(h, s, sched):
-        from floqscat.propagation import period_operator
-
-        return period_operator(h, s, sched)
+        return monodromy(h, s, sched).operator
 
     def test_border_check_widens_the_window(self, monkeypatch):
         import floqscat.propagation as propagation
@@ -705,7 +742,7 @@ class TestWindowRoute:
         assert np.array_equal(theta0, circulant(ring.free_apply(1.0, unit)))
         assert np.abs(theta0 - free_propagator(ring, 1.0)).max() <= 1e-14
         before = theta0.copy()
-        monodromy(ring, 0.0, PropagatorSchedule(16, 2))
+        monodromy(ring, 0.0, PropagatorSchedule(16, 2)).eig    # forms Theta from U0(1)
         assert np.array_equal(ring.free_period, before)
 
 

@@ -94,6 +94,19 @@ class TestR0Apply:
             r0_apply(PeriodicHamiltonian(np.eye(2)), 1j, constant_f(16, d=3))
 
 
+class TestFreeSpectrum:
+    def test_kernel_on_the_free_spectrum_raises(self, rabi):
+        # H0 = 0: at lambda = i eta, w = eta and e^w - 1 rounds to exactly 0 below
+        # eta ~ 1.1e-16, which the kernel once divided by into NaN
+        f = np.ones((16, 2), dtype=np.complex128)
+        assert not rabi.h0.any()
+        with pytest.raises(SingularMatrixError, match=r"lambda = 1e-17j.* e_a = 0"):
+            r0_apply(rabi, 1e-17j, f)
+        with pytest.raises(SingularMatrixError, match=r"lambda = 1e-300j"):
+            r0_matrix(rabi, 1e-300j, 16)
+        assert np.isfinite(r0_apply(rabi, 1e-15j, f)).all()
+
+
 class TestR0Matrix:
     def test_matches_apply(self):
         h = PeriodicHamiltonian(random_hermitian(2, seed=4))
@@ -340,7 +353,7 @@ class TestBoundStates:
     def test_driven_well_scan_agrees_with_theta(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
 
-        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
+        infos = bound_state_scan(driven_well_64_monodromy, n_modes=8)
         assert len(infos) >= 1
         b = infos[0]
         verdict = bound_state_correspondence(ScanOperators(driven_well_64, 6),
@@ -352,7 +365,7 @@ class TestBoundStates:
     def test_translated_candidate_also_verified(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
 
-        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
+        infos = bound_state_scan(driven_well_64_monodromy, n_modes=8)
         lam = infos[0].quasi_energy
         verdict = bound_state_correspondence(ScanOperators(driven_well_64, 6),
                                              lam + 2 * np.pi)
@@ -461,8 +474,7 @@ class TestSmallestSingularPair:
     def bound_phase(self, driven_well_64, driven_well_64_monodromy):
         from floqscat.scattering import bound_state_scan
 
-        return bound_state_scan(driven_well_64, driven_well_64_monodromy,
-                                n_modes=8)[0].quasi_energy
+        return bound_state_scan(driven_well_64_monodromy, n_modes=8)[0].quasi_energy
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
     def test_matches_dense_svd(self, driven_well_64, bound_phase, eps):
@@ -505,7 +517,7 @@ class TestRayleighRefinement:
         # bound-states-driven-well.json: this ring, 512 order-4 steps, n_modes 12
         from floqscat.scattering import bound_state_scan
 
-        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=12)
+        infos = bound_state_scan(driven_well_64_monodromy, n_modes=12)
         return [b.quasi_energy for b in infos]
 
     @pytest.fixture(scope="class")
@@ -515,7 +527,7 @@ class TestRayleighRefinement:
         from floqscat.scattering import bound_state_scan
 
         lat = build_lattice(40, 1.0, -1.7, 0.45, range(19, 22))
-        infos = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(256, 4)),
+        infos = bound_state_scan(monodromy(lat, 0.0, PropagatorSchedule(256, 4)),
                                  n_modes=8)
         return lat, [b.quasi_energy for b in infos]
 
@@ -578,7 +590,7 @@ class TestRayleighRefinement:
         from floqscat.scattering import bound_state_scan
 
         lat = build_lattice(48, 1.0, -1.7, 0.45, range(22, 25))
-        infos = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(256, 4)),
+        infos = bound_state_scan(monodromy(lat, 0.0, PropagatorSchedule(256, 4)),
                                  n_modes=8)
         assert len(infos) == 2
         for b in infos:

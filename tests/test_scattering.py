@@ -22,9 +22,9 @@ from floqscat.scattering import (
     ConvergenceError,
     DetectorDisagreementError,
     bound_state_scan,
-    bound_vectors,
     free_orbit_basis,
     gaussian_packet,
+    in_gap,
     make_probes,
     orthogonality_defect,
     s_matrix,
@@ -61,8 +61,8 @@ def driven_256_run(driven_256):
     mono = monodromy(driven_256, 0.0, CHEAP)
     probes = make_probes(driven_256)
     n_max = wrap_horizon(driven_256)
-    wp = stroboscopic_wave_op(driven_256, +1, n_max, mono, probes)
-    wm = stroboscopic_wave_op(driven_256, -1, n_max, mono, probes)
+    wp = stroboscopic_wave_op(mono, +1, n_max, probes)
+    wm = stroboscopic_wave_op(mono, -1, n_max, probes)
     return mono, probes, wp, wm
 
 
@@ -85,7 +85,7 @@ class TestProbes:
 
 class TestFreeRing:
     def test_iterates_identity_gaps_zero(self, free_ring, free_ring_mono):
-        wav = stroboscopic_wave_op(free_ring, +1, 16, free_ring_mono)
+        wav = stroboscopic_wave_op(free_ring_mono, +1, 16)
         assert wav.cauchy_gaps.max() == 0.0
         assert np.abs(operator(wav) - np.eye(256)).max() <= 1e-12
         assert wav.converged.all()
@@ -94,14 +94,14 @@ class TestFreeRing:
         # every gap is 0 here, so the run length alone decides: fewer than
         # GAP_RUN iterates converge no probe, GAP_RUN iterates every probe
         with pytest.raises(ConvergenceError):
-            stroboscopic_wave_op(free_ring, +1, scattering.GAP_RUN - 1, free_ring_mono)
-        wav = stroboscopic_wave_op(free_ring, +1, scattering.GAP_RUN, free_ring_mono)
+            stroboscopic_wave_op(free_ring_mono, +1, scattering.GAP_RUN - 1)
+        wav = stroboscopic_wave_op(free_ring_mono, +1, scattering.GAP_RUN)
         assert wav.cauchy_gaps.max() == 0.0
         assert wav.converged.all()
 
     def test_s_matrix_identity(self, free_ring, free_ring_mono):
-        wp = stroboscopic_wave_op(free_ring, +1, 16, free_ring_mono)
-        wm = stroboscopic_wave_op(free_ring, -1, 16, free_ring_mono)
+        wp = stroboscopic_wave_op(free_ring_mono, +1, 16)
+        wm = stroboscopic_wave_op(free_ring_mono, -1, 16)
         rep = s_matrix(wp, wm)
         assert rep.unitarity_defect <= 1e-12
         assert rep.intertwining_defect <= 1e-12
@@ -114,7 +114,7 @@ class TestFreeRing:
             assert abs(abs(transmission) - 1.0) <= 1e-12
 
     def test_no_bound_states(self, free_ring, free_ring_mono):
-        assert bound_state_scan(free_ring, free_ring_mono, n_modes=2) == []
+        assert bound_state_scan(free_ring_mono, n_modes=2) == []
 
 
 def eigenbasis_route(lat, phases=None):
@@ -151,9 +151,11 @@ class TestEigenbasisGaps:
         lat, mono, probes, n_max = run
         sites = lat.sites
         if not window:     # the every-site window: E = Theta - Theta0 on every row
-            mono = replace(mono, window=np.arange(sites), block=mono.operator - lat.free_period,
-                           segment=lat)
-        wav = stroboscopic_wave_op(lat, direction, n_max, mono, probes)
+            every = replace(mono, window=np.arange(sites), block=mono.operator - lat.free_period,
+                            segment=lat)
+            every.eig = mono.eig      # the same eigenbasis
+            mono = every
+        wav = stroboscopic_wave_op(mono, direction, n_max, probes)
         assert np.abs(wav.cauchy_gaps - loop_gaps(wav)).max() <= 1e-12
         assert np.abs(wav.image() - image(wav, n_max)).max() <= 1e-12
 
@@ -165,8 +167,8 @@ class TestChannelBlocks:
     def report(lat):
         mono = monodromy(lat, 0.0, PropagatorSchedule(64, 4))
         probes, n_max = make_probes(lat), wrap_horizon(lat)
-        wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
-        wm = stroboscopic_wave_op(lat, -1, n_max, mono, probes)
+        wp = stroboscopic_wave_op(mono, +1, n_max, probes)
+        wm = stroboscopic_wave_op(mono, -1, n_max, probes)
         return s_matrix(wp, wm, translates=2)
 
     def test_theta0_round_off_moves_no_block(self):
@@ -237,7 +239,7 @@ class TestDrivenWell:
     def test_time_averaged_agreement(self, driven_256, driven_256_run):
         mono, probes, wp, wm = driven_256_run
         use = wp.converged & wm.converged
-        avg = time_averaged_wave_op(driven_256, mono, +1, wp.n_max, probes, 1.0)
+        avg = time_averaged_wave_op(mono, +1, wp.n_max, probes, 1.0)
         diff = np.linalg.norm((avg - wp.image())[:, use], axis=0).max()
         assert diff <= 2e-3
 
@@ -246,8 +248,8 @@ class TestDrivenWell:
         probes = make_probes(lat)
         n_max = wrap_horizon(lat)
         mono = monodromy(lat, 0.0, CHEAP)
-        wp = stroboscopic_wave_op(lat, +1, n_max, mono, probes)
-        avg = time_averaged_wave_op(lat, mono, +1, n_max, probes, 1.0 / 64, n_quad=4)
+        wp = stroboscopic_wave_op(mono, +1, n_max, probes)
+        avg = time_averaged_wave_op(mono, +1, n_max, probes, 1.0 / 64, n_quad=4)
         use = wp.converged
         diff = np.linalg.norm((avg - wp.image())[:, use], axis=0).max()
         assert diff <= 1e-3
@@ -268,7 +270,7 @@ class TestDrivenWell:
                      for w, t in zip(weights, nodes))
         want = (np.linalg.matrix_power(theta0.conj().T, n_max) @ kernel
                 @ np.linalg.matrix_power(theta, n_max) @ probes.vectors)
-        got = time_averaged_wave_op(lat, mono, +1, n_max, probes, window, n_quad)
+        got = time_averaged_wave_op(mono, +1, n_max, probes, window, n_quad)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_monodromy_eigenpairs_to_round_off(self, driven_256_run):
@@ -279,12 +281,12 @@ class TestDrivenWell:
 
     def test_start_time_covariance(self, driven_256, driven_256_run):
         mono, probes, wp, _ = driven_256_run
-        defect = start_time_covariance_defect(driven_256, mono, wp.n_max, probes)
+        defect = start_time_covariance_defect(mono, wp.n_max, probes)
         assert defect <= 5e-3
 
     def test_orthogonality_probes_vs_bound(self, driven_256, driven_256_run):
         mono, probes, _, _ = driven_256_run
-        bound = bound_vectors(driven_256, mono)
+        bound = in_gap(mono)[1]
         assert bound.shape[1] >= 1
         assert orthogonality_defect(probes, bound) <= 1e-3
 
@@ -297,7 +299,7 @@ class TestDrivenWell:
         images = [done.image() for done in (wp, wm)]
         monkeypatch.setattr(Monodromy, "operator", property(lambda m: pytest.fail("Theta read")))
         for done, want in zip((wp, wm), images):
-            again = stroboscopic_wave_op(driven_256, done.direction, done.n_max, mono, probes)
+            again = stroboscopic_wave_op(mono, done.direction, done.n_max, probes)
             assert np.array_equal(again.cauchy_gaps, done.cauchy_gaps)
             assert np.array_equal(again.image(), want)
 
@@ -314,7 +316,7 @@ class TestDrivenWell:
         for direction in (+1, -1):
             a_op = theta if direction == +1 else theta.conj().T
             b_op = theta0 if direction == +1 else theta0.conj().T
-            wav = stroboscopic_wave_op(lat, direction, n_max, mono, probes)
+            wav = stroboscopic_wave_op(mono, direction, n_max, probes)
             cur = probes.vectors
             for n in range(n_max):
                 gap = np.linalg.norm((a_op - b_op) @ cur, axis=0)
@@ -370,23 +372,23 @@ class TestDrivenWell:
             want = np.linalg.lstsq(x[rows].T, y[rows].T, rcond=None)[0].T
             assert np.abs(block - want).max() <= 1e-12 / scattering.FIT_WEIGHT
 
-        kernel = time_average(lat, mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
+        kernel = time_average(mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
         for direction, want in (
             (+1, power(theta0.conj().T, n) @ kernel @ power(theta, n) @ probes.vectors),
             (-1, power(theta0, n) @ kernel @ power(theta.conj().T, n) @ probes.vectors),
         ):
-            got = time_averaged_wave_op(lat, mono, direction, n, probes, 1.0)
+            got = time_averaged_wave_op(mono, direction, n, probes, 1.0)
             assert np.abs(got - want).max() <= 1e-12
 
     def test_horizon_enforced(self, driven_256, driven_256_run):
         with pytest.raises(ValueError, match="horizon"):
-            stroboscopic_wave_op(driven_256, +1, 100, driven_256_run[0])
+            stroboscopic_wave_op(driven_256_run[0], +1, 100)
 
 
 class TestBoundStateScan:
     def test_static_well_count_matches_direct_diagonalization(self, driven_well_64):
         lat = build_lattice(64, 1.0, -2.0, 0.0, range(30, 35))
-        infos = bound_state_scan(lat, monodromy(lat, 0.0, CHEAP), n_modes=2)
+        infos = bound_state_scan(monodromy(lat, 0.0, CHEAP), n_modes=2)
         # oracle: localized eigenvectors of the static Hamiltonian
         h_static = (lat.h0 + lat.mode(0)).real
         evals, evecs = np.linalg.eigh(h_static)
@@ -401,9 +403,9 @@ class TestBoundStateScan:
         assert np.abs(got - want).max() <= 1e-10
 
     def test_driven_well_stable_under_step_doubling(self, driven_well_64):
-        coarse = bound_state_scan(driven_well_64, monodromy(
+        coarse = bound_state_scan(monodromy(
             driven_well_64, 0.0, PropagatorSchedule(256, 4)), n_modes=8)
-        fine = bound_state_scan(driven_well_64, monodromy(
+        fine = bound_state_scan(monodromy(
             driven_well_64, 0.0, PropagatorSchedule(512, 4)), n_modes=8)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
@@ -415,7 +417,7 @@ class TestBoundStateScan:
         lat = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         mono = monodromy(lat, 0.0, PropagatorSchedule(64, 4))
         with pytest.raises(DetectorDisagreementError) as info:
-            bound_state_scan(lat, mono, n_modes=EDGE_BLOCKS)
+            bound_state_scan(mono, n_modes=EDGE_BLOCKS)
         phases = mono.quasi_energies
         phase = np.sort(phases[sidebands_closed(phases, lat.free_eig.values)])[0]
         want = ScanOperators(lat, EDGE_BLOCKS).null_pair(phase + 1j * RAYLEIGH_EPS)[0]
@@ -423,7 +425,7 @@ class TestBoundStateScan:
         assert f"{phase:.8f}" in str(info.value) and f"{want:.2e}" in str(info.value)
 
     def test_localization_scores_reported(self, driven_well_64, driven_well_64_monodromy):
-        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=8)
+        infos = bound_state_scan(driven_well_64_monodromy, n_modes=8)
         for b in infos:
             assert 0.9 <= b.localization <= 1.0
             assert b.multiplicity >= 1
@@ -449,7 +451,7 @@ class TestBoundStateScan:
 
     def test_sparse_partner_matches_dense_spectrum(self, driven_well_64, driven_well_64_monodromy):
         n_modes, tol = 8, 1e-5
-        infos = bound_state_scan(driven_well_64, driven_well_64_monodromy, n_modes=n_modes)
+        infos = bound_state_scan(driven_well_64_monodromy, n_modes=n_modes)
         spec = quasi_spectrum(build_floquet(driven_well_64, n_modes))
         in_gap = sidebands_closed(spec.values, driven_well_64.free_eig.values)
         dense = spec.folded[in_gap & spec.interior]
@@ -488,15 +490,15 @@ class TestGapRule:
         # the gap
         ring = build_lattice(sites, 1.0, 0.0, 0.0, [sites // 2])
         mono = monodromy(ring, 0.0, PropagatorSchedule(16, 2))
-        assert bound_vectors(ring, mono).shape == (sites, 0)
+        assert in_gap(mono)[1].shape == (sites, 0)
 
     def test_wide_band_binds_nothing(self):
         # at hopping 1.6 the band's width 6.4 exceeds 2 pi: every sideband of every
         # quasi-energy is open, so no state is bound, however deep the well
         lat = build_lattice(40, 1.6, -5.0, 0.5, range(18, 23))
         mono = monodromy(lat, 0.0, PropagatorSchedule(256, 4))
-        assert bound_state_scan(lat, mono, n_modes=8) == []
-        assert bound_vectors(lat, mono).shape == (40, 0)
+        assert bound_state_scan(mono, n_modes=8) == []
+        assert in_gap(mono)[1].shape == (40, 0)
 
     @pytest.mark.parametrize("depth, count", [(-0.8, 2), (-2.0, 3), (-5.0, 2)])
     @pytest.mark.parametrize("sites", [40, 64, 256])
@@ -537,8 +539,8 @@ class TestFreeEvolution:
             calls.clear()
             probes = make_probes(lat)
             mono = monodromy(lat, 0.0, sched)
-            time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
-            start_time_covariance_defect(lat, mono, 2, probes)
+            time_averaged_wave_op(mono, +1, 2, probes, 1.0)
+            start_time_covariance_defect(mono, 2, probes)
             assert len(calls) == eigs and all(a is lat.h0 for a in calls)
 
     RING_16 = {"sites": 16, "hopping": 1.0, "well_depth": -1.0, "drive_amp": 0.5,
@@ -592,8 +594,8 @@ class TestFreeEvolution:
         sched = PropagatorSchedule(16, 2)
         probes = make_probes(lat)
         mono = monodromy(lat, 0.0, sched)
-        time_averaged_wave_op(lat, mono, +1, 2, probes, 1.0)
-        start_time_covariance_defect(lat, mono, 2, probes)
+        time_averaged_wave_op(mono, +1, 2, probes, 1.0)
+        start_time_covariance_defect(mono, 2, probes)
         assert builds == [(1 / 16, 2)]
 
 
@@ -616,12 +618,12 @@ class TestProbeBlockAverage:
 
         monkeypatch.setattr(propagation, "propagate", spy)   # the segment is the ring
         monkeypatch.setattr(lat.free_eig, "exp", lambda t: pytest.fail("dense U0(t)"))
-        got = time_averaged_wave_op(lat, mono, +1, n_max, probes, 1.0)
+        got = time_averaged_wave_op(mono, +1, n_max, probes, 1.0)
         assert widths == [probes.count] * 8
         assert len(lat.steppers) == 1    # monodromy and nodes share the step width
         monkeypatch.undo()
         moved = np.linalg.matrix_power(mono.operator, n_max) @ probes.vectors
-        kernel = time_average(lat, mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
+        kernel = time_average(mono, np.eye(lat.sites, dtype=np.complex128), 1.0)
         want = lat.free_apply(-n_max, kernel @ moved)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -689,18 +691,18 @@ class TestWindowAverage:
         ring, mono, x = ring_run
         assert mono.segment is not None and mono.segment.sites == 81
         ring.steppers.clear()
-        got = time_average(ring, mono, x, width)
+        got = time_average(mono, x, width)
         assert not ring.steppers                  # the ring is not stepped
-        want = ring_time_average(ring, mono, x, width)
+        want = ring_time_average(mono, x, width)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_border_breach_takes_the_ring_sweep(self, ring_run, monkeypatch):
         ring, mono, x = ring_run
         monkeypatch.setattr(propagation, "WINDOW_BORDER_TOL", 0.0)
         ring.steppers.clear()
-        got = time_average(ring, mono, x, 1.0)
+        got = time_average(mono, x, 1.0)
         assert ring.steppers                      # the whole ring stepped
-        assert got.tobytes() == ring_time_average(ring, mono, x, 1.0).tobytes()
+        assert got.tobytes() == ring_time_average(mono, x, 1.0).tobytes()
 
 
 class TestSegmentCrossCheck:
@@ -732,7 +734,7 @@ class TestSegmentCrossCheck:
         lat = build_lattice(256, 1.0, -0.8, 0.5, range(126, 131))
         mono = monodromy(lat, 0.0, PropagatorSchedule(64, 4))
         with pytest.raises(DetectorDisagreementError) as err:
-            bound_state_scan(lat, mono, n_modes=3)
+            bound_state_scan(mono, n_modes=3)
         phase = min(mono.quasi_energies[sidebands_closed(mono.quasi_energies,
                                                          lat.free_levels)])
         want = ScanOperators(lat, 3).null_pair(phase + 1j * RAYLEIGH_EPS)[0]
@@ -750,7 +752,7 @@ class TestCertifiedPartner:
         # every in-gap phase of the suite's scans has a certified partner
         lat = build_lattice(sites, 1.0, depth, drive, support)
         mono = monodromy(lat, 0.0, PropagatorSchedule(steps, order))
-        assert len(bound_state_scan(lat, mono, n_modes=n_modes)) == count
+        assert len(bound_state_scan(mono, n_modes=n_modes)) == count
 
     def test_phase_without_partner_has_none(self):
         # 3.0 and 3.3 lie in the gap, 0.28 and 0.024 from the nearest interior in-gap
@@ -758,7 +760,7 @@ class TestCertifiedPartner:
         # moved by 3 tol has no partner either
         lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
         scan = ScanOperators(lat, 8)
-        bound = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(256, 4)), 8)
+        bound = bound_state_scan(monodromy(lat, 0.0, PropagatorSchedule(256, 4)), 8)
         assert _mode_space_partner(lat, scan, bound[0].quasi_energy, 1e-5) <= 1e-5
         for phase in (3.0, 3.3, 1.0, 5.5, bound[0].quasi_energy + 3e-5):
             assert _mode_space_partner(lat, scan, phase, 1e-5) is None
@@ -770,7 +772,7 @@ class TestCertifiedPartner:
         lat = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         mono = monodromy(lat, 0.0, PropagatorSchedule(8, 2))
         with pytest.raises(DetectorDisagreementError, match="not reproduced") as info:
-            bound_state_scan(lat, mono, n_modes=8)
+            bound_state_scan(mono, n_modes=8)
         phases = mono.quasi_energies
         phase = np.sort(phases[sidebands_closed(phases, lat.free_eig.values)])[0]
         assert info.value.s_min == ScanOperators(lat, 8).null_pair(phase + 1j * RAYLEIGH_EPS)[0]
@@ -801,7 +803,7 @@ class TestCertifiedPartner:
 
         monkeypatch.setattr(scattering, "_mode_space_partner", with_oracle)
         monkeypatch.setattr(scattering, "_certified_partner", both)
-        assert len(bound_state_scan(lat, mono, n_modes=n_modes)) == count
+        assert len(bound_state_scan(mono, n_modes=n_modes)) == count
         assert pairs
         for got, want in pairs:
             assert (got is None) == (want is None)
@@ -826,7 +828,7 @@ class TestCertifiedPartner:
         # the next translate certifies the phase
         lat = build_lattice(64, 1.0, -2.0, 0.0, range(30, 35))
         scan = ScanOperators(lat, 6)
-        phase = bound_state_scan(lat, monodromy(lat, 0.0, PropagatorSchedule(96, 2)),
+        phase = bound_state_scan(monodromy(lat, 0.0, PropagatorSchedule(96, 2)),
                                  6)[0].quasi_energy
         tried, null_pair = [], scan.null_pair
 
@@ -850,11 +852,10 @@ class TestMultiplicity:
         # CROSS_CHECK_TOL of the second but not of the first, is a state of its own
         lat = build_lattice(64, 1.0, -2.0, 0.5, range(30, 35))
         phases = np.array([3.0, 3.0 + 6e-6, 3.0 + 1.2e-5])
-        mono = Monodromy(start=0.0, scheme=PropagatorSchedule(64, 4),
-                         eig=EigenDecomposition(np.exp(-1j * phases), np.eye(64)[:, :3]),
-                         window=np.arange(64), block=np.zeros((64, 64)), segment=lat,
-                         free=lat.free_period)
+        mono = Monodromy(start=0.0, scheme=PropagatorSchedule(64, 4), window=np.arange(64),
+                         block=np.zeros((64, 64)), segment=lat, model=lat)
+        mono.eig = EigenDecomposition(np.exp(-1j * phases), np.eye(64)[:, :3])
         assert sidebands_closed(phases, lat.free_levels).all()
         monkeypatch.setattr(scattering, "_mode_space_partner", lambda *args: 0.0)
-        infos = bound_state_scan(lat, mono, n_modes=2)
+        infos = bound_state_scan(mono, n_modes=2)
         assert [b.multiplicity for b in infos] == [2, 1]
