@@ -14,7 +14,6 @@ from .model import (
     PeriodicHamiltonian,
     build_lattice,
     fleet,
-    fourier_modes,
     load_model,
     rabi_model,
     rabi_quasi_energies,

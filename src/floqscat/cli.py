@@ -21,7 +21,8 @@ appears only in sweep tables.
 
 Exit codes: 0 success, 2 config validation failure (the message names the
 offending field), 3 numerical failure (non-convergence, singular solve, a
-NaN or infinite report value, named by its key path: reports are strict JSON).
+time-average kick leaving the light cone's window, a NaN or infinite report
+value, named by its key path: reports are strict JSON).
 With several configs every one runs, every written output path is printed,
 and the exit code is the largest of theirs.
 """
@@ -50,7 +51,7 @@ from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondenc
 from .model import LatticeModel, build_lattice, rabi_model
 from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
 from .propagation import (MIN_STEPS, ORDERS, MagnusStepper, PropagatorSchedule, StepPlanError,
-                          monodromy)
+                          WindowLeakError, monodromy)
 from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
                         ThresholdProximityError, block_q,
                         bound_state_correspondence, factorized_potential, grid_potential,
@@ -75,7 +76,7 @@ class NonFiniteError(FloatingPointError):
 
 NUMERICAL_ERRORS = (ConvergenceError, SingularMatrixError, ThresholdProximityError,
                     DetectorDisagreementError, InverseIterationError, NonUnitaryError,
-                    NonFiniteError)
+                    NonFiniteError, WindowLeakError)
 
 
 class ValidationError(ValueError):

@@ -49,8 +49,8 @@ import numpy as np
 import numpy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import (EigenDecomposition, as_complex_matrix, check_hermitian, check_square,
-                       distinct, hermitian_defect, hermitian_eig, require_hermitian)
+from .numerics import (EigenDecomposition, as_complex_matrix, check_square, distinct,
+                       hermitian_defect, hermitian_eig, require_hermitian)
 
 
 @dataclass
@@ -178,32 +178,6 @@ class PeriodicHamiltonian:
             return eig.apply(np.exp(-1j * float(t) * eig.values), x)
         phases = np.exp(-1j * float(t) * levels).reshape((-1,) + (1,) * (np.ndim(x) - 1))
         return np.fft.ifft(phases * np.fft.fft(x, axis=0), axis=0)
-
-
-def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:
-    """Recover Fourier modes from uniform samples (t_j, H(t_j)).
-
-    samples must lie on the uniform grid t_j = j / N_t with N_t >= 4*m_cut + 2.
-    Returns a PeriodicHamiltonian with h0 = 0 and modes
-    H_n = (1/N_t) sum_j exp(-2 pi i n t_j) H(t_j) for |n| <= m_cut.
-    Band-limited inputs of degree <= m_cut round-trip through evaluate().
-    """
-    if m_cut < 0:
-        raise ValueError("mode cutoff must be >= 0")
-    n_t = len(samples)
-    if n_t < 4 * m_cut + 2:
-        raise ValueError(f"need at least 4*M+2 = {4 * m_cut + 2} samples for cutoff M={m_cut}, got {n_t}")
-    ts = np.array([float(t) for t, _ in samples])
-    expected = np.arange(n_t) / n_t
-    if np.abs(ts - expected).max() > 1e-12:
-        raise ValueError("samples must sit on the uniform grid t_j = j/N_t")
-    mats = np.stack([check_hermitian(as_complex_matrix(h)) for _, h in samples])
-    dim = mats.shape[1]
-    modes = {}
-    for n in range(-m_cut, m_cut + 1):
-        phases = np.exp(-2j * np.pi * n * expected)
-        modes[n] = np.einsum("j,jab->ab", phases, mats) / n_t
-    return PeriodicHamiltonian(h0=np.zeros((dim, dim)), modes=modes, label=label)
 
 
 class LatticeModel(PeriodicHamiltonian):

@@ -28,8 +28,9 @@ is imported only inside `solve`, for its LU with a condition estimate.
 A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
 pattern from sorted row-major keys (`csr_structure`), or a dense block's
 nonzeros (`csr_arrays`).  Its products run through scipy's compiled CSR
-multivector kernel (`csr_matvecs`), loaded here alone (`_csr_kernels`) and not
-through the scipy.sparse package.
+multivector kernel (`csr_matvecs`), and the Magnus commutators through its
+product and difference kernels: the module of kernels (`csr_kernels`) is loaded
+here alone (`_csr_kernels`) and not through the scipy.sparse package.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def _csr_kernels():
     return module
 
 
+csr_kernels = _csr_kernels()
 # Y += A X for a CSR A and C-ordered blocks X, Y of n_vecs columns, read unchecked:
 # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y)
-csr_matvecs = _csr_kernels().csr_matvecs
+csr_matvecs = csr_kernels.csr_matvecs
 
 
 def distinct(a: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
 nodes with that stack, held to require_hermitian's rule as one stack.  The
 pattern, the stack and the positions of each entry's transpose are built with
-numpy from the operands' nonzero keys (numerics.distinct, searchsorted), and
-so are the commutators, each entry summed as scipy's CSR product sums it
-(`_commutator`).  exp(-i Omega) acts on the
+numpy from the operands' nonzero keys (numerics.distinct, searchsorted); the
+commutators come from scipy's compiled CSR product and difference kernels
+(numerics.csr_kernels), as scipy.sparse forms them (`_commutator`).
+exp(-i Omega) acts on the
 running product through a Taylor polynomial whose degree and substep count
 are fixed per call from the a-priori bound on ||Omega||_1 so that the
 truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
@@ -97,8 +98,8 @@ from math import lgamma, log
 import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian
-from .numerics import (EigenDecomposition, csr_matvecs, csr_structure, distinct, expm_hermitian,
-                       max_norm, require_hermitian, unitary_eig)
+from .numerics import (EigenDecomposition, csr_arrays, csr_kernels, csr_matvecs, csr_structure,
+                       distinct, expm_hermitian, max_norm, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -121,12 +122,18 @@ _ENTRY_BLOCK = 2**12
 MAX_TAYLOR_APPLICATIONS = 2**15
 # the largest entry E_w's border rows and columns may hold: E decays faster
 # than geometrically away from the support, so a border this small leaves
-# what lies beyond it below round-off
+# what lies beyond it below round-off; a time-average kick's rows outside the
+# window are held to it relative to their column's norm (_window_kicks)
 WINDOW_BORDER_TOL = 1e-13
 
 
 class StepPlanError(ValueError):
     """A step whose Taylor plan exceeds MAX_TAYLOR_APPLICATIONS: too few steps per period."""
+
+
+class WindowLeakError(RuntimeError):
+    """A time-average kick D(t) x_W that reaches a segment row outside the light cone's
+    window beyond WINDOW_BORDER_TOL times its column's norm (_window_kicks)."""
 
 
 def flush(u: np.ndarray) -> np.ndarray:
@@ -189,30 +196,23 @@ class PropagatorSchedule:
             raise ValueError(f"integrator order must be one of {ORDERS}")
 
 
-def _product(a: np.ndarray, b: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """sum_k a[:, k] b[k] over k in `inner`, ascending, each entry summed from 0 one
-    term at a time in real arithmetic: the sums of scipy's CSR product (csr_matmat),
-    whose complex multiply is not fused, as numpy's may be.  A term where a[i, k] or
-    b[k, j] is zero adds a signed zero, which leaves every sum's bits as they are."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for k in inner:
-        x, y = a[:, k, None], b[None, k]
-        out.real += x.real * y.real - x.imag * y.imag
-        out.imag += x.real * y.imag + x.imag * y.real
-    return out
-
-
 def _commutator(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row-major keys, values) of the nonzero entries of AB - BA, bit for bit as scipy.sparse
-    forms it from CSR operands: each product summed as `_product` sums it, an entry of BA
-    alone as 0 - BA_ij.  Only the rows and columns either product reaches are formed."""
-    ab = np.flatnonzero(a.any(axis=0) & b.any(axis=1))   # the k of A[:, k] B[k] != 0
-    ba = np.flatnonzero(b.any(axis=0) & a.any(axis=1))
-    rows = np.flatnonzero(a[:, ab].any(axis=1) | b[:, ba].any(axis=1))
-    cols = np.flatnonzero(b[ab].any(axis=0) | a[ba].any(axis=0))
-    comm = _product(a[rows], b[:, cols], ab) - _product(b[rows], a[:, cols], ba)
-    r, c = np.nonzero(comm)
-    return rows[r] * a.shape[1] + cols[c], comm[r, c]
+    forms it from CSR operands, by its kernels: csr_matmat for each product and
+    csr_minus_csr for the difference, which takes an entry of BA alone as 0 - BA_ij."""
+    n, kernels = a.shape[0], csr_kernels
+
+    def apply(kernel, x, y, size):
+        out = (np.empty_like(x[0]), np.empty(size, x[1].dtype), np.empty(size, np.complex128))
+        kernel(n, n, *x, *y, *out)
+        return out
+
+    a, b = csr_arrays(a), csr_arrays(b)     # complex, as every operand is
+    ab, ba = (apply(kernels.csr_matmat, x, y, kernels.csr_matmat_maxnnz(n, n, *x[:2], *y[:2]))
+              for x, y in ((a, b), (b, a)))
+    indptr, indices, values = apply(kernels.csr_minus_csr, ab, ba, ab[0][-1] + ba[0][-1])
+    size = indptr[-1]
+    return np.repeat(np.arange(n), np.diff(indptr)) * n + indices[:size], values[:size]
 
 
 class MagnusStepper:
@@ -492,25 +492,31 @@ def window_block(h: PeriodicHamiltonian, s: float, sched: PropagatorSchedule
     return np.arange(h.dim), _stepped_period(h, s, sched) - h.free_period, h
 
 
-def _window_kicks(mono: Monodromy, x: np.ndarray, nodes: np.ndarray) -> list[np.ndarray] | None:
+def _window_kicks(mono: Monodromy, x: np.ndarray, nodes: np.ndarray) -> list[np.ndarray]:
     """D(t_j) x_W = (U(s + t_j, s) - U0(t_j)) x_W on W's rows for the nodes t_j after
     the first: x_W = x's rows on mono's window W, placed on the segment's rows that
     hold W (the middle |W| rows, every row where the segment is the model) and
     stepped there through the node intervals with the segment's steppers, minus
-    U0_seg(t_j) x_W.  None where a segment row outside W exceeds WINDOW_BORDER_TOL
-    times its column's norm of x."""
+    U0_seg(t_j) x_W.  Raises WindowLeakError where a segment row outside W exceeds
+    WINDOW_BORDER_TOL times its column's norm of x: window_block has checked E_w's
+    border at t = 1, and for t <= 1 the light cone is no wider, so a leak is a fault."""
     seg = mono.segment
     r = (seg.dim - len(mono.window)) // 2
     rows = slice(r, seg.dim - r)
     start = np.zeros((seg.dim,) + x.shape[1:], dtype=np.complex128)
     start[rows] = x[mono.window]
-    limit = WINDOW_BORDER_TOL * np.linalg.norm(x, axis=0)
+    norm = np.linalg.norm(x, axis=0)
     s, sched, y, kicks = mono.start, mono.scheme, start, []
     for t0, t1 in zip(nodes[:-1], nodes[1:]):
         y = propagate(seg, s + t0, s + t1, sched, initial=y)
         kick = y - seg.free_apply(t1, start)
-        if (np.abs(np.delete(kick, rows, axis=0)).max(axis=0, initial=0.0) > limit).any():
-            return None
+        leak = np.abs(np.delete(kick, rows, axis=0)).max(axis=0, initial=0.0)
+        over = np.flatnonzero(leak > WINDOW_BORDER_TOL * norm)
+        if over.size:
+            raise WindowLeakError(
+                f"the time average's kick at t = {t1:.6g} leaves the light cone's window: "
+                f"{leak[over[0]]:.3e} on a segment row outside it, above WINDOW_BORDER_TOL = "
+                f"{WINDOW_BORDER_TOL:.0e} times the column's norm {norm[over[0]]:.3e}")
         kicks.append(kick[rows])
     return kicks
 

@@ -34,17 +34,17 @@ is formed.  It steps only the window: for t <= 1, D(t) = U(s + t, s) - U0(t)
 lives on W x W, W the Monodromy's window, by the light cone that bounds E_w,
 so the kernel applied to x is x + sum_j w_j U0(-t_j) P_W D_j x_W, each
 D_j x_W stepped on the Monodromy's segment through the quadrature nodes with
-the segment's steppers, minus U0_seg(t_j) x_W (propagation._window_kicks);
-its rows outside W must stay at or below WINDOW_BORDER_TOL relative to x, or
-the columns are propagated through the nodes on the whole model.  A
-wave-operators run on the light cone's window thus steps no L x L model:
+the segment's steppers, minus U0_seg(t_j) x_W (propagation._window_kicks).
+Its rows outside W must stay at or below WINDOW_BORDER_TOL relative to x;
+window_block checked E_w's border at t = 1, so a kick past it raises
+WindowLeakError, and nothing is stepped on the whole model.  Nothing here
+steps a model but the Monodromy's segment: on the light cone's window,
 Theta's window and the time average both run on the segment of ~4r sites.
 
 Every function here that needs Theta or its eigenbasis takes the scenario's
 one Monodromy, built by the caller at its start time s, and reads the model
 from it (Monodromy.model): a Monodromy is its model's Theta, so no model is
-passed beside it.  None builds a Monodromy from a schedule, except
-start_time_covariance_defect, which builds the one at s + 1/2.
+passed beside it, and none builds a Monodromy.
 
 S = W+ W-^dagger is reported on Theta0's channels.  Floquet scattering is
 fibred over quasi-energy (Yajima, J. Math. Soc. Japan 29 (1977)), so S
@@ -95,7 +95,7 @@ import numpy as np
 from .floquet import circular_distance, sidebands_closed
 from .model import LatticeModel
 from .numerics import adjoint_apply
-from .propagation import Monodromy, _window_kicks, monodromy, propagate
+from .propagation import Monodromy, _window_kicks
 from .resolvent import RAYLEIGH_EPS, InverseIterationError, ScanOperators
 
 GAP_TOL = 1e-3
@@ -296,30 +296,21 @@ def time_average(mono: Monodromy, x: np.ndarray, h: float, n_quad: int = 8) -> n
     which for t <= 1 lives on W x W, W = mono.window (the light cone of
     propagation.window_block, or every site): the sum is
     x + sum_j w_j U0(-t_j) P_W D_j x_W, each D_j x_W from mono's segment
-    (_window_kicks; on the every-site window the segment is the model).  Where
-    the segment's rows outside W exceed WINDOW_BORDER_TOL, x is propagated on
-    the whole model through the nodes t_j in one running sweep instead.  Each
-    U0(-t_j) acts through free_apply; the L x L kernel is not formed unless x
-    is the identity."""
+    (_window_kicks, which raises WindowLeakError where the segment's rows outside
+    W exceed WINDOW_BORDER_TOL; on the every-site window the segment is the
+    model).  Each U0(-t_j) acts through free_apply; the L x L kernel is not
+    formed unless x is the identity."""
     if not (0.0 < h <= 1.0):
         raise ValueError("averaging window h must lie in (0, 1]")
-    model, s, sched = mono.model, mono.start, mono.scheme
     nodes = np.linspace(0.0, h, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)
     weights[0] = weights[-1] = 0.5
     weights /= weights.sum()
-    kicks = _window_kicks(mono, x, nodes)
-    if kicks is not None:
-        out = np.array(x, dtype=np.complex128)
-        for i, kick in enumerate(kicks, start=1):   # t_0 = 0: D_0 = 0
-            spread = np.zeros_like(out)
-            spread[mono.window] = kick
-            out += weights[i] * model.free_apply(-nodes[i], spread)
-        return out
-    out = weights[0] * x        # t_0 = 0: U0(0)^dagger U(s, s) = I
-    for i in range(1, n_quad + 1):
-        x = propagate(model, s + nodes[i - 1], s + nodes[i], sched, initial=x)
-        out = out + weights[i] * model.free_apply(-nodes[i], x)
+    out = np.array(x, dtype=np.complex128)
+    for i, kick in enumerate(_window_kicks(mono, x, nodes), start=1):   # t_0 = 0: D_0 = 0
+        spread = np.zeros_like(out)
+        spread[mono.window] = kick
+        out += weights[i] * mono.model.free_apply(-nodes[i], spread)
     return out
 
 
@@ -606,27 +597,3 @@ def orthogonality_defect(probes: ProbeSet, bound: np.ndarray) -> float:
     if bound.shape[1] == 0:
         return 0.0
     return float(np.abs(bound.conj().T @ probes.vectors).max())
-
-
-def start_time_covariance_defect(mono: Monodromy, n_max: int, probes: ProbeSet) -> float:
-    """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + 1/2 on probes,
-    with s = mono.start, on mono's model.
-
-    Both sides map a state at time s' to its future free asymptote; the
-    left-hand side is computed from the monodromy at s', built here on
-    mono's schedule, the right-hand side transports through the interacting
-    propagator to s and back with the free one.  Theta_s^n and Theta_s'^n act
-    on the probe columns through their monodromies' eigenbases, the free
-    factors through the H0 eigenbasis.
-    """
-    model, s, sched, shift = mono.model, mono.start, mono.scheme, 0.5
-    s2 = s + shift
-
-    def wave_op(m: Monodromy, x: np.ndarray, t: float) -> np.ndarray:
-        """U0(t) Theta0^{-n} Theta^n x."""
-        return model.free_apply(t - n_max, m.apply(n_max, x))
-
-    lhs = wave_op(monodromy(model, s2, sched),
-                  propagate(model, s, s2, sched, initial=probes.vectors), 0.0)
-    rhs = wave_op(mono, probes.vectors, shift)
-    return float(np.linalg.norm(lhs - rhs, axis=0).max())

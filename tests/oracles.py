@@ -12,6 +12,8 @@ nor keeps.
     operator(w)                 W^(n_max) on the full space (L x L)
     free_propagator(h, t)       U0(t) = exp(-i t H0) from the model's H0 eigendecomposition
     ring_time_average(mono, x, width)  scattering.time_average on the whole model
+    start_time_covariance_defect(mono, n_max, probes)  W(s') against U0(s', s) W(s) U(s, s')
+    fourier_modes(samples, m_cut)  a PeriodicHamiltonian from uniform samples of H(t)
     step(stepper, a, u)         one Magnus step from a of a propagation.MagnusStepper
     convergence_ladder(h, ...)  ||Theta(N) - Theta(2N)|| over a step ladder
     rabi_closed_form_propagator(t, delta, v)  exact U(t, 0) of the driven two-level model
@@ -39,8 +41,9 @@ from itertools import islice
 
 import numpy as np
 
-from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, adjoint_apply, expm_hermitian,
-                               max_norm, unitary_defect)
+from floqscat.model import PeriodicHamiltonian
+from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, adjoint_apply, as_complex_matrix,
+                               check_hermitian, expm_hermitian, max_norm, unitary_defect)
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate
 
 
@@ -122,9 +125,9 @@ def free_propagator(h, t: float) -> np.ndarray:
 def ring_time_average(mono, x: np.ndarray, width: float, n_quad: int = 8) -> np.ndarray:
     """The trapezoid kernel width^{-1} int_0^width U0(t)^dagger U(s + t, s) dt times
     the block x, s = mono.start: x propagated on mono's whole model through the nodes
-    in one running sweep on mono's schedule, each U0(-t_j) through free_apply
-    (scattering.time_average's fallback where the segment's rows outside the
-    window exceed WINDOW_BORDER_TOL)."""
+    in one running sweep on mono's schedule, each U0(-t_j) through free_apply.
+    scattering.time_average steps the Monodromy's segment alone; this is its
+    whole-model reference."""
     h, s, sched = mono.model, mono.start, mono.scheme
     nodes = np.linspace(0.0, width, n_quad + 1)
     weights = np.full(n_quad + 1, 1.0)
@@ -135,6 +138,56 @@ def ring_time_average(mono, x: np.ndarray, width: float, n_quad: int = 8) -> np.
         x = propagate(h, s + nodes[i - 1], s + nodes[i], sched, initial=x)
         out = out + weights[i] * h.free_apply(-nodes[i], x)
     return out
+
+
+def start_time_covariance_defect(mono, n_max: int, probes) -> float:
+    """Defect of W(s') = U0(s', s) W(s) U(s, s') at s' = s + 1/2 on probes,
+    with s = mono.start, on mono's model.
+
+    Both sides map a state at time s' to its future free asymptote; the
+    left-hand side is computed from the monodromy at s', built here on
+    mono's schedule, the right-hand side transports through the interacting
+    propagator to s and back with the free one.  Theta_s^n and Theta_s'^n act
+    on the probe columns through their monodromies' eigenbases, the free
+    factors through the model's free_apply.
+    """
+    model, s, sched, shift = mono.model, mono.start, mono.scheme, 0.5
+    s2 = s + shift
+
+    def wave_op(m, x: np.ndarray, t: float) -> np.ndarray:
+        """U0(t) Theta0^{-n} Theta^n x."""
+        return model.free_apply(t - n_max, m.apply(n_max, x))
+
+    lhs = wave_op(monodromy(model, s2, sched),
+                  propagate(model, s, s2, sched, initial=probes.vectors), 0.0)
+    rhs = wave_op(mono, probes.vectors, shift)
+    return float(np.linalg.norm(lhs - rhs, axis=0).max())
+
+
+def fourier_modes(samples, m_cut: int, label: str = "") -> PeriodicHamiltonian:
+    """Recover Fourier modes from uniform samples (t_j, H(t_j)).
+
+    samples must lie on the uniform grid t_j = j / N_t with N_t >= 4*m_cut + 2.
+    Returns a PeriodicHamiltonian with h0 = 0 and modes
+    H_n = (1/N_t) sum_j exp(-2 pi i n t_j) H(t_j) for |n| <= m_cut.
+    Band-limited inputs of degree <= m_cut round-trip through evaluate().
+    """
+    if m_cut < 0:
+        raise ValueError("mode cutoff must be >= 0")
+    n_t = len(samples)
+    if n_t < 4 * m_cut + 2:
+        raise ValueError(f"need at least 4*M+2 = {4 * m_cut + 2} samples for cutoff M={m_cut}, got {n_t}")
+    ts = np.array([float(t) for t, _ in samples])
+    expected = np.arange(n_t) / n_t
+    if np.abs(ts - expected).max() > 1e-12:
+        raise ValueError("samples must sit on the uniform grid t_j = j/N_t")
+    mats = np.stack([check_hermitian(as_complex_matrix(h)) for _, h in samples])
+    dim = mats.shape[1]
+    modes = {}
+    for n in range(-m_cut, m_cut + 1):
+        phases = np.exp(-2j * np.pi * n * expected)
+        modes[n] = np.einsum("j,jab->ab", phases, mats) / n_t
+    return PeriodicHamiltonian(h0=np.zeros((dim, dim)), modes=modes, label=label)
 
 
 def step(stepper, a: float, u: np.ndarray) -> np.ndarray:

@@ -202,6 +202,34 @@ def test_contract_case(task, model, params, code, text):
     assert text in err.getvalue() + out.getvalue() and "Traceback" not in err.getvalue()
 
 
+def test_window_leak_exits_3_naming_it(tmp_path, monkeypatch):
+    # a time-average kick past the light cone's window is a numerical failure, named
+    # with its time, its size and the tolerance: the tolerance is forced to 0 once the
+    # scenario's Theta has settled its window
+    import floqscat.cli as cli
+    import floqscat.propagation as propagation
+
+    build = cli.monodromy
+
+    def settled(*args):
+        mono = build(*args)
+        monkeypatch.setattr(propagation, "WINDOW_BORDER_TOL", 0.0)
+        return mono
+
+    monkeypatch.setattr(cli, "monodromy", settled)
+    cfg = tmp_path / "leak.json"
+    cfg.write_text(json.dumps({"task": "wave-operators",
+                               "model": lattice(sites=256, well_depth=-0.8, support_width=5),
+                               "parameters": {"steps_per_period": 64, "floquet_modes": 3}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3, err.getvalue()
+    assert "kick at t = 0.125 leaves the light cone's window" in err.getvalue()
+    assert "WINDOW_BORDER_TOL = 0e+00" in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not (tmp_path / "leak.report.json").exists()
+
+
 @pytest.mark.parametrize("sweep, fmt, code", [(False, "csv", 2), (True, "json", 2),
                                               (False, "json", 0), (True, "csv", 0),
                                               (False, None, 0), (True, None, 0)])

@@ -12,7 +12,6 @@ from floqscat.model import (
     build_lattice,
     circulant,
     fleet,
-    fourier_modes,
     load_model,
     model_from_json_dict,
     model_to_json_dict,
@@ -22,7 +21,8 @@ from floqscat.model import (
 from floqscat.numerics import hermitian_defect
 
 from conftest import random_hermitian
-from oracles import dense_lattice, dense_mirror, dense_ring_spectrum, dense_support
+from oracles import (dense_lattice, dense_mirror, dense_ring_spectrum, dense_support,
+                     fourier_modes)
 
 
 def two_harmonic(seed=0, dim=3):

@@ -332,6 +332,16 @@ def mirror_ring(sites, width):
     return build_lattice(sites, 1.0, -1.8, 0.45, range(lo, lo + width))
 
 
+def pattern_cases():
+    """magnus_cases, a mirror ring and two random complex two-harmonic models, whose
+    commutators fill the pattern."""
+    from floqscat.model import _random_two_harmonic
+
+    return {**magnus_cases(), "ring-48": (mirror_ring(48, 5), 256),
+            "random-d2": (_random_two_harmonic(2, seed=5, label="d=2"), 64),
+            "random-d3": (_random_two_harmonic(3, seed=23, label="d=3"), 64)}
+
+
 class TestHornerStep:
     """Horner's rule with one fused kernel product per term, the numpy-built
     pattern and one stepped column per mirror orbit."""
@@ -411,11 +421,11 @@ class TestHornerStep:
         assert np.array_equal(propagate(h, 0.0, 1.0, fast_sched), np.eye(2))
 
     @pytest.mark.parametrize("order", [2, 4])
-    @pytest.mark.parametrize("name", list(magnus_cases()) + ["ring-48"])
+    @pytest.mark.parametrize("name", list(pattern_cases()))
     def test_pattern_matches_the_scipy_built_one(self, name, order):
         from floqscat.propagation import MagnusStepper
 
-        h, steps = (mirror_ring(48, 5), 256) if name == "ring-48" else magnus_cases()[name]
+        h, steps = pattern_cases()[name]
         stepper = MagnusStepper(h, 1.0 / steps, order)
         omega, stack, mirror, plan = scipy_built_stepper(h, 1.0 / steps, order)
         assert np.array_equal(stepper.indptr, omega.indptr)

@@ -28,7 +28,6 @@ from floqscat.scattering import (
     make_probes,
     orthogonality_defect,
     s_matrix,
-    start_time_covariance_defect,
     stroboscopic_wave_op,
     time_average,
     time_averaged_wave_op,
@@ -36,7 +35,7 @@ from floqscat.scattering import (
 )
 
 from oracles import (free_propagator, image, loop_gaps, operator, orthonormality_defect,
-                     kronecker_k, residual, ring_time_average)
+                     kronecker_k, residual, ring_time_average, start_time_covariance_defect)
 
 CHEAP = PropagatorSchedule(96, 2)
 
@@ -610,7 +609,7 @@ class TestProbeBlockAverage:
         # the session's model keeps its steppers: count the ones this test adds
         monkeypatch.setattr(lat, "steppers", {})
         mono = monodromy(lat, 0.0, sched)
-        widths, inner = [], scattering.propagate
+        widths, inner = [], propagation.propagate
 
         def spy(h, s, t, sched, initial=None, **kwargs):
             widths.append(initial.shape[1])
@@ -697,12 +696,33 @@ class TestWindowAverage:
         assert np.abs(got - want).max() <= 1e-12
 
     def test_border_breach_takes_the_ring_sweep(self, ring_run, monkeypatch):
+        # a kick past the window's border is refused: the whole ring is not swept
         ring, mono, x = ring_run
         monkeypatch.setattr(propagation, "WINDOW_BORDER_TOL", 0.0)
         ring.steppers.clear()
-        got = time_average(mono, x, 1.0)
-        assert ring.steppers                      # the whole ring stepped
-        assert got.tobytes() == ring_time_average(mono, x, 1.0).tobytes()
+        with pytest.raises(propagation.WindowLeakError, match="t = 0.125 leaves"):
+            time_average(mono, x, 1.0)
+        assert not ring.steppers                  # the ring is not stepped
+
+
+class TestSegmentAlone:
+    """On the light cone's window scattering steps the Monodromy's segment and
+    nothing else: the ring's dense arrays are never formed."""
+
+    def test_scattering_binds_no_stepping(self):
+        assert not hasattr(scattering, "propagate") and not hasattr(scattering, "monodromy")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ring_scatter_forms_no_ring_array(self, monkeypatch, seed):
+        import floqscat.cli as cli
+
+        models, build = [], cli.build_model
+        monkeypatch.setattr(cli, "build_model",
+                            lambda spec: models.append(build(spec)) or models[-1])
+        run_scenario(RING_SCATTER, seed=seed)
+        [ring] = models
+        assert ring.sites == 256 and not ring.steppers
+        assert not {"h0", "modes", "free_eig"} & set(vars(ring))
 
 
 class TestSegmentCrossCheck:
