@@ -6,7 +6,6 @@ from .numerics import (
     SingularMatrixError,
     expm_hermitian,
     hermitian_eig,
-    solve,
     unitary_eig,
 )
 from .model import (
@@ -22,8 +21,6 @@ from .model import (
 from .propagation import (
     Monodromy,
     PropagatorSchedule,
-    check_cocycle,
-    check_period_shift,
     monodromy,
     propagate,
 )
@@ -44,7 +41,6 @@ from .resolvent import (
     block_q,
     bound_state_correspondence,
     factorized_potential,
-    full_resolvent,
     q_factorized,
     r0_apply,
     r0_matrix,

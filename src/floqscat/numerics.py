@@ -22,8 +22,8 @@ unitary that commutes with a site reflection R, as the monodromy of a
 mirror-symmetric ring does, is diagonalized on R's even and odd sectors
 (`MirrorSectors`): two blocks of about half the side.
 
-Every decomposition here runs in numpy.linalg.  scipy.linalg, a second LAPACK,
-is imported only inside `solve`, for its LU with a condition estimate.
+Every decomposition here runs in numpy.linalg; no module of the package
+imports scipy.linalg, a second LAPACK.
 
 A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
 pattern from sorted row-major keys (`csr_structure`), or a dense block's
@@ -38,7 +38,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ CLUSTER_GAP = 1e-4
 # symmetric exactly and a window-route Theta to round-off, while a unitary
 # without time-reversal symmetry is asymmetric at order one
 SYMMETRY_TOL = 1e-14
-PIVOT_RTOL = 1e-14
 
 
 def _csr_kernels():
@@ -107,7 +105,7 @@ def csr_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a solve hits a pivot below threshold (spectral point)."""
+    """Raised where a shifted operator is singular to working precision (a spectral point)."""
 
 
 class NonUnitaryError(ValueError):
@@ -352,39 +350,6 @@ def expm_hermitian(h, tau: float) -> np.ndarray:
     """exp(-i tau H) for Hermitian H, unitary by construction (`EigenDecomposition.exp`
     of hermitian_eig(H))."""
     return hermitian_eig(h).exp(tau)
-
-
-def solve(a, b):
-    """Solve A x = b by partial-pivot LU.  Returns (x, condition_estimate).
-
-    Raises SingularMatrixError when a pivot falls below
-    PIVOT_RTOL * max row norm, which downstream code interprets as the
-    shifted operator hitting a spectral point.
-    """
-    from scipy.linalg import lu_factor, lu_solve   # loaded only here, for zgecon
-    from scipy.linalg.lapack import zgecon
-
-    a = check_square(a)
-    b = np.asarray(b, dtype=np.complex128)
-    row_norm = float(np.abs(a).sum(axis=1).max())
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # pivot check below covers the singular case
-            lu, piv = lu_factor(a)
-    except np.linalg.LinAlgError as exc:  # exactly singular
-        raise SingularMatrixError(f"factorization failed: {exc}") from exc
-    pivots = np.abs(np.diag(lu))
-    if row_norm == 0.0 or pivots.min() < PIVOT_RTOL * row_norm:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold "
-            f"{PIVOT_RTOL:.1e} x max row norm {row_norm:.3e}"
-        )
-    rcond, info = zgecon(lu, row_norm, norm="I")
-    cond = float(1.0 / rcond) if rcond > 0 else np.inf
-    if info != 0:
-        raise SingularMatrixError(f"condition estimate failed (info={info})")
-    x = lu_solve((lu, piv), b)
-    return x, cond
 
 
 def max_norm(a: np.ndarray) -> float:

@@ -26,10 +26,10 @@ checks and a zeroed result.  A
 propagator is therefore unitary to round-off, not by construction;
 `unitary_eig`'s `check_unitary` gates every Monodromy.eig.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
-where there are none.  A stepper is built once per model, step width and
-order and kept in the model's `steppers` cache, so every propagate call on
-that model at that width, the monodromy's and the time average's alike,
-shares it.
+where there are none.  A stepper is built once per model, signed step
+width and order and kept in the model's `steppers` cache, so every propagate
+call on that model at that width, the monodromy's and the time average's
+alike, shares it.
 
 A LatticeModel whose diagonals equal their copies under the site reflection R
 about the support, and whose hopping R maps onto itself (`LatticeModel.mirror`),
@@ -99,7 +99,7 @@ import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian
 from .numerics import (EigenDecomposition, csr_arrays, csr_kernels, csr_matvecs, csr_structure,
-                       distinct, expm_hermitian, max_norm, require_hermitian, unitary_eig)
+                       distinct, expm_hermitian, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -229,7 +229,7 @@ class MagnusStepper:
       order 4: Omega = (dt/2) sum_i (c1_i + c2_i) M_i
                + i (sqrt(3) dt^2 / 12) sum_{i<j} (c1_i c2_j - c1_j c2_i) [M_i, M_j]
     at the Gauss nodes.  The Taylor degree and substep count follow from
-    ||Omega||_1 <= dt B + (sqrt(3)/6) (dt B)^2, B = sum_i ||M_i||_1.
+    ||Omega||_1 <= |dt| B + (sqrt(3)/6) (dt B)^2, B = sum_i ||M_i||_1.
     The pattern (`indptr`, `indices`, the sorted row-major `keys`), the
     `stack` and each entry's transposed partner (`mirror`) come from the
     operands' nonzero keys by one `distinct` and searchsorted.
@@ -255,8 +255,8 @@ class MagnusStepper:
         # (row-major keys, values) of each operand's nonzero entries
         parts = [(keys, op.ravel()[keys]) for keys, op in
                  zip(map(np.flatnonzero, ops), ops)]
-        bound = dt * sum(float(np.bincount(keys % dim, np.abs(values), dim).max())
-                         for keys, values in parts)   # the largest column sum, ||M_i||_1
+        bound = abs(dt) * sum(float(np.bincount(keys % dim, np.abs(values), dim).max())
+                              for keys, values in parts)   # the largest column sum, ||M_i||_1
         if order == 4:   # a square past the float range is inf, which taylor_plan rejects
             bound += _GAUSS_OFFSET * (bound**2 if bound < 1e154 else np.inf)
         self.degree, self.substeps = taylor_plan(bound)   # a rejected plan forms no commutator
@@ -337,18 +337,22 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
     """U(t, s) for i dpsi/dt = H(t) psi, times `initial` when given; without
     `initial`, its `columns` alone (U(t, s)[:, columns]) where those are given.
 
-    U(s, s) = I; t < s via the adjoint.  Stepping continues the running
-    product from `initial`, so for a given `initial` a sweep cut into pieces
-    at step boundaries rounds like one uninterrupted propagate.  From the
-    identity, a LatticeModel with a `mirror` R whose `columns` R maps onto
-    themselves (every column, by default) steps only column j <= R[j] of each
-    orbit {j, R[j]} and fills column R[j] with rows R of column j at the end,
-    so those columns round unlike initial=I's.  The MagnusStepper of each
-    (dt, order) is built on first use and kept in h.steppers, so a sweep whose
-    pieces share their step width builds one stepper.
+    U(s, s) = I.  Every t != s on a driven model is one sweep of
+    N = ceil(|t - s| steps_per_period) steps of width dt = (t - s) / N, negative
+    for t < s: the Magnus steps are symmetric in time, so the backward sweep
+    inverts the forward one to round-off, U(s, t) = U(t, s)^-1, without
+    being formed from it.  Stepping continues the running product from
+    `initial`, so for a given `initial` a sweep cut into pieces at step
+    boundaries rounds like one uninterrupted propagate.  From the identity, a
+    LatticeModel with a `mirror` R whose `columns` R maps onto themselves
+    (every column, by default) steps only column j <= R[j] of each orbit
+    {j, R[j]} and fills column R[j] with rows R of column j at the end, so
+    those columns round unlike initial=I's.  The MagnusStepper of each signed
+    (dt, order) is built on first use and kept in h.steppers, so a sweep
+    whose pieces share their step width builds one stepper.
     """
     sched = sched or PropagatorSchedule()
-    if (t <= s or h.max_mode == 0) and (initial is not None or columns is not None):
+    if (t == s or h.max_mode == 0) and (initial is not None or columns is not None):
         full = propagate(h, s, t, sched)
         return full @ initial if initial is not None else full[:, columns]
     if t == s:
@@ -356,11 +360,8 @@ def propagate(h: PeriodicHamiltonian, s: float, t: float,
     if h.max_mode == 0:
         # autonomous: a single exponential is exact
         return expm_hermitian(h.evaluate(0.0), t - s)
-    if t < s:
-        return propagate(h, t, s, sched).conj().T
-    span = t - s
-    n_steps = max(1, int(np.ceil(span * sched.steps_per_period - 1e-12)))
-    dt = span / n_steps
+    n_steps = max(1, int(np.ceil(abs(t - s) * sched.steps_per_period - 1e-12)))
+    dt = (t - s) / n_steps
     key = (dt, sched.order)
     if key not in h.steppers:
         h.steppers[key] = MagnusStepper(h, dt, sched.order)
@@ -562,25 +563,3 @@ def monodromy(h: PeriodicHamiltonian, s: float = 0.0,
     sched = sched or PropagatorSchedule()
     s = s % 1.0
     return Monodromy(s, sched, *window_block(h, s, sched), h)
-
-
-def check_cocycle(h: PeriodicHamiltonian, s: float, r: float, t: float,
-                  sched: PropagatorSchedule | None = None) -> float:
-    """Composition defect ||U(t, r) U(r, s) - U(t, s)||_max for s <= r <= t."""
-    if not (s <= r <= t):
-        raise ValueError("need s <= r <= t")
-    sched = sched or PropagatorSchedule()
-    left = propagate(h, r, t, sched) @ propagate(h, s, r, sched)
-    return max_norm(left - propagate(h, s, t, sched))
-
-
-def check_period_shift(h: PeriodicHamiltonian, t: float,
-                       sched: PropagatorSchedule | None = None) -> float:
-    """Defect of the stroboscopic factorization U(t+1, 0) = U(t, 0) U(1, 0)."""
-    if t < 0:
-        raise ValueError("need t >= 0")
-    sched = sched or PropagatorSchedule()
-    theta = propagate(h, 0.0, 1.0, sched)
-    lhs = propagate(h, 0.0, t + 1.0, sched)
-    rhs = propagate(h, 0.0, t, sched) @ theta
-    return max_norm(lhs - rhs)

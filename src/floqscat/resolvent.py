@@ -22,9 +22,10 @@ Grid functions are plain complex arrays of shape (N_t, d).
 The factorized perturbation uses the operator square root A(t) = |V(t)|^{1/2}
 and B(t) = |V(t)|^{1/2} sgn V(t), so B A = V pointwise, with V(t_j) from the
 model's one evaluator (`PeriodicHamiltonian.potential`) and held to
-numerics.require_hermitian's rule as one stack, and the full
-resolvent follows the correction formula
-R = R0 - [B R0(conj lambda)]^H [I + A R0 B]^{-1} A R0.
+numerics.require_hermitian's rule as one stack; q_factorized forms
+Q = A R0 B on the grid from them.  The full resolvent of the correction
+formula R = R0 - [B R0(conj lambda)]^H [I + Q]^{-1} A R0 is read by no task
+and is the tests' oracle (`full_resolvent` in tests/oracles.py).
 
 The mode-space block operator (Q(zeta) x)_n = sum_k V_{n-k} (H0 + 2 pi k -
 zeta)^{-1} x_k drives the norm-decay probes and the bound-state scan: a
@@ -59,7 +60,7 @@ import numpy as np
 
 from .floquet import ModeSpace, circular_distance, k_blocks, start_vector
 from .model import PeriodicHamiltonian
-from .numerics import SingularMatrixError, csr_arrays, require_hermitian, solve
+from .numerics import SingularMatrixError, csr_arrays, require_hermitian
 
 SGN_FLOOR = 1e-13
 # inverse iteration for the smallest singular pair of I + Q stops when s moves by
@@ -232,30 +233,6 @@ def q_factorized(h: PeriodicHamiltonian, lam: complex, n_t: int,
     fact = fact or factorized_potential(h, n_t)
     q = _block_multiply(fact.a_ops, _block_multiply(fact.b_ops, r0, "right"), "left")
     return q, float(np.linalg.norm(q))
-
-
-def full_resolvent(h: PeriodicHamiltonian, lam: complex, n_t: int):
-    """Grid matrix of the full periodic resolvent via the factorized correction.
-
-    R = R0 - [B R0(conj lambda)]^H [I + Q]^{-1} A R0 with Q = A R0 B.
-    Returns (matrix, cond) where cond estimates the conditioning of I + Q;
-    a singular I + Q (an exceptional point) raises SingularMatrixError.
-    """
-    lam = _check_offaxis(lam)
-    r0 = r0_matrix(h, lam, n_t)
-    fact = factorized_potential(h, n_t)
-    a_r0 = _block_multiply(fact.a_ops, r0, "left")
-    q = _block_multiply(fact.b_ops, a_r0, "right")
-    r0_bar = r0_matrix(h, np.conj(lam), n_t)
-    left = (_block_multiply(fact.b_ops, r0_bar, "left")).conj().T
-    dim = q.shape[0]
-    try:
-        x, cond = solve(np.eye(dim) + q, a_r0)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"I + Q(lambda) singular at lambda={lam} (exceptional set)"
-        ) from exc
-    return r0 - left @ x, cond
 
 
 def grid_potential(h: PeriodicHamiltonian, n_t: int) -> np.ndarray:

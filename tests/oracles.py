@@ -15,11 +15,15 @@ nor keeps.
     start_time_covariance_defect(mono, n_max, probes)  W(s') against U0(s', s) W(s) U(s, s')
     fourier_modes(samples, m_cut)  a PeriodicHamiltonian from uniform samples of H(t)
     step(stepper, a, u)         one Magnus step from a of a propagation.MagnusStepper
+    check_cocycle(h, s, r, t)   ||U(t, r) U(r, s) - U(t, s)||_max for s <= r <= t
+    check_period_shift(h, t)    ||U(t + 1, 0) - U(t, 0) U(1, 0)||_max for t >= 0
     convergence_ladder(h, ...)  ||Theta(N) - Theta(2N)|| over a step ladder
     rabi_closed_form_propagator(t, delta, v)  exact U(t, 0) of the driven two-level model
     block(k, n, m)              block (n, m) of a floquet.FloquetMatrix
     spatial_mass(spec)          per-eigenvector fiber-site occupation of a spectrum
     k0_grid_matrix(h0, n_t)     -i d/dt + H0 on the periodic grid
+    solve(a, b)                 (x, condition estimate) of A x = b by scipy.linalg's LU
+    full_resolvent(h, lam, n_t)  (R, cond): the grid's full resolvent by the factorized correction
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
     kronecker_sum_k(N, h0, modes)  I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m, by scipy
     kronecker_k(h, n_modes)     (K, K0) of a model as those Kronecker sums
@@ -37,14 +41,20 @@ since it raises ConvergenceError where no probe has settled (at n < GAP_RUN,
 or while the packets cross the well).
 """
 
+import warnings
 from itertools import islice
 
 import numpy as np
 
+from floqscat import resolvent
 from floqscat.model import PeriodicHamiltonian
-from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, adjoint_apply, as_complex_matrix,
-                               check_hermitian, expm_hermitian, max_norm, unitary_defect)
+from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, SingularMatrixError, adjoint_apply,
+                               as_complex_matrix, check_hermitian, check_square, expm_hermitian,
+                               max_norm, unitary_defect)
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate
+
+# solve's pivot floor, relative to A's largest row sum
+PIVOT_RTOL = 1e-14
 
 
 def reconstruct(eig):
@@ -195,6 +205,27 @@ def step(stepper, a: float, u: np.ndarray) -> np.ndarray:
     return stepper.sweep(a, 1, u)
 
 
+def check_cocycle(h, s: float, r: float, t: float,
+                  sched: PropagatorSchedule | None = None) -> float:
+    """Composition defect ||U(t, r) U(r, s) - U(t, s)||_max for s <= r <= t."""
+    if not (s <= r <= t):
+        raise ValueError("need s <= r <= t")
+    sched = sched or PropagatorSchedule()
+    left = propagate(h, r, t, sched) @ propagate(h, s, r, sched)
+    return max_norm(left - propagate(h, s, t, sched))
+
+
+def check_period_shift(h, t: float, sched: PropagatorSchedule | None = None) -> float:
+    """Defect of the stroboscopic factorization U(t+1, 0) = U(t, 0) U(1, 0)."""
+    if t < 0:
+        raise ValueError("need t >= 0")
+    sched = sched or PropagatorSchedule()
+    theta = propagate(h, 0.0, 1.0, sched)
+    lhs = propagate(h, 0.0, t + 1.0, sched)
+    rhs = propagate(h, 0.0, t, sched) @ theta
+    return max_norm(lhs - rhs)
+
+
 def convergence_ladder(h, order: int, steps: tuple[int, ...] = (64, 128, 256, 512, 1024),
                        s: float = 0.0) -> dict:
     """Self-convergence study of the one-period operator over a step ladder.
@@ -233,6 +264,63 @@ def k0_grid_matrix(h0: np.ndarray, n_t: int) -> np.ndarray:
         axis=0,
     )
     return np.kron(-1j * deriv, np.eye(d)) + np.kron(np.eye(n_t), h0)
+
+
+def solve(a, b):
+    """Solve A x = b by partial-pivot LU.  Returns (x, condition_estimate).
+
+    Raises SingularMatrixError when a pivot falls below
+    PIVOT_RTOL * max row norm: the shifted operator at a spectral point.
+    """
+    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg.lapack import zgecon
+
+    a = check_square(a)
+    b = np.asarray(b, dtype=np.complex128)
+    row_norm = float(np.abs(a).sum(axis=1).max())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # pivot check below covers the singular case
+            lu, piv = lu_factor(a)
+    except np.linalg.LinAlgError as exc:  # exactly singular
+        raise SingularMatrixError(f"factorization failed: {exc}") from exc
+    pivots = np.abs(np.diag(lu))
+    if row_norm == 0.0 or pivots.min() < PIVOT_RTOL * row_norm:
+        raise SingularMatrixError(
+            f"pivot {pivots.min():.3e} below threshold "
+            f"{PIVOT_RTOL:.1e} x max row norm {row_norm:.3e}"
+        )
+    rcond, info = zgecon(lu, row_norm, norm="I")
+    cond = float(1.0 / rcond) if rcond > 0 else np.inf
+    if info != 0:
+        raise SingularMatrixError(f"condition estimate failed (info={info})")
+    x = lu_solve((lu, piv), b)
+    return x, cond
+
+
+def full_resolvent(h, lam: complex, n_t: int):
+    """Grid matrix of the full periodic resolvent via the factorized correction.
+
+    R = R0 - [B R0(conj lambda)]^H [I + Q]^{-1} A R0 with Q = A R0 B.
+    Returns (matrix, cond) where cond estimates the conditioning of I + Q;
+    a singular I + Q (an exceptional point) raises SingularMatrixError.
+    """
+    lam = resolvent._check_offaxis(lam)
+    multiply = resolvent._block_multiply
+    r0 = resolvent.r0_matrix(h, lam, n_t)
+    fact = resolvent.factorized_potential(h, n_t)
+    a_r0 = multiply(fact.a_ops, r0, "left")
+    q = multiply(fact.b_ops, a_r0, "right")
+    r0_bar = resolvent.r0_matrix(h, np.conj(lam), n_t)
+    left = (multiply(fact.b_ops, r0_bar, "left")).conj().T
+    dim = q.shape[0]
+    try:
+        x, cond = solve(np.eye(dim) + q, a_r0)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"I + Q(lambda) singular at lambda={lam} (exceptional set)"
+        ) from exc
+    return r0 - left @ x, cond
 
 
 def match_eigenvalues(a: np.ndarray, b: np.ndarray, floor: float) -> float:

@@ -26,8 +26,6 @@ from floqscat.model import (
 from floqscat.numerics import max_norm, op_norm, unitary_defect
 from floqscat.propagation import (
     PropagatorSchedule,
-    check_cocycle,
-    check_period_shift,
     monodromy,
     propagate,
 )
@@ -35,7 +33,6 @@ from floqscat.resolvent import (
     block_q,
     ScanOperators,
     bound_state_correspondence,
-    full_resolvent,
     grid_potential,
     mode_oracle_apply,
     r0_apply,
@@ -54,7 +51,8 @@ from floqscat.scattering import (
     wrap_horizon,
 )
 
-from oracles import convergence_ladder, match_eigenvalues, spatial_mass
+from oracles import (check_cocycle, check_period_shift, convergence_ladder, full_resolvent,
+                     match_eigenvalues, spatial_mass)
 
 SCHED = PropagatorSchedule(steps_per_period=512, order=4)
 NOISE_FLOOR = 5e-12  # integrator/eigensolver floor for interior matching

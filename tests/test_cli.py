@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -761,8 +762,8 @@ class TestImportGraph:
         assert self.loaded_after_import(["scipy.sparse"]) == "[False]"
 
     def test_cli_runs_leave_scipy_linalg_unloaded(self, tmp_path):
-        # every decomposition on a CLI path runs in numpy.linalg: only numerics.solve
-        # imports scipy.linalg, and no module imports scipy.sparse
+        # every decomposition on a CLI path runs in numpy.linalg, and no module
+        # imports scipy.linalg or scipy.sparse
         argvs = self.argvs(tmp_path)
         argv = [*argvs[0][:2], *argvs[1]]
         code = ("import contextlib, io, sys, floqscat.cli as cli\n"
@@ -772,6 +773,22 @@ class TestImportGraph:
         assert self.fresh(code) == ["0", "False", "False"]
         report = json.loads((tmp_path / "cfg1.report.json").read_text())
         assert report["results"]["verdicts"]     # the null scan ran
+
+    def test_no_module_imports_scipy_linalg(self):
+        # at any depth, a function's own imports included, so that no task, run or
+        # not, can load a second LAPACK beside numpy.linalg's
+        def imported(node):
+            if isinstance(node, ast.Import):
+                return [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            return []
+        found = [(path.name, node.lineno, name)
+                 for path in sorted(Path(floqscat.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 for name in imported(node)
+                 if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+        assert found == []
 
     def test_import_and_runs_leave_numpy_ma_and_futures_unloaded(self, tmp_path):
         # np.unique loads numpy.ma (the package's distinct entries come from a sort

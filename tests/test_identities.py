@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from floqscat.floquet import build_floquet, shift_commutation_defect, shift_group_defect
 from floqscat.model import PeriodicHamiltonian, load_model, model_from_json_dict, save_model
-from floqscat.propagation import (PropagatorSchedule, check_cocycle, monodromy, propagate,
-                                  reflection_symmetric)
+from floqscat.propagation import PropagatorSchedule, monodromy, propagate, reflection_symmetric
+
+from oracles import check_cocycle
 
 EXAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
 SCHEDULES = st.builds(PropagatorSchedule, st.sampled_from([16, 32]), st.sampled_from([2, 4]))

@@ -8,14 +8,13 @@ from floqscat.numerics import (
     SingularMatrixError,
     expm_hermitian,
     hermitian_eig,
-    solve,
     unitary_defect,
     unitary_eig,
 )
 
 from conftest import random_hermitian, random_unitary
 from oracles import (free_propagator, orthonormality_defect, reconstruct, residual,
-                     schur_unitary_eig)
+                     schur_unitary_eig, solve)
 
 
 class TestHermitianEig:

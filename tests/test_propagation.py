@@ -7,14 +7,13 @@ from floqscat.model import PeriodicHamiltonian, circulant, rabi_quasi_energies
 from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import (
     PropagatorSchedule,
-    check_cocycle,
-    check_period_shift,
     monodromy,
     propagate,
 )
 
 from conftest import random_hermitian
-from oracles import convergence_ladder, free_propagator, rabi_closed_form_propagator, step
+from oracles import (check_cocycle, check_period_shift, convergence_ladder, free_propagator,
+                     rabi_closed_form_propagator, step)
 
 
 def constant_model(seed=1, dim=3):
@@ -36,8 +35,10 @@ class TestPropagate:
         assert np.abs(u - rabi_closed_form_propagator(t)).max() < 1e-8
 
     def test_reverse_via_adjoint(self, rabi, fast_sched):
+        # U(0, 0.7) is stepped backward, not formed as an adjoint: it inverts the
+        # forward sweep to round-off
         u = propagate(rabi, 0.0, 0.7, fast_sched)
-        assert np.array_equal(propagate(rabi, 0.7, 0.0, fast_sched), u.conj().T)
+        assert np.abs(propagate(rabi, 0.7, 0.0, fast_sched) - u.conj().T).max() <= 1e-14
 
     def test_unitarity(self, fleet_models, fast_sched):
         for h in fleet_models:
@@ -49,6 +50,49 @@ class TestPropagate:
             PropagatorSchedule(64, 3)
         with pytest.raises(ValueError, match="steps"):
             PropagatorSchedule(4, 2)
+
+
+class TestBackwardSweep:
+    """propagate(h, s, t) for t < s steps backward, dt = (t - s) / N < 0, through
+    the same sweep as the forward one."""
+
+    @staticmethod
+    def ring():
+        from floqscat.model import build_lattice
+
+        return build_lattice(48, 1.0, -1.0, 0.5, range(22, 26))   # mirror about 23.5
+
+    def test_first_order_mutant_breaks_the_adjoint_reading(self, monkeypatch):
+        # criterion 9's adjoint reading with the order-2 exponent taken at each
+        # step's start, not its midpoint: a first-order step, not symmetric in
+        # time, whose backward sweep does not invert its forward one
+        from floqscat.model import fleet
+        from floqscat.numerics import max_norm
+        from floqscat.propagation import MagnusStepper
+
+        def reading(h, sched):
+            return max_norm(propagate(h, 0.1, 0.9, sched).conj().T
+                            - propagate(h, 0.9, 0.1, sched))
+        sched = PropagatorSchedule(64, 2)
+        assert reading(fleet()[1], sched) <= 1e-13
+        monkeypatch.setattr(MagnusStepper, "weights",
+                            lambda self, starts: self.dt * self._coefficients(starts))
+        assert reading(fleet()[1], sched) > 1e-3
+
+    def test_initial_is_stepped_backward(self):
+        ring, sched = self.ring(), PropagatorSchedule(64, 4)
+        x = np.random.default_rng(5).normal(size=(48, 3)) + 0j
+        got = propagate(ring, 0.7, 0.2, sched, initial=x)
+        assert np.abs(got - propagate(ring, 0.7, 0.2, sched) @ x).max() <= 1e-13
+        [(dt, order)] = ring.steppers     # both sweeps share one, keyed by its signed width
+        assert dt == (0.2 - 0.7) / 32 and order == 4
+
+    def test_mirror_closed_columns_of_the_backward_propagator(self):
+        ring, sched = self.ring(), PropagatorSchedule(16, 4)
+        columns = np.arange(12, 36)
+        assert np.array_equal(np.sort(ring.mirror()[columns]), columns)
+        got = propagate(ring, 0.5, 0.0, sched, columns=columns)
+        assert np.array_equal(got, propagate(ring, 0.5, 0.0, sched)[:, columns])
 
 
 class TestMonodromy:

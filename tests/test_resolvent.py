@@ -15,7 +15,6 @@ from floqscat.resolvent import (
     block_q,
     bound_state_correspondence,
     factorized_potential,
-    full_resolvent,
     grid_potential,
     mode_oracle_apply,
     q_factorized,
@@ -25,7 +24,7 @@ from floqscat.resolvent import (
 )
 
 from conftest import random_hermitian
-from oracles import k0_grid_matrix, kronecker_k, match_eigenvalues
+from oracles import full_resolvent, k0_grid_matrix, kronecker_k, match_eigenvalues
 
 RING_SLOT = (40, 1.0, -1.7, 0.45, range(19, 22))   # TestRayleighRefinement's ring-bound slot
 
