@@ -3,6 +3,7 @@ and stroboscopic scattering for Hamiltonians with unit period."""
 
 from .numerics import (
     EigenDecomposition,
+    NumericalError,
     SingularMatrixError,
     expm_hermitian,
     hermitian_eig,

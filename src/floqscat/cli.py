@@ -14,15 +14,17 @@ wave-operators, bound-states.  Every config object is declared once as a
 field table (PARAMETERS holds one per task) and checked by `parse`.  A sweep
 config adds {"sweep": {"parameter": "n_modes", "values": [8, 16, 32]}} and
 writes a CSV table with one row per grid point; a swept value out of its
-field's range fails its row only, any other invalid input the config.
+field's range, or a numerical failure, fails its row only, any other invalid
+input the config.
 Reports are deterministic for a fixed config and seed: numbers are
 serialized with shortest round-trip precision and keys are sorted; wall time
 appears only in sweep tables.
 
 Exit codes: 0 success, 2 config validation failure (the message names the
-offending field), 3 numerical failure (non-convergence, singular solve, a
-time-average kick leaving the light cone's window, a NaN or infinite report
-value, named by its key path: reports are strict JSON).
+offending field), 3 numerical failure, any `numerics.NumericalError`
+(non-convergence, singular solve, a time-average kick leaving the light cone's
+window, a NaN or infinite report value, named by its key path: reports are
+strict JSON).
 With several configs every one runs, every written output path is printed,
 and the exit code is the largest of theirs.
 """
@@ -49,11 +51,10 @@ from . import model as model_mod
 from .floquet import (EDGE_BLOCKS, NoInteriorError, build_floquet, correspondence_report,
                       quasi_spectrum, shift_commutation_defect)
 from .model import LatticeModel, build_lattice, rabi_model
-from .numerics import NonUnitaryError, SingularMatrixError, max_norm, op_norm, unitary_defect
+from .numerics import NumericalError, max_norm, op_norm, unitary_defect
 from .propagation import (MIN_STEPS, ORDERS, MagnusStepper, PropagatorSchedule, StepPlanError,
-                          WindowLeakError, monodromy)
-from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, InverseIterationError, ScanOperators,
-                        ThresholdProximityError, block_q,
+                          monodromy)
+from .resolvent import (MAX_DENSE_SIDE, MAX_IM_LAMBDA, ScanOperators, block_q,
                         bound_state_correspondence, factorized_potential, grid_potential,
                         mode_oracle_apply, q_factorized, r0_apply, r0_matrix, resolvent_residual)
 from .scattering import (
@@ -70,13 +71,9 @@ from .scattering import (
     wrap_horizon,
 )
 
-class NonFiniteError(FloatingPointError):
+
+class NonFiniteError(NumericalError, FloatingPointError):
     """A report value is NaN or infinite, which strict JSON cannot hold."""
-
-
-NUMERICAL_ERRORS = (ConvergenceError, SingularMatrixError, ThresholdProximityError,
-                    DetectorDisagreementError, InverseIterationError, NonUnitaryError,
-                    NonFiniteError, WindowLeakError)
 
 
 class ValidationError(ValueError):
@@ -535,7 +532,9 @@ def run_scenario(cfg: dict, seed: int | None = None) -> dict:
     params = parse(parsed["parameters"], PARAMETERS[task], "parameters", model)
     rng = np.random.default_rng(seed) if seed is not None else None
     try:
-        results = RUNNERS[task](model, params, rng)
+        # an overflow is diagnosed where it reaches the report (_jsonable), not warned of
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            results = RUNNERS[task](model, params, rng)
     except StepPlanError as exc:   # raised when the stepper is planned, before any step
         try:   # planned once more at the finest schedule a config admits
             MagnusStepper(model, 1.0 / MAX_STEPS, params["order"])
@@ -567,11 +566,9 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
         try:
             headline = run_scenario(sub, seed)["results"].get(HEADLINE[parsed["task"]])
             status = "ok"
-        except ValidationError as exc:
-            if not (isinstance(exc, ValueRangeError) and exc.field == f"parameters.{pname}"):
+        except (ValueRangeError, NumericalError) as exc:
+            if isinstance(exc, ValueRangeError) and exc.field != f"parameters.{pname}":
                 raise
-            headline, status = "", f"failed: {exc}"
-        except (*NUMERICAL_ERRORS, ValueError) as exc:
             headline, status = "", f"failed: {exc}"
         rows.append({
             "parameter": pname,
@@ -630,7 +627,7 @@ def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, st
         return None, 2, f"error: {exc}"
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         return None, 2, f"error: cannot read config: {exc}"
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         message = f"numerical failure: {exc}"
         if getattr(exc, "gaps", None) is not None:
             with np.printoptions(precision=3):

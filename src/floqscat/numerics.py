@@ -25,6 +25,10 @@ mirror-symmetric ring does, is diagonalized on R's even and odd sectors
 Every decomposition here runs in numpy.linalg; no module of the package
 imports scipy.linalg, a second LAPACK.
 
+Every numerical failure the package raises is a `NumericalError`, each class
+keeping its builtin base as well; the CLI exits 3 on it.  A gate holds its
+value as `not value <= bound`, so a NaN fails it.
+
 A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
 pattern from sorted row-major keys (`csr_structure`), or a dense block's
 nonzeros (`csr_arrays`).  Its products run through scipy's compiled CSR
@@ -104,11 +108,16 @@ def csr_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (*csr_structure(keys, a.shape), a.ravel()[keys])
 
 
-class SingularMatrixError(RuntimeError):
+class NumericalError(Exception):
+    """A computation that cannot give a trustworthy result: every class of numerical
+    failure is one, beside its builtin base, and the CLI exits 3 on it."""
+
+
+class SingularMatrixError(NumericalError, RuntimeError):
     """Raised where a shifted operator is singular to working precision (a spectral point)."""
 
 
-class NonUnitaryError(ValueError):
+class NonUnitaryError(NumericalError, ValueError):
     """A matrix that must be unitary is not, to within the tolerance."""
 
 
@@ -141,7 +150,7 @@ def require_hermitian(defect, max_abs, subjects=None):
     defect = np.atleast_1d(np.asarray(defect, dtype=float))
     scale = np.maximum(np.broadcast_to(max_abs, defect.shape), 1.0)
     worst = int(np.argmax(defect / scale))
-    if defect[worst] > HERMITIAN_RTOL * scale[worst]:
+    if not defect[worst] <= HERMITIAN_RTOL * scale[worst]:   # a NaN, argmax's pick, fails
         subject = "matrix is not Hermitian" if subjects is None else subjects[worst]
         raise ValueError(
             f"{subject}: max asymmetry {defect[worst]:.3e} "
@@ -172,7 +181,7 @@ def adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def check_unitary(a) -> np.ndarray:
     a = check_square(a)
     defect = unitary_defect(a)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:   # a NaN fails
         raise NonUnitaryError(
             f"matrix is not unitary: |A^H A - I| = {defect:.3e} > {UNITARY_TOL:.1e}")
     return a
@@ -278,8 +287,8 @@ class MirrorSectors:
         even, odd = self.fold(u)
         ee, eo = self.fold(even.T)
         oe, oo = self.fold(odd.T)
-        coupling = max(float(np.abs(eo).max(initial=0.0)), float(np.abs(oe).max(initial=0.0)))
-        if coupling > UNITARY_TOL:
+        coupling = float(np.maximum(np.abs(eo).max(initial=0.0), np.abs(oe).max(initial=0.0)))
+        if not coupling <= UNITARY_TOL:   # a NaN fails
             raise NonUnitaryError(
                 f"matrix does not commute with the mirror: even-odd coupling {coupling:.3e} > "
                 f"{UNITARY_TOL:.1e}")
@@ -357,5 +366,6 @@ def max_norm(a: np.ndarray) -> float:
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Operator 2-norm (largest singular value)."""
-    return float(np.linalg.norm(a, 2))
+    """Operator 2-norm (largest singular value); max|A|, inf or NaN, where an entry of A
+    is not finite, on which LAPACK's SVD does not converge."""
+    return float(np.linalg.norm(a, 2)) if np.isfinite(a).all() else max_norm(a)

@@ -98,8 +98,8 @@ from math import lgamma, log
 import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian
-from .numerics import (EigenDecomposition, csr_arrays, csr_kernels, csr_matvecs, csr_structure,
-                       distinct, expm_hermitian, require_hermitian, unitary_eig)
+from .numerics import (EigenDecomposition, NumericalError, csr_arrays, csr_kernels, csr_matvecs,
+                       csr_structure, distinct, expm_hermitian, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -131,7 +131,7 @@ class StepPlanError(ValueError):
     """A step whose Taylor plan exceeds MAX_TAYLOR_APPLICATIONS: too few steps per period."""
 
 
-class WindowLeakError(RuntimeError):
+class WindowLeakError(NumericalError, RuntimeError):
     """A time-average kick D(t) x_W that reaches a segment row outside the light cone's
     window beyond WINDOW_BORDER_TOL times its column's norm (_window_kicks)."""
 
@@ -169,7 +169,7 @@ def taylor_plan(norm_bound: float) -> tuple[int, int]:
     Raises StepPlanError where it costs more than MAX_TAYLOR_APPLICATIONS."""
     with np.errstate(over="ignore"):    # a bound past the float range costs inf
         substeps = np.maximum(1.0, np.ceil(norm_bound / _TAYLOR_RADII))
-    cost = np.arange(1, _MAX_DEGREE + 1) * substeps
+        cost = np.arange(1, _MAX_DEGREE + 1) * substeps
     best = int(np.argmin(cost))
     if cost[best] > MAX_TAYLOR_APPLICATIONS:
         raise StepPlanError(
@@ -512,7 +512,7 @@ def _window_kicks(mono: Monodromy, x: np.ndarray, nodes: np.ndarray) -> list[np.
         y = propagate(seg, s + t0, s + t1, sched, initial=y)
         kick = y - seg.free_apply(t1, start)
         leak = np.abs(np.delete(kick, rows, axis=0)).max(axis=0, initial=0.0)
-        over = np.flatnonzero(leak > WINDOW_BORDER_TOL * norm)
+        over = np.flatnonzero(~(leak <= WINDOW_BORDER_TOL * norm))   # a NaN leaks
         if over.size:
             raise WindowLeakError(
                 f"the time average's kick at t = {t1:.6g} leaves the light cone's window: "

@@ -60,7 +60,7 @@ import numpy as np
 
 from .floquet import ModeSpace, circular_distance, k_blocks, start_vector
 from .model import PeriodicHamiltonian
-from .numerics import SingularMatrixError, csr_arrays, require_hermitian
+from .numerics import NumericalError, SingularMatrixError, csr_arrays, require_hermitian
 
 SGN_FLOOR = 1e-13
 # inverse iteration for the smallest singular pair of I + Q stops when s moves by
@@ -87,11 +87,11 @@ RESIDUAL_TOL = 1e-6
 MAX_DENSE_SIDE = 4096
 
 
-class ThresholdProximityError(ValueError):
+class ThresholdProximityError(NumericalError, ValueError):
     """Candidate quasi-energy too close to the free spectrum for a null scan."""
 
 
-class InverseIterationError(RuntimeError):
+class InverseIterationError(NumericalError, RuntimeError):
     """The smallest singular value of I + Q did not settle within the iteration budget."""
 
 
@@ -200,6 +200,8 @@ def factorized_potential(h: PeriodicHamiltonian, n_t: int) -> FactorizedPotentia
     the retained spectrum; A and B do not depend on eigenvector phases.
     """
     v = grid_potential(h, n_t)
+    if not np.isfinite(v).all():   # a sum of modes past the float range: no asymmetry to take
+        raise NumericalError(f"V(t_j) on the {n_t}-point grid leaves the float range")
     require_hermitian(np.abs(v - v.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
                       np.abs(v).max(axis=(1, 2)))
     values, vecs = np.linalg.eigh(v)

@@ -94,7 +94,7 @@ import numpy as np
 
 from .floquet import circular_distance, sidebands_closed
 from .model import LatticeModel
-from .numerics import adjoint_apply
+from .numerics import NumericalError, adjoint_apply
 from .propagation import Monodromy, _window_kicks
 from .resolvent import RAYLEIGH_EPS, InverseIterationError, ScanOperators
 
@@ -117,7 +117,7 @@ CHANNEL_TOL = 1e-8
 FIT_WEIGHT = 0.1
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError, RuntimeError):
     """No probe stabilized before the wrap-around horizon."""
 
     def __init__(self, message, gaps=None):
@@ -125,7 +125,7 @@ class ConvergenceError(RuntimeError):
         self.gaps = gaps
 
 
-class DetectorDisagreementError(ValueError):
+class DetectorDisagreementError(NumericalError, ValueError):
     """A monodromy bound state has no certified mode-space partner; `s_min` is the
     smallest singular value of I + Q at its phase."""
 
@@ -187,12 +187,13 @@ def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
 def wrap_horizon(model: LatticeModel) -> int:
     """Iteration budget before packets wrap the ring: L / (4 v_max).
 
-    The group velocity on the ring is bounded by 2 |hopping| sites per period.
+    The group velocity on the ring is bounded by 2 |hopping| sites per period; a
+    horizon past the float range (a subnormal hopping) is taken as 2^63.
     """
     v_max = 2.0 * abs(model.hopping)
     if v_max == 0.0:
         raise ValueError("hopping must be nonzero for wave-packet scattering")
-    return int(model.sites / (4.0 * v_max))
+    return int(min(model.sites / (4.0 * v_max), 2.0**63))
 
 
 @dataclass

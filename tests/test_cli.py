@@ -373,6 +373,55 @@ class TestSweep:
         assert [len(row) for row in table] == [6] * (1 + len(sweep["values"]))
         assert [row[1] for row in table[1:]] == [str(v) for v in sweep["values"]]
 
+    def test_row_fails_on_a_numerical_failure_alone(self, monkeypatch):
+        # a NumericalError fails its row; a plain ValueError is a fault in a kernel
+        # and leaves the sweep, where it once became a failed row
+        import floqscat.cli as cli
+        from floqscat.numerics import SingularMatrixError
+
+        def failing_at_16(exc):
+            def run(model, params, rng):
+                if params["steps_per_period"] == 16:
+                    raise exc
+                return {"self_convergence_difference": 0.5}
+            return run
+
+        cfg = {"task": "monodromy", "model": {"builtin": "rabi"}, "parameters": {},
+               "sweep": {"parameter": "steps_per_period", "values": [16, 32]}}
+        monkeypatch.setitem(cli.RUNNERS, "monodromy",
+                            failing_at_16(SingularMatrixError("singular at 16")))
+        rows = run_sweep(cfg)
+        assert [(r["status"], r["headline_value"]) for r in rows] == [
+            ("failed: singular at 16", ""), ("ok", 0.5)]
+        monkeypatch.setitem(cli.RUNNERS, "monodromy", failing_at_16(ValueError("a fault")))
+        with pytest.raises(ValueError, match="^a fault$") as info:
+            run_sweep(cfg)
+        assert type(info.value) is ValueError
+
+
+class TestFailureClasses:
+    def test_every_failure_is_numerical_or_an_input_fault(self):
+        # every exception class the package defines is a NumericalError (exit 3), a
+        # ValidationError (exit 2), or one of the input faults a runner maps to a field
+        import importlib
+        import inspect
+        import pkgutil
+
+        from floqscat.floquet import NoInteriorError
+        from floqscat.numerics import NumericalError
+        from floqscat.propagation import StepPlanError
+
+        classes = []
+        for info in pkgutil.iter_modules(floqscat.__path__):
+            module = importlib.import_module(f"floqscat.{info.name}")
+            classes += [c for c in vars(module).values() if inspect.isclass(c)
+                        and issubclass(c, BaseException) and c.__module__ == module.__name__]
+        names = {c.__name__ for c in classes}
+        assert {"NonFiniteError", "WindowLeakError", "DetectorDisagreementError"} <= names
+        known = (NumericalError, ValidationError, StepPlanError, NoInteriorError)
+        assert [c.__name__ for c in classes if not issubclass(c, known)] == []
+        assert floqscat.NumericalError is NumericalError
+
 
 class TestExitCodes:
     def test_numerical_failure_exit_3(self, tmp_path, capsys):

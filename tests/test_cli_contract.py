@@ -6,9 +6,12 @@ any computation starts.  A list of inputs that once broke the contract (a
 wrong answer, a traceback or a hang) checks each one's exit code and message.
 Valid lattice configs, drawn over every field of the lattice table and of the
 parameter tables of the tasks that step a lattice, exit 0, 2 or 3, name the
-field on an exit 2, and give the same bytes when run again."""
+field on an exit 2, and give the same bytes when run again; so do valid configs
+on a builtin model (its fields over the whole finite float range) or a model
+file, drawn over every other task and maybe swept."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -19,12 +22,15 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floqscat
-from floqscat.cli import LATTICE, LATTICE_TASKS, MAX_STEPS, PARAMETERS, _run_one, main
+from floqscat.cli import (BUILTINS, LATTICE, LATTICE_TASKS, MAX_STEPS, PARAMETERS, SWEEP, _run_one,
+                          main)
+from floqscat.model import PeriodicHamiltonian, save_model
 from floqscat.propagation import MIN_STEPS, ORDERS
 from floqscat.resolvent import MAX_DENSE_SIDE, MAX_IM_LAMBDA
 from floqscat.scattering import GAP_RUN
@@ -186,6 +192,12 @@ CONTRACT = [
     ("resolvent-check", {"builtin": "rabi"}, {"eta": 1e-16}, 3,
      "free resolvent singular at lambda = 1e-16j"),
     ("resolvent-check", {"builtin": "rabi"}, {"eta": 1e-15}, 0, "case.report.json"),
+    # each once raised numpy's overflow RuntimeWarning before its diagnosis: the
+    # Taylor plan's cost of a norm bound near the float range, and the residual's norm
+    ("monodromy", {"builtin": "rabi", "delta": 1e154, "v": 1e154}, {"steps_per_period": 8}, 2,
+     "'model'"),
+    ("resolvent-check", {"builtin": "rabi", "delta": 1e300}, {"eta": 1.0, "n_t": 8}, 3,
+     "non-finite value inf at results.defining_residual"),
 ]
 
 
@@ -200,6 +212,28 @@ def test_contract_case(task, model, params, code, text):
     assert got == code, err.getvalue()
     # a failure's message, or a success's written report path
     assert text in err.getvalue() + out.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("model, params, text", [
+    # Q's block past the float range: LAPACK's SVD of it raised LinAlgError
+    ({"builtin": "rabi"}, {"lambda": [-2.225073858507e-311, -2.225073858507e-311], "n_t": 8,
+                           "n_modes": 6}, "non-finite value nan at results.defining_residual"),
+    ({"builtin": "rabi", "v": 1.7976931348623157e308, "delta": -9.523532891122451e-263},
+     {"eta": -9.523532891122451e-263, "n_t": 11, "n_modes": 3},
+     "non-finite value inf at results.defining_residual"),
+    # well plus drive past the float range: the NaN asymmetry of V(t_j) raised ValueError
+    (lattice(sites=8, well_depth=1e308, drive_amp=1e308), {"eta": 1.0, "n_t": 4, "n_modes": 2},
+     "V(t_j) on the 4-point grid leaves the float range"),
+])
+def test_resolvent_past_the_float_range_exits_3(model, params, text):
+    test_contract_case("resolvent-check", model, params, 3, text)
+
+
+def test_subnormal_hopping_names_the_iterates():
+    # a wrap-around horizon L / (8 |hopping|) past the float range once raised
+    # OverflowError in its cast to int; the default n_max = horizon is above the ceiling
+    test_contract_case("wave-operators", lattice(sites=16, hopping=2.2e-311), {}, 2,
+                       "'parameters.n_max': n_max 9223372036854775808 above the iterate ceiling")
 
 
 def test_window_leak_exits_3_naming_it(tmp_path, monkeypatch):
@@ -359,5 +393,98 @@ def test_valid_lattice_configs_keep_the_contract(cfg):
         field = message.split("'")[1]     # invalid field '<path>': ...
         names = [f"parameters.{name}" for name in cfg["parameters"]]
         names += ["model", "model.lattice", *(f"model.lattice.{name}" for name in LATTICE)]
+        assert field in names, message
+    assert outcomes[0] == outcomes[1]
+
+
+# the other tasks' fields: every finite lambda, eta off the real axis up to MAX_IM_LAMBDA
+IM_LAMBDA = st.floats(-MAX_IM_LAMBDA, MAX_IM_LAMBDA).filter(bool)
+MODEL_VALUES = {**FUZZ_VALUES, "n_t": st.integers(1, 16), "eta": IM_LAMBDA,
+                "lambda": st.tuples(FINITE, IM_LAMBDA).map(list)}
+MODEL_TASKS = tuple(task for task in PARAMETERS if task not in LATTICE_TASKS)
+
+
+@st.composite
+def two_harmonic_models(draw):
+    """A PeriodicHamiltonian of 1-3 sites with the harmonics +-1 and +-2, each of a
+    drawn scale: H0 Hermitian and H_-n = H_n^dagger exactly."""
+    dim = draw(st.integers(1, 3), label="dim")
+    scales = draw(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2.0)), label="scales")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def matrix():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    h0 = matrix()
+    modes = {}
+    for n, scale in enumerate(scales, start=1):
+        modes[n] = scale * matrix()
+        modes[-n] = modes[n].conj().T
+    return PeriodicHamiltonian(h0=(h0 + h0.conj().T) / 2, modes=modes)
+
+
+@st.composite
+def model_configs(draw):
+    """A valid config on a builtin model, each of its fields left out or drawn over the
+    whole finite float range, or on a model file (None: the test writes the drawn
+    model with save_model); a task that accepts it, with a value for every field of
+    its table (one of a field and its alternative), and maybe a sweep over one of
+    them.  Returns (config, model to write or None)."""
+    if draw(st.booleans(), label="builtin"):
+        name = draw(st.sampled_from(sorted(BUILTINS)), label="builtin name")
+        fields = draw(st.fixed_dictionaries({}, optional=dict.fromkeys(BUILTINS[name][1], FINITE)),
+                      label="builtin fields")
+        model, written = {"builtin": name, **fields}, None
+    else:
+        model, written = {"file": None}, draw(two_harmonic_models(), label="model file")
+    task = draw(st.sampled_from(MODEL_TASKS), label="task")
+    table = PARAMETERS[task]
+    names = list(table)
+    for name, field in table.items():
+        if field.alt is not None:   # exactly one of the two
+            names.remove(draw(st.sampled_from([name, field.alt]), label=f"{name} or {field.alt}"))
+    cfg = {"task": task, "model": model,
+           "parameters": {name: draw(MODEL_VALUES[name], label=name) for name in names}}
+    if draw(st.booleans(), label="sweep"):
+        swept = draw(st.sampled_from(names), label="swept")
+        cfg["sweep"] = {"parameter": swept,
+                        "values": draw(st.lists(MODEL_VALUES[swept], min_size=1, max_size=3),
+                                       label="values")}
+        assert set(cfg["sweep"]) == set(SWEEP)
+    return cfg, written
+
+
+def written_output(path):
+    """A written output's bytes; a sweep table's rows without its wall_time_s column."""
+    if path is None:
+        return None
+    if not path.endswith(".csv"):
+        return Path(path).read_bytes()
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    column = rows[0].index("wall_time_s")
+    return [row[:column] + row[column + 1:] for row in rows]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(drawn=model_configs())
+def test_valid_model_configs_keep_the_contract(drawn):
+    cfg, written = drawn
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        if written is not None:
+            cfg["model"]["file"] = str(Path(tmp) / "model.json")
+            save_model(written, cfg["model"]["file"])
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        for run in ("first", "again"):
+            out, code, message = _run_one(str(path), str(Path(tmp) / run), 3)
+            outcomes.append((code, message, written_output(out)))
+    code, message, _ = outcomes[0]
+    assert code in (0, 2, 3), message
+    if code == 2:
+        field = message.split("'")[1]     # invalid field '<path>': ...
+        names = [f"parameters.{name}" for name in cfg["parameters"]]
+        names += ["model", *(f"model.{name}" for name in cfg["model"])]
         assert field in names, message
     assert outcomes[0] == outcomes[1]

@@ -410,3 +410,29 @@ class TestSolve:
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularMatrixError):
             solve(a, np.ones(2, dtype=complex))
+
+
+class TestNanFailsClosed:
+    """A gate that holds a value to a bound fails on a NaN value: `not value <= bound`,
+    where `value > bound` is false for a NaN and lets it through."""
+
+    def test_check_unitary(self):
+        u = np.eye(3, dtype=np.complex128)
+        u[0, 1] = np.nan
+        with pytest.raises(numerics.NonUnitaryError, match="nan"):
+            numerics.check_unitary(u)
+
+    @pytest.mark.parametrize("defects, scales", [(np.nan, 1.0), ([0.0, np.nan], [1.0, 1.0]),
+                                                 ([0.0, 0.0], [1.0, np.nan])])
+    def test_require_hermitian(self, defects, scales):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            numerics.require_hermitian(defects, scales)
+
+    def test_mirror_coupling(self):
+        # a NaN on an odd row of an even column, from a fixed site: the even-odd block
+        # is zero and the odd-even one NaN, the second place that Python's max dropped
+        sectors = numerics.MirrorSectors(TestMirrorSectors.ring(40).mirror())
+        u = np.eye(40, dtype=np.complex128)
+        u[sectors.a[0], sectors.fixed[0]] = np.nan
+        with pytest.raises(numerics.NonUnitaryError, match="even-odd coupling nan"):
+            sectors.blocks(u)

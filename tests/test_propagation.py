@@ -799,6 +799,16 @@ class TestWindowRoute:
         monodromy(ring, 0.0, PropagatorSchedule(16, 2)).eig    # forms Theta from U0(1)
         assert np.array_equal(ring.free_period, before)
 
+    def test_nan_kick_leaks(self):
+        # a NaN column norm fails the leak test, which `leak > tol * norm` passed
+        from floqscat.propagation import WindowLeakError, _window_kicks
+
+        mono = monodromy(self.ring(), 0.0, PropagatorSchedule(64, 4))
+        x = np.zeros((256, 1), dtype=np.complex128)
+        x[mono.window[len(mono.window) // 2]] = np.nan
+        with pytest.raises(WindowLeakError, match="norm nan"):
+            _window_kicks(mono, x, np.linspace(0.0, 1.0, 3))
+
 
 class TestTaylorCeiling:
     def test_plan_above_the_ceiling_rejected(self):
