@@ -59,8 +59,8 @@ class ModeSpace:
     (Shirley's extended-space form).  Such an operator's block (n, n - m)
     holds its m-th block on the row blocks `row_blocks(m)`, the one statement
     of that layout: `toeplitz` writes any block-Toeplitz matrix dense, and
-    `apply` and `max_row_sum` read K from its (d, d) blocks (`k_blocks`) held
-    as CSR arrays (numerics.csr_arrays), nothing of the mode space assembled.
+    `apply` reads K from its (d, d) blocks (`k_blocks`) held as CSR arrays
+    (numerics.csr_arrays), nothing of the mode space assembled.
     """
 
     n_modes: int
@@ -132,19 +132,6 @@ class ModeSpace:
             csr_matvecs(d, d, len(n), *csr, columns, y)
             out[:, n[0]:n[-1] + 1] += y
         return out.T.ravel()
-
-    def max_row_sum(self, blocks: dict) -> float:
-        """K's largest absolute row sum, a bound on its spectral radius, from the blocks
-        `apply` reads: row (n, a) holds |B_0[a, a] + 2 pi n| and the other entries
-        of row a of each B_m whose column block n - m lies inside the truncation."""
-        d = self.fiber_dim
-        sums, diagonal = np.zeros((self.n_blocks, d)), np.zeros(d, dtype=np.complex128)
-        for m, (indptr, indices, data) in blocks.items():
-            rows = np.repeat(np.arange(d), np.diff(indptr))
-            off = indices != rows if m == 0 else np.ones(len(data), dtype=bool)
-            diagonal[rows[~off]] = data[~off]
-            sums[self.row_blocks(m)] += np.bincount(rows[off], np.abs(data[off]), d)
-        return float((sums + np.abs(diagonal + self.frequencies[:, None])).max())
 
     def free_resolvent(self, free: EigenDecomposition, zeta: complex) -> np.ndarray:
         """Blocks (H0 + 2 pi n - zeta)^{-1}, n = -N..N, stacked (2N+1, d, d), from

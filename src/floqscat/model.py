@@ -15,11 +15,11 @@ hopping with periodic closure (or an open chain cut from it, `segment`) and
 whose well and cosine drive are two real length-L diagonals, nonzero only on
 the declared sites `potential_support`, which may cross site 0.  Its `h0`
 and its modes {-1, 0, 1} are dense arrays formed on first read, for the
-generic routes alone; `support`, `ring_spectrum`, `mirror` and `segment`
-read the diagonals in O(L).  The declared sites' `arc` is the shortest run
-of ring sites that holds them: the probe packets aim at its midpoint,
-`support_window` widens it (a bound state's reported localization is its
-mass on support_window(4)) and `mirror` reflects the ring about it.
+generic routes alone; `support`, `ring_spectrum`, `mirror`, `segment` and
+`static_energy` read the diagonals in O(L).  The declared sites' `arc` is the
+shortest run of ring sites that holds them: the probe packets aim at its
+midpoint, `support_window` widens it (a bound state's reported localization
+is its mass on support_window(4)) and `mirror` reflects the ring about it.
 
 Every model owns what is built once from it: where its interaction acts
 (`support`, the sites where some mode has a nonzero row or column), the H0
@@ -190,9 +190,10 @@ class LatticeModel(PeriodicHamiltonian):
     an open chain cut from a ring (`segment`).
 
     Every structural question is answered from the diagonals in O(L):
-    `support`, `ring_spectrum`, `mirror`, `segment`.  `h0` and `modes` are the
-    dense arrays of the generic routes (MagnusStepper, floquet.k_blocks,
-    ScanOperators, free_eig, potential), formed on first read and kept."""
+    `support`, `ring_spectrum`, `mirror`, `segment`, `static_energy`.  `h0` and
+    `modes` are the dense arrays of the generic routes (MagnusStepper,
+    floquet.k_blocks, ScanOperators, free_eig, potential), formed on first read
+    and kept."""
 
     def __init__(self, hopping: float, potential_support, well, drive, label="", closed=True):
         self.hopping, self.potential_support = hopping, np.asarray(potential_support)
@@ -233,6 +234,13 @@ class LatticeModel(PeriodicHamiltonian):
     def support(self) -> np.ndarray:
         """The sites where the well or the drive is nonzero, sorted and read-only."""
         return _read_only(np.flatnonzero((self.well != 0) | (self.drive != 0)))
+
+    def static_energy(self, vectors: np.ndarray) -> np.ndarray:
+        """<v|H0 + H_0|v> per column v of site amplitudes: the well on |v|^2 and the
+        hopping on the bonds (i, i + 1), with (L - 1, 0) where the model is closed."""
+        bonds = vectors.conj() * np.roll(vectors, -1, axis=0)    # row L - 1 closes the ring
+        hop = bonds.sum(axis=0) - (0.0 if self.closed else bonds[-1])
+        return self.well @ np.abs(vectors) ** 2 - 2 * self.hopping * hop.real
 
     @cached_property
     def ring_spectrum(self) -> np.ndarray | None:

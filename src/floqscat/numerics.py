@@ -231,14 +231,19 @@ def hermitian_eig(a) -> EigenDecomposition:
     imaginary part is all zero, a real symmetric one such as a ring's H0, is
     diagonalized in real arithmetic (eigh of a.real, about a third of the
     complex eigh's time); its real orthogonal eigenvectors are returned as
-    complex columns.
+    complex columns.  Where eigh does not converge (a matrix whose entries span
+    most of the float range), NumericalError names the largest entry.
     """
     a = check_hermitian(a)
-    if a.imag.any():
-        values, vectors = np.linalg.eigh(a)
-    else:
-        values, vectors = np.linalg.eigh(a.real)
-        vectors = vectors.astype(np.complex128)
+    try:
+        if a.imag.any():
+            values, vectors = np.linalg.eigh(a)
+        else:
+            values, vectors = np.linalg.eigh(a.real)
+            vectors = vectors.astype(np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigendecomposition failed ({exc}) on a matrix of "
+                             f"largest entry {max_norm(a):.3e}") from exc
     return EigenDecomposition(values=values, vectors=vectors)
 
 

@@ -46,10 +46,11 @@ Both bound-state detectors take their Rayleigh steps from it
 (ScanOperators.rayleigh): the quotient of psi = (K0 - zeta)^{-1} phi, phi the
 null direction at zeta = lambda + i RAYLEIGH_EPS, refines a candidate here to
 K's eigenvalue, and certifies a partner in scattering's bound-state
-cross-check.  The
-residual ||(K - lambda) psi|| / ||psi|| measures that psi with K applied block
-by block from the model's blocks (ModeSpace.apply), which the support factor
-does not read: it checks the factor rather than restating it.
+cross-check, at no more than the 2N + 1 translates of a phase around its
+state's static energy.  The residual ||(K - lambda) psi|| / ||psi|| measures
+that psi with K applied block by block from the model's blocks
+(ModeSpace.apply), which the support factor does not read: it checks the
+factor rather than restating it.
 """
 
 from __future__ import annotations
@@ -107,13 +108,17 @@ def _check_offaxis(lam: complex) -> complex:
 def _kernel(values: np.ndarray, lam: complex, n_t: int) -> np.ndarray:
     """kappa_a(o) for o = 0..N_t-1 and every H0 eigenvalue e_a, shape (N_t, d).
 
-    Raises SingularMatrixError where e^{w_a} - 1 rounds to 0: lambda on the free
-    spectrum to within round-off (at e_a - lambda = i 1e-16, e^{w_a} == 1)."""
+    Raises SingularMatrixError where p_a is not finite: lambda on the free
+    spectrum to within round-off, where e^{w_a} - 1 rounds to 0 (at
+    e_a - lambda = i 1e-16, e^{w_a} == 1) or to a subnormal number, whose
+    reciprocal overflows."""
     w = 1j * (values - lam)
     denom = np.exp(w) - 1.0
-    if not denom.all():
+    singular = ~(np.abs(denom) >= np.finfo(float).tiny)
+    if singular.any():
         raise SingularMatrixError(f"free resolvent singular at lambda = {lam}: e^(i(e_a - lambda))"
-                                  f" - 1 rounds to 0 at e_a = {values[denom == 0][0]:.17g}")
+                                  f" - 1 = {denom[singular][0]:.3e} has no finite reciprocal at "
+                                  f"e_a = {values[singular][0]:.17g}")
     pref = 1j / denom
     kern = pref * np.exp(np.outer(np.arange(n_t) / n_t, w))
     kern[0] = pref * (1.0 + np.exp(w)) / 2.0
@@ -275,10 +280,9 @@ class ScanOperators:
     from it (rayleigh), which both bound-state detectors run, the null scan's
     verdict and the cross-check's certified partners.  It holds K's (d, d)
     blocks (floquet.k_blocks) as CSR arrays (`blocks`, for Rayleigh quotients
-    and residuals through ModeSpace.apply) and K's largest absolute row sum
-    (`row_sum`, the cross-check's bound on K's spectrum), H0's
-    eigendecomposition (eps, U), the model's `free_eig` (`free`), and the
-    potential's block V_S on its support.
+    and residuals through ModeSpace.apply), H0's eigendecomposition (eps, U),
+    the model's `free_eig` (`free`), and the potential's block V_S on its
+    support.
 
     The support S is the model's `support`.  P picks the r = |S| (2N + 1)
     mode-space rows (n, a) with a in S, and V_S is the r x r block whose (n, m)
@@ -307,7 +311,6 @@ class ScanOperators:
     def __init__(self, h: PeriodicHamiltonian, n_modes: int):
         self.blocks = {m: csr_arrays(b) for m, b in k_blocks(h, n_modes).items()}
         self.space = ModeSpace(n_modes, h.dim)
-        self.row_sum = self.space.max_row_sum(self.blocks)
         self.free = h.free_eig
         self.u_s = self.free.vectors[h.support]
         support = np.ix_(h.support, h.support)

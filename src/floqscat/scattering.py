@@ -76,12 +76,15 @@ Commun. Math. Phys. 87 (1982)); each state's localization is reported as a
 measured value only.  Each bound phase is cross-checked against the truncated mode-space
 matrix K: a partner there is certified by one Rayleigh step of
 resolvent.ScanOperators, taken from the null scan's own inverse iteration
-on the potential's support.  The cross-check first takes the K of the
-Monodromy's segment, which on the light cone's window holds a state bound to
-the well to e^{-kappa r} (the segment reaches 2r sites past the support); only
-a phase it does not certify goes to the whole ring's K, at the same
-CROSS_CHECK_TOL, where the segment is not the ring itself.
-A phase the ring's K does not certify either raises
+on the potential's support, at the 2N + 1 translates phase + 2 pi j nearest
+the state's static energy <v|H0 + H_0|v> (LatticeModel.static_energy), N the
+cutoff: an interior eigenvector of the truncated K has no translate beyond
+them, so a phase costs at most 2N + 1 null scans however deep the well.  The
+cross-check first takes the K of the Monodromy's segment, which on the light
+cone's window holds a state bound to the well to e^{-kappa r} (the segment
+reaches 2r sites past the support); only a phase it does not certify goes to
+the whole ring's K, at the same CROSS_CHECK_TOL, where the segment is not the
+ring itself.  A phase the ring's K does not certify either raises
 DetectorDisagreementError with the ring's null-scan smallest singular value
 of I + Q at that phase.
 """
@@ -502,24 +505,25 @@ def _certified_partner(scan: ScanOperators, phase: float, sigma: float,
     return dist if closed and scan.space.interior(psi[:, None] / norm)[0] else None
 
 
-def _mode_space_partner(model: LatticeModel, scan: ScanOperators, phase: float,
+def _mode_space_partner(scan: ScanOperators, phase: float, energy: float,
                         tol: float) -> float | None:
     """Circular distance from `phase` to a certified interior in-gap eigenvalue of
     the truncated mode-space matrix K of scan within tol, or None.
 
-    The translates sigma = phase + 2 pi j inside K's spectral bound are taken
-    nearest the centre of the fiber spectrum first.  At each in turn, a Rayleigh
-    step from scan's null scan looks for a certified partner within tol
-    (_certified_partner), and the first found gives its
+    The 2N + 1 translates sigma = phase + 2 pi j nearest `energy`, the state's
+    static energy <v|H0 + H_0|v>, are taken nearest first (N = scan.space.n_modes).
+    At each in turn, a Rayleigh step from scan's null scan looks for a certified
+    partner within tol (_certified_partner), and the first found gives its
     distance: the driven rings' partners sit at the first translate, an
-    undriven well's may sit at a later one, whose block of K is interior.
-    The bound on K's spectral radius is its largest absolute row sum, scan.row_sum.
+    undriven well's may sit at a later one, whose block of K is interior.  No
+    later translate can hold one: the mode shift moves an eigenvector of the
+    truncated K by 2 pi and by one block, so an interior eigenvector (edge mass
+    at most EDGE_NORM_LIMIT) has at most 2N + 1 translates, all within N of
+    the one nearest its energy.
     """
-    centre = float((model.h0.diagonal() + model.mode(0).diagonal()).sum().real) / model.sites
-    bound = scan.row_sum + tol
-    sigmas = phase + 2 * np.pi * np.arange(np.ceil((-bound - phase) / (2 * np.pi)),
-                                           np.floor((bound - phase) / (2 * np.pi)) + 1)
-    for sigma in sigmas[np.argsort(np.abs(sigmas - centre), kind="stable")]:
+    n = scan.space.n_modes
+    sigmas = phase + 2 * np.pi * (np.rint((energy - phase) / (2 * np.pi)) + np.arange(-n, n + 1))
+    for sigma in sigmas[np.argsort(np.abs(sigmas - energy), kind="stable")]:
         dist = _certified_partner(scan, phase, sigma, tol)
         if dist is not None:
             return dist
@@ -549,30 +553,32 @@ def bound_state_scan(mono: Monodromy, n_modes: int = 12) -> list[BoundStateInfo]
     support_window(LOCALIZATION_MARGIN), as a measured value that decides
     nothing.  Each phase is cross-checked against an interior in-gap eigenvalue
     of the truncated mode-space matrix K, certified near it by a Rayleigh step
-    from the null scan (_mode_space_partner); one ScanOperators at n_modes
-    holds K's blocks and solves every K - zeta on the potential's support.  The
-    cross-check takes mono's segment, then mono.model unless the segment is the
-    model, and builds each one's ScanOperators only while phases are left
-    uncertified.  The first phase with no certified partner on the model
-    within CROSS_CHECK_TOL raises DetectorDisagreementError carrying the
-    model's smallest singular value of I + Q at the phase (null_pair at
-    phase + i RAYLEIGH_EPS).  The report is the same whichever K certified a
-    phase.  Phases within CROSS_CHECK_TOL of each other are one state of that
-    multiplicity: in ascending order, each phase not yet clustered takes every
-    other such phase within that distance.
+    from the null scan at the translates of the phase around the state's static
+    energy (_mode_space_partner, LatticeModel.static_energy of its eigenvector);
+    one ScanOperators at n_modes holds K's blocks and solves every K - zeta on
+    the potential's support.  The cross-check takes mono's segment, then
+    mono.model unless the segment is the model, and builds each one's
+    ScanOperators only while phases are left uncertified.  The first phase with
+    no certified partner on the model within CROSS_CHECK_TOL raises
+    DetectorDisagreementError carrying the model's smallest singular value of
+    I + Q at the phase (null_pair at phase + i RAYLEIGH_EPS).  The report is the
+    same whichever K, and whichever translate, certified a phase.  Phases
+    within CROSS_CHECK_TOL of each other are one state of that multiplicity: in
+    ascending order, each phase not yet clustered takes every other such phase
+    within that distance.
     """
     model = mono.model
     phases, vectors = in_gap(mono)
-    found = sorted(zip(phases, _localization(model, vectors)))
+    found = sorted(zip(phases, _localization(model, vectors), model.static_energy(vectors)))
 
-    open_phases = [phase for phase, _ in found]
+    open_states = [(phase, energy) for phase, _, energy in found]
     for h in (mono.segment,) if mono.segment is model else (mono.segment, model):
-        if open_phases:
+        if open_states:
             scan = ScanOperators(h, n_modes)
-            open_phases = [phase for phase in open_phases
-                           if _mode_space_partner(h, scan, phase, CROSS_CHECK_TOL) is None]
-    if open_phases:
-        phase = open_phases[0]
+            open_states = [(phase, energy) for phase, energy in open_states
+                           if _mode_space_partner(scan, phase, energy, CROSS_CHECK_TOL) is None]
+    if open_states:
+        phase = open_states[0][0]
         s_min = scan.null_pair(phase + 1j * RAYLEIGH_EPS)[0]
         raise DetectorDisagreementError(
             f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
@@ -582,7 +588,7 @@ def bound_state_scan(mono: Monodromy, n_modes: int = 12) -> list[BoundStateInfo]
     # multiplicity: cluster the phases not yet clustered within the cross-check tolerance
     infos = []
     used = np.zeros(len(found), dtype=bool)
-    for i, (phase, loc) in enumerate(found):
+    for i, (phase, loc, _) in enumerate(found):
         if used[i]:
             continue
         cluster = [j for j in range(len(found))

@@ -13,12 +13,15 @@ reports failed operations is named, and the script then exits 1.
 
 For each end-to-end metric of the change's BENCHMARK.json it prints the
 median of each side, the change of the medians relative to the parent's,
-the metric's bound, the parent's interquartile range and the pairs the
-change wins (better in the metric's direction than the parent in the same
-pair).  A metric is flagged `worse` where the medians are worse by more than
-the bound, and `gain` where the change wins at least 9 in 10 of the pairs and
-the medians differ by more than the parent's interquartile range: the rule a
-claimed gain is held to.
+the metric's bound, each side's interquartile range and the pairs the change
+wins (better in the metric's direction than the parent in the same pair).  A
+metric is flagged `worse` where the medians are worse by more than the bound,
+and `gain` where the change wins at least 9 in 10 of the pairs and the
+medians differ by more than the parent's interquartile range: the rule a
+claimed gain is held to.  It is flagged `unresolved` where the parent's
+interquartile range exceeds the bound times the parent's median, unless
+every run of the change is better than every run of the parent: the runs
+then spread too widely to call the metric unchanged.
 """
 
 from __future__ import annotations
@@ -50,9 +53,12 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def quartiles(values: list[float]) -> tuple[float, float]:
+def iqr(values: list[float]) -> float:
+    """The distance between the quartiles; 0 for one value."""
+    if len(values) < 2:
+        return 0.0
     q = statistics.quantiles(values, n=4, method="inclusive")
-    return q[0], q[2]
+    return q[2] - q[0]
 
 
 def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
@@ -68,16 +74,20 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
             continue
         a, b = [p for p, _ in pairs], [c for _, c in pairs]
         med_a, med_b = statistics.median(a), statistics.median(b)
-        q1, q3 = quartiles(a) if len(a) > 1 else (a[0], a[0])
+        iqr_a, iqr_b = iqr(a), iqr(b)
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         rel = (med_b - med_a) / med_a if med_a else 0.0
         worse = rel > spec["bound"] if lower else -rel > spec["bound"]
-        gain = wins >= 0.9 * len(pairs) and abs(med_b - med_a) > q3 - q1 and (
+        gain = wins >= 0.9 * len(pairs) and abs(med_b - med_a) > iqr_a and (
             med_b < med_a if lower else med_b > med_a)
-        flags = " ".join(f for f, on in (("worse", worse), ("gain", gain)) if on)
+        apart = max(b) < min(a) if lower else min(b) > max(a)
+        unresolved = iqr_a > spec["bound"] * abs(med_a) and not apart
+        flags = " ".join(f for f, on in (("worse", worse), ("gain", gain),
+                                         ("unresolved", unresolved)) if on)
         lines.append(f"{name}: parent {med_a:.6g} change {med_b:.6g} {spec['unit']} "
-                     f"({rel:+.1%}, bound {spec['bound']:.0%}), parent IQR {q3 - q1:.3g}, "
-                     f"change better in {wins}/{len(pairs)} {flags}".rstrip())
+                     f"({rel:+.1%}, bound {spec['bound']:.0%}), IQR parent {iqr_a:.3g} "
+                     f"change {iqr_b:.3g}, change better in {wins}/{len(pairs)} "
+                     f"{flags}".rstrip())
     return lines
 
 

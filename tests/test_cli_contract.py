@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -29,10 +30,10 @@ from hypothesis import strategies as st
 
 import floqscat
 from floqscat.cli import (BUILTINS, LATTICE, LATTICE_TASKS, MAX_STEPS, PARAMETERS, SWEEP, _run_one,
-                          main)
+                          main, run_scenario)
 from floqscat.model import PeriodicHamiltonian, save_model
 from floqscat.propagation import MIN_STEPS, ORDERS
-from floqscat.resolvent import MAX_DENSE_SIDE, MAX_IM_LAMBDA
+from floqscat.resolvent import MAX_DENSE_SIDE, MAX_IM_LAMBDA, ScanOperators
 from floqscat.scattering import GAP_RUN
 
 RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8, "drive_amp": 0.5,
@@ -198,6 +199,13 @@ CONTRACT = [
      "'model'"),
     ("resolvent-check", {"builtin": "rabi", "delta": 1e300}, {"eta": 1.0, "n_t": 8}, 3,
      "non-finite value inf at results.defining_residual"),
+    # an undriven well near the float range: LAPACK's eigh of the autonomous step did
+    # not converge and raised LinAlgError
+    ("monodromy", {"lattice": {"sites": 42, "hopping": 2.3413635794465077e-106,
+                               "well_depth": -4.511149746508169e+189, "drive_amp": 0.0,
+                               "support": [12, 7]}},
+     {"steps_per_period": 16, "order": 2, "start": 0.7916719188821228,
+      "self_convergence": False}, 3, "largest entry 4.511e+189"),
 ]
 
 
@@ -215,9 +223,10 @@ def test_contract_case(task, model, params, code, text):
 
 
 @pytest.mark.parametrize("model, params, text", [
-    # Q's block past the float range: LAPACK's SVD of it raised LinAlgError
+    # Q's block past the float range: LAPACK's SVD of it raised LinAlgError, and then
+    # the kernel's reciprocal of a subnormal e^{w_a} - 1 overflowed to a NaN residual
     ({"builtin": "rabi"}, {"lambda": [-2.225073858507e-311, -2.225073858507e-311], "n_t": 8,
-                           "n_modes": 6}, "non-finite value nan at results.defining_residual"),
+                           "n_modes": 6}, "free resolvent singular at lambda"),
     ({"builtin": "rabi", "v": 1.7976931348623157e308, "delta": -9.523532891122451e-263},
      {"eta": -9.523532891122451e-263, "n_t": 11, "n_modes": 3},
      "non-finite value inf at results.defining_residual"),
@@ -304,6 +313,42 @@ def test_decoupled_well_sites_are_one_bound_state(tmp_path):
     assert [v["confirmed"] for v in results["verdicts"]] == [True]
 
 
+def undriven_pair(well_depth):
+    """A bound-states config: the two decoupled well sites of an undriven 8-site ring."""
+    return {"task": "bound-states",
+            "model": {"lattice": {"sites": 8, "hopping": 0.0, "well_depth": well_depth,
+                                  "drive_amp": 0.0, "support_width": 2}},
+            "parameters": {"n_modes": 4, "verify": False}}
+
+
+def test_huge_well_refused_at_once(tmp_path):
+    # the cross-check once tried every 2 pi translate inside K's row-sum bound: at
+    # well 2.1e16 numpy's arange of them asked for 47.5 PiB and raised MemoryError
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(undriven_pair(2.1e16)))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(cfg), "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3, err.getvalue()
+    assert "not reproduced by the mode-space spectrum" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_deep_well_certified_near_its_energy(monkeypatch):
+    # at well 1e4 the two sites' phase, 1e4 mod 2 pi, is certified at the translate
+    # nearest the sites' energy 1e4: at most 2 N + 1 null scans per phase, where the
+    # walk over K's row-sum bound took 4768
+    calls, null_pair = [], ScanOperators.null_pair
+    monkeypatch.setattr(ScanOperators, "null_pair",
+                        lambda self, zeta: calls.append(zeta) or null_pair(self, zeta))
+    [state] = run_scenario(undriven_pair(1e4))["results"]["bound_states"]
+    assert state["multiplicity"] == 2
+    assert abs(state["quasi_energy"] - math.fmod(1e4, 2 * math.pi)) <= 1e-10
+    assert len(calls) <= 2 * (2 * 4 + 1)
+
+
 def test_large_hopping_lattice_finishes(tmp_path):
     # the light-cone search once ran forever past |hopping| ~ 710; in a
     # subprocess, so that a regression fails here instead of stalling the suite
@@ -363,12 +408,12 @@ FUZZ_VALUES = {
 
 @st.composite
 def lattice_configs(draw):
-    """A valid lattice config: 8-48 sites, hopping of either sign, 1-4 declared
-    sites anywhere on the ring (support_width, which they override, is left out)."""
+    """A valid lattice config: 8-48 sites, hopping, well and drive over the whole
+    finite float range, 1-4 declared sites anywhere on the ring (support_width,
+    which they override, is left out)."""
     sites = draw(st.integers(8, 48), label="sites")
-    lattice = {"sites": sites,
-               "hopping": draw(st.sampled_from([1, -1])) * draw(st.floats(0.25, 1.25)),
-               "well_depth": draw(st.floats(-2.0, 0.0)), "drive_amp": draw(st.floats(0.0, 1.0)),
+    lattice = {"sites": sites, "hopping": draw(FINITE), "well_depth": draw(FINITE),
+               "drive_amp": draw(FINITE),
                "support": draw(st.lists(st.integers(0, sites - 1), min_size=1, max_size=4,
                                         unique=True))}
     assert set(LATTICE) == {*lattice, "support_width"}

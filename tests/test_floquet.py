@@ -275,15 +275,6 @@ class TestBlockProduct:
             tracemalloc.stop()
         assert peak < 8 * x.nbytes, peak
 
-    @pytest.mark.parametrize("n_modes", [2, 3, 4, 8, 10, 16])
-    def test_row_sum_is_the_largest_absolute_row_sum(self, models, n_modes):
-        from floqscat.resolvent import ScanOperators
-
-        for h in models:
-            want = float(abs(kronecker_k(h, n_modes)[0]).sum(axis=1).max())
-            got = ScanOperators(h, n_modes).row_sum
-            assert abs(got - want) <= 2 * np.finfo(float).eps * want
-
     @pytest.mark.parametrize("n_modes", [2, 4, 10])
     def test_dense_k_is_the_kronecker_sum(self, models, n_modes):
         # bit for bit, signed zeros included: scipy's densified sums read +0.0

@@ -412,6 +412,29 @@ class TestSolve:
             solve(a, np.ones(2, dtype=complex))
 
 
+class TestNonFiniteNorms:
+    """op_norm of a matrix with a non-finite entry is max|A|, where LAPACK's SVD does
+    not converge."""
+
+    def test_op_norm_of_an_infinite_entry_is_inf(self):
+        a = np.eye(3, dtype=np.complex128)
+        a[1, 2] = np.inf
+        assert numerics.op_norm(a) == np.inf
+
+    def test_op_norm_of_a_nan_entry_is_nan(self):
+        a = np.eye(3, dtype=np.complex128)
+        a[2, 0] = np.nan
+        assert np.isnan(numerics.op_norm(a))
+
+    def test_unconverged_eigh_names_the_largest_entry(self, monkeypatch):
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        with pytest.raises(numerics.NumericalError, match="largest entry 4.500e\\+189"):
+            hermitian_eig(np.diag([-4.5e189, 1.0]))
+
+
 class TestNanFailsClosed:
     """A gate that holds a value to a bound fails on a NaN value: `not value <= bound`,
     where `value > bound` is false for a NaN and lets it through."""

@@ -40,6 +40,12 @@ from oracles import (free_propagator, image, loop_gaps, operator, orthonormality
 CHEAP = PropagatorSchedule(96, 2)
 
 
+def state_energies(mono):
+    """{phase: static energy <v|H0 + H_0|v>} of mono's in-gap states."""
+    phases, vectors = in_gap(mono)
+    return dict(zip(phases, mono.model.static_energy(vectors)))
+
+
 @pytest.fixture(scope="module")
 def free_ring():
     return build_lattice(256, 1.0, 0.0, 0.0, [128])
@@ -455,9 +461,10 @@ class TestBoundStateScan:
         in_gap = sidebands_closed(spec.values, driven_well_64.free_eig.values)
         dense = spec.folded[in_gap & spec.interior]
         scan = ScanOperators(driven_well_64, n_modes)
+        energies = state_energies(driven_well_64_monodromy)
         assert len(infos) >= 2
         for b in infos:
-            dist = _mode_space_partner(driven_well_64, scan, b.quasi_energy, tol)
+            dist = _mode_space_partner(scan, b.quasi_energy, energies[b.quasi_energy], tol)
             assert dist is not None
             assert abs(dist - circular_distance(b.quasi_energy, dense).min()) <= 1e-12
 
@@ -739,7 +746,8 @@ class TestSegmentCrossCheck:
                           lambda self, h, n: scans.append(h.dim) or init(self, h, n))
                 if not segment_certifies:
                     m.setattr(scattering, "_mode_space_partner",
-                              lambda h, *args: None if h.dim == 81 else partner(h, *args))
+                              lambda scan, *args: None if scan.space.fiber_dim == 81
+                              else partner(scan, *args))
                 report = run_scenario(RING_SCATTER, seed=1)
             return scans, cli.canonical_json(report)
 
@@ -778,12 +786,28 @@ class TestCertifiedPartner:
         # 3.0 and 3.3 lie in the gap, 0.28 and 0.024 from the nearest interior in-gap
         # eigenvalue of K; 1.0 and 5.5 lie in the folded band [-2, 2]; a bound phase
         # moved by 3 tol has no partner either
+        # (each tried at the translates around the bound state's static energy)
         lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
         scan = ScanOperators(lat, 8)
-        bound = bound_state_scan(monodromy(lat, 0.0, PropagatorSchedule(256, 4)), 8)
-        assert _mode_space_partner(lat, scan, bound[0].quasi_energy, 1e-5) <= 1e-5
+        mono = monodromy(lat, 0.0, PropagatorSchedule(256, 4))
+        bound = bound_state_scan(mono, 8)
+        energy = state_energies(mono)[bound[0].quasi_energy]
+        assert _mode_space_partner(scan, bound[0].quasi_energy, energy, 1e-5) <= 1e-5
         for phase in (3.0, 3.3, 1.0, 5.5, bound[0].quasi_energy + 3e-5):
-            assert _mode_space_partner(lat, scan, phase, 1e-5) is None
+            assert _mode_space_partner(scan, phase, energy, 1e-5) is None
+
+    def test_phase_without_partner_costs_2n_plus_1_scans(self, monkeypatch):
+        # the translates are the 2N + 1 around the state's energy, whatever K's norm:
+        # a phase with no partner takes one null scan at each, and no more
+        lat = build_lattice(48, 1.0, -1.8, 0.5, range(22, 27))
+        scan = ScanOperators(lat, 8)
+        mono = monodromy(lat, 0.0, PropagatorSchedule(256, 4))
+        energy = state_energies(mono)[bound_state_scan(mono, 8)[0].quasi_energy]
+        tried, null_pair = [], scan.null_pair
+        monkeypatch.setattr(scan, "null_pair", lambda zeta: tried.append(zeta) or null_pair(zeta))
+        assert _mode_space_partner(scan, 3.0, energy, 1e-5) is None
+        assert len(tried) == 2 * 8 + 1
+        assert len(set(tried)) == len(tried)
 
     def test_coarse_phase_raises_with_the_null_scan_s_min(self):
         # 8 midpoint steps move the lowest bound phase beyond CROSS_CHECK_TOL of K's
@@ -806,22 +830,21 @@ class TestCertifiedPartner:
         # the sparse LU of K - sigma does, at the same distance
         lat = build_lattice(sites, 1.0, depth, drive, support)
         mono = monodromy(lat, 0.0, PropagatorSchedule(steps, order))
-        certified, partner = scattering._certified_partner, scattering._mode_space_partner
+        certified, init = scattering._certified_partner, ScanOperators.__init__
         pairs, oracle = [], []
 
-        def with_oracle(model, scan, phase, tol):
-            # the Kronecker K of the model (the segment or the ring) scan was built for
-            if not oracle or oracle[0] is not model:
-                oracle[:] = [model, kronecker_k(model, n_modes)[0]]
-            return partner(model, scan, phase, tol)
+        def with_oracle(self, h, n):
+            # the Kronecker K of the model (the segment or the ring) each scan is built for
+            oracle[:] = [kronecker_k(h, n)[0]]
+            init(self, h, n)
 
         def both(scan, phase, sigma, tol):
             got = certified(scan, phase, sigma, tol)
-            pairs.append((got, sparse_lu_certified_partner(oracle[1], scan.space,
+            pairs.append((got, sparse_lu_certified_partner(oracle[0], scan.space,
                                                            scan.free.values, phase, sigma, tol)))
             return got
 
-        monkeypatch.setattr(scattering, "_mode_space_partner", with_oracle)
+        monkeypatch.setattr(ScanOperators, "__init__", with_oracle)
         monkeypatch.setattr(scattering, "_certified_partner", both)
         assert len(bound_state_scan(mono, n_modes=n_modes)) == count
         assert pairs
@@ -848,8 +871,8 @@ class TestCertifiedPartner:
         # the next translate certifies the phase
         lat = build_lattice(64, 1.0, -2.0, 0.0, range(30, 35))
         scan = ScanOperators(lat, 6)
-        phase = bound_state_scan(monodromy(lat, 0.0, PropagatorSchedule(96, 2)),
-                                 6)[0].quasi_energy
+        mono = monodromy(lat, 0.0, PropagatorSchedule(96, 2))
+        phase = bound_state_scan(mono, 6)[0].quasi_energy
         tried, null_pair = [], scan.null_pair
 
         def unsettled_first(zeta):
@@ -859,7 +882,7 @@ class TestCertifiedPartner:
             return null_pair(zeta)
 
         monkeypatch.setattr(scan, "null_pair", unsettled_first)
-        assert _mode_space_partner(lat, scan, phase, 1e-5) <= 1e-5
+        assert _mode_space_partner(scan, phase, state_energies(mono)[phase], 1e-5) <= 1e-5
         assert len(tried) >= 2
         monkeypatch.undo()
         # settled, the first translate would have certified the phase itself
