@@ -283,8 +283,10 @@ LATTICE_TASKS = ("wave-operators", "bound-states")
 CONFIG = {"task": Field(str, REQUIRED, _one_of(tuple(PARAMETERS))), "model": Field(dict),
           "parameters": Field(dict, {}), "output": Field(dict, {}), "sweep": Field(dict, None)}
 # `format`, where given, names what the config writes (_run_one): json for a
-# scenario's report, csv for a sweep's table
-OUTPUT = {"path": Field(str, None), "format": Field(str, None, _one_of(("json", "csv")))}
+# scenario's report, csv for a sweep's table.  A path the OS refuses exits 2 on the
+# write (_run_one); one holding a NUL, which no OS takes, before the run
+OUTPUT = {"path": Field(str, None, lambda path, model: "holds a NUL" if "\0" in path else None),
+          "format": Field(str, None, _one_of(("json", "csv")))}
 SWEEP = {"parameter": Field(str),
          "values": Field(list, REQUIRED, lambda vals, model: None if vals else "must be non-empty")}
 # each builtin with its own fields, passed to it by name
@@ -616,13 +618,14 @@ def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, st
                                   f"a {kind} writes {written}, got {parsed['output']['format']!r}")
         default = cfg_path.stem + (".sweep.csv" if is_sweep else ".report.json")
         out_path = Path(out_dir) / (parsed["output"]["path"] or default)
-        if is_sweep:
-            rows = run_sweep(cfg, seed)
-            write_sweep_csv(rows, out_path)
-            failed = [r for r in rows if r["status"] != "ok"]
-            return str(out_path), (3 if len(failed) == len(rows) else 0), ""
-        write_report(run_scenario(cfg, seed), out_path)
-        return str(out_path), 0, ""
+        payload = run_sweep(cfg, seed) if is_sweep else run_scenario(cfg, seed)
+        try:
+            (write_sweep_csv if is_sweep else write_report)(payload, out_path)
+        except OSError as exc:   # the OS refused the output path, not the config file
+            raise ValidationError("config.output.path", f"the OS refused it: {exc.strerror}")
+        # a sweep exits 3 where every row failed
+        code = 3 if is_sweep and all(row["status"] != "ok" for row in payload) else 0
+        return str(out_path), code, ""
     except ValidationError as exc:
         return None, 2, f"error: {exc}"
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:

@@ -151,10 +151,6 @@ class FloquetMatrix:
     def space(self) -> ModeSpace:
         return ModeSpace(self.n_modes, self.fiber_dim)
 
-    @property
-    def size(self) -> int:
-        return self.space.size
-
 
 def k_blocks(h: PeriodicHamiltonian, n_modes: int) -> dict[int, np.ndarray]:
     """K's (d, d) blocks at mode cutoff N, without the 2 pi n shifts: M0 = H0 + H_0 at
@@ -189,16 +185,6 @@ def shift_commutation_defect(k: FloquetMatrix) -> float:
     defect = k.matrix[d:, d:] - k.matrix[:-d, :-d]
     defect.flat[::defect.shape[0] + 1] -= 2 * np.pi
     return float(np.abs(defect).max(initial=0.0))
-
-
-def shift_group_defect(k: FloquetMatrix, sigma: float) -> float:
-    """Interior defect of exp(i J sigma) S exp(-i J sigma) = exp(2 pi i sigma) S.
-
-    With the block phases p_n = exp(2 pi i n sigma) of exp(i J sigma), the
-    conjugated shift's interior block (n, n - 1) is p_n conj(p_{n-1}).
-    """
-    p = np.exp(1j * k.space.frequencies * sigma)
-    return float(np.abs(p[1:] * p[:-1].conj() - np.exp(2j * np.pi * sigma)).max(initial=0.0))
 
 
 @dataclass

@@ -329,18 +329,6 @@ def rabi_model(delta: float = 0.0, v: float = 1.0) -> PeriodicHamiltonian:
                                label=f"rabi delta={delta} v={v}")
 
 
-def rabi_quasi_energies(delta: float = 0.0, v: float = 1.0) -> np.ndarray:
-    """Closed-form quasi-energies of the driven two-level model, folded to [0, 2pi).
-
-    From the rotating frame U(t,0) = exp(+i pi t sigma_z) exp(-i t Hrot) with
-    Hrot = [[delta/2 + pi, v], [v, -delta/2 - pi]] (validated against direct
-    integration), the monodromy is -exp(-i Hrot), giving quasi-energies
-    +-sqrt((delta/2 + pi)^2 + v^2) - pi mod 2pi.
-    """
-    mu = np.sqrt((delta / 2 + np.pi) ** 2 + v**2)
-    return np.sort(np.mod([mu - np.pi, -mu - np.pi], 2 * np.pi))
-
-
 def _random_two_harmonic(dim: int, seed: int, label: str) -> PeriodicHamiltonian:
     """Deterministic two-harmonic model with moderate mode amplitudes."""
     rng = np.random.default_rng(seed)
@@ -370,15 +358,10 @@ def fleet() -> list[PeriodicHamiltonian]:
 
 
 # ---------------------------------------------------------------------------
-# JSON model files: {dim, H0, modes: [{n, matrix}], label}; matrices are
-# nested arrays of [re, im] pairs.  Serialization is bit-exact: floats are
-# written with Python repr (shortest round-trip) and key order is fixed.
+# JSON model files, read: {dim, H0, modes: [{n, matrix}], label}; matrices
+# are nested arrays of [re, im] pairs of finite floats.  The package writes no
+# model file.
 # ---------------------------------------------------------------------------
-
-def matrix_to_json(a: np.ndarray):
-    # + 0.0 normalizes negative zero so write-read-write is byte-identical
-    return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row] for row in np.asarray(a, complex)]
-
 
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     arr = np.array(obj, dtype=float)
@@ -387,15 +370,6 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite entry")
     return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
-
-
-def model_to_json_dict(h: PeriodicHamiltonian) -> dict:
-    return {
-        "dim": h.dim,
-        "H0": matrix_to_json(h.h0),
-        "modes": [{"n": n, "matrix": matrix_to_json(m)} for n, m in sorted(h.modes.items())],
-        "label": h.label,
-    }
 
 
 def model_from_json_dict(doc: dict) -> PeriodicHamiltonian:
@@ -409,12 +383,6 @@ def model_from_json_dict(doc: dict) -> PeriodicHamiltonian:
     modes = {int(entry["n"]): matrix_from_json(entry["matrix"], f"modes[n={entry['n']}].matrix")
              for entry in doc["modes"]}
     return PeriodicHamiltonian(h0=h0, modes=modes, label=doc["label"])
-
-
-def save_model(h: PeriodicHamiltonian, path):
-    with open(path, "w") as f:
-        json.dump(model_to_json_dict(h), f, sort_keys=True, indent=1)
-        f.write("\n")
 
 
 def load_model(path) -> PeriodicHamiltonian:

@@ -86,7 +86,8 @@ reaches 2r sites past the support); only a phase it does not certify goes to
 the whole ring's K, at the same CROSS_CHECK_TOL, where the segment is not the
 ring itself.  A phase the ring's K does not certify either raises
 DetectorDisagreementError with the ring's null-scan smallest singular value
-of I + Q at that phase.
+of I + Q at that phase, and with the float spacing at the state's energy where
+that spacing exceeds CROSS_CHECK_TOL.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ class ProbeSet:
     vectors: np.ndarray          # (L, p) columns, unit norm
     momenta: np.ndarray
     centers: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[1]
 
 
 def gaussian_packet(sites: int, center: float, momentum: float, sigma: float) -> np.ndarray:
@@ -561,11 +558,12 @@ def bound_state_scan(mono: Monodromy, n_modes: int = 12) -> list[BoundStateInfo]
     ScanOperators only while phases are left uncertified.  The first phase with
     no certified partner on the model within CROSS_CHECK_TOL raises
     DetectorDisagreementError carrying the model's smallest singular value of
-    I + Q at the phase (null_pair at phase + i RAYLEIGH_EPS).  The report is the
-    same whichever K, and whichever translate, certified a phase.  Phases
-    within CROSS_CHECK_TOL of each other are one state of that multiplicity: in
-    ascending order, each phase not yet clustered takes every other such phase
-    within that distance.
+    I + Q at the phase (null_pair at phase + i RAYLEIGH_EPS), and naming the
+    float spacing at the state's energy where it exceeds CROSS_CHECK_TOL.  The
+    report is the same whichever K, and whichever translate, certified a
+    phase.  Phases within CROSS_CHECK_TOL of each other are one state of that
+    multiplicity: in ascending order, each phase not yet clustered takes every
+    other such phase within that distance.
     """
     model = mono.model
     phases, vectors = in_gap(mono)
@@ -578,13 +576,15 @@ def bound_state_scan(mono: Monodromy, n_modes: int = 12) -> list[BoundStateInfo]
             open_states = [(phase, energy) for phase, energy in open_states
                            if _mode_space_partner(scan, phase, energy, CROSS_CHECK_TOL) is None]
     if open_states:
-        phase = open_states[0][0]
+        phase, energy = open_states[0]
         s_min = scan.null_pair(phase + 1j * RAYLEIGH_EPS)[0]
+        spacing = np.spacing(abs(energy))   # above the tolerance no float translate can match
         raise DetectorDisagreementError(
             f"bound state at quasi-energy {phase:.8f} not reproduced by the mode-space "
             f"spectrum at N={n_modes} (no interior in-gap eigenvalue certified within "
-            f"{CROSS_CHECK_TOL:.0e}; smallest singular value of I + Q there "
-            f"{s_min:.2e})", s_min)
+            f"{CROSS_CHECK_TOL:.0e}; smallest singular value of I + Q there {s_min:.2e}"
+            + (f"; floats near the state's energy {energy:.6e} lie {spacing:.1e} apart"
+               if spacing > CROSS_CHECK_TOL else "") + ")", s_min)
     # multiplicity: cluster the phases not yet clustered within the cross-check tolerance
     infos = []
     used = np.zeros(len(found), dtype=bool)

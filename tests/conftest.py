@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from floqscat import (
-    PropagatorSchedule,
-    build_lattice,
-    fleet,
-    monodromy,
-    q_factorized,
-    rabi_model,
-)
+from floqscat.model import build_lattice, fleet, rabi_model
+from floqscat.propagation import PropagatorSchedule, monodromy
+from floqscat.resolvent import q_factorized
 
 
 def random_hermitian(n, seed, scale=1.0):

@@ -27,6 +27,10 @@ nor keeps.
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
     kronecker_sum_k(N, h0, modes)  I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m, by scipy
     kronecker_k(h, n_modes)     (K, K0) of a model as those Kronecker sums
+    rabi_quasi_energies(delta, v)  the driven two-level model's quasi-energies in closed form
+    shift_group_defect(k, sigma)   interior defect of exp(i J sigma) S exp(-i J sigma) = e^{2 pi i sigma} S
+    save_model(h, path)         a JSON model file that model.load_model reads
+                                (model_to_json_dict, matrix_to_json)
     dense_lattice(sites, ...)   build_lattice's h0 and modes as dense arrays formed at once
     dense_support(h0, modes)    the sites where some mode has a nonzero row or column
     dense_mirror(h0, modes, arc)  the reflection about the arc, where every array equals its copy
@@ -41,12 +45,14 @@ since it raises ConvergenceError where no probe has settled (at n < GAP_RUN,
 or while the packets cross the well).
 """
 
+import json
 import warnings
 from itertools import islice
 
 import numpy as np
 
 from floqscat import resolvent
+from floqscat.floquet import FloquetMatrix
 from floqscat.model import PeriodicHamiltonian
 from floqscat.numerics import (CLUSTER_GAP, EigenDecomposition, SingularMatrixError, adjoint_apply,
                                as_complex_matrix, check_hermitian, check_square, expm_hermitian,
@@ -246,9 +252,31 @@ def rabi_closed_form_propagator(t: float, delta: float = 0.0, v: float = 1.0) ->
     return expm_hermitian(-np.pi * t * sz, 1.0) @ expm_hermitian(hrot, t)
 
 
+def rabi_quasi_energies(delta: float = 0.0, v: float = 1.0) -> np.ndarray:
+    """Closed-form quasi-energies of the driven two-level model, folded to [0, 2pi).
+
+    From the rotating frame U(t,0) = exp(+i pi t sigma_z) exp(-i t Hrot) with
+    Hrot = [[delta/2 + pi, v], [v, -delta/2 - pi]] (validated against direct
+    integration), the monodromy is -exp(-i Hrot), giving quasi-energies
+    +-sqrt((delta/2 + pi)^2 + v^2) - pi mod 2pi.
+    """
+    mu = np.sqrt((delta / 2 + np.pi) ** 2 + v**2)
+    return np.sort(np.mod([mu - np.pi, -mu - np.pi], 2 * np.pi))
+
+
 def block(k, n: int, m: int) -> np.ndarray:
     nb, d = k.space.n_blocks, k.fiber_dim
     return k.matrix.reshape(nb, d, nb, d)[n + k.n_modes, :, m + k.n_modes]
+
+
+def shift_group_defect(k: FloquetMatrix, sigma: float) -> float:
+    """Interior defect of exp(i J sigma) S exp(-i J sigma) = exp(2 pi i sigma) S.
+
+    With the block phases p_n = exp(2 pi i n sigma) of exp(i J sigma), the
+    conjugated shift's interior block (n, n - 1) is p_n conj(p_{n-1}).
+    """
+    p = np.exp(1j * k.space.frequencies * sigma)
+    return float(np.abs(p[1:] * p[:-1].conj() - np.exp(2j * np.pi * sigma)).max(initial=0.0))
 
 
 def spatial_mass(spec) -> np.ndarray:
@@ -410,3 +438,25 @@ def dense_mirror(h0: np.ndarray, modes: dict, arc: tuple[int, int]) -> np.ndarra
 def dense_ring_spectrum(h0: np.ndarray) -> np.ndarray:
     """The real part of the FFT of h0's first column."""
     return np.fft.fft(h0[:, 0]).real
+
+
+def matrix_to_json(a: np.ndarray):
+    # + 0.0 normalizes negative zero so write-read-write is byte-identical
+    return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row] for row in np.asarray(a, complex)]
+
+
+def model_to_json_dict(h: PeriodicHamiltonian) -> dict:
+    return {
+        "dim": h.dim,
+        "H0": matrix_to_json(h.h0),
+        "modes": [{"n": n, "matrix": matrix_to_json(m)} for n, m in sorted(h.modes.items())],
+        "label": h.label,
+    }
+
+
+def save_model(h: PeriodicHamiltonian, path):
+    """h as a JSON model file, bit-exact: floats written with Python repr
+    (shortest round-trip), keys in a fixed order."""
+    with open(path, "w") as f:
+        json.dump(model_to_json_dict(h), f, sort_keys=True, indent=1)
+        f.write("\n")

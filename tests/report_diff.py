@@ -12,7 +12,8 @@ null.  A mismatch raises AssertionError naming the key path.
 `sweep_differences(a, b)` compares two sweep tables row by row the same way:
 `headline_value` as a float where both rows hold one, `wall_time_s` not at
 all, every other column as a string.  `directory_differences(a, b)` compares
-every `*.report.json` and `*.sweep.csv` under two directories, matched by
+every `*.report.json`, `*.sweep.csv` and `exit_codes.json` (report_set.py's
+exit code per run, compared as a report) under two directories, matched by
 their paths relative to them; a file on one side only is a mismatch.
 
     python tests/report_diff.py A.report.json B.report.json
@@ -32,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-OUTPUTS = ("*.report.json", "*.sweep.csv")
+OUTPUTS = ("*.report.json", "*.sweep.csv", "exit_codes.json")   # report_set.py writes them
 
 
 def report_differences(a, b) -> dict[str, float]:

@@ -14,14 +14,12 @@ from floqscat.floquet import (
     correspondence_report,
     quasi_spectrum,
     shift_commutation_defect,
-    shift_group_defect,
 )
 from floqscat.model import (
     PeriodicHamiltonian,
     build_lattice,
     fleet,
     rabi_model,
-    rabi_quasi_energies,
 )
 from floqscat.numerics import max_norm, op_norm, unitary_defect
 from floqscat.propagation import (
@@ -52,7 +50,7 @@ from floqscat.scattering import (
 )
 
 from oracles import (check_cocycle, check_period_shift, convergence_ladder, full_resolvent,
-                     match_eigenvalues, spatial_mass)
+                     match_eigenvalues, rabi_quasi_energies, shift_group_defect, spatial_mass)
 
 SCHED = PropagatorSchedule(steps_per_period=512, order=4)
 NOISE_FLOOR = 5e-12  # integrator/eigensolver floor for interior matching
@@ -172,7 +170,7 @@ def test_criterion_5_factorized_resolvent():
     n_t = 1024
     r, cond = full_resolvent(h, lam, n_t)
     k = build_floquet(h, 32)
-    inv = np.linalg.inv(k.matrix - lam * np.eye(k.size))
+    inv = np.linalg.inv(k.matrix - lam * np.eye(k.space.size))
     t = np.arange(n_t) / n_t
     probe_modes = {0: np.array([1.0, 0.3j]), 1: np.array([0.2, -0.4]),
                    -1: np.array([0.1j, 0.25])}

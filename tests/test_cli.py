@@ -131,7 +131,8 @@ class TestValidation:
 
 
     def test_nan_in_model_file_exit_2(self, tmp_path, capsys):
-        from floqscat.model import model_to_json_dict, rabi_model
+        from floqscat.model import rabi_model
+        from oracles import model_to_json_dict
 
         doc = model_to_json_dict(rabi_model())
         doc["H0"][0][0][0] = float("nan")
@@ -162,7 +163,8 @@ class TestValidation:
 class TestRunScenario:
     def test_correspondence_constant_model(self, tmp_path):
         model_path = tmp_path / "const.json"
-        from floqscat.model import PeriodicHamiltonian, save_model
+        from floqscat.model import PeriodicHamiltonian
+        from oracles import save_model
 
         save_model(PeriodicHamiltonian(h0=np.diag([0.3, 1.2])), model_path)
         cfg = {
@@ -175,7 +177,8 @@ class TestRunScenario:
 
     def test_resolvent_check_scalar_free(self, tmp_path):
         model_path = tmp_path / "d1.json"
-        from floqscat.model import PeriodicHamiltonian, save_model
+        from floqscat.model import PeriodicHamiltonian
+        from oracles import save_model
 
         save_model(PeriodicHamiltonian(h0=np.zeros((1, 1))), model_path)
         cfg = {
@@ -421,6 +424,14 @@ class TestFailureClasses:
         known = (NumericalError, ValidationError, StepPlanError, NoInteriorError)
         assert [c.__name__ for c in classes if not issubclass(c, known)] == []
         assert floqscat.NumericalError is NumericalError
+
+    def test_package_exports_numerical_error_alone(self):
+        # the CLI, the benchmark and the tests import the submodules; the package
+        # exports the one name the README documents, the base the CLI exits 3 on
+        from floqscat import numerics
+
+        assert floqscat.__all__ == ["NumericalError"]
+        assert floqscat.NumericalError is numerics.NumericalError
 
 
 class TestExitCodes:

@@ -29,12 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floqscat
-from floqscat.cli import (BUILTINS, LATTICE, LATTICE_TASKS, MAX_STEPS, PARAMETERS, SWEEP, _run_one,
-                          main, run_scenario)
-from floqscat.model import PeriodicHamiltonian, save_model
+from floqscat.cli import (BUILTINS, LATTICE, LATTICE_TASKS, MAX_STEPS, OUTPUT, PARAMETERS, SWEEP,
+                          _run_one, main, run_scenario)
+from floqscat.model import PeriodicHamiltonian
 from floqscat.propagation import MIN_STEPS, ORDERS
 from floqscat.resolvent import MAX_DENSE_SIDE, MAX_IM_LAMBDA, ScanOperators
 from floqscat.scattering import GAP_RUN
+
+from oracles import save_model
 
 RING = {"lattice": {"sites": 40, "hopping": 1.0, "well_depth": -1.8, "drive_amp": 0.5,
                     "support_width": 4}}
@@ -297,6 +299,32 @@ def test_output_format_is_the_output_kind(tmp_path, sweep, fmt, code):
         assert text.startswith("parameter,value,") if sweep else json.loads(text)["results"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sweep", [False, True])
+@pytest.mark.parametrize("path", ["a\0b", "c.json/x"], ids=["nul", "under-a-file"])
+def test_refused_output_path_exits_2_naming_it(tmp_path, path, sweep, jobs):
+    # a NUL in the path once ended in a traceback (ValueError from open), and a path
+    # under an existing file exited 2 as "cannot read config", naming no field; the
+    # other config's report is written either way
+    (tmp_path / "c.json").write_text("{}")
+    cfg = {"task": "floquet-spectrum", "model": {"builtin": "rabi"},
+           "parameters": {"n_modes": 4}}
+    (tmp_path / "good.json").write_text(json.dumps(cfg))
+    cfg["output"] = {"path": path}
+    if sweep:
+        cfg["sweep"] = {"parameter": "n_modes", "values": [2, 4]}
+    (tmp_path / "refused.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(tmp_path / "refused.json"),
+                     "--config", str(tmp_path / "good.json"),
+                     "--out", str(tmp_path), "--jobs", str(jobs)])
+    assert code == 2, err.getvalue()
+    assert "invalid field 'config.output.path'" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert json.loads((tmp_path / "good.report.json").read_text())["results"]
+
+
 def test_decoupled_well_sites_are_one_bound_state(tmp_path):
     # at hopping 0 the five well sites are decoupled copies of one state at
     # quasi-energy 2 pi - 1.8, off the flat band at 0 (CONTRACT's hopping-0 row)
@@ -347,6 +375,22 @@ def test_deep_well_certified_near_its_energy(monkeypatch):
     assert state["multiplicity"] == 2
     assert abs(state["quasi_energy"] - math.fmod(1e4, 2 * math.pi)) <= 1e-10
     assert len(calls) <= 2 * (2 * 4 + 1)
+
+
+def test_refusal_past_the_float_range_names_the_spacing(tmp_path):
+    # past |E| ~ 2^52 CROSS_CHECK_TOL no float translate of a state's phase near its
+    # energy lies within the tolerance: at well 1e11 (spacing 1.5e-5) the refusal
+    # once blamed the cutoff N alone; at 1e10 (spacing 1.9e-6) the pair certifies
+    [state] = run_scenario(undriven_pair(1e10))["results"]["bound_states"]
+    assert state["multiplicity"] == 2
+    assert abs(state["quasi_energy"] - 5.773954235013852) <= 1e-9
+    cfg = tmp_path / "well.json"
+    cfg.write_text(json.dumps(undriven_pair(1e11)))
+    written, code, message = _run_one(str(cfg), str(tmp_path), None)
+    assert (written, code) == (None, 3), message
+    assert "not reproduced by the mode-space spectrum" in message
+    assert "certified within 1e-05" in message
+    assert "floats near the state's energy 1.000000e+11 lie 1.5e-05 apart" in message
 
 
 def test_large_hopping_lattice_finishes(tmp_path):
@@ -447,6 +491,11 @@ IM_LAMBDA = st.floats(-MAX_IM_LAMBDA, MAX_IM_LAMBDA).filter(bool)
 MODEL_VALUES = {**FUZZ_VALUES, "n_t": st.integers(1, 16), "eta": IM_LAMBDA,
                 "lambda": st.tuples(FINITE, IM_LAMBDA).map(list)}
 MODEL_TASKS = tuple(task for task in PARAMETERS if task not in LATTICE_TASKS)
+# an output path under the run's own directory (no "/"), maybe holding a NUL; a
+# format of either kind or any other string
+OUTPUT_VALUES = {"path": st.text(st.characters(exclude_characters="/") | st.just("\0"),
+                                 max_size=6),
+                 "format": st.sampled_from(["json", "csv"]) | st.text(max_size=4)}
 
 
 @st.composite
@@ -473,8 +522,9 @@ def model_configs(draw):
     """A valid config on a builtin model, each of its fields left out or drawn over the
     whole finite float range, or on a model file (None: the test writes the drawn
     model with save_model); a task that accepts it, with a value for every field of
-    its table (one of a field and its alternative), and maybe a sweep over one of
-    them.  Returns (config, model to write or None)."""
+    its table (one of a field and its alternative), maybe a sweep over one of
+    them, and maybe an output object (OUTPUT_VALUES, each field maybe left out).
+    Returns (config, model to write or None)."""
     if draw(st.booleans(), label="builtin"):
         name = draw(st.sampled_from(sorted(BUILTINS)), label="builtin name")
         fields = draw(st.fixed_dictionaries({}, optional=dict.fromkeys(BUILTINS[name][1], FINITE)),
@@ -496,14 +546,17 @@ def model_configs(draw):
                         "values": draw(st.lists(MODEL_VALUES[swept], min_size=1, max_size=3),
                                        label="values")}
         assert set(cfg["sweep"]) == set(SWEEP)
+    if draw(st.booleans(), label="output"):
+        cfg["output"] = draw(st.fixed_dictionaries({}, optional=OUTPUT_VALUES), label="output")
+        assert set(OUTPUT_VALUES) == set(OUTPUT)
     return cfg, written
 
 
-def written_output(path):
+def written_output(path, sweep):
     """A written output's bytes; a sweep table's rows without its wall_time_s column."""
     if path is None:
         return None
-    if not path.endswith(".csv"):
+    if not sweep:
         return Path(path).read_bytes()
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -524,12 +577,13 @@ def test_valid_model_configs_keep_the_contract(drawn):
         path.write_text(json.dumps(cfg))
         for run in ("first", "again"):
             out, code, message = _run_one(str(path), str(Path(tmp) / run), 3)
-            outcomes.append((code, message, written_output(out)))
+            outcomes.append((code, message, written_output(out, "sweep" in cfg)))
     code, message, _ = outcomes[0]
     assert code in (0, 2, 3), message
     if code == 2:
         field = message.split("'")[1]     # invalid field '<path>': ...
         names = [f"parameters.{name}" for name in cfg["parameters"]]
         names += ["model", *(f"model.{name}" for name in cfg["model"])]
+        names += ["config.output.path", "config.output.format"]
         assert field in names, message
     assert outcomes[0] == outcomes[1]

@@ -9,14 +9,13 @@ from floqscat.floquet import (
     quasi_spectrum,
     reconstruct_mode,
     shift_commutation_defect,
-    shift_group_defect,
 )
-from floqscat.model import PeriodicHamiltonian, build_lattice, rabi_quasi_energies
+from floqscat.model import PeriodicHamiltonian, build_lattice
 from floqscat.numerics import hermitian_defect
 from floqscat.propagation import PropagatorSchedule, monodromy
 
 from conftest import random_hermitian
-from oracles import block, kronecker_k
+from oracles import block, kronecker_k, rabi_quasi_energies, shift_group_defect
 
 
 class TestBuildFloquet:

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqscat.floquet import build_floquet, shift_commutation_defect, shift_group_defect
-from floqscat.model import PeriodicHamiltonian, load_model, model_from_json_dict, save_model
+from floqscat.floquet import build_floquet, shift_commutation_defect
+from floqscat.model import PeriodicHamiltonian, load_model, model_from_json_dict
 from floqscat.propagation import PropagatorSchedule, monodromy, propagate, reflection_symmetric
 
-from oracles import check_cocycle
+from oracles import check_cocycle, save_model, shift_group_defect
 
 EXAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
 SCHEDULES = st.builds(PropagatorSchedule, st.sampled_from([16, 32]), st.sampled_from([2, 4]))

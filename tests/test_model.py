@@ -14,15 +14,13 @@ from floqscat.model import (
     fleet,
     load_model,
     model_from_json_dict,
-    model_to_json_dict,
     rabi_model,
-    save_model,
 )
 from floqscat.numerics import hermitian_defect
 
 from conftest import random_hermitian
 from oracles import (dense_lattice, dense_mirror, dense_ring_spectrum, dense_support,
-                     fourier_modes)
+                     fourier_modes, model_to_json_dict, save_model)
 
 
 def two_harmonic(seed=0, dim=3):

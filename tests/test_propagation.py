@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqscat.model import PeriodicHamiltonian, circulant, rabi_quasi_energies
+from floqscat.model import PeriodicHamiltonian, circulant
 from floqscat.numerics import expm_hermitian, unitary_defect
 from floqscat.propagation import (
     PropagatorSchedule,
@@ -13,7 +13,7 @@ from floqscat.propagation import (
 
 from conftest import random_hermitian
 from oracles import (check_cocycle, check_period_shift, convergence_ladder, free_propagator,
-                     rabi_closed_form_propagator, step)
+                     rabi_closed_form_propagator, rabi_quasi_energies, step)
 
 
 def constant_model(seed=1, dim=3):

@@ -253,7 +253,7 @@ class TestFullResolvent:
         n_t = 1024
         r, _ = full_resolvent(rabi, lam, n_t)
         k = build_floquet(rabi, 32)
-        inv = np.linalg.inv(k.matrix - lam * np.eye(k.size))
+        inv = np.linalg.inv(k.matrix - lam * np.eye(k.space.size))
         t = np.arange(n_t) / n_t
         probe_modes = {0: np.array([1.0, 0.3j]), 1: np.array([0.2, -0.4]),
                        -1: np.array([0.1j, 0.25])}

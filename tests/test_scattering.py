@@ -79,7 +79,7 @@ class TestProbes:
 
     def test_mirror_pairs(self, driven_256):
         probes = make_probes(driven_256)
-        assert probes.count == 8
+        assert probes.vectors.shape[1] == 8
         assert np.allclose(probes.momenta[0::2], -probes.momenta[1::2])
 
     def test_seeded_jitter_deterministic(self, driven_256):
@@ -625,7 +625,7 @@ class TestProbeBlockAverage:
         monkeypatch.setattr(propagation, "propagate", spy)   # the segment is the ring
         monkeypatch.setattr(lat.free_eig, "exp", lambda t: pytest.fail("dense U0(t)"))
         got = time_averaged_wave_op(mono, +1, n_max, probes, 1.0)
-        assert widths == [probes.count] * 8
+        assert widths == [probes.vectors.shape[1]] * 8
         assert len(lat.steppers) == 1    # monodromy and nodes share the step width
         monkeypatch.undo()
         moved = np.linalg.matrix_power(mono.operator, n_max) @ probes.vectors
