@@ -284,7 +284,8 @@ CONFIG = {"task": Field(str, REQUIRED, _one_of(tuple(PARAMETERS))), "model": Fie
           "parameters": Field(dict, {}), "output": Field(dict, {}), "sweep": Field(dict, None)}
 # `format`, where given, names what the config writes (_run_one): json for a
 # scenario's report, csv for a sweep's table.  A path the OS refuses exits 2 on the
-# write (_run_one); one holding a NUL, which no OS takes, before the run
+# write (_run_one), naming the path; one holding a NUL, which no OS takes, before the
+# run, and an --out that exists and is not a directory before any config runs (main)
 OUTPUT = {"path": Field(str, None, lambda path, model: "holds a NUL" if "\0" in path else None),
           "format": Field(str, None, _one_of(("json", "csv")))}
 SWEEP = {"parameter": Field(str),
@@ -417,14 +418,7 @@ def run_correspondence(model, params, rng):
     except NoInteriorError as exc:
         raise ValueRangeError("parameters.n_modes", f"mode cutoff {n_modes} leaves no "
                               f"interior mode-space state (EDGE_BLOCKS={EDGE_BLOCKS})") from exc
-    return {
-        "theta_phases": rep.theta_phases,
-        "max_match_distance": rep.max_match_distance,
-        "mean_match_distance": rep.mean_match_distance,
-        "coverage_distance": rep.coverage_distance,
-        "translate_counts": rep.counts,
-        "mode_eigen_defect": rep.mode_eigen_defect,
-    }
+    return asdict(rep)
 
 
 def run_resolvent_check(h, params, rng):
@@ -470,14 +464,10 @@ def run_wave_operators(model, params, rng):
     use = wp.converged & wm.converged
     avg_agreement = float(np.linalg.norm((avg - wp.image())[:, use], axis=0).max())
     return {
+        **asdict(report),
         "converged_fraction": converged_fraction,
         "final_gap_max": float(max(wp.cauchy_gaps[-1].max(), wm.cauchy_gaps[-1].max())),
-        "isometry_defect": report.isometry_defect,
-        "unitarity_defect": report.unitarity_defect,
-        "intertwining_defect": report.intertwining_defect,
         "time_averaged_agreement": avg_agreement,
-        "s_matrix": report.s_matrix,
-        "channel_momenta": report.channels,
         "bound_states": [asdict(b) for b in scan],
         "orthogonality_defect": orthogonality_defect(probes, in_gap(mono)[1]),
     }
@@ -622,7 +612,10 @@ def _run_one(cfg_path_str: str, out_dir: str, seed) -> tuple[str | None, int, st
         try:
             (write_sweep_csv if is_sweep else write_report)(payload, out_path)
         except OSError as exc:   # the OS refused the output path, not the config file
-            raise ValidationError("config.output.path", f"the OS refused it: {exc.strerror}")
+            refused = f"the OS refused {out_path}: {exc.strerror}"
+            if parsed["output"]["path"] is None:   # the path is --out's and a default name
+                return None, 2, f"error: argument --out: {refused}"
+            raise ValidationError("config.output.path", refused) from exc
         # a sweep exits 3 where every row failed
         code = 3 if is_sweep and all(row["status"] != "ok" for row in payload) else 0
         return str(out_path), code, ""
@@ -653,6 +646,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        parser.error(f"argument --out: {args.out} exists and is not a directory")
 
     jobs = min(max(1, args.jobs), len(args.config))
     if jobs == 1:

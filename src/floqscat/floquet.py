@@ -141,15 +141,11 @@ class ModeSpace:
 
 @dataclass
 class FloquetMatrix:
-    """Truncated mode-space Hamiltonian on (2N+1) modes x d-dimensional fiber."""
+    """Truncated mode-space Hamiltonian on the (2N+1) modes x d-dimensional fiber of
+    its ModeSpace."""
 
-    fiber_dim: int
-    n_modes: int
+    space: ModeSpace
     matrix: np.ndarray
-
-    @property
-    def space(self) -> ModeSpace:
-        return ModeSpace(self.n_modes, self.fiber_dim)
 
 
 def k_blocks(h: PeriodicHamiltonian, n_modes: int) -> dict[int, np.ndarray]:
@@ -170,7 +166,7 @@ def build_floquet(h: PeriodicHamiltonian, n_modes: int) -> FloquetMatrix:
     space = ModeSpace(n_modes, h.dim)
     matrix = space.toeplitz(k_blocks(h, n_modes))
     matrix.flat[::space.size + 1] += np.repeat(space.frequencies, h.dim)
-    return FloquetMatrix(fiber_dim=h.dim, n_modes=n_modes, matrix=matrix)
+    return FloquetMatrix(space, matrix)
 
 
 def shift_commutation_defect(k: FloquetMatrix) -> float:
@@ -181,7 +177,7 @@ def shift_commutation_defect(k: FloquetMatrix) -> float:
     K[d:, d:] - K[:-d, :-d] = 2 pi I; the defect is zero in exact arithmetic
     (and at N = 0, where no such entry exists).
     """
-    d = k.fiber_dim
+    d = k.space.fiber_dim
     defect = k.matrix[d:, d:] - k.matrix[:-d, :-d]
     defect.flat[::defect.shape[0] + 1] -= 2 * np.pi
     return float(np.abs(defect).max(initial=0.0))
@@ -191,16 +187,11 @@ def shift_commutation_defect(k: FloquetMatrix) -> float:
 class QuasiEnergySpectrum:
     """Eigenvalues of a truncated Floquet matrix with folding and edge flags."""
 
+    space: ModeSpace            # the truncation K was built on
     values: np.ndarray          # ascending
     folded: np.ndarray          # values mod 2pi in [0, 2pi)
     vectors: np.ndarray         # columns, aligned with values
     interior: np.ndarray        # bool mask: not corrupted by the truncation edge
-    n_modes: int
-    fiber_dim: int
-
-    @property
-    def space(self) -> ModeSpace:
-        return ModeSpace(self.n_modes, self.fiber_dim)
 
     @property
     def interior_folded(self) -> np.ndarray:
@@ -219,14 +210,8 @@ def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
     states and excluded from interior comparisons.
     """
     eig = hermitian_eig(k.matrix)
-    return QuasiEnergySpectrum(
-        values=eig.values,
-        folded=np.mod(eig.values, 2 * np.pi),
-        vectors=eig.vectors,
-        interior=k.space.interior(eig.vectors),
-        n_modes=k.n_modes,
-        fiber_dim=k.fiber_dim,
-    )
+    return QuasiEnergySpectrum(k.space, eig.values, np.mod(eig.values, 2 * np.pi), eig.vectors,
+                               k.space.interior(eig.vectors))
 
 
 def circular_distance(a, b) -> np.ndarray:
@@ -259,7 +244,7 @@ class CorrespondenceReport:
     max_match_distance: float         # interior folded -> nearest theta phase
     mean_match_distance: float        # over the full truncated spectrum, edge included
     coverage_distance: float          # theta phase -> nearest interior folded
-    counts: np.ndarray                # interior matches assigned to each theta phase
+    translate_counts: np.ndarray      # interior matches assigned to each theta phase
     mode_eigen_defect: float          # max || Theta phi(s) - e^{-i lambda} phi(s) ||
 
 
@@ -279,16 +264,13 @@ def correspondence_report(mono: Monodromy, n_modes: int) -> CorrespondenceReport
                               "truncation edge")
     theta_phases = np.sort(mono.quasi_energies)
 
-    folded = spec.interior_folded
-    dists = circular_distance(folded[:, None], theta_phases[None, :])
+    all_dists = circular_distance(spec.folded[:, None], theta_phases[None, :])
+    dists = all_dists[spec.interior]
     nearest = np.argmin(dists, axis=1)
-    max_match = float(dists[np.arange(len(folded)), nearest].max())
-    counts = np.bincount(nearest, minlength=len(theta_phases))
-    coverage = float(np.min(dists, axis=0).max()) if len(folded) else np.inf
+    max_match = float(dists[np.arange(len(dists)), nearest].max())
     # full-spectrum mean: the edge fraction shrinks with N, so this decays
     # even after the interior values have converged to the noise floor
-    all_d = circular_distance(spec.folded[:, None], theta_phases[None, :]).min(axis=1)
-    mean_match = float(all_d.mean())
+    mean_match = float(all_dists.min(axis=1).mean())
 
     defects, theta = [], mono.operator    # formed once, when read
     for idx in np.flatnonzero(spec.interior):
@@ -302,7 +284,7 @@ def correspondence_report(mono: Monodromy, n_modes: int) -> CorrespondenceReport
         theta_phases=theta_phases,
         max_match_distance=max_match,
         mean_match_distance=mean_match,
-        coverage_distance=coverage,
-        counts=counts,
+        coverage_distance=float(dists.min(axis=0).max()),
+        translate_counts=np.bincount(nearest, minlength=len(theta_phases)),
         mode_eigen_defect=float(max(defects)) if defects else 0.0,
     )

@@ -33,8 +33,9 @@ A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
 pattern from sorted row-major keys (`csr_structure`), or a dense block's
 nonzeros (`csr_arrays`).  Its products run through scipy's compiled CSR
 multivector kernel (`csr_matvecs`), and the Magnus commutators through its
-product and difference kernels: the module of kernels (`csr_kernels`) is loaded
-here alone (`_csr_kernels`) and not through the scipy.sparse package.
+product and difference kernels (`csr_matmat`, `csr_matmat_maxnnz`,
+`csr_minus_csr`): all four are bound here at import (`_bind`), from their module
+loaded alone (`_csr_kernels`) and not through the scipy.sparse package.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _csr_kernels():
     their own without running scipy/__init__ or scipy/sparse/__init__: importing the
     scipy.sparse package costs a process about 0.2 s and 20 MB (its array-API layer,
     numpy.f2py and the sparse array classes), of which only these kernels are used.
-    Raises ImportError where scipy does not ship them, at import, not mid-run."""
+    Raises ImportError where scipy does not ship them, at import, not mid-run (and
+    `_bind` where the module lacks one of CSR_KERNELS)."""
     scipy = importlib.util.find_spec("scipy")
     spec = scipy and importlib.machinery.PathFinder.find_spec(
         "_sparsetools", [os.path.join(p, "sparse") for p in scipy.submodule_search_locations])
@@ -77,10 +79,22 @@ def _csr_kernels():
     return module
 
 
-csr_kernels = _csr_kernels()
+# the kernels the package calls: the Horner step's multivector product, and the Magnus
+# commutator's product, its size bound and its difference (propagation._commutator)
+CSR_KERNELS = ("csr_matvecs", "csr_matmat", "csr_matmat_maxnnz", "csr_minus_csr")
+
+
+def _bind(module) -> tuple:
+    """module's CSR_KERNELS, in that order; raises ImportError naming the first it lacks."""
+    missing = [name for name in CSR_KERNELS if not hasattr(module, name)]
+    if missing:
+        raise ImportError(f"scipy's compiled CSR kernels lack {missing[0]}")
+    return tuple(getattr(module, name) for name in CSR_KERNELS)
+
+
 # Y += A X for a CSR A and C-ordered blocks X, Y of n_vecs columns, read unchecked:
 # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y)
-csr_matvecs = csr_kernels.csr_matvecs
+csr_matvecs, csr_matmat, csr_matmat_maxnnz, csr_minus_csr = _bind(_csr_kernels())
 
 
 def distinct(a: np.ndarray) -> np.ndarray:

@@ -12,14 +12,14 @@ nodes with that stack, held to require_hermitian's rule as one stack.  The
 pattern, the stack and the positions of each entry's transpose are built with
 numpy from the operands' nonzero keys (numerics.distinct, searchsorted); the
 commutators come from scipy's compiled CSR product and difference kernels
-(numerics.csr_kernels), as scipy.sparse forms them (`_commutator`).
-exp(-i Omega) acts on the
-running product through a Taylor polynomial whose degree and substep count
-are fixed per call from the a-priori bound on ||Omega||_1 so that the
-truncation error stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33 (2011)), evaluated by Horner's rule: acc <- u + X_j acc for
-j = degree..1, X_j = -i Omega / (substeps j).  On a sparse pattern each term
-is one call of scipy's compiled CSR multivector kernel `csr_matvecs`
+(numerics.csr_matmat, numerics.csr_minus_csr), as scipy.sparse forms them
+(`_commutator`).  exp(-i Omega) acts on the running product through a Taylor
+polynomial whose degree and substep count are fixed per call from the a-priori
+bound on ||Omega||_1 so that the truncation error stays below unit round-off
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)), evaluated by Horner's rule:
+acc <- u + X_j acc for j = degree..1, X_j = -i Omega / (substeps j).  On a
+sparse pattern each term is one call of scipy's compiled CSR multivector kernel
+`csr_matvecs`
 (numerics), which adds X_j acc onto a C-ordered copy of u: a product through
 scipy.sparse's `omega @ x` reaches the same kernel only after per-call format
 checks and a zeroed result.  A
@@ -98,8 +98,9 @@ from math import lgamma, log
 import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian
-from .numerics import (EigenDecomposition, NumericalError, csr_arrays, csr_kernels, csr_matvecs,
-                       csr_structure, distinct, expm_hermitian, require_hermitian, unitary_eig)
+from .numerics import (EigenDecomposition, NumericalError, csr_arrays, csr_matmat,
+                       csr_matmat_maxnnz, csr_matvecs, csr_minus_csr, csr_structure, distinct,
+                       expm_hermitian, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -200,7 +201,7 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row-major keys, values) of the nonzero entries of AB - BA, bit for bit as scipy.sparse
     forms it from CSR operands, by its kernels: csr_matmat for each product and
     csr_minus_csr for the difference, which takes an entry of BA alone as 0 - BA_ij."""
-    n, kernels = a.shape[0], csr_kernels
+    n = a.shape[0]
 
     def apply(kernel, x, y, size):
         out = (np.empty_like(x[0]), np.empty(size, x[1].dtype), np.empty(size, np.complex128))
@@ -208,9 +209,9 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return out
 
     a, b = csr_arrays(a), csr_arrays(b)     # complex, as every operand is
-    ab, ba = (apply(kernels.csr_matmat, x, y, kernels.csr_matmat_maxnnz(n, n, *x[:2], *y[:2]))
+    ab, ba = (apply(csr_matmat, x, y, csr_matmat_maxnnz(n, n, *x[:2], *y[:2]))
               for x, y in ((a, b), (b, a)))
-    indptr, indices, values = apply(kernels.csr_minus_csr, ab, ba, ab[0][-1] + ba[0][-1])
+    indptr, indices, values = apply(csr_minus_csr, ab, ba, ab[0][-1] + ba[0][-1])
     size = indptr[-1]
     return np.repeat(np.arange(n), np.diff(indptr)) * n + indices[:size], values[:size]
 

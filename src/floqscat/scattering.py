@@ -103,6 +103,9 @@ from .propagation import Monodromy, _window_kicks
 from .resolvent import RAYLEIGH_EPS, InverseIterationError, ScanOperators
 
 GAP_TOL = 1e-3
+# the probes' ring wavenumbers, in units of pi: away from the band edges, where the
+# group velocity vanishes (make_probes)
+PROBE_BANDS = (0.40, 0.43, 0.46, 0.48)
 GAP_RUN = 3
 # the iterates whose Cauchy gaps one product forms (_cauchy_gaps)
 GAP_BLOCK = 32
@@ -154,14 +157,13 @@ def gaussian_packet(sites: int, center: float, momentum: float, sigma: float) ->
     return psi / np.linalg.norm(psi)
 
 
-def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
-                rng: np.random.Generator | None = None) -> ProbeSet:
+def make_probes(model: LatticeModel, rng: np.random.Generator | None = None) -> ProbeSet:
     """Mirror-paired packets aimed through the interaction window at the arc's midpoint.
 
-    Momenta sit on ring wavenumbers near `bands` (in units of pi), away from
-    the band edges where the group velocity vanishes.  The width is sites/16
-    (full width; sigma = width/2.355), the launch distance about 4 sigma from
-    the midpoint.  An optional generator jitters the momentum index by one
+    Momenta sit on ring wavenumbers near PROBE_BANDS (in units of pi), away
+    from the band edges where the group velocity vanishes.  The width is
+    sites/16 (full width; sigma = width/2.355), the launch distance about
+    4 sigma from the midpoint.  An optional generator jitters the momentum index by one
     ring quantum per probe.  At negative hopping the group velocity 2 J sin k
     turns round, and the index moves by L/2: on an even ring H(-J) = G H(J) G
     with G = diag((-1)^x), and k + pi is G's image of k.
@@ -171,7 +173,7 @@ def make_probes(model: LatticeModel, bands=(0.40, 0.43, 0.46, 0.48),
     sigma = (sites / 16.0) / 2.355
     distance = int(np.round(4.0 * sigma))
     vectors, momenta, centers = [], [], []
-    for band in bands:
+    for band in PROBE_BANDS:
         k_idx = int(np.round(band * np.pi * sites / (2 * np.pi))) + sites // 2 * (model.hopping < 0)
         if rng is not None:
             k_idx += int(rng.integers(-1, 2))
@@ -346,7 +348,7 @@ class ScatteringReport:
     the momenta of its rows and columns, and S's defects on the probe subspace."""
 
     s_matrix: list[np.ndarray]
-    channels: list[np.ndarray]
+    channel_momenta: list[np.ndarray]
     isometry_defect: float
     unitarity_defect: float
     intertwining_defect: float
@@ -465,7 +467,7 @@ def s_matrix(wplus: WaveOperatorIterates, wminus: WaveOperatorIterates,
     blocks, momenta = fit_channels(model, s_phi, phi)
     return ScatteringReport(
         s_matrix=blocks,
-        channels=momenta,
+        channel_momenta=momenta,
         isometry_defect=float(max(iso)),
         unitarity_defect=unitarity,
         intertwining_defect=intertwining,

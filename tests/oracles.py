@@ -265,8 +265,8 @@ def rabi_quasi_energies(delta: float = 0.0, v: float = 1.0) -> np.ndarray:
 
 
 def block(k, n: int, m: int) -> np.ndarray:
-    nb, d = k.space.n_blocks, k.fiber_dim
-    return k.matrix.reshape(nb, d, nb, d)[n + k.n_modes, :, m + k.n_modes]
+    nb, d = k.space.n_blocks, k.space.fiber_dim
+    return k.matrix.reshape(nb, d, nb, d)[n + k.space.n_modes, :, m + k.space.n_modes]
 
 
 def shift_group_defect(k: FloquetMatrix, sigma: float) -> float:

@@ -1314,3 +1314,23 @@ class TestTranslationCovariance:
         assert len(wrapped["bound_states"]) == len(centred["bound_states"])
         for a, b in zip(wrapped["bound_states"], centred["bound_states"]):
             assert abs(a["quasi_energy"] - b["quasi_energy"]) <= 1e-12
+
+
+class TestReportSchema:
+    """A runner reports a dataclass result by its field names, copied by none."""
+
+    def test_correspondence_keys_are_the_report_fields(self):
+        from dataclasses import fields
+
+        from floqscat.floquet import CorrespondenceReport
+
+        results = run_scenario(CORR_CFG)["results"]
+        assert set(results) == {f.name for f in fields(CorrespondenceReport)}
+
+    def test_wave_operators_keys_hold_the_scattering_report_fields(self):
+        from dataclasses import fields
+
+        from floqscat.scattering import ScatteringReport
+
+        results = run_scenario(TestMemory.RING_SCATTER, 1)["results"]
+        assert {f.name for f in fields(ScatteringReport)} <= set(results)

@@ -587,3 +587,47 @@ def test_valid_model_configs_keep_the_contract(drawn):
         names += ["config.output.path", "config.output.format"]
         assert field in names, message
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("output", [None, {"path": "x/y.json"}], ids=["default", "config-path"])
+def test_out_that_is_a_file_exits_2_naming_out(tmp_path, output, jobs):
+    # an --out naming an existing file once exited 2 blaming 'config.output.path',
+    # naming no path; it is refused before any config runs
+    cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+           "parameters": {"steps_per_period": 16}}
+    if output is not None:
+        cfg["output"] = output
+    (tmp_path / "case.json").write_text(json.dumps(cfg))
+    (tmp_path / "F").write_text("")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(SystemExit) as exit_:
+        main(["--config", str(tmp_path / "case.json"), "--out", str(tmp_path / "F"),
+              "--jobs", str(jobs)])
+    assert exit_.value.code == 2
+    assert f"argument --out: {tmp_path / 'F'} exists and is not a directory" in err.getvalue()
+    assert "config.output.path" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("output", [None, {"path": "x/y.json"}], ids=["default", "config-path"])
+def test_refused_write_names_the_path_and_its_source(tmp_path, output, jobs):
+    # an --out under an existing file passes the check before the run and is refused
+    # on the write: the message names the path tried, the OS reason and the path's
+    # source, config.output.path where the config gave one and --out otherwise
+    cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+           "parameters": {"steps_per_period": 16}}
+    if output is not None:
+        cfg["output"] = output
+    (tmp_path / "case.json").write_text(json.dumps(cfg))
+    (tmp_path / "F").write_text("")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(tmp_path / "case.json"), "--out", str(tmp_path / "F" / "d"),
+                     "--jobs", str(jobs)])
+    assert code == 2, err.getvalue()
+    tried = tmp_path / "F" / "d" / ("case.report.json" if output is None else "x/y.json")
+    source = "argument --out" if output is None else "invalid field 'config.output.path'"
+    assert f"{source}: the OS refused {tried}: Not a directory" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

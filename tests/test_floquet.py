@@ -44,6 +44,18 @@ class TestBuildFloquet:
         with pytest.raises(ValueError, match="truncate"):
             build_floquet(fleet_models[1], 1)
 
+    def test_results_hold_their_mode_space(self, rabi):
+        # the truncation is the ModeSpace K was built on, held once and passed on
+        from dataclasses import fields
+
+        from floqscat.floquet import ModeSpace
+
+        k = build_floquet(rabi, 3)
+        assert k.space == ModeSpace(3, rabi.dim)
+        assert quasi_spectrum(k).space is k.space
+        for result in (k, quasi_spectrum(k)):
+            assert not {"fiber_dim", "n_modes"} & {f.name for f in fields(result)}
+
 
 class TestShiftCommutation:
     def test_constant_exact_zero(self):
@@ -76,13 +88,13 @@ class TestShiftCommutation:
         # the defects of K S - S K - 2 pi S and exp(i J sigma) S exp(-i J sigma) -
         # exp(2 pi i sigma) S with S = S (x) I_d dense, on the rows n > -N and columns
         # m < N where the truncated shift is defined (all of them at N = 0), bit for bit
-        from floqscat.floquet import FloquetMatrix
+        from floqscat.floquet import FloquetMatrix, ModeSpace
 
         ring = build_lattice(40, 1.0, -1.8, 0.5, range(18, 22))
         for h in [ring, *fleet_models]:
             d = h.dim
             matrix = kronecker_k(h, n_modes)[0].toarray()
-            k = FloquetMatrix(fiber_dim=d, n_modes=n_modes, matrix=matrix)
+            k = FloquetMatrix(space=ModeSpace(n_modes, d), matrix=matrix)
             s = np.kron(np.eye(2 * n_modes + 1, k=-1), np.eye(d))
             interior = (slice(d, None), slice(None, -d)) if n_modes > 0 else np.s_[:, :]
             comm = matrix @ s - s @ matrix - 2 * np.pi * s

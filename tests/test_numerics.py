@@ -459,3 +459,23 @@ class TestNanFailsClosed:
         u[sectors.a[0], sectors.fixed[0]] = np.nan
         with pytest.raises(numerics.NonUnitaryError, match="even-odd coupling nan"):
             sectors.blocks(u)
+
+
+class TestCsrKernels:
+    """scipy's four CSR kernels are bound at import, so a scipy that lacks one fails
+    there, naming it, and not in the first order-4 stepper."""
+
+    KERNELS = ["csr_matvecs", "csr_matmat", "csr_matmat_maxnnz", "csr_minus_csr"]
+
+    def test_bound_at_import(self):
+        for name in self.KERNELS:
+            assert getattr(numerics, name).__name__ == name
+
+    @pytest.mark.parametrize("missing", KERNELS)
+    def test_missing_kernel_raises_import_error_naming_it(self, missing):
+        import types
+
+        stub = types.SimpleNamespace(**{name: object() for name in numerics.CSR_KERNELS
+                                        if name != missing})
+        with pytest.raises(ImportError, match=missing + "$"):
+            numerics._bind(stub)

@@ -185,7 +185,7 @@ class TestChannelBlocks:
         assert len(fft.s_matrix) >= 20
         for other in (eigenbasis_route(ring()), eigenbasis_route(ring(), phases)):
             rep = self.report(other)
-            assert [m.tolist() for m in rep.channels] == [m.tolist() for m in fft.channels]
+            assert [m.tolist() for m in rep.channel_momenta] == [m.tolist() for m in fft.channel_momenta]
             assert np.abs(np.subtract(rep.s_matrix, fft.s_matrix)).max() <= 1e-10
             assert abs(rep.unitarity_defect - fft.unitarity_defect) <= 1e-10
 
@@ -372,7 +372,7 @@ class TestDrivenWell:
         # difference in S phi by at most 1 / FIT_WEIGHT
         x, y = (np.fft.fft(a, axis=0, norm="ortho") for a in (phi, s_phi))
         assert rep.s_matrix
-        for block, momenta in zip(rep.s_matrix, rep.channels):
+        for block, momenta in zip(rep.s_matrix, rep.channel_momenta):
             rows = np.round(momenta * lat.sites / (2 * np.pi)).astype(int) % lat.sites
             want = np.linalg.lstsq(x[rows].T, y[rows].T, rcond=None)[0].T
             assert np.abs(block - want).max() <= 1e-12 / scattering.FIT_WEIGHT
