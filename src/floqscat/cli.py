@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
 # argparse's gettext imports locale when main builds its parser; loaded at import,
@@ -573,16 +574,27 @@ def run_sweep(cfg: dict, seed: int | None = None) -> list[dict]:
     return rows
 
 
+def _make_parent(path: Path):
+    """Make the directory `path` is written into.  Where a component of it exists and is
+    no directory, NotADirectoryError names that component (mkdir's own error reads
+    "File exists" where it is the parent itself, and names no component otherwise)."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        part = next((p for p in path.parents if p.exists() and not p.is_dir()), exc.filename)
+        raise NotADirectoryError(errno.ENOTDIR, f"Not a directory: {part}") from exc
+
+
 def write_report(report: dict, path: Path):
     """A run_scenario report, whose values are JSON types already, as one write."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as f:
         f.write(text + "\n")
 
 
 def write_sweep_csv(rows: list[dict], path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     cols = ["parameter", "value", "headline", "headline_value", "status", "wall_time_s"]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")   # quotes a field holding a comma

@@ -31,11 +31,10 @@ value as `not value <= bound`, so a NaN fails it.
 
 A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
 pattern from sorted row-major keys (`csr_structure`), or a dense block's
-nonzeros (`csr_arrays`).  Its products run through scipy's compiled CSR
-multivector kernel (`csr_matvecs`), and the Magnus commutators through its
-product and difference kernels (`csr_matmat`, `csr_matmat_maxnnz`,
-`csr_minus_csr`): all four are bound here at import (`_bind`), from their module
-loaded alone (`_csr_kernels`) and not through the scipy.sparse package.
+nonzeros (`csr_arrays`).  Its products, the Magnus commutators' included, run
+through scipy's compiled CSR multivector kernel (`csr_matvecs`), the one kernel
+the package calls: bound here at import (`_bind`), from its module loaded alone
+(`_csr_kernels`) and not through the scipy.sparse package.
 """
 
 from __future__ import annotations
@@ -66,9 +65,9 @@ def _csr_kernels():
     """scipy's compiled CSR kernels, scipy/sparse/_sparsetools, loaded as a module of
     their own without running scipy/__init__ or scipy/sparse/__init__: importing the
     scipy.sparse package costs a process about 0.2 s and 20 MB (its array-API layer,
-    numpy.f2py and the sparse array classes), of which only these kernels are used.
+    numpy.f2py and the sparse array classes), of which only csr_matvecs is used.
     Raises ImportError where scipy does not ship them, at import, not mid-run (and
-    `_bind` where the module lacks one of CSR_KERNELS)."""
+    `_bind` where the module lacks csr_matvecs)."""
     scipy = importlib.util.find_spec("scipy")
     spec = scipy and importlib.machinery.PathFinder.find_spec(
         "_sparsetools", [os.path.join(p, "sparse") for p in scipy.submodule_search_locations])
@@ -79,22 +78,18 @@ def _csr_kernels():
     return module
 
 
-# the kernels the package calls: the Horner step's multivector product, and the Magnus
-# commutator's product, its size bound and its difference (propagation._commutator)
-CSR_KERNELS = ("csr_matvecs", "csr_matmat", "csr_matmat_maxnnz", "csr_minus_csr")
+def _bind(module):
+    """module's csr_matvecs; raises ImportError where it lacks it."""
+    if not hasattr(module, "csr_matvecs"):
+        raise ImportError("scipy's compiled CSR kernels lack csr_matvecs")
+    return module.csr_matvecs
 
 
-def _bind(module) -> tuple:
-    """module's CSR_KERNELS, in that order; raises ImportError naming the first it lacks."""
-    missing = [name for name in CSR_KERNELS if not hasattr(module, name)]
-    if missing:
-        raise ImportError(f"scipy's compiled CSR kernels lack {missing[0]}")
-    return tuple(getattr(module, name) for name in CSR_KERNELS)
-
-
-# Y += A X for a CSR A and C-ordered blocks X, Y of n_vecs columns, read unchecked:
-# csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y)
-csr_matvecs, csr_matmat, csr_matmat_maxnnz, csr_minus_csr = _bind(_csr_kernels())
+# Y += A X for a CSR A and blocks X, Y of n_vecs columns:
+# csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y).  Their shapes go
+# unchecked (a block smaller than declared is read or written past its end), and a
+# block that is not C-ordered complex128 is copied, and Y written back, on every call
+csr_matvecs = _bind(_csr_kernels())
 
 
 def distinct(a: np.ndarray) -> np.ndarray:

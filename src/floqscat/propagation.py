@@ -10,20 +10,19 @@ as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
 nodes with that stack, held to require_hermitian's rule as one stack.  The
 pattern, the stack and the positions of each entry's transpose are built with
-numpy from the operands' nonzero keys (numerics.distinct, searchsorted); the
-commutators come from scipy's compiled CSR product and difference kernels
-(numerics.csr_matmat, numerics.csr_minus_csr), as scipy.sparse forms them
-(`_commutator`).  exp(-i Omega) acts on the running product through a Taylor
-polynomial whose degree and substep count are fixed per call from the a-priori
-bound on ||Omega||_1 so that the truncation error stays below unit round-off
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)), evaluated by Horner's rule:
-acc <- u + X_j acc for j = degree..1, X_j = -i Omega / (substeps j).  On a
-sparse pattern each term is one call of scipy's compiled CSR multivector kernel
-`csr_matvecs`
-(numerics), which adds X_j acc onto a C-ordered copy of u: a product through
+numpy from the operands' nonzero keys (numerics.distinct, searchsorted); each
+commutator product is one call of scipy's compiled CSR multivector kernel
+`csr_matvecs` (numerics) on a dense factor, with the bits of scipy.sparse's CSR
+product and difference (`_commutator`).  exp(-i Omega) acts on the running
+product through a Taylor polynomial whose degree and substep count are fixed
+per call from the a-priori bound on ||Omega||_1 so that the truncation error
+stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)),
+evaluated by Horner's rule: acc <- u + X_j acc for j = degree..1,
+X_j = -i Omega / (substeps j).  On a sparse pattern each term is one call of
+`csr_matvecs`, which adds X_j acc onto a C-ordered copy of u: a product through
 scipy.sparse's `omega @ x` reaches the same kernel only after per-call format
-checks and a zeroed result.  A
-propagator is therefore unitary to round-off, not by construction;
+checks and a zeroed result.  A propagator is therefore unitary to round-off,
+not by construction;
 `unitary_eig`'s `check_unitary` gates every Monodromy.eig.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
 where there are none.  A stepper is built once per model, signed step
@@ -98,9 +97,8 @@ from math import lgamma, log
 import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian
-from .numerics import (EigenDecomposition, NumericalError, csr_arrays, csr_matmat,
-                       csr_matmat_maxnnz, csr_matvecs, csr_minus_csr, csr_structure, distinct,
-                       expm_hermitian, require_hermitian, unitary_eig)
+from .numerics import (EigenDecomposition, NumericalError, csr_arrays, csr_matvecs,
+                       csr_structure, distinct, expm_hermitian, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -199,21 +197,20 @@ class PropagatorSchedule:
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row-major keys, values) of the nonzero entries of AB - BA, bit for bit as scipy.sparse
-    forms it from CSR operands, by its kernels: csr_matmat for each product and
-    csr_minus_csr for the difference, which takes an entry of BA alone as 0 - BA_ij."""
+    forms it from CSR operands: each product is one csr_matvecs call of one operand's CSR
+    arrays on the other, dense and C-ordered, which sums a row in scipy's CSR product's
+    order and adds an exact zero where that product has no term; the dense difference
+    keeps the nonzeros scipy's CSR difference keeps."""
     n = a.shape[0]
 
-    def apply(kernel, x, y, size):
-        out = (np.empty_like(x[0]), np.empty(size, x[1].dtype), np.empty(size, np.complex128))
-        kernel(n, n, *x, *y, *out)
+    def product(x, y):
+        out = np.zeros((n, n), dtype=np.complex128)
+        csr_matvecs(n, n, n, *csr_arrays(x), np.ascontiguousarray(y), out)
         return out
 
-    a, b = csr_arrays(a), csr_arrays(b)     # complex, as every operand is
-    ab, ba = (apply(csr_matmat, x, y, csr_matmat_maxnnz(n, n, *x[:2], *y[:2]))
-              for x, y in ((a, b), (b, a)))
-    indptr, indices, values = apply(csr_minus_csr, ab, ba, ab[0][-1] + ba[0][-1])
-    size = indptr[-1]
-    return np.repeat(np.arange(n), np.diff(indptr)) * n + indices[:size], values[:size]
+    diff = product(a, b) - product(b, a)
+    keys = np.flatnonzero(diff)
+    return keys, diff.ravel()[keys]
 
 
 class MagnusStepper:
@@ -240,7 +237,7 @@ class MagnusStepper:
     folded into the step's entries by one multiply.  Each term is one call of
     scipy's compiled kernel csr_matvecs, accumulating X_j acc onto a C-ordered
     copy of u, so that no `omega @ x` dispatch and no separate add is paid per
-    term (`accumulate`), whatever the pattern's fill.  Each step ends in
+    term, whatever the pattern's fill.  Each step ends in
     `flush`, which writes nothing where no part is below 2^-200.  The stepper
     acts on whatever columns it is given; `propagate` hands it one column per
     mirror orbit where the model has a `mirror`.
@@ -299,13 +296,6 @@ class MagnusStepper:
                           np.abs(data).max(axis=1, initial=0.0))
         return data
 
-    def accumulate(self, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out += X x for the operator X with entries `data` on the pattern; x and
-        out C-ordered, out written in place."""
-        csr_matvecs(self.dim, self.dim, x.size // self.dim, self.indptr, self.indices,
-                    data, x, out)
-        return out
-
     def _step(self, data: np.ndarray, u: np.ndarray) -> np.ndarray:
         """exp(-i Omega) u for Omega's entries `data`: `substeps` Taylor polynomials of
         degree `degree` in -i Omega / substeps by Horner's rule."""
@@ -313,8 +303,10 @@ class MagnusStepper:
         u = np.ascontiguousarray(u)
         for _ in range(self.substeps):
             acc = u
-            for term in terms:
-                acc = self.accumulate(term, acc, u.copy())
+            for term in terms:   # acc <- u + X_j acc
+                acc, prev = u.copy(), acc
+                csr_matvecs(self.dim, self.dim, u.size // self.dim, self.indptr, self.indices,
+                            term, prev, acc)
             u = acc
         return flush(u)
 

@@ -631,3 +631,27 @@ def test_refused_write_names_the_path_and_its_source(tmp_path, output, jobs):
     source = "argument --out" if output is None else "invalid field 'config.output.path'"
     assert f"{source}: the OS refused {tried}: Not a directory" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sweep", [False, True])
+def test_output_parent_that_is_a_file_is_named(tmp_path, sweep, jobs):
+    # an output.path whose parent is an existing file once exited 2 as "File exists",
+    # naming no component; the message names the component that is not a directory
+    cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+           "parameters": {"steps_per_period": 16},
+           "output": {"path": "x/y.csv" if sweep else "x/y.json"}}
+    if sweep:
+        cfg["sweep"] = {"parameter": "steps_per_period", "values": [16, 32]}
+    (tmp_path / "case.json").write_text(json.dumps(cfg))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "x").write_text("")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(tmp_path / "case.json"), "--out", str(tmp_path / "out"),
+                     "--jobs", str(jobs)])
+    assert code == 2, err.getvalue()
+    tried = tmp_path / "out" / cfg["output"]["path"]
+    assert (f"invalid field 'config.output.path': the OS refused {tried}: "
+            f"Not a directory: {tmp_path / 'out' / 'x'}") in err.getvalue()
+    assert "File exists" not in err.getvalue() and "Traceback" not in err.getvalue()

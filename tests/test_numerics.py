@@ -462,20 +462,56 @@ class TestNanFailsClosed:
 
 
 class TestCsrKernels:
-    """scipy's four CSR kernels are bound at import, so a scipy that lacks one fails
-    there, naming it, and not in the first order-4 stepper."""
-
-    KERNELS = ["csr_matvecs", "csr_matmat", "csr_matmat_maxnnz", "csr_minus_csr"]
+    """scipy's CSR multivector kernel, csr_matvecs, the one the package calls, is bound at
+    import, so a scipy that lacks it fails there, naming it, and not in the first step."""
 
     def test_bound_at_import(self):
-        for name in self.KERNELS:
-            assert getattr(numerics, name).__name__ == name
+        assert numerics.csr_matvecs.__name__ == "csr_matvecs"
+        for name in ["csr_matmat", "csr_matmat_maxnnz", "csr_minus_csr", "CSR_KERNELS"]:
+            assert not hasattr(numerics, name)
 
-    @pytest.mark.parametrize("missing", KERNELS)
-    def test_missing_kernel_raises_import_error_naming_it(self, missing):
+    def test_missing_kernel_raises_import_error_naming_it(self):
         import types
 
-        stub = types.SimpleNamespace(**{name: object() for name in numerics.CSR_KERNELS
-                                        if name != missing})
-        with pytest.raises(ImportError, match=missing + "$"):
-            numerics._bind(stub)
+        with pytest.raises(ImportError, match="csr_matvecs$"):
+            numerics._bind(types.SimpleNamespace(csr_matmat=object()))
+
+    def test_every_call_hands_c_ordered_complex_blocks(self, tmp_path, monkeypatch):
+        # csr_matvecs trusts the declared shapes, reading and writing past a smaller
+        # block, and copies a block that is not C-ordered complex128 on every call:
+        # every call of a ring-bound scenario and of a Rabi order-4 monodromy (whose
+        # H_-1 is a transposed view) hands it blocks of the declared shapes as they are
+        import json
+
+        import floqscat.floquet as floquet
+        import floqscat.propagation as propagation
+        from floqscat.cli import main
+
+        callers = set()
+
+        def checker(module):
+            def checked(n_row, n_col, n_vecs, indptr, indices, data, x, y):
+                for block, rows in ((x, n_col), (y, n_row)):
+                    assert block.dtype == np.complex128 and block.flags.c_contiguous
+                    assert block.shape == (rows, n_vecs)
+                callers.add(module.__name__)
+                numerics.csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+            return checked
+
+        for module in (propagation, floquet):
+            monkeypatch.setattr(module, "csr_matvecs", checker(module))
+        lattice = {"sites": 40, "hopping": 1.0, "well_depth": -1.7, "drive_amp": 0.45,
+                   "support_width": 3}
+        configs = {
+            "bound": {"task": "bound-states", "model": {"lattice": lattice},
+                      "parameters": {"steps_per_period": 256, "order": 4, "n_modes": 8,
+                                     "scan_modes": 4}},
+            "rabi": {"task": "monodromy", "model": {"builtin": "rabi"},
+                     "parameters": {"steps_per_period": 16, "order": 4}},
+        }
+        argv = ["--out", str(tmp_path)]
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / f"{name}.json")]
+        assert main(argv) == 0
+        assert callers == {"floqscat.propagation", "floqscat.floquet"}

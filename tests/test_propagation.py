@@ -377,11 +377,13 @@ def mirror_ring(sites, width):
 
 
 def pattern_cases():
-    """magnus_cases, a mirror ring and two random complex two-harmonic models, whose
-    commutators fill the pattern."""
-    from floqscat.model import _random_two_harmonic
+    """magnus_cases, a mirror ring, ring-scatter's 81-site window segment and two random
+    complex two-harmonic models, whose commutators fill the pattern."""
+    from floqscat.model import _random_two_harmonic, build_lattice
 
     return {**magnus_cases(), "ring-48": (mirror_ring(48, 5), 256),
+            "window-segment": (build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).segment(38),
+                               64),
             "random-d2": (_random_two_harmonic(2, seed=5, label="d=2"), 64),
             "random-d3": (_random_two_harmonic(3, seed=23, label="d=3"), 64)}
 
@@ -409,6 +411,7 @@ class TestHornerStep:
         import scipy.sparse as sp
 
         from floqscat.model import PeriodicHamiltonian
+        from floqscat.numerics import csr_matvecs
         from floqscat.propagation import MagnusStepper
 
         h = mirror_ring(48, 5)
@@ -423,8 +426,9 @@ class TestHornerStep:
         x = rng.normal(size=(h.dim, 7)) + 1j * rng.normal(size=(h.dim, 7))
         x = np.asarray(x, order=order)
         omega = sp.csr_array((data, stepper.indices, stepper.indptr), shape=(h.dim, h.dim))
-        got = stepper.accumulate(data, np.ascontiguousarray(x),
-                                 np.zeros((h.dim, 7), dtype=np.complex128))
+        got = np.zeros((h.dim, 7), dtype=np.complex128)
+        csr_matvecs(h.dim, h.dim, 7, stepper.indptr, stepper.indices, data,
+                    np.ascontiguousarray(x), got)
         assert np.array_equal(got, omega @ x)
 
     @pytest.mark.parametrize("start", [0.0, 0.25])
@@ -474,7 +478,7 @@ class TestHornerStep:
         omega, stack, mirror, plan = scipy_built_stepper(h, 1.0 / steps, order)
         assert np.array_equal(stepper.indptr, omega.indptr)
         assert np.array_equal(stepper.indices, omega.indices)
-        assert np.array_equal(stepper.stack, stack)
+        assert np.array_equal(stepper.stack.view(np.uint64), stack.view(np.uint64))
         assert np.array_equal(stepper.mirror, mirror)
         assert (stepper.degree, stepper.substeps) == plan
 
