@@ -197,10 +197,6 @@ class QuasiEnergySpectrum:
     def interior_folded(self) -> np.ndarray:
         return self.folded[self.interior]
 
-    def mode_blocks(self, idx: int) -> np.ndarray:
-        """Eigenvector idx reshaped to (2N+1, d) mode blocks."""
-        return self.space.blocks(self.vectors[:, idx])
-
 
 def quasi_spectrum(k: FloquetMatrix) -> QuasiEnergySpectrum:
     """Diagonalize the truncated Floquet matrix and fold to [0, 2pi).
@@ -230,10 +226,13 @@ def sidebands_closed(phase, levels: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(phase) - lo, 2 * np.pi) > hi - lo
 
 
-def reconstruct_mode(spec: QuasiEnergySpectrum, idx: int, t: float) -> np.ndarray:
-    """Periodic eigenmode phi(t) = sum_n x_n exp(2 pi i n t) from mode blocks."""
+def reconstruct_mode(spec: QuasiEnergySpectrum, idx, t: float) -> np.ndarray:
+    """Periodic eigenmode phi(t) = sum_n x_n exp(2 pi i n t) of eigenvector idx, from
+    its mode blocks x_n: shape (d,), or, for an index array or a boolean mask, one
+    column per eigenvector it picks, all from one contraction over the mode
+    blocks."""
     phases = np.exp(2j * np.pi * spec.space.modes * (float(t) % 1.0))
-    return phases @ spec.mode_blocks(idx)
+    return np.tensordot(phases, spec.space.blocks(spec.vectors[:, idx]), axes=1)
 
 
 @dataclass
@@ -255,7 +254,9 @@ def correspondence_report(mono: Monodromy, n_modes: int) -> CorrespondenceReport
     of the monodromy Theta = U(s + 1, s) at s = mono.start as a multiset (each phase
     once per interior mode translate), and every interior eigenvector,
     resummed into a periodic mode phi(t), must satisfy the stroboscopic
-    eigenvalue relation Theta phi(s) = e^{-i lambda} phi(s) at the same s.
+    eigenvalue relation Theta phi(s) = e^{-i lambda} phi(s) at the same s.  The
+    interior modes at s are the columns Phi of one reconstruct_mode call, Theta Phi
+    is one product, and a column with ||phi|| < 1e-12 is left out of the defect.
     """
     k = build_floquet(mono.model, n_modes)
     spec = quasi_spectrum(k)
@@ -272,19 +273,16 @@ def correspondence_report(mono: Monodromy, n_modes: int) -> CorrespondenceReport
     # even after the interior values have converged to the noise floor
     mean_match = float(all_dists.min(axis=1).mean())
 
-    defects, theta = [], mono.operator    # formed once, when read
-    for idx in np.flatnonzero(spec.interior):
-        phi = reconstruct_mode(spec, idx, mono.start)
-        norm = np.linalg.norm(phi)
-        if norm < 1e-12:
-            continue
-        resid = theta @ phi - np.exp(-1j * spec.values[idx]) * phi
-        defects.append(np.linalg.norm(resid) / norm)
+    phi = reconstruct_mode(spec, spec.interior, mono.start)
+    resid = mono.operator @ phi - np.exp(-1j * spec.values[spec.interior]) * phi
+    norms = np.linalg.norm(phi, axis=0)
+    kept = norms >= 1e-12
+    defects = np.linalg.norm(resid[:, kept], axis=0) / norms[kept]
     return CorrespondenceReport(
         theta_phases=theta_phases,
         max_match_distance=max_match,
         mean_match_distance=mean_match,
         coverage_distance=float(dists.min(axis=0).max()),
         translate_counts=np.bincount(nearest, minlength=len(theta_phases)),
-        mode_eigen_defect=float(max(defects)) if defects else 0.0,
+        mode_eigen_defect=float(defects.max(initial=0.0)),
     )

@@ -12,9 +12,10 @@ order), and stably sorted by principal argument in [0, 2pi) for unitary
 input.  Two runs on the same platform at the same BLAS thread count produce
 identical output, as LAPACK returns the same bits there.
 
-A unitary is diagonalized through its Hermitian part, whose eigenvectors are
-clustered across gaps up to CLUSTER_GAP = 1e-4 so that the ring's near-pairs
-of eigenphases +-theta (equal cos theta) share a cluster (`unitary_eig`).
+A unitary is diagonalized through its Hermitian part (by `hermitian_eig`),
+whose eigenvectors are clustered across gaps up to CLUSTER_GAP = 1e-4 so that
+the ring's near-pairs of eigenphases +-theta (equal cos theta) share a cluster
+(`unitary_eig`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic,
 and so is a Hermitian matrix with no imaginary part (`hermitian_eig`).  A
@@ -258,14 +259,14 @@ def hermitian_eig(a) -> EigenDecomposition:
 
 def _diagonalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, V) of a unitary checked by check_unitary, in no particular order:
-    the eigenvectors of C = (U + U^H)/2, each cluster rotated (unitary_eig)."""
+    the eigenvectors of C = (U + U^H)/2 (hermitian_eig), each cluster rotated
+    (unitary_eig)."""
     u = check_unitary(u)
     if np.abs(u - u.T).max() <= SYMMETRY_TOL:
-        re = u.real
-        wc, basis = np.linalg.eigh((re + re.T) / 2)
-        basis = basis.astype(np.complex128)
+        eig = hermitian_eig((u.real + u.real.T) / 2)
     else:
-        wc, basis = np.linalg.eigh((u + u.conj().T) / 2)
+        eig = hermitian_eig((u + u.conj().T) / 2)
+    wc, basis = eig.values, eig.vectors
     cuts = [0, *(np.flatnonzero(np.diff(wc) > CLUSTER_GAP) + 1), len(wc)]
     for start, stop in zip(cuts[:-1], cuts[1:]):
         if stop - start > 1:
@@ -331,8 +332,10 @@ class MirrorSectors:
 def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix.
 
-    Diagonalizes C = (U + U^H)/2, which commutes with U, and clusters its
-    eigenvectors across every gap in C's spectrum up to CLUSTER_GAP; each cluster B
+    Diagonalizes C = (U + U^H)/2, which commutes with U, through hermitian_eig
+    (so an eigh that does not converge raises its NumericalError, naming C's
+    largest entry), and clusters its eigenvectors across every gap in C's
+    spectrum up to CLUSTER_GAP; each cluster B
     spans an invariant subspace of U, and one of several members is rotated
     by the Q factor (numpy.linalg.qr) of the eigenvectors of M = B^H U B
     (numpy.linalg.eig, in the order of its Schur form).  Those eigenvectors are
@@ -348,8 +351,8 @@ def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
     A symmetric U (max|U - U^T| <= SYMMETRY_TOL), the Floquet operator of a
     time-reversal-invariant drive, has the real C = Re(U + U^T)/2 and a real
     orthogonal eigenbasis (Haake, Quantum Signatures of Chaos, ch. 2): C is
-    then diagonalized by a real eigh, cheaper than the complex one, and the
-    clusters are rotated as above.
+    then diagonalized by hermitian_eig's real eigh, cheaper than the complex
+    one, and the clusters are rotated as above.
 
     Given a site reflection `mirror` R that U commutes with (a model's
     LatticeModel.mirror), U is folded into its blocks on R's even and odd

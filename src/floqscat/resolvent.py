@@ -219,26 +219,24 @@ def factorized_potential(h: PeriodicHamiltonian, n_t: int) -> FactorizedPotentia
     return FactorizedPotential(a_ops=a_ops, b_ops=b_ops)
 
 
-def _block_multiply(ops: np.ndarray, mat: np.ndarray, side: str) -> np.ndarray:
-    """Multiply a grid matrix by a block-diagonal multiplication operator."""
-    n_t, d = ops.shape[0], ops.shape[1]
-    view = mat.reshape(n_t, d, n_t, d)
-    if side == "left":
-        out = np.einsum("jpr,jrkq->jpkq", ops, view, optimize=True)
-    else:
-        out = np.einsum("jpkr,krq->jpkq", view, ops, optimize=True)
-    return out.reshape(n_t * d, n_t * d)
-
-
 def q_factorized(h: PeriodicHamiltonian, lam: complex, n_t: int,
                  fact: FactorizedPotential | None = None):
     """Grid matrix of A R0(lambda) B with its Schmidt (Frobenius) norm.
 
-    Returns (matrix, schmidt_norm).  V identically zero gives the zero matrix.
+    Returns (matrix, schmidt_norm).  A and B act on grid point j as the (d, d)
+    blocks A(t_j), B(t_j), so R0 B multiplies the column block k of R0 by B(t_k)
+    and A (R0 B) the row block j by A(t_j): two batched matmuls on reshaped
+    views of the dense matrices, with no copy beyond R0 B and Q themselves.  V
+    identically zero gives the zero matrix.
     """
     r0 = r0_matrix(h, lam, n_t)
     fact = fact or factorized_potential(h, n_t)
-    q = _block_multiply(fact.a_ops, _block_multiply(fact.b_ops, r0, "right"), "left")
+    d = h.dim
+    r0_b = np.empty_like(r0)
+    # column blocks k as a stack: R0[:, k] (n_t d, d) times B(t_k)
+    np.matmul(r0.reshape(n_t * d, n_t, d).transpose(1, 0, 2), fact.b_ops,
+              out=r0_b.reshape(n_t * d, n_t, d).transpose(1, 0, 2))
+    q = (fact.a_ops @ r0_b.reshape(n_t, d, n_t * d)).reshape(n_t * d, n_t * d)
     return q, float(np.linalg.norm(q))
 
 

@@ -20,9 +20,11 @@ nor keeps.
     convergence_ladder(h, ...)  ||Theta(N) - Theta(2N)|| over a step ladder
     rabi_closed_form_propagator(t, delta, v)  exact U(t, 0) of the driven two-level model
     block(k, n, m)              block (n, m) of a floquet.FloquetMatrix
+    mode_eigen_defect(mono, spec)  the correspondence's eigen-relation defect, one mode at a time
     spatial_mass(spec)          per-eigenvector fiber-site occupation of a spectrum
     k0_grid_matrix(h0, n_t)     -i d/dt + H0 on the periodic grid
     solve(a, b)                 (x, condition estimate) of A x = b by scipy.linalg's LU
+    block_multiply(ops, mat, side)  a grid matrix times a block-diagonal operator, by einsum
     full_resolvent(h, lam, n_t)  (R, cond): the grid's full resolvent by the factorized correction
     match_eigenvalues(a, b, floor)  greedy nearest matching of two eigenvalue multisets
     kronecker_sum_k(N, h0, modes)  I (x) h0 + diag(2 pi n) (x) I + sum_m S^m (x) H_m, by scipy
@@ -279,6 +281,24 @@ def shift_group_defect(k: FloquetMatrix, sigma: float) -> float:
     return float(np.abs(p[1:] * p[:-1].conj() - np.exp(2j * np.pi * sigma)).max(initial=0.0))
 
 
+def mode_eigen_defect(mono, spec) -> float:
+    """max ||Theta phi(s) - e^{-i lambda} phi(s)|| / ||phi(s)|| over the interior
+    eigenvectors of spec, each resummed alone at s = mono.start into phi(s) =
+    sum_n x_n e^{2 pi i n s} and checked alone: the per-mode loop that
+    floquet.correspondence_report runs as one product.  A mode with
+    ||phi(s)|| < 1e-12 is left out; 0.0 where none is left."""
+    space = spec.space
+    phases = np.exp(2j * np.pi * space.modes * (float(mono.start) % 1.0))
+    defects = [0.0]
+    for idx in np.flatnonzero(spec.interior):
+        phi = phases @ spec.vectors[:, idx].reshape(space.n_blocks, space.fiber_dim)
+        norm = np.linalg.norm(phi)
+        if norm >= 1e-12:
+            resid = mono.operator @ phi - np.exp(-1j * spec.values[idx]) * phi
+            defects.append(float(np.linalg.norm(resid) / norm))
+    return max(defects)
+
+
 def spatial_mass(spec) -> np.ndarray:
     """Per-eigenvector fiber-site occupation, summed over modes: (d, n_eig)."""
     return (np.abs(spec.space.blocks(spec.vectors)) ** 2).sum(axis=0)
@@ -326,6 +346,18 @@ def solve(a, b):
     return x, cond
 
 
+def block_multiply(ops: np.ndarray, mat: np.ndarray, side: str) -> np.ndarray:
+    """ops applied to a grid matrix as a block-diagonal multiplication operator, on
+    the left (block row j times ops[j]) or the right (block column k), by einsum."""
+    n_t, d = ops.shape[0], ops.shape[1]
+    view = mat.reshape(n_t, d, n_t, d)
+    if side == "left":
+        out = np.einsum("jpr,jrkq->jpkq", ops, view, optimize=True)
+    else:
+        out = np.einsum("jpkr,krq->jpkq", view, ops, optimize=True)
+    return out.reshape(n_t * d, n_t * d)
+
+
 def full_resolvent(h, lam: complex, n_t: int):
     """Grid matrix of the full periodic resolvent via the factorized correction.
 
@@ -334,13 +366,12 @@ def full_resolvent(h, lam: complex, n_t: int):
     a singular I + Q (an exceptional point) raises SingularMatrixError.
     """
     lam = resolvent._check_offaxis(lam)
-    multiply = resolvent._block_multiply
     r0 = resolvent.r0_matrix(h, lam, n_t)
     fact = resolvent.factorized_potential(h, n_t)
-    a_r0 = multiply(fact.a_ops, r0, "left")
-    q = multiply(fact.b_ops, a_r0, "right")
+    a_r0 = block_multiply(fact.a_ops, r0, "left")
+    q = block_multiply(fact.b_ops, a_r0, "right")
     r0_bar = resolvent.r0_matrix(h, np.conj(lam), n_t)
-    left = (multiply(fact.b_ops, r0_bar, "left")).conj().T
+    left = (block_multiply(fact.b_ops, r0_bar, "left")).conj().T
     dim = q.shape[0]
     try:
         x, cond = solve(np.eye(dim) + q, a_r0)

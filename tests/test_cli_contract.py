@@ -275,6 +275,35 @@ def test_window_leak_exits_3_naming_it(tmp_path, monkeypatch):
     assert not (tmp_path / "leak.report.json").exists()
 
 
+def test_unconverged_eigh_in_unitary_eig_exits_3_naming_it(tmp_path, monkeypatch):
+    # an eigh of Theta's Hermitian part that does not converge once escaped as
+    # numpy's LinAlgError, a traceback and exit 1: the first eigh called from inside
+    # unitary_eig's diagonalization raises, and every other eigh runs
+    eigh, parts = np.linalg.eigh, []
+
+    def unconverged_once(a):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_diagonalize":
+            frame = frame.f_back
+        if frame is None or parts:
+            return eigh(a)
+        parts.append(np.array(a))
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged_once)
+    cfg = tmp_path / "mono.json"
+    cfg.write_text(json.dumps({"task": "monodromy", "model": {"builtin": "rabi"},
+                               "parameters": {"steps_per_period": 16, "order": 2}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(cfg), "--out", str(tmp_path)])
+    assert len(parts) == 1
+    assert code == 3, err.getvalue()
+    assert "Hermitian eigendecomposition failed (Eigenvalues did not converge)" in err.getvalue()
+    assert f"largest entry {np.abs(parts[0]).max():.3e}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("sweep, fmt, code", [(False, "csv", 2), (True, "json", 2),
                                               (False, "json", 0), (True, "csv", 0),
                                               (False, None, 0), (True, None, 0)])

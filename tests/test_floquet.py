@@ -10,12 +10,20 @@ from floqscat.floquet import (
     reconstruct_mode,
     shift_commutation_defect,
 )
-from floqscat.model import PeriodicHamiltonian, build_lattice
+from floqscat.model import PeriodicHamiltonian, build_lattice, fleet, rabi_model
 from floqscat.numerics import hermitian_defect
 from floqscat.propagation import PropagatorSchedule, monodromy
 
 from conftest import random_hermitian
-from oracles import block, kronecker_k, rabi_quasi_energies, shift_group_defect
+from oracles import block, kronecker_k, mode_eigen_defect, rabi_quasi_energies, shift_group_defect
+
+# (model, mode cutoff N): the driven two-level model, the d = 4 two-harmonic model
+# and a 64-site driven ring, whose interior modes the correspondence checks
+MODE_CASES = {
+    "rabi": (lambda: rabi_model(0.0, 1.0), 32),
+    "two-harmonic-d4": (lambda: fleet()[2], 20),
+    "ring-64": (lambda: build_lattice(64, 1.0, -2.0, 0.5, range(30, 35)), 4),
+}
 
 
 class TestBuildFloquet:
@@ -141,7 +149,7 @@ class TestQuasiSpectrum:
         idx = np.flatnonzero(spec.interior & (np.abs(spec.values) < 2 * np.pi * 4))
         j = idx[len(idx) // 2]
         lam = spec.values[j]
-        blocks = spec.mode_blocks(j)
+        blocks = spec.space.blocks(spec.vectors[:, j])
         shifted = np.zeros_like(blocks)
         shifted[1:] = blocks[:-1]  # mode shift by one
         shifted_vec = shifted.reshape(-1)
@@ -153,6 +161,17 @@ class TestQuasiSpectrum:
         phi0 = reconstruct_mode(spec, 5, 0.0)
         phi1 = reconstruct_mode(spec, 5, 1.0)
         assert np.abs(phi0 - phi1).max() <= 1e-10
+
+    @pytest.mark.parametrize("case", MODE_CASES)
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_index_array_stacks_the_scalar_calls(self, case, t):
+        model, n_modes = MODE_CASES[case]
+        spec = quasi_spectrum(build_floquet(model(), n_modes))
+        idx = np.flatnonzero(spec.interior)
+        got = reconstruct_mode(spec, idx, t)
+        want = np.stack([reconstruct_mode(spec, j, t) for j in idx], axis=1)
+        assert got.shape == want.shape == (spec.space.fiber_dim, len(idx))
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestCorrespondence:
@@ -172,6 +191,17 @@ class TestCorrespondence:
         # Theta(s) phi(s) = e^{-i lambda} phi(s): the modes are read at s = mono.start
         mono = monodromy(rabi, 0.25, PropagatorSchedule(512, 4))
         assert correspondence_report(mono, 20).mode_eigen_defect <= 1e-10
+
+    @pytest.mark.parametrize("case", MODE_CASES)
+    @pytest.mark.parametrize("start", [0.0, 0.3])
+    def test_mode_defect_is_the_per_mode_loop(self, case, start, fast_sched):
+        # every interior mode checked in one product gives the per-mode loop's maximum
+        model, n_modes = MODE_CASES[case]
+        mono = monodromy(model(), start, fast_sched)
+        rep = correspondence_report(mono, n_modes)
+        want = mode_eigen_defect(mono, quasi_spectrum(build_floquet(mono.model, n_modes)))
+        assert 0.0 < want
+        assert abs(rep.mode_eigen_defect - want) <= 1e-15
 
     def test_truncation_ladder_monotone(self, rabi, accurate_sched):
         mono = monodromy(rabi, 0.0, accurate_sched)

@@ -434,6 +434,20 @@ class TestNonFiniteNorms:
         with pytest.raises(numerics.NumericalError, match="largest entry 4.500e\\+189"):
             hermitian_eig(np.diag([-4.5e189, 1.0]))
 
+    @pytest.mark.parametrize("u", [random_unitary(6, seed=3),
+                                   np.diag(np.exp(1j * np.array([0.3, 1.7, 4.0])))],
+                             ids=["complex", "symmetric"])
+    def test_unconverged_eigh_of_the_hermitian_part_is_diagnosed(self, u, monkeypatch):
+        # unitary_eig diagonalizes (U + U^H)/2 through hermitian_eig: an eigh that does not
+        # converge there is a NumericalError naming that part's largest entry
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        largest = np.abs((u + u.conj().T) / 2).max()
+        with pytest.raises(numerics.NumericalError, match=f"largest entry {largest:.3e}"):
+            unitary_eig(u)
+
 
 class TestNanFailsClosed:
     """A gate that holds a value to a bound fails on a NaN value: `not value <= bound`,

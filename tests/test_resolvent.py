@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from scipy.sparse.linalg import eigsh, splu
 
 import floqscat.resolvent as resolvent
 from floqscat.floquet import ModeSpace, build_floquet, circular_distance, start_vector
-from floqscat.model import PeriodicHamiltonian, build_lattice
+from floqscat.model import PeriodicHamiltonian, build_lattice, fleet
 from floqscat.numerics import SingularMatrixError, max_norm, op_norm
 from floqscat.propagation import PropagatorSchedule
 from floqscat.resolvent import (
@@ -24,7 +26,7 @@ from floqscat.resolvent import (
 )
 
 from conftest import random_hermitian
-from oracles import full_resolvent, k0_grid_matrix, kronecker_k, match_eigenvalues
+from oracles import block_multiply, full_resolvent, k0_grid_matrix, kronecker_k, match_eigenvalues
 
 RING_SLOT = (40, 1.0, -1.7, 0.45, range(19, 22))   # TestRayleighRefinement's ring-bound slot
 
@@ -207,6 +209,30 @@ class TestQFactorized:
         for n in (-2, -1, 0, 1, 2):
             want = v / (2 * np.pi * n - lam)
             assert np.abs(evals - want).min() <= 2e-5
+
+    @pytest.mark.parametrize("model", [1, 2], ids=["two-harmonic-d3", "two-harmonic-d4"])
+    @pytest.mark.parametrize("n_t", [64, 512])
+    def test_batched_products_are_the_block_products(self, model, n_t):
+        # A (R0 B) by two batched matmuls against the oracle's einsum block products
+        h, lam = fleet()[model], 1.0 + 1.0j
+        fact = factorized_potential(h, n_t)
+        q, schmidt = q_factorized(h, lam, n_t, fact)
+        want = block_multiply(fact.a_ops, block_multiply(
+            fact.b_ops, resolvent.r0_matrix(h, lam, n_t), "right"), "left")
+        assert np.abs(q - want).max() <= 1e-14 * max_norm(want)
+        assert abs(schmidt - np.linalg.norm(want)) <= 1e-14 * schmidt
+
+    def test_peak_memory_is_three_grid_matrices(self):
+        # R0, R0 B and Q, each (N_t d)^2 complex, and no other grid matrix: 108 MiB at
+        # N_t = 512 on the d = 3 model
+        h, n_t = fleet()[1], 512
+        tracemalloc.start()
+        try:
+            q_factorized(h, 1.0 + 1.0j, n_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.01 * 16 * (n_t * h.dim) ** 2
 
 
 class TestFullResolvent:
