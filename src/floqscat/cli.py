@@ -654,14 +654,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for probe-packet randomization only")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel scenario fan-out")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel scenario fan-out (>= 1)")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if Path(args.out).exists() and not Path(args.out).is_dir():
         parser.error(f"argument --out: {args.out} exists and is not a directory")
 
-    jobs = min(max(1, args.jobs), len(args.config))
+    jobs = min(args.jobs, len(args.config))
     if jobs == 1:
         outcomes = [_run_one(c, args.out, args.seed) for c in args.config]
     else:

@@ -15,7 +15,11 @@ identical output, as LAPACK returns the same bits there.
 A unitary is diagonalized through its Hermitian part (by `hermitian_eig`),
 whose eigenvectors are clustered across gaps up to CLUSTER_GAP = 1e-4 so that
 the ring's near-pairs of eigenphases +-theta (equal cos theta) share a cluster
-(`unitary_eig`).
+(`unitary_eig`).  U multiplies those eigenvectors once, per sector: the one
+product UB gives each cluster's rotation, the eigenvalues diag(B^H U B) and the
+unitarity gate, max|UV - V diag(lambda)| and max||lambda| - 1| within
+UNITARY_TOL, which certifies the eigenpairs as well as U; no Gram product
+U^H U is formed (`_diagonalize`).
 A symmetric unitary (U = U^T to SYMMETRY_TOL), as a ring's monodromy is at
 start 0 or 1/2, has a real Hermitian part, diagonalized in real arithmetic,
 and so is a Hermitian matrix with no imaginary part (`hermitian_eig`).  A
@@ -32,7 +36,7 @@ value as `not value <= bound`, so a NaN fails it.
 
 A sparse operand is held as canonical CSR arrays (indptr, indices, data): the
 pattern from sorted row-major keys (`csr_structure`), or a dense block's
-nonzeros (`csr_arrays`).  Its products, the Magnus commutators' included, run
+nonzeros (`csr_arrays`).  Its products, each Magnus commutator's included, run
 through scipy's compiled CSR multivector kernel (`csr_matvecs`), the one kernel
 the package calls: bound here at import (`_bind`), from its module loaded alone
 (`_csr_kernels`) and not through the scipy.sparse package.
@@ -188,15 +192,6 @@ def adjoint_apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conj(y, out=y)
 
 
-def check_unitary(a) -> np.ndarray:
-    a = check_square(a)
-    defect = unitary_defect(a)
-    if not defect <= UNITARY_TOL:   # a NaN fails
-        raise NonUnitaryError(
-            f"matrix is not unitary: |A^H A - I| = {defect:.3e} > {UNITARY_TOL:.1e}")
-    return a
-
-
 @dataclass
 class EigenDecomposition:
     """Eigenvalues plus orthonormal eigenvectors V (columns) and nothing else; the one
@@ -258,22 +253,30 @@ def hermitian_eig(a) -> EigenDecomposition:
 
 
 def _diagonalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, V) of a unitary checked by check_unitary, in no particular order:
-    the eigenvectors of C = (U + U^H)/2 (hermitian_eig), each cluster rotated
-    (unitary_eig)."""
-    u = check_unitary(u)
-    if np.abs(u - u.T).max() <= SYMMETRY_TOL:
-        eig = hermitian_eig((u.real + u.real.T) / 2)
-    else:
-        eig = hermitian_eig((u + u.conj().T) / 2)
-    wc, basis = eig.values, eig.vectors
-    cuts = [0, *(np.flatnonzero(np.diff(wc) > CLUSTER_GAP) + 1), len(wc)]
+    """(values, V) of a unitary U, in no particular order: the eigenvectors B of
+    C = (U + U^H)/2 (hermitian_eig), each cluster rotated, the eigenvalues and the
+    gate all read from the one product UB (unitary_eig).  NonUnitaryError names an
+    entry of modulus above 1 before the eigh, and after it max|UV - V diag(lambda)|
+    or else max||lambda| - 1| where it exceeds UNITARY_TOL."""
+    i, j = divmod(int(np.argmax(np.abs(u))), u.shape[1])   # a NaN is argmax's pick
+    if not (modulus := abs(u[i, j])) <= 1.0 + UNITARY_TOL:
+        raise NonUnitaryError(f"matrix is not unitary: entry ({i}, {j}) has modulus {modulus:.3e} > 1")
+    symmetric = np.abs(u - u.T).max() <= SYMMETRY_TOL
+    eig = hermitian_eig((u.real + u.real.T) / 2 if symmetric else (u + u.conj().T) / 2)
+    basis = eig.vectors
+    ub = u @ basis
+    cuts = [0, *(np.flatnonzero(np.diff(eig.values) > CLUSTER_GAP) + 1), len(basis)]
     for start, stop in zip(cuts[:-1], cuts[1:]):
         if stop - start > 1:
-            block = basis[:, start:stop]
-            rot, _ = np.linalg.qr(np.linalg.eig(block.conj().T @ u @ block)[1])
-            basis[:, start:stop] = block @ rot
-    return (basis.conj() * (u @ basis)).sum(axis=0), basis   # diag(B^H U B): one BLAS product
+            block = slice(start, stop)
+            rot, _ = np.linalg.qr(np.linalg.eig(basis[:, block].conj().T @ ub[:, block])[1])
+            basis[:, block], ub[:, block] = basis[:, block] @ rot, ub[:, block] @ rot
+    values = (basis.conj() * ub).sum(axis=0)   # diag(B^H U B)
+    for name, value in (("max|UV - V diag(lambda)|", max_norm(ub - basis * values)),
+                        ("max||lambda| - 1|", max_norm(np.abs(values) - 1.0))):
+        if not value <= UNITARY_TOL:   # a NaN fails
+            raise NonUnitaryError(f"matrix is not unitary: {name} = {value:.3e} > {UNITARY_TOL:.0e}")
+    return values, basis
 
 
 class MirrorSectors:
@@ -334,19 +337,30 @@ def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
 
     Diagonalizes C = (U + U^H)/2, which commutes with U, through hermitian_eig
     (so an eigh that does not converge raises its NumericalError, naming C's
-    largest entry), and clusters its eigenvectors across every gap in C's
-    spectrum up to CLUSTER_GAP; each cluster B
+    largest entry), and clusters its eigenvectors B across every gap in C's
+    spectrum up to CLUSTER_GAP.  U multiplies B once: each cluster B_c
     spans an invariant subspace of U, and one of several members is rotated
-    by the Q factor (numpy.linalg.qr) of the eigenvectors of M = B^H U B
-    (numpy.linalg.eig, in the order of its Schur form).  Those eigenvectors are
+    by the Q factor (numpy.linalg.qr) of the eigenvectors of
+    M = B_c^H (UB)_c (numpy.linalg.eig, in the order of its Schur form), the
+    rotation applied to both B_c and (UB)_c.  Those eigenvectors are
     M's Schur vectors times an upper-triangular matrix, so Q is M's Schur
     basis, its eigenbasis since M is normal: it separates M's eigenvalues
     themselves, both the pairs +-theta that share cos(theta) and the pairs
     near +-pi/2 that share sin(theta).  The gap is wide because eigenphases
     +-theta share cos(theta): the bipartite ring's near-pairs differ by ~1e-6
     in it, and a pair split between clusters keeps eigh's eps/gap mixing.
-    Eigenvalues are stably sorted by principal argument in [0, 2pi); the
-    eigenvectors carry no phase or tie-break convention.
+    The eigenvalues are diag(V^H (UV)).  Eigenvalues are stably sorted by
+    principal argument in [0, 2pi); the eigenvectors carry no phase or
+    tie-break convention.
+
+    The same product UV gates the result: NonUnitaryError ("not unitary",
+    naming the quantity) where max|UV - V diag(lambda)| or max||lambda| - 1|
+    exceeds UNITARY_TOL, a NaN included.  With V unitary that bounds
+    U = (V diag(lambda) + (UV - V diag(lambda))) V^H as unitary to within the
+    tolerance, and it certifies the eigenpairs themselves, which a Gram check
+    of U does not.  An entry of U of modulus above 1 (a unitary's entries
+    have modulus at most 1), NaN and inf included, is refused before the
+    eigh with a NonUnitaryError naming the entry.
 
     A symmetric U (max|U - U^T| <= SYMMETRY_TOL), the Floquet operator of a
     time-reversal-invariant drive, has the real C = Re(U + U^T)/2 and a real
@@ -357,17 +371,19 @@ def unitary_eig(u, mirror: np.ndarray | None = None) -> EigenDecomposition:
     Given a site reflection `mirror` R that U commutes with (a model's
     LatticeModel.mirror), U is folded into its blocks on R's even and odd
     sectors (MirrorSectors; 129 and 127 rows on a 256-site ring), each
-    diagonalized as above, its own check_unitary included, and the
-    eigenvectors unfolded to sites: two eighs of about half the side, about a
-    quarter of the one eigh's work.  The even-odd coupling blocks must be at
-    most UNITARY_TOL entrywise, or NonUnitaryError is raised.  An eigenvector
-    of either sector is one of U; the two routes agree to round-off over the
-    eigenphase gaps, and a pair split between sectors is separated exactly.
+    diagonalized and gated as above (an entry is then named in its sector's
+    block), and the eigenvectors unfolded to sites: two eighs of about half
+    the side, about a quarter of the one eigh's work.  The even-odd coupling
+    blocks must be at most UNITARY_TOL entrywise, or NonUnitaryError is
+    raised.  An eigenvector of either sector is one of U; the two routes
+    agree to round-off over the eigenphase gaps, and a pair split between
+    sectors is separated exactly.
     """
+    u = check_square(u)
     if mirror is None:
         values, basis = _diagonalize(u)
     else:
-        values, basis = MirrorSectors(mirror).eig(check_square(u))
+        values, basis = MirrorSectors(mirror).eig(u)
     order = np.argsort(np.mod(np.angle(values), 2 * np.pi), kind="stable")
     return EigenDecomposition(values=values[order], vectors=basis[:, order])
 

@@ -10,10 +10,12 @@ as a data row on one sparse pattern, and Omega's entries for every step of a
 call come from one product of the steps' scalar coefficients at their Gauss
 nodes with that stack, held to require_hermitian's rule as one stack.  The
 pattern, the stack and the positions of each entry's transpose are built with
-numpy from the operands' nonzero keys (numerics.distinct, searchsorted); each
-commutator product is one call of scipy's compiled CSR multivector kernel
-`csr_matvecs` (numerics) on a dense factor, with the bits of scipy.sparse's CSR
-product and difference (`_commutator`).  exp(-i Omega) acts on the running
+numpy from the operands' nonzero keys (numerics.distinct, searchsorted); so is
+each commutator product, one operand's entries (i, k) joined with the other's
+row k and each output entry summed over k ascending by one call of scipy's
+compiled CSR multivector kernel `csr_matvecs` (numerics), with the bits of
+scipy.sparse's CSR product and difference and no d x d array (`_product`,
+`_commutator`).  exp(-i Omega) acts on the running
 product through a Taylor polynomial whose degree and substep count are fixed
 per call from the a-priori bound on ||Omega||_1 so that the truncation error
 stays below unit round-off (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)),
@@ -22,8 +24,8 @@ X_j = -i Omega / (substeps j).  On a sparse pattern each term is one call of
 `csr_matvecs`, which adds X_j acc onto a C-ordered copy of u: a product through
 scipy.sparse's `omega @ x` reaches the same kernel only after per-call format
 checks and a zeroed result.  A propagator is therefore unitary to round-off,
-not by construction;
-`unitary_eig`'s `check_unitary` gates every Monodromy.eig.  After each step
+not by construction; `unitary_eig` gates every Monodromy.eig on the product
+Theta V it reads the eigenvalues from.  After each step
 `flush` zeroes the parts below 2^-200, and returns at once, writing nothing,
 where there are none.  A stepper is built once per model, signed step
 width and order and kept in the model's `steppers` cache, so every propagate
@@ -97,8 +99,8 @@ from math import lgamma, log
 import numpy as np
 
 from .model import LatticeModel, PeriodicHamiltonian
-from .numerics import (EigenDecomposition, NumericalError, csr_arrays, csr_matvecs,
-                       csr_structure, distinct, expm_hermitian, require_hermitian, unitary_eig)
+from .numerics import (EigenDecomposition, NumericalError, csr_matvecs, csr_structure,
+                       distinct, expm_hermitian, require_hermitian, unitary_eig)
 
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
@@ -195,22 +197,41 @@ class PropagatorSchedule:
             raise ValueError(f"integrator order must be one of {ORDERS}")
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row-major keys, values) of the nonzero entries of AB - BA, bit for bit as scipy.sparse
-    forms it from CSR operands: each product is one csr_matvecs call of one operand's CSR
-    arrays on the other, dense and C-ordered, which sums a row in scipy's CSR product's
-    order and adds an exact zero where that product has no term; the dense difference
-    keeps the nonzeros scipy's CSR difference keeps."""
-    n = a.shape[0]
+def _product(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], dim: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted row-major keys, values) of AB for operands given as (sorted row-major keys,
+    values) of their nonzero entries, bit for bit as scipy.sparse's CSR product sums
+    them: each entry (i, k) of A is joined with B's row k, and each output key summed
+    over k ascending by one csr_matvecs call whose rows are the output keys and whose
+    vector is B's values.  Exact zeros are kept."""
+    (ka, va), (kb, vb) = a, b
+    b_ptr, b_col = csr_structure(kb, (dim, dim))
+    row, k = np.divmod(ka, dim)
+    count = b_ptr[k + 1] - b_ptr[k]
+    # B's entry of each (A entry, B entry) pair, A's entries in order
+    entry = np.repeat(b_ptr[k] - np.cumsum(count) + count, count) + np.arange(count.sum())
+    keys = np.repeat(row, count) * dim + b_col[entry]
+    order = np.argsort(keys, kind="stable")   # each key's pairs stay in ascending k
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    out = np.zeros((len(first), 1), dtype=np.complex128)
+    csr_matvecs(len(first), len(kb), 1, np.append(first, len(keys)), entry[order],
+                np.repeat(va, count)[order], vb[:, None], out)
+    return keys[first], out[:, 0]
 
-    def product(x, y):
-        out = np.zeros((n, n), dtype=np.complex128)
-        csr_matvecs(n, n, n, *csr_arrays(x), np.ascontiguousarray(y), out)
-        return out
 
-    diff = product(a, b) - product(b, a)
-    keys = np.flatnonzero(diff)
-    return keys, diff.ravel()[keys]
+def _commutator(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], dim: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted row-major keys, values) of the nonzero entries of AB - BA, from the operands'
+    (keys, values) alone (`_product`), bit for bit as scipy.sparse forms it from CSR
+    operands: a key of one product alone keeps its value, or its negation."""
+    (kab, ab), (kba, ba) = _product(a, b, dim), _product(b, a, dim)
+    keys = distinct(np.concatenate([kab, kba]))
+    diff = np.zeros(len(keys), dtype=np.complex128)
+    diff[np.searchsorted(keys, kab)] = ab
+    diff[np.searchsorted(keys, kba)] -= ba
+    keep = np.flatnonzero(diff)
+    return keys[keep], diff[keep]
 
 
 class MagnusStepper:
@@ -259,7 +280,7 @@ class MagnusStepper:
             bound += _GAUSS_OFFSET * (bound**2 if bound < 1e154 else np.inf)
         self.degree, self.substeps = taylor_plan(bound)   # a rejected plan forms no commutator
         if order == 4:
-            parts += [_commutator(ops[i], ops[j]) for i, j in self.pairs.T]
+            parts += [_commutator(parts[i], parts[j], dim) for i, j in self.pairs.T]
 
         # the pattern: the union of the supports and its transpose, sorted row-major
         keys = np.concatenate([k for k, _ in parts])

@@ -11,11 +11,13 @@ MODULES (`scipy.linalg`, the `scipy.sparse` package, `numpy.ma` and
 `concurrent.futures`) the process had loaded.  Reports go to `--out` (default: the
 current directory), so two trees' reports can be compared with tests/report_diff.py.
 
-The at-scale wave-operators figures in CHANGES.md come from `ring_config(L)`:
-the benchmark's ring-scatter ring (hopping 1, well depth -0.8, drive 0.5,
-support width 5) grown to L sites, with the benchmark's schedule and
-n_max = L / 8, the ring's wrap-around horizon.  `--ring 1024 2048` writes
-those configs to `--out` as ring-<L>.json and runs them after any CONFIG.
+The at-scale figures in CHANGES.md come from `ring_config(L)`: the benchmark's
+ring-scatter ring (hopping 1, well depth -0.8, drive 0.5, support width 5)
+grown to L sites, with the benchmark's schedule and n_max = L / 8, the ring's
+wrap-around horizon, and from `bound_config(L)`, the bound-states task on the
+same ring and schedule, defaults otherwise.  Both read Theta's whole spectrum.
+`--ring 1024 2048` writes those configs to `--out` as ring-<L>.json and
+bound-<L>.json and runs them after any CONFIG, each size's in turn.
 """
 
 from __future__ import annotations
@@ -56,12 +58,22 @@ def ring_config(sites: int) -> dict:
                            "translates": 2, "average_window": 1.0, "floquet_modes": 3}}
 
 
-def write_ring_configs(sizes, directory: Path) -> list[Path]:
-    """ring_config(L) for each L in `sizes`, written to directory/ring-<L>.json."""
+def bound_config(sites: int) -> dict:
+    """The at-scale bound-states config on ring_config(sites)'s ring and schedule."""
+    ring = ring_config(sites)
+    return {"task": "bound-states", "model": ring["model"],
+            "parameters": {"steps_per_period": 64, "order": 4}}
+
+
+def write_ring_configs(sizes, directory: Path, kinds=(("ring", ring_config),)) -> list[Path]:
+    """make(L) for each L in `sizes` and each (name, make) of `kinds`, written to
+    directory/<name>-<L>.json: ring_config's alone by default."""
     directory.mkdir(parents=True, exist_ok=True)
-    paths = [directory / f"ring-{sites}.json" for sites in sizes]
-    for sites, path in zip(sizes, paths):
-        path.write_text(json.dumps(ring_config(sites), indent=1) + "\n")
+    paths = []
+    for sites in sizes:
+        for name, make in kinds:
+            paths.append(directory / f"{name}-{sites}.json")
+            paths[-1].write_text(json.dumps(make(sites), indent=1) + "\n")
     return paths
 
 
@@ -85,7 +97,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("configs", nargs="*", metavar="CONFIG")
     parser.add_argument("--ring", nargs="+", type=int, default=[], metavar="SITES",
-                        help="also write and run ring_config(SITES) for each size")
+                        help="also write and run ring_config(SITES) and bound_config(SITES) "
+                             "for each size")
     parser.add_argument("--out", default=".", help="report directory (default: .)")
     parser.add_argument("--seed", type=int, default=None, help="the CLI's --seed")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
@@ -93,7 +106,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.configs and not args.ring:
         parser.error("give a CONFIG or --ring SITES")
-    configs = args.configs + [str(p) for p in write_ring_configs(args.ring, Path(args.out))]
+    kinds = (("ring", ring_config), ("bound", bound_config))
+    configs = args.configs + [str(p) for p in write_ring_configs(args.ring, Path(args.out), kinds)]
     status = 0
     for config in configs:
         got = probe(config, args.out, args.seed, args.src.resolve())

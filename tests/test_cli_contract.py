@@ -618,6 +618,23 @@ def test_valid_model_configs_keep_the_contract(drawn):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_exits_2_naming_jobs(tmp_path, jobs):
+    # --jobs 0 and --jobs -3 once ran the configs one by one and exited 0 without a word;
+    # they are refused before any config runs, as --seed -1 is
+    cfg = {"task": "monodromy", "model": {"builtin": "rabi"},
+           "parameters": {"steps_per_period": 16}}
+    (tmp_path / "case.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(SystemExit) as exit_:
+        main(["--config", str(tmp_path / "case.json"), "--out", str(tmp_path / "out"),
+              "--jobs", str(jobs)])
+    assert exit_.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("output", [None, {"path": "x/y.json"}], ids=["default", "config-path"])
 def test_out_that_is_a_file_exits_2_naming_out(tmp_path, output, jobs):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,47 @@ class TestUnitaryEig:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             unitary_eig(np.diag([1.0, 2.0]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5], ids=["nan", "inf", "large"])
+    def test_entry_above_modulus_one_is_named_before_the_eigh(self, bad, monkeypatch):
+        u = random_unitary(5, seed=3)
+        u[2, 0] = bad
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh was called"))
+        with pytest.raises(numerics.NonUnitaryError,
+                           match=re.escape(f"matrix is not unitary: entry (2, 0) has modulus "
+                                           f"{abs(bad):.3e} > 1")):
+            unitary_eig(u)
+
+    def test_eigenvalue_off_the_unit_circle_is_named(self):
+        # every entry within modulus 1 and V exact, so only |lambda| - 1 fails
+        with pytest.raises(numerics.NonUnitaryError,
+                           match="^matrix is not unitary: max\\|\\|lambda\\| - 1\\| = 5.000e-01"):
+            unitary_eig(np.diag([1.0, 0.5, 1j]))
+
+    def test_unrotated_pair_is_refused(self, monkeypatch):
+        # eigenphases +-theta share cos(theta), so their Hermitian-part eigenvectors mix
+        # them; with the cluster's rotation skipped those columns are no eigenvectors of
+        # U, and the residual gate refuses them where a Gram check of U would pass
+        phases = np.array([0.9, -0.9, 2.5, 4.0])
+        w = random_unitary(4, seed=12)
+        u = (w * np.exp(1j * phases)) @ w.conj().T
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (np.eye(len(a), dtype=complex), None))
+        with pytest.raises(numerics.NonUnitaryError,
+                           match="^matrix is not unitary: max\\|UV - V diag\\(lambda\\)\\|"):
+            unitary_eig(u)
+
+    def test_no_gram_product(self, monkeypatch):
+        # the gate reads U V, the product the eigenvalues come from: unitary_defect's
+        # A^H A is formed on no route
+        calls = []
+        monkeypatch.setattr(numerics, "unitary_defect", lambda a: calls.append(a) or 0.0)
+        ring = TestMirrorSectors.ring(40)
+        theta = ring.free_period
+        for u, mirror in [(random_unitary(12, seed=4), None), (theta, None),
+                          (theta, ring.mirror())]:
+            eig = unitary_eig(u, mirror)
+            assert residual(eig, u) <= 1e-12
+        assert calls == []
 
     @staticmethod
     def complex_route(u, monkeypatch):
@@ -457,7 +500,7 @@ class TestNanFailsClosed:
         u = np.eye(3, dtype=np.complex128)
         u[0, 1] = np.nan
         with pytest.raises(numerics.NonUnitaryError, match="nan"):
-            numerics.check_unitary(u)
+            unitary_eig(u)
 
     @pytest.mark.parametrize("defects, scales", [(np.nan, 1.0), ([0.0, np.nan], [1.0, 1.0]),
                                                  ([0.0, 0.0], [1.0, np.nan])])

@@ -377,13 +377,15 @@ def mirror_ring(sites, width):
 
 
 def pattern_cases():
-    """magnus_cases, a mirror ring, ring-scatter's 81-site window segment and two random
-    complex two-harmonic models, whose commutators fill the pattern."""
+    """magnus_cases, a mirror ring, ring-scatter's 81-site window segment, a ring whose
+    light cone's segment would exceed half its sites (window_block steps it whole) and
+    two random complex two-harmonic models, whose commutators fill the pattern."""
     from floqscat.model import _random_two_harmonic, build_lattice
 
     return {**magnus_cases(), "ring-48": (mirror_ring(48, 5), 256),
             "window-segment": (build_lattice(256, 1.0, -0.8, 0.5, range(126, 131)).segment(38),
                                64),
+            "whole-ring": (build_lattice(64, 1.0, -1.8, 0.45, range(12, 52)), 64),
             "random-d2": (_random_two_harmonic(2, seed=5, label="d=2"), 64),
             "random-d3": (_random_two_harmonic(3, seed=23, label="d=3"), 64)}
 
@@ -481,6 +483,25 @@ class TestHornerStep:
         assert np.array_equal(stepper.stack.view(np.uint64), stack.view(np.uint64))
         assert np.array_equal(stepper.mirror, mirror)
         assert (stepper.degree, stepper.substeps) == plan
+
+    def test_commutator_reads_only_the_nonzero_keys(self):
+        # at dim 2^16 a dense d x d operand would take 64 GiB: the commutator of operands
+        # on sites {0, 1, dim - 1} comes from their entries alone, exact here (small
+        # integers), and equals the dense commutator of the 3 x 3 blocks on those sites
+        from floqscat.propagation import _commutator
+
+        dim, sites = 2**16, np.array([0, 1, 2**16 - 1])
+        rng = np.random.default_rng(8)
+        blocks = [rng.integers(-3, 4, (3, 3)) + 1j * rng.integers(-3, 4, (3, 3))
+                  for _ in range(2)]
+        for block in blocks:
+            block[0, 2] = 0.0   # an absent entry
+        keys = (sites[:, None] * dim + sites).ravel()
+        parts = [(keys[np.flatnonzero(b)], b.ravel()[np.flatnonzero(b)]) for b in blocks]
+        got_keys, got = _commutator(*parts, dim)
+        want = blocks[0] @ blocks[1] - blocks[1] @ blocks[0]
+        assert np.array_equal(got_keys, keys[np.flatnonzero(want)])
+        assert np.array_equal(got, want.ravel()[np.flatnonzero(want)])
 
 
 def record_propagate_spans(monkeypatch):
